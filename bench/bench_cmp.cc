@@ -73,9 +73,11 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
     SweepDriver drv(ctx, "bench_cmp_coherent", "cmp_coherent",
                     jsonCols);
 
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-        if (!drv.shouldRun(m))
-            continue;
+    // Index-addressed per-unit slots: the leakage-managed run and
+    // its summary row.
+    std::vector<CmpRunOutput> pols(mixes.size());
+    std::vector<std::vector<std::string>> rows(mixes.size());
+    const auto computeUnit = [&](std::size_t m) -> UnitRows {
         const std::vector<std::string> &benches = mixes[m];
         const std::string mix = cmpMixName(benches);
 
@@ -98,8 +100,8 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
 
         const CmpRunOutput conv =
             runCmp(ctx.cfg, conv_cmp, benches[0]);
-        const CmpRunOutput pol =
-            runCmp(ctx.cfg, pol_cmp, benches[0]);
+        pols[m] = runCmp(ctx.cfg, pol_cmp, benches[0]);
+        const CmpRunOutput &pol = pols[m];
         const CmpComparison cc =
             compareCmp(constants, toCmpMeasurement(conv),
                        toCmpMeasurement(pol));
@@ -111,23 +113,33 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
             refetches += c.coherenceRefetches;
         }
 
-        std::vector<std::string> row{
-            mix,
-            std::to_string(pol.systemCycles),
-            std::to_string(pol.coherenceInvalidations),
-            std::to_string(pol.coherenceDowngrades),
-            std::to_string(pol.coherenceWritebacks),
-            std::to_string(pol.coherenceMsgCycles),
-            std::to_string(pol.directoryEvictions),
-            std::to_string(wakes),
-            std::to_string(refetches),
-            fmtDouble(cc.relativeEnergyDelay(), 3)};
-        summary.addRow(row);
+        rows[m] = {mix,
+                   std::to_string(pol.systemCycles),
+                   std::to_string(pol.coherenceInvalidations),
+                   std::to_string(pol.coherenceDowngrades),
+                   std::to_string(pol.coherenceWritebacks),
+                   std::to_string(pol.coherenceMsgCycles),
+                   std::to_string(pol.directoryEvictions),
+                   std::to_string(wakes),
+                   std::to_string(refetches),
+                   fmtDouble(cc.relativeEnergyDelay(), 3)};
+        std::vector<std::string> row = rows[m];
         row.push_back(
             runKeyCmp(ctx.cfg, pol_cmp, benches[0]).hashHex());
-        drv.unitDone(m, {std::move(row)});
+        std::cerr << "  [cmp] " + mix + " done\n";
+        return {std::move(row)};
+    };
 
-        std::cout << "\n" << mix
+    // One worker on purpose: a coherent 4-core system is the largest
+    // simulation in the tree, and running both mixes at once raised
+    // peak RSS from 6.8 to 9.0 MB (--cores 4 --dram-banked). The
+    // mixes run one after another on the calling thread.
+    Executor serial(1);
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
+    for (const std::size_t m : drv.run(computeUnit, &serial)) {
+        const CmpRunOutput &pol = pols[m];
+        summary.addRow(rows[m]);
+        std::cout << "\n" << cmpMixName(mixes[m])
                   << ": per-core coherence attribution "
                      "(leakage-managed run)\n";
         Table t({"core", "benchmark", "policy", "inval-recv",
@@ -147,7 +159,6 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
                       std::to_string(c.coherenceRefetches)});
         }
         t.print(std::cout);
-        std::cerr << "  [cmp] " << mix << " done\n";
     }
 
     std::cout << "\n-- coherent sharing mixes (leakage-managed vs "
@@ -220,20 +231,14 @@ main(int argc, char **argv)
             jsonCols.push_back(c);
     SweepDriver drv(ctx, "bench_cmp", "cmp", jsonCols);
 
-    struct PerMix
-    {
-        std::string name;
-        CmpSearchResult sr;
-    };
-    std::vector<PerMix> results;
-
-    double sum_ed = 0.0;
-    for (unsigned m = 0; m < farm::kDefaultCmpMixes; ++m) {
-        if (!drv.shouldRun(m))
-            continue;
+    // Index-addressed per-unit slots; units run concurrently.
+    std::vector<std::string> mixNames(farm::kDefaultCmpMixes);
+    std::vector<CmpSearchResult> results(farm::kDefaultCmpMixes);
+    const auto computeUnit = [&](std::size_t m) -> UnitRows {
         const std::vector<std::string> benches =
-            farm::cmpMixBenches(m, n);
-        const std::string mix = cmpMixName(benches);
+            farm::cmpMixBenches(static_cast<unsigned>(m), n);
+        mixNames[m] = cmpMixName(benches);
+        const std::string &mix = mixNames[m];
 
         CmpConfig cmp;
         cmp.cores = n;
@@ -245,18 +250,13 @@ main(int argc, char **argv)
 
         const CmpRunOutput conv =
             runCmp(ctx.cfg, cmp, benches[0]);
-        const CmpSearchResult sr = searchCmp(
+        results[m] = searchCmp(
             ctx.cfg, cmp, benches[0], ctx.driTemplate, l2Template,
             space, constants, ctx.maxSlowdownPct, conv,
             &benchExecutor(ctx));
+        const CmpSearchResult &sr = results[m];
 
-        if (sr.sharedFactorSweep)
-            std::cout << "note: " << mix
-                      << " swept one shared miss-bound factor "
-                         "(per-core cross product over the cell "
-                         "cap)\n";
         std::vector<std::string> row = cmpRowCells(mix, sr.best);
-        summary.addRow(row);
         {
             sim::ConfigKey k;
             k.add("mode", "cmp");
@@ -295,22 +295,34 @@ main(int argc, char **argv)
             }
             row.push_back(lat);
         }
-        drv.unitDone(m, {std::move(row)});
+        std::cerr << "  [cmp] " + mix + " done\n";
+        return {std::move(row)};
+    };
+
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
+    const std::vector<std::size_t> ran = drv.run(computeUnit);
+    double sum_ed = 0.0;
+    for (const std::size_t m : ran) {
+        const CmpSearchResult &sr = results[m];
+        if (sr.sharedFactorSweep)
+            std::cout << "note: " << mixNames[m]
+                      << " swept one shared miss-bound factor "
+                         "(per-core cross product over the cell "
+                         "cap)\n";
+        summary.addRow(cmpRowCells(mixNames[m], sr.best));
         sum_ed += sr.best.cmp.relativeEnergyDelay();
-        results.push_back({mix, sr});
-        std::cerr << "  [cmp] " << mix << " done\n";
     }
 
     std::cout << "\n-- best configurations (<=4% system slowdown) "
                  "--\n";
     summary.print(std::cout);
 
-    for (const PerMix &r : results) {
-        std::cout << "\n" << r.name
+    for (const std::size_t m : ran) {
+        std::cout << "\n" << mixNames[m]
                   << ": conventional baseline per core\n";
         Table t({"core", "benchmark", "IPC", "L1I-miss",
                  "L2-share", "L2-misses", "contention"});
-        const CmpRunOutput &conv = r.sr.convDetailed;
+        const CmpRunOutput &conv = results[m].convDetailed;
         for (std::size_t k = 0; k < conv.cores.size(); ++k) {
             const CmpCoreOutput &c = conv.cores[k];
             const double share =
@@ -327,21 +339,20 @@ main(int argc, char **argv)
         }
         t.print(std::cout);
 
-        std::cout << "\n" << r.name
+        std::cout << "\n" << mixNames[m]
                   << ": winner energy (nJ; per-core l1i[k] rows + "
                      "shared l2/mem rows sum to the system total)\n";
         Table e({"level", "leakage", "dynamic", "total"});
-        addHierarchyEnergyRows(e, r.sr.best.cmp.dri);
+        addHierarchyEnergyRows(e, results[m].best.cmp.dri);
         e.print(std::cout);
     }
 
     std::cout << "\n== headline ==\n";
     std::cout << "mean system energy-delay reduction over "
-              << results.size() << " mixes: "
+              << ran.size() << " mixes: "
               << fmtReduction(
                      sum_ed /
-                     static_cast<double>(
-                         results.empty() ? 1 : results.size()))
+                     static_cast<double>(ran.empty() ? 1 : ran.size()))
               << "\n";
     drv.finish();
     reportFastSim(ctx);

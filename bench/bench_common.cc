@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "farm/merge.hh"
 #include "obs/metrics.hh"
@@ -283,12 +281,7 @@ writeJsonReport(const BenchContext &ctx,
     // Pinning the wall clock makes reports reproducible, so a
     // merged sharded run can be compared byte-for-byte against an
     // unsharded one (the CI farm leg sets 0).
-    if (const char *env = std::getenv("DRISIM_JSON_WALL_SECONDS")) {
-        char *end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0')
-            wall = v;
-    }
+    obs::pinnedWallSeconds(wall);
     const std::string doc = farm::renderBenchJson(
         benchName, ctx.cfg.shard, wall,
         resolveJobCount(ctx.cfg.jobs), columns, rows);
@@ -354,63 +347,62 @@ SweepDriver::SweepDriver(const BenchContext &ctx,
     }
 }
 
-bool
-SweepDriver::shouldRun(std::size_t i) const
+std::vector<std::size_t>
+SweepDriver::run(const std::function<UnitRows(std::size_t)> &unitFn,
+                 Executor *exec)
 {
-    if (!ctx_.cfg.shard.owns(units_[i].hash))
-        return false;
-    if (writer_ && writer_->hasRecord(i))
-        return false;
-    unitStart_[i] = std::chrono::steady_clock::now();
-    return true;
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < units_.size(); ++i)
+        if (ctx_.cfg.shard.owns(units_[i].hash) &&
+            !(writer_ && writer_->hasRecord(i)))
+            todo.push_back(i);
+    // A shard with nothing to do never spawns the worker pool.
+    if (todo.empty())
+        return todo;
+
+    // Create the pool before any unit starts: unit bodies reach it
+    // concurrently, and benchExecutor()'s lazy set-up is not
+    // thread-safe.
+    Executor &pool = exec ? *exec : benchExecutor(ctx_);
+    JobGraph graph;
+    for (const std::size_t i : todo) {
+        std::string name = benchName_ + "/unit/" + units_[i].hashHex;
+        graph.add(name, [this, &unitFn, i, name](const JobContext &) {
+            const auto start = std::chrono::steady_clock::now();
+            UnitRows rows;
+            {
+                // On the worker running the unit, so the unit's job
+                // and run spans nest inside it.
+                obs::ScopedSpan span(obs::trace(), "farm", name,
+                                     {{"label", units_[i].label}});
+                rows = unitFn(i);
+            }
+            record(i, std::move(rows),
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+        });
+    }
+    pool.run(graph);
+    return todo;
 }
 
 void
-SweepDriver::unitDone(std::size_t i,
-                      std::vector<std::vector<std::string>> rows)
+SweepDriver::record(std::size_t i, UnitRows rows, double wallSeconds)
 {
     // Per-unit wall clock, pinned by the same switch as the report
     // wall clock so sharded byte-comparisons stay stable.
-    double unitWall = 0.0;
-    const auto started = unitStart_.find(i);
-    if (started != unitStart_.end()) {
-        unitWall = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() -
-                       started->second)
-                       .count();
-        unitStart_.erase(started);
-    }
-    double pinnedWall = 0.0;
-    const bool pinned = obs::pinnedWallSeconds(pinnedWall);
-    if (pinned)
-        unitWall = pinnedWall;
-    if (obs::TraceWriter *tw = obs::trace()) {
-        obs::TraceSpan span;
-        span.cat = "farm";
-        span.name = benchName_ + "/unit/" + units_[i].hashHex;
-        if (!tw->pinned()) {
-            span.dur = static_cast<std::uint64_t>(unitWall * 1e6);
-            const std::uint64_t now = tw->nowMicros();
-            span.ts = now > span.dur ? now - span.dur : 0;
-        }
-        span.args.emplace_back("label", units_[i].label);
-        tw->complete(std::move(span));
-    }
+    obs::pinnedWallSeconds(wallSeconds);
+    std::lock_guard<std::mutex> lock(mu_);
     if (writer_)
         writer_->addRecord(i, units_[i], rows,
-                           strFormat("%.3f", unitWall));
+                           strFormat("%.3f", wallSeconds));
     rows_[i] = std::move(rows);
     // Unit boundary = durability point: with the rows safely in the
     // fragment, persist the unit's memoized sub-runs too, so a kill
-    // during the next unit loses only that unit's work.
+    // loses only the units still in flight.
     if (ctx_.cfg.resultCache)
         ctx_.cfg.resultCache->flush();
-}
-
-std::size_t
-SweepDriver::resumedUnits() const
-{
-    return writer_ ? writer_->resumedRecords() : 0;
 }
 
 void

@@ -12,8 +12,10 @@
 #define DRISIM_BENCH_BENCH_COMMON_HH
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,8 @@ struct BenchContext
     DriParams driTemplate;
 
     /** Worker pool shared by every sweep in this bench run; created
-     *  lazily by benchExecutor() so the worker threads spawn once,
-     *  not per benchmark. Copies of the context share it. */
+     *  by benchExecutor() so the worker threads spawn once, not per
+     *  benchmark. Copies of the context share it. */
     mutable std::shared_ptr<Executor> exec;
 
     /** --cores N (bench_cmp's CMP width; 0 = the bench's default). */
@@ -92,7 +94,9 @@ struct BenchContext
         std::chrono::steady_clock::now();
 };
 
-/** The context's pool, created on first use with cfg.jobs workers. */
+/** The context's pool, created on first use with cfg.jobs workers.
+ *  The first use is not thread-safe: SweepDriver::run() makes it
+ *  before any unit starts. */
 Executor &benchExecutor(const BenchContext &ctx);
 
 /** Default context: Table 1 system, scaled run length. */
@@ -166,64 +170,71 @@ bool writeJsonReport(const BenchContext &ctx,
  *  width, --short, final cfg). */
 farm::SweepSetup sweepSetup(const BenchContext &ctx);
 
+/** One sweep unit's --json report rows. */
+using UnitRows = std::vector<std::vector<std::string>>;
+
 /**
- * Drives one binary's sweep loop through the farm layer. The binary
- * asks shouldRun(i) before computing unit i — false when another
- * shard owns the unit (--shard) or a resumed fragment already holds
- * it (--part after a kill) — and hands the unit's finished report
- * rows to unitDone(i, rows), which appends them to the fragment
- * (rename-atomic) and flushes the result cache so a later kill
- * loses at most the in-flight unit. finish() finalizes the fragment
- * and writes the --json report from all recorded rows in plan
- * order. Unsharded without --part, the driver degrades to plain
- * row bookkeeping and changes nothing.
+ * Runs one binary's sweep through the farm layer. run() computes
+ * every unit this process owns (--shard) and has not resumed (--part
+ * after a kill) as the jobs of one graph, so units run concurrently
+ * and a worker waiting on one unit's nested graph helps with the
+ * others. Each unit's rows are recorded as soon as it returns: they
+ * are appended to the fragment (rename-atomic) and the result cache
+ * is flushed, so a kill loses at most the in-flight units. finish()
+ * finalizes the fragment and writes the --json report from all
+ * recorded rows in plan order. Unsharded without --part, this
+ * degrades to plain row bookkeeping and changes nothing.
  */
 class SweepDriver
 {
   public:
     /**
      * @param sweepName registry name (farm/sweep_registry.hh);
-     *        the unit list/order must match the binary's loop.
+     *        the unit list/order must match the binary's unit
+     *        indexing.
      * @param jsonColumns full --json column set.
      */
     SweepDriver(const BenchContext &ctx, std::string benchName,
                 const std::string &sweepName,
                 std::vector<std::string> jsonColumns);
 
-    std::size_t size() const { return units_.size(); }
     const farm::SweepUnit &unit(std::size_t i) const
     {
         return units_[i];
     }
 
-    /** Should this process compute unit @p i now? */
-    bool shouldRun(std::size_t i) const;
-
-    /** Hand over unit @p i's finished report rows. */
-    void unitDone(std::size_t i,
-                  std::vector<std::vector<std::string>> rows);
-
-    /** Units adopted from a resumed fragment (skipped this run). */
-    std::size_t resumedUnits() const;
+    /**
+     * Compute the units and return their indices in plan order: the
+     * order a binary's cross-unit pass (tables, means, stdout) walks
+     * them in, which keeps stdout identical at any --jobs.
+     *
+     * @p unitFn(i) computes unit i and returns its --json rows. It
+     * runs on a worker, concurrently with other units, so it may
+     * write only unit i's slots (and writes each stderr progress
+     * line with one insertion, so lines do not interleave). @p exec
+     * defaults to the context's pool, which is created here, and
+     * only when some unit runs. The first failure is rethrown.
+     */
+    std::vector<std::size_t>
+    run(const std::function<UnitRows(std::size_t)> &unitFn,
+        Executor *exec = nullptr);
 
     /** Finalize the fragment and write the --json report. */
     void finish();
 
   private:
+    /** Hand over unit @p i's finished rows (thread-safe). */
+    void record(std::size_t i, UnitRows rows, double wallSeconds);
+
     const BenchContext &ctx_;
     std::string benchName_;
     std::vector<std::string> columns_;
     std::vector<farm::SweepUnit> units_;
     std::unique_ptr<farm::FragmentWriter> writer_;
+    /** Guards writer_ and rows_ while units run. */
+    std::mutex mu_;
     /** Rows per completed unit, keyed by plan index. */
-    std::map<std::uint64_t, std::vector<std::vector<std::string>>>
-        rows_;
-    /** When each in-flight unit started (set by shouldRun(i) ==
-     *  true, consumed by unitDone(i) for the fragment's per-unit
-     *  wall seconds and the "farm" trace span). */
-    mutable std::map<std::uint64_t,
-                     std::chrono::steady_clock::time_point>
-        unitStart_;
+    std::map<std::uint64_t, UnitRows> rows_;
 };
 
 /** Print the SPEC workload names with their paper class; returns 0

@@ -35,6 +35,15 @@ rowCells(const std::string &name, int cls,
             fmtPercent(c.driRun.missRate(), 2)};
 }
 
+/** @p name padded to the bar charts' 10-column label field (a
+ *  longer name keeps one separating space). */
+std::string
+barLabel(const std::string &name)
+{
+    return name +
+           std::string(name.size() < 10 ? 10 - name.size() : 1, ' ');
+}
+
 } // namespace
 
 int
@@ -74,24 +83,30 @@ main(int argc, char **argv)
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_figure3", "figure3", jsonCols);
 
+    const auto &suite = specSuite();
+    // Index-addressed per-unit slots; units run concurrently.
+    std::vector<BaseResult> bases(suite.size());
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
+        const auto &b = suite[i];
+        bases[i] = computeBase(b, ctx);
+        std::vector<std::string> rc =
+            rowCells(b.name, b.benchClass, bases[i].constrained);
+        rc.push_back(
+            runKeyDri(b, ctx.cfg, bases[i].constrained.dri).hashHex());
+        std::cerr << "  [figure3] " + b.name + " done\n";
+        return {std::move(rc)};
+    };
+
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
     double sum_ed_c = 0.0;
     double sum_ed_u = 0.0;
     double sum_size_c = 0.0;
     std::vector<std::pair<std::string, double>> bars_c;
     std::vector<std::pair<std::string, double>> bars_size;
-
-    const auto &suite = specSuite();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
+    for (const std::size_t i : drv.run(computeUnit)) {
         const auto &b = suite[i];
-        if (!drv.shouldRun(i))
-            continue;
-        const BaseResult base = computeBase(b, ctx);
-        std::vector<std::string> rc =
-            rowCells(b.name, b.benchClass, base.constrained);
-        tc.addRow(rc);
-        rc.push_back(
-            runKeyDri(b, ctx.cfg, base.constrained.dri).hashHex());
-        drv.unitDone(i, {rc});
+        const BaseResult &base = bases[i];
+        tc.addRow(rowCells(b.name, b.benchClass, base.constrained));
         tu.addRow(rowCells(b.name, b.benchClass,
                            base.unconstrained));
         sum_ed_c += base.constrained.cmp.relativeEnergyDelay();
@@ -101,7 +116,6 @@ main(int argc, char **argv)
             b.name, base.constrained.cmp.relativeEnergyDelay());
         bars_size.emplace_back(
             b.name, base.constrained.cmp.averageSizeFraction());
-        std::cerr << "  [figure3] " << b.name << " done\n";
     }
 
     std::cout << "\n-- performance-constrained (left bars) --\n";
@@ -115,14 +129,12 @@ main(int argc, char **argv)
         bars_c.empty() ? 1 : bars_c.size());
     std::cout << "\nrelative energy-delay (constrained), 0..1:\n";
     for (const auto &[name, v] : bars_c)
-        std::cout << "  " << name << std::string(10 - name.size(), ' ')
-                  << "|" << asciiBar(v) << "| "
-                  << fmtDouble(v, 3) << "\n";
+        std::cout << "  " << barLabel(name) << "|" << asciiBar(v)
+                  << "| " << fmtDouble(v, 3) << "\n";
     std::cout << "\naverage cache size (constrained), 0..1:\n";
     for (const auto &[name, v] : bars_size)
-        std::cout << "  " << name << std::string(10 - name.size(), ' ')
-                  << "|" << asciiBar(v) << "| "
-                  << fmtDouble(v, 3) << "\n";
+        std::cout << "  " << barLabel(name) << "|" << asciiBar(v)
+                  << "| " << fmtDouble(v, 3) << "\n";
 
     std::cout << "\n== headline ==\n";
     std::cout << "mean energy-delay reduction, constrained:   "

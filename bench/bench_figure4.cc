@@ -46,21 +46,19 @@ main(int argc, char **argv)
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_figure4", "figure4", jsonCols);
 
-    double worst_spread = 0.0;
-    std::string worst_name;
-
     // --short keeps compress+li, the same filter the sweep registry
-    // applies, so loop indices keep matching the plan.
+    // applies, so unit indices keep matching the plan.
     std::vector<BenchmarkInfo> suite;
     for (const auto &b : specSuite()) {
         if (ctx.shortRun && b.name != "compress" && b.name != "li")
             continue;
         suite.push_back(b);
     }
-    for (std::size_t i = 0; i < suite.size(); ++i) {
+    // Index-addressed per-unit slots; units run concurrently.
+    std::vector<std::vector<std::string>> rows(suite.size());
+    std::vector<double> spreads(suite.size(), 0.0);
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        if (!drv.shouldRun(i))
-            continue;
         const BaseResult base = computeBase(b, ctx);
         const DriParams &bp = base.constrained.dri;
 
@@ -83,30 +81,35 @@ main(int argc, char **argv)
         double slow[3];
         const ComparisonResult *cmps[3] = {
             &batch[0], &base.constrained.cmp, &batch[1]};
-        for (int i = 0; i < 3; ++i) {
-            ed[i] = cmps[i]->relativeEnergyDelay();
-            slow[i] = cmps[i]->slowdownPercent();
+        for (int k = 0; k < 3; ++k) {
+            ed[k] = cmps[k]->relativeEnergyDelay();
+            slow[k] = cmps[k]->slowdownPercent();
         }
-        const double spread =
-            std::max({ed[0], ed[1], ed[2]}) -
-            std::min({ed[0], ed[1], ed[2]});
-        if (spread > worst_spread) {
-            worst_spread = spread;
-            worst_name = b.name;
-        }
-        std::vector<std::string> row{
-            b.name,
-            fmtDouble(ed[0], 3),
-            fmtDouble(ed[1], 3),
-            fmtDouble(ed[2], 3),
-            fmtDouble(slow[0], 1) + "%",
-            fmtDouble(slow[1], 1) + "%",
-            fmtDouble(slow[2], 1) + "%",
-            fmtDouble(spread, 3)};
-        t.addRow(row);
+        spreads[i] = std::max({ed[0], ed[1], ed[2]}) -
+                     std::min({ed[0], ed[1], ed[2]});
+        rows[i] = {b.name,
+                   fmtDouble(ed[0], 3),
+                   fmtDouble(ed[1], 3),
+                   fmtDouble(ed[2], 3),
+                   fmtDouble(slow[0], 1) + "%",
+                   fmtDouble(slow[1], 1) + "%",
+                   fmtDouble(slow[2], 1) + "%",
+                   fmtDouble(spreads[i], 3)};
+        std::vector<std::string> row = rows[i];
         row.push_back(drv.unit(i).hashHex);
-        drv.unitDone(i, {std::move(row)});
-        std::cerr << "  [figure4] " << b.name << " done\n";
+        std::cerr << "  [figure4] " + b.name + " done\n";
+        return {std::move(row)};
+    };
+
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
+    double worst_spread = 0.0;
+    std::string worst_name;
+    for (const std::size_t i : drv.run(computeUnit)) {
+        t.addRow(rows[i]);
+        if (spreads[i] > worst_spread) {
+            worst_spread = spreads[i];
+            worst_name = suite[i].name;
+        }
     }
     t.print(std::cout);
     std::cout << "\nlargest energy-delay spread over the 4x "

@@ -45,10 +45,10 @@ main(int argc, char **argv)
     SweepDriver drv(ctx, "bench_figure5", "figure5", jsonCols);
 
     const auto &suite = specSuite();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
+    // Index-addressed per-unit slots; units run concurrently.
+    std::vector<std::vector<std::string>> rows(suite.size());
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        if (!drv.shouldRun(i))
-            continue;
         const BaseResult base = computeBase(b, ctx);
         const DriParams &bp = base.constrained.dri;
 
@@ -59,23 +59,23 @@ main(int argc, char **argv)
         const double factors[3] = {2.0, 1.0, 0.5};
         std::vector<DriParams> variants;
         std::vector<int> variantSlot;
-        for (int i = 0; i < 3; ++i) {
+        for (int k = 0; k < 3; ++k) {
             std::uint64_t sb = static_cast<std::uint64_t>(
-                factors[i] *
+                factors[k] *
                 static_cast<double>(bp.sizeBoundBytes));
             if (sb > bp.sizeBytes ||
                 sb < static_cast<std::uint64_t>(bp.blockBytes) *
                          bp.assoc) {
-                ed[i] = "N/A";
-                slow[i] = "N/A";
+                ed[k] = "N/A";
+                slow[k] = "N/A";
                 continue;
             }
-            if (i == 1)
+            if (k == 1)
                 continue; // base result already in hand
             DriParams p = bp;
             p.sizeBoundBytes = sb;
             variants.push_back(p);
-            variantSlot.push_back(i);
+            variantSlot.push_back(k);
         }
         const std::vector<ComparisonResult> batch =
             evaluateDetailedBatch(b, ctx.cfg, variants,
@@ -92,16 +92,17 @@ main(int argc, char **argv)
             slow[variantSlot[k]] =
                 fmtDouble(batch[k].slowdownPercent(), 1) + "%";
         }
-        std::vector<std::string> row{
-            b.name, bytesToString(bp.sizeBoundBytes),
-            ed[0],  ed[1],
-            ed[2],  slow[0],
-            slow[1], slow[2]};
-        t.addRow(row);
+        rows[i] = {b.name, bytesToString(bp.sizeBoundBytes),
+                   ed[0],  ed[1],
+                   ed[2],  slow[0],
+                   slow[1], slow[2]};
+        std::vector<std::string> row = rows[i];
         row.push_back(drv.unit(i).hashHex);
-        drv.unitDone(i, {std::move(row)});
-        std::cerr << "  [figure5] " << b.name << " done\n";
-    }
+        std::cerr << "  [figure5] " + b.name + " done\n";
+        return {std::move(row)};
+    };
+    for (const std::size_t i : drv.run(computeUnit))
+        t.addRow(rows[i]);
     t.print(std::cout);
     std::cout << "\npaper: class 1 pays for a doubled size-bound "
                  "(leakage) and for a halved one (extra L2 "

@@ -65,10 +65,10 @@ main(int argc, char **argv)
     SweepDriver drv(ctx, "bench_figure6", "figure6", jsonCols);
 
     const auto &suite = specSuite();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
+    // Index-addressed per-unit slots; units run concurrently.
+    std::vector<std::vector<std::string>> rows(suite.size());
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        if (!drv.shouldRun(i))
-            continue;
         // The base 64K direct-mapped search supplies the bounds.
         const BaseResult base = computeBase(b, ctx);
         const DriParams &bp = base.constrained.dri;
@@ -109,19 +109,20 @@ main(int argc, char **argv)
         std::string slow[3];
         const ComparisonResult *cmps[3] = {
             &offBase[0], &base.constrained.cmp, &offBase[1]};
-        for (int i = 0; i < 3; ++i) {
-            ed[i] = fmtDouble(cmps[i]->relativeEnergyDelay(), 3);
-            size[i] = fmtDouble(cmps[i]->averageSizeFraction(), 3);
-            slow[i] = fmtDouble(cmps[i]->slowdownPercent(), 1) + "%";
+        for (int k = 0; k < 3; ++k) {
+            ed[k] = fmtDouble(cmps[k]->relativeEnergyDelay(), 3);
+            size[k] = fmtDouble(cmps[k]->averageSizeFraction(), 3);
+            slow[k] = fmtDouble(cmps[k]->slowdownPercent(), 1) + "%";
         }
-        std::vector<std::string> row{
-            b.name,  ed[0],   ed[1],   ed[2],   size[0],
-            size[1], size[2], slow[0], slow[1], slow[2]};
-        t.addRow(row);
+        rows[i] = {b.name,  ed[0],   ed[1],   ed[2],   size[0],
+                   size[1], size[2], slow[0], slow[1], slow[2]};
+        std::vector<std::string> row = rows[i];
         row.push_back(drv.unit(i).hashHex);
-        drv.unitDone(i, {std::move(row)});
-        std::cerr << "  [figure6] " << b.name << " done\n";
-    }
+        std::cerr << "  [figure6] " + b.name + " done\n";
+        return {std::move(row)};
+    };
+    for (const std::size_t i : drv.run(computeUnit))
+        t.addRow(rows[i]);
     t.print(std::cout);
     std::cout
         << "\npaper: capacity-bound codes (applu, apsi, compress, "

@@ -65,38 +65,36 @@ main(int argc, char **argv)
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_multilevel", "multilevel", jsonCols);
 
-    struct PerBench
-    {
-        std::string name;
-        MultiLevelCandidate best;
-    };
-    std::vector<PerBench> winners;
-
-    double sum_ed = 0.0;
-    double sum_l1_size = 0.0;
-    double sum_l2_size = 0.0;
     const auto &suite = specSuite();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
+    // Index-addressed per-unit slots; units run concurrently.
+    std::vector<MultiLevelCandidate> best(suite.size());
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        if (!drv.shouldRun(i))
-            continue;
         const RunOutput conv = runConventional(b, ctx.cfg);
         const MultiLevelSearchResult sr = searchMultiLevel(
             b, ctx.cfg, ctx.driTemplate, l2Template, space, constants,
             ctx.maxSlowdownPct, conv, &benchExecutor(ctx));
+        best[i] = sr.best;
         std::vector<std::string> row =
             multiLevelRowCells(b.name, sr.best);
-        summary.addRow(row);
         RunConfig ml = ctx.cfg;
         ml.hier.l2Dri = true;
         ml.hier.l2DriParams = sr.best.l2;
         row.push_back(runKeyDri(b, ml, sr.best.l1).hashHex());
-        drv.unitDone(i, {std::move(row)});
-        winners.push_back({b.name, sr.best});
-        sum_ed += sr.best.cmp.relativeEnergyDelay();
-        sum_l1_size += sr.best.cmp.l1AverageSizeFraction();
-        sum_l2_size += sr.best.cmp.l2AverageSizeFraction();
-        std::cerr << "  [multilevel] " << b.name << " done\n";
+        std::cerr << "  [multilevel] " + b.name + " done\n";
+        return {std::move(row)};
+    };
+
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
+    const std::vector<std::size_t> ran = drv.run(computeUnit);
+    double sum_ed = 0.0;
+    double sum_l1_size = 0.0;
+    double sum_l2_size = 0.0;
+    for (const std::size_t i : ran) {
+        summary.addRow(multiLevelRowCells(suite[i].name, best[i]));
+        sum_ed += best[i].cmp.relativeEnergyDelay();
+        sum_l1_size += best[i].cmp.l1AverageSizeFraction();
+        sum_l2_size += best[i].cmp.l2AverageSizeFraction();
     }
 
     std::cout << "\n-- best configurations (<=4% slowdown) --\n";
@@ -104,17 +102,16 @@ main(int argc, char **argv)
 
     std::cout << "\n-- per-level energy of each winner (nJ; rows sum "
                  "to the hierarchy total) --\n";
-    for (const PerBench &w : winners) {
-        std::cout << "\n" << w.name << ":\n";
+    for (const std::size_t i : ran) {
+        std::cout << "\n" << suite[i].name << ":\n";
         Table t({"level", "leakage", "dynamic", "total"});
-        addHierarchyEnergyRows(t, w.best.cmp.dri);
+        addHierarchyEnergyRows(t, best[i].cmp.dri);
         t.print(std::cout);
     }
 
     // Means cover the units this process ran (all of them
     // unsharded; this shard's subset under --shard).
-    const double n = static_cast<double>(
-        winners.empty() ? 1 : winners.size());
+    const double n = static_cast<double>(ran.empty() ? 1 : ran.size());
     std::cout << "\n== headline ==\n";
     std::cout << "mean hierarchy energy-delay reduction: "
               << fmtReduction(sum_ed / n) << "\n";

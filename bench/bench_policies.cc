@@ -75,12 +75,6 @@ main(int argc, char **argv)
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_policies", "policies", jsonCols);
-    std::map<std::string, unsigned> wins;
-    // Means are over *feasible* winners only, matching the <=4%
-    // banner (an infeasible fallback's ED is not achievable under
-    // the constraint).
-    std::map<std::string, double> edSums;
-    std::map<std::string, unsigned> edCounts;
 
     std::vector<BenchmarkInfo> benches;
     for (const auto &b : specSuite()) {
@@ -89,19 +83,25 @@ main(int argc, char **argv)
         benches.push_back(b);
     }
 
-    for (std::size_t i = 0; i < benches.size(); ++i) {
+    // Index-addressed per-unit slots; units run concurrently.
+    struct UnitResult
+    {
+        std::vector<std::vector<std::string>> rows;
+        /** (policy, rel-ED) of each feasible winner, in kind order. */
+        std::vector<std::pair<std::string, double>> feasible;
+        std::string winner; ///< empty when no policy was feasible
+    };
+    std::vector<UnitResult> results(benches.size());
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = benches[i];
-        if (!drv.shouldRun(i))
-            continue;
         const RunOutput conv = runConventional(b, ctx.cfg);
         const PolicySearchResult sr = searchPolicies(
             b, ctx.cfg, tmpl, space, constants, ctx.maxSlowdownPct,
             conv, &benchExecutor(ctx));
 
-        std::vector<std::vector<std::string>> unitRows;
-        bool have_winner = false;
+        UnitResult &r = results[i];
+        UnitRows unitRows;
         double best_ed = 0.0;
-        std::string winner;
         for (const PolicyCandidate &cand : sr.bestPerKind) {
             if (cand.cmp.run.meas.cycles == 0)
                 continue; // kind had no cells in this grid
@@ -109,28 +109,43 @@ main(int argc, char **argv)
                 policyRowCells(b.name, cand);
             if (!cand.feasible)
                 row.back() += " (infeasible)";
-            summary.addRow(row);
+            r.rows.push_back(row);
             row.push_back(
                 runKeyPolicy(b, ctx.cfg, cand.config).hashHex());
             unitRows.push_back(std::move(row));
             const double ed = cand.cmp.relativeEnergyDelay();
             const char *name = policyKindName(cand.config.kind);
             if (cand.feasible) {
-                edSums[name] += ed;
-                ++edCounts[name];
-                if (!have_winner || ed < best_ed) {
-                    have_winner = true;
+                r.feasible.emplace_back(name, ed);
+                if (r.winner.empty() || ed < best_ed) {
                     best_ed = ed;
-                    winner = name;
+                    r.winner = name;
                 }
             }
         }
-        if (have_winner)
-            ++wins[winner];
-        drv.unitDone(i, std::move(unitRows));
-        std::cerr << "  [policies] " << b.name << " done ("
-                  << (have_winner ? winner : std::string("none"))
-                  << " wins)\n";
+        std::cerr << "  [policies] " + b.name + " done (" +
+                         (r.winner.empty() ? "none" : r.winner) +
+                         " wins)\n";
+        return unitRows;
+    };
+
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
+    std::map<std::string, unsigned> wins;
+    // Means are over *feasible* winners only, matching the <=4%
+    // banner (an infeasible fallback's ED is not achievable under
+    // the constraint).
+    std::map<std::string, double> edSums;
+    std::map<std::string, unsigned> edCounts;
+    for (const std::size_t i : drv.run(computeUnit)) {
+        const UnitResult &r = results[i];
+        for (const std::vector<std::string> &row : r.rows)
+            summary.addRow(row);
+        for (const auto &[name, ed] : r.feasible) {
+            edSums[name] += ed;
+            ++edCounts[name];
+        }
+        if (!r.winner.empty())
+            ++wins[r.winner];
     }
 
     std::cout << "\n-- per-policy winners (<=4% slowdown) --\n";

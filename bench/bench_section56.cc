@@ -52,16 +52,20 @@ main(int argc, char **argv)
         "ED 2x",     "ED 4x",    "max dev", "config_hash"};
     SweepDriver drv(ctx, "bench_section56", "section56", jsonCols);
 
-    double worst_dev = 0.0;
-    std::string worst_name;
-
     const auto &suite = specSuite();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
+    // Index-addressed per-unit slots (one row per table plus the
+    // interval sweep's deviation); units run concurrently.
+    struct UnitResult
+    {
+        std::vector<std::string> interval, divisibility, throttle;
+        double dev = 0.0;
+    };
+    std::vector<UnitResult> results(suite.size());
+    const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        if (!drv.shouldRun(i))
-            continue;
         const BaseResult base = computeBase(b, ctx);
         const DriParams &bp = base.constrained.dri;
+        UnitResult &r = results[i];
 
         // --- interval sweep + divisibility ----------------------
         // All off-base variants of both ablations are independent
@@ -97,33 +101,23 @@ main(int argc, char **argv)
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
 
-        std::vector<std::string> row{b.name};
-        double dev = 0.0;
+        r.interval = {b.name};
         std::size_t next = 0;
         for (const ComparisonResult *&slot : ivCmp) {
             if (!slot)
                 slot = &batch[next++];
-            row.push_back(
+            r.interval.push_back(
                 fmtDouble(slot->relativeEnergyDelay(), 3));
-            dev = std::max(dev,
-                           std::abs(slot->relativeEnergyDelay() -
-                                    base_ed));
+            r.dev = std::max(r.dev,
+                             std::abs(slot->relativeEnergyDelay() -
+                                      base_ed));
         }
-        row.push_back(fmtDouble(dev, 3));
-        ti.addRow(row);
-        std::vector<std::string> jsonRow = row;
-        jsonRow.push_back(drv.unit(i).hashHex);
-        if (dev > worst_dev) {
-            worst_dev = dev;
-            worst_name = b.name;
-        }
+        r.interval.push_back(fmtDouble(r.dev, 3));
 
-        std::vector<std::string> drow{b.name,
-                                      fmtDouble(base_ed, 3)};
+        r.divisibility = {b.name, fmtDouble(base_ed, 3)};
         for (std::size_t k = divFirst; k < variants.size(); ++k)
-            drow.push_back(
+            r.divisibility.push_back(
                 fmtDouble(batch[k].relativeEnergyDelay(), 3));
-        td.addRow(drow);
 
         // --- throttle ablation ----------------------------------
         DriParams p = bp;
@@ -140,12 +134,29 @@ main(int argc, char **argv)
             });
         const ComparisonResult c = compareRuns(
             ctx.constants, base.conv.meas, no_thr.meas);
-        tt.addRow({b.name, fmtDouble(base_ed, 3),
-                   fmtDouble(c.relativeEnergyDelay(), 3),
-                   std::to_string(with_thr.resizes),
-                   std::to_string(no_thr.resizes)});
-        drv.unitDone(i, {std::move(jsonRow)});
-        std::cerr << "  [section56] " << b.name << " done\n";
+        r.throttle = {b.name, fmtDouble(base_ed, 3),
+                      fmtDouble(c.relativeEnergyDelay(), 3),
+                      std::to_string(with_thr.resizes),
+                      std::to_string(no_thr.resizes)};
+
+        std::vector<std::string> jsonRow = r.interval;
+        jsonRow.push_back(drv.unit(i).hashHex);
+        std::cerr << "  [section56] " + b.name + " done\n";
+        return {std::move(jsonRow)};
+    };
+
+    // Cross-unit pass in plan order: identical stdout at any --jobs.
+    double worst_dev = 0.0;
+    std::string worst_name;
+    for (const std::size_t i : drv.run(computeUnit)) {
+        const UnitResult &r = results[i];
+        ti.addRow(r.interval);
+        td.addRow(r.divisibility);
+        tt.addRow(r.throttle);
+        if (r.dev > worst_dev) {
+            worst_dev = r.dev;
+            worst_name = suite[i].name;
+        }
     }
 
     std::cout << "\n-- sense-interval sweep (miss-bound scaled "

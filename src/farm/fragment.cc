@@ -5,6 +5,7 @@
 
 #include "farm/fragment.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -292,6 +293,13 @@ FragmentWriter::FragmentWriter(std::string path, std::string bench,
         return;
     }
     frag_.records = std::move(old.records);
+    // Plan order, whatever order the killed run finished its units
+    // in: a fragment's bytes depend only on which units it holds.
+    std::stable_sort(frag_.records.begin(), frag_.records.end(),
+                     [](const FragmentRecord &a,
+                        const FragmentRecord &b) {
+                         return a.index < b.index;
+                     });
     resumed_ = frag_.records.size();
 }
 
@@ -317,7 +325,12 @@ FragmentWriter::addRecord(
     if (!wallSeconds.empty())
         r.wallSeconds = wallSeconds;
     r.rows = rows;
-    frag_.records.push_back(std::move(r));
+    const auto at = std::upper_bound(
+        frag_.records.begin(), frag_.records.end(), index,
+        [](std::uint64_t i, const FragmentRecord &rec) {
+            return i < rec.index;
+        });
+    frag_.records.insert(at, std::move(r));
     rewrite();
 }
 

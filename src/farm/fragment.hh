@@ -6,8 +6,8 @@
  * A sharded bench run streams every completed unit's report rows
  * into a BENCH_*.part.json fragment, rewritten record-at-a-time via
  * temp-file + atomic rename: a shard killed at any instant leaves a
- * fragment that is a complete, parseable prefix of its work — it
- * loses at most the in-flight unit. Re-running the same shard
+ * complete, parseable fragment of its finished work — it loses at
+ * most the in-flight units. Re-running the same shard
  * resumes from the fragment (completed units are never recomputed;
  * locked by tests/farm_test.cc and the CI farm leg).
  *
@@ -81,7 +81,8 @@ struct Fragment
     std::vector<std::string> columns;
     /** The FULL sweep plan (all shards' units). */
     std::vector<FragmentPlanEntry> plan;
-    /** This shard's completed units, in completion order. */
+    /** This shard's completed units, in plan-index order (whatever
+     *  order they completed in). */
     std::vector<FragmentRecord> records;
     /** True once the shard ran every unit it owns. */
     bool complete = false;
@@ -131,11 +132,11 @@ class FragmentWriter
     std::size_t resumedRecords() const { return resumed_; }
 
     /**
-     * Append one completed unit and rewrite the fragment atomically
-     * (rename). A crash between units loses nothing; a crash inside
-     * a unit loses only that unit. @p wallSeconds is the unit's
-     * wall clock, already formatted "%.3f" (empty keeps the "0.000"
-     * default).
+     * Insert one completed unit at its plan position and rewrite the
+     * fragment atomically (rename). A crash between units loses
+     * nothing; a crash while units run loses only those units. @p
+     * wallSeconds is the unit's wall clock, already formatted "%.3f"
+     * (empty keeps the "0.000" default).
      */
     void addRecord(std::uint64_t index, const SweepUnit &unit,
                    const std::vector<std::vector<std::string>> &rows,

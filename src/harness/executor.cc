@@ -5,7 +5,10 @@
 
 #include "harness/executor.hh"
 
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "obs/trace.hh"
@@ -107,6 +110,24 @@ JobGraph::state(JobId id) const
     return jobs_[id].state;
 }
 
+/**
+ * Lives on run()'s stack, so nested and concurrent runs on one
+ * Executor never share a counter, a cancel flag or an error.
+ */
+struct Executor::RunState
+{
+    explicit RunState(JobGraph &g) : graph(g), remaining(g.size()) {}
+
+    JobGraph &graph;
+    /** Guards job states, dependency counts and firstError. */
+    std::mutex mu;
+    /** Jobs not yet terminal. Read by the pool's pending-predicate
+     *  under the pool lock, hence atomic. */
+    std::atomic<std::size_t> remaining;
+    std::atomic<bool> cancelled{false};
+    std::exception_ptr firstError;
+};
+
 Executor::Executor(unsigned jobs)
     : pool_(resolveJobCount(jobs) - 1)
 {
@@ -115,12 +136,7 @@ Executor::Executor(unsigned jobs)
 void
 Executor::run(JobGraph &graph)
 {
-    drisim_assert(active_ == nullptr,
-                  "Executor::run() is not re-entrant");
-    active_ = &graph;
-    cancelled_ = false;
-    firstError_ = nullptr;
-    remaining_.store(graph.jobs_.size(), std::memory_order_relaxed);
+    RunState run(graph);
 
     // Reset before anything is submitted: once the first job is in
     // the pool its completions mutate dependents' state concurrently.
@@ -128,47 +144,45 @@ Executor::run(JobGraph &graph)
         job.state = JobState::Pending;
         job.pendingDeps = job.depCount;
     }
-    const int submitSlot = WorkStealingPool::currentSlot();
+    const int submitSlot = pool_.callerSlot();
     for (JobId id = 0; id < graph.jobs_.size(); ++id)
         if (graph.jobs_[id].depCount == 0)
-            pool_.submit([this, &graph, id, submitSlot] {
-                runJob(graph, id, submitSlot);
+            pool_.submit([this, &run, id, submitSlot] {
+                runJob(run, id, submitSlot);
             });
 
-    pool_.helpWhile([this] {
-        return remaining_.load(std::memory_order_acquire) > 0;
+    pool_.helpWhile([&run] {
+        return run.remaining.load(std::memory_order_acquire) > 0;
     });
 
-    active_ = nullptr;
-    if (firstError_)
-        std::rethrow_exception(firstError_);
+    if (run.firstError)
+        std::rethrow_exception(run.firstError);
 }
 
 void
-Executor::runJob(JobGraph &graph, JobId id, int submitSlot)
+Executor::runJob(RunState &run, JobId id, int submitSlot)
 {
-    auto &job = graph.jobs_[id];
+    auto &job = run.graph.jobs_[id];
+    const int slot = pool_.callerSlot();
 
     JobState outcome;
-    if (cancelled_) {
+    if (run.cancelled) {
         outcome = JobState::Skipped;
     } else {
         JobContext ctx;
         ctx.id = id;
         ctx.seed = jobSeed(job.key);
-        const int slot = WorkStealingPool::currentSlot();
         ctx.worker = slot >= 0 ? static_cast<unsigned>(slot) : 0;
         {
-            std::lock_guard<std::mutex> lock(mu_);
+            std::lock_guard<std::mutex> lock(run.mu);
             job.state = JobState::Running;
         }
-        // One span per job body. Worker/steal annotations are
-        // scheduling-dependent, so a pinned trace (byte-compared at
-        // --jobs 1 vs --jobs 4) omits them.
+        // One span per job body, on the worker's lane. Worker/steal
+        // annotations are scheduling-dependent, so a pinned trace
+        // (byte-compared at --jobs 1 vs --jobs 4) omits them.
         obs::TraceWriter *tw = obs::trace();
         obs::ScopedSpan span(tw, "job", job.key);
         if (tw && !tw->pinned()) {
-            span.tid(ctx.worker);
             span.arg("worker", std::to_string(ctx.worker));
             span.arg("stolen", submitSlot >= 0 && submitSlot != slot
                                    ? "true"
@@ -179,31 +193,32 @@ Executor::runJob(JobGraph &graph, JobId id, int submitSlot)
             outcome = JobState::Done;
         } catch (...) {
             outcome = JobState::Failed;
-            std::lock_guard<std::mutex> lock(mu_);
-            cancelled_ = true;
-            if (!firstError_)
-                firstError_ = std::current_exception();
+            std::lock_guard<std::mutex> lock(run.mu);
+            run.cancelled = true;
+            if (!run.firstError)
+                run.firstError = std::current_exception();
         }
     }
 
     std::vector<JobId> ready;
     {
-        std::lock_guard<std::mutex> lock(mu_);
+        std::lock_guard<std::mutex> lock(run.mu);
         job.state = outcome;
         for (const JobId dep : job.dependents) {
             // Dependents are released even when this job failed or
             // was skipped: with the graph cancelled they drain as
             // Skipped, keeping the remaining-jobs count exact.
-            if (--graph.jobs_[dep].pendingDeps == 0)
+            if (--run.graph.jobs_[dep].pendingDeps == 0)
                 ready.push_back(dep);
         }
     }
-    const int slot = WorkStealingPool::currentSlot();
     for (const JobId dep : ready)
-        pool_.submit([this, &graph, dep, slot] {
-            runJob(graph, dep, slot);
+        pool_.submit([this, &run, dep, slot] {
+            runJob(run, dep, slot);
         });
-    remaining_.fetch_sub(1, std::memory_order_acq_rel);
+    // Last touch of the run: once the count reaches zero, run() may
+    // return and destroy it.
+    run.remaining.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void

@@ -24,9 +24,7 @@
 #ifndef DRISIM_HARNESS_EXECUTOR_HH
 #define DRISIM_HARNESS_EXECUTOR_HH
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -132,7 +130,8 @@ class JobGraph
 /**
  * Runs JobGraphs on a work-stealing pool of `jobs` slots (the
  * calling thread participates, so `jobs == 1` spawns no threads).
- * One Executor can run many graphs; workers persist across runs.
+ * One Executor can run many graphs, one after another or nested
+ * inside each other's jobs; workers persist across runs.
  */
 class Executor
 {
@@ -145,9 +144,15 @@ class Executor
 
     /**
      * Execute every job, honouring dependencies. The first thrown
-     * exception cancels all jobs that have not started (they end
-     * Skipped) and is rethrown here once the graph is quiescent.
-     * Not re-entrant: call from one thread, never from a job body.
+     * exception cancels all of this graph's jobs that have not
+     * started (they end Skipped) and is rethrown here once the graph
+     * is quiescent.
+     *
+     * Re-entrant: a job body may run a graph of its own, on this
+     * Executor or another one. The calling worker keeps its slot and
+     * executes queued jobs (its own first, then stolen ones) until
+     * its graph drains, so a nested run neither idles a worker nor
+     * deadlocks. One graph must not be in two run() calls at once.
      */
     void run(JobGraph &graph);
 
@@ -161,20 +166,15 @@ class Executor
             &fn);
 
   private:
+    /** One run() call's bookkeeping (executor.cc). */
+    struct RunState;
+
     /** @param submitSlot pool slot that enqueued the job (-1 for a
-     *  foreign thread) — differing from the executing slot marks the
-     *  job as stolen in the trace (obs/trace.hh). */
-    void runJob(JobGraph &graph, JobId id, int submitSlot);
+     *  thread not serving this pool) — differing from the executing
+     *  slot marks the job as stolen in the trace (obs/trace.hh). */
+    void runJob(RunState &run, JobId id, int submitSlot);
 
     WorkStealingPool pool_;
-
-    /** Per-run state, guarded by mu_ (remaining_ is also read by the
-     *  pool's pending-predicate under the pool lock, hence atomic). */
-    std::mutex mu_;
-    std::atomic<std::size_t> remaining_{0};
-    std::atomic<bool> cancelled_{false};
-    std::exception_ptr firstError_;
-    JobGraph *active_ = nullptr;
 };
 
 } // namespace drisim

@@ -22,6 +22,7 @@
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "workload/generator.hh"
 
 namespace drisim
@@ -851,14 +852,20 @@ programImageFor(const BenchmarkInfo &bench)
 InstCount
 defaultRunInstrs()
 {
+    constexpr double kDefaultInstrs = 10.0e6;
     const char *scale = std::getenv("DRISIM_SCALE");
-    double mult = 1.0;
-    if (scale && *scale) {
-        mult = std::atof(scale);
-        if (mult <= 0.0)
-            mult = 1.0;
-    }
-    return static_cast<InstCount>(10.0e6 * mult);
+    if (!scale || !*scale)
+        return static_cast<InstCount>(kDefaultInstrs);
+    // A typo must not silently run the full-length default.
+    double mult = 0.0;
+    const bool ok = parseFiniteValue(scale, mult) &&
+                    kDefaultInstrs * mult >= 1.0 &&
+                    kDefaultInstrs * mult <= 1.0e18;
+    if (!ok)
+        drisim_fatal("DRISIM_SCALE='%s' is not a positive multiplier "
+                     "on the 10M-instruction default run length",
+                     scale);
+    return static_cast<InstCount>(kDefaultInstrs * mult);
 }
 
 RunOutput

@@ -136,7 +136,9 @@ struct RunOutput
 /**
  * Default run length honouring the DRISIM_SCALE environment
  * variable (a multiplier on 10 M instructions; see docs/DESIGN.md,
- * Scaling methodology).
+ * Scaling methodology). Unset or empty means 1. A value that is not
+ * a finite number, or that makes the run shorter than one
+ * instruction, is a user error: fatal, exit status 1.
  */
 InstCount defaultRunInstrs();
 

@@ -124,6 +124,73 @@ parseMetricsCsv(const std::string &path, MetricsCsv &out,
     return parseMetricsCsvText(text, out, error);
 }
 
+std::map<std::string, CategoryTime>
+categoryTimes(const std::vector<TraceSpan> &spans)
+{
+    // Per lane, open spans in start order (an enclosing span before
+    // the spans it encloses) and keep a stack of the ones still open:
+    // a span starting inside the top of the stack is nested in it.
+    std::map<unsigned, std::vector<std::size_t>> lanes;
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        lanes[spans[i].tid].push_back(i);
+    std::vector<std::uint64_t> covered(spans.size(), 0);
+    const auto end = [&](std::size_t i) {
+        return spans[i].ts + spans[i].dur;
+    };
+    for (auto &[tid, order] : lanes) {
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             if (spans[a].ts != spans[b].ts)
+                                 return spans[a].ts < spans[b].ts;
+                             return end(a) > end(b);
+                         });
+        std::vector<std::size_t> open;
+        for (const std::size_t i : order) {
+            while (!open.empty() && end(open.back()) <= spans[i].ts)
+                open.pop_back();
+            if (!open.empty())
+                covered[open.back()] +=
+                    std::min(end(i), end(open.back())) - spans[i].ts;
+            open.push_back(i);
+        }
+    }
+
+    std::map<std::string, CategoryTime> cats;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        CategoryTime &c = cats[spans[i].cat];
+        ++c.spans;
+        c.totalMicros += spans[i].dur;
+        c.selfMicros += spans[i].dur - std::min(covered[i],
+                                                spans[i].dur);
+    }
+    return cats;
+}
+
+std::map<unsigned, std::uint64_t>
+workerBusyMicros(const std::vector<TraceSpan> &spans)
+{
+    std::map<unsigned, std::vector<std::pair<std::uint64_t,
+                                             std::uint64_t>>>
+        jobs;
+    for (const TraceSpan &s : spans)
+        if (s.cat == "job")
+            jobs[s.tid].emplace_back(s.ts, s.ts + s.dur);
+    std::map<unsigned, std::uint64_t> busy;
+    for (auto &[tid, intervals] : jobs) {
+        std::sort(intervals.begin(), intervals.end());
+        std::uint64_t total = 0;
+        std::uint64_t cursor = 0;
+        for (const auto &[lo, hi] : intervals) {
+            const std::uint64_t from = std::max(lo, cursor);
+            if (hi > from)
+                total += hi - from;
+            cursor = std::max(cursor, hi);
+        }
+        busy[tid] = total;
+    }
+    return busy;
+}
+
 std::string
 renderTraceReport(const std::vector<TraceSpan> &spans,
                   std::size_t topK)
@@ -131,26 +198,43 @@ renderTraceReport(const std::vector<TraceSpan> &spans,
     std::string out =
         strFormat("trace report: %zu spans\n", spans.size());
 
-    // Per-stage wall breakdown: where the wall-clock of a sweep
-    // actually went, by span category.
-    struct CatStats
-    {
-        std::size_t count = 0;
-        std::uint64_t durMicros = 0;
-    };
-    std::map<std::string, CatStats> cats;
-    for (const TraceSpan &s : spans) {
-        CatStats &c = cats[s.cat];
-        ++c.count;
-        c.durMicros += s.dur;
+    // Where the wall clock went, by span category. Self time counts
+    // each moment once per lane, so it does not double-count a run
+    // inside a job inside a sweep unit.
+    out += "\nper-category breakdown (self = total minus spans "
+           "nested on the same lane):\n";
+    out += strFormat("  %-12s %8s %12s %12s\n", "category", "spans",
+                     "total ms", "self ms");
+    for (const auto &[cat, c] : categoryTimes(spans))
+        out += strFormat(
+            "  %-12s %8zu %12.3f %12.3f\n", cat.c_str(), c.spans,
+            static_cast<double>(c.totalMicros) / 1000.0,
+            static_cast<double>(c.selfMicros) / 1000.0);
+
+    // Worker utilization: busy = covered by a job span, over the
+    // traced wall time (first span start to last span end). A job
+    // waiting on a nested graph holds its worker, so it counts.
+    const std::map<unsigned, std::uint64_t> busy =
+        workerBusyMicros(spans);
+    if (!busy.empty()) {
+        std::uint64_t first = UINT64_MAX;
+        std::uint64_t last = 0;
+        for (const TraceSpan &s : spans) {
+            first = std::min(first, s.ts);
+            last = std::max(last, s.ts + s.dur);
+        }
+        const double wall = static_cast<double>(last - first) / 1e6;
+        out += strFormat("\nworker utilization over %.3f s traced "
+                         "(job spans):\n",
+                         wall);
+        out += strFormat("  %-8s %10s %8s\n", "worker", "busy s",
+                         "util");
+        for (const auto &[tid, micros] : busy) {
+            const double secs = static_cast<double>(micros) / 1e6;
+            out += strFormat("  %-8u %10.3f %8.3f\n", tid, secs,
+                             wall > 0.0 ? secs / wall : 0.0);
+        }
     }
-    out += "\nper-category breakdown:\n";
-    out += strFormat("  %-12s %8s %12s\n", "category", "spans",
-                     "total ms");
-    for (const auto &[cat, c] : cats)
-        out += strFormat("  %-12s %8zu %12.3f\n", cat.c_str(),
-                         c.count,
-                         static_cast<double>(c.durMicros) / 1000.0);
 
     // Top-K slowest spans; ties broken canonically so the report is
     // deterministic even on pinned (all-zero-duration) traces.

@@ -12,6 +12,7 @@
 #define DRISIM_OBS_REPORT_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,31 @@ bool parseMetricsCsvText(const std::string &text, MetricsCsv &out,
 bool parseMetricsCsv(const std::string &path, MetricsCsv &out,
                      std::string &error);
 
+/** One span category's share of a trace. */
+struct CategoryTime
+{
+    std::size_t spans = 0;
+    /** Summed durations; a nested span also counts in every span
+     *  that encloses it. */
+    std::uint64_t totalMicros = 0;
+    /** Summed self time: each span's duration minus the time that
+     *  spans nested inside it on the same tid (lane) cover. */
+    std::uint64_t selfMicros = 0;
+};
+
+/** Span count, total and self time per category. */
+std::map<std::string, CategoryTime>
+categoryTimes(const std::vector<TraceSpan> &spans);
+
+/** Busy time per tid (worker lane): the union of its "job" spans,
+ *  so a job nested in another job counts once. */
+std::map<unsigned, std::uint64_t>
+workerBusyMicros(const std::vector<TraceSpan> &spans);
+
 /**
- * Trace summary: per-category wall breakdown (span count, total
- * milliseconds) followed by the top-@p topK slowest spans.
+ * Trace summary: per-category breakdown (span count, total and self
+ * milliseconds), per-worker busy seconds and utilization over the
+ * traced wall time, then the top-@p topK slowest spans.
  */
 std::string renderTraceReport(const std::vector<TraceSpan> &spans,
                               std::size_t topK);

@@ -12,6 +12,8 @@
 #include <cstdlib>
 
 #include "util/json.hh"
+#include "util/parse.hh"
+#include "util/thread_pool.hh"
 
 namespace drisim::obs
 {
@@ -91,14 +93,7 @@ bool
 pinnedWallSeconds(double &value)
 {
     const char *env = std::getenv("DRISIM_JSON_WALL_SECONDS");
-    if (!env)
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || *end != '\0')
-        return false;
-    value = v;
-    return true;
+    return env && parseFiniteValue(env, value);
 }
 
 TraceWriter::TraceWriter(std::string path) : path_(std::move(path))
@@ -166,6 +161,10 @@ ScopedSpan::ScopedSpan(
     span_.cat = std::move(cat);
     span_.name = std::move(name);
     span_.args = std::move(args);
+    // The worker lane: spans a job opens land on its worker's lane,
+    // so nesting (and self time) can be read per tid.
+    const int lane = WorkStealingPool::currentSlot();
+    span_.tid = lane > 0 ? static_cast<unsigned>(lane) : 0;
     start_ = writer_->nowMicros();
 }
 
@@ -184,14 +183,6 @@ ScopedSpan::arg(std::string key, std::string value)
     if (!writer_)
         return;
     span_.args.emplace_back(std::move(key), std::move(value));
-}
-
-void
-ScopedSpan::tid(unsigned t)
-{
-    if (!writer_)
-        return;
-    span_.tid = t;
 }
 
 TraceWriter *

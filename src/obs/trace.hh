@@ -91,8 +91,10 @@ class TraceWriter
 
 /**
  * RAII span: opens on construction, completes on destruction with
- * the measured duration. A null @p writer makes every member a
- * no-op, so hooks can be written unconditionally.
+ * the measured duration. Its lane (tid) is the calling thread's
+ * worker-pool slot (util/thread_pool.hh; 0 outside a pool). A null
+ * @p writer makes every member a no-op, so hooks can be written
+ * unconditionally.
  */
 class ScopedSpan
 {
@@ -107,9 +109,6 @@ class ScopedSpan
 
     /** Append an annotation before the span closes. */
     void arg(std::string key, std::string value);
-
-    /** Assign the span's thread lane (suppressed when pinned). */
-    void tid(unsigned t);
 
   private:
     TraceWriter *writer_;

@@ -1,9 +1,14 @@
 /**
  * @file
- * Strict bounded integer parsing for user-facing count knobs.
+ * Strict bounded number parsing for user-facing knobs.
  */
 
 #include "util/parse.hh"
+
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
+#include <string>
 
 namespace drisim
 {
@@ -40,6 +45,22 @@ parsePositiveValue(std::string_view text, std::uint64_t &out,
 {
     std::uint64_t v = 0;
     if (!parseUnsignedValue(text, v, maxValue) || v == 0)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseFiniteValue(std::string_view text, double &out)
+{
+    // strtod would skip leading whitespace; nothing else may either.
+    if (text.empty() ||
+        std::isspace(static_cast<unsigned char>(text.front())))
+        return false;
+    const std::string s(text); // strtod needs a terminator
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end != s.c_str() + s.size() || !std::isfinite(v))
         return false;
     out = v;
     return true;

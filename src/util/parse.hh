@@ -1,7 +1,8 @@
 /**
  * @file
- * Strict bounded integer parsing shared by every user-facing count
- * knob (`jobs=`, `cores=`, the sense-interval keys, ...).
+ * Strict bounded number parsing shared by every user-facing count
+ * knob (`jobs=`, `cores=`, the sense-interval keys, ...) and the
+ * numeric environment variables.
  *
  * std::strtoull silently accepts a leading '-' and wraps the value,
  * so "jobs=-1" would ask for four billion workers and
@@ -35,6 +36,14 @@ bool parseUnsignedValue(std::string_view text, std::uint64_t &out,
  */
 bool parsePositiveValue(std::string_view text, std::uint64_t &out,
                         std::uint64_t maxValue = UINT64_MAX);
+
+/**
+ * Parse a finite decimal or scientific number ("0.05", "-2",
+ * "1e-3"). The whole text must be the number — no whitespace or
+ * suffix — and nan, infinities and overflow ("1e999") fail. Returns
+ * false without touching @p out on bad input.
+ */
+bool parseFiniteValue(std::string_view text, double &out);
 
 } // namespace drisim
 

@@ -5,15 +5,16 @@
 
 #include "util/thread_pool.hh"
 
-#include "util/logging.hh"
-
 namespace drisim
 {
 
 namespace
 {
 
-/** Slot of the current thread; -1 outside the pool. */
+/** The pool the current thread serves and its slot there. One pair
+ *  per thread, shared by every pool: a slot is only meaningful
+ *  together with its pool (callerSlot() checks both). */
+thread_local const WorkStealingPool *tl_pool = nullptr;
 thread_local int tl_slot = -1;
 
 } // namespace
@@ -39,6 +40,12 @@ WorkStealingPool::~WorkStealingPool()
 }
 
 int
+WorkStealingPool::callerSlot() const
+{
+    return tl_pool == this ? tl_slot : -1;
+}
+
+int
 WorkStealingPool::currentSlot()
 {
     return tl_slot;
@@ -49,9 +56,8 @@ WorkStealingPool::submit(PoolTask task)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const int slot = tl_slot;
-        if (slot >= 0 &&
-            static_cast<std::size_t>(slot) < deques_.size()) {
+        const int slot = callerSlot();
+        if (slot >= 0) {
             deques_[static_cast<std::size_t>(slot)].push_back(
                 std::move(task));
         } else {
@@ -84,11 +90,13 @@ WorkStealingPool::tryPop(unsigned slot, PoolTask &out)
 }
 
 void
-WorkStealingPool::workerLoop(unsigned slot)
+WorkStealingPool::serve(unsigned slot,
+                        const std::function<bool()> *pending)
 {
-    tl_slot = static_cast<int>(slot);
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
+        if (pending && !(*pending)())
+            break;
         PoolTask task;
         if (tryPop(slot, task)) {
             lock.unlock();
@@ -100,33 +108,46 @@ WorkStealingPool::workerLoop(unsigned slot)
             cv_.notify_all();
             continue;
         }
-        if (stop_)
+        if (!pending && stop_)
             return;
         cv_.wait(lock);
     }
+    // The wakeup that let this helper see its predicate clear may
+    // have been a submit's notify_one meant for a queued task; pass
+    // it on rather than leave the task to the next completion.
+    bool queued = false;
+    for (const auto &d : deques_)
+        queued = queued || !d.empty();
+    lock.unlock();
+    if (queued)
+        cv_.notify_one();
+}
+
+void
+WorkStealingPool::workerLoop(unsigned slot)
+{
+    tl_pool = this;
+    tl_slot = static_cast<int>(slot);
+    serve(slot, nullptr);
 }
 
 void
 WorkStealingPool::helpWhile(const std::function<bool()> &pending)
 {
-    drisim_assert(tl_slot == -1,
-                  "helpWhile() re-entered from a pool slot");
-    tl_slot = 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    while (pending()) {
-        PoolTask task;
-        if (tryPop(0, task)) {
-            lock.unlock();
-            task();
-            task = nullptr;
-            lock.lock();
-            cv_.notify_all();
-            continue;
-        }
-        cv_.wait(lock);
+    if (tl_pool == this) {
+        // Re-entered from a task on this pool: keep the slot.
+        serve(static_cast<unsigned>(tl_slot), &pending);
+        return;
     }
-    lock.unlock();
-    tl_slot = -1;
+    // The pool's owner, or a worker of another pool: serve as slot 0
+    // for the duration, then return to the outer pool's slot.
+    const WorkStealingPool *outerPool = tl_pool;
+    const int outerSlot = tl_slot;
+    tl_pool = this;
+    tl_slot = 0;
+    serve(0, &pending);
+    tl_pool = outerPool;
+    tl_slot = outerSlot;
 }
 
 } // namespace drisim

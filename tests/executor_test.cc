@@ -1,7 +1,8 @@
 /**
  * @file
  * Executor tests: JobGraph scheduling, deterministic per-job
- * seeding, exception propagation/cancellation, and the determinism
+ * seeding, exception propagation/cancellation, graphs run from
+ * inside job bodies (same or another Executor), and the determinism
  * regression suite — the same search grid run at jobs=1, jobs=4 and
  * jobs=hardware_concurrency() must produce byte-identical results.
  * Also the ThreadSanitizer smoke for concurrent harness runs.
@@ -269,6 +270,156 @@ TEST(Executor, ParallelFailureStillDrainsTheGraph)
         failed += s == JobState::Failed ? 1 : 0;
     }
     EXPECT_EQ(failed, 1);
+}
+
+// --------------------------------------------------------------
+// Re-entrancy: graphs run from inside job bodies
+// --------------------------------------------------------------
+
+/** A slot value that depends on the job's key (through its seed). */
+std::uint64_t
+cellValue(std::size_t i, std::size_t j, const JobContext &ctx)
+{
+    return ctx.seed ^ (i * 1000 + j);
+}
+
+TEST(Executor, NestedRunsFillTheSameSlotsAsFlat)
+{
+    constexpr std::size_t kOuter = 6;
+    constexpr std::size_t kInner = 5;
+    auto key = [](std::size_t i, std::size_t j) {
+        return "cell/" + std::to_string(i) + "/" + std::to_string(j);
+    };
+
+    // Flat reference: every cell a job of one graph.
+    std::vector<std::uint64_t> flat(kOuter * kInner, 0);
+    {
+        JobGraph g;
+        for (std::size_t i = 0; i < kOuter; ++i)
+            for (std::size_t j = 0; j < kInner; ++j)
+                g.add(key(i, j), [&, i, j](const JobContext &ctx) {
+                    flat[i * kInner + j] = cellValue(i, j, ctx);
+                });
+        Executor exec(1);
+        exec.run(g);
+    }
+
+    for (const unsigned jobs : {1u, 4u}) {
+        // Each outer job runs its row as a nested graph on the same
+        // executor: a chain j0 -> {j1..} so dependencies are
+        // exercised inside the nested run too.
+        std::vector<std::uint64_t> nested(kOuter * kInner, 0);
+        Executor exec(jobs);
+        exec.forEachIndex(
+            "row", kOuter, [&](std::size_t i, const JobContext &) {
+                JobGraph inner;
+                const JobId first = inner.add(
+                    key(i, 0), [&, i](const JobContext &ctx) {
+                        nested[i * kInner] = cellValue(i, 0, ctx);
+                    });
+                for (std::size_t j = 1; j < kInner; ++j)
+                    inner.add(
+                        key(i, j),
+                        [&, i, j](const JobContext &ctx) {
+                            nested[i * kInner + j] =
+                                cellValue(i, j, ctx);
+                        },
+                        {first});
+                exec.run(inner);
+                for (JobId id = 0; id < inner.size(); ++id)
+                    EXPECT_EQ(inner.state(id), JobState::Done);
+            });
+        EXPECT_EQ(nested, flat) << "jobs=" << jobs;
+    }
+}
+
+TEST(Executor, NestedFailureFailsItsOuterJobAndIsRethrownOnce)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        Executor exec(jobs);
+        std::atomic<int> ranDownstream{0};
+        JobGraph outer;
+        const JobId parent =
+            outer.add("parent", [&](const JobContext &) {
+                JobGraph inner;
+                const JobId boom =
+                    inner.add("inner/boom", [](const JobContext &) {
+                        throw std::runtime_error("inner boom");
+                    });
+                inner.add(
+                    "inner/after", [](const JobContext &) {}, {boom});
+                exec.run(inner);
+            });
+        std::vector<JobId> downstream;
+        for (int k = 0; k < 4; ++k)
+            downstream.push_back(outer.add(
+                "downstream/" + std::to_string(k),
+                [&](const JobContext &) { ranDownstream.fetch_add(1); },
+                {parent}));
+
+        int caught = 0;
+        try {
+            exec.run(outer);
+        } catch (const std::runtime_error &e) {
+            ++caught;
+            EXPECT_STREQ(e.what(), "inner boom");
+        }
+        EXPECT_EQ(caught, 1) << "jobs=" << jobs;
+        EXPECT_EQ(outer.state(parent), JobState::Failed);
+        EXPECT_EQ(ranDownstream.load(), 0);
+        for (const JobId d : downstream)
+            EXPECT_EQ(outer.state(d), JobState::Skipped);
+
+        // The executor is reusable after the failure.
+        int after = 0;
+        JobGraph again;
+        again.add("again", [&](const JobContext &) { ++after; });
+        exec.run(again);
+        EXPECT_EQ(after, 1);
+    }
+}
+
+TEST(Executor, JobsCanRunADifferentExecutor)
+{
+    // The calling thread's slot belongs to its pool: a worker of the
+    // outer pool running another pool's graph must serve that pool
+    // under that pool's slot numbers, never index its deques with an
+    // outer slot. The inner pools are narrower than the outer one.
+    Executor outer(4);
+    Executor shared(2); // one pool helped by several outer workers
+    std::vector<std::size_t> sums(8, 0);
+    std::vector<std::size_t> sharedSums(8, 0);
+    std::atomic<int> badWorker{0};
+    outer.forEachIndex("outer", 8, [&](std::size_t i,
+                                       const JobContext &) {
+        Executor own(i % 2 == 0 ? 1 : 3);
+        std::vector<std::size_t> parts(16, 0);
+        own.forEachIndex("own", parts.size(),
+                         [&](std::size_t j, const JobContext &ctx) {
+                             parts[j] = j + i;
+                             if (ctx.worker >= own.workers())
+                                 badWorker.fetch_add(1);
+                         });
+        sums[i] = std::accumulate(parts.begin(), parts.end(),
+                                  std::size_t{0});
+
+        std::vector<std::size_t> sharedParts(16, 0);
+        shared.forEachIndex(
+            "shared/" + std::to_string(i), sharedParts.size(),
+            [&](std::size_t j, const JobContext &ctx) {
+                sharedParts[j] = j * i;
+                if (ctx.worker >= shared.workers())
+                    badWorker.fetch_add(1);
+            });
+        sharedSums[i] =
+            std::accumulate(sharedParts.begin(), sharedParts.end(),
+                            std::size_t{0});
+    });
+    EXPECT_EQ(badWorker.load(), 0);
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+        EXPECT_EQ(sums[i], 120 + 16 * i);
+        EXPECT_EQ(sharedSums[i], 120 * i);
+    }
 }
 
 // --------------------------------------------------------------

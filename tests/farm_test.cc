@@ -3,7 +3,8 @@
  * Sweep-farm tests: the shard-plan algebra every registered sweep
  * must satisfy (pairwise disjoint, covering, stable across
  * execution order), strict --shard spec parsing, fragment
- * round-trip and resume adoption, and merge semantics (dedup under
+ * round-trip, resume adoption and completion-order independence,
+ * and merge semantics (dedup under
  * the result-cache rule, hash-collision rejection, hole detection
  * with owner-shard attribution, manifest round-trip).
  */
@@ -319,6 +320,79 @@ TEST(FragmentWriter, StreamsAndResumes)
         EXPECT_FALSE(w.hasRecord(1));
     }
     std::filesystem::remove(path);
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(FragmentWriter, RecordsStayInPlanOrder)
+{
+    // Concurrent units finish in any order; a fragment's bytes must
+    // depend only on which units it holds.
+    std::vector<SweepUnit> units;
+    for (std::uint64_t i = 0; i < 5; ++i)
+        units.push_back(sampleUnit(i));
+    const std::vector<std::string> cols{"benchmark", "value",
+                                        "config_hash"};
+    const ShardPlan shard{};
+    auto rowsOf = [&](std::uint64_t i) {
+        return std::vector<std::vector<std::string>>{
+            {units[i].label, std::to_string(i), units[i].hashHex}};
+    };
+
+    const std::string shuffled = tempPath("shuffled.part.json");
+    const std::string ordered = tempPath("ordered.part.json");
+    std::filesystem::remove(shuffled);
+    std::filesystem::remove(ordered);
+    {
+        FragmentWriter w(shuffled, "bench_test", shard, cols, units);
+        for (const std::uint64_t i : {3u, 0u, 4u, 2u})
+            w.addRecord(i, units[i], rowsOf(i));
+    }
+    {
+        FragmentWriter w(ordered, "bench_test", shard, cols, units);
+        for (const std::uint64_t i : {0u, 2u, 3u, 4u})
+            w.addRecord(i, units[i], rowsOf(i));
+    }
+    EXPECT_EQ(readBytes(shuffled), readBytes(ordered));
+
+    // A fragment whose records are out of plan order on disk is
+    // adopted in plan order, and later records slot in between.
+    Fragment f;
+    f.bench = "bench_test";
+    f.shard = shard;
+    f.columns = cols;
+    for (std::uint64_t i = 0; i < units.size(); ++i)
+        f.plan.push_back({i, units[i].hashHex});
+    for (const std::uint64_t i : {4u, 1u}) {
+        FragmentRecord r;
+        r.index = i;
+        r.hash = units[i].hashHex;
+        r.config = units[i].config;
+        r.rows = rowsOf(i);
+        f.records.push_back(r);
+    }
+    std::string err;
+    ASSERT_TRUE(writeFileAtomic(shuffled, renderFragment(f), err))
+        << err;
+    {
+        FragmentWriter w(shuffled, "bench_test", shard, cols, units);
+        EXPECT_EQ(w.resumedRecords(), 2u);
+        w.addRecord(2, units[2], rowsOf(2));
+    }
+    Fragment back;
+    ASSERT_TRUE(readFragment(shuffled, back, err)) << err;
+    ASSERT_EQ(back.records.size(), 3u);
+    EXPECT_EQ(back.records[0].index, 1u);
+    EXPECT_EQ(back.records[1].index, 2u);
+    EXPECT_EQ(back.records[2].index, 4u);
+    std::filesystem::remove(shuffled);
+    std::filesystem::remove(ordered);
 }
 
 // ---------------------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,21 @@
 
 namespace drisim
 {
+namespace golden
+{
+
+// gtest lists each case as "<name>  # GetParam() = <printed param>".
+// Without this overload it prints GoldenCase's raw bytes, whose first
+// field is a string pointer that moves with address-space
+// randomisation, so the listed test name changed from run to run.
+void
+PrintTo(const GoldenCase &gold, std::ostream *os)
+{
+    *os << gold.benchmark;
+}
+
+} // namespace golden
+
 namespace
 {
 

@@ -87,8 +87,19 @@ TEST(Runner, DefaultRunInstrsHonoursScaleEnv)
     EXPECT_EQ(defaultRunInstrs(), 10u * 1000 * 1000);
     setenv("DRISIM_SCALE", "0.5", 1);
     EXPECT_EQ(defaultRunInstrs(), 5u * 1000 * 1000);
-    setenv("DRISIM_SCALE", "bogus", 1);
+    setenv("DRISIM_SCALE", "", 1);
     EXPECT_EQ(defaultRunInstrs(), 10u * 1000 * 1000);
+
+    // A bad scale fails loudly, naming the variable, instead of
+    // silently running at scale 1.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad :
+         {"bogus", "abc", "0", "-1", "nan", "1e999", "0.5x", " 1"}) {
+        setenv("DRISIM_SCALE", bad, 1);
+        EXPECT_EXIT(defaultRunInstrs(), ::testing::ExitedWithCode(1),
+                    "DRISIM_SCALE")
+            << "DRISIM_SCALE='" << bad << "'";
+    }
     unsetenv("DRISIM_SCALE");
 }
 

@@ -41,17 +41,35 @@ driFor(const RunOutput &conv, const RunConfig &cfg,
     return p;
 }
 
-TEST(Integration, ConventionalMissRatesAreLowAcrossTheSuite)
+/** One case per suite benchmark, so ctest -j spreads the suite. */
+class ConventionalMissRate : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ConventionalMissRate, IsLowOnEachBenchmark)
 {
     // Paper Section 5.3: conventional i-cache miss rates < 1% for
     // all benchmarks. Our short runs over-weight cold misses, so
     // run a longer horizon here and allow a modest margin.
-    for (const auto &b : specSuite()) {
-        const auto conv =
-            runConventional(b, config(4 * 1000 * 1000));
-        EXPECT_LT(conv.meas.missRate(), 0.012) << b.name;
-    }
+    const auto conv = runConventional(findBenchmark(GetParam()),
+                                      config(4 * 1000 * 1000));
+    EXPECT_LT(conv.meas.missRate(), 0.012);
 }
+
+std::vector<std::string>
+suiteNames()
+{
+    std::vector<std::string> names;
+    for (const auto &b : specSuite())
+        names.push_back(b.name);
+    return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, ConventionalMissRate, ::testing::ValuesIn(suiteNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(Integration, Class1ShrinksToTheBoundWithTinySlowdown)
 {

@@ -425,6 +425,57 @@ TEST(Report, TraceReportBreaksDownByCategory)
     EXPECT_LT(report.find("slow"), report.rfind("compress/dri#ab"));
 }
 
+obs::TraceSpan
+laneSpan(const char *cat, const char *name, unsigned tid,
+         std::uint64_t ts, std::uint64_t dur)
+{
+    obs::TraceSpan s = span(cat, name, ts, dur);
+    s.tid = tid;
+    return s;
+}
+
+TEST(Report, SelfTimeAndUtilizationOnANestedTrace)
+{
+    // Lane 1: a unit job [0, 1000) with a run [100, 400) and a
+    // nested job [500, 900) holding a run [550, 850). Lane 2: one
+    // job [200, 700) overlapping lane 1 in time, which must not
+    // count as nested in anything on lane 1.
+    std::vector<obs::TraceSpan> spans{
+        laneSpan("job", "unit", 1, 0, 1000),
+        laneSpan("run", "r1", 1, 100, 300),
+        laneSpan("job", "nested", 1, 500, 400),
+        laneSpan("run", "r2", 1, 550, 300),
+        laneSpan("job", "other", 2, 200, 500),
+    };
+    obs::sortSpans(spans);
+
+    const auto cats = obs::categoryTimes(spans);
+    ASSERT_EQ(cats.size(), 2u);
+    const obs::CategoryTime &job = cats.at("job");
+    EXPECT_EQ(job.spans, 3u);
+    EXPECT_EQ(job.totalMicros, 1900u); // nested time counted twice
+    // unit 1000 - (300 + 400) + nested 400 - 300 + other 500.
+    EXPECT_EQ(job.selfMicros, 900u);
+    const obs::CategoryTime &run = cats.at("run");
+    EXPECT_EQ(run.totalMicros, 600u);
+    EXPECT_EQ(run.selfMicros, 600u);
+    // Self times add up to each lane's busy time, counted once.
+    EXPECT_EQ(job.selfMicros + run.selfMicros, 1000u + 500u);
+
+    const auto busy = obs::workerBusyMicros(spans);
+    ASSERT_EQ(busy.size(), 2u);
+    EXPECT_EQ(busy.at(1), 1000u); // the nested job counts once
+    EXPECT_EQ(busy.at(2), 500u);
+
+    const std::string report = obs::renderTraceReport(spans, 3);
+    EXPECT_NE(report.find("self ms"), std::string::npos);
+    EXPECT_NE(report.find("worker utilization over 0.001 s"),
+              std::string::npos);
+    // Lane 1 was busy the whole traced millisecond, lane 2 half.
+    EXPECT_NE(report.find(" 1.000\n"), std::string::npos);
+    EXPECT_NE(report.find(" 0.500\n"), std::string::npos);
+}
+
 TEST(Report, PhaseTableFiltersBySeries)
 {
     obs::TimeSeriesRecorder rec("x", 64);

@@ -280,5 +280,22 @@ TEST(Parse, PositiveRejectsZero)
     EXPECT_FALSE(parsePositiveValue("65", v, 64));
 }
 
+TEST(Parse, FiniteAcceptsNumbersAndRejectsTheRest)
+{
+    double v = 7.0;
+    EXPECT_TRUE(parseFiniteValue("0.05", v));
+    EXPECT_EQ(v, 0.05);
+    EXPECT_TRUE(parseFiniteValue("-2", v));
+    EXPECT_EQ(v, -2.0);
+    EXPECT_TRUE(parseFiniteValue("1e-3", v));
+    EXPECT_EQ(v, 1e-3);
+
+    v = 7.0;
+    for (const char *bad : {"", "abc", "nan", "inf", "-inf", "1e999",
+                            " 1", "1 ", "0.5x", "1,5"})
+        EXPECT_FALSE(parseFiniteValue(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7.0); // failures leave the output untouched
+}
+
 } // namespace
 } // namespace drisim

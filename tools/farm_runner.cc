@@ -5,7 +5,7 @@
  * `--shard k/N --part DIR/shard_k.part.json`, and waits for them.
  * Shards stream completed units into their fragments record-at-a-
  * time (rename-atomic, farm/fragment.hh), so a shard killed at any
- * instant loses at most its in-flight unit; tools/sweep_merge joins
+ * instant loses at most its in-flight units; tools/sweep_merge joins
  * the fragments and emits a resume manifest for the holes.
  *
  *   farm_runner --bin PATH --shards N --dir DIR [--args "..."]

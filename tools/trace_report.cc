@@ -6,10 +6,13 @@
  *   trace_report [--trace FILE] [--metrics FILE]
  *                [--top K] [--series FILTER]
  *
- * --trace prints the per-category wall breakdown and the top-K
- * slowest spans of a chrome-trace JSON file (obs/trace.hh; K
- * defaults to 10). --metrics prints the phase table of an interval
- * CSV (obs/metrics.hh): per-series, per-interval CPI, L1I miss
+ * --trace prints, for a chrome-trace JSON file (obs/trace.hh), the
+ * per-category breakdown (total time, and self time: a span's time
+ * minus the spans nested inside it on the same lane), each worker's
+ * busy seconds and utilization from its job spans, and the top-K
+ * slowest spans (K defaults to 10). --metrics prints the phase
+ * table of an interval CSV (obs/metrics.hh): per-series,
+ * per-interval CPI, L1I miss
  * rate, DRI active fraction/bytes, drowsy fraction and wake/resize
  * events — the time-resolved view the end-of-run aggregates hide.
  * --series keeps only metric series whose name contains FILTER
