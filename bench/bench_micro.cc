@@ -15,6 +15,7 @@
 #include "cpu/simple_core.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "workload/fetch_replay.hh"
 #include "workload/generator.hh"
 #include "workload/spec_suite.hh"
 
@@ -145,6 +146,27 @@ BM_FastModelMIPS(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 200000);
 }
 BENCHMARK(BM_FastModelMIPS)->Unit(benchmark::kMillisecond);
+
+/** BM_FastModelMIPS over a recorded stream, as the parameter search
+ *  runs it (the recording is made once, outside the timed region). */
+void
+BM_FastModelReplayMIPS(benchmark::State &state)
+{
+    stats::StatGroup root("b");
+    Hierarchy hier(HierarchyParams{}, &root, true);
+    static ProgramImage img =
+        buildProgram(findBenchmark("li").spec);
+    const FetchRecording rec(img, 200000);
+    for (auto _ : state) {
+        state.PauseTiming();
+        FetchReplay replay(rec);
+        SimpleCore core(SimpleCoreParams{}, hier.l1i());
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(core.run(replay, 200000));
+    }
+    state.SetItemsProcessed(state.iterations() * 200000);
+}
+BENCHMARK(BM_FastModelReplayMIPS)->Unit(benchmark::kMillisecond);
 
 void
 BM_DetailedCoreMIPS(benchmark::State &state)

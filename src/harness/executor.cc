@@ -42,13 +42,15 @@ unsigned
 defaultJobCount()
 {
     const char *env = std::getenv("DRISIM_JOBS");
-    if (env && *env) {
-        unsigned v = 0;
-        if (parseJobsValue(env, v))
-            return v == 0 ? hardwareJobCount() : v;
-        warn("ignoring malformed DRISIM_JOBS='%s'", env);
-    }
-    return 1;
+    if (!env || !*env)
+        return 1;
+    // A typo must not silently run the sweep serially.
+    unsigned v = 0;
+    if (!parseJobsValue(env, v))
+        drisim_fatal("DRISIM_JOBS='%s' is not a worker count (0 = "
+                     "all hardware threads, else 1..4096)",
+                     env);
+    return v == 0 ? hardwareJobCount() : v;
 }
 
 unsigned

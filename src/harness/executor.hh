@@ -40,8 +40,9 @@ unsigned hardwareJobCount();
 
 /**
  * Worker count when none is requested: the DRISIM_JOBS environment
- * variable if set to a positive integer ("0" means auto, i.e. the
- * hardware count), otherwise 1 (serial; parallelism is opt-in).
+ * variable if set ("0" means auto, i.e. the hardware count),
+ * otherwise 1 (serial; parallelism is opt-in). A value that
+ * parseJobsValue() rejects is a user error: fatal, exit status 1.
  */
 unsigned defaultJobCount();
 

@@ -23,6 +23,7 @@
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
+#include "workload/fetch_replay.hh"
 #include "workload/generator.hh"
 
 namespace drisim
@@ -461,6 +462,26 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
 }
 
 /**
+ * Checkpoint-store key version of a run's snapshots, by stream type.
+ * v3: the coherence layer added per-block MSI state to every tag
+ * store (plus a layout magic the reader verifies); stale v1/v2
+ * snapshots must miss, not crash. v4 (fast runs): the stream state
+ * is a replay cursor, not the generator's, so a fast v3 snapshot
+ * written by an older build misses and is rewritten.
+ */
+const char *
+snapshotVersion(const TraceGenerator &)
+{
+    return "v3";
+}
+
+const char *
+snapshotVersion(const FetchReplay &)
+{
+    return "v4";
+}
+
+/**
  * Run @p core to config.maxInstrs through the midpoint checkpoint
  * seam: restore and simulate only the second half when a snapshot of
  * this exact key exists, else simulate the first half, snapshot, and
@@ -469,22 +490,20 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
  * full run) when no checkpoint directory is configured or the run is
  * too short to split.
  */
-template <typename Snap, typename Restore>
+template <typename Stream, typename Snap, typename Restore>
 CoreStats
 runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
-                Core &core, TraceGenerator &gen, Snap &&snapExtra,
+                Core &core, Stream &stream, Snap &&snapExtra,
                 Restore &&restoreExtra)
 {
     const InstCount total = config.maxInstrs;
     const InstCount split = (total / 2) & ~InstCount{63};
     if (config.checkpointDir.empty() || split == 0 || split >= total)
-        return core.run(gen, total);
+        return core.run(stream, total);
 
     const sim::CheckpointStore store(config.checkpointDir);
-    // v3: the coherence layer added per-block MSI state to every
-    // tag store (plus a layout magic the reader verifies); stale
-    // v1/v2 snapshots must miss, not crash.
-    const std::string storeKey = "v3|" + key.canonical() + "|ckpt@" +
+    const std::string storeKey = std::string(snapshotVersion(stream)) +
+                                 "|" + key.canonical() + "|ckpt@" +
                                  std::to_string(split);
     std::string blob;
     if (store.load(storeKey, blob)) {
@@ -493,26 +512,57 @@ runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
                                  "restore");
             sim::CheckpointReader r(std::move(blob));
             r.beginSection("run");
-            gen.restoreFrom(r);
+            stream.restoreFrom(r);
             core.restoreFrom(r);
             restoreExtra(r);
             r.endSection();
         }
-        return core.run(gen, total - split);
+        return core.run(stream, total - split);
     }
 
-    core.run(gen, split);
+    core.run(stream, split);
     {
         obs::ScopedSpan span(obs::trace(), "checkpoint", "save");
         sim::CheckpointWriter w;
         w.beginSection("run");
-        gen.snapshotTo(w);
+        stream.snapshotTo(w);
         core.snapshotTo(w);
         snapExtra(w);
         w.endSection();
         store.save(storeKey, w.bytes());
     }
-    return core.run(gen, total - split);
+    return core.run(stream, total - split);
+}
+
+/** Record @p bench's first @p instrs instructions (one workload
+ *  span per recording). */
+std::shared_ptr<const FetchRecording>
+recordStream(const BenchmarkInfo &bench, InstCount instrs)
+{
+    obs::ScopedSpan span(obs::trace(), "workload",
+                         bench.name + "/record");
+    return std::make_shared<const FetchRecording>(imageFor(bench),
+                                                  instrs);
+}
+
+/**
+ * The recording a fast run replays: the calibration's (recorded now
+ * if its slot is still empty) when it was made from the same image
+ * and covers the run, else the run's own, freed with the run.
+ */
+std::shared_ptr<const FetchRecording>
+fastRecording(const BenchmarkInfo &bench, const RunConfig &config,
+              const FastCalibration &cal)
+{
+    const auto record = [&] {
+        return recordStream(bench, config.maxInstrs);
+    };
+    if (!cal.recording)
+        return record();
+    std::shared_ptr<const FetchRecording> rec =
+        cal.recording->get(record);
+    return rec->covers(imageFor(bench), config.maxInstrs) ? rec
+                                                          : record();
 }
 
 /** The series a run's trace span and interval samples share. */
@@ -753,7 +803,7 @@ addPolicyL1iProbes(obs::MetricRegistry &reg, LeakagePolicy &policy,
  */
 template <typename Sampler>
 CoreStats
-runMetered(Core &core, TraceGenerator &gen, InstCount total,
+runMetered(Core &core, InstrStream &stream, InstCount total,
            Sampler &&sample)
 {
     const InstCount interval = obs::metrics()->interval();
@@ -762,7 +812,7 @@ runMetered(Core &core, TraceGenerator &gen, InstCount total,
     while (done < total) {
         const InstCount chunk = std::min(interval, total - done);
         const InstCount before = core.stats().instructions;
-        cs = core.run(gen, chunk);
+        cs = core.run(stream, chunk);
         const InstCount ran = cs.instructions - before;
         done += ran;
         sample(cs);
@@ -994,8 +1044,11 @@ calibrateFastImpl(const BenchmarkInfo &bench, const RunConfig &config,
     scp.baseCpi = 1.0; // irrelevant to stall measurement
     scp.fetchBlockBytes = config.hier.l1i.blockBytes;
     SimpleCore fast(scp, hier.l1i());
-    TraceGenerator gen(imageFor(bench));
-    fast.run(gen, config.maxInstrs);
+    const std::shared_ptr<const FetchRecording> rec =
+        recordStream(bench, config.maxInstrs);
+    cal.recording = std::make_shared<RecordingSlot>(rec);
+    FetchReplay replay(*rec);
+    fast.run(replay, config.maxInstrs);
     const double stall =
         static_cast<double>(fast.missStallCycles());
 
@@ -1025,8 +1078,12 @@ calibrateFast(const BenchmarkInfo &bench, const RunConfig &config,
     FastCalibration cal;
     if (config.resultCache->lookup(key, f) &&
         fieldF64(f, "base_cpi", cal.baseCpi) &&
-        fieldF64(f, "miss_overlap", cal.missOverlap))
+        fieldF64(f, "miss_overlap", cal.missOverlap)) {
+        // Nothing was simulated, so nothing was recorded: the first
+        // fast run that simulates records for all of them.
+        cal.recording = std::make_shared<RecordingSlot>();
         return cal;
+    }
 
     cal = calibrateFastImpl(bench, config, convDetailed);
     sim::ResultCache::Fields out;
@@ -1053,20 +1110,22 @@ runConventionalFast(const BenchmarkInfo &bench, const RunConfig &config,
         scp.fetchBlockBytes = config.hier.l1i.blockBytes;
         SimpleCore fast(scp, hier.l1i());
         fast.addResizable(hier.driL2());
-        TraceGenerator gen(imageFor(bench));
+        const std::shared_ptr<const FetchRecording> rec =
+            fastRecording(bench, config, cal);
+        FetchReplay replay(*rec);
         CoreStats cs;
         if (obs::metrics()) {
             IntervalSampler sampler(series);
             addHierProbes(sampler.registry(), fast, hier);
             addConvL1iProbes(sampler.registry(), *hier.convL1i(),
                              config.hier.l1i.sizeBytes);
-            cs = runMetered(fast, gen, config.maxInstrs,
+            cs = runMetered(fast, replay, config.maxInstrs,
                             [&](const CoreStats &s) {
                                 sampler.sample(s);
                             });
         } else {
             cs = runCheckpointed(
-                config, key, fast, gen,
+                config, key, fast, replay,
                 [&](sim::CheckpointWriter &w) {
                     hier.snapshotTo(w);
                 },
@@ -1286,20 +1345,22 @@ runPolicyFast(const BenchmarkInfo &bench, const RunConfig &config,
         SimpleCore fast(scp, l1i->level());
         fast.addRetireSink(l1i.get());
         fast.addResizable(hier.driL2());
-        TraceGenerator gen(imageFor(bench));
+        const std::shared_ptr<const FetchRecording> rec =
+            fastRecording(bench, config, cal);
+        FetchReplay replay(*rec);
         CoreStats cs;
         if (obs::metrics()) {
             IntervalSampler sampler(series);
             addHierProbes(sampler.registry(), fast, hier);
             addPolicyL1iProbes(sampler.registry(), *l1i, fast,
                                policy.dri.sizeBytes);
-            cs = runMetered(fast, gen, config.maxInstrs,
+            cs = runMetered(fast, replay, config.maxInstrs,
                             [&](const CoreStats &s) {
                                 sampler.sample(s);
                             });
         } else {
             cs = runCheckpointed(
-                config, key, fast, gen,
+                config, key, fast, replay,
                 [&](sim::CheckpointWriter &w) {
                     hier.snapshotTo(w);
                     l1i->snapshotTo(w);
@@ -1336,19 +1397,21 @@ runDriFast(const BenchmarkInfo &bench, const RunConfig &config,
         SimpleCore fast(scp, &icache);
         fast.setDri(&icache);
         fast.addResizable(hier.driL2());
-        TraceGenerator gen(imageFor(bench));
+        const std::shared_ptr<const FetchRecording> rec =
+            fastRecording(bench, config, cal);
+        FetchReplay replay(*rec);
         CoreStats cs;
         if (obs::metrics()) {
             IntervalSampler sampler(series);
             addHierProbes(sampler.registry(), fast, hier);
             addDriL1iProbes(sampler.registry(), icache, fast);
-            cs = runMetered(fast, gen, config.maxInstrs,
+            cs = runMetered(fast, replay, config.maxInstrs,
                             [&](const CoreStats &s) {
                                 sampler.sample(s);
                             });
         } else {
             cs = runCheckpointed(
-                config, key, fast, gen,
+                config, key, fast, replay,
                 [&](sim::CheckpointWriter &w) {
                     hier.snapshotTo(w);
                     icache.snapshotTo(w);

@@ -28,7 +28,8 @@
 namespace drisim
 {
 
-struct ProgramImage; // workload/cfg.hh
+struct ProgramImage;   // workload/cfg.hh
+class RecordingSlot;   // workload/fetch_replay.hh
 
 /** Common knobs for one simulation run. */
 struct RunConfig
@@ -166,11 +167,24 @@ struct FastCalibration
     double baseCpi = 0.5;
     /** Stall-to-time transfer fraction. */
     double missOverlap = 0.85;
+    /**
+     * The benchmark's fetch stream, shared by the fast runs that use
+     * this calibration (and its copies). calibrateFast() fills it
+     * when it simulates; a calibration served from the result cache
+     * leaves it to the first fast run that simulates. Null (a
+     * calibration built by hand): each fast run records its own.
+     * Execution-only: the fast entry points replay the recording
+     * when it covers their run, and it never enters a run key or a
+     * cache payload.
+     */
+    std::shared_ptr<RecordingSlot> recording;
 };
 
 /**
  * Derive the fast-model calibration for a benchmark from its
- * detailed conventional run (see SimpleCore docs).
+ * detailed conventional run (see SimpleCore docs). The calibration
+ * carries a recording slot, so the fast runs sharing it generate
+ * the stream at most once between them.
  */
 FastCalibration calibrateFast(const BenchmarkInfo &bench,
                               const RunConfig &config,

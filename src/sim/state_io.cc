@@ -31,6 +31,7 @@
 #include "sim/checkpoint.hh"
 #include "stats/stats.hh"
 #include "util/random.hh"
+#include "workload/fetch_replay.hh"
 #include "workload/generator.hh"
 
 namespace drisim
@@ -178,6 +179,31 @@ TraceGenerator::restoreFrom(sim::CheckpointReader &r)
     seqLoadOff_ = r.getU64();
     seqStoreOff_ = r.getU64();
     seqSharedOff_ = r.getU64();
+    r.endSection();
+}
+
+// ---------------------------------------------------------------
+// workload/fetch_replay
+// ---------------------------------------------------------------
+
+void
+FetchReplay::snapshotTo(sim::CheckpointWriter &w) const
+{
+    w.beginSection("replay");
+    w.putU64(produced_);
+    w.endSection();
+}
+
+void
+FetchReplay::restoreFrom(sim::CheckpointReader &r)
+{
+    r.beginSection("replay");
+    const std::uint64_t position = r.getU64();
+    if (!seek(position))
+        throw sim::CheckpointError(
+            "replay position " + std::to_string(position) +
+            " is past the recording's " +
+            std::to_string(rec_.instructions()) + " instructions");
     r.endSection();
 }
 

@@ -20,10 +20,13 @@
 #include <fstream>
 #include <string>
 
+#include "core/dri_icache.hh"
+#include "cpu/simple_core.hh"
 #include "harness/runner.hh"
 #include "mem/hierarchy.hh"
 #include "sim/checkpoint.hh"
 #include "system/cmp.hh"
+#include "workload/generator.hh"
 
 namespace drisim
 {
@@ -511,6 +514,61 @@ TEST(CheckpointedRun, FastPolicySplitIsExact)
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
         return runPolicyFast(b, c, pol, cal);
     });
+}
+
+TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
+{
+    // Fast runs snapshot a replay cursor under v4 store keys. A fast
+    // snapshot an older build left in a shared checkpoint dir holds
+    // the generator's state under a v3 key; it must miss and be
+    // rewritten, not fail to restore mid-sweep.
+    const auto &b = findBenchmark("li");
+    RunConfig cfg = quickConfig();
+    const RunOutput conv = runConventional(b, cfg);
+    const FastCalibration cal = calibrateFast(b, cfg, conv);
+    const DriParams dp = quickDri();
+    const RunOutput plain = runDriFast(b, cfg, dp, cal);
+
+    TempDir dir;
+    const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};
+    {
+        // The older build's generator-driven fast run at the split.
+        stats::StatGroup root("fast");
+        Hierarchy hier(cfg.hier, &root, false);
+        DriICache icache(dp, hier.l2Level(), &root);
+        hier.setL1I(&icache);
+        SimpleCoreParams scp;
+        scp.baseCpi = cal.baseCpi;
+        scp.missOverlap = cal.missOverlap;
+        scp.fetchBlockBytes = dp.blockBytes;
+        SimpleCore fast(scp, &icache);
+        fast.setDri(&icache);
+        fast.addResizable(hier.driL2());
+        TraceGenerator gen(programImageFor(b));
+        fast.run(gen, split);
+        sim::CheckpointWriter w;
+        w.beginSection("run");
+        gen.snapshotTo(w);
+        fast.snapshotTo(w);
+        hier.snapshotTo(w);
+        icache.snapshotTo(w);
+        w.endSection();
+        sim::CheckpointStore(dir.path).save(
+            "v3|" + runKeyDriFast(b, cfg, dp, cal).canonical() +
+                "|ckpt@" + std::to_string(split),
+            w.bytes());
+    }
+
+    cfg.checkpointDir = dir.path;
+    const sim::CheckpointCounters before = sim::checkpointCounters();
+    expectSameRun(plain, runDriFast(b, cfg, dp, cal));
+    const sim::CheckpointCounters after = sim::checkpointCounters();
+    EXPECT_EQ(after.restores, before.restores);
+    EXPECT_EQ(after.saves, before.saves + 1);
+
+    // The rewritten snapshot serves the next run.
+    expectSameRun(plain, runDriFast(b, cfg, dp, cal));
+    EXPECT_EQ(sim::checkpointCounters().restores, after.restores + 1);
 }
 
 // ---------------------------------------------------------------

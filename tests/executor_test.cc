@@ -82,8 +82,18 @@ TEST(JobCount, ResolutionHonoursEnvAndRequest)
     setenv("DRISIM_JOBS", "0", 1);
     EXPECT_EQ(resolveJobCount(0), hardwareJobCount()); // 0 = auto
 
-    setenv("DRISIM_JOBS", "bogus", 1);
-    EXPECT_EQ(resolveJobCount(0), 1u);
+    setenv("DRISIM_JOBS", "", 1);
+    EXPECT_EQ(resolveJobCount(0), 1u); // empty = unset
+
+    // A malformed value fails loudly, naming the variable, instead
+    // of silently running serially.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"bogus", "-1", "4097", "4x", " 4"}) {
+        setenv("DRISIM_JOBS", bad, 1);
+        EXPECT_EXIT(resolveJobCount(0), ::testing::ExitedWithCode(1),
+                    "DRISIM_JOBS")
+            << "DRISIM_JOBS='" << bad << "'";
+    }
     unsetenv("DRISIM_JOBS");
 }
 

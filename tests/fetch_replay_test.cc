@@ -1,0 +1,338 @@
+/**
+ * @file
+ * Record-once fetch replay (workload/fetch_replay.hh), checked over
+ * every suite benchmark: the replay reproduces the generator's fetch
+ * path, SimpleCore over the replay matches SimpleCore over the live
+ * generator bit for bit (conventional and DRI L1Is, several fetch
+ * block sizes), and the fast entry points give the same results
+ * whether the calibration carries a recording or not. The cursor's
+ * checkpoint round-trip is covered directly.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/dri_icache.hh"
+#include "cpu/simple_core.hh"
+#include "harness/runner.hh"
+#include "mem/hierarchy.hh"
+#include "sim/checkpoint.hh"
+#include "stats/stats.hh"
+#include "workload/fetch_replay.hh"
+#include "workload/generator.hh"
+#include "workload/spec_suite.hh"
+
+namespace drisim
+{
+namespace
+{
+
+constexpr InstCount kInstrs = 200 * 1000;
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** What SimpleCore leaves behind after one run. */
+struct CoreOutcome
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    Cycles missStall = 0;
+    Cycles cycles = 0;
+    std::uint64_t resizes = 0;
+    std::uint64_t activeFractionBits = 0;
+};
+
+/** SimpleCore over @p stream for kInstrs instructions, with a
+ *  conventional L1I (@p dri null) or a DRI L1I. */
+CoreOutcome
+runSimpleCore(InstrStream &stream, unsigned blockBytes,
+              const DriParams *dri)
+{
+    stats::StatGroup root("t");
+    HierarchyParams hp;
+    hp.l1i.blockBytes = blockBytes;
+    Hierarchy hier(hp, &root, dri == nullptr);
+    std::unique_ptr<DriICache> icache;
+    if (dri) {
+        icache =
+            std::make_unique<DriICache>(*dri, hier.l2Level(), &root);
+        hier.setL1I(icache.get());
+    }
+    SimpleCoreParams scp;
+    scp.baseCpi = 0.7;
+    scp.fetchBlockBytes = blockBytes;
+    SimpleCore core(scp, hier.l1i());
+    if (icache)
+        core.setDri(icache.get());
+    const CoreStats cs = core.run(stream, kInstrs);
+
+    CoreOutcome o;
+    o.cycles = cs.cycles;
+    o.missStall = core.missStallCycles();
+    if (icache) {
+        o.accesses = icache->accesses();
+        o.misses = icache->misses();
+        o.resizes = icache->upsizes() + icache->downsizes();
+        o.activeFractionBits = bitsOf(icache->averageActiveFraction());
+    } else {
+        o.accesses = hier.convL1i()->accesses();
+        o.misses = hier.convL1i()->misses();
+    }
+    return o;
+}
+
+void
+expectSameCore(const CoreOutcome &live, const CoreOutcome &replayed)
+{
+    EXPECT_EQ(live.accesses, replayed.accesses);
+    EXPECT_EQ(live.misses, replayed.misses);
+    EXPECT_EQ(live.missStall, replayed.missStall);
+    EXPECT_EQ(live.cycles, replayed.cycles);
+    EXPECT_EQ(live.resizes, replayed.resizes);
+    EXPECT_EQ(live.activeFractionBits, replayed.activeFractionBits);
+}
+
+/** A calibration's recording slot, already holding a recording of
+ *  @p img's first @p instrs instructions. */
+std::shared_ptr<RecordingSlot>
+slotHolding(const ProgramImage &img, InstCount instrs)
+{
+    return std::make_shared<RecordingSlot>(
+        std::make_shared<const FetchRecording>(img, instrs));
+}
+
+void
+expectSameRun(const RunOutput &a, const RunOutput &b)
+{
+    EXPECT_EQ(a.meas.cycles, b.meas.cycles);
+    EXPECT_EQ(a.meas.instructions, b.meas.instructions);
+    EXPECT_EQ(a.meas.l1iAccesses, b.meas.l1iAccesses);
+    EXPECT_EQ(a.meas.l1iMisses, b.meas.l1iMisses);
+    EXPECT_EQ(bitsOf(a.meas.avgActiveFraction),
+              bitsOf(b.meas.avgActiveFraction));
+    EXPECT_EQ(a.meas.resizingTagBits, b.meas.resizingTagBits);
+    EXPECT_EQ(bitsOf(a.ipc), bitsOf(b.ipc));
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.memAccesses, b.memAccesses);
+    EXPECT_EQ(a.resizes, b.resizes);
+    EXPECT_EQ(a.throttleEvents, b.throttleEvents);
+    EXPECT_EQ(bitsOf(a.l1DrowsyFraction), bitsOf(b.l1DrowsyFraction));
+    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
+    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
+    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
+}
+
+class EveryBenchmark : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    const BenchmarkInfo &bench() const
+    {
+        return findBenchmark(GetParam());
+    }
+    const ProgramImage &image() const
+    {
+        return programImageFor(bench());
+    }
+};
+
+TEST_P(EveryBenchmark, ReplayReproducesTheFetchPath)
+{
+    const FetchRecording rec(image(), kInstrs);
+    EXPECT_EQ(rec.instructions(), kInstrs);
+    EXPECT_TRUE(rec.covers(image(), kInstrs));
+    EXPECT_FALSE(rec.covers(image(), kInstrs + 1));
+    // Straight-line runs pack to a few bytes each.
+    EXPECT_GT(rec.runs(), 0u);
+    EXPECT_LT(rec.bytes(), 4 * rec.runs());
+
+    TraceGenerator gen(image());
+    FetchReplay replay(rec);
+    Instr live;
+    Instr replayed;
+    for (InstCount i = 0; i < kInstrs; ++i) {
+        ASSERT_TRUE(gen.next(live));
+        ASSERT_TRUE(replay.next(replayed));
+        ASSERT_EQ(replayed.pc, live.pc) << "instruction " << i;
+        ASSERT_EQ(isControl(replayed.op) && replayed.taken,
+                  isControl(live.op) && live.taken)
+            << "instruction " << i;
+    }
+    EXPECT_FALSE(replay.next(replayed)); // exactly N recorded
+    EXPECT_EQ(replay.produced(), kInstrs);
+}
+
+TEST_P(EveryBenchmark, SimpleCoreMatchesLiveGeneration)
+{
+    const FetchRecording rec(image(), kInstrs);
+    for (const unsigned block : {16u, 32u, 64u}) {
+        SCOPED_TRACE("fetchBlockBytes=" + std::to_string(block));
+        {
+            TraceGenerator gen(image());
+            FetchReplay replay(rec);
+            expectSameCore(runSimpleCore(gen, block, nullptr),
+                           runSimpleCore(replay, block, nullptr));
+        }
+        // Grid cells from tight to loose, with enough sense
+        // intervals in 200 K instructions to resize.
+        const std::pair<std::uint64_t, std::uint64_t> cells[] = {
+            {1024, 20}, {4096, 100}, {16384, 400}};
+        for (const auto &[sizeBound, missBound] : cells) {
+            SCOPED_TRACE("sizeBound=" + std::to_string(sizeBound));
+            DriParams dri;
+            dri.blockBytes = block;
+            dri.sizeBoundBytes = sizeBound;
+            dri.missBound = missBound;
+            dri.senseInterval = 10 * 1000;
+            TraceGenerator gen(image());
+            FetchReplay replay(rec);
+            expectSameCore(runSimpleCore(gen, block, &dri),
+                           runSimpleCore(replay, block, &dri));
+        }
+    }
+}
+
+TEST_P(EveryBenchmark, FastEntryPointsIgnoreTheRecordingsSource)
+{
+    RunConfig cfg;
+    cfg.maxInstrs = kInstrs;
+    cfg.hier.l1i.assoc = 4; // selective-ways needs ways to gate
+    FastCalibration bare;
+    bare.baseCpi = 0.8;
+    FastCalibration recorded = bare;
+    recorded.recording = slotHolding(image(), kInstrs);
+
+    {
+        SCOPED_TRACE("conv-fast");
+        expectSameRun(runConventionalFast(bench(), cfg, bare),
+                      runConventionalFast(bench(), cfg, recorded));
+    }
+    DriParams dri;
+    dri.assoc = 4;
+    dri.senseInterval = 10 * 1000;
+    dri.sizeBoundBytes = 2048;
+    dri.missBound = 50;
+    {
+        SCOPED_TRACE("dri-fast");
+        expectSameRun(runDriFast(bench(), cfg, dri, bare),
+                      runDriFast(bench(), cfg, dri, recorded));
+    }
+    for (const PolicyKind kind :
+         {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
+          PolicyKind::StaticWays}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        PolicyConfig pol;
+        pol.kind = kind;
+        pol.dri = dri;
+        pol.decay.decayInterval = 10 * 1000;
+        pol.drowsy.drowsyInterval = 10 * 1000;
+        pol.ways.activeWays = 2;
+        expectSameRun(runPolicyFast(bench(), cfg, pol, bare),
+                      runPolicyFast(bench(), cfg, pol, recorded));
+    }
+}
+
+std::vector<std::string>
+suiteNames()
+{
+    std::vector<std::string> names;
+    for (const auto &b : specSuite())
+        names.push_back(b.name);
+    return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, EveryBenchmark, ::testing::ValuesIn(suiteNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+TEST(FetchReplay, RecordingThatCannotServeTheRunIsNotUsed)
+{
+    // A recording of another image, or one too short for the run,
+    // must not be replayed: the run records its own stream.
+    const BenchmarkInfo &b = findBenchmark("li");
+    RunConfig cfg;
+    cfg.maxInstrs = kInstrs;
+    FastCalibration bare;
+    bare.baseCpi = 0.8;
+    DriParams dri;
+    dri.senseInterval = 10 * 1000;
+    const RunOutput want = runDriFast(b, cfg, dri, bare);
+
+    FastCalibration shorter = bare;
+    shorter.recording = slotHolding(programImageFor(b), kInstrs / 2);
+    expectSameRun(want, runDriFast(b, cfg, dri, shorter));
+
+    FastCalibration foreign = bare;
+    foreign.recording =
+        slotHolding(programImageFor(findBenchmark("gcc")), kInstrs);
+    expectSameRun(want, runDriFast(b, cfg, dri, foreign));
+}
+
+TEST(FetchReplay, CursorRoundTripsThroughACheckpoint)
+{
+    const ProgramImage &img = programImageFor(findBenchmark("perl"));
+    const FetchRecording rec(img, 20 * 1000);
+    std::vector<Instr> path;
+    {
+        FetchReplay all(rec);
+        Instr in;
+        while (all.next(in))
+            path.push_back(in);
+    }
+    ASSERT_EQ(path.size(), rec.instructions());
+
+    // Every offset of a stretch spanning several runs, plus both
+    // ends: the restored cursor continues the path exactly.
+    std::vector<InstCount> positions = {0, rec.instructions()};
+    for (InstCount p = 9000; p < 9100; ++p)
+        positions.push_back(p);
+    for (const InstCount p : positions) {
+        FetchReplay a(rec);
+        Instr in;
+        for (InstCount i = 0; i < p; ++i)
+            ASSERT_TRUE(a.next(in));
+        sim::CheckpointWriter w;
+        a.snapshotTo(w);
+
+        FetchReplay b(rec);
+        sim::CheckpointReader r(w.bytes());
+        b.restoreFrom(r);
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_EQ(b.produced(), p);
+        for (InstCount i = p; i < rec.instructions(); ++i) {
+            ASSERT_TRUE(b.next(in)) << p;
+            ASSERT_EQ(in.pc, path[i].pc) << p << "@" << i;
+            ASSERT_EQ(in.taken, path[i].taken) << p << "@" << i;
+        }
+        EXPECT_FALSE(b.next(in));
+    }
+}
+
+TEST(FetchReplay, RestorePastTheRecordingThrows)
+{
+    const ProgramImage &img = programImageFor(findBenchmark("li"));
+    const FetchRecording rec(img, 1000);
+    sim::CheckpointWriter w;
+    w.beginSection("replay");
+    w.putU64(1001);
+    w.endSection();
+    FetchReplay replay(rec);
+    sim::CheckpointReader r(w.bytes());
+    EXPECT_THROW(replay.restoreFrom(r), sim::CheckpointError);
+    EXPECT_EQ(replay.produced(), 0u);
+}
+
+} // namespace
+} // namespace drisim

@@ -7,11 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <sstream>
+#include <vector>
 
+#include <unistd.h>
+
+#include "harness/executor.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
+#include "obs/trace.hh"
+#include "sim/result_cache.hh"
+#include "workload/fetch_replay.hh"
 
 namespace drisim
 {
@@ -79,6 +89,112 @@ TEST(Runner, FastCalibrationReproducesDetailedCycles)
     EXPECT_LT(err, 0.02);
     // Cache behaviour is exact, not approximated.
     EXPECT_EQ(fast.meas.l1iMisses, conv.meas.l1iMisses);
+}
+
+TEST(Runner, FastRunKeysIgnoreTheRecording)
+{
+    // The recording is execution-only: with or without it, a fast
+    // run has one result-cache entry, snapshot key and config_hash.
+    const auto &b = findBenchmark("li");
+    const RunConfig cfg = quickConfig();
+    FastCalibration bare;
+    bare.baseCpi = 0.9;
+    FastCalibration recorded = bare;
+    recorded.recording = std::make_shared<RecordingSlot>(
+        std::make_shared<const FetchRecording>(programImageFor(b),
+                                               cfg.maxInstrs));
+
+    const auto expectSameKey = [](const sim::ConfigKey &a,
+                                  const sim::ConfigKey &k) {
+        EXPECT_EQ(a.hashHex(), k.hashHex());
+        EXPECT_EQ(a.canonical(), k.canonical());
+    };
+    expectSameKey(runKeyConventionalFast(b, cfg, bare),
+                  runKeyConventionalFast(b, cfg, recorded));
+    const DriParams dp;
+    expectSameKey(runKeyDriFast(b, cfg, dp, bare),
+                  runKeyDriFast(b, cfg, dp, recorded));
+    for (const PolicyKind kind :
+         {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
+          PolicyKind::StaticWays}) {
+        PolicyConfig pol;
+        pol.kind = kind;
+        expectSameKey(runKeyPolicyFast(b, cfg, pol, bare),
+                      runKeyPolicyFast(b, cfg, pol, recorded));
+    }
+}
+
+TEST(Runner, ServedCalibrationRecordsOnceForItsFastRuns)
+{
+    // A simulated calibration carries its recording; the result
+    // cache stores only the two calibration numbers. A served
+    // calibration's slot starts empty: the first of its fast runs
+    // records the stream and the others, running concurrently,
+    // replay that one recording, with the results the simulated
+    // calibration gives.
+    const auto &b = findBenchmark("compress");
+    const char *tmp = std::getenv("TMPDIR");
+    const std::string path = std::string(tmp ? tmp : "/tmp") +
+                             "/harness_cal_cache." +
+                             std::to_string(::getpid()) + ".json";
+    std::remove(path.c_str());
+    RunConfig cfg = quickConfig();
+    const RunOutput conv = runConventional(b, cfg);
+    cfg.resultCache = std::make_shared<sim::ResultCache>(path);
+
+    const FastCalibration simulated = calibrateFast(b, cfg, conv);
+    ASSERT_TRUE(simulated.recording);
+    const auto made = simulated.recording->peek();
+    ASSERT_TRUE(made);
+    EXPECT_TRUE(made->covers(programImageFor(b), cfg.maxInstrs));
+    sim::ResultCache::Fields payload;
+    ASSERT_TRUE(
+        cfg.resultCache->lookup(runKeyCalibrate(b, cfg), payload));
+    EXPECT_EQ(payload.size(), 2u);
+    EXPECT_EQ(payload.count("base_cpi"), 1u);
+    EXPECT_EQ(payload.count("miss_overlap"), 1u);
+
+    const FastCalibration served = calibrateFast(b, cfg, conv);
+    ASSERT_TRUE(served.recording);
+    EXPECT_FALSE(served.recording->peek());
+    EXPECT_EQ(served.baseCpi, simulated.baseCpi);
+    EXPECT_EQ(served.missOverlap, simulated.missOverlap);
+
+    RunConfig uncached = cfg;
+    uncached.resultCache.reset();
+    std::vector<DriParams> grid(4);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        grid[i].senseInterval = 50 * 1000;
+        grid[i].sizeBoundBytes = 2048u << i;
+    }
+    obs::resetTrace();
+    const obs::TraceWriter *tw = obs::initTrace(path + ".trace");
+    std::vector<RunOutput> outs(grid.size());
+    Executor(4).forEachIndex(
+        "served", grid.size(), [&](std::size_t i, const JobContext &) {
+            outs[i] = runDriFast(b, uncached, grid[i], served);
+        });
+    std::size_t recordings = 0;
+    for (const obs::TraceSpan &span : tw->spans())
+        recordings += span.name == b.name + "/record";
+    obs::resetTrace();
+    EXPECT_EQ(recordings, 1u);
+    const auto replayed = served.recording->peek();
+    ASSERT_TRUE(replayed);
+    EXPECT_TRUE(replayed->covers(programImageFor(b), cfg.maxInstrs));
+
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE(i);
+        const RunOutput a = runDriFast(b, uncached, grid[i], simulated);
+        EXPECT_EQ(a.meas.cycles, outs[i].meas.cycles);
+        EXPECT_EQ(a.meas.l1iMisses, outs[i].meas.l1iMisses);
+        EXPECT_EQ(a.meas.avgActiveFraction,
+                  outs[i].meas.avgActiveFraction);
+        EXPECT_EQ(a.resizes, outs[i].resizes);
+    }
+
+    cfg.resultCache.reset();
+    std::remove(path.c_str());
 }
 
 TEST(Runner, DefaultRunInstrsHonoursScaleEnv)

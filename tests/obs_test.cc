@@ -322,22 +322,45 @@ TEST(MetricsReconstruction, DrowsyWakeDeltasIntegrateToTotal)
 TEST(MetricsReconstruction, MeteredRunMatchesUnmeteredResults)
 {
     // Chunked (metered) execution must be bit-identical to the
-    // plain run: metrics are a tap, never a perturbation.
+    // plain run: metrics are a tap, never a perturbation. The fast
+    // entry points replay a recorded stream in metered chunks.
     const BenchmarkInfo &bench = findBenchmark("li");
     const RunConfig cfg = shortConfig();
     DriParams dri;
     dri.sizeBoundBytes = 2048;
     dri.missBound = 100;
-    const RunOutput plain = runDri(bench, cfg, dri);
+    PolicyConfig pol;
+    pol.kind = PolicyKind::Drowsy;
+    pol.dri = dri;
+    pol.drowsy.drowsyInterval = 20 * 1000;
+    const RunOutput conv = runConventional(bench, cfg);
+    const FastCalibration cal = calibrateFast(bench, cfg, conv);
+
+    const auto runAll = [&] {
+        return std::vector<RunOutput>{
+            runDri(bench, cfg, dri),
+            runConventionalFast(bench, cfg, cal),
+            runDriFast(bench, cfg, dri, cal),
+            runPolicyFast(bench, cfg, pol, cal)};
+    };
+    const std::vector<RunOutput> plain = runAll();
 
     PinnedClock pin;
     obs::initMetrics(tempPath("obs_metered.metrics.csv"), 30 * 1000);
-    const RunOutput metered = runDri(bench, cfg, dri);
-    EXPECT_EQ(plain.meas.cycles, metered.meas.cycles);
-    EXPECT_EQ(plain.meas.l1iMisses, metered.meas.l1iMisses);
-    EXPECT_EQ(plain.resizes, metered.resizes);
-    EXPECT_EQ(plain.meas.avgActiveFraction,
-              metered.meas.avgActiveFraction);
+    const std::vector<RunOutput> metered = runAll();
+    EXPECT_GT(obs::metrics()->sampleCount(), 0u);
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(plain[i].meas.cycles, metered[i].meas.cycles);
+        EXPECT_EQ(plain[i].meas.l1iAccesses,
+                  metered[i].meas.l1iAccesses);
+        EXPECT_EQ(plain[i].meas.l1iMisses, metered[i].meas.l1iMisses);
+        EXPECT_EQ(plain[i].resizes, metered[i].resizes);
+        EXPECT_EQ(plain[i].meas.avgActiveFraction,
+                  metered[i].meas.avgActiveFraction);
+        EXPECT_EQ(plain[i].wakeTransitions,
+                  metered[i].wakeTransitions);
+    }
 }
 
 // --------------------------------------------------------------
