@@ -18,6 +18,10 @@ defaultContext()
 {
     BenchContext ctx;
     ctx.cfg.maxInstrs = defaultRunInstrs();
+    // Reject a malformed wall-clock pin now, not at the first
+    // report the sweep writes.
+    double pinnedWall = 0.0;
+    obs::pinnedWallSeconds(pinnedWall);
     // Keep the paper's interval-to-run ratio: the paper senses
     // every 1M instructions over full SPEC runs; we sense every
     // 100K over 10M-instruction runs (docs/DESIGN.md, Scaling

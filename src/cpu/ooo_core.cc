@@ -1,12 +1,14 @@
 /**
  * @file
  * Cycle-stepped out-of-order core: fetch/issue/commit pipeline with
- * ROB/LSQ occupancy and misprediction timing.
+ * ROB/LSQ occupancy and misprediction timing. Issue is wakeup/select
+ * over completion events (docs/ARCHITECTURE.md, Performance notes).
  */
 
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/logging.hh"
@@ -21,6 +23,30 @@ constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
 
 /** Word granularity for store-to-load forwarding. */
 constexpr unsigned kForwardShift = 3; // 8-byte words
+
+/**
+ * Call @p fn(i) for each set bit i of @p bits in [from, to), lowest
+ * first, while it returns true; false when @p fn stopped the walk.
+ */
+template <typename Fn>
+bool
+forEachSetBit(const std::vector<std::uint64_t> &bits,
+              std::uint32_t from, std::uint32_t to, Fn &&fn)
+{
+    for (std::uint32_t w = from / 64; w * 64 < to; ++w) {
+        std::uint64_t word = bits[w];
+        if (w == from / 64)
+            word &= ~std::uint64_t{0} << (from % 64);
+        if ((w + 1) * 64 > to)
+            word &= (std::uint64_t{1} << (to % 64)) - 1;
+        for (; word != 0; word &= word - 1) {
+            if (!fn(w * 64 +
+                    static_cast<std::uint32_t>(std::countr_zero(word))))
+                return false;
+        }
+    }
+    return true;
+}
 
 } // namespace
 
@@ -48,6 +74,8 @@ OooCore::OooCore(const OooParams &params, MemoryLevel *icache,
       dcache_(dcache),
       bpred_(params.bpred, parent),
       robBuf_(params.robSize),
+      readyBits_((params.robSize + 63) / 64),
+      fetchQueue_(params.fetchQueueSize),
       group_(parent, "core"),
       committedInstrs_(&group_, "committed", "instructions committed"),
       simCycles_(&group_, "cycles", "cycles simulated"),
@@ -63,8 +91,11 @@ OooCore::OooCore(const OooParams &params, MemoryLevel *icache,
                    "control instructions needing a redirect")
 {
     drisim_assert(params.robSize > 0 && params.fetchWidth > 0 &&
-                  params.issueWidth > 0 && params.commitWidth > 0,
+                  params.issueWidth > 0 && params.commitWidth > 0 &&
+                  params.fetchQueueSize > 0,
                   "core widths must be positive");
+    drisim_assert(params.robSize <= kNoWaiter / 4,
+                  "robSize too large for waiter-list nodes");
     fetchBlockBytes_ = params.fetchBlockBytes;
     for (auto &w : lastWriter_)
         w = -1;
@@ -75,15 +106,62 @@ OooCore::producerDone(std::int64_t seq) const
 {
     if (seq < 0 || seq < seqHead_)
         return true;
-    const RobEntry &e =
-        robBuf_[static_cast<size_t>(seq) % robBuf_.size()];
+    const RobEntry &e = robBuf_[slotOf(seq)];
     return e.issued && e.completeAt <= now_;
 }
 
-bool
-OooCore::entryReady(const RobEntry &e) const
+void
+OooCore::linkProducers(std::uint32_t slot)
 {
-    return producerDone(e.prod1) && producerDone(e.prod2);
+    // Called at dispatch (after this cycle's completions drained)
+    // and by the rebuild, so producerDone() agrees with the events.
+    RobEntry &e = robBuf_[slot];
+    const std::int64_t producers[kOperands] = {e.prod1, e.prod2,
+                                               e.depStore};
+    e.pending = 0;
+    for (unsigned k = 0; k < kOperands; ++k) {
+        if (producerDone(producers[k]))
+            continue;
+        RobEntry &p = rob(producers[k]);
+        e.nextWaiter[k] = p.waiters;
+        p.waiters = slot * 4 + k;
+        ++e.pending;
+    }
+    if (e.pending == 0)
+        markReady(slot);
+}
+
+void
+OooCore::wakeWaiters(RobEntry &producer)
+{
+    for (std::uint32_t node = producer.waiters; node != kNoWaiter;) {
+        const std::uint32_t slot = node / 4;
+        RobEntry &c = robBuf_[slot];
+        node = c.nextWaiter[node % 4];
+        if (--c.pending == 0)
+            markReady(slot);
+    }
+    producer.waiters = kNoWaiter;
+}
+
+void
+OooCore::rebuildScheduler()
+{
+    // An entry that completed by now_ counts as done even if the
+    // run stopped before draining its event: the next doIssue()
+    // would drain it before selecting, to the same ready set.
+    events_ = {};
+    std::fill(readyBits_.begin(), readyBits_.end(), 0);
+    for (RobEntry &e : robBuf_)
+        e.waiters = kNoWaiter;
+    for (std::int64_t seq = seqHead_; seq < seqTail_; ++seq) {
+        const std::uint32_t slot = slotOf(seq);
+        const RobEntry &e = robBuf_[slot];
+        if (!e.issued)
+            linkProducers(slot);
+        else if (e.completeAt > now_)
+            events_.emplace(e.completeAt, slot);
+    }
 }
 
 void
@@ -131,34 +209,32 @@ OooCore::doCommit()
 void
 OooCore::doIssue()
 {
+    // Wake the consumers of everything completing by now.
+    while (!events_.empty() && events_.top().first <= now_) {
+        wakeWaiters(robBuf_[events_.top().second]);
+        events_.pop();
+    }
+
     unsigned issued = 0;
     unsigned mem_used = 0;
     unsigned fp_used = 0;
     unsigned mul_used = 0;
 
-    for (std::int64_t seq = seqHead_;
-         seq < seqTail_ && issued < params_.issueWidth; ++seq) {
-        RobEntry &e = rob(seq);
-        if (e.issued)
-            continue;
-        if (!entryReady(e))
-            continue;
-
+    const auto issue = [&](std::uint32_t slot) {
+        RobEntry &e = robBuf_[slot];
         const OpClass op = e.instr.op;
         if (isMem(op) && mem_used >= params_.memPorts)
-            continue;
+            return true;
         if (op == OpClass::FpAlu && fp_used >= params_.fpPorts)
-            continue;
+            return true;
         if (op == OpClass::IntMul && mul_used >= params_.mulPorts)
-            continue;
+            return true;
 
         Cycles lat = OooParams::execLatency(op);
         if (op == OpClass::Load) {
             if (e.depStore >= seqHead_) {
-                // The matching store is still in flight: wait for
-                // its data, then forward (no d-cache access).
-                if (!producerDone(e.depStore))
-                    continue;
+                // The matching store is still in flight and has
+                // completed: forward its data (no d-cache access).
                 lat += 1;
                 ++loadForwards_;
             } else if (dcache_) {
@@ -177,8 +253,17 @@ OooCore::doIssue()
 
         e.issued = true;
         e.completeAt = now_ + lat;
-        ++issued;
-    }
+        readyBits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+        events_.emplace(e.completeAt, slot);
+        return ++issued < params_.issueWidth;
+    };
+
+    // Oldest first: the ROB ring from the head's slot to its end,
+    // then from slot 0 up to the head's.
+    const std::uint32_t head = slotOf(seqHead_);
+    const auto size = static_cast<std::uint32_t>(robBuf_.size());
+    if (forEachSetBit(readyBits_, head, size, issue))
+        forEachSetBit(readyBits_, 0, head, issue);
     issuesThisCycle_ = issued;
 }
 
@@ -186,8 +271,7 @@ void
 OooCore::doDispatch()
 {
     unsigned n = 0;
-    while (n < params_.fetchWidth &&
-           fetchQueueHead_ < fetchQueue_.size()) {
+    while (n < params_.fetchWidth && fetchQueueCount_ > 0) {
         if (seqTail_ - seqHead_ >=
             static_cast<std::int64_t>(params_.robSize)) {
             ++robFullStalls_;
@@ -197,7 +281,8 @@ OooCore::doDispatch()
         if (isMem(f.instr.op) && lsqOccupancy_ >= params_.lsqSize)
             break;
 
-        RobEntry &e = rob(seqTail_);
+        const std::uint32_t slot = slotOf(seqTail_);
+        RobEntry &e = robBuf_[slot];
         e.instr = f.instr;
         e.pred = f.pred;
         e.predMade = f.predMade;
@@ -223,6 +308,7 @@ OooCore::doDispatch()
         } else if (f.instr.op == OpClass::Store) {
             storeSeqs_.push_back(seqTail_);
         }
+        linkProducers(slot);
 
         if (isMem(f.instr.op))
             ++lsqOccupancy_;
@@ -232,12 +318,10 @@ OooCore::doDispatch()
             stallBranchSeq_ = seqTail_;
 
         ++seqTail_;
-        ++fetchQueueHead_;
+        if (++fetchQueueHead_ == fetchQueue_.size())
+            fetchQueueHead_ = 0;
+        --fetchQueueCount_;
         ++n;
-    }
-    if (fetchQueueHead_ == fetchQueue_.size()) {
-        fetchQueue_.clear();
-        fetchQueueHead_ = 0;
     }
     // Garbage-collect committed stores from the forwarding list.
     while (!storeSeqs_.empty() && storeSeqs_.front() < seqHead_)
@@ -288,8 +372,7 @@ OooCore::doFetch(InstrStream &stream)
         return;
 
     while (fetchesThisCycle_ < params_.fetchWidth) {
-        if (fetchQueue_.size() - fetchQueueHead_ >=
-            params_.fetchQueueSize)
+        if (fetchQueueCount_ == fetchQueue_.size())
             break;
 
         Instr instr;
@@ -343,7 +426,11 @@ OooCore::doFetch(InstrStream &stream)
             bpred_.update(instr.pc, instr.op, instr.taken,
                           actual_target);
         }
-        fetchQueue_.push_back(f);
+        size_t tail = fetchQueueHead_ + fetchQueueCount_;
+        if (tail >= fetchQueue_.size())
+            tail -= fetchQueue_.size();
+        fetchQueue_[tail] = f;
+        ++fetchQueueCount_;
         ++fetchesThisCycle_;
 
         if (isControl(instr.op)) {
@@ -368,15 +455,10 @@ OooCore::doFetch(InstrStream &stream)
 Cycles
 OooCore::nextEventCycle() const
 {
-    Cycles next = kNoEvent;
+    // Called after doIssue(), which leaves only events after now_.
+    Cycles next = events_.empty() ? kNoEvent : events_.top().first;
     if (fetchResumeAt_ > now_)
         next = std::min(next, fetchResumeAt_);
-    for (std::int64_t seq = seqHead_; seq < seqTail_; ++seq) {
-        const RobEntry &e =
-            robBuf_[static_cast<size_t>(seq) % robBuf_.size()];
-        if (e.issued && e.completeAt > now_)
-            next = std::min(next, e.completeAt);
-    }
     return next;
 }
 
@@ -394,10 +476,7 @@ OooCore::run(InstrStream &stream, InstCount maxInstrs)
         doDispatch();
         doFetch(stream);
 
-        const bool drained = streamDone_ && !instrPending_ &&
-                             fetchQueue_.empty() &&
-                             seqHead_ == seqTail_;
-        if (drained)
+        if (drained())
             break;
 
         Cycles delta = 1;

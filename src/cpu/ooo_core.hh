@@ -19,6 +19,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/dri_icache.hh"
@@ -93,7 +96,7 @@ class OooCore : public Core
     bool drained() const override
     {
         return streamDone_ && !instrPending_ &&
-               fetchQueue_.empty() && seqHead_ == seqTail_;
+               fetchQueueCount_ == 0 && seqHead_ == seqTail_;
     }
 
     BranchPredictor &predictor() { return bpred_; }
@@ -113,8 +116,19 @@ class OooCore : public Core
     {
         return branchStallCycles_.value();
     }
+    std::uint64_t mispredicts() const { return mispredicts_.value(); }
+    std::uint64_t loadForwards() const { return loadForwards_.value(); }
+    std::uint64_t robFullStalls() const
+    {
+        return robFullStalls_.value();
+    }
 
   private:
+    /** Source operands a ROB entry can wait on: prod1, prod2 and a
+     *  load's depStore. A waiter-list node is slot * 4 + operand. */
+    static constexpr unsigned kOperands = 3;
+    static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+
     /** An in-flight instruction (ROB entry). */
     struct RobEntry
     {
@@ -129,6 +143,15 @@ class OooCore : public Core
         std::int64_t depStore = -1;
         bool issued = false;
         Cycles completeAt = 0;
+
+        // Scheduler state, derived from the fields above: never
+        // serialized, rebuilt by rebuildScheduler() on restore.
+        /** Producers (prod1, prod2, depStore) not yet complete. */
+        unsigned pending = 0;
+        /** Head of the list of consumers waiting on this entry. */
+        std::uint32_t waiters = kNoWaiter;
+        /** This entry's link in each producer's waiter list. */
+        std::uint32_t nextWaiter[kOperands] = {};
     };
 
     /** A fetched, not yet dispatched instruction. */
@@ -140,13 +163,22 @@ class OooCore : public Core
         bool mispredict = false;
     };
 
-    RobEntry &rob(std::int64_t seq)
+    std::uint32_t slotOf(std::int64_t seq) const
     {
-        return robBuf_[static_cast<size_t>(seq) % robBuf_.size()];
+        return static_cast<std::uint32_t>(static_cast<size_t>(seq) %
+                                          robBuf_.size());
     }
 
+    RobEntry &rob(std::int64_t seq) { return robBuf_[slotOf(seq)]; }
+
     bool producerDone(std::int64_t seq) const;
-    bool entryReady(const RobEntry &e) const;
+    void linkProducers(std::uint32_t slot);
+    void wakeWaiters(RobEntry &producer);
+    void rebuildScheduler();
+    void markReady(std::uint32_t slot)
+    {
+        readyBits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    }
 
     void doCommit();
     void doIssue();
@@ -166,8 +198,24 @@ class OooCore : public Core
     std::int64_t seqHead_ = 0;
     std::int64_t seqTail_ = 0;
 
+    /**
+     * Wakeup/select scheduler (derived state, see RobEntry): a
+     * completion event (completeAt, slot) for each issued entry
+     * whose waiters have not been woken yet, as a min-heap on
+     * completeAt; and the ready set, one bit per ROB slot, of
+     * unissued entries whose producers have all completed, selected
+     * oldest-first from the head's slot.
+     */
+    using Event = std::pair<Cycles, std::uint32_t>;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>>
+        events_;
+    std::vector<std::uint64_t> readyBits_;
+
+    /** Fetch queue: a ring of fetchQueueSize entries, the live
+     *  ones [fetchQueueHead_, fetchQueueHead_ + fetchQueueCount_). */
     std::vector<FetchedInstr> fetchQueue_;
     size_t fetchQueueHead_ = 0;
+    size_t fetchQueueCount_ = 0;
 
     /** Rename table: last in-flight writer per register. */
     std::int64_t lastWriter_[64];

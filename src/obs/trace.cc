@@ -8,10 +8,12 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "util/json.hh"
+#include "util/logging.hh"
 #include "util/parse.hh"
 #include "util/thread_pool.hh"
 
@@ -93,7 +95,17 @@ bool
 pinnedWallSeconds(double &value)
 {
     const char *env = std::getenv("DRISIM_JSON_WALL_SECONDS");
-    return env && parseFiniteValue(env, value);
+    if (!env || !*env)
+        return false;
+    // A typo must not silently leave the clock live (byte compares
+    // would then fail with no hint) or report a negative wall clock.
+    double v = 0.0;
+    if (!parseFiniteValue(env, v) || std::signbit(v))
+        drisim_fatal("DRISIM_JSON_WALL_SECONDS='%s' is not a wall "
+                     "clock to pin (a finite number of seconds >= 0)",
+                     env);
+    value = v;
+    return true;
 }
 
 TraceWriter::TraceWriter(std::string path) : path_(std::move(path))

@@ -53,7 +53,8 @@ struct TraceSpan
  * True (and @p value filled) when DRISIM_JSON_WALL_SECONDS pins the
  * wall clock — the same env contract writeJsonReport honours, shared
  * here so traces, metrics and fragment wall seconds all pin off one
- * switch.
+ * switch. Unset or empty leaves the clock live; any value that is
+ * not a finite number >= 0 is fatal (exit 1, naming the variable).
  */
 bool pinnedWallSeconds(double &value);
 

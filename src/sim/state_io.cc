@@ -681,15 +681,18 @@ OooCore::snapshotTo(sim::CheckpointWriter &w) const
         putRobEntry(e);
     w.putI64(seqHead_);
     w.putI64(seqTail_);
-    w.putU64(fetchQueue_.size());
-    for (const FetchedInstr &f : fetchQueue_) {
+    // The live fetch-queue entries, oldest first, then head 0.
+    w.putU64(fetchQueueCount_);
+    for (size_t i = 0; i < fetchQueueCount_; ++i) {
+        const FetchedInstr &f =
+            fetchQueue_[(fetchQueueHead_ + i) % fetchQueue_.size()];
         putInstr(w, f.instr);
         w.putBool(f.pred.taken);
         w.putU64(f.pred.target);
         w.putBool(f.predMade);
         w.putBool(f.mispredict);
     }
-    w.putU64(fetchQueueHead_);
+    w.putU64(0);
     for (const std::int64_t s : lastWriter_)
         w.putI64(s);
     w.putU64(lsqOccupancy_);
@@ -735,15 +738,27 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
         getRobEntry(e);
     seqHead_ = r.getI64();
     seqTail_ = r.getI64();
-    fetchQueue_.resize(r.getU64());
-    for (FetchedInstr &f : fetchQueue_) {
+    if (seqHead_ < 0 || seqTail_ < seqHead_ ||
+        seqTail_ - seqHead_ > static_cast<std::int64_t>(robBuf_.size()))
+        throw CheckpointError("rob occupancy out of range");
+    // The format lists entries [0, listed), of which [head, listed)
+    // are live. snapshotTo() writes head 0, but older snapshots
+    // carry a dead, dispatched prefix; reading entry i into ring
+    // slot i % size keeps exactly the live ones.
+    const std::uint64_t listed = r.getU64();
+    for (std::uint64_t i = 0; i < listed; ++i) {
+        FetchedInstr &f = fetchQueue_[i % fetchQueue_.size()];
         getInstr(r, f.instr);
         f.pred.taken = r.getBool();
         f.pred.target = r.getU64();
         f.predMade = r.getBool();
         f.mispredict = r.getBool();
     }
-    fetchQueueHead_ = r.getU64();
+    const std::uint64_t head = r.getU64();
+    if (head > listed || listed - head > fetchQueue_.size())
+        throw CheckpointError("fetch queue overflows its ring");
+    fetchQueueHead_ = head % fetchQueue_.size();
+    fetchQueueCount_ = listed - head;
     for (std::int64_t &s : lastWriter_)
         s = r.getI64();
     lsqOccupancy_ = static_cast<unsigned>(r.getU64());
@@ -764,6 +779,7 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
     bpred_.restoreFrom(r);
     group_.restoreFrom(r);
     r.endSection();
+    rebuildScheduler();
 }
 
 // ---------------------------------------------------------------

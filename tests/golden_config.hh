@@ -14,13 +14,17 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "cpu/ooo_core.hh"
 #include "harness/multilevel.hh"
 #include "harness/policies.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
+#include "mem/hierarchy.hh"
 #include "util/str.hh"
+#include "workload/generator.hh"
 
 namespace drisim::golden
 {
@@ -142,6 +146,60 @@ struct PolicyGoldenCase
     const char *drowsyRow;
     const char *waysRow;
 };
+
+/**
+ * Pinned OooCore counters for one benchmark on one L1I geometry:
+ * the direct view of the detailed core's timing model, so a change
+ * to how the core schedules work cannot move any of them unnoticed.
+ */
+struct CoreCounterGoldenCase
+{
+    const char *benchmark;
+    unsigned l1iAssoc;
+    std::uint64_t cycles;
+    std::uint64_t committed;
+    std::uint64_t mispredicts;
+    std::uint64_t loadForwards;
+    std::uint64_t robFullStalls;
+    std::uint64_t icacheStallCycles;
+    std::uint64_t branchStallCycles;
+};
+
+/** The L1I associativities the core-counter golden covers: the
+ *  Table 1 direct-mapped L1I and bench_policies' 4-way one. */
+inline const std::vector<unsigned> &
+goldenCoreAssocs()
+{
+    static const std::vector<unsigned> assocs{1, 4};
+    return assocs;
+}
+
+/**
+ * The fixed core-counter golden run: 200 K instructions of @p name
+ * through an OooCore on the Table 1 hierarchy with an
+ * @p l1iAssoc-way L1I.
+ */
+inline CoreCounterGoldenCase
+runGoldenCoreCounters(const char *name, unsigned l1iAssoc)
+{
+    RunConfig cfg;
+    cfg.hier.l1i.assoc = l1iAssoc;
+    stats::StatGroup root("sim");
+    Hierarchy hier(cfg.hier, &root, true);
+    OooCore core(cfg.core, hier.l1i(), &hier.l1d(), &root);
+    TraceGenerator gen(programImageFor(findBenchmark(name)));
+    core.run(gen, 200 * 1000);
+    return CoreCounterGoldenCase{
+        name,
+        l1iAssoc,
+        core.cycles(),
+        core.committed(),
+        core.mispredicts(),
+        core.loadForwards(),
+        core.robFullStalls(),
+        core.icacheStallCycles(),
+        core.branchStallCycles()};
+}
 
 /** The fixed single-level golden run (Section 5.3 search). */
 inline SearchResult

@@ -44,6 +44,12 @@ PrintTo(const GoldenCase &gold, std::ostream *os)
     *os << gold.benchmark;
 }
 
+void
+PrintTo(const CoreCounterGoldenCase &gold, std::ostream *os)
+{
+    *os << gold.benchmark << "/" << gold.l1iAssoc << "-way";
+}
+
 } // namespace golden
 
 namespace
@@ -51,6 +57,7 @@ namespace
 
 using golden::CmpGoldenCase;
 using golden::CoherentCmpGoldenCase;
+using golden::CoreCounterGoldenCase;
 using golden::GoldenCase;
 using golden::MultiLevelGoldenCase;
 using golden::PolicyGoldenCase;
@@ -351,6 +358,26 @@ TEST_P(PolicyGolden, PerPolicyRowsAndJobsInvarianceMatchGolden)
               golden::serializePolicyResult(sr4));
 }
 
+class CoreCounterGolden
+    : public ::testing::TestWithParam<CoreCounterGoldenCase>
+{
+};
+
+TEST_P(CoreCounterGolden, DetailedCoreCountersMatchGolden)
+{
+    const CoreCounterGoldenCase &gold = GetParam();
+    const CoreCounterGoldenCase got =
+        golden::runGoldenCoreCounters(gold.benchmark, gold.l1iAssoc);
+
+    EXPECT_EQ(got.cycles, gold.cycles);
+    EXPECT_EQ(got.committed, gold.committed);
+    EXPECT_EQ(got.mispredicts, gold.mispredicts);
+    EXPECT_EQ(got.loadForwards, gold.loadForwards);
+    EXPECT_EQ(got.robFullStalls, gold.robFullStalls);
+    EXPECT_EQ(got.icacheStallCycles, gold.icacheStallCycles);
+    EXPECT_EQ(got.branchStallCycles, gold.branchStallCycles);
+}
+
 // GOLDEN-BASELINE-BEGIN (tools/rebaseline.sh regenerates this block)
 INSTANTIATE_TEST_SUITE_P(
     PaperPath, GoldenSearch,
@@ -430,6 +457,86 @@ INSTANTIATE_TEST_SUITE_P(
                          "li,ways,active=1/4,0.273,0.250,0.000,0,0.00%"}),
     [](const ::testing::TestParamInfo<PolicyGoldenCase> &info) {
         return std::string(info.param.benchmark);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    CorePath, CoreCounterGolden,
+    ::testing::Values(
+        CoreCounterGoldenCase{"applu", 1, 117550, 200000,
+                              2202, 33, 4220, 51032, 31024},
+        CoreCounterGoldenCase{"compress", 1, 161200, 200000,
+                              1973, 51, 17734, 39864, 62759},
+        CoreCounterGoldenCase{"li", 1, 134691, 200000,
+                              1914, 28, 14561, 38516, 42877},
+        CoreCounterGoldenCase{"mgrid", 1, 150229, 200000,
+                              1980, 35, 18850, 45764, 37950},
+        CoreCounterGoldenCase{"swim", 1, 155644, 200000,
+                              2074, 15, 15792, 48140, 48296},
+        CoreCounterGoldenCase{"apsi", 1, 232468, 200000,
+                              2510, 1, 30116, 41756, 92407},
+        CoreCounterGoldenCase{"fpppp", 1, 256447, 200000,
+                              1586, 4, 27293, 132068, 45228},
+        CoreCounterGoldenCase{"go", 1, 227831, 200000,
+                              3561, 3, 13567, 87108, 92534},
+        CoreCounterGoldenCase{"m88ksim", 1, 173468, 200000,
+                              2569, 8, 16087, 49928, 74193},
+        CoreCounterGoldenCase{"perl", 1, 225406, 200000,
+                              2967, 1, 18841, 69168, 98438},
+        CoreCounterGoldenCase{"gcc", 1, 154802, 200000,
+                              2905, 55, 6322, 72228, 47760},
+        CoreCounterGoldenCase{"hydro2d", 1, 171145, 200000,
+                              2488, 35, 5310, 100624, 33350},
+        CoreCounterGoldenCase{"ijpeg", 1, 143910, 200000,
+                              2423, 41, 7578, 68428, 38887},
+        CoreCounterGoldenCase{"su2cor", 1, 151038, 200000,
+                              2551, 53, 9600, 71060, 41423},
+        CoreCounterGoldenCase{"tomcatv", 1, 158356, 200000,
+                              2630, 18, 8729, 78932, 40864},
+        CoreCounterGoldenCase{"shared_image", 1, 134522, 200000,
+                              1565, 8, 24848, 16680, 53509},
+        CoreCounterGoldenCase{"producer", 1, 99670, 200000,
+                              1864, 8, 15692, 12588, 43172},
+        CoreCounterGoldenCase{"consumer", 1, 96214, 200000,
+                              2182, 2, 7019, 12736, 44465},
+        CoreCounterGoldenCase{"applu", 4, 117550, 200000,
+                              2202, 33, 4220, 51032, 31024},
+        CoreCounterGoldenCase{"compress", 4, 161200, 200000,
+                              1973, 51, 17734, 39864, 62759},
+        CoreCounterGoldenCase{"li", 4, 134691, 200000,
+                              1914, 28, 14561, 38516, 42877},
+        CoreCounterGoldenCase{"mgrid", 4, 150229, 200000,
+                              1980, 35, 18850, 45764, 37950},
+        CoreCounterGoldenCase{"swim", 4, 155416, 200000,
+                              2074, 15, 15742, 47768, 48419},
+        CoreCounterGoldenCase{"apsi", 4, 232468, 200000,
+                              2510, 1, 30116, 41756, 92407},
+        CoreCounterGoldenCase{"fpppp", 4, 256447, 200000,
+                              1586, 4, 27293, 132068, 45228},
+        CoreCounterGoldenCase{"go", 4, 227496, 200000,
+                              3561, 3, 13567, 86772, 92558},
+        CoreCounterGoldenCase{"m88ksim", 4, 173468, 200000,
+                              2569, 8, 16087, 49928, 74193},
+        CoreCounterGoldenCase{"perl", 4, 225406, 200000,
+                              2967, 1, 18841, 69168, 98438},
+        CoreCounterGoldenCase{"gcc", 4, 154271, 200000,
+                              2905, 55, 6323, 71700, 47793},
+        CoreCounterGoldenCase{"hydro2d", 4, 171145, 200000,
+                              2488, 35, 5310, 100624, 33350},
+        CoreCounterGoldenCase{"ijpeg", 4, 143910, 200000,
+                              2423, 41, 7578, 68428, 38887},
+        CoreCounterGoldenCase{"su2cor", 4, 147458, 200000,
+                              2551, 54, 9634, 67460, 41677},
+        CoreCounterGoldenCase{"tomcatv", 4, 156246, 200000,
+                              2630, 19, 8748, 76784, 41031},
+        CoreCounterGoldenCase{"shared_image", 4, 134522, 200000,
+                              1565, 8, 24848, 16680, 53509},
+        CoreCounterGoldenCase{"producer", 4, 99670, 200000,
+                              1864, 8, 15692, 12588, 43172},
+        CoreCounterGoldenCase{"consumer", 4, 96214, 200000,
+                              2182, 2, 7019, 12736, 44465}),
+    [](const ::testing::TestParamInfo<CoreCounterGoldenCase> &info) {
+        return std::string(info.param.benchmark) + "_" +
+               std::to_string(info.param.l1iAssoc) + "way";
     });
 // GOLDEN-BASELINE-END
 

@@ -146,6 +146,35 @@ TEST(Trace, ReaderIsStrict)
     std::remove(path.c_str());
 }
 
+TEST(Trace, WallClockPinIsStrict)
+{
+    double v = -1.0;
+    unsetenv("DRISIM_JSON_WALL_SECONDS");
+    EXPECT_FALSE(obs::pinnedWallSeconds(v));
+    setenv("DRISIM_JSON_WALL_SECONDS", "", 1); // empty = unset
+    EXPECT_FALSE(obs::pinnedWallSeconds(v));
+    setenv("DRISIM_JSON_WALL_SECONDS", "0", 1);
+    EXPECT_TRUE(obs::pinnedWallSeconds(v));
+    EXPECT_EQ(v, 0.0);
+    setenv("DRISIM_JSON_WALL_SECONDS", "12.5", 1);
+    EXPECT_TRUE(obs::pinnedWallSeconds(v));
+    EXPECT_EQ(v, 12.5);
+
+    // A malformed or negative pin fails loudly, naming the variable,
+    // instead of leaving timestamps live or reporting a negative
+    // wall clock.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"zero", "0s", "nan", "inf", "1e999", " 0",
+                            "0 ", "-1", "-0.5", "-0"}) {
+        setenv("DRISIM_JSON_WALL_SECONDS", bad, 1);
+        EXPECT_EXIT(obs::pinnedWallSeconds(v),
+                    ::testing::ExitedWithCode(1),
+                    "DRISIM_JSON_WALL_SECONDS")
+            << "DRISIM_JSON_WALL_SECONDS='" << bad << "'";
+    }
+    unsetenv("DRISIM_JSON_WALL_SECONDS");
+}
+
 TEST(Trace, MergedSpanCountIsSumOfInputs)
 {
     // The sweep_merge contract: union = concatenate + canonical

@@ -5,11 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "cpu/ooo_core.hh"
+#include "harness/runner.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "mem/memory.hh"
+#include "sim/checkpoint.hh"
+#include "workload/generator.hh"
 
 namespace drisim
 {
@@ -287,6 +295,240 @@ TEST(OooCore, DrainsAndStops)
     VecStream empty({});
     auto r2 = rig.core.run(empty, 1u << 30);
     EXPECT_EQ(r2.instructions, 10u);
+}
+
+// --------------------------------------------------------------
+// Snapshot/restore of the pipeline. The scheduler's waiter lists,
+// ready set and completion events are derived state: restoreFrom()
+// rebuilds them from the ROB entries.
+// --------------------------------------------------------------
+
+/** A core with its own stats tree, so a fresh one can replace it. */
+struct CoreOnHierarchy
+{
+    explicit CoreOnHierarchy(Hierarchy &hier)
+        : root("sim"), core(OooParams{}, hier.l1i(), &hier.l1d(), &root)
+    {
+    }
+
+    /** Every counter of the core and its predictor. */
+    std::string counters() const
+    {
+        std::ostringstream os;
+        root.dump(os);
+        return os.str();
+    }
+
+    std::string snapshot() const
+    {
+        sim::CheckpointWriter w;
+        core.snapshotTo(w);
+        return w.bytes();
+    }
+
+    stats::StatGroup root;
+    OooCore core;
+};
+
+/** The Table 1 hierarchy, optionally with banked DRAM and MSHRs so
+ *  long-latency misses are in flight at a split. */
+HierarchyParams
+hierarchyParams(bool banked)
+{
+    HierarchyParams h;
+    if (banked) {
+        h.dram.banked = true;
+        h.l1i.mshrs = 4;
+        h.l1d.mshrs = 4;
+        h.l2.mshrs = 8;
+    }
+    return h;
+}
+
+/** A hierarchy and the core currently running on it. */
+struct SplitRig
+{
+    explicit SplitRig(bool banked)
+        : root("h"), hier(hierarchyParams(banked), &root, true),
+          cur(std::make_unique<CoreOnHierarchy>(hier))
+    {
+    }
+
+    /**
+     * Run @p warm instructions of @p bench, then @p quanta quanta of
+     * @p quantum instructions, snapshotting the core after each
+     * quantum and restoring it into a fresh core on the same
+     * hierarchy and stream. Every split lands on the commit-budget
+     * break, before that cycle's completions are drained.
+     */
+    void run(const char *bench, InstCount warm, InstCount quanta,
+             InstCount quantum)
+    {
+        TraceGenerator gen(programImageFor(findBenchmark(bench)));
+        cur->core.run(gen, warm);
+        for (InstCount i = 0; i < quanta; ++i) {
+            cur->core.run(gen, quantum);
+            const std::string snap = cur->snapshot();
+            cur = std::make_unique<CoreOnHierarchy>(hier);
+            sim::CheckpointReader r(snap);
+            cur->core.restoreFrom(r);
+        }
+    }
+
+    stats::StatGroup root;
+    Hierarchy hier;
+    std::unique_ptr<CoreOnHierarchy> cur;
+};
+
+class OooCoreSplit
+    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+{
+};
+
+TEST_P(OooCoreSplit, MatchesUninterruptedAtEveryQuantum)
+{
+    // A warm pipeline (full ROB, d-cache misses in flight), then 500
+    // splits per quantum; the banked-DRAM + MSHR hierarchy keeps
+    // long-latency completions pending across them.
+    const auto [bench, banked] = GetParam();
+    constexpr InstCount kWarm = 20 * 1000;
+    constexpr InstCount kQuanta = 500;
+    for (const InstCount quantum : {1u, 7u, 64u, 997u}) {
+        SCOPED_TRACE("quantum " + std::to_string(quantum));
+        const InstCount total = kWarm + kQuanta * quantum;
+        SplitRig plain(banked);
+        plain.run(bench, total, 0, 0);
+        ASSERT_EQ(plain.cur->core.committed(), total);
+
+        SplitRig split(banked);
+        split.run(bench, kWarm, kQuanta, quantum);
+        EXPECT_EQ(split.cur->core.cycles(), plain.cur->core.cycles());
+        EXPECT_EQ(split.cur->counters(), plain.cur->counters());
+        EXPECT_EQ(split.cur->snapshot(), plain.cur->snapshot());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Restore, OooCoreSplit,
+    ::testing::Combine(::testing::Values("compress", "li"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<const char *, bool>>
+           &info) {
+        return std::string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_banked" : "_flat");
+    });
+
+/** Byte offset of the fetch-queue count in an ooo_core snapshot:
+ *  the section header, now_, the ROB and seqHead_/seqTail_. */
+std::size_t
+fetchQueueOffset(unsigned robSize)
+{
+    sim::CheckpointWriter w;
+    w.beginSection("ooo_core");
+    w.putU64(0); // now_
+    w.putU64(robSize);
+    for (unsigned i = 0; i < robSize; ++i) {
+        for (int k = 0; k < 7; ++k) // Instr: 7 integers, 1 flag
+            w.putU64(0);
+        w.putBool(false);
+        w.putBool(false); // pred.taken
+        w.putU64(0);      // pred.target
+        w.putBool(false); // predMade
+        w.putBool(false); // mispredict
+        for (int k = 0; k < 3; ++k) // prod1, prod2, depStore
+            w.putI64(0);
+        w.putBool(false); // issued
+        w.putU64(0);      // completeAt
+    }
+    w.putI64(0); // seqHead_
+    w.putI64(0); // seqTail_
+    w.endSection();
+    return w.bytes().size() - 1; // less the section's close tag
+}
+
+TEST(OooCoreRestore, SnapshotSizeIsBoundedAfterALongRun)
+{
+    // The fetch queue is a ring of fetchQueueSize entries and the
+    // snapshot lists only its live ones, so after any run length
+    // the section exceeds a fresh core's (which already holds all
+    // robSize ROB entries) by at most the fetch-queue and LSQ
+    // entries, none of which encodes to more than 128 bytes.
+    const OooParams p;
+    constexpr std::size_t kMaxEntryBytes = 128;
+    stats::StatGroup hierRoot("h");
+    Hierarchy hier(hierarchyParams(false), &hierRoot, true);
+    CoreOnHierarchy c(hier);
+    const std::size_t bound =
+        c.snapshot().size() +
+        (p.fetchQueueSize + p.lsqSize) * kMaxEntryBytes;
+
+    // applu's fetch queue backs up behind a full ROB often enough
+    // that an unbounded queue carries hundreds of dispatched entries.
+    TraceGenerator gen(programImageFor(findBenchmark("applu")));
+    for (int i = 1; i <= 8; ++i) {
+        c.core.run(gen, 250 * 1000);
+        ASSERT_EQ(c.core.committed(), i * 250u * 1000);
+        EXPECT_LE(c.snapshot().size(), bound)
+            << "after " << c.core.committed() << " instructions";
+    }
+}
+
+TEST(OooCoreRestore, DeadFetchQueuePrefixRestoresToTheLiveQueue)
+{
+    // Older snapshots list the fetch queue with a dead, already
+    // dispatched prefix and the index of its first live entry.
+    // Splice such a prefix into a current snapshot: it must restore
+    // to the same core as the snapshot without it.
+    stats::StatGroup hierRoot("h");
+    Hierarchy hier(hierarchyParams(false), &hierRoot, true);
+    CoreOnHierarchy c(hier);
+    TraceGenerator gen(programImageFor(findBenchmark("li")));
+    c.core.run(gen, 10007);
+    const std::string snap = c.snapshot();
+
+    const std::size_t at = fetchQueueOffset(OooParams{}.robSize);
+    sim::CheckpointReader count(snap.substr(at, 9));
+    const std::uint64_t live = count.getU64();
+    ASSERT_GT(live, 0u) << "split where the fetch queue is empty";
+    constexpr std::size_t kEntryBytes = 80; // FetchedInstr encoding
+    const std::size_t entries = at + 9;
+    const std::size_t headAt = entries + live * kEntryBytes;
+    sim::CheckpointReader head(snap.substr(headAt, 9));
+    ASSERT_EQ(head.getU64(), 0u);
+
+    // 100 dead entries (copies of the first live one) ahead of the
+    // live ones; the count and head say which are live.
+    constexpr std::uint64_t kDead = 100;
+    sim::CheckpointWriter countW, headW;
+    countW.putU64(live + kDead);
+    headW.putU64(kDead);
+    std::string old = snap.substr(0, at) + countW.bytes();
+    for (std::uint64_t i = 0; i < kDead; ++i)
+        old += snap.substr(entries, kEntryBytes);
+    old += snap.substr(entries, live * kEntryBytes) + headW.bytes() +
+           snap.substr(headAt + 9);
+
+    CoreOnHierarchy fromOld(hier);
+    sim::CheckpointReader r(old);
+    fromOld.core.restoreFrom(r);
+    EXPECT_EQ(fromOld.snapshot(), snap);
+
+    // A head past the listed entries, or more live entries than
+    // the ring holds, is malformed.
+    for (const auto &[listed, first] :
+         {std::pair<std::uint64_t, std::uint64_t>{live, live + 1},
+          {live + kDead, 0}}) {
+        sim::CheckpointWriter cw, hw;
+        cw.putU64(listed);
+        hw.putU64(first);
+        std::string bad = snap.substr(0, at) + cw.bytes();
+        for (std::uint64_t i = 0; i < listed; ++i)
+            bad += snap.substr(entries, kEntryBytes);
+        bad += hw.bytes() + snap.substr(headAt + 9);
+        CoreOnHierarchy victim(hier);
+        sim::CheckpointReader br(bad);
+        EXPECT_THROW(victim.core.restoreFrom(br), sim::CheckpointError);
+    }
 }
 
 TEST(OooParams, ExecLatencies)

@@ -229,6 +229,46 @@ printPolicy(const std::vector<std::string> &benches)
                 "    });\n");
 }
 
+void
+printCoreCounters()
+{
+    std::printf("\nINSTANTIATE_TEST_SUITE_P(\n"
+                "    CorePath, CoreCounterGolden,\n"
+                "    ::testing::Values(\n");
+    const std::vector<BenchmarkInfo> &suite = specSuite();
+    const std::vector<unsigned> &assocs = golden::goldenCoreAssocs();
+    for (std::size_t a = 0; a < assocs.size(); ++a) {
+        for (std::size_t i = 0; i < suite.size(); ++i) {
+            const golden::CoreCounterGoldenCase c =
+                golden::runGoldenCoreCounters(suite[i].name.c_str(),
+                                              assocs[a]);
+            const bool last =
+                a + 1 == assocs.size() && i + 1 == suite.size();
+            std::printf(
+                "        CoreCounterGoldenCase{\"%s\", %u, %llu, "
+                "%llu,\n"
+                "                              %llu, %llu, %llu, "
+                "%llu, %llu}%s\n",
+                c.benchmark, c.l1iAssoc,
+                static_cast<unsigned long long>(c.cycles),
+                static_cast<unsigned long long>(c.committed),
+                static_cast<unsigned long long>(c.mispredicts),
+                static_cast<unsigned long long>(c.loadForwards),
+                static_cast<unsigned long long>(c.robFullStalls),
+                static_cast<unsigned long long>(c.icacheStallCycles),
+                static_cast<unsigned long long>(c.branchStallCycles),
+                last ? ")," : ",");
+        }
+    }
+    std::printf("    [](const ::testing::TestParamInfo"
+                "<CoreCounterGoldenCase> &info) {\n"
+                "        return std::string(info.param.benchmark) + "
+                "\"_\" +\n"
+                "               std::to_string(info.param.l1iAssoc) + "
+                "\"way\";\n"
+                "    });\n");
+}
+
 } // namespace
 
 int
@@ -238,11 +278,13 @@ main()
     std::fprintf(stderr, "regenerating golden expectations for "
                          "compress and li (single-level, "
                          "multi-level, cmp, coherent-cmp, "
-                         "policies)...\n");
+                         "policies) and the whole suite (core "
+                         "counters)...\n");
     printSingleLevel(benches);
     printMultiLevel(benches);
     printCmp();
     printCoherentCmp();
     printPolicy(benches);
+    printCoreCounters();
     return 0;
 }
