@@ -14,6 +14,7 @@
 #include "cpu/ooo_core.hh"
 #include "cpu/simple_core.hh"
 #include "mem/cache.hh"
+#include "mem/directory.hh"
 #include "mem/hierarchy.hh"
 #include "workload/fetch_replay.hh"
 #include "workload/generator.hh"
@@ -92,6 +93,36 @@ BM_DriResizeCycle(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DriResizeCycle);
+
+/**
+ * Capacity evictions from a full sparse directory of range(0)
+ * entries: each iteration fills a new block (evicting the LRU
+ * entry) and touches it, as CoherenceController::fill() does, then
+ * touches a pseudo-random older block so the LRU order is not just
+ * allocation order. The cost per eviction must not grow with the
+ * table (CI compares 4096 entries against 256).
+ */
+void
+BM_DirectoryEvict(benchmark::State &state)
+{
+    const auto entries = static_cast<std::uint64_t>(state.range(0));
+    SparseDirectory dir(entries);
+    SparseDirectory::Entry victim;
+    Addr next = 0;
+    for (; next < entries; ++next)
+        dir.touch(dir.allocate(next, &victim));
+    std::uint64_t lcg = 1;
+    for (auto _ : state) {
+        dir.touch(dir.allocate(next++, &victim));
+        benchmark::DoNotOptimize(victim);
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        if (SparseDirectory::Entry *e =
+                dir.find(next - 1 - (lcg >> 33) % entries))
+            dir.touch(*e);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryEvict)->Arg(256)->Arg(4096);
 
 void
 BM_BranchPredict(benchmark::State &state)

@@ -9,7 +9,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
+#include <span>
 
 #include "util/logging.hh"
 
@@ -18,8 +18,6 @@ namespace drisim
 
 namespace
 {
-
-constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
 
 /** Word granularity for store-to-load forwarding. */
 constexpr unsigned kForwardShift = 3; // 8-byte words
@@ -30,8 +28,8 @@ constexpr unsigned kForwardShift = 3; // 8-byte words
  */
 template <typename Fn>
 bool
-forEachSetBit(const std::vector<std::uint64_t> &bits,
-              std::uint32_t from, std::uint32_t to, Fn &&fn)
+forEachSetBit(std::span<const std::uint64_t> bits, std::uint32_t from,
+              std::uint32_t to, Fn &&fn)
 {
     for (std::uint32_t w = from / 64; w * 64 < to; ++w) {
         std::uint64_t word = bits[w];
@@ -73,8 +71,6 @@ OooCore::OooCore(const OooParams &params, MemoryLevel *icache,
       icache_(icache),
       dcache_(dcache),
       bpred_(params.bpred, parent),
-      robBuf_(params.robSize),
-      readyBits_((params.robSize + 63) / 64),
       fetchQueue_(params.fetchQueueSize),
       group_(parent, "core"),
       committedInstrs_(&group_, "committed", "instructions committed"),
@@ -96,6 +92,10 @@ OooCore::OooCore(const OooParams &params, MemoryLevel *icache,
                   "core widths must be positive");
     drisim_assert(params.robSize <= kNoWaiter / 4,
                   "robSize too large for waiter-list nodes");
+    robBuf_.resize(std::bit_ceil(params.robSize));
+    robMask_ = static_cast<std::uint32_t>(robBuf_.size() - 1);
+    readyBits_.resize((robBuf_.size() + 63) / 64);
+    wheelHeads_.fill(kNoSlot);
     fetchBlockBytes_ = params.fetchBlockBytes;
     for (auto &w : lastWriter_)
         w = -1;
@@ -145,12 +145,84 @@ OooCore::wakeWaiters(RobEntry &producer)
 }
 
 void
+OooCore::scheduleEvent(std::uint32_t slot)
+{
+    // Every event falls due at or after wheelBase_: issue and the
+    // rebuild schedule only completions after now_.
+    RobEntry &e = robBuf_[slot];
+    if (e.completeAt - wheelBase_ < kWheelSlots) {
+        const unsigned bucket = e.completeAt % kWheelSlots;
+        e.nextEvent = wheelHeads_[bucket];
+        wheelHeads_[bucket] = slot;
+        wheelBits_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+    } else {
+        e.nextEvent = overflowHead_;
+        overflowHead_ = slot;
+        overflowNext_ = std::min(overflowNext_, e.completeAt);
+    }
+}
+
+Cycles
+OooCore::firstWheelCycle() const
+{
+    // Bucket b holds the events due at the one cycle in
+    // [wheelBase_, wheelBase_ + kWheelSlots) congruent to b, so the
+    // earliest is the first occupied bucket from wheelBase_'s on,
+    // wrapping round.
+    const auto from = static_cast<std::uint32_t>(wheelBase_ % kWheelSlots);
+    Cycles first = kNoEvent;
+    const auto found = [&](std::uint32_t bucket) {
+        first = wheelBase_ + (bucket - from) % kWheelSlots;
+        return false;
+    };
+    if (forEachSetBit(wheelBits_, from, kWheelSlots, found))
+        forEachSetBit(wheelBits_, 0, from, found);
+    return first;
+}
+
+void
+OooCore::drainEvents()
+{
+    for (Cycles at = firstWheelCycle(); at <= now_;
+         at = firstWheelCycle()) {
+        const unsigned bucket = at % kWheelSlots;
+        for (std::uint32_t slot = wheelHeads_[bucket]; slot != kNoSlot;) {
+            RobEntry &e = robBuf_[slot];
+            slot = e.nextEvent;
+            wakeWaiters(e);
+        }
+        wheelHeads_[bucket] = kNoSlot;
+        wheelBits_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
+    }
+    wheelBase_ = now_ + 1;
+
+    if (overflowNext_ > now_)
+        return;
+    // Wake the overflow events now due; keep the rest in order.
+    overflowNext_ = kNoEvent;
+    for (std::uint32_t *link = &overflowHead_; *link != kNoSlot;) {
+        RobEntry &e = robBuf_[*link];
+        if (e.completeAt <= now_) {
+            *link = e.nextEvent;
+            wakeWaiters(e);
+        } else {
+            overflowNext_ = std::min(overflowNext_, e.completeAt);
+            link = &e.nextEvent;
+        }
+    }
+}
+
+void
 OooCore::rebuildScheduler()
 {
     // An entry that completed by now_ counts as done even if the
     // run stopped before draining its event: the next doIssue()
     // would drain it before selecting, to the same ready set.
-    events_ = {};
+    wheelHeads_.fill(kNoSlot);
+    wheelBits_.fill(0);
+    wheelBase_ = now_ + 1;
+    overflowHead_ = kNoSlot;
+    overflowNext_ = kNoEvent;
     std::fill(readyBits_.begin(), readyBits_.end(), 0);
     for (RobEntry &e : robBuf_)
         e.waiters = kNoWaiter;
@@ -160,7 +232,7 @@ OooCore::rebuildScheduler()
         if (!e.issued)
             linkProducers(slot);
         else if (e.completeAt > now_)
-            events_.emplace(e.completeAt, slot);
+            scheduleEvent(slot);
     }
 }
 
@@ -210,10 +282,7 @@ void
 OooCore::doIssue()
 {
     // Wake the consumers of everything completing by now.
-    while (!events_.empty() && events_.top().first <= now_) {
-        wakeWaiters(robBuf_[events_.top().second]);
-        events_.pop();
-    }
+    drainEvents();
 
     unsigned issued = 0;
     unsigned mem_used = 0;
@@ -254,7 +323,7 @@ OooCore::doIssue()
         e.issued = true;
         e.completeAt = now_ + lat;
         readyBits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-        events_.emplace(e.completeAt, slot);
+        scheduleEvent(slot);
         return ++issued < params_.issueWidth;
     };
 
@@ -456,7 +525,7 @@ Cycles
 OooCore::nextEventCycle() const
 {
     // Called after doIssue(), which leaves only events after now_.
-    Cycles next = events_.empty() ? kNoEvent : events_.top().first;
+    Cycles next = std::min(firstWheelCycle(), overflowNext_);
     if (fetchResumeAt_ > now_)
         next = std::min(next, fetchResumeAt_);
     return next;

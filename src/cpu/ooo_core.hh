@@ -17,11 +17,9 @@
 #ifndef DRISIM_CPU_OOO_CORE_HH
 #define DRISIM_CPU_OOO_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "core/dri_icache.hh"
@@ -128,6 +126,11 @@ class OooCore : public Core
      *  load's depStore. A waiter-list node is slot * 4 + operand. */
     static constexpr unsigned kOperands = 3;
     static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+    /** End of a completion-event list. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    static constexpr Cycles kNoEvent = ~Cycles{0};
+    /** Timing-wheel buckets: one per cycle of the next 256. */
+    static constexpr unsigned kWheelSlots = 256;
 
     /** An in-flight instruction (ROB entry). */
     struct RobEntry
@@ -152,6 +155,8 @@ class OooCore : public Core
         std::uint32_t waiters = kNoWaiter;
         /** This entry's link in each producer's waiter list. */
         std::uint32_t nextWaiter[kOperands] = {};
+        /** Next entry in this one's completion-event list. */
+        std::uint32_t nextEvent = kNoSlot;
     };
 
     /** A fetched, not yet dispatched instruction. */
@@ -165,8 +170,7 @@ class OooCore : public Core
 
     std::uint32_t slotOf(std::int64_t seq) const
     {
-        return static_cast<std::uint32_t>(static_cast<size_t>(seq) %
-                                          robBuf_.size());
+        return static_cast<std::uint32_t>(seq) & robMask_;
     }
 
     RobEntry &rob(std::int64_t seq) { return robBuf_[slotOf(seq)]; }
@@ -174,6 +178,9 @@ class OooCore : public Core
     bool producerDone(std::int64_t seq) const;
     void linkProducers(std::uint32_t slot);
     void wakeWaiters(RobEntry &producer);
+    void scheduleEvent(std::uint32_t slot);
+    void drainEvents();
+    Cycles firstWheelCycle() const;
     void rebuildScheduler();
     void markReady(std::uint32_t slot)
     {
@@ -193,22 +200,32 @@ class OooCore : public Core
 
     Cycles now_ = 0;
 
-    /** ROB ring buffer: valid seqs are [seqHead_, seqTail_). */
+    /** ROB ring buffer of bit_ceil(robSize) slots, indexed by
+     *  mask: valid seqs are [seqHead_, seqTail_), at most robSize. */
     std::vector<RobEntry> robBuf_;
+    std::uint32_t robMask_ = 0;
     std::int64_t seqHead_ = 0;
     std::int64_t seqTail_ = 0;
 
     /**
-     * Wakeup/select scheduler (derived state, see RobEntry): a
-     * completion event (completeAt, slot) for each issued entry
-     * whose waiters have not been woken yet, as a min-heap on
-     * completeAt; and the ready set, one bit per ROB slot, of
-     * unissued entries whose producers have all completed, selected
+     * Wakeup/select scheduler (derived state, see RobEntry). Each
+     * issued entry whose waiters have not been woken yet has one
+     * completion event, linked through RobEntry::nextEvent:
+     * - on a timing wheel when it falls due in the
+     *   kWheelSlots cycles from wheelBase_ on, in bucket
+     *   completeAt % kWheelSlots, with wheelBits_ marking the
+     *   occupied buckets;
+     * - otherwise on the overflow list, whose earliest completeAt
+     *   is overflowNext_.
+     * The ready set, one bit per ROB slot, holds the unissued
+     * entries whose producers have all completed, selected
      * oldest-first from the head's slot.
      */
-    using Event = std::pair<Cycles, std::uint32_t>;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>>
-        events_;
+    std::array<std::uint32_t, kWheelSlots> wheelHeads_;
+    std::array<std::uint64_t, kWheelSlots / 64> wheelBits_{};
+    Cycles wheelBase_ = 1;
+    std::uint32_t overflowHead_ = kNoSlot;
+    Cycles overflowNext_ = kNoEvent;
     std::vector<std::uint64_t> readyBits_;
 
     /** Fetch queue: a ring of fetchQueueSize entries, the live

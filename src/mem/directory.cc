@@ -5,6 +5,9 @@
 
 #include "mem/directory.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "util/logging.hh"
 
 namespace drisim
@@ -13,10 +16,55 @@ namespace drisim
 SparseDirectory::SparseDirectory(std::uint64_t maxEntries)
     : maxEntries_(maxEntries)
 {
-    drisim_assert(maxEntries > 0,
-                  "directory needs at least one entry");
+    drisim_assert(maxEntries > 0 && maxEntries < ~std::uint32_t{0},
+                  "directory needs 1 to 2^32 - 2 entries");
     slots_.resize(maxEntries);
     index_.reserve(maxEntries);
+    lru_.resize(maxEntries + 1);
+    rebuildOrder();
+}
+
+void
+SparseDirectory::rebuildOrder()
+{
+    std::vector<std::uint32_t> order(slots_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                         const Entry &x = slots_[a];
+                         const Entry &y = slots_[b];
+                         if (x.valid != y.valid)
+                             return y.valid;
+                         return x.valid && x.lastTouch < y.lastTouch;
+                     });
+    const auto sentinel = static_cast<std::uint32_t>(maxEntries_);
+    std::uint32_t prev = sentinel;
+    for (const std::uint32_t s : order) {
+        lru_[prev].next = s;
+        lru_[s].prev = prev;
+        prev = s;
+    }
+    lru_[prev].next = sentinel;
+    lru_[sentinel].prev = prev;
+}
+
+void
+SparseDirectory::moveToBack(std::uint32_t s)
+{
+    const auto sentinel = static_cast<std::uint32_t>(maxEntries_);
+    lru_[lru_[s].prev].next = lru_[s].next;
+    lru_[lru_[s].next].prev = lru_[s].prev;
+    lru_[s].prev = lru_[sentinel].prev;
+    lru_[s].next = sentinel;
+    lru_[lru_[sentinel].prev].next = s;
+    lru_[sentinel].prev = s;
+}
+
+void
+SparseDirectory::touch(Entry &e)
+{
+    e.lastTouch = ++tick_;
+    moveToBack(static_cast<std::uint32_t>(&e - slots_.data()));
 }
 
 SparseDirectory::Entry *
@@ -34,37 +82,20 @@ SparseDirectory::allocate(Addr block, Entry *evictedOut)
     evictedOut->valid = false;
     ++allocations_;
 
-    std::size_t slot = slots_.size();
-    if (index_.size() < maxEntries_) {
-        // A free slot exists; take the lowest one.
-        for (std::size_t s = 0; s < slots_.size(); ++s) {
-            if (!slots_[s].valid) {
-                slot = s;
-                break;
-            }
-        }
-    } else {
-        // Capacity eviction: least-recently-touched entry,
-        // ties broken on the lowest slot index (deterministic).
-        std::uint64_t best = ~std::uint64_t{0};
-        for (std::size_t s = 0; s < slots_.size(); ++s) {
-            if (slots_[s].lastTouch < best) {
-                best = slots_[s].lastTouch;
-                slot = s;
-            }
-        }
-        *evictedOut = slots_[slot];
-        index_.erase(slots_[slot].block);
+    // The lowest free slot; with none left, the least-recently-
+    // touched entry, ties broken on the lowest slot index.
+    const std::uint32_t slot = lru_[maxEntries_].next;
+    Entry &e = slots_[slot];
+    if (e.valid) {
+        *evictedOut = e;
+        index_.erase(e.block);
         ++capacityEvictions_;
     }
-    drisim_assert(slot < slots_.size(), "no directory slot found");
-
-    Entry &e = slots_[slot];
     e.block = block;
     e.sharers = 0;
     e.owner = -1;
-    e.lastTouch = ++tick_;
     e.valid = true;
+    touch(e);
     index_.emplace(block, slot);
     return e;
 }

@@ -105,8 +105,10 @@ class CoherenceAgent
 
 /**
  * Bounded owner/sharer table. Entries are found by block number
- * (addr / granule); when full, the least-recently-touched entry is
- * evicted (deterministic: ties break on the lowest slot index).
+ * (addr / granule); a fill takes the lowest free slot, and when the
+ * table is full the least-recently-touched entry is evicted
+ * (deterministic: ties break on the lowest slot index). Both are
+ * the head of one intrusive list over the slots, so neither scans.
  */
 class SparseDirectory
 {
@@ -135,8 +137,8 @@ class SparseDirectory
      */
     Entry &allocate(Addr block, Entry *evictedOut);
 
-    /** Mark @p e most-recently used. */
-    void touch(Entry &e) { e.lastTouch = ++tick_; }
+    /** Mark @p e (an entry of this directory) most-recently used. */
+    void touch(Entry &e);
 
     std::uint64_t maxEntries() const { return maxEntries_; }
     std::uint64_t entriesInUse() const { return index_.size(); }
@@ -148,11 +150,26 @@ class SparseDirectory
     }
 
     /** Serialize entries + clock (sim/checkpoint.hh). Restore
-     *  requires an identical capacity. */
+     *  requires an identical capacity, rejects a block held by two
+     *  valid slots or a lastTouch past the clock, and rebuilds the
+     *  allocation order. */
     void snapshotTo(sim::CheckpointWriter &w) const;
     void restoreFrom(sim::CheckpointReader &r);
 
   private:
+    /** A slot's neighbours in the allocation order. */
+    struct Link
+    {
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+
+    /** Relink every slot: the free ones, lowest first, then the
+     *  valid ones by (lastTouch, slot). */
+    void rebuildOrder();
+    /** Move slot @p s to the back of the allocation order. */
+    void moveToBack(std::uint32_t s);
+
     std::uint64_t maxEntries_;
     std::uint64_t tick_ = 0;
     std::uint64_t allocations_ = 0;
@@ -160,6 +177,15 @@ class SparseDirectory
     std::vector<Entry> slots_;
     /** block -> slot, kept in lockstep with slots_. */
     std::unordered_map<Addr, std::size_t> index_;
+    /**
+     * Allocation order (derived from valid and lastTouch, never
+     * serialized): a circular list through every slot and the
+     * sentinel node lru_[maxEntries_]. Slots never turn free at run
+     * time and every touch is the newest, so moving a touched slot
+     * to the back keeps the order, and its head is the slot the
+     * next allocate() takes.
+     */
+    std::vector<Link> lru_;
 };
 
 /**

@@ -389,10 +389,16 @@ SparseDirectory::restoreFrom(sim::CheckpointReader &r)
         e.owner = static_cast<int>(r.getI64());
         e.lastTouch = r.getU64();
         e.valid = r.getBool();
-        if (e.valid)
-            index_.emplace(e.block, i);
+        // A touch past the clock would tie with a later one and
+        // break the allocation order.
+        if (e.lastTouch > tick_)
+            throw CheckpointError("directory entry touched after the "
+                                  "directory clock");
+        if (e.valid && !index_.emplace(e.block, i).second)
+            throw CheckpointError("directory block in two slots");
     }
     r.endSection();
+    rebuildOrder();
 }
 
 void
@@ -739,7 +745,7 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
     seqHead_ = r.getI64();
     seqTail_ = r.getI64();
     if (seqHead_ < 0 || seqTail_ < seqHead_ ||
-        seqTail_ - seqHead_ > static_cast<std::int64_t>(robBuf_.size()))
+        seqTail_ - seqHead_ > static_cast<std::int64_t>(params_.robSize))
         throw CheckpointError("rob occupancy out of range");
     // The format lists entries [0, listed), of which [head, listed)
     // are live. snapshotTo() writes head 0, but older snapshots

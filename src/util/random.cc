@@ -24,12 +24,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -43,54 +37,10 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::range(std::uint64_t bound)
-{
-    assert(bound > 0);
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-std::uint64_t
 Rng::between(std::uint64_t lo, std::uint64_t hi)
 {
     assert(lo <= hi);
     return lo + range(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    // 53 high-quality bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 std::uint64_t

@@ -12,6 +12,8 @@
 #ifndef DRISIM_UTIL_RANDOM_HH
 #define DRISIM_UTIL_RANDOM_HH
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 
 namespace drisim::sim
@@ -26,6 +28,9 @@ namespace drisim
 /**
  * Xoshiro256** PRNG (Blackman & Vigna). Deterministic, fast, and
  * identical across platforms — unlike std::mt19937 distributions.
+ * The per-draw calls are defined inline: the trace generator makes
+ * several per instruction, and a constant power-of-two bound lets
+ * range() fold its division to a mask.
  */
 class Rng
 {
@@ -34,19 +39,55 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) (bound > 0). */
-    std::uint64_t range(std::uint64_t bound);
+    std::uint64_t
+    range(std::uint64_t bound)
+    {
+        assert(bound > 0);
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t threshold = -bound % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive (lo <= hi). */
     std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high-quality bits into [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability @p p of true. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Geometric-ish positive integer with mean approximately

@@ -1,8 +1,9 @@
 /**
  * @file
  * MSI coherence tests (mem/directory.hh): sparse-directory
- * allocation and deterministic LRU capacity eviction, the
- * controller's probe routing and per-core attribution, the
+ * allocation and deterministic LRU capacity eviction (checked
+ * victim by victim against a linear-scan oracle, across restores),
+ * the controller's probe routing and per-core attribution, the
  * Cache/PolicyCacheBase client behaviour (dirty flush, granule
  * spanning, drowsy wake charging, decay refetch accounting), the
  * checkpoint v3 layout negotiation, and a TSan-targeted check that
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "policy/drowsy_policy.hh"
 #include "sim/checkpoint.hh"
 #include "stats/stats.hh"
+#include "util/random.hh"
 
 namespace drisim
 {
@@ -139,6 +143,181 @@ TEST(SparseDirectory, CapacityEvictionPicksLeastRecentlyTouched)
     EXPECT_NE(dir.find(0xA), nullptr);
     EXPECT_NE(dir.find(0xC), nullptr);
     EXPECT_EQ(dir.entriesInUse(), 2u);
+}
+
+/**
+ * The linear scan SparseDirectory::allocate() used before its
+ * allocation-order list, kept as the oracle: the lowest free slot,
+ * else the least lastTouch, ties to the lowest slot.
+ */
+struct ScanDirectory
+{
+    struct Slot
+    {
+        Addr block = kInvalidAddr;
+        std::uint64_t lastTouch = 0;
+        bool valid = false;
+    };
+
+    explicit ScanDirectory(std::size_t entries) : slots(entries) {}
+
+    /** Allocate @p block; the evicted block, or kInvalidAddr. */
+    Addr
+    allocate(Addr block)
+    {
+        std::size_t slot = slots.size();
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+            if (!slots[s].valid) {
+                slot = s;
+                break;
+            }
+        }
+        Addr victim = kInvalidAddr;
+        if (slot == slots.size()) {
+            std::uint64_t best = ~std::uint64_t{0};
+            for (std::size_t s = 0; s < slots.size(); ++s) {
+                if (slots[s].lastTouch < best) {
+                    best = slots[s].lastTouch;
+                    slot = s;
+                }
+            }
+            victim = slots[slot].block;
+            ++evictions;
+        }
+        slots[slot] = {block, ++tick, true};
+        return victim;
+    }
+
+    void
+    touch(Addr block)
+    {
+        for (Slot &s : slots)
+            if (s.valid && s.block == block)
+                s.lastTouch = ++tick;
+    }
+
+    std::vector<Slot> slots;
+    std::uint64_t tick = 0;
+    std::uint64_t evictions = 0;
+};
+
+/**
+ * @p steps random fills through @p dir and @p oracle alike: a block
+ * from a pool of four times the capacity, allocated when absent (the
+ * victims must agree) and usually touched, as the controller does.
+ */
+void
+driveAgainstOracle(SparseDirectory &dir, ScanDirectory &oracle,
+                   Rng &rng, int steps)
+{
+    const std::uint64_t pool = 4 * dir.maxEntries();
+    for (int i = 0; i < steps; ++i) {
+        const Addr block = rng.range(pool);
+        SparseDirectory::Entry *e = dir.find(block);
+        if (!e) {
+            SparseDirectory::Entry victim;
+            e = &dir.allocate(block, &victim);
+            const Addr want = oracle.allocate(block);
+            ASSERT_EQ(victim.valid, want != kInvalidAddr)
+                << "step " << i;
+            if (victim.valid) {
+                ASSERT_EQ(victim.block, want) << "step " << i;
+            }
+        }
+        if (rng.chance(0.7)) {
+            dir.touch(*e);
+            oracle.touch(block);
+        }
+    }
+    std::uint64_t inUse = 0;
+    for (const ScanDirectory::Slot &s : oracle.slots) {
+        if (s.valid) {
+            ++inUse;
+            ASSERT_NE(dir.find(s.block), nullptr);
+            EXPECT_EQ(dir.find(s.block)->lastTouch, s.lastTouch);
+        }
+    }
+    EXPECT_EQ(dir.entriesInUse(), inUse);
+    EXPECT_EQ(dir.capacityEvictions(), oracle.evictions);
+}
+
+/** Restore a fresh directory of @p entries from @p bytes. */
+std::unique_ptr<SparseDirectory>
+restoredDirectory(std::uint64_t entries, const std::string &bytes)
+{
+    auto dir = std::make_unique<SparseDirectory>(entries);
+    sim::CheckpointReader r(bytes);
+    dir->restoreFrom(r);
+    return dir;
+}
+
+TEST(SparseDirectory, VictimsMatchTheLinearScanAcrossARestore)
+{
+    for (const std::uint64_t entries : {1u, 2u, 7u, 256u}) {
+        SCOPED_TRACE("capacity " + std::to_string(entries));
+        Rng rng(entries);
+        const int steps = static_cast<int>(40 * entries) + 400;
+        SparseDirectory dir(entries);
+        ScanDirectory oracle(entries);
+        driveAgainstOracle(dir, oracle, rng, steps);
+
+        sim::CheckpointWriter w;
+        dir.snapshotTo(w);
+        auto restored = restoredDirectory(entries, w.bytes());
+        driveAgainstOracle(*restored, oracle, rng, steps);
+        EXPECT_GT(oracle.evictions, 0u);
+    }
+}
+
+TEST(SparseDirectory, RestoredTiesEvictTheLowestSlotFirst)
+{
+    // A hand-made snapshot: seven slots, two free (2 and 5), and the
+    // valid ones touched at 3, 5 or 9 with ties.
+    const std::uint64_t touches[7] = {5, 3, 0, 3, 9, 0, 3};
+    const bool valid[7] = {true, true, false, true, true, false, true};
+    constexpr std::uint64_t kTick = 9;
+    sim::CheckpointWriter w;
+    w.beginSection("dir");
+    w.putU64(7);     // capacity
+    w.putU64(kTick); // clock
+    w.putU64(5);     // allocations
+    w.putU64(0);     // capacity evictions
+    ScanDirectory oracle(7);
+    oracle.tick = kTick;
+    for (std::size_t s = 0; s < 7; ++s) {
+        const Addr block = valid[s] ? 100 + s : kInvalidAddr;
+        w.putU64(block);
+        w.putU64(0);  // sharers
+        w.putI64(-1); // owner
+        w.putU64(touches[s]);
+        w.putBool(valid[s]);
+        oracle.slots[s] = {block, touches[s], valid[s]};
+    }
+    w.endSection();
+    auto dir = restoredDirectory(7, w.bytes());
+
+    // The free slots fill first; then the ties at 3 go lowest slot
+    // first (1, 3, 6), then 0 (5) and 4 (9).
+    const Addr expected[7] = {kInvalidAddr, kInvalidAddr, 101, 103,
+                              106,          100,          104};
+    for (int i = 0; i < 7; ++i) {
+        SparseDirectory::Entry victim;
+        dir->allocate(200 + i, &victim);
+        EXPECT_EQ(victim.valid ? victim.block : kInvalidAddr,
+                  expected[i])
+            << "allocation " << i;
+        EXPECT_EQ(oracle.allocate(200 + i), expected[i]);
+    }
+
+    // Then the same random run as the scan.
+    auto tied = restoredDirectory(7, w.bytes());
+    ScanDirectory tiedOracle(7);
+    tiedOracle.tick = kTick;
+    for (std::size_t s = 0; s < 7; ++s)
+        tiedOracle.slots[s] = {valid[s] ? 100 + s : kInvalidAddr,
+                               touches[s], valid[s]};
+    Rng rng(77);
+    driveAgainstOracle(*tied, tiedOracle, rng, 2000);
 }
 
 // ---------------------------------------------------------------
@@ -545,6 +724,75 @@ TEST(CheckpointV3, DirectoryRestoreRejectsDifferentCapacity)
     SparseDirectory b(16);
     sim::CheckpointReader r(w.bytes());
     EXPECT_THROW(b.restoreFrom(r), sim::CheckpointError);
+}
+
+/** Byte offset of directory slot @p slot's field @p field (0 block,
+ *  1 sharers, 2 owner, 3 lastTouch) in a controller snapshot. */
+std::size_t
+directoryFieldOffset(std::size_t slot, int field)
+{
+    sim::CheckpointWriter head;
+    head.beginSection("coherence");
+    head.beginSection("dir");
+    for (int k = 0; k < 4; ++k) // capacity, clock, two counters
+        head.putU64(0);
+    head.endSection();
+    head.endSection();
+    const std::size_t headBytes = head.bytes().size() - 2; // less the closes
+    sim::CheckpointWriter entry;
+    entry.putU64(0); // block
+    entry.putU64(0); // sharers
+    entry.putI64(0); // owner
+    entry.putU64(0); // lastTouch
+    entry.putBool(false);
+    constexpr std::size_t kFieldBytes = 9; // tag + 8 bytes
+    return headBytes + slot * entry.bytes().size() +
+           static_cast<std::size_t>(field) * kFieldBytes;
+}
+
+TEST(CheckpointV3, DirectoryRestoreRejectsMalformedSlots)
+{
+    // A real snapshot with two valid slots; each splice below breaks
+    // one invariant the allocation order relies on.
+    CoherenceController a(smallConfig(), 2, kGranule);
+    FakeClient a0, a1;
+    a.addClient(0, &a0);
+    a.addClient(1, &a1);
+    a.fill(0, 0x1000, false);
+    a.fill(1, 0x2000, true);
+    sim::CheckpointWriter w;
+    a.snapshotTo(w);
+    const std::string snap = w.bytes();
+
+    const auto restores = [](const std::string &bytes) {
+        CoherenceController b(smallConfig(), 2, kGranule);
+        sim::CheckpointReader r(bytes);
+        b.restoreFrom(r);
+    };
+    EXPECT_NO_THROW(restores(snap));
+
+    // Slot 1 names slot 0's block: a later allocate() would find no
+    // slot for it.
+    std::string dup = snap;
+    dup.replace(directoryFieldOffset(1, 0), 9,
+                snap.substr(directoryFieldOffset(0, 0), 9));
+    EXPECT_THROW(restores(dup), sim::CheckpointError);
+
+    // A lastTouch past the directory clock (4 after two fills and
+    // two touches), whether or not the slot is valid.
+    for (const std::size_t slot : {0u, 5u}) {
+        sim::CheckpointWriter late;
+        late.putU64(5);
+        std::string bad = snap;
+        bad.replace(directoryFieldOffset(slot, 3), 9, late.bytes());
+        EXPECT_THROW(restores(bad), sim::CheckpointError)
+            << "slot " << slot;
+    }
+    sim::CheckpointWriter atClock;
+    atClock.putU64(4);
+    std::string ok = snap;
+    ok.replace(directoryFieldOffset(0, 3), 9, atClock.bytes());
+    EXPECT_NO_THROW(restores(ok));
 }
 
 // ---------------------------------------------------------------

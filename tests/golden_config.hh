@@ -174,6 +174,23 @@ goldenCoreAssocs()
     return assocs;
 }
 
+/** The counters of @p core, which ran @p name on an
+ *  @p l1iAssoc-way L1I. */
+inline CoreCounterGoldenCase
+coreCounters(const char *name, unsigned l1iAssoc, const OooCore &core)
+{
+    return CoreCounterGoldenCase{
+        name,
+        l1iAssoc,
+        core.cycles(),
+        core.committed(),
+        core.mispredicts(),
+        core.loadForwards(),
+        core.robFullStalls(),
+        core.icacheStallCycles(),
+        core.branchStallCycles()};
+}
+
 /**
  * The fixed core-counter golden run: 200 K instructions of @p name
  * through an OooCore on the Table 1 hierarchy with an
@@ -189,16 +206,53 @@ runGoldenCoreCounters(const char *name, unsigned l1iAssoc)
     OooCore core(cfg.core, hier.l1i(), &hier.l1d(), &root);
     TraceGenerator gen(programImageFor(findBenchmark(name)));
     core.run(gen, 200 * 1000);
-    return CoreCounterGoldenCase{
-        name,
-        l1iAssoc,
-        core.cycles(),
-        core.committed(),
-        core.mispredicts(),
-        core.loadForwards(),
-        core.robFullStalls(),
-        core.icacheStallCycles(),
-        core.branchStallCycles()};
+    return coreCounters(name, l1iAssoc, core);
+}
+
+/**
+ * A d-side without cache state whose latency depends only on the
+ * 64-byte line: every value from 1 to 1024 cycles, so completion
+ * events fall both on OooCore's 256-cycle timing wheel and past it.
+ */
+class SlowDataSide : public MemoryLevel
+{
+  public:
+    AccessResult
+    access(Addr addr, AccessType) override
+    {
+        const Cycles latency =
+            1 + ((addr / 64) * 0x9e3779b97f4a7c15ull >> 54);
+        if (latency >= 256)
+            ++longAccesses_;
+        return AccessResult{latency == 1, latency};
+    }
+
+    /** Accesses that took 256 cycles or more. */
+    std::uint64_t longAccesses() const { return longAccesses_; }
+
+  private:
+    std::uint64_t longAccesses_ = 0;
+};
+
+/** Instructions of li the slow-d-side golden run commits. */
+constexpr InstCount kSlowDataSideInstrs = 100 * 1000;
+
+/**
+ * The slow-d-side golden run (tests/ooo_core_test.cc): li through an
+ * OooCore with the Table 1 L1I and a SlowDataSide for loads and
+ * stores.
+ */
+inline CoreCounterGoldenCase
+runSlowDataSideCoreCounters()
+{
+    RunConfig cfg;
+    stats::StatGroup root("sim");
+    Hierarchy hier(cfg.hier, &root, true);
+    SlowDataSide dside;
+    OooCore core(cfg.core, hier.l1i(), &dside, &root);
+    TraceGenerator gen(programImageFor(findBenchmark("li")));
+    core.run(gen, kSlowDataSideInstrs);
+    return coreCounters("li", cfg.hier.l1i.assoc, core);
 }
 
 /** The fixed single-level golden run (Section 5.3 search). */

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "cpu/ooo_core.hh"
+#include "golden_config.hh"
 #include "harness/runner.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
@@ -303,11 +305,15 @@ TEST(OooCore, DrainsAndStops)
 // rebuilds them from the ROB entries.
 // --------------------------------------------------------------
 
-/** A core with its own stats tree, so a fresh one can replace it. */
+/** A core with its own stats tree, so a fresh one can replace it.
+ *  Its d-side is the hierarchy's L1D unless @p dside is given. */
 struct CoreOnHierarchy
 {
-    explicit CoreOnHierarchy(Hierarchy &hier)
-        : root("sim"), core(OooParams{}, hier.l1i(), &hier.l1d(), &root)
+    explicit CoreOnHierarchy(Hierarchy &hier,
+                             MemoryLevel *dside = nullptr)
+        : root("sim"),
+          core(OooParams{}, hier.l1i(), dside ? dside : &hier.l1d(),
+               &root)
     {
     }
 
@@ -345,12 +351,45 @@ hierarchyParams(bool banked)
     return h;
 }
 
+/**
+ * Issued ROB entries in an ooo_core snapshot that complete more
+ * than 256 cycles after its cycle: after a restore, those wait past
+ * the core's timing wheel. A committed entry completed by then.
+ */
+unsigned
+completionsPastTheWheel(const std::string &snap)
+{
+    sim::CheckpointReader r(snap);
+    r.beginSection("ooo_core");
+    const Cycles now = r.getU64();
+    const std::uint64_t entries = r.getU64();
+    unsigned past = 0;
+    for (std::uint64_t i = 0; i < entries; ++i) {
+        for (int k = 0; k < 5; ++k) // pc, op, dest, src1, src2
+            r.getU64();
+        r.getBool(); // taken
+        r.getU64();  // nextPc
+        r.getU64();  // memAddr
+        r.getBool(); // pred.taken
+        r.getU64();  // pred.target
+        r.getBool(); // predMade
+        r.getBool(); // mispredict
+        for (int k = 0; k < 3; ++k) // prod1, prod2, depStore
+            r.getI64();
+        const bool issued = r.getBool();
+        const Cycles completeAt = r.getU64();
+        past += issued && completeAt > now + 256;
+    }
+    return past;
+}
+
 /** A hierarchy and the core currently running on it. */
 struct SplitRig
 {
-    explicit SplitRig(bool banked)
+    explicit SplitRig(bool banked, MemoryLevel *dside = nullptr)
         : root("h"), hier(hierarchyParams(banked), &root, true),
-          cur(std::make_unique<CoreOnHierarchy>(hier))
+          dside(dside),
+          cur(std::make_unique<CoreOnHierarchy>(hier, dside))
     {
     }
 
@@ -361,7 +400,7 @@ struct SplitRig
      * hierarchy and stream. Every split lands on the commit-budget
      * break, before that cycle's completions are drained.
      */
-    void run(const char *bench, InstCount warm, InstCount quanta,
+    void run(const std::string &bench, InstCount warm, InstCount quanta,
              InstCount quantum)
     {
         TraceGenerator gen(programImageFor(findBenchmark(bench)));
@@ -369,7 +408,9 @@ struct SplitRig
         for (InstCount i = 0; i < quanta; ++i) {
             cur->core.run(gen, quantum);
             const std::string snap = cur->snapshot();
-            cur = std::make_unique<CoreOnHierarchy>(hier);
+            if (completionsPastTheWheel(snap) > 0)
+                ++restoresPastTheWheel;
+            cur = std::make_unique<CoreOnHierarchy>(hier, dside);
             sim::CheckpointReader r(snap);
             cur->core.restoreFrom(r);
         }
@@ -377,11 +418,17 @@ struct SplitRig
 
     stats::StatGroup root;
     Hierarchy hier;
+    MemoryLevel *dside;
     std::unique_ptr<CoreOnHierarchy> cur;
+    /** Restores with a completion due past the timing wheel. */
+    unsigned restoresPastTheWheel = 0;
 };
 
+/** The benchmark is a std::string, not a const char *: gtest prints
+ *  a pointer parameter with its address, and the discovered test name
+ *  would then change with every load address. */
 class OooCoreSplit
-    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {
 };
 
@@ -410,11 +457,12 @@ TEST_P(OooCoreSplit, MatchesUninterruptedAtEveryQuantum)
 
 INSTANTIATE_TEST_SUITE_P(
     Restore, OooCoreSplit,
-    ::testing::Combine(::testing::Values("compress", "li"),
+    ::testing::Combine(::testing::Values(std::string("compress"),
+                                         std::string("li")),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<const char *, bool>>
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>
            &info) {
-        return std::string(std::get<0>(info.param)) +
+        return std::get<0>(info.param) +
                (std::get<1>(info.param) ? "_banked" : "_flat");
     });
 
@@ -444,6 +492,63 @@ fetchQueueOffset(unsigned robSize)
     w.putI64(0); // seqTail_
     w.endSection();
     return w.bytes().size() - 1; // less the section's close tag
+}
+
+// --------------------------------------------------------------
+// Completions past the timing wheel. golden::SlowDataSide answers
+// loads in 1 to 1024 cycles, so many completion events fall due 256
+// or more cycles out and wait on the overflow list; branches that
+// depend on those loads stall fetch until they drain.
+// --------------------------------------------------------------
+
+// GOLDEN-BASELINE-BEGIN (tools/rebaseline.sh regenerates this block)
+const golden::CoreCounterGoldenCase kSlowDataSideGolden{
+    "li", 1, 1022381, 100000,
+    1030, 20, 40292, 33644, 636121};
+// GOLDEN-BASELINE-END
+
+void
+expectSlowDataSideGolden(const golden::CoreCounterGoldenCase &got)
+{
+    const golden::CoreCounterGoldenCase &want = kSlowDataSideGolden;
+    EXPECT_STREQ(got.benchmark, want.benchmark);
+    EXPECT_EQ(got.l1iAssoc, want.l1iAssoc);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.committed, want.committed);
+    EXPECT_EQ(got.mispredicts, want.mispredicts);
+    EXPECT_EQ(got.loadForwards, want.loadForwards);
+    EXPECT_EQ(got.robFullStalls, want.robFullStalls);
+    EXPECT_EQ(got.icacheStallCycles, want.icacheStallCycles);
+    EXPECT_EQ(got.branchStallCycles, want.branchStallCycles);
+}
+
+TEST(OooCoreOverflow, SlowDataSideCountersMatchGolden)
+{
+    expectSlowDataSideGolden(golden::runSlowDataSideCoreCounters());
+}
+
+TEST(OooCoreOverflow, SplitsWithCompletionsPastTheWheelMatchGolden)
+{
+    // The golden run's stream, split into quanta that end it at the
+    // same instruction, with a restore into a fresh core after each.
+    constexpr InstCount kTotal = golden::kSlowDataSideInstrs;
+    golden::SlowDataSide plainSide;
+    SplitRig plain(false, &plainSide);
+    plain.run("li", kTotal, 0, 0);
+    expectSlowDataSideGolden(golden::coreCounters("li", 1, plain.cur->core));
+    EXPECT_GT(plainSide.longAccesses(), 1000u);
+
+    for (const InstCount quantum : {1u, 7u, 997u}) {
+        SCOPED_TRACE("quantum " + std::to_string(quantum));
+        const InstCount quanta = std::min<InstCount>(500, kTotal / quantum);
+        golden::SlowDataSide dside;
+        SplitRig split(false, &dside);
+        split.run("li", kTotal - quanta * quantum, quanta, quantum);
+        EXPECT_EQ(split.cur->counters(), plain.cur->counters());
+        EXPECT_EQ(split.cur->snapshot(), plain.cur->snapshot());
+        // Most restores rebuild an overflow list, not only the wheel.
+        EXPECT_GT(split.restoresPastTheWheel, quanta / 2);
+    }
 }
 
 TEST(OooCoreRestore, SnapshotSizeIsBoundedAfterALongRun)
@@ -528,6 +633,37 @@ TEST(OooCoreRestore, DeadFetchQueuePrefixRestoresToTheLiveQueue)
         CoreOnHierarchy victim(hier);
         sim::CheckpointReader br(bad);
         EXPECT_THROW(victim.core.restoreFrom(br), sim::CheckpointError);
+    }
+}
+
+TEST(OooCoreRestore, OccupancyIsBoundByRobSizeNotTheRing)
+{
+    // A 100-entry ROB lives in a ring of 128 slots, which a snapshot
+    // lists in full; more than 100 entries in flight is malformed.
+    stats::StatGroup hierRoot("h");
+    Hierarchy hier(hierarchyParams(false), &hierRoot, true);
+    OooParams p;
+    p.robSize = 100;
+    const auto restore = [&](const std::string &bytes) {
+        stats::StatGroup root("sim");
+        OooCore core(p, hier.l1i(), &hier.l1d(), &root);
+        sim::CheckpointReader r(bytes);
+        core.restoreFrom(r);
+    };
+    stats::StatGroup root("sim");
+    const OooCore empty(p, hier.l1i(), &hier.l1d(), &root);
+    sim::CheckpointWriter w;
+    empty.snapshotTo(w);
+    const std::size_t tailAt = fetchQueueOffset(128) - 9; // seqTail_
+    for (const std::int64_t tail : {100, 101, 128}) {
+        sim::CheckpointWriter tw;
+        tw.putI64(tail);
+        std::string bytes = w.bytes();
+        bytes.replace(tailAt, 9, tw.bytes());
+        if (tail <= 100)
+            EXPECT_NO_THROW(restore(bytes));
+        else
+            EXPECT_THROW(restore(bytes), sim::CheckpointError);
     }
 }
 

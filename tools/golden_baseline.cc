@@ -3,7 +3,9 @@
  * Golden-expectation generator: runs the exact golden-test
  * configurations (tests/golden_config.hh) and prints the
  * INSTANTIATE_TEST_SUITE_P block that tools/rebaseline.sh splices
- * between the GOLDEN-BASELINE markers in tests/golden_test.cc.
+ * between the GOLDEN-BASELINE markers in tests/golden_test.cc, or,
+ * given the argument `ooo_core`, the slow-d-side core counters it
+ * splices into tests/ooo_core_test.cc.
  *
  * Re-baselining is therefore a deliberate, reviewable act — rerun
  * the script, read the diff, and explain the model change in the PR
@@ -269,11 +271,39 @@ printCoreCounters()
                 "    });\n");
 }
 
+/** The tests/ooo_core_test.cc block: the slow-d-side run. */
+void
+printSlowDataSide()
+{
+    const golden::CoreCounterGoldenCase c =
+        golden::runSlowDataSideCoreCounters();
+    std::printf("const golden::CoreCounterGoldenCase "
+                "kSlowDataSideGolden{\n"
+                "    \"%s\", %u, %llu, %llu,\n"
+                "    %llu, %llu, %llu, %llu, %llu};\n",
+                c.benchmark, c.l1iAssoc,
+                static_cast<unsigned long long>(c.cycles),
+                static_cast<unsigned long long>(c.committed),
+                static_cast<unsigned long long>(c.mispredicts),
+                static_cast<unsigned long long>(c.loadForwards),
+                static_cast<unsigned long long>(c.robFullStalls),
+                static_cast<unsigned long long>(c.icacheStallCycles),
+                static_cast<unsigned long long>(c.branchStallCycles));
+}
+
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1) {
+        if (std::string(argv[1]) != "ooo_core") {
+            std::fprintf(stderr, "usage: golden_baseline [ooo_core]\n");
+            return 1;
+        }
+        printSlowDataSide();
+        return 0;
+    }
     const std::vector<std::string> benches{"compress", "li"};
     std::fprintf(stderr, "regenerating golden expectations for "
                          "compress and li (single-level, "

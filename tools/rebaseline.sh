@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Regenerate the golden-test expectation block in
-# tests/golden_test.cc — deliberately, instead of hand-editing
-# floating-point literals.
+# Regenerate the golden-test expectation blocks in
+# tests/golden_test.cc and tests/ooo_core_test.cc — deliberately,
+# instead of hand-editing literals.
 #
 # Builds the golden_baseline generator (which runs the exact
 # configurations the tests run, from tests/golden_config.hh), then
-# splices its output between the GOLDEN-BASELINE-BEGIN/END markers.
-# Review the resulting diff and justify the model change in the PR.
+# splices its output between each file's GOLDEN-BASELINE-BEGIN/END
+# markers. Review the resulting diff and justify the model change in
+# the PR.
 #
 # Usage: tools/rebaseline.sh [build-dir]   (default: build)
 
@@ -14,28 +15,37 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
-GOLDEN=tests/golden_test.cc
 
 cmake -B "$BUILD_DIR" -S . > /dev/null
 cmake --build "$BUILD_DIR" --target golden_baseline -j
 
 BLOCK="$(mktemp)"
-trap 'rm -f "$BLOCK" "$GOLDEN.tmp"' EXIT
-"$BUILD_DIR/golden_baseline" > "$BLOCK"
+trap 'rm -f "$BLOCK" tests/*.cc.tmp' EXIT
 
-awk -v blockfile="$BLOCK" '
-    /GOLDEN-BASELINE-BEGIN/ {
-        print
-        while ((getline line < blockfile) > 0) print line
-        close(blockfile)
-        skipping = 1
-        next
-    }
-    /GOLDEN-BASELINE-END/ { skipping = 0 }
-    !skipping { print }
-' "$GOLDEN" > "$GOLDEN.tmp"
-mv "$GOLDEN.tmp" "$GOLDEN"
+# splice FILE [ARG]: put `golden_baseline [ARG]`'s output between
+# FILE's markers.
+splice() {
+    local file="$1"
+    shift
+    "$BUILD_DIR/golden_baseline" "$@" > "$BLOCK"
+    awk -v blockfile="$BLOCK" '
+        /GOLDEN-BASELINE-BEGIN/ {
+            print
+            while ((getline line < blockfile) > 0) print line
+            close(blockfile)
+            skipping = 1
+            next
+        }
+        /GOLDEN-BASELINE-END/ { skipping = 0 }
+        !skipping { print }
+    ' "$file" > "$file.tmp"
+    mv "$file.tmp" "$file"
+}
 
-echo "rebaselined $GOLDEN:"
-git --no-pager diff --stat -- "$GOLDEN" || true
-echo "rebuild and rerun 'ctest -L golden' to confirm."
+splice tests/golden_test.cc
+splice tests/ooo_core_test.cc ooo_core
+
+echo "rebaselined:"
+git --no-pager diff --stat -- tests/golden_test.cc \
+    tests/ooo_core_test.cc || true
+echo "rebuild and rerun 'ctest -L golden' and ooo_core_test to confirm."
