@@ -512,13 +512,12 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     // Content-addressed job keys: the base-config hash makes every
     // key unique per configuration, so job-keyed artifacts (seeds,
     // traces) never collide across differently-configured sweeps.
-    const std::string cfgHash =
-        runKeyConventional(bench, ctx.cfg).hashHex();
+    const std::string cfgHash = runKey(bench, ctx.cfg).hashHex();
 
     const JobId conv = graph.add(
         bench.name + "/conv-detailed#" + cfgHash,
         [&](const JobContext &) {
-            out.conv = runConventional(bench, ctx.cfg);
+            out.conv = run(bench, ctx.cfg);
         });
 
     FastCalibration cal;
@@ -528,7 +527,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
         bench.name + "/calibrate",
         [&](const JobContext &) {
             cal = calibrateFast(bench, ctx.cfg, out.conv);
-            conv_fast = runConventionalFast(bench, ctx.cfg, cal);
+            conv_fast = run(bench, ctx.cfg, {ConventionalL1i{}, &cal});
             const double intervals =
                 static_cast<double>(ctx.cfg.maxInstrs) /
                 static_cast<double>(ctx.driTemplate.senseInterval);
@@ -561,8 +560,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
                     static_cast<std::uint64_t>(cells[i].factor *
                                                conv_mpi));
 
-                const RunOutput d =
-                    runDriFast(bench, ctx.cfg, p, cal);
+                const RunOutput d = run(bench, ctx.cfg, {p, &cal});
                 const ComparisonResult cmp = compareRuns(
                     ctx.constants, conv_fast.meas, d.meas);
                 slots[i] = {p, cmp.relativeEnergyDelay(),

@@ -77,7 +77,7 @@ main(int argc, char **argv)
     Table tc(cols);
     Table tu = tc;
     // JSON rows additionally carry the winner's canonical config
-    // hash (harness/runner.hh runKeyDri), joinable with the
+    // hash (harness/runner.hh runKey), joinable with the
     // --result-cache sidecar and the checkpoint store.
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");
@@ -92,7 +92,7 @@ main(int argc, char **argv)
         std::vector<std::string> rc =
             rowCells(b.name, b.benchClass, bases[i].constrained);
         rc.push_back(
-            runKeyDri(b, ctx.cfg, bases[i].constrained.dri).hashHex());
+            runKey(b, ctx.cfg, {bases[i].constrained.dri}).hashHex());
         std::cerr << "  [figure3] " + b.name + " done\n";
         return {std::move(rc)};
     };

@@ -38,7 +38,7 @@ main(int argc, char **argv)
         "ED 0.5x",   "slow 2x", "slow 1x", "slow 0.5x"};
     Table t(cols);
     // JSON rows additionally carry the unit's canonical config hash
-    // (runKeyConventional + the sweep tag), the farm's shard/merge
+    // (runKey + the sweep tag), the farm's shard/merge
     // join key.
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");

@@ -58,7 +58,7 @@ main(int argc, char **argv)
         "size B",    "size C", "slow A", "slow B", "slow C"};
     Table t(cols);
     // JSON rows additionally carry the unit's canonical config hash
-    // (runKeyConventional + the sweep tag), the farm's shard/merge
+    // (runKey + the sweep tag), the farm's shard/merge
     // join key.
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");
@@ -99,7 +99,7 @@ main(int argc, char **argv)
                         static_cast<std::uint64_t>(p.blockBytes) *
                         p.assoc;
 
-                const RunOutput conv = runConventional(b, cfg);
+                const RunOutput conv = run(b, cfg);
                 offBase[k] = evaluateDetailed(b, cfg, p,
                                               ctx.constants, conv);
             });

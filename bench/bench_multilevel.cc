@@ -59,8 +59,9 @@ main(int argc, char **argv)
         "rel-ED",    "L1-size",  "L2-size", "slowdown"};
     Table summary(cols);
     // JSON rows additionally carry the winner's canonical config
-    // hash (harness/runner.hh runKeyDri over the multi-level run
-    // config), joinable with the --result-cache sidecar.
+    // hash (harness/runner.hh runKey of its DRI L1I over the
+    // multi-level run config), joinable with the --result-cache
+    // sidecar.
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_multilevel", "multilevel", jsonCols);
@@ -70,7 +71,7 @@ main(int argc, char **argv)
     std::vector<MultiLevelCandidate> best(suite.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        const RunOutput conv = runConventional(b, ctx.cfg);
+        const RunOutput conv = run(b, ctx.cfg);
         const MultiLevelSearchResult sr = searchMultiLevel(
             b, ctx.cfg, ctx.driTemplate, l2Template, space, constants,
             ctx.maxSlowdownPct, conv, &benchExecutor(ctx));
@@ -80,7 +81,7 @@ main(int argc, char **argv)
         RunConfig ml = ctx.cfg;
         ml.hier.l2Dri = true;
         ml.hier.l2DriParams = sr.best.l2;
-        row.push_back(runKeyDri(b, ml, sr.best.l1).hashHex());
+        row.push_back(runKey(b, ml, {sr.best.l1}).hashHex());
         std::cerr << "  [multilevel] " + b.name + " done\n";
         return {std::move(row)};
     };

@@ -70,7 +70,7 @@ main(int argc, char **argv)
         "active",    "drowsy", "wakes",   "slowdown"};
     Table summary(cols);
     // JSON rows additionally carry the winner's canonical config
-    // hash (harness/runner.hh runKeyPolicy), joinable with the
+    // hash (harness/runner.hh runKey), joinable with the
     // --result-cache sidecar and the checkpoint store.
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");
@@ -94,7 +94,7 @@ main(int argc, char **argv)
     std::vector<UnitResult> results(benches.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = benches[i];
-        const RunOutput conv = runConventional(b, ctx.cfg);
+        const RunOutput conv = run(b, ctx.cfg);
         const PolicySearchResult sr = searchPolicies(
             b, ctx.cfg, tmpl, space, constants, ctx.maxSlowdownPct,
             conv, &benchExecutor(ctx));
@@ -110,8 +110,7 @@ main(int argc, char **argv)
             if (!cand.feasible)
                 row.back() += " (infeasible)";
             r.rows.push_back(row);
-            row.push_back(
-                runKeyPolicy(b, ctx.cfg, cand.config).hashHex());
+            row.push_back(runKey(b, ctx.cfg, {cand.config}).hashHex());
             unitRows.push_back(std::move(row));
             const double ed = cand.cmp.relativeEnergyDelay();
             const char *name = policyKindName(cand.config.kind);

@@ -45,7 +45,7 @@ main(int argc, char **argv)
               "resizes base", "resizes no-throttle"});
 
     // JSON rows: the interval sweep's cells plus the unit's
-    // canonical config hash (runKeyConventional + the sweep tag),
+    // canonical config hash (runKey + the sweep tag),
     // the farm's shard/merge join key.
     const std::vector<std::string> jsonCols{
         "benchmark", "ED 0.25x", "ED 0.5x", "ED 1x",
@@ -128,9 +128,9 @@ main(int argc, char **argv)
             b.name + "/throttle", 2,
             [&](std::size_t k, const JobContext &) {
                 if (k == 0)
-                    no_thr = runDri(b, ctx.cfg, p);
+                    no_thr = run(b, ctx.cfg, {p});
                 else
-                    with_thr = runDri(b, ctx.cfg, bp);
+                    with_thr = run(b, ctx.cfg, {bp});
             });
         const ComparisonResult c = compareRuns(
             ctx.constants, base.conv.meas, no_thr.meas);

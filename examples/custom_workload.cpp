@@ -51,13 +51,13 @@ main()
     RunConfig cfg;
     cfg.maxInstrs = 4000 * 1000;
 
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
 
     DriParams dri;
     dri.sizeBoundBytes = 2048;
     dri.missBound = 150;
     dri.senseInterval = 100000;
-    const RunOutput adaptive = runDri(bench, cfg, dri);
+    const RunOutput adaptive = run(bench, cfg, {dri});
 
     const ComparisonResult cmp = compareRuns(
         EnergyConstants::paper(), conv.meas, adaptive.meas);

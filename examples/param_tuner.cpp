@@ -58,7 +58,7 @@ tuneMultiLevel(const BenchmarkInfo &bench, const RunConfig &cfg)
     std::printf("detailed conventional baseline for %s "
                 "(%u workers)...\n",
                 bench.name.c_str(), resolveJobCount(cfg.jobs));
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
     std::printf("  %llu cycles, L1I miss rate %.3f%%, L2 miss rate "
                 "%.3f%%\n\n",
                 static_cast<unsigned long long>(conv.meas.cycles),
@@ -128,7 +128,7 @@ tunePolicies(const BenchmarkInfo &bench, RunConfig cfg)
     std::printf("detailed conventional baseline for %s "
                 "(64K 4-way L1I, %u workers)...\n",
                 bench.name.c_str(), resolveJobCount(cfg.jobs));
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
     std::printf("  %llu cycles, L1I miss rate %.3f%%\n\n",
                 static_cast<unsigned long long>(conv.meas.cycles),
                 100.0 * conv.meas.missRate());
@@ -347,7 +347,7 @@ main(int argc, char **argv)
     std::printf("detailed conventional baseline for %s "
                 "(%u workers)...\n",
                 bench.name.c_str(), resolveJobCount(cfg.jobs));
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
     std::printf("  %llu cycles, miss rate %.3f%%\n\n",
                 static_cast<unsigned long long>(conv.meas.cycles),
                 100.0 * conv.meas.missRate());

@@ -53,7 +53,7 @@ exploreOne(const BenchmarkInfo &bench, InstCount instrs, bool l2Dri)
     DriICache icache(dp, hier.l2Level(), &root);
     hier.setL1I(&icache);
     OooCore core(OooParams{}, &icache, &hier.l1d(), &root);
-    core.setDri(&icache);
+    core.addResizable(&icache);
     core.addResizable(hier.driL2());
 
     TraceGenerator gen(image);

@@ -52,8 +52,8 @@ int
 runPolicyQuickstart(const Options &opts, const BenchmarkInfo &bench)
 {
     // The conventional baseline always runs a fixed L2; the managed
-    // leg keeps the user's l2.dri choice (runPolicy wires a
-    // resizable L2 into the core's broadcast alongside the policy).
+    // leg keeps the user's l2.dri choice (run() wires a resizable
+    // L2 into the core's broadcast alongside the policy).
     RunConfig convCfg = opts.run;
     const bool l2Dri = convCfg.hier.l2Dri;
     convCfg.hier.l2Dri = false;
@@ -65,8 +65,8 @@ runPolicyQuickstart(const Options &opts, const BenchmarkInfo &bench)
                 bench.name.c_str(), bench.benchClass,
                 static_cast<unsigned long long>(
                     convCfg.maxInstrs));
-    const RunOutput conv = runConventional(bench, convCfg);
-    const RunOutput managed = runPolicy(bench, policyCfg, pc);
+    const RunOutput conv = run(bench, convCfg);
+    const RunOutput managed = run(bench, policyCfg, {pc});
 
     const PolicyComparison cmp = comparePolicyRuns(
         PolicyEnergyConstants::paper(), conv.meas,
@@ -287,7 +287,7 @@ main(int argc, char **argv)
     std::printf("running %s (class %d) for %llu instructions...\n",
                 bench.name.c_str(), bench.benchClass,
                 static_cast<unsigned long long>(cfg.maxInstrs));
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
 
     // 2. The same system with a DRI i-cache (and, with l2.dri=1, a
     //    DRI L2): downsize whenever an interval sees fewer than
@@ -295,7 +295,7 @@ main(int argc, char **argv)
     const DriParams &dri = opts.dri;
     RunConfig driCfg = cfg;
     driCfg.hier.l2Dri = l2Dri;
-    const RunOutput adaptive = runDri(bench, driCfg, dri);
+    const RunOutput adaptive = run(bench, driCfg, {dri});
 
     // 3. Compare using the paper's energy model (Section 5.2).
     const ComparisonResult cmp = compareRuns(

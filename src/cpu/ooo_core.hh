@@ -22,7 +22,6 @@
 #include <deque>
 #include <vector>
 
-#include "core/dri_icache.hh"
 #include "mem/memory.hh"
 #include "stats/stats.hh"
 #include "cpu/branch_pred.hh"
@@ -67,12 +66,6 @@ class OooCore : public Core
      */
     OooCore(const OooParams &params, MemoryLevel *icache,
             MemoryLevel *dcache, stats::StatGroup *parent);
-
-    /**
-     * Attach a DRI i-cache for retirement notifications and active-
-     * size integration (pass nullptr for conventional runs).
-     */
-    void setDri(DriICache *dri) { addResizable(dri); }
 
     /**
      * Run until @p stream ends or @p maxInstrs commit. Resumable

@@ -20,7 +20,6 @@
 #ifndef DRISIM_CPU_SIMPLE_CORE_HH
 #define DRISIM_CPU_SIMPLE_CORE_HH
 
-#include "core/dri_icache.hh"
 #include "mem/memory.hh"
 #include "cpu/core.hh"
 #include "cpu/isa.hh"
@@ -44,9 +43,6 @@ class SimpleCore : public Core
 {
   public:
     SimpleCore(const SimpleCoreParams &params, MemoryLevel *icache);
-
-    /** Attach a DRI i-cache for retire/integration callbacks. */
-    void setDri(DriICache *dri) { addResizable(dri); }
 
     /**
      * Run the stream for up to @p maxInstrs further instructions.

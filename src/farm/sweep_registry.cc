@@ -73,7 +73,7 @@ suiteUnits(const std::string &sweep, const SweepSetup &setup,
         if (honourShort && setup.shortRun && b.name != "compress" &&
             b.name != "li")
             continue;
-        sim::ConfigKey key = runKeyConventional(b, setup.cfg);
+        sim::ConfigKey key = runKey(b, setup.cfg);
         key.add("sweep", std::string_view(sweep));
         units.push_back(makeSweepUnit(b.name, key));
     }

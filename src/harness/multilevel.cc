@@ -133,7 +133,7 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
         RunConfig ml = config;
         ml.hier.l2Dri = true;
         ml.hier.l2DriParams = p2;
-        const RunOutput d = runDri(bench, ml, p1);
+        const RunOutput d = run(bench, ml, {p1});
         MultiLevelCandidate cand;
         cand.l1 = p1;
         cand.l2 = p2;
@@ -161,7 +161,7 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
                           cells[i].l1Bound),
                       static_cast<unsigned long long>(
                           cells[i].l2Bound),
-                      runKeyDri(bench, kml, kp1).hashHex().c_str()),
+                      runKey(bench, kml, {kp1}).hashHex().c_str()),
             [&, i](const JobContext &) {
                 const auto [p1, p2] = cell_params(cells[i]);
                 result.evaluated[i] = evaluate(p1, p2);

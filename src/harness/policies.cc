@@ -1,7 +1,7 @@
 /**
  * @file
  * The (policy x parameter) head-to-head search, executed as a
- * JobGraph: every cell is a detailed runPolicy() evaluation landing
+ * JobGraph: every cell is a detailed run() of its policy landing
  * in an index-addressed slot; per-kind winners are selected by an
  * index-order scan, so results are bit-identical at any worker
  * count.
@@ -130,7 +130,7 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
         enumerateCells(base, space, conv_mpi);
 
     auto evaluate = [&](const PolicyConfig &pc) {
-        const RunOutput d = runPolicy(bench, config, pc);
+        const RunOutput d = run(bench, config, {pc});
         PolicyCandidate cand;
         cand.config = pc;
         cand.cmp = comparePolicyRuns(constants,
@@ -159,7 +159,7 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
             strFormat("%s/policy=%s/%s#%s", bench.name.c_str(),
                       policyKindName(cells[i].config.kind),
                       cells[i].config.paramSummary().c_str(),
-                      runKeyPolicy(bench, config, cells[i].config)
+                      runKey(bench, config, {cells[i].config})
                           .hashHex()
                           .c_str()),
             [&, i](const JobContext &) {

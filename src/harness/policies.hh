@@ -84,7 +84,7 @@ struct PolicySearchResult
     RunOutput convDetailed;
 };
 
-/** Reduce a runPolicy() output to the accounting view. */
+/** Reduce a policy run() output to the accounting view. */
 PolicyMeasurement toPolicyMeasurement(const RunOutput &out);
 
 /**

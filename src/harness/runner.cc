@@ -10,16 +10,19 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <variant>
 
 #include "core/dri_icache.hh"
 #include "cpu/simple_core.hh"
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
 #include "obs/trace.hh"
+#include "policy/dri_policy.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -211,12 +214,14 @@ addCalKey(sim::ConfigKey &k, const FastCalibration &cal)
     k.addDouble("cal.miss_overlap", cal.missOverlap);
 }
 
-sim::ConfigKey
-baseRunKey(const BenchmarkInfo &bench, const RunConfig &config)
+/**
+ * The machine: caches, resizable L2, core, predictor and DRAM — every
+ * column a single-core run shares with a CMP run, whose cores all run
+ * on config.core.
+ */
+void
+addMachineKey(sim::ConfigKey &k, const RunConfig &config)
 {
-    sim::ConfigKey k;
-    k.add("bench", bench.name);
-    k.add("instrs", config.maxInstrs);
     addCacheKey(k, "l1i", config.hier.l1i);
     addCacheKey(k, "l1d", config.hier.l1d);
     addCacheKey(k, "l2", config.hier.l2);
@@ -251,12 +256,7 @@ baseRunKey(const BenchmarkInfo &bench, const RunConfig &config)
           static_cast<std::uint64_t>(c.bpred.btbAssoc));
     k.add("bp.ras", static_cast<std::uint64_t>(c.bpred.rasDepth));
 
-    k.add("sample", config.sampling.enabled);
-    if (config.sampling.enabled) {
-        k.add("sample.window", config.sampling.detailedWindow);
-        k.add("sample.period", config.sampling.period);
-    }
-    // Conditional, like sample: flat-memory hashes stay stable.
+    // Conditional so flat-memory hashes stay stable.
     if (config.hier.dram.banked) {
         const DramParams &d = config.hier.dram;
         k.add("dram.banked", true);
@@ -268,7 +268,31 @@ baseRunKey(const BenchmarkInfo &bench, const RunConfig &config)
         k.add("dram.row_bytes",
               static_cast<std::uint64_t>(d.rowBytes));
     }
+}
+
+sim::ConfigKey
+baseRunKey(const BenchmarkInfo &bench, const RunConfig &config)
+{
+    sim::ConfigKey k;
+    k.add("bench", bench.name);
+    k.add("instrs", config.maxInstrs);
+    addMachineKey(k, config);
+    k.add("sample", config.sampling.enabled);
+    if (config.sampling.enabled) {
+        k.add("sample.window", config.sampling.detailedWindow);
+        k.add("sample.period", config.sampling.period);
+    }
     return k;
+}
+
+/** The L1I column of a run's key mode and obs series name. */
+const char *
+l1iMode(const RunSpec &spec)
+{
+    static constexpr const char *kNames[] = {"conv", "dri", "policy"};
+    static_assert(std::size(kNames) ==
+                  std::variant_size_v<decltype(RunSpec::l1i)>);
+    return kNames[spec.l1i.index()];
 }
 
 // ------------------------------------------------------------------
@@ -305,15 +329,7 @@ fieldF64(const sim::ResultCache::Fields &f, const char *name,
          double &out)
 {
     const auto it = f.find(name);
-    if (it == f.end() || it->second.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return it != f.end() && parseFiniteValue(it->second, out);
 }
 
 sim::ResultCache::Fields
@@ -567,7 +583,7 @@ fastRecording(const BenchmarkInfo &bench, const RunConfig &config,
 
 /** The series a run's trace span and interval samples share. */
 std::string
-obsSeries(const BenchmarkInfo &bench, const char *mode,
+obsSeries(const BenchmarkInfo &bench, const std::string &mode,
           const sim::ConfigKey &key)
 {
     return bench.name + "/" + mode + "#" + key.hashHex();
@@ -575,7 +591,7 @@ obsSeries(const BenchmarkInfo &bench, const char *mode,
 
 /**
  * Per-interval differencing over a probe registry of *cumulative*
- * readouts (obs/probe.hh). Entry points register probes under the
+ * readouts (obs/probe.hh). run() registers probes under the
  * canonical names below; sample() derives the already-differenced
  * interval metrics the CSV carries — interval CPI and miss rates,
  * active/drowsy fractions from the cycle-area integrals, resize and
@@ -801,10 +817,9 @@ addPolicyL1iProbes(obs::MetricRegistry &reg, LeakagePolicy &policy,
  * observability is execution-only, so results are unchanged either
  * way.
  */
-template <typename Sampler>
 CoreStats
 runMetered(Core &core, InstrStream &stream, InstCount total,
-           Sampler &&sample)
+           IntervalSampler &sampler)
 {
     const InstCount interval = obs::metrics()->interval();
     CoreStats cs = core.stats();
@@ -815,218 +830,134 @@ runMetered(Core &core, InstrStream &stream, InstCount total,
         cs = core.run(stream, chunk);
         const InstCount ran = cs.instructions - before;
         done += ran;
-        sample(cs);
+        sampler.sample(cs);
         if (ran < chunk)
             break; // stream drained
     }
     return cs;
 }
 
-} // namespace
-
-sim::ConfigKey
-runKeyConventional(const BenchmarkInfo &bench, const RunConfig &config)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "conv");
-    return k;
-}
-
-sim::ConfigKey
-runKeyDri(const BenchmarkInfo &bench, const RunConfig &config,
-          const DriParams &dri)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "dri");
-    addDriKey(k, "dri", dri);
-    return k;
-}
-
-sim::ConfigKey
-runKeyPolicy(const BenchmarkInfo &bench, const RunConfig &config,
-             const PolicyConfig &policy)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "policy");
-    addPolicyKey(k, policy);
-    return k;
-}
-
-sim::ConfigKey
-runKeyCalibrate(const BenchmarkInfo &bench, const RunConfig &config)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "calibrate");
-    return k;
-}
-
-sim::ConfigKey
-runKeyConventionalFast(const BenchmarkInfo &bench,
-                       const RunConfig &config,
-                       const FastCalibration &cal)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "conv_fast");
-    addCalKey(k, cal);
-    return k;
-}
-
-sim::ConfigKey
-runKeyDriFast(const BenchmarkInfo &bench, const RunConfig &config,
-              const DriParams &dri, const FastCalibration &cal)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "dri_fast");
-    addDriKey(k, "dri", dri);
-    addCalKey(k, cal);
-    return k;
-}
-
-sim::ConfigKey
-runKeyPolicyFast(const BenchmarkInfo &bench, const RunConfig &config,
-                 const PolicyConfig &policy, const FastCalibration &cal)
-{
-    sim::ConfigKey k = baseRunKey(bench, config);
-    k.add("mode", "policy_fast");
-    addPolicyKey(k, policy);
-    addCalKey(k, cal);
-    return k;
-}
-
-const ProgramImage &
-programImageFor(const BenchmarkInfo &bench)
-{
-    return imageFor(bench);
-}
-
-InstCount
-defaultRunInstrs()
-{
-    constexpr double kDefaultInstrs = 10.0e6;
-    const char *scale = std::getenv("DRISIM_SCALE");
-    if (!scale || !*scale)
-        return static_cast<InstCount>(kDefaultInstrs);
-    // A typo must not silently run the full-length default.
-    double mult = 0.0;
-    const bool ok = parseFiniteValue(scale, mult) &&
-                    kDefaultInstrs * mult >= 1.0 &&
-                    kDefaultInstrs * mult <= 1.0e18;
-    if (!ok)
-        drisim_fatal("DRISIM_SCALE='%s' is not a positive multiplier "
-                     "on the 10M-instruction default run length",
-                     scale);
-    return static_cast<InstCount>(kDefaultInstrs * mult);
-}
-
+/**
+ * The body of run(): build the hierarchy, the L1I and the core, drive
+ * the core over the run's stream by one of three branches (sampled,
+ * interval-metered or through the checkpoint seam), and read the
+ * counters out.
+ */
 RunOutput
-runConventional(const BenchmarkInfo &bench, const RunConfig &config)
+simulate(const BenchmarkInfo &bench, const RunConfig &config,
+         const RunSpec &spec, const sim::ConfigKey &key)
 {
-    const sim::ConfigKey key = runKeyConventional(bench, config);
-    return memoizedRun(config, key, [&] {
-        const std::string series = obsSeries(bench, "conv", key);
-        obs::ScopedSpan runSpan(obs::trace(), "run", series);
-        stats::StatGroup root("sim");
-        Hierarchy hier(config.hier, &root, true);
-        OooCore core(config.core, hier.l1i(), &hier.l1d(), &root);
-        core.addResizable(hier.driL2());
+    // A DRI L1I is the Dri leakage policy. Only its probes and its
+    // policyBlocksLost, never reported (0), stay DRI-specific.
+    const DriParams *dri = std::get_if<DriParams>(&spec.l1i);
+    PolicyConfig driPolicy;
+    const PolicyConfig *pol = std::get_if<PolicyConfig>(&spec.l1i);
+    if (dri) {
+        driPolicy.dri = *dri;
+        pol = &driPolicy;
+    }
 
-        TraceGenerator gen(imageFor(bench));
-        CoreStats cs;
-        if (config.sampling.enabled) {
-            cs = sim::runSampled(core, hier.l1i(), &hier.l1d(), gen,
-                                 config.maxInstrs, config.sampling,
-                                 config.core.fetchBlockBytes);
-        } else if (obs::metrics()) {
+    const std::string series = obsSeries(
+        bench, std::string(l1iMode(spec)) + (spec.fast ? "-fast" : ""),
+        key);
+    obs::ScopedSpan runSpan(obs::trace(), "run", series);
+    stats::StatGroup root(spec.fast ? "fast" : "sim");
+    Hierarchy hier(config.hier, &root, pol == nullptr);
+    std::unique_ptr<LeakagePolicy> policy;
+    if (pol) {
+        policy = makeLeakagePolicy(*pol, hier.l2Level(), &root);
+        hier.setL1I(policy->level());
+    }
+
+    std::unique_ptr<Core> core;
+    if (spec.fast) {
+        SimpleCoreParams scp;
+        scp.baseCpi = spec.fast->baseCpi;
+        scp.missOverlap = spec.fast->missOverlap;
+        scp.fetchBlockBytes =
+            pol ? pol->dri.blockBytes : config.hier.l1i.blockBytes;
+        core = std::make_unique<SimpleCore>(scp, hier.l1i());
+    } else {
+        core = std::make_unique<OooCore>(config.core, hier.l1i(),
+                                         &hier.l1d(), &root);
+    }
+    core->addRetireSink(policy.get());
+    core->addResizable(hier.driL2());
+
+    const auto drive = [&](auto &stream) {
+        if (!spec.fast && config.sampling.enabled)
+            return sim::runSampled(*core, hier.l1i(), &hier.l1d(),
+                                   stream, config.maxInstrs,
+                                   config.sampling,
+                                   config.core.fetchBlockBytes);
+        if (obs::metrics()) {
             IntervalSampler sampler(series);
-            addHierProbes(sampler.registry(), core, hier);
-            addConvL1iProbes(sampler.registry(), *hier.convL1i(),
-                             config.hier.l1i.sizeBytes);
-            cs = runMetered(core, gen, config.maxInstrs,
-                            [&](const CoreStats &s) {
-                                sampler.sample(s);
-                            });
-        } else {
-            cs = runCheckpointed(
-                config, key, core, gen,
-                [&](sim::CheckpointWriter &w) {
-                    hier.snapshotTo(w);
-                },
-                [&](sim::CheckpointReader &r) {
-                    hier.restoreFrom(r);
-                });
+            obs::MetricRegistry &reg = sampler.registry();
+            addHierProbes(reg, *core, hier);
+            if (dri)
+                addDriL1iProbes(
+                    reg, static_cast<DriPolicy &>(*policy).icache(),
+                    *core);
+            else if (policy)
+                addPolicyL1iProbes(reg, *policy, *core,
+                                   pol->dri.sizeBytes);
+            else
+                addConvL1iProbes(reg, *hier.convL1i(),
+                                 config.hier.l1i.sizeBytes);
+            return runMetered(*core, stream, config.maxInstrs,
+                              sampler);
         }
+        return runCheckpointed(
+            config, key, *core, stream,
+            [&](sim::CheckpointWriter &w) {
+                hier.snapshotTo(w);
+                if (policy)
+                    policy->snapshotTo(w);
+            },
+            [&](sim::CheckpointReader &r) {
+                hier.restoreFrom(r);
+                if (policy)
+                    policy->restoreFrom(r);
+            });
+    };
+    CoreStats cs;
+    if (spec.fast) {
+        const std::shared_ptr<const FetchRecording> rec =
+            fastRecording(bench, config, *spec.fast);
+        FetchReplay replay(*rec);
+        cs = drive(replay);
+    } else {
+        TraceGenerator gen(imageFor(bench));
+        cs = drive(gen);
+    }
 
-        RunOutput out;
+    RunOutput out;
+    if (policy) {
+        const PolicyActivity act = policy->activity();
+        out.meas = measurementFromCounts(
+            cs.cycles, cs.instructions, policy->l1Accesses(),
+            policy->l1Misses(), act.avgActiveFraction,
+            act.resizingTagBits, pol->dri.sizeBytes);
+        out.l1DrowsyFraction = act.avgDrowsyFraction;
+        out.wakeTransitions = act.wakeTransitions;
+        out.wakeStallCycles = act.wakeStallCycles;
+        out.policyBlocksLost = dri ? 0 : act.blocksLost;
+        out.resizes = act.resizes;
+        out.throttleEvents = act.throttleEvents;
+    } else {
         Cache *l1i = hier.convL1i();
         out.meas = measurementFromCounts(
             cs.cycles, cs.instructions, l1i->accesses(),
             l1i->misses(), 1.0, 0, config.hier.l1i.sizeBytes);
-        out.ipc = cs.ipc();
-        out.l1dMissRate = hier.l1d().missRate();
-        fillL2Outputs(hier, out);
-        return out;
-    });
+    }
+    out.ipc = cs.ipc();
+    out.l1dMissRate = hier.l1d().missRate();
+    fillL2Outputs(hier, out);
+    return out;
 }
 
-RunOutput
-runDri(const BenchmarkInfo &bench, const RunConfig &config,
-       const DriParams &dri)
-{
-    const sim::ConfigKey key = runKeyDri(bench, config, dri);
-    return memoizedRun(config, key, [&] {
-        const std::string series = obsSeries(bench, "dri", key);
-        obs::ScopedSpan runSpan(obs::trace(), "run", series);
-        stats::StatGroup root("sim");
-        Hierarchy hier(config.hier, &root, false);
-        DriICache icache(dri, hier.l2Level(), &root);
-        hier.setL1I(&icache);
-        OooCore core(config.core, &icache, &hier.l1d(), &root);
-        core.setDri(&icache);
-        core.addResizable(hier.driL2());
-
-        TraceGenerator gen(imageFor(bench));
-        CoreStats cs;
-        if (config.sampling.enabled) {
-            cs = sim::runSampled(core, &icache, &hier.l1d(), gen,
-                                 config.maxInstrs, config.sampling,
-                                 config.core.fetchBlockBytes);
-        } else if (obs::metrics()) {
-            IntervalSampler sampler(series);
-            addHierProbes(sampler.registry(), core, hier);
-            addDriL1iProbes(sampler.registry(), icache, core);
-            cs = runMetered(core, gen, config.maxInstrs,
-                            [&](const CoreStats &s) {
-                                sampler.sample(s);
-                            });
-        } else {
-            cs = runCheckpointed(
-                config, key, core, gen,
-                [&](sim::CheckpointWriter &w) {
-                    hier.snapshotTo(w);
-                    icache.snapshotTo(w);
-                },
-                [&](sim::CheckpointReader &r) {
-                    hier.restoreFrom(r);
-                    icache.restoreFrom(r);
-                });
-        }
-
-        RunOutput out;
-        out.meas = measurementFromCounts(
-            cs.cycles, cs.instructions, icache.accesses(),
-            icache.misses(), icache.averageActiveFraction(),
-            dri.resizingTagBits(), dri.sizeBytes);
-        out.ipc = cs.ipc();
-        out.l1dMissRate = hier.l1d().missRate();
-        fillL2Outputs(hier, out);
-        out.resizes = icache.upsizes() + icache.downsizes();
-        out.throttleEvents = icache.controller().throttleEvents();
-        return out;
-    });
-}
-
-namespace
-{
+/** calibrateFast()'s floor on base CPI: the 8-wide ideal. */
+constexpr double kMinBaseCpi = 0.125;
 
 FastCalibration
 calibrateFastImpl(const BenchmarkInfo &bench, const RunConfig &config,
@@ -1057,14 +988,71 @@ calibrateFastImpl(const BenchmarkInfo &bench, const RunConfig &config,
     const double cycles =
         static_cast<double>(convDetailed.meas.cycles);
     drisim_assert(instrs > 0, "calibration needs a non-empty run");
-    double base = (cycles - cal.missOverlap * stall) / instrs;
-    if (base < 0.125)
-        base = 0.125; // cannot beat the 8-wide ideal
-    cal.baseCpi = base;
+    cal.baseCpi =
+        std::max(kMinBaseCpi, (cycles - cal.missOverlap * stall) / instrs);
     return cal;
 }
 
 } // namespace
+
+sim::ConfigKey
+runKey(const BenchmarkInfo &bench, const RunConfig &config,
+       const RunSpec &spec)
+{
+    sim::ConfigKey k = baseRunKey(bench, config);
+    k.add("mode",
+          std::string(l1iMode(spec)) + (spec.fast ? "_fast" : ""));
+    if (const auto *dri = std::get_if<DriParams>(&spec.l1i))
+        addDriKey(k, "dri", *dri);
+    else if (const auto *pol = std::get_if<PolicyConfig>(&spec.l1i))
+        addPolicyKey(k, *pol);
+    if (spec.fast)
+        addCalKey(k, *spec.fast);
+    return k;
+}
+
+sim::ConfigKey
+runKeyCalibrate(const BenchmarkInfo &bench, const RunConfig &config)
+{
+    sim::ConfigKey k = baseRunKey(bench, config);
+    k.add("mode", "calibrate");
+    return k;
+}
+
+const ProgramImage &
+programImageFor(const BenchmarkInfo &bench)
+{
+    return imageFor(bench);
+}
+
+InstCount
+defaultRunInstrs()
+{
+    constexpr double kDefaultInstrs = 10.0e6;
+    const char *scale = std::getenv("DRISIM_SCALE");
+    if (!scale || !*scale)
+        return static_cast<InstCount>(kDefaultInstrs);
+    // A typo must not silently run the full-length default.
+    double mult = 0.0;
+    const bool ok = parseFiniteValue(scale, mult) &&
+                    kDefaultInstrs * mult >= 1.0 &&
+                    kDefaultInstrs * mult <= 1.0e18;
+    if (!ok)
+        drisim_fatal("DRISIM_SCALE='%s' is not a positive multiplier "
+                     "on the 10M-instruction default run length",
+                     scale);
+    return static_cast<InstCount>(kDefaultInstrs * mult);
+}
+
+RunOutput
+run(const BenchmarkInfo &bench, const RunConfig &config,
+    const RunSpec &spec)
+{
+    const sim::ConfigKey key = runKey(bench, config, spec);
+    return memoizedRun(config, key, [&] {
+        return simulate(bench, config, spec, key);
+    });
+}
 
 FastCalibration
 calibrateFast(const BenchmarkInfo &bench, const RunConfig &config,
@@ -1073,12 +1061,16 @@ calibrateFast(const BenchmarkInfo &bench, const RunConfig &config,
     if (!config.resultCache)
         return calibrateFastImpl(bench, config, convDetailed);
 
+    // A record outside what calibrateFastImpl can produce is a miss,
+    // recomputed and overwritten: the fast model must never see it.
     const sim::ConfigKey key = runKeyCalibrate(bench, config);
     sim::ResultCache::Fields f;
     FastCalibration cal;
     if (config.resultCache->lookup(key, f) &&
         fieldF64(f, "base_cpi", cal.baseCpi) &&
-        fieldF64(f, "miss_overlap", cal.missOverlap)) {
+        fieldF64(f, "miss_overlap", cal.missOverlap) &&
+        cal.baseCpi >= kMinBaseCpi && cal.missOverlap >= 0.0 &&
+        cal.missOverlap <= 1.0) {
         // Nothing was simulated, so nothing was recorded: the first
         // fast run that simulates records for all of them.
         cal.recording = std::make_shared<RecordingSlot>();
@@ -1091,58 +1083,6 @@ calibrateFast(const BenchmarkInfo &bench, const RunConfig &config,
     out["miss_overlap"] = doubleField(cal.missOverlap);
     config.resultCache->store(key, out);
     return cal;
-}
-
-RunOutput
-runConventionalFast(const BenchmarkInfo &bench, const RunConfig &config,
-                    const FastCalibration &cal)
-{
-    const sim::ConfigKey key =
-        runKeyConventionalFast(bench, config, cal);
-    return memoizedRun(config, key, [&] {
-        const std::string series = obsSeries(bench, "conv-fast", key);
-        obs::ScopedSpan runSpan(obs::trace(), "run", series);
-        stats::StatGroup root("fast");
-        Hierarchy hier(config.hier, &root, true);
-        SimpleCoreParams scp;
-        scp.baseCpi = cal.baseCpi;
-        scp.missOverlap = cal.missOverlap;
-        scp.fetchBlockBytes = config.hier.l1i.blockBytes;
-        SimpleCore fast(scp, hier.l1i());
-        fast.addResizable(hier.driL2());
-        const std::shared_ptr<const FetchRecording> rec =
-            fastRecording(bench, config, cal);
-        FetchReplay replay(*rec);
-        CoreStats cs;
-        if (obs::metrics()) {
-            IntervalSampler sampler(series);
-            addHierProbes(sampler.registry(), fast, hier);
-            addConvL1iProbes(sampler.registry(), *hier.convL1i(),
-                             config.hier.l1i.sizeBytes);
-            cs = runMetered(fast, replay, config.maxInstrs,
-                            [&](const CoreStats &s) {
-                                sampler.sample(s);
-                            });
-        } else {
-            cs = runCheckpointed(
-                config, key, fast, replay,
-                [&](sim::CheckpointWriter &w) {
-                    hier.snapshotTo(w);
-                },
-                [&](sim::CheckpointReader &r) {
-                    hier.restoreFrom(r);
-                });
-        }
-
-        RunOutput out;
-        Cache *l1i = hier.convL1i();
-        out.meas = measurementFromCounts(
-            cs.cycles, cs.instructions, l1i->accesses(),
-            l1i->misses(), 1.0, 0, config.hier.l1i.sizeBytes);
-        out.ipc = cs.ipc();
-        fillL2Outputs(hier, out);
-        return out;
-    });
 }
 
 std::vector<std::string>
@@ -1162,6 +1102,7 @@ sim::ConfigKey
 runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
           const std::string &defaultBench)
 {
+    // Sampling stays out: CmpSystem ignores it.
     sim::ConfigKey k;
     k.add("mode", "cmp");
     k.add("instrs", config.maxInstrs);
@@ -1170,22 +1111,7 @@ runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
     k.add("bus.banks", static_cast<std::uint64_t>(cmp.l2Banks));
     k.add("bus.penalty",
           static_cast<std::uint64_t>(cmp.l2ContentionPenalty));
-    addCacheKey(k, "l1i", config.hier.l1i);
-    addCacheKey(k, "l1d", config.hier.l1d);
-    addCacheKey(k, "l2", config.hier.l2);
-    k.add("l2_dri", config.hier.l2Dri);
-    if (config.hier.l2Dri)
-        addDriKey(k, "l2dri", config.hier.l2DriParams);
-    if (config.hier.dram.banked) {
-        const DramParams &d = config.hier.dram;
-        k.add("dram.banked", true);
-        k.add("dram.banks", static_cast<std::uint64_t>(d.banks));
-        k.add("dram.row_hit", d.rowHitLatency);
-        k.add("dram.row_miss", d.rowMissLatency);
-        k.add("dram.queue", static_cast<std::uint64_t>(d.queueDepth));
-        k.add("dram.row_bytes",
-              static_cast<std::uint64_t>(d.rowBytes));
-    }
+    addMachineKey(k, config);
     const std::vector<std::string> names =
         cmpBenchNames(cmp, defaultBench);
     for (unsigned c = 0; c < cmp.cores; ++c) {
@@ -1242,197 +1168,6 @@ runCmp(const RunConfig &config, const CmpConfig &cmp,
     for (std::size_t k = 0; k < out.cores.size(); ++k)
         out.cores[k].bench = names[k];
     return out;
-}
-
-namespace
-{
-
-/** Copy a finished policy's activity into @p out. */
-void
-fillPolicyOutputs(const LeakagePolicy &policy,
-                  const PolicyConfig &config, CoreStats cs,
-                  RunOutput &out)
-{
-    const PolicyActivity act = policy.activity();
-    out.meas = measurementFromCounts(
-        cs.cycles, cs.instructions, policy.l1Accesses(),
-        policy.l1Misses(), act.avgActiveFraction,
-        act.resizingTagBits, config.dri.sizeBytes);
-    out.ipc = cs.ipc();
-    out.l1DrowsyFraction = act.avgDrowsyFraction;
-    out.wakeTransitions = act.wakeTransitions;
-    out.wakeStallCycles = act.wakeStallCycles;
-    out.policyBlocksLost = act.blocksLost;
-    out.resizes = act.resizes;
-    out.throttleEvents = act.throttleEvents;
-}
-
-} // namespace
-
-RunOutput
-runPolicy(const BenchmarkInfo &bench, const RunConfig &config,
-          const PolicyConfig &policy)
-{
-    const sim::ConfigKey key = runKeyPolicy(bench, config, policy);
-    return memoizedRun(config, key, [&] {
-        const std::string series = obsSeries(bench, "policy", key);
-        obs::ScopedSpan runSpan(obs::trace(), "run", series);
-        stats::StatGroup root("sim");
-        Hierarchy hier(config.hier, &root, false);
-        std::unique_ptr<LeakagePolicy> l1i =
-            makeLeakagePolicy(policy, hier.l2Level(), &root);
-        hier.setL1I(l1i->level());
-        OooCore core(config.core, l1i->level(), &hier.l1d(), &root);
-        core.addRetireSink(l1i.get());
-        core.addResizable(hier.driL2());
-
-        TraceGenerator gen(imageFor(bench));
-        CoreStats cs;
-        if (config.sampling.enabled) {
-            cs = sim::runSampled(core, l1i->level(), &hier.l1d(),
-                                 gen, config.maxInstrs,
-                                 config.sampling,
-                                 config.core.fetchBlockBytes);
-        } else if (obs::metrics()) {
-            IntervalSampler sampler(series);
-            addHierProbes(sampler.registry(), core, hier);
-            addPolicyL1iProbes(sampler.registry(), *l1i, core,
-                               policy.dri.sizeBytes);
-            cs = runMetered(core, gen, config.maxInstrs,
-                            [&](const CoreStats &s) {
-                                sampler.sample(s);
-                            });
-        } else {
-            cs = runCheckpointed(
-                config, key, core, gen,
-                [&](sim::CheckpointWriter &w) {
-                    hier.snapshotTo(w);
-                    l1i->snapshotTo(w);
-                },
-                [&](sim::CheckpointReader &r) {
-                    hier.restoreFrom(r);
-                    l1i->restoreFrom(r);
-                });
-        }
-
-        RunOutput out;
-        fillPolicyOutputs(*l1i, policy, cs, out);
-        out.l1dMissRate = hier.l1d().missRate();
-        fillL2Outputs(hier, out);
-        return out;
-    });
-}
-
-RunOutput
-runPolicyFast(const BenchmarkInfo &bench, const RunConfig &config,
-              const PolicyConfig &policy, const FastCalibration &cal)
-{
-    const sim::ConfigKey key =
-        runKeyPolicyFast(bench, config, policy, cal);
-    return memoizedRun(config, key, [&] {
-        const std::string series =
-            obsSeries(bench, "policy-fast", key);
-        obs::ScopedSpan runSpan(obs::trace(), "run", series);
-        stats::StatGroup root("fast");
-        Hierarchy hier(config.hier, &root, false);
-        std::unique_ptr<LeakagePolicy> l1i =
-            makeLeakagePolicy(policy, hier.l2Level(), &root);
-        hier.setL1I(l1i->level());
-        SimpleCoreParams scp;
-        scp.baseCpi = cal.baseCpi;
-        scp.missOverlap = cal.missOverlap;
-        scp.fetchBlockBytes = policy.dri.blockBytes;
-        SimpleCore fast(scp, l1i->level());
-        fast.addRetireSink(l1i.get());
-        fast.addResizable(hier.driL2());
-        const std::shared_ptr<const FetchRecording> rec =
-            fastRecording(bench, config, cal);
-        FetchReplay replay(*rec);
-        CoreStats cs;
-        if (obs::metrics()) {
-            IntervalSampler sampler(series);
-            addHierProbes(sampler.registry(), fast, hier);
-            addPolicyL1iProbes(sampler.registry(), *l1i, fast,
-                               policy.dri.sizeBytes);
-            cs = runMetered(fast, replay, config.maxInstrs,
-                            [&](const CoreStats &s) {
-                                sampler.sample(s);
-                            });
-        } else {
-            cs = runCheckpointed(
-                config, key, fast, replay,
-                [&](sim::CheckpointWriter &w) {
-                    hier.snapshotTo(w);
-                    l1i->snapshotTo(w);
-                },
-                [&](sim::CheckpointReader &r) {
-                    hier.restoreFrom(r);
-                    l1i->restoreFrom(r);
-                });
-        }
-
-        RunOutput out;
-        fillPolicyOutputs(*l1i, policy, cs, out);
-        fillL2Outputs(hier, out);
-        return out;
-    });
-}
-
-RunOutput
-runDriFast(const BenchmarkInfo &bench, const RunConfig &config,
-           const DriParams &dri, const FastCalibration &cal)
-{
-    const sim::ConfigKey key = runKeyDriFast(bench, config, dri, cal);
-    return memoizedRun(config, key, [&] {
-        const std::string series = obsSeries(bench, "dri-fast", key);
-        obs::ScopedSpan runSpan(obs::trace(), "run", series);
-        stats::StatGroup root("fast");
-        Hierarchy hier(config.hier, &root, false);
-        DriICache icache(dri, hier.l2Level(), &root);
-        hier.setL1I(&icache);
-        SimpleCoreParams scp;
-        scp.baseCpi = cal.baseCpi;
-        scp.missOverlap = cal.missOverlap;
-        scp.fetchBlockBytes = dri.blockBytes;
-        SimpleCore fast(scp, &icache);
-        fast.setDri(&icache);
-        fast.addResizable(hier.driL2());
-        const std::shared_ptr<const FetchRecording> rec =
-            fastRecording(bench, config, cal);
-        FetchReplay replay(*rec);
-        CoreStats cs;
-        if (obs::metrics()) {
-            IntervalSampler sampler(series);
-            addHierProbes(sampler.registry(), fast, hier);
-            addDriL1iProbes(sampler.registry(), icache, fast);
-            cs = runMetered(fast, replay, config.maxInstrs,
-                            [&](const CoreStats &s) {
-                                sampler.sample(s);
-                            });
-        } else {
-            cs = runCheckpointed(
-                config, key, fast, replay,
-                [&](sim::CheckpointWriter &w) {
-                    hier.snapshotTo(w);
-                    icache.snapshotTo(w);
-                },
-                [&](sim::CheckpointReader &r) {
-                    hier.restoreFrom(r);
-                    icache.restoreFrom(r);
-                });
-        }
-
-        RunOutput out;
-        out.meas = measurementFromCounts(
-            cs.cycles, cs.instructions, icache.accesses(),
-            icache.misses(), icache.averageActiveFraction(),
-            dri.resizingTagBits(), dri.sizeBytes);
-        out.ipc = cs.ipc();
-        fillL2Outputs(hier, out);
-        out.resizes = icache.upsizes() + icache.downsizes();
-        out.throttleEvents = icache.controller().throttleEvents();
-        return out;
-    });
 }
 
 } // namespace drisim

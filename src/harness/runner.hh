@@ -1,9 +1,12 @@
 /**
  * @file
  * Run orchestration: builds a benchmark's program image, wires the
- * hierarchy and core, runs, and extracts RunMeasurements. Supports
- * the detailed out-of-order model and the fast fetch-driven model
- * (used only for parameter search; see SimpleCore).
+ * hierarchy, L1 i-cache and core, runs, and extracts RunMeasurements.
+ * One entry point, run(), takes a RunSpec: the L1I (conventional,
+ * DRI or any leakage policy) and the core model (the detailed
+ * out-of-order core, or the fast fetch-driven model used only for
+ * parameter search; see SimpleCore). runKey() names the run; the CMP
+ * study has its own pair, runCmp() and runKeyCmp().
  */
 
 #ifndef DRISIM_HARNESS_RUNNER_HH
@@ -12,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/dri_params.hh"
@@ -56,8 +60,8 @@ struct RunConfig
 
     /**
      * Phase sampling (sim/sampling.hh): detailed windows separated
-     * by functional fast-forward. Applies to the detailed entry
-     * points only (the fast model is already an approximation);
+     * by functional fast-forward. Applies to detailed runs only
+     * (the fast model is already an approximation);
      * changes results, so it participates in the run key. When
      * enabled, mid-run checkpointing is skipped.
      */
@@ -85,7 +89,7 @@ struct RunConfig
      * Content-addressed result memoization (null = off). Completed
      * RunOutputs are stored under the canonical config hash and
      * served without simulating on later identical runs — across
-     * entry points, binaries and processes (sim/result_cache.hh).
+     * binaries and processes (sim/result_cache.hh).
      * jobs/checkpointDir/resultCache never enter the key: they
      * cannot change results.
      */
@@ -126,7 +130,7 @@ struct RunOutput
     unsigned l2ResizingTagBits = 0;
     std::uint64_t l2Resizes = 0;
 
-    /** Leakage-policy activity (runPolicy entry points; defaults
+    /** Leakage-policy activity (PolicyConfig runs; defaults
      *  describe a fixed, fully-powered L1I). */
     double l1DrowsyFraction = 0.0;
     std::uint64_t wakeTransitions = 0;
@@ -152,14 +156,6 @@ InstCount defaultRunInstrs();
  */
 const ProgramImage &programImageFor(const BenchmarkInfo &bench);
 
-/** Detailed run with a conventional L1 i-cache. */
-RunOutput runConventional(const BenchmarkInfo &bench,
-                          const RunConfig &config);
-
-/** Detailed run with a DRI L1 i-cache. */
-RunOutput runDri(const BenchmarkInfo &bench, const RunConfig &config,
-                 const DriParams &dri);
-
 /** Fast-model calibration from a detailed conventional run. */
 struct FastCalibration
 {
@@ -173,9 +169,9 @@ struct FastCalibration
      * when it simulates; a calibration served from the result cache
      * leaves it to the first fast run that simulates. Null (a
      * calibration built by hand): each fast run records its own.
-     * Execution-only: the fast entry points replay the recording
-     * when it covers their run, and it never enters a run key or a
-     * cache payload.
+     * Execution-only: a fast run replays the recording when it
+     * covers the run, and it never enters a run key or a cache
+     * payload.
      */
     std::shared_ptr<RecordingSlot> recording;
 };
@@ -190,59 +186,51 @@ FastCalibration calibrateFast(const BenchmarkInfo &bench,
                               const RunConfig &config,
                               const RunOutput &convDetailed);
 
-/** Fast conventional run (search baseline). */
-RunOutput runConventionalFast(const BenchmarkInfo &bench,
-                              const RunConfig &config,
-                              const FastCalibration &cal);
-
-/** Fast DRI run (search candidate). */
-RunOutput runDriFast(const BenchmarkInfo &bench, const RunConfig &config,
-                     const DriParams &dri, const FastCalibration &cal);
+/** A conventional L1 i-cache, shaped by RunConfig::hier.l1i. */
+struct ConventionalL1i
+{
+};
 
 /**
- * Detailed run with a leakage-policy-managed L1 i-cache
- * (policy/leakage_policy.hh). With policy.kind == Dri this is the
- * runDri() path through the adapter and produces bit-identical
- * results (locked by tests).
+ * What one run asks of the machine RunConfig describes: which L1
+ * i-cache (conventional, the paper's DRI i-cache, or any leakage
+ * policy, policy/leakage_policy.hh) on which core model (detailed
+ * when fast is null, else the calibrated fast model).
  */
-RunOutput runPolicy(const BenchmarkInfo &bench, const RunConfig &config,
-                    const PolicyConfig &policy);
-
-/** Fast-model policy run (search candidate). */
-RunOutput runPolicyFast(const BenchmarkInfo &bench,
-                        const RunConfig &config,
-                        const PolicyConfig &policy,
-                        const FastCalibration &cal);
+struct RunSpec
+{
+    std::variant<ConventionalL1i, DriParams, PolicyConfig> l1i;
+    /** Non-null: run SimpleCore on this calibration. Sampling then
+     *  does not apply (the fast model is already an approximation). */
+    const FastCalibration *fast = nullptr;
+};
 
 /**
- * Canonical configuration keys for the entry points above — every
- * knob that can change the run's result, in sorted-key canonical
- * form (sim/result_cache.hh). The hash of the key names the run in
- * the result cache, in the checkpoint store and in every --json
- * report row (config_hash), so artifacts from different binaries
- * and processes join on it. jobs/checkpointDir/resultCache are
- * deliberately absent: they cannot change results.
+ * Run @p bench on the machine @p config describes with the L1I and
+ * core model @p spec names. A DRI L1I runs through the DriPolicy
+ * adapter, bit-identical to wiring a DriICache by hand (locked by
+ * tests/policy_test.cc). Results are memoized in
+ * config.resultCache under runKey().
  */
-sim::ConfigKey runKeyConventional(const BenchmarkInfo &bench,
-                                  const RunConfig &config);
-sim::ConfigKey runKeyDri(const BenchmarkInfo &bench,
-                         const RunConfig &config, const DriParams &dri);
-sim::ConfigKey runKeyPolicy(const BenchmarkInfo &bench,
-                            const RunConfig &config,
-                            const PolicyConfig &policy);
+RunOutput run(const BenchmarkInfo &bench, const RunConfig &config,
+              const RunSpec &spec = {});
+
+/**
+ * Canonical configuration key of run(): every knob that can change
+ * the run's result, in sorted-key canonical form
+ * (sim/result_cache.hh). The hash of the key names the run in the
+ * result cache, in the checkpoint store and in every --json report
+ * row (config_hash), so artifacts from different binaries and
+ * processes join on it. jobs/checkpointDir/resultCache are
+ * deliberately absent: they cannot change results. The mode column
+ * is conv, dri or policy, with _fast on the fast model.
+ */
+sim::ConfigKey runKey(const BenchmarkInfo &bench,
+                      const RunConfig &config, const RunSpec &spec = {});
+
+/** Key of calibrateFast(): the machine plus mode=calibrate. */
 sim::ConfigKey runKeyCalibrate(const BenchmarkInfo &bench,
                                const RunConfig &config);
-sim::ConfigKey runKeyConventionalFast(const BenchmarkInfo &bench,
-                                      const RunConfig &config,
-                                      const FastCalibration &cal);
-sim::ConfigKey runKeyDriFast(const BenchmarkInfo &bench,
-                             const RunConfig &config,
-                             const DriParams &dri,
-                             const FastCalibration &cal);
-sim::ConfigKey runKeyPolicyFast(const BenchmarkInfo &bench,
-                                const RunConfig &config,
-                                const PolicyConfig &policy,
-                                const FastCalibration &cal);
 
 /**
  * The benchmark each CMP core runs: its coreK.bench override, or
@@ -253,11 +241,13 @@ std::vector<std::string> cmpBenchNames(const CmpConfig &cmp,
                                        const std::string &defaultBench);
 
 /**
- * Canonical key for a CMP run: every per-core flavour plus the
- * sharing model, including the coherence configuration — two runs
- * that differ only in coherence enablement, directory capacity or
- * message latency must never share a snapshot or report identity
- * (locked by tests/checkpoint_test.cc).
+ * Canonical key for a CMP run: the machine every core shares (the
+ * same cache, core, predictor and DRAM columns as runKey()), every
+ * per-core flavour plus the sharing model, including the coherence
+ * configuration — two runs that differ only in coherence
+ * enablement, directory capacity or message latency must never
+ * share a snapshot or report identity (locked by
+ * tests/checkpoint_test.cc).
  */
 sim::ConfigKey runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
                          const std::string &defaultBench);
@@ -267,7 +257,7 @@ sim::ConfigKey runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
  * (conventional or DRI per cmp.coreConfigs), shared L2 (conventional
  * or resizable per config.hier.l2Dri), each core running
  * config.maxInstrs instructions of its own benchmark. With
- * cmp.cores == 1 this reproduces the single-core entry points
+ * cmp.cores == 1 this reproduces the single-core run()
  * bit-for-bit (locked by tests).
  */
 CmpRunOutput runCmp(const RunConfig &config, const CmpConfig &cmp,

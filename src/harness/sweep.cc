@@ -25,7 +25,7 @@ evaluateDetailed(const BenchmarkInfo &bench, const RunConfig &config,
                  const DriParams &dri, const EnergyConstants &constants,
                  const RunOutput &convDetailed)
 {
-    RunOutput d = runDri(bench, config, dri);
+    RunOutput d = run(bench, config, {dri});
     return compareRuns(constants, convDetailed.meas, d.meas);
 }
 
@@ -87,8 +87,7 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
     // Content-addressed job keys (see bench_common::computeBase):
     // the base-config hash keeps job-keyed artifacts distinct
     // across differently-configured sweeps.
-    const std::string cfgHash =
-        runKeyConventional(bench, config).hashHex();
+    const std::string cfgHash = runKey(bench, config).hashHex();
 
     FastCalibration cal;
     RunOutput conv_fast;
@@ -96,7 +95,7 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
     const JobId calibrate = graph.add(
         bench.name + "/calibrate", [&](const JobContext &) {
             cal = calibrateFast(bench, config, convDetailed);
-            conv_fast = runConventionalFast(bench, config, cal);
+            conv_fast = run(bench, config, {ConventionalL1i{}, &cal});
             const double intervals =
                 static_cast<double>(config.maxInstrs) /
                 static_cast<double>(driTemplate.senseInterval);
@@ -125,7 +124,7 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
                         cells[i].factor *
                         conv_misses_per_interval));
 
-                RunOutput d = runDriFast(bench, config, p, cal);
+                RunOutput d = run(bench, config, {p, &cal});
                 SearchCandidate cand;
                 cand.dri = p;
                 cand.cmp =

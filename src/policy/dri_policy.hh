@@ -4,11 +4,12 @@
  * i-cache (core/dri_icache.hh) through the LeakagePolicy interface.
  *
  * Deliberately zero-logic: the adapter owns a DriICache and forwards
- * the retire/cycle broadcast and stat reads 1:1, so a run through
- * the policy subsystem is byte-identical to the direct runDri()
- * path (locked by tests/policy_test.cc). The gated sets are
- * state-destroying; the activity report maps the cache's average
- * active fraction straight through, with no drowsy component.
+ * the retire/cycle broadcast, stat reads and snapshots 1:1, so the
+ * runner's DRI L1I, which runs through it, is byte-identical to a
+ * hand-wired DriICache (locked by tests/policy_test.cc). The gated
+ * sets are state-destroying; the activity report maps the cache's
+ * average active fraction straight through, with no drowsy
+ * component.
  */
 
 #ifndef DRISIM_POLICY_DRI_POLICY_HH

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dri_icache.hh"
 #include "cpu/ooo_core.hh"
 #include "energy/energy_model.hh"
 #include "mem/directory.hh"

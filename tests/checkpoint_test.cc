@@ -323,7 +323,7 @@ TEST(CheckpointedRun, ConventionalDetailedSplitIsExact)
 {
     const auto &b = findBenchmark("compress");
     expectSplitEquivalence(quickConfig(), [&](const RunConfig &c) {
-        return runConventional(b, c);
+        return run(b, c);
     });
 }
 
@@ -332,7 +332,7 @@ TEST(CheckpointedRun, DriDetailedSplitIsExact)
     const auto &b = findBenchmark("li");
     const DriParams dp = quickDri();
     expectSplitEquivalence(quickConfig(), [&](const RunConfig &c) {
-        return runDri(b, c, dp);
+        return run(b, c, {dp});
     });
 }
 
@@ -345,7 +345,7 @@ TEST(CheckpointedRun, DriL2SplitIsExact)
     cfg.hier.l2DriParams.senseInterval = 20 * 1000;
     const DriParams dp = quickDri();
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runDri(b, c, dp);
+        return run(b, c, {dp});
     });
 }
 
@@ -367,7 +367,7 @@ TEST(CheckpointedRun, EveryPolicySplitIsExact)
         pol.ways.activeWays = 2;
         SCOPED_TRACE(static_cast<int>(kind));
         expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-            return runPolicy(b, c, pol);
+            return run(b, c, {pol});
         });
     }
 }
@@ -381,7 +381,7 @@ TEST(CheckpointedRun, ConventionalBankedDramSplitIsExact)
 {
     const auto &b = findBenchmark("compress");
     expectSplitEquivalence(bankedConfig(), [&](const RunConfig &c) {
-        return runConventional(b, c);
+        return run(b, c);
     });
 }
 
@@ -391,7 +391,7 @@ TEST(CheckpointedRun, DriBankedDramSplitIsExact)
     DriParams dp = quickDri();
     dp.mshrs = 4;
     expectSplitEquivalence(bankedConfig(), [&](const RunConfig &c) {
-        return runDri(b, c, dp);
+        return run(b, c, {dp});
     });
 }
 
@@ -405,7 +405,7 @@ TEST(CheckpointedRun, DriL2BankedDramSplitIsExact)
     DriParams dp = quickDri();
     dp.mshrs = 4;
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runDri(b, c, dp);
+        return run(b, c, {dp});
     });
 }
 
@@ -428,7 +428,7 @@ TEST(CheckpointedRun, EveryPolicyBankedDramSplitIsExact)
         pol.ways.activeWays = 2;
         SCOPED_TRACE(static_cast<int>(kind));
         expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-            return runPolicy(b, c, pol);
+            return run(b, c, {pol});
         });
     }
 }
@@ -437,16 +437,16 @@ TEST(CheckpointedRun, FastModelBankedDramSplitIsExact)
 {
     const auto &b = findBenchmark("li");
     const RunConfig cfg = bankedConfig();
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     const FastCalibration cal = calibrateFast(b, cfg, conv);
     DriParams dp = quickDri();
     dp.mshrs = 4;
 
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runConventionalFast(b, c, cal);
+        return run(b, c, {ConventionalL1i{}, &cal});
     });
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runDriFast(b, c, dp, cal);
+        return run(b, c, {dp, &cal});
     });
 }
 
@@ -460,20 +460,20 @@ TEST(CheckpointedRun, DifferentDramConfigsNeverShareASnapshot)
     RunConfig flat = quickConfig();
     RunConfig banked = bankedConfig();
 
-    const RunOutput plainFlat = runConventional(b, flat);
-    const RunOutput plainBanked = runConventional(b, banked);
+    const RunOutput plainFlat = run(b, flat);
+    const RunOutput plainBanked = run(b, banked);
 
     flat.checkpointDir = dir.path;
     banked.checkpointDir = dir.path;
     const sim::CheckpointCounters before = sim::checkpointCounters();
-    expectSameRun(plainFlat, runConventional(b, flat));
-    expectSameRun(plainBanked, runConventional(b, banked));
+    expectSameRun(plainFlat, run(b, flat));
+    expectSameRun(plainBanked, run(b, banked));
     const sim::CheckpointCounters after = sim::checkpointCounters();
     EXPECT_EQ(after.saves, before.saves + 2);
     EXPECT_EQ(after.restores, before.restores);
 
-    expectSameRun(plainFlat, runConventional(b, flat));
-    expectSameRun(plainBanked, runConventional(b, banked));
+    expectSameRun(plainFlat, run(b, flat));
+    expectSameRun(plainBanked, run(b, banked));
     EXPECT_EQ(sim::checkpointCounters().restores,
               after.restores + 2);
 }
@@ -486,15 +486,15 @@ TEST(CheckpointedRun, FastModelSplitIsExact)
 {
     const auto &b = findBenchmark("li");
     const RunConfig cfg = quickConfig();
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     const FastCalibration cal = calibrateFast(b, cfg, conv);
     const DriParams dp = quickDri();
 
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runConventionalFast(b, c, cal);
+        return run(b, c, {ConventionalL1i{}, &cal});
     });
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runDriFast(b, c, dp, cal);
+        return run(b, c, {dp, &cal});
     });
 }
 
@@ -503,7 +503,7 @@ TEST(CheckpointedRun, FastPolicySplitIsExact)
     const auto &b = findBenchmark("compress");
     RunConfig cfg = quickConfig();
     cfg.hier.l1i.assoc = 4;
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     const FastCalibration cal = calibrateFast(b, cfg, conv);
 
     PolicyConfig pol;
@@ -512,7 +512,7 @@ TEST(CheckpointedRun, FastPolicySplitIsExact)
     pol.dri.assoc = 4;
     pol.drowsy.drowsyInterval = 20 * 1000;
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return runPolicyFast(b, c, pol, cal);
+        return run(b, c, {pol, &cal});
     });
 }
 
@@ -524,10 +524,10 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
     // rewritten, not fail to restore mid-sweep.
     const auto &b = findBenchmark("li");
     RunConfig cfg = quickConfig();
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     const FastCalibration cal = calibrateFast(b, cfg, conv);
     const DriParams dp = quickDri();
-    const RunOutput plain = runDriFast(b, cfg, dp, cal);
+    const RunOutput plain = run(b, cfg, {dp, &cal});
 
     TempDir dir;
     const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};
@@ -542,7 +542,7 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
         scp.missOverlap = cal.missOverlap;
         scp.fetchBlockBytes = dp.blockBytes;
         SimpleCore fast(scp, &icache);
-        fast.setDri(&icache);
+        fast.addResizable(&icache);
         fast.addResizable(hier.driL2());
         TraceGenerator gen(programImageFor(b));
         fast.run(gen, split);
@@ -554,20 +554,20 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
         icache.snapshotTo(w);
         w.endSection();
         sim::CheckpointStore(dir.path).save(
-            "v3|" + runKeyDriFast(b, cfg, dp, cal).canonical() +
+            "v3|" + runKey(b, cfg, {dp, &cal}).canonical() +
                 "|ckpt@" + std::to_string(split),
             w.bytes());
     }
 
     cfg.checkpointDir = dir.path;
     const sim::CheckpointCounters before = sim::checkpointCounters();
-    expectSameRun(plain, runDriFast(b, cfg, dp, cal));
+    expectSameRun(plain, run(b, cfg, {dp, &cal}));
     const sim::CheckpointCounters after = sim::checkpointCounters();
     EXPECT_EQ(after.restores, before.restores);
     EXPECT_EQ(after.saves, before.saves + 1);
 
     // The rewritten snapshot serves the next run.
-    expectSameRun(plain, runDriFast(b, cfg, dp, cal));
+    expectSameRun(plain, run(b, cfg, {dp, &cal}));
     EXPECT_EQ(sim::checkpointCounters().restores, after.restores + 1);
 }
 
@@ -587,19 +587,19 @@ TEST(CheckpointedRun, DifferentConfigsNeverShareASnapshot)
     c.missBound = a.missBound + 1;
 
     RunConfig cfg = quickConfig();
-    const RunOutput plainA = runDri(b, cfg, a);
-    const RunOutput plainC = runDri(b, cfg, c);
+    const RunOutput plainA = run(b, cfg, {a});
+    const RunOutput plainC = run(b, cfg, {c});
 
     cfg.checkpointDir = dir.path;
     const sim::CheckpointCounters before = sim::checkpointCounters();
-    expectSameRun(plainA, runDri(b, cfg, a));
-    expectSameRun(plainC, runDri(b, cfg, c));
+    expectSameRun(plainA, run(b, cfg, {a}));
+    expectSameRun(plainC, run(b, cfg, {c}));
     const sim::CheckpointCounters after = sim::checkpointCounters();
     EXPECT_EQ(after.saves, before.saves + 2);
     EXPECT_EQ(after.restores, before.restores);
 
-    expectSameRun(plainA, runDri(b, cfg, a));
-    expectSameRun(plainC, runDri(b, cfg, c));
+    expectSameRun(plainA, run(b, cfg, {a}));
+    expectSameRun(plainC, run(b, cfg, {c}));
     EXPECT_EQ(sim::checkpointCounters().restores,
               after.restores + 2);
 }
@@ -661,8 +661,8 @@ TEST(CheckpointedRun, SamplingDisablesMidRunSnapshots)
     cfg.checkpointDir = dir.path;
 
     const sim::CheckpointCounters before = sim::checkpointCounters();
-    const RunOutput s1 = runConventional(b, cfg);
-    const RunOutput s2 = runConventional(b, cfg);
+    const RunOutput s1 = run(b, cfg);
+    const RunOutput s2 = run(b, cfg);
     const sim::CheckpointCounters after = sim::checkpointCounters();
     EXPECT_EQ(after.saves, before.saves);
     EXPECT_EQ(after.restores, before.restores);

@@ -24,7 +24,7 @@ TEST(CmpSystem, SingleCoreConventionalMatchesRunnerBitForBit)
     const BenchmarkInfo &b = findBenchmark("compress");
     RunConfig cfg;
     cfg.maxInstrs = 400 * 1000;
-    const RunOutput single = runConventional(b, cfg);
+    const RunOutput single = run(b, cfg);
 
     CmpConfig cmp;
     cmp.cores = 1; // default core config: conventional L1I
@@ -65,7 +65,7 @@ TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
         driParamsForLevel(cfg.hier.l1i, dri);
 
     const BenchmarkInfo &b = findBenchmark("li");
-    const RunOutput single = runDri(b, cfg, resolved);
+    const RunOutput single = run(b, cfg, {resolved});
 
     CmpConfig cmp;
     cmp.cores = 1;

@@ -13,6 +13,7 @@
 #include <functional>
 #include <numeric>
 #include <set>
+#include <type_traits>
 
 #include "core/dri_icache.hh"
 #include "energy/accounting.hh"
@@ -32,8 +33,13 @@ struct Geometry
     unsigned assoc;
     unsigned blockBytes;
     std::uint64_t sizeBound;
-    unsigned divisibility;
+    std::uint64_t divisibility;
 };
+
+// gtest lists each case as "<name>  # GetParam() = <printed param>"
+// and prints a Geometry as its bytes. With no padding bytes to print,
+// every listing of the suite names its tests the same way.
+static_assert(std::has_unique_object_representations_v<Geometry>);
 
 class DriPropertyTest : public ::testing::TestWithParam<Geometry>
 {
@@ -47,7 +53,7 @@ paramsFor(const Geometry &g)
     p.assoc = g.assoc;
     p.blockBytes = g.blockBytes;
     p.sizeBoundBytes = g.sizeBound;
-    p.divisibility = g.divisibility;
+    p.divisibility = static_cast<unsigned>(g.divisibility);
     p.missBound = 50;
     p.senseInterval = 500;
     return p;

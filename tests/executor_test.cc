@@ -450,7 +450,7 @@ searchAt(unsigned jobs)
 {
     const auto &b = findBenchmark("compress");
     const RunConfig cfg = searchConfig(jobs);
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     SearchSpace space;
     space.sizeBounds = {1024, 4096, 65536};
     space.missBoundFactors = {4.0, 32.0};
@@ -527,7 +527,7 @@ TEST(Determinism, EmptyGridFallbackStillOrdersCalibration)
     const unsigned counts[2] = {1, 4};
     for (int k = 0; k < 2; ++k) {
         const RunConfig cfg = searchConfig(counts[k]);
-        const RunOutput conv = runConventional(b, cfg);
+        const RunOutput conv = run(b, cfg);
         results[k] = searchBestEnergyDelay(
             b, cfg, tmpl, space, EnergyConstants::paper(), 4.0,
             conv);
@@ -547,7 +547,7 @@ TEST(Determinism, DetailedBatchMatchesSingleEvaluations)
 {
     const auto &b = findBenchmark("li");
     const RunConfig cfg = searchConfig(4);
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     const EnergyConstants constants = EnergyConstants::paper();
 
     std::vector<DriParams> variants;
@@ -582,7 +582,7 @@ TEST(Executor, ConcurrentRunnersShareImagesSafely)
     // Serial reference.
     std::vector<std::uint64_t> refCycles;
     for (const char *n : names) {
-        const auto out = runConventional(findBenchmark(n), cfg);
+        const auto out = run(findBenchmark(n), cfg);
         refCycles.push_back(out.meas.cycles);
     }
 
@@ -593,7 +593,7 @@ TEST(Executor, ConcurrentRunnersShareImagesSafely)
     exec.forEachIndex(
         "tsan-smoke", 8, [&](std::size_t i, const JobContext &) {
             const auto &bench = findBenchmark(names[i % 4]);
-            cycles[i] = runConventional(bench, cfg).meas.cycles;
+            cycles[i] = run(bench, cfg).meas.cycles;
         });
     for (std::size_t i = 0; i < cycles.size(); ++i)
         EXPECT_EQ(cycles[i], refCycles[i % 4]) << names[i % 4];

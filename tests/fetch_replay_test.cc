@@ -4,7 +4,7 @@
  * every suite benchmark: the replay reproduces the generator's fetch
  * path, SimpleCore over the replay matches SimpleCore over the live
  * generator bit for bit (conventional and DRI L1Is, several fetch
- * block sizes), and the fast entry points give the same results
+ * block sizes), and fast runs give the same results
  * whether the calibration carries a recording or not. The cursor's
  * checkpoint round-trip is covered directly.
  */
@@ -72,8 +72,7 @@ runSimpleCore(InstrStream &stream, unsigned blockBytes,
     scp.baseCpi = 0.7;
     scp.fetchBlockBytes = blockBytes;
     SimpleCore core(scp, hier.l1i());
-    if (icache)
-        core.setDri(icache.get());
+    core.addResizable(icache.get());
     const CoreStats cs = core.run(stream, kInstrs);
 
     CoreOutcome o;
@@ -214,8 +213,8 @@ TEST_P(EveryBenchmark, FastEntryPointsIgnoreTheRecordingsSource)
 
     {
         SCOPED_TRACE("conv-fast");
-        expectSameRun(runConventionalFast(bench(), cfg, bare),
-                      runConventionalFast(bench(), cfg, recorded));
+        expectSameRun(run(bench(), cfg, {ConventionalL1i{}, &bare}),
+                      run(bench(), cfg, {ConventionalL1i{}, &recorded}));
     }
     DriParams dri;
     dri.assoc = 4;
@@ -224,8 +223,8 @@ TEST_P(EveryBenchmark, FastEntryPointsIgnoreTheRecordingsSource)
     dri.missBound = 50;
     {
         SCOPED_TRACE("dri-fast");
-        expectSameRun(runDriFast(bench(), cfg, dri, bare),
-                      runDriFast(bench(), cfg, dri, recorded));
+        expectSameRun(run(bench(), cfg, {dri, &bare}),
+                      run(bench(), cfg, {dri, &recorded}));
     }
     for (const PolicyKind kind :
          {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
@@ -237,8 +236,8 @@ TEST_P(EveryBenchmark, FastEntryPointsIgnoreTheRecordingsSource)
         pol.decay.decayInterval = 10 * 1000;
         pol.drowsy.drowsyInterval = 10 * 1000;
         pol.ways.activeWays = 2;
-        expectSameRun(runPolicyFast(bench(), cfg, pol, bare),
-                      runPolicyFast(bench(), cfg, pol, recorded));
+        expectSameRun(run(bench(), cfg, {pol, &bare}),
+                      run(bench(), cfg, {pol, &recorded}));
     }
 }
 
@@ -268,16 +267,16 @@ TEST(FetchReplay, RecordingThatCannotServeTheRunIsNotUsed)
     bare.baseCpi = 0.8;
     DriParams dri;
     dri.senseInterval = 10 * 1000;
-    const RunOutput want = runDriFast(b, cfg, dri, bare);
+    const RunOutput want = run(b, cfg, {dri, &bare});
 
     FastCalibration shorter = bare;
     shorter.recording = slotHolding(programImageFor(b), kInstrs / 2);
-    expectSameRun(want, runDriFast(b, cfg, dri, shorter));
+    expectSameRun(want, run(b, cfg, {dri, &shorter}));
 
     FastCalibration foreign = bare;
     foreign.recording =
         slotHolding(programImageFor(findBenchmark("gcc")), kInstrs);
-    expectSameRun(want, runDriFast(b, cfg, dri, foreign));
+    expectSameRun(want, run(b, cfg, {dri, &foreign}));
 }
 
 TEST(FetchReplay, CursorRoundTripsThroughACheckpoint)

@@ -262,7 +262,7 @@ runGoldenSearch(const std::string &name)
     const auto &b = findBenchmark(name);
     RunConfig cfg;
     cfg.maxInstrs = 400 * 1000;
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
 
     SearchSpace space;
     space.sizeBounds = {1024, 4096, 65536};
@@ -281,7 +281,7 @@ runGoldenMultiSearch(const std::string &name, unsigned jobs)
     RunConfig cfg;
     cfg.maxInstrs = 400 * 1000;
     cfg.jobs = jobs;
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
 
     MultiLevelSpace space;
     space.l1SizeBounds = {1024, 4096, 65536};
@@ -306,7 +306,7 @@ runGoldenPolicySearch(const std::string &name, unsigned jobs)
     cfg.maxInstrs = 400 * 1000;
     cfg.jobs = jobs;
     cfg.hier.l1i.assoc = 4;
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
 
     PolicyConfig tmpl;
     tmpl.dri.senseInterval = 50000;

@@ -50,6 +50,30 @@ PrintTo(const CoreCounterGoldenCase &gold, std::ostream *os)
     *os << gold.benchmark << "/" << gold.l1iAssoc << "-way";
 }
 
+void
+PrintTo(const MultiLevelGoldenCase &gold, std::ostream *os)
+{
+    *os << gold.benchmark;
+}
+
+void
+PrintTo(const CmpGoldenCase &gold, std::ostream *os)
+{
+    *os << gold.mix;
+}
+
+void
+PrintTo(const CoherentCmpGoldenCase &gold, std::ostream *os)
+{
+    *os << gold.mix;
+}
+
+void
+PrintTo(const PolicyGoldenCase &gold, std::ostream *os)
+{
+    *os << gold.benchmark;
+}
+
 } // namespace golden
 
 namespace

@@ -40,8 +40,8 @@ TEST(Runner, ConventionalRunsAreDeterministic)
 {
     const auto &b = findBenchmark("compress");
     const RunConfig cfg = quickConfig();
-    const auto r1 = runConventional(b, cfg);
-    const auto r2 = runConventional(b, cfg);
+    const auto r1 = run(b, cfg);
+    const auto r2 = run(b, cfg);
     EXPECT_EQ(r1.meas.cycles, r2.meas.cycles);
     EXPECT_EQ(r1.meas.l1iMisses, r2.meas.l1iMisses);
     EXPECT_EQ(r1.meas.l1iAccesses, r2.meas.l1iAccesses);
@@ -50,7 +50,7 @@ TEST(Runner, ConventionalRunsAreDeterministic)
 TEST(Runner, ConventionalMeasurementSanity)
 {
     const auto &b = findBenchmark("li");
-    const auto r = runConventional(b, quickConfig());
+    const auto r = run(b, quickConfig());
     EXPECT_EQ(r.meas.instructions, 400000u);
     EXPECT_GT(r.meas.cycles, 400000u / 8);
     EXPECT_GT(r.meas.l1iAccesses, 0u);
@@ -67,7 +67,7 @@ TEST(Runner, DriRunPopulatesResizingState)
     dp.missBound = 1000;
     dp.sizeBoundBytes = 1024;
     dp.senseInterval = 50000;
-    const auto r = runDri(b, quickConfig(), dp);
+    const auto r = run(b, quickConfig(), {dp});
     EXPECT_EQ(r.meas.resizingTagBits, 6u);
     EXPECT_LE(r.meas.avgActiveFraction, 1.0);
     EXPECT_GT(r.meas.avgActiveFraction, 0.0);
@@ -79,9 +79,9 @@ TEST(Runner, FastCalibrationReproducesDetailedCycles)
 {
     const auto &b = findBenchmark("mgrid");
     const RunConfig cfg = quickConfig();
-    const auto conv = runConventional(b, cfg);
+    const auto conv = run(b, cfg);
     const auto cal = calibrateFast(b, cfg, conv);
-    const auto fast = runConventionalFast(b, cfg, cal);
+    const auto fast = run(b, cfg, {ConventionalL1i{}, &cal});
     const double err =
         std::abs(static_cast<double>(fast.meas.cycles) -
                  static_cast<double>(conv.meas.cycles)) /
@@ -109,18 +109,18 @@ TEST(Runner, FastRunKeysIgnoreTheRecording)
         EXPECT_EQ(a.hashHex(), k.hashHex());
         EXPECT_EQ(a.canonical(), k.canonical());
     };
-    expectSameKey(runKeyConventionalFast(b, cfg, bare),
-                  runKeyConventionalFast(b, cfg, recorded));
+    expectSameKey(runKey(b, cfg, {ConventionalL1i{}, &bare}),
+                  runKey(b, cfg, {ConventionalL1i{}, &recorded}));
     const DriParams dp;
-    expectSameKey(runKeyDriFast(b, cfg, dp, bare),
-                  runKeyDriFast(b, cfg, dp, recorded));
+    expectSameKey(runKey(b, cfg, {dp, &bare}),
+                  runKey(b, cfg, {dp, &recorded}));
     for (const PolicyKind kind :
          {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
           PolicyKind::StaticWays}) {
         PolicyConfig pol;
         pol.kind = kind;
-        expectSameKey(runKeyPolicyFast(b, cfg, pol, bare),
-                      runKeyPolicyFast(b, cfg, pol, recorded));
+        expectSameKey(runKey(b, cfg, {pol, &bare}),
+                      runKey(b, cfg, {pol, &recorded}));
     }
 }
 
@@ -139,7 +139,7 @@ TEST(Runner, ServedCalibrationRecordsOnceForItsFastRuns)
                              std::to_string(::getpid()) + ".json";
     std::remove(path.c_str());
     RunConfig cfg = quickConfig();
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     cfg.resultCache = std::make_shared<sim::ResultCache>(path);
 
     const FastCalibration simulated = calibrateFast(b, cfg, conv);
@@ -172,7 +172,7 @@ TEST(Runner, ServedCalibrationRecordsOnceForItsFastRuns)
     std::vector<RunOutput> outs(grid.size());
     Executor(4).forEachIndex(
         "served", grid.size(), [&](std::size_t i, const JobContext &) {
-            outs[i] = runDriFast(b, uncached, grid[i], served);
+            outs[i] = run(b, uncached, {grid[i], &served});
         });
     std::size_t recordings = 0;
     for (const obs::TraceSpan &span : tw->spans())
@@ -185,7 +185,7 @@ TEST(Runner, ServedCalibrationRecordsOnceForItsFastRuns)
 
     for (std::size_t i = 0; i < grid.size(); ++i) {
         SCOPED_TRACE(i);
-        const RunOutput a = runDriFast(b, uncached, grid[i], simulated);
+        const RunOutput a = run(b, uncached, {grid[i], &simulated});
         EXPECT_EQ(a.meas.cycles, outs[i].meas.cycles);
         EXPECT_EQ(a.meas.l1iMisses, outs[i].meas.l1iMisses);
         EXPECT_EQ(a.meas.avgActiveFraction,
@@ -223,7 +223,7 @@ TEST(Sweep, FindsFeasibleConfigForClass1)
 {
     const auto &b = findBenchmark("applu");
     const RunConfig cfg = quickConfig();
-    const auto conv = runConventional(b, cfg);
+    const auto conv = run(b, cfg);
 
     SearchSpace space;
     space.sizeBounds = {1024, 4096, 65536};
@@ -245,7 +245,7 @@ TEST(Sweep, UnconstrainedNeverWorseThanConstrained)
 {
     const auto &b = findBenchmark("ijpeg");
     const RunConfig cfg = quickConfig();
-    const auto conv = runConventional(b, cfg);
+    const auto conv = run(b, cfg);
 
     SearchSpace space;
     space.sizeBounds = {1024, 8192, 65536};

@@ -51,8 +51,8 @@ TEST_P(ConventionalMissRate, IsLowOnEachBenchmark)
     // Paper Section 5.3: conventional i-cache miss rates < 1% for
     // all benchmarks. Our short runs over-weight cold misses, so
     // run a longer horizon here and allow a modest margin.
-    const auto conv = runConventional(findBenchmark(GetParam()),
-                                      config(4 * 1000 * 1000));
+    const auto conv =
+        run(findBenchmark(GetParam()), config(4 * 1000 * 1000));
     EXPECT_LT(conv.meas.missRate(), 0.012);
 }
 
@@ -81,9 +81,9 @@ TEST(Integration, Class1ShrinksToTheBoundWithTinySlowdown)
     for (const auto &[name, size_bound] : cases) {
         const auto &b = findBenchmark(name);
         const RunConfig cfg = config();
-        const auto conv = runConventional(b, cfg);
+        const auto conv = run(b, cfg);
         const auto dri =
-            runDri(b, cfg, driFor(conv, cfg, size_bound, 8.0));
+            run(b, cfg, {driFor(conv, cfg, size_bound, 8.0)});
         const auto cmp = compareRuns(EnergyConstants::paper(),
                                      conv.meas, dri.meas);
         EXPECT_LT(cmp.averageSizeFraction(), 0.35) << name;
@@ -98,11 +98,11 @@ TEST(Integration, FppppCannotDownsizeWithoutPain)
     // the size dramatically increases the miss rate."
     const auto &b = findBenchmark("fpppp");
     const RunConfig cfg = config();
-    const auto conv = runConventional(b, cfg);
+    const auto conv = run(b, cfg);
 
     // Forced downsizing (high miss-bound): large slowdown.
     const auto forced =
-        runDri(b, cfg, driFor(conv, cfg, 1024, 200.0));
+        run(b, cfg, {driFor(conv, cfg, 1024, 200.0)});
     const auto cmp_forced = compareRuns(EnergyConstants::paper(),
                                         conv.meas, forced.meas);
     EXPECT_GT(cmp_forced.slowdownPercent(), 5.0);
@@ -110,7 +110,7 @@ TEST(Integration, FppppCannotDownsizeWithoutPain)
     // With the size-bound at 64K (the paper's fpppp setting),
     // behaviour is identical to conventional.
     const auto fixed =
-        runDri(b, cfg, driFor(conv, cfg, 64 * 1024, 2.0));
+        run(b, cfg, {driFor(conv, cfg, 64 * 1024, 2.0)});
     const auto cmp_fixed = compareRuns(EnergyConstants::paper(),
                                        conv.meas, fixed.meas);
     EXPECT_NEAR(cmp_fixed.averageSizeFraction(), 1.0, 1e-9);
@@ -124,8 +124,8 @@ TEST(Integration, PhasedBenchmarkTracksItsPhases)
     // extremes, well below 1).
     const auto &b = findBenchmark("hydro2d");
     const RunConfig cfg = config(3 * 1000 * 1000);
-    const auto conv = runConventional(b, cfg);
-    const auto dri = runDri(b, cfg, driFor(conv, cfg, 1024, 8.0));
+    const auto conv = run(b, cfg);
+    const auto dri = run(b, cfg, {driFor(conv, cfg, 1024, 8.0)});
     EXPECT_LT(dri.meas.avgActiveFraction, 0.8);
     EXPECT_GT(dri.resizes, 4u);
 }
@@ -138,19 +138,19 @@ TEST(Integration, HigherAssociativityEncouragesDownsizing)
     // capacity) dominate the residual misses.
     const auto &b = findBenchmark("swim");
     RunConfig cfg = config();
-    const auto conv_dm = runConventional(b, cfg);
+    const auto conv_dm = run(b, cfg);
 
     DriParams dm = driFor(conv_dm, cfg, 4096, 8.0);
-    const auto dri_dm = runDri(b, cfg, dm);
+    const auto dri_dm = run(b, cfg, {dm});
 
     RunConfig cfg4 = cfg;
     cfg4.hier.l1i.assoc = 4;
     // Warm comparison baseline for the 4-way geometry.
-    const auto conv_4w = runConventional(b, cfg4);
+    const auto conv_4w = run(b, cfg4);
     EXPECT_LE(conv_4w.meas.missRate(), conv_dm.meas.missRate());
     DriParams fourway = dm;
     fourway.assoc = 4;
-    const auto dri_4w = runDri(b, cfg4, fourway);
+    const auto dri_4w = run(b, cfg4, {fourway});
 
     EXPECT_LE(dri_4w.meas.avgActiveFraction,
               dri_dm.meas.avgActiveFraction + 0.02);
@@ -164,17 +164,17 @@ TEST(Integration, LargerCacheGivesLargerRelativeReduction)
     // absolute magnitude, halving the *fraction*.
     const auto &b = findBenchmark("compress");
     RunConfig cfg64 = config();
-    const auto conv64 = runConventional(b, cfg64);
+    const auto conv64 = run(b, cfg64);
     DriParams p64 = driFor(conv64, cfg64, 1024, 8.0);
-    const auto dri64 = runDri(b, cfg64, p64);
+    const auto dri64 = run(b, cfg64, {p64});
 
     RunConfig cfg128 = cfg64;
     cfg128.hier.l1i.sizeBytes = 128 * 1024;
-    const auto conv128 = runConventional(b, cfg128);
+    const auto conv128 = run(b, cfg128);
     EXPECT_LE(conv128.meas.missRate(), conv64.meas.missRate() + 1e-4);
     DriParams p128 = p64;
     p128.sizeBytes = 128 * 1024;
-    const auto dri128 = runDri(b, cfg128, p128);
+    const auto dri128 = run(b, cfg128, {p128});
 
     EXPECT_LT(dri128.meas.avgActiveFraction,
               dri64.meas.avgActiveFraction);
@@ -187,9 +187,9 @@ TEST(Integration, MissRateStaysNearMissBound)
     // the same order as the bound, not explode past it.
     const auto &b = findBenchmark("ijpeg");
     const RunConfig cfg = config();
-    const auto conv = runConventional(b, cfg);
+    const auto conv = run(b, cfg);
     DriParams p = driFor(conv, cfg, 1024, 8.0);
-    const auto dri = runDri(b, cfg, p);
+    const auto dri = run(b, cfg, {p});
 
     const double intervals =
         static_cast<double>(cfg.maxInstrs) /
@@ -208,9 +208,9 @@ TEST(Integration, ExtraDynamicEnergyIsSmall)
     for (const char *name : {"applu", "ijpeg"}) {
         const auto &b = findBenchmark(name);
         const RunConfig cfg = config();
-        const auto conv = runConventional(b, cfg);
+        const auto conv = run(b, cfg);
         const auto dri =
-            runDri(b, cfg, driFor(conv, cfg, 1024, 8.0));
+            run(b, cfg, {driFor(conv, cfg, 1024, 8.0)});
         const auto cmp = compareRuns(EnergyConstants::paper(),
                                      conv.meas, dri.meas);
         EXPECT_LT(cmp.relativeEdDynamic(),
@@ -223,9 +223,9 @@ TEST(Integration, PairedRunsSeeIdenticalInstructionStreams)
 {
     const auto &b = findBenchmark("m88ksim");
     const RunConfig cfg = config(500 * 1000);
-    const auto conv = runConventional(b, cfg);
+    const auto conv = run(b, cfg);
     DriParams p;
-    const auto dri = runDri(b, cfg, p);
+    const auto dri = run(b, cfg, {p});
     EXPECT_EQ(conv.meas.instructions, dri.meas.instructions);
     // Same fetch stream: access counts match when no resizing
     // splits fetch groups differently... accesses are per block

@@ -156,7 +156,7 @@ TEST(DriL2Hierarchy, DetailedRunResizesTheL2)
 
     DriParams l1;
     l1.senseInterval = 20 * 1000;
-    const RunOutput out = runDri(b, cfg, l1);
+    const RunOutput out = run(b, cfg, {l1});
     EXPECT_GT(out.l2Resizes, 0u) << "core never drove the L2";
     EXPECT_LT(out.l2AvgActiveFraction, 1.0);
     EXPECT_EQ(out.l2SizeBytes, cfg.hier.l2.sizeBytes);
@@ -168,7 +168,7 @@ TEST(DriL2Hierarchy, ConventionalRunLeavesL2Fixed)
     const auto &b = findBenchmark("li");
     RunConfig cfg;
     cfg.maxInstrs = 100 * 1000;
-    const RunOutput out = runConventional(b, cfg);
+    const RunOutput out = run(b, cfg);
     EXPECT_EQ(out.l2Resizes, 0u);
     EXPECT_DOUBLE_EQ(out.l2AvgActiveFraction, 1.0);
     EXPECT_EQ(out.l2ResizingTagBits, 0u);
@@ -295,7 +295,7 @@ TEST(MultiLevelSearch, DeterministicAcrossWorkerCounts)
     const MultiLevelConstants constants =
         MultiLevelConstants::paper();
 
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
 
     auto run = [&](unsigned jobs) {
         RunConfig c2 = cfg;
@@ -340,7 +340,7 @@ TEST(MultiLevelSearch, UnconstrainedAlwaysSelectsLowestEd)
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 20 * 1000;
 
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
     const MultiLevelSearchResult sr = searchMultiLevel(
         b, cfg, tmpl, l2Tmpl, space, MultiLevelConstants::paper(),
         -1.0, conv);

@@ -271,7 +271,7 @@ TEST(MetricsReconstruction, DriActiveSizeTrajectoryAndResizes)
     dri.sizeBoundBytes = 1024;
     dri.missBound = 100;
     dri.senseInterval = 50 * 1000;
-    const RunOutput out = runDri(bench, cfg, dri);
+    const RunOutput out = run(bench, cfg, {dri});
 
     obs::MetricsCsv csv;
     std::string err;
@@ -324,7 +324,7 @@ TEST(MetricsReconstruction, DrowsyWakeDeltasIntegrateToTotal)
     const RunConfig cfg = shortConfig();
     PolicyConfig pc;
     pc.kind = PolicyKind::Drowsy;
-    const RunOutput out = runPolicy(bench, cfg, pc);
+    const RunOutput out = run(bench, cfg, {pc});
 
     obs::MetricsCsv csv;
     std::string err;
@@ -351,8 +351,8 @@ TEST(MetricsReconstruction, DrowsyWakeDeltasIntegrateToTotal)
 TEST(MetricsReconstruction, MeteredRunMatchesUnmeteredResults)
 {
     // Chunked (metered) execution must be bit-identical to the
-    // plain run: metrics are a tap, never a perturbation. The fast
-    // entry points replay a recorded stream in metered chunks.
+    // plain run: metrics are a tap, never a perturbation. Fast runs
+    // replay a recorded stream in metered chunks.
     const BenchmarkInfo &bench = findBenchmark("li");
     const RunConfig cfg = shortConfig();
     DriParams dri;
@@ -362,15 +362,15 @@ TEST(MetricsReconstruction, MeteredRunMatchesUnmeteredResults)
     pol.kind = PolicyKind::Drowsy;
     pol.dri = dri;
     pol.drowsy.drowsyInterval = 20 * 1000;
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
     const FastCalibration cal = calibrateFast(bench, cfg, conv);
 
     const auto runAll = [&] {
         return std::vector<RunOutput>{
-            runDri(bench, cfg, dri),
-            runConventionalFast(bench, cfg, cal),
-            runDriFast(bench, cfg, dri, cal),
-            runPolicyFast(bench, cfg, pol, cal)};
+            run(bench, cfg, {dri}),
+            run(bench, cfg, {ConventionalL1i{}, &cal}),
+            run(bench, cfg, {dri, &cal}),
+            run(bench, cfg, {pol, &cal})};
     };
     const std::vector<RunOutput> plain = runAll();
 
@@ -420,7 +420,7 @@ pinnedSweepArtifacts(unsigned jobs)
     std::vector<RunOutput> outs(grid.size());
     exec.forEachIndex("obs_sweep", grid.size(),
                       [&](std::size_t i, const JobContext &) {
-                          outs[i] = runDri(bench, cfg, grid[i]);
+                          outs[i] = run(bench, cfg, {grid[i]});
                       });
     EXPECT_TRUE(tw->pinned());
     return {obs::renderTraceEvents(tw->spans()),

@@ -284,9 +284,9 @@ std::string
 canonicalOf(const Options &o)
 {
     const BenchmarkInfo &b = findBenchmark(o.benchmark);
-    return runKeyConventional(b, o.run).canonical() + "|" +
-           runKeyDri(b, o.run, o.dri).canonical() + "|" +
-           runKeyPolicy(b, o.run, o.policyConfig()).canonical();
+    return runKey(b, o.run).canonical() + "|" +
+           runKey(b, o.run, {o.dri}).canonical() + "|" +
+           runKey(b, o.run, {o.policyConfig()}).canonical();
 }
 
 /**

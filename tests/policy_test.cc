@@ -3,7 +3,7 @@
  * Leakage-policy subsystem tests: per-policy edge cases (decay
  * counter saturation/reset, drowsy single-charge wake stalls,
  * static-ways way-0 protection), the Dri adapter's bit-for-bit
- * equivalence with the direct DRI path, the policy energy
+ * equivalence with a hand-wired DriICache, the policy energy
  * accounting (including its exact reduction to the paper's
  * Section 5.2 model when the gated residual is zeroed), and the
  * per-core policy CMP wiring.
@@ -11,15 +11,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <string>
+
 #include "circuit/drowsy_cell.hh"
+#include "cpu/simple_core.hh"
 #include "energy/accounting.hh"
 #include "harness/multilevel.hh"
 #include "harness/policies.hh"
 #include "harness/runner.hh"
+#include "mem/hierarchy.hh"
 #include "policy/decay_policy.hh"
 #include "policy/dri_policy.hh"
 #include "policy/drowsy_policy.hh"
 #include "policy/static_ways.hh"
+#include "sim/checkpoint.hh"
+#include "workload/fetch_replay.hh"
+#include "workload/generator.hh"
 
 namespace drisim
 {
@@ -241,7 +252,7 @@ TEST(StaticWaysPolicy, GatedWaysAreNeverAllocated)
 // Dri adapter equivalence
 // ---------------------------------------------------------------
 
-/** Field-by-field equality of the observables both paths fill. */
+/** Field-by-field equality of every RunOutput field. */
 void
 expectSameRun(const RunOutput &a, const RunOutput &b)
 {
@@ -254,54 +265,183 @@ expectSameRun(const RunOutput &a, const RunOutput &b)
     EXPECT_EQ(a.meas.l1iBytes, b.meas.l1iBytes);
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
+    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
     EXPECT_EQ(a.l2Accesses, b.l2Accesses);
     EXPECT_EQ(a.l2Misses, b.l2Misses);
     EXPECT_EQ(a.memAccesses, b.memAccesses);
+    EXPECT_EQ(a.memReads, b.memReads);
+    EXPECT_EQ(a.memWritebacks, b.memWritebacks);
     EXPECT_EQ(a.resizes, b.resizes);
     EXPECT_EQ(a.throttleEvents, b.throttleEvents);
+    EXPECT_EQ(a.mshrCoalesced, b.mshrCoalesced);
+    EXPECT_EQ(a.mshrFullStalls, b.mshrFullStalls);
+    EXPECT_EQ(a.mshrFullStallCycles, b.mshrFullStallCycles);
+    EXPECT_EQ(a.mshrPeakOccupancy, b.mshrPeakOccupancy);
+    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
+    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
+    EXPECT_EQ(a.dramQueueFullEvents, b.dramQueueFullEvents);
+    EXPECT_EQ(a.dramBusyCycles, b.dramBusyCycles);
+    EXPECT_EQ(a.l2SizeBytes, b.l2SizeBytes);
+    EXPECT_EQ(a.l2AvgActiveFraction, b.l2AvgActiveFraction);
+    EXPECT_EQ(a.l2ResizingTagBits, b.l2ResizingTagBits);
+    EXPECT_EQ(a.l2Resizes, b.l2Resizes);
+    EXPECT_EQ(a.l1DrowsyFraction, b.l1DrowsyFraction);
+    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
+    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
+    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
+}
+
+/** A hand-wired DRI run: its outputs and its midpoint snapshot. */
+struct DirectDriRun
+{
+    RunOutput out;
+    /** Valid blocks the cache's downsizing destroyed. */
+    std::uint64_t blocksLost = 0;
+    /** The snapshot the checkpoint seam writes at the midpoint. */
+    std::string snapshot;
+};
+
+/**
+ * Run @p dri without the policy layer: a DriICache wired by hand and
+ * attached to the core with addResizable, on the detailed core or,
+ * given @p cal, the fast model, over the default (blocking, flat
+ * memory, fixed L2) hierarchy. The run stops at the checkpoint seam's
+ * midpoint to take the snapshot run() would save there.
+ */
+DirectDriRun
+directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
+             const DriParams &dri, const FastCalibration *cal)
+{
+    stats::StatGroup root(cal ? "fast" : "sim");
+    Hierarchy hier(cfg.hier, &root, false);
+    DriICache icache(dri, hier.l2Level(), &root);
+    hier.setL1I(&icache);
+    std::unique_ptr<Core> core;
+    if (cal) {
+        SimpleCoreParams scp;
+        scp.baseCpi = cal->baseCpi;
+        scp.missOverlap = cal->missOverlap;
+        scp.fetchBlockBytes = dri.blockBytes;
+        core = std::make_unique<SimpleCore>(scp, &icache);
+    } else {
+        core = std::make_unique<OooCore>(cfg.core, &icache,
+                                         &hier.l1d(), &root);
+    }
+    core->addResizable(&icache);
+    core->addResizable(hier.driL2());
+
+    DirectDriRun r;
+    const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};
+    const auto drive = [&](auto &stream) {
+        core->run(stream, split);
+        sim::CheckpointWriter w;
+        w.beginSection("run");
+        stream.snapshotTo(w);
+        core->snapshotTo(w);
+        hier.snapshotTo(w);
+        icache.snapshotTo(w);
+        w.endSection();
+        r.snapshot = w.bytes();
+        return core->run(stream, cfg.maxInstrs - split);
+    };
+    CoreStats cs;
+    if (cal) {
+        const FetchRecording rec(programImageFor(bench), cfg.maxInstrs);
+        FetchReplay replay(rec);
+        cs = drive(replay);
+    } else {
+        TraceGenerator gen(programImageFor(bench));
+        cs = drive(gen);
+    }
+
+    RunOutput &o = r.out;
+    o.meas.cycles = cs.cycles;
+    o.meas.instructions = cs.instructions;
+    o.meas.l1iAccesses = icache.accesses();
+    o.meas.l1iMisses = icache.misses();
+    o.meas.avgActiveFraction = icache.averageActiveFraction();
+    o.meas.resizingTagBits = dri.resizingTagBits();
+    o.meas.l1iBytes = dri.sizeBytes;
+    o.ipc = cs.ipc();
+    o.l1dMissRate = hier.l1d().missRate();
+    o.l2MissRate = hier.l2MissRate();
+    o.l2Accesses = hier.l2Accesses();
+    o.l2Misses = hier.l2Misses();
+    o.memAccesses = hier.memAccesses();
+    o.memReads = hier.memReads();
+    o.memWritebacks = hier.memWritebacks();
+    o.l2SizeBytes = hier.params().l2.sizeBytes;
+    for (Cache *c : {&hier.l2(), &hier.l1d()}) {
+        o.mshrCoalesced += c->mshrCoalesced();
+        o.mshrFullStalls += c->mshrFullStalls();
+        o.mshrFullStallCycles += c->mshrFullStallCycles();
+        o.mshrPeakOccupancy =
+            std::max(o.mshrPeakOccupancy, c->mshrPeakOccupancy());
+    }
+    o.resizes = icache.upsizes() + icache.downsizes();
+    o.throttleEvents = icache.controller().throttleEvents();
+    r.blocksLost = icache.blocksLost();
+    return r;
+}
+
+/**
+ * run() with a DRI L1I goes through the DriPolicy adapter; it must
+ * give every output field and the exact checkpoint bytes of the
+ * hand-wired cache. A PolicyConfig of kind Dri takes the same adapter
+ * and differs only in also reporting the blocks downsizing lost.
+ */
+void
+expectAdapterMatchesDirectPath(const BenchmarkInfo &bench,
+                               const DriParams &dri,
+                               const FastCalibration *cal)
+{
+    RunConfig cfg;
+    cfg.maxInstrs = 200 * 1000;
+    const DirectDriRun direct = directDriRun(bench, cfg, dri, cal);
+    ASSERT_GT(direct.out.resizes, 0u);
+    ASSERT_GT(direct.blocksLost, 0u);
+
+    char tmpl[] = "/tmp/drisim_adapter_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    cfg.checkpointDir = tmpl;
+    expectSameRun(direct.out, run(bench, cfg, {dri, cal}));
+    const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};
+    std::string saved;
+    EXPECT_TRUE(sim::CheckpointStore(cfg.checkpointDir)
+                    .load(std::string(cal ? "v4|" : "v3|") +
+                              runKey(bench, cfg, {dri, cal}).canonical() +
+                              "|ckpt@" + std::to_string(split),
+                          saved));
+    EXPECT_EQ(saved, direct.snapshot);
+
+    PolicyConfig pc;
+    pc.kind = PolicyKind::Dri;
+    pc.dri = dri;
+    RunOutput viaPolicy = direct.out;
+    viaPolicy.policyBlocksLost = direct.blocksLost;
+    expectSameRun(viaPolicy, run(bench, cfg, {pc, cal}));
+    std::filesystem::remove_all(cfg.checkpointDir);
 }
 
 TEST(DriAdapter, DetailedRunBitForBitEqualsDirectPath)
 {
-    const auto &bench = findBenchmark("compress");
-    RunConfig cfg;
-    cfg.maxInstrs = 200 * 1000;
     DriParams dri;
     dri.sizeBoundBytes = 2048;
     dri.missBound = 200;
     dri.senseInterval = 50 * 1000;
-
-    const RunOutput direct = runDri(bench, cfg, dri);
-    PolicyConfig pc;
-    pc.kind = PolicyKind::Dri;
-    pc.dri = dri;
-    const RunOutput adapted = runPolicy(bench, cfg, pc);
-    expectSameRun(direct, adapted);
-    // The adapter reports DRI's gated sets as plain inactive
-    // fraction: no drowsy component, no wake events.
-    EXPECT_EQ(adapted.l1DrowsyFraction, 0.0);
-    EXPECT_EQ(adapted.wakeTransitions, 0u);
-    EXPECT_EQ(adapted.wakeStallCycles, 0u);
+    expectAdapterMatchesDirectPath(findBenchmark("compress"), dri,
+                                   nullptr);
 }
 
 TEST(DriAdapter, FastRunBitForBitEqualsDirectPath)
 {
-    const auto &bench = findBenchmark("li");
-    RunConfig cfg;
-    cfg.maxInstrs = 200 * 1000;
     DriParams dri;
     dri.sizeBoundBytes = 1024;
-    dri.missBound = 64;
-    dri.senseInterval = 50 * 1000;
-
-    const RunOutput conv = runConventional(bench, cfg);
-    const FastCalibration cal = calibrateFast(bench, cfg, conv);
-    const RunOutput direct = runDriFast(bench, cfg, dri, cal);
-    PolicyConfig pc;
-    pc.kind = PolicyKind::Dri;
-    pc.dri = dri;
-    const RunOutput adapted = runPolicyFast(bench, cfg, pc, cal);
-    expectSameRun(direct, adapted);
+    dri.missBound = 200;
+    dri.senseInterval = 20 * 1000;
+    FastCalibration cal;
+    cal.baseCpi = 0.6;
+    expectAdapterMatchesDirectPath(findBenchmark("li"), dri, &cal);
 }
 
 // ---------------------------------------------------------------
@@ -535,7 +675,7 @@ TEST(SearchPolicies, FindsOneWinnerPerKindInOrder)
     space.drowsyIntervals = {50 * 1000};
     space.waysActive = {2};
 
-    const RunOutput conv = runConventional(bench, cfg);
+    const RunOutput conv = run(bench, cfg);
     const PolicySearchResult sr = searchPolicies(
         bench, cfg, tmpl, space, PolicyEnergyConstants::paper(),
         4.0, conv);

@@ -5,7 +5,8 @@
  * persistence and tamper resistance (corruption, truncation,
  * hash-collision protection, JSON escaping), and the runner-level
  * guarantee that a cached result is byte-identical to a recomputed
- * one and a damaged entry is recomputed, never served.
+ * one and a damaged entry is recomputed, never served; and the run
+ * keys themselves, pinned.
  */
 
 #include <gtest/gtest.h>
@@ -97,8 +98,8 @@ TEST(ConfigKeyTest, DefaultAndExplicitConfigsHashEqual)
     explicitCfg.jobs = 7;
     explicitCfg.checkpointDir = "/nonexistent";
     explicitCfg.shard = farm::ShardPlan{1, 3};
-    EXPECT_EQ(runKeyConventional(b, defaults).hashHex(),
-              runKeyConventional(b, explicitCfg).hashHex());
+    EXPECT_EQ(runKey(b, defaults).hashHex(),
+              runKey(b, explicitCfg).hashHex());
 }
 
 TEST(ConfigKeyTest, FlippingAnySingleKnobChangesTheHash)
@@ -106,53 +107,144 @@ TEST(ConfigKeyTest, FlippingAnySingleKnobChangesTheHash)
     const auto &b = findBenchmark("compress");
     const RunConfig base;
     std::vector<std::string> hashes;
-    hashes.push_back(runKeyConventional(b, base).hashHex());
+    hashes.push_back(runKey(b, base).hashHex());
 
     {
         RunConfig c = base;
         c.maxInstrs += 1;
-        hashes.push_back(runKeyConventional(b, c).hashHex());
+        hashes.push_back(runKey(b, c).hashHex());
     }
     {
         RunConfig c = base;
         c.hier.l2Dri = true;
-        hashes.push_back(runKeyConventional(b, c).hashHex());
+        hashes.push_back(runKey(b, c).hashHex());
     }
     {
         RunConfig c = base;
         c.core.commitWidth += 1;
-        hashes.push_back(runKeyConventional(b, c).hashHex());
+        hashes.push_back(runKey(b, c).hashHex());
     }
     {
         RunConfig c = base;
         c.core.bpred.historyBits += 1;
-        hashes.push_back(runKeyConventional(b, c).hashHex());
+        hashes.push_back(runKey(b, c).hashHex());
     }
     {
         RunConfig c = base;
         c.sampling.enabled = true;
-        hashes.push_back(runKeyConventional(b, c).hashHex());
+        hashes.push_back(runKey(b, c).hashHex());
     }
-    hashes.push_back(runKeyConventional(findBenchmark("li"), base)
+    hashes.push_back(runKey(findBenchmark("li"), base)
                          .hashHex());
     {
         DriParams d;
-        hashes.push_back(runKeyDri(b, base, d).hashHex());
+        hashes.push_back(runKey(b, base, {d}).hashHex());
         DriParams d2 = d;
         d2.senseInterval += 1;
-        hashes.push_back(runKeyDri(b, base, d2).hashHex());
+        hashes.push_back(runKey(b, base, {d2}).hashHex());
         DriParams d3 = d;
         d3.missBound += 1;
-        hashes.push_back(runKeyDri(b, base, d3).hashHex());
+        hashes.push_back(runKey(b, base, {d3}).hashHex());
         DriParams d4 = d;
         d4.sizeBoundBytes *= 2;
-        hashes.push_back(runKeyDri(b, base, d4).hashHex());
+        hashes.push_back(runKey(b, base, {d4}).hashHex());
     }
 
     for (std::size_t i = 0; i < hashes.size(); ++i)
         for (std::size_t j = i + 1; j < hashes.size(); ++j)
             EXPECT_NE(hashes[i], hashes[j])
                 << "knobs " << i << " and " << j << " alias";
+}
+
+// --- pinned run keys --------------------------------------------------
+
+/** runKey() for every L1I x core model, plus runKeyCalibrate(). */
+struct PinnedKeys
+{
+    const char *conv;
+    const char *dri;
+    const char *policy;
+    const char *convFast;
+    const char *driFast;
+    const char *policyFast;
+    const char *calibrate;
+};
+
+/**
+ * A config_hash names results in result-cache sidecars, checkpoint
+ * stores and every --json report, so artifacts written by an older
+ * build stay valid only while it holds still. No change to how keys
+ * are built may move one of these.
+ */
+void
+expectPinnedKeys(const RunConfig &cfg, bool conditional,
+                 const PinnedKeys &want)
+{
+    const auto &b = findBenchmark("gcc");
+    DriParams dri;
+    PolicyConfig pol;
+    pol.kind = PolicyKind::Drowsy;
+    if (conditional) {
+        dri.mshrs = 2;
+        pol.dri.mshrs = 2;
+    }
+    FastCalibration cal;
+    cal.baseCpi = 0.75;
+    cal.missOverlap = 0.5;
+    EXPECT_EQ(runKey(b, cfg).hashHex(), want.conv);
+    EXPECT_EQ(runKey(b, cfg, {dri}).hashHex(), want.dri);
+    EXPECT_EQ(runKey(b, cfg, {pol}).hashHex(), want.policy);
+    EXPECT_EQ(runKey(b, cfg, {ConventionalL1i{}, &cal}).hashHex(),
+              want.convFast);
+    EXPECT_EQ(runKey(b, cfg, {dri, &cal}).hashHex(), want.driFast);
+    EXPECT_EQ(runKey(b, cfg, {pol, &cal}).hashHex(), want.policyFast);
+    EXPECT_EQ(runKeyCalibrate(b, cfg).hashHex(), want.calibrate);
+}
+
+TEST(RunKeyTest, DefaultConfigHashesArePinned)
+{
+    expectPinnedKeys(RunConfig{}, false,
+                     {"fe77e5855e673bd2", "9a8b831be0b61037",
+                      "0d871741e2234dff", "2bd5128cc8d5b3ea",
+                      "915b1da16fae1fd9", "516d8da4c5d1a963",
+                      "b8d3f03b641e41df"});
+}
+
+TEST(RunKeyTest, ConditionalFieldHashesArePinned)
+{
+    // Every column a key carries only when set: MSHRs, banked DRAM,
+    // the resizable L2 and sampling.
+    RunConfig c;
+    c.hier.l1i.mshrs = 4;
+    c.hier.l1d.mshrs = 4;
+    c.hier.l2.mshrs = 8;
+    c.hier.dram.banked = true;
+    c.hier.l2Dri = true;
+    c.sampling.enabled = true;
+    expectPinnedKeys(c, true,
+                     {"8fb174adeaf00025", "bb91dd9ee68db364",
+                      "3778a2b4649ab645", "ecd353e79986b3c3",
+                      "ffe96c6a7fc95970", "3ae5cad60c7b30c7",
+                      "13d88796d85a88d6"});
+}
+
+TEST(RunKeyTest, CmpKeyNamesTheCoreAndPredictor)
+{
+    // Every CMP core runs on config.core, so its shape names the run
+    // like the caches and DRAM do. Sampling does not: CMP ignores it.
+    CmpConfig cmp;
+    cmp.cores = 2;
+    const RunConfig base;
+    const std::string hash = runKeyCmp(base, cmp, "gcc").hashHex();
+    RunConfig rob = base;
+    rob.core.robSize *= 2;
+    EXPECT_NE(runKeyCmp(rob, cmp, "gcc").hashHex(), hash);
+    RunConfig history = base;
+    history.core.bpred.historyBits += 1;
+    EXPECT_NE(runKeyCmp(history, cmp, "gcc").hashHex(), hash);
+    RunConfig sampled = base;
+    sampled.sampling.enabled = true;
+    EXPECT_EQ(runKeyCmp(sampled, cmp, "gcc").hashHex(), hash);
 }
 
 // --- store / lookup / persistence -------------------------------------
@@ -437,9 +529,9 @@ TEST(ResultCacheRunnerTest, CachedRunIsByteIdenticalToComputed)
     dp.sizeBoundBytes = 1024;
     dp.missBound = 100;
 
-    const RunOutput computed = runDri(b, cfg, dp);
+    const RunOutput computed = run(b, cfg, {dp});
     EXPECT_EQ(cfg.resultCache->counters().stores, 1u);
-    const RunOutput cached = runDri(b, cfg, dp);
+    const RunOutput cached = run(b, cfg, {dp});
     EXPECT_EQ(cfg.resultCache->counters().hits, 1u);
 
     EXPECT_EQ(computed.meas.cycles, cached.meas.cycles);
@@ -467,16 +559,16 @@ TEST(ResultCacheRunnerTest, PartialEntryIsRecomputedNeverServed)
     // Poison the cache with an entry under the run's own key that
     // is missing most fields (e.g. written by a newer binary with a
     // different schema). Strict parsing must reject and recompute.
-    cfg.resultCache->store(runKeyDri(b, cfg, dp),
+    cfg.resultCache->store(runKey(b, cfg, {dp}),
                            {{"ipc", "9.0"}, {"cycles", "junk"}});
 
-    const RunOutput out = runDri(b, cfg, dp);
+    const RunOutput out = run(b, cfg, {dp});
     EXPECT_NE(out.ipc, 9.0);
     EXPECT_GT(out.meas.cycles, 0u);
 
     // The recompute overwrote the poisoned entry with a full one.
     RunConfig cfg2 = cfg;
-    const RunOutput again = runDri(b, cfg2, dp);
+    const RunOutput again = run(b, cfg2, {dp});
     EXPECT_EQ(out.ipc, again.ipc);
     EXPECT_EQ(out.meas.cycles, again.meas.cycles);
 }
@@ -497,11 +589,11 @@ TEST(ResultCacheRunnerTest, NonBlockingMemoryFieldsRoundTrip)
     cfg.resultCache =
         std::make_shared<ResultCache>(dir.file("rc.json"));
 
-    const RunOutput computed = runConventional(b, cfg);
+    const RunOutput computed = run(b, cfg);
     EXPECT_GT(computed.mshrPeakOccupancy, 0u);
     EXPECT_GT(computed.dramBusyCycles, 0u);
 
-    const RunOutput cached = runConventional(b, cfg);
+    const RunOutput cached = run(b, cfg);
     EXPECT_EQ(cfg.resultCache->counters().hits, 1u);
     EXPECT_EQ(cached.mshrFullStallCycles,
               computed.mshrFullStallCycles);
@@ -524,8 +616,8 @@ TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
     cfg.resultCache =
         std::make_shared<ResultCache>(dir.file("rc.json"));
 
-    const RunOutput computed = runConventional(b, cfg);
-    const sim::ConfigKey key = runKeyConventional(b, cfg);
+    const RunOutput computed = run(b, cfg);
+    const sim::ConfigKey key = runKey(b, cfg);
     sim::ResultCache::Fields f;
     ASSERT_TRUE(cfg.resultCache->lookup(key, f));
     ASSERT_EQ(f.at("payload_v"), "2");
@@ -534,7 +626,7 @@ TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
     f["payload_v"] = "1";
     cfg.resultCache->store(key, f);
     const auto before = cfg.resultCache->counters();
-    const RunOutput out = runConventional(b, cfg);
+    const RunOutput out = run(b, cfg);
     EXPECT_EQ(cfg.resultCache->counters().stores,
               before.stores + 1);
     EXPECT_EQ(out.meas.cycles, computed.meas.cycles);
@@ -543,10 +635,67 @@ TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
     f.erase("payload_v");
     cfg.resultCache->store(key, f);
     const auto before2 = cfg.resultCache->counters();
-    const RunOutput again = runConventional(b, cfg);
+    const RunOutput again = run(b, cfg);
     EXPECT_EQ(cfg.resultCache->counters().stores,
               before2.stores + 1);
     EXPECT_EQ(again.meas.cycles, computed.meas.cycles);
+}
+
+TEST(ResultCacheRunnerTest, ImpossibleCalibrationIsRecomputedNeverServed)
+{
+    // A calibration record calibrateFast cannot have written — a
+    // base CPI that is not finite or is under the 8-wide floor, or a
+    // miss overlap outside [0, 1] — misses and is recomputed. Before,
+    // nan, -1 and 0 aborted the run inside the fast model, and inf
+    // and 1e-300 reached it.
+    const auto &b = findBenchmark("compress");
+    TempDir dir;
+    RunConfig cfg;
+    cfg.maxInstrs = 200 * 1000;
+    const RunOutput conv = run(b, cfg);
+    const FastCalibration fresh = calibrateFast(b, cfg, conv);
+    DriParams dp;
+    dp.senseInterval = 20 * 1000;
+    dp.sizeBoundBytes = 1024;
+    dp.missBound = 100;
+    const RunOutput freshFast = run(b, cfg, {dp, &fresh});
+
+    RunConfig cached = cfg;
+    cached.resultCache =
+        std::make_shared<ResultCache>(dir.file("rc.json"));
+    calibrateFast(b, cached, conv);
+    const ConfigKey key = runKeyCalibrate(b, cached);
+    ResultCache::Fields real;
+    ASSERT_TRUE(cached.resultCache->lookup(key, real));
+
+    const std::pair<const char *, const char *> splices[] = {
+        {"base_cpi", "nan"},      {"base_cpi", "-1"},
+        {"base_cpi", "0"},        {"base_cpi", "inf"},
+        {"base_cpi", "1e-300"},   {"miss_overlap", "-0.5"},
+        {"miss_overlap", "1.5"}};
+    for (const auto &[field, value] : splices) {
+        SCOPED_TRACE(std::string(field) + "=" + value);
+        ResultCache::Fields spliced = real;
+        spliced[field] = value;
+        cached.resultCache->store(key, spliced);
+
+        const auto before = cached.resultCache->counters();
+        const FastCalibration cal = calibrateFast(b, cached, conv);
+        EXPECT_EQ(cached.resultCache->counters().stores,
+                  before.stores + 1);
+        EXPECT_EQ(cal.baseCpi, fresh.baseCpi);
+        EXPECT_EQ(cal.missOverlap, fresh.missOverlap);
+        const RunOutput fast = run(b, cfg, {dp, &cal});
+        EXPECT_EQ(fast.meas.cycles, freshFast.meas.cycles);
+        EXPECT_EQ(fast.meas.l1iMisses, freshFast.meas.l1iMisses);
+        EXPECT_EQ(fast.meas.avgActiveFraction,
+                  freshFast.meas.avgActiveFraction);
+
+        // The recomputed record replaced the bad one and is served.
+        const auto mid = cached.resultCache->counters();
+        EXPECT_EQ(calibrateFast(b, cached, conv).baseCpi, fresh.baseCpi);
+        EXPECT_EQ(cached.resultCache->counters().stores, mid.stores);
+    }
 }
 
 } // namespace

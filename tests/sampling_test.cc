@@ -75,12 +75,12 @@ expectWithinBounds(const BenchmarkInfo &bench)
     const DriParams dri = quickDri();
 
     // Conventional and DRI CPI.
-    const RunOutput fc = runConventional(bench, full);
-    const RunOutput sc = runConventional(bench, samp);
+    const RunOutput fc = run(bench, full);
+    const RunOutput sc = run(bench, samp);
     EXPECT_LT(relErr(1.0 / sc.ipc, 1.0 / fc.ipc), kCpiBound);
 
-    const RunOutput fd = runDri(bench, full, dri);
-    const RunOutput sd = runDri(bench, samp, dri);
+    const RunOutput fd = run(bench, full, {dri});
+    const RunOutput sd = run(bench, samp, {dri});
     EXPECT_LT(relErr(1.0 / sd.ipc, 1.0 / fd.ipc), kCpiBound);
 
     // L1 leakage: powered fraction, and the leakage-energy proxy
@@ -100,8 +100,8 @@ expectWithinBounds(const BenchmarkInfo &bench)
     fullL2.hier.l2Dri = true;
     RunConfig sampL2 = samp;
     sampL2.hier.l2Dri = true;
-    const RunOutput f2 = runConventional(bench, fullL2);
-    const RunOutput s2 = runConventional(bench, sampL2);
+    const RunOutput f2 = run(bench, fullL2);
+    const RunOutput s2 = run(bench, sampL2);
     EXPECT_LT(relErr(1.0 / s2.ipc, 1.0 / f2.ipc), kCpiBound);
     EXPECT_LT(relErr(s2.l2AvgActiveFraction, f2.l2AvgActiveFraction),
               kL2FracBound);
@@ -180,12 +180,12 @@ TEST(SamplingDeterminism, IdenticalAcrossRepeats)
     const auto &b = findBenchmark("compress");
     const RunConfig cfg = sampledConfig();
     const DriParams dri = quickDri();
-    expectSameRun(runDri(b, cfg, dri), runDri(b, cfg, dri));
+    expectSameRun(run(b, cfg, {dri}), run(b, cfg, {dri}));
 
     RunConfig l2cfg = cfg;
     l2cfg.hier.l2Dri = true;
-    expectSameRun(runConventional(b, l2cfg),
-                  runConventional(b, l2cfg));
+    expectSameRun(run(b, l2cfg),
+                  run(b, l2cfg));
 }
 
 TEST(SamplingDeterminism, DeterministicAcrossWorkerCounts)
@@ -207,7 +207,7 @@ TEST(SamplingDeterminism, DeterministicAcrossWorkerCounts)
     const MultiLevelConstants constants =
         MultiLevelConstants::paper();
 
-    const RunOutput conv = runConventional(b, cfg);
+    const RunOutput conv = run(b, cfg);
 
     auto run = [&](unsigned jobs) {
         RunConfig c2 = cfg;
@@ -246,16 +246,16 @@ TEST(SamplingKeys, SampledAndFullNeverAlias)
     const RunConfig samp = sampledConfig();
 
     // Every sampling knob is part of the run identity.
-    const std::string fullHash = runKeyConventional(b, full).hashHex();
-    EXPECT_NE(runKeyConventional(b, samp).hashHex(), fullHash);
+    const std::string fullHash = runKey(b, full).hashHex();
+    EXPECT_NE(runKey(b, samp).hashHex(), fullHash);
     RunConfig widened = samp;
     widened.sampling.detailedWindow += 1;
-    EXPECT_NE(runKeyConventional(b, widened).hashHex(),
-              runKeyConventional(b, samp).hashHex());
+    EXPECT_NE(runKey(b, widened).hashHex(),
+              runKey(b, samp).hashHex());
     RunConfig stretched = samp;
     stretched.sampling.period += 1;
-    EXPECT_NE(runKeyConventional(b, stretched).hashHex(),
-              runKeyConventional(b, samp).hashHex());
+    EXPECT_NE(runKey(b, stretched).hashHex(),
+              runKey(b, samp).hashHex());
 
     // A shared result cache keeps them apart: a full run's entry is
     // never served to a sampled run, and each replays from its own.
@@ -267,15 +267,15 @@ TEST(SamplingKeys, SampledAndFullNeverAlias)
     RunConfig sampC = samp;
     sampC.resultCache = cache;
 
-    const RunOutput fc = runConventional(b, fullC);
-    const RunOutput sc = runConventional(b, sampC);
+    const RunOutput fc = run(b, fullC);
+    const RunOutput sc = run(b, sampC);
     EXPECT_EQ(cache->counters().hits, 0u);
     EXPECT_EQ(cache->counters().misses, 2u);
     EXPECT_EQ(cache->counters().stores, 2u);
     EXPECT_NE(fc.meas.cycles, sc.meas.cycles);
 
-    expectSameRun(fc, runConventional(b, fullC));
-    expectSameRun(sc, runConventional(b, sampC));
+    expectSameRun(fc, run(b, fullC));
+    expectSameRun(sc, run(b, sampC));
     EXPECT_EQ(cache->counters().hits, 2u);
 }
 
