@@ -52,7 +52,7 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
                 "extension of Section 5; coherence costs the 2001 "
                 "paper never modelled (docs/DESIGN.md)");
     std::cout << "cores: " << n << ", run length: "
-              << ctx.cfg.maxInstrs
+              << ctx.opts.run.maxInstrs
               << " instructions per core, drowsy/decay L1I "
                  "alternation, "
               << workerBanner(ctx) << "\n";
@@ -99,8 +99,8 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
         }
 
         const CmpRunOutput conv =
-            runCmp(ctx.cfg, conv_cmp, benches[0]);
-        pols[m] = runCmp(ctx.cfg, pol_cmp, benches[0]);
+            runCmp(ctx.opts.run, conv_cmp, benches[0]);
+        pols[m] = runCmp(ctx.opts.run, pol_cmp, benches[0]);
         const CmpRunOutput &pol = pols[m];
         const CmpComparison cc =
             compareCmp(constants, toCmpMeasurement(conv),
@@ -125,7 +125,7 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
                    fmtDouble(cc.relativeEnergyDelay(), 3)};
         std::vector<std::string> row = rows[m];
         row.push_back(
-            runKeyCmp(ctx.cfg, pol_cmp, benches[0]).hashHex());
+            runKeyCmp(ctx.opts.run, pol_cmp, benches[0]).hashHex());
         std::cerr << "  [cmp] " + mix + " done\n";
         return {std::move(row)};
     };
@@ -175,17 +175,10 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/true, /*acceptShort=*/false,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
-    const unsigned n = ctx.cores > 0 ? ctx.cores : 2;
-    if (ctx.coherent)
+    if (const int rc = startBench(argc, argv, kCmpBench, ctx); rc >= 0)
+        return rc;
+    const unsigned n = ctx.opts.cores;
+    if (ctx.opts.coherent)
         return runCoherentStudy(ctx, n);
 
     printHeader("CMP scale-out: private DRI L1Is over a shared "
@@ -196,16 +189,16 @@ main(int argc, char **argv)
                  "size-bound), <=4% system slowdown, system "
                  "energy-delay objective\n\n";
     std::cout << "cores: " << n << ", run length: "
-              << ctx.cfg.maxInstrs
+              << ctx.opts.run.maxInstrs
               << " instructions per core, sense interval "
-              << ctx.driTemplate.senseInterval << ", "
+              << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
     const MultiLevelConstants constants =
         MultiLevelConstants::paper();
     const CmpSpace space;
     DriParams l2Template = HierarchyParams::defaultL2DriParams();
-    l2Template.senseInterval = ctx.driTemplate.senseInterval;
+    l2Template.senseInterval = ctx.opts.dri.senseInterval;
 
     const std::vector<std::string> cols{
         "mix",    "L1-mb",    "L2-bound", "L2-mb",
@@ -222,7 +215,7 @@ main(int argc, char **argv)
     // queue behaviour (per-bank row hits "h0|h1|..."), and the
     // per-core L2 demand-miss latency ("c0|c1|...") whose
     // load-dependence the acceptance study checks.
-    const bool banked = ctx.cfg.hier.dram.banked;
+    const bool banked = ctx.opts.run.hier.dram.banked;
     if (banked)
         for (const char *c :
              {"mshr_coalesced", "mshr_full_stalls", "mshr_peak",
@@ -249,9 +242,9 @@ main(int argc, char **argv)
         }
 
         const CmpRunOutput conv =
-            runCmp(ctx.cfg, cmp, benches[0]);
+            runCmp(ctx.opts.run, cmp, benches[0]);
         results[m] = searchCmp(
-            ctx.cfg, cmp, benches[0], ctx.driTemplate, l2Template,
+            ctx.opts.run, cmp, benches[0], ctx.opts.dri, l2Template,
             space, constants, ctx.maxSlowdownPct, conv,
             &benchExecutor(ctx));
         const CmpSearchResult &sr = results[m];
@@ -262,7 +255,7 @@ main(int argc, char **argv)
             k.add("mode", "cmp");
             k.add("mix", mix);
             k.add("cores", static_cast<std::uint64_t>(n));
-            k.add("instrs", ctx.cfg.maxInstrs);
+            k.add("instrs", ctx.opts.run.maxInstrs);
             k.add("l2.size_bound", sr.best.l2.sizeBoundBytes);
             k.add("l2.miss_bound", sr.best.l2.missBound);
             for (std::size_t c = 0; c < sr.best.l1.size(); ++c)

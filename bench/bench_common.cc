@@ -4,10 +4,8 @@
 #include <cstdio>
 
 #include "farm/merge.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
-#include "util/parse.hh"
 #include "util/str.hh"
 
 namespace drisim::bench
@@ -17,7 +15,7 @@ BenchContext
 defaultContext()
 {
     BenchContext ctx;
-    ctx.cfg.maxInstrs = defaultRunInstrs();
+    ctx.opts.run.maxInstrs = defaultRunInstrs();
     // Reject a malformed wall-clock pin now, not at the first
     // report the sweep writes.
     double pinnedWall = 0.0;
@@ -26,248 +24,41 @@ defaultContext()
     // every 1M instructions over full SPEC runs; we sense every
     // 100K over 10M-instruction runs (docs/DESIGN.md, Scaling
     // methodology).
-    ctx.driTemplate.senseInterval = 100 * 1000;
-    ctx.driTemplate.divisibility = 2;
+    ctx.opts.dri.senseInterval = 100 * 1000;
+    ctx.opts.dri.divisibility = 2;
+    ctx.opts.cores = 2;
     return ctx;
 }
 
 bool
-parseBenchArgs(int argc, char **argv, BenchContext &ctx,
-               std::string &error, bool acceptCores,
-               bool acceptShort, bool acceptShard)
+parseBenchArgs(int argc, const char *const *argv, unsigned binary,
+               BenchContext &ctx, std::string &error)
 {
-    const std::string usage =
-        std::string("usage: ") + (argc > 0 ? argv[0] : "bench") +
-        " [--jobs N]" +
-        (acceptCores ? " [--cores N] [--coherent]" : "") +
-        (acceptShort ? " [--short]" : "") +
-        (acceptShard ? " [--shard K/N] [--part PATH]" : "") +
-        " [--json PATH] [--dram-banked] [--sample]"
-        " [--checkpoint-dir DIR]"
-        " [--result-cache FILE] [--trace PATH] [--metrics PATH]"
-        " [--metrics-interval N] [--list]   (jobs 0 = DRISIM_JOBS "
-        "env, else serial; --list prints the workload names)";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        bool is_cores = false;
-        if (arg == "--list") {
-            ctx.listOnly = true;
-            continue;
-        } else if (arg == "--short") {
-            if (!acceptShort) {
-                error = "this binary does not take --short\n" +
-                        usage;
-                return false;
-            }
-            ctx.shortRun = true;
-            continue;
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            ctx.jsonPath = argv[++i];
-            continue;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            ctx.jsonPath = arg.substr(7);
-            continue;
-        } else if (arg == "--coherent") {
-            if (!acceptCores) {
-                error = "this binary does not take --coherent (the "
-                        "CMP study is bench_cmp)\n" +
-                        usage;
-                return false;
-            }
-            ctx.coherent = true;
-            continue;
-        } else if (arg == "--dram-banked") {
-            // Non-blocking memory system: banked queued DRAM plus
-            // default MSHR files at every cache level. Without the
-            // flag the flat Table 1 memory stays bit-identical.
-            ctx.cfg.hier.dram.banked = true;
-            ctx.cfg.hier.l1i.mshrs = 4;
-            ctx.cfg.hier.l1d.mshrs = 4;
-            ctx.cfg.hier.l2.mshrs = 8;
-            ctx.driTemplate.mshrs = 4;
-            continue;
-        } else if (arg == "--sample") {
-            ctx.cfg.sampling.enabled = true;
-            continue;
-        } else if (arg == "--checkpoint-dir") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            ctx.cfg.checkpointDir = argv[++i];
-            continue;
-        } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-            ctx.cfg.checkpointDir = arg.substr(17);
-            continue;
-        } else if (arg == "--trace") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            ctx.tracePath = argv[++i];
-            continue;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            ctx.tracePath = arg.substr(8);
-            continue;
-        } else if (arg == "--metrics") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            ctx.metricsPath = argv[++i];
-            continue;
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            ctx.metricsPath = arg.substr(10);
-            continue;
-        } else if (arg == "--metrics-interval" ||
-                   arg.rfind("--metrics-interval=", 0) == 0) {
-            std::string spec;
-            if (arg == "--metrics-interval") {
-                if (i + 1 >= argc) {
-                    error = "missing value after " + arg + "\n" +
-                            usage;
-                    return false;
-                }
-                spec = argv[++i];
-            } else {
-                spec = arg.substr(19);
-            }
-            std::uint64_t v = 0;
-            if (!parsePositiveValue(spec, v,
-                                    std::uint64_t(1) << 40)) {
-                error = "bad metrics interval '" + spec + "'\n" +
-                        usage;
-                return false;
-            }
-            ctx.metricsInterval = v;
-            continue;
-        } else if (arg == "--result-cache") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            ctx.cfg.resultCache =
-                std::make_shared<sim::ResultCache>(argv[++i]);
-            continue;
-        } else if (arg.rfind("--result-cache=", 0) == 0) {
-            ctx.cfg.resultCache =
-                std::make_shared<sim::ResultCache>(arg.substr(15));
-            continue;
-        } else if (arg == "--shard" || arg.rfind("--shard=", 0) == 0) {
-            if (!acceptShard) {
-                error = "this binary has no sweep to shard "
-                        "(--shard)\n" +
-                        usage;
-                return false;
-            }
-            std::string spec;
-            if (arg == "--shard") {
-                if (i + 1 >= argc) {
-                    error = "missing value after " + arg + "\n" +
-                            usage;
-                    return false;
-                }
-                spec = argv[++i];
-            } else {
-                spec = arg.substr(8);
-            }
-            std::string shardErr;
-            if (!farm::parseShardSpec(spec, ctx.cfg.shard,
-                                      shardErr)) {
-                error = shardErr + "\n" + usage;
-                return false;
-            }
-            continue;
-        } else if (arg == "--part") {
-            if (!acceptShard) {
-                error = "this binary has no sweep to shard "
-                        "(--part)\n" +
-                        usage;
-                return false;
-            }
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            ctx.partPath = argv[++i];
-            continue;
-        } else if (arg.rfind("--part=", 0) == 0) {
-            if (!acceptShard) {
-                error = "this binary has no sweep to shard "
-                        "(--part)\n" +
-                        usage;
-                return false;
-            }
-            ctx.partPath = arg.substr(7);
-            continue;
-        } else if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            value = argv[++i];
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            value = arg.substr(7);
-        } else if (arg.rfind("jobs=", 0) == 0) {
-            value = arg.substr(5);
-        } else if (arg == "--cores") {
-            if (i + 1 >= argc) {
-                error = "missing value after " + arg + "\n" + usage;
-                return false;
-            }
-            value = argv[++i];
-            is_cores = true;
-        } else if (arg.rfind("--cores=", 0) == 0) {
-            value = arg.substr(8);
-            is_cores = true;
-        } else if (arg.rfind("cores=", 0) == 0) {
-            value = arg.substr(6);
-            is_cores = true;
-        } else {
-            error = "unknown argument '" + arg + "'\n" + usage;
-            return false;
-        }
-        if (is_cores) {
-            if (!acceptCores) {
-                error = "this binary does not take --cores (the "
-                        "CMP study is bench_cmp)\n" +
-                        usage;
-                return false;
-            }
-            std::uint64_t v = 0;
-            if (!parsePositiveValue(value, v, kMaxCmpCores)) {
-                error = "bad cores value '" + value + "'\n" + usage;
-                return false;
-            }
-            ctx.cores = static_cast<unsigned>(v);
-        } else {
-            unsigned v = 0;
-            if (!parseJobsValue(value, v)) {
-                error = "bad jobs value '" + value + "'\n" + usage;
-                return false;
-            }
-            ctx.cfg.jobs = v;
-        }
+    if (!parseArgs(argc, argv, knobRows(binary), ctx.opts, error))
+        return false;
+    if (ctx.opts.run.hier.dram.banked) {
+        // The non-blocking memory system: banked DRAM comes with
+        // MSHR files at every cache level.
+        ctx.opts.run.hier.l1i.mshrs = 4;
+        ctx.opts.run.hier.l1d.mshrs = 4;
+        ctx.opts.run.hier.l2.mshrs = 8;
+        ctx.opts.dri.mshrs = 4;
     }
-    ctx.exec.reset(); // rebuilt lazily with the parsed worker count
-    // Install the global observability sinks now so every layer's
-    // hooks (executor, runner, sampling, farm) see them without
-    // threading a handle through; both stay null — one dead branch
-    // per hook — unless asked for.
-    if (!ctx.tracePath.empty())
-        obs::initTrace(ctx.tracePath);
-    if (!ctx.metricsPath.empty())
-        obs::initMetrics(ctx.metricsPath,
-                         ctx.metricsInterval > 0
-                             ? ctx.metricsInterval
-                             : obs::kDefaultMetricsInterval);
-    error.clear();
     return true;
+}
+
+int
+startBench(int argc, char **argv, unsigned binary, BenchContext &ctx)
+{
+    std::string err;
+    if (!parseBenchArgs(argc, argv, binary, ctx, err)) {
+        std::fputs(err.c_str(), stderr);
+        return 2;
+    }
+    if (ctx.opts.list)
+        return listBenchmarks();
+    installObsSinks(ctx.opts);
+    return -1;
 }
 
 bool
@@ -276,7 +67,7 @@ writeJsonReport(const BenchContext &ctx,
                 const std::vector<std::string> &columns,
                 const std::vector<std::vector<std::string>> &rows)
 {
-    if (ctx.jsonPath.empty())
+    if (ctx.opts.jsonPath.empty())
         return true;
     double wall =
         std::chrono::duration<double>(
@@ -287,13 +78,13 @@ writeJsonReport(const BenchContext &ctx,
     // unsharded one (the CI farm leg sets 0).
     obs::pinnedWallSeconds(wall);
     const std::string doc = farm::renderBenchJson(
-        benchName, ctx.cfg.shard, wall,
-        resolveJobCount(ctx.cfg.jobs), columns, rows);
-    std::FILE *f = std::fopen(ctx.jsonPath.c_str(), "w");
+        benchName, ctx.opts.run.shard, wall,
+        resolveJobCount(ctx.opts.run.jobs), columns, rows);
+    std::FILE *f = std::fopen(ctx.opts.jsonPath.c_str(), "w");
     if (!f) {
         std::fprintf(stderr,
                      "warning: cannot write JSON report '%s'\n",
-                     ctx.jsonPath.c_str());
+                     ctx.opts.jsonPath.c_str());
         return false;
     }
     std::fwrite(doc.data(), 1, doc.size(), f);
@@ -305,9 +96,9 @@ farm::SweepSetup
 sweepSetup(const BenchContext &ctx)
 {
     farm::SweepSetup s;
-    s.cfg = ctx.cfg;
-    s.cores = ctx.cores > 0 ? ctx.cores : 2;
-    s.shortRun = ctx.shortRun;
+    s.cfg = ctx.opts.run;
+    s.cores = ctx.opts.cores;
+    s.shortRun = ctx.opts.shortRun;
     return s;
 }
 
@@ -319,9 +110,9 @@ SweepDriver::SweepDriver(const BenchContext &ctx,
       columns_(std::move(jsonColumns)),
       units_(farm::sweepUnits(sweepName, sweepSetup(ctx)))
 {
-    if (!ctx.partPath.empty()) {
+    if (!ctx.opts.partPath.empty()) {
         writer_ = std::make_unique<farm::FragmentWriter>(
-            ctx.partPath, benchName_, ctx.cfg.shard, columns_,
+            ctx.opts.partPath, benchName_, ctx.opts.run.shard, columns_,
             units_);
         // Adopt resumed rows so a resumed shard's own --json (and
         // its finalized fragment) still covers every owned unit.
@@ -333,20 +124,20 @@ SweepDriver::SweepDriver(const BenchContext &ctx,
                 stderr,
                 "[farm] shard %s: resumed %zu completed unit%s "
                 "from %s\n",
-                ctx.cfg.shard.spec().c_str(),
+                ctx.opts.run.shard.spec().c_str(),
                 writer_->resumedRecords(),
                 writer_->resumedRecords() == 1 ? "" : "s",
-                ctx.partPath.c_str());
+                ctx.opts.partPath.c_str());
     }
-    if (ctx.cfg.shard.active()) {
+    if (ctx.opts.run.shard.active()) {
         std::size_t owned = 0;
         for (const farm::SweepUnit &u : units_)
-            if (ctx.cfg.shard.owns(u.hash))
+            if (ctx.opts.run.shard.owns(u.hash))
                 ++owned;
         std::fprintf(stderr,
                      "[farm] shard %s owns %zu of %zu sweep "
                      "units\n",
-                     ctx.cfg.shard.spec().c_str(), owned,
+                     ctx.opts.run.shard.spec().c_str(), owned,
                      units_.size());
     }
 }
@@ -357,7 +148,7 @@ SweepDriver::run(const std::function<UnitRows(std::size_t)> &unitFn,
 {
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < units_.size(); ++i)
-        if (ctx_.cfg.shard.owns(units_[i].hash) &&
+        if (ctx_.opts.run.shard.owns(units_[i].hash) &&
             !(writer_ && writer_->hasRecord(i)))
             todo.push_back(i);
     // A shard with nothing to do never spawns the worker pool.
@@ -405,8 +196,8 @@ SweepDriver::record(std::size_t i, UnitRows rows, double wallSeconds)
     // Unit boundary = durability point: with the rows safely in the
     // fragment, persist the unit's memoized sub-runs too, so a kill
     // loses only the units still in flight.
-    if (ctx_.cfg.resultCache)
-        ctx_.cfg.resultCache->flush();
+    if (ctx_.opts.run.resultCache)
+        ctx_.opts.run.resultCache->flush();
 }
 
 void
@@ -435,57 +226,44 @@ Executor &
 benchExecutor(const BenchContext &ctx)
 {
     if (!ctx.exec)
-        ctx.exec = std::make_shared<Executor>(ctx.cfg.jobs);
+        ctx.exec = std::make_shared<Executor>(ctx.opts.run.jobs);
     return *ctx.exec;
 }
 
 std::string
 workerBanner(const BenchContext &ctx)
 {
-    const unsigned n = resolveJobCount(ctx.cfg.jobs);
+    const unsigned n = resolveJobCount(ctx.opts.run.jobs);
     return strFormat("%u worker%s (--jobs)", n, n == 1 ? "" : "s");
 }
 
 void
 reportFastSim(const BenchContext &ctx)
 {
-    if (ctx.cfg.resultCache) {
-        ctx.cfg.resultCache->flush();
+    if (ctx.opts.run.resultCache) {
+        ctx.opts.run.resultCache->flush();
         const sim::ResultCache::Counters c =
-            ctx.cfg.resultCache->counters();
+            ctx.opts.run.resultCache->counters();
         std::fprintf(
             stderr,
             "result-cache: hits=%llu misses=%llu stores=%llu (%s)\n",
             static_cast<unsigned long long>(c.hits),
             static_cast<unsigned long long>(c.misses),
             static_cast<unsigned long long>(c.stores),
-            ctx.cfg.resultCache->path().c_str());
+            ctx.opts.run.resultCache->path().c_str());
     }
-    if (!ctx.cfg.checkpointDir.empty()) {
+    if (!ctx.opts.run.checkpointDir.empty()) {
         const sim::CheckpointCounters c = sim::checkpointCounters();
         std::fprintf(
             stderr, "checkpoints: saves=%llu restores=%llu (%s)\n",
             static_cast<unsigned long long>(c.saves),
             static_cast<unsigned long long>(c.restores),
-            ctx.cfg.checkpointDir.c_str());
+            ctx.opts.run.checkpointDir.c_str());
     }
     // Observability artifacts flush here, after the report, so a
     // trace covers the whole run; like the lines above, the summary
     // goes to stderr to keep stdout byte-comparable.
-    if (obs::TraceWriter *tw = obs::trace()) {
-        std::string err;
-        if (!tw->write(err))
-            std::fprintf(stderr, "warning: %s\n", err.c_str());
-        std::fprintf(stderr, "trace: %zu spans -> %s\n",
-                     tw->spanCount(), tw->path().c_str());
-    }
-    if (obs::TimeSeriesRecorder *m = obs::metrics()) {
-        std::string err;
-        if (!m->write(err))
-            std::fprintf(stderr, "warning: %s\n", err.c_str());
-        std::fprintf(stderr, "metrics: %zu samples -> %s\n",
-                     m->sampleCount(), m->path().c_str());
-    }
+    writeObsSinks();
 }
 
 BaseResult
@@ -500,7 +278,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     };
     std::vector<Cell> cells;
     for (std::uint64_t size_bound : ctx.space.sizeBounds) {
-        if (size_bound > ctx.driTemplate.sizeBytes)
+        if (size_bound > ctx.opts.dri.sizeBytes)
             continue;
         for (double factor : ctx.space.missBoundFactors)
             cells.push_back({size_bound, factor});
@@ -512,12 +290,12 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     // Content-addressed job keys: the base-config hash makes every
     // key unique per configuration, so job-keyed artifacts (seeds,
     // traces) never collide across differently-configured sweeps.
-    const std::string cfgHash = runKey(bench, ctx.cfg).hashHex();
+    const std::string cfgHash = runKey(bench, ctx.opts.run).hashHex();
 
     const JobId conv = graph.add(
         bench.name + "/conv-detailed#" + cfgHash,
         [&](const JobContext &) {
-            out.conv = run(bench, ctx.cfg);
+            out.conv = run(bench, ctx.opts.run);
         });
 
     FastCalibration cal;
@@ -526,11 +304,11 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     const JobId calibrate = graph.add(
         bench.name + "/calibrate",
         [&](const JobContext &) {
-            cal = calibrateFast(bench, ctx.cfg, out.conv);
-            conv_fast = run(bench, ctx.cfg, {ConventionalL1i{}, &cal});
+            cal = calibrateFast(bench, ctx.opts.run, out.conv);
+            conv_fast = run(bench, ctx.opts.run, {ConventionalL1i{}, &cal});
             const double intervals =
-                static_cast<double>(ctx.cfg.maxInstrs) /
-                static_cast<double>(ctx.driTemplate.senseInterval);
+                static_cast<double>(ctx.opts.run.maxInstrs) /
+                static_cast<double>(ctx.opts.dri.senseInterval);
             conv_mpi =
                 static_cast<double>(conv_fast.meas.l1iMisses) /
                 intervals;
@@ -553,14 +331,14 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
                           cells[i].sizeBound),
                       cells[i].factor, cfgHash.c_str()),
             [&, i](const JobContext &) {
-                DriParams p = ctx.driTemplate;
+                DriParams p = ctx.opts.dri;
                 p.sizeBoundBytes = cells[i].sizeBound;
                 p.missBound = std::max<std::uint64_t>(
                     ctx.space.missBoundFloor,
                     static_cast<std::uint64_t>(cells[i].factor *
                                                conv_mpi));
 
-                const RunOutput d = run(bench, ctx.cfg, {p, &cal});
+                const RunOutput d = run(bench, ctx.opts.run, {p, &cal});
                 const ComparisonResult cmp = compareRuns(
                     ctx.constants, conv_fast.meas, d.meas);
                 slots[i] = {p, cmp.relativeEnergyDelay(),
@@ -575,8 +353,8 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     std::vector<JobId> selectDeps = grid;
     selectDeps.push_back(calibrate);
 
-    DriParams params_c = ctx.driTemplate;
-    DriParams params_u = ctx.driTemplate;
+    DriParams params_c = ctx.opts.dri;
+    DriParams params_u = ctx.opts.dri;
     bool u_distinct = false;
     const JobId select = graph.add(
         bench.name + "/select",
@@ -603,8 +381,8 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
             if (!have_c) {
                 // Constraint unreachable (fpppp-like): pin to full
                 // size.
-                params_c = ctx.driTemplate;
-                params_c.sizeBoundBytes = ctx.driTemplate.sizeBytes;
+                params_c = ctx.opts.dri;
+                params_c.sizeBoundBytes = ctx.opts.dri.sizeBytes;
                 params_c.missBound = std::max<std::uint64_t>(
                     ctx.space.missBoundFloor,
                     static_cast<std::uint64_t>(2.0 * conv_mpi));
@@ -621,7 +399,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
         [&](const JobContext &) {
             out.constrained.dri = params_c;
             out.constrained.cmp = evaluateDetailed(
-                bench, ctx.cfg, params_c, ctx.constants, out.conv);
+                bench, ctx.opts.run, params_c, ctx.constants, out.conv);
             out.constrained.feasible =
                 out.constrained.cmp.slowdownPercent() <=
                 ctx.maxSlowdownPct;
@@ -639,7 +417,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
                 return;
             out.unconstrained.dri = params_u;
             out.unconstrained.cmp = evaluateDetailed(
-                bench, ctx.cfg, params_u, ctx.constants, out.conv);
+                bench, ctx.opts.run, params_u, ctx.constants, out.conv);
         },
         {select});
 

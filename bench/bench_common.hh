@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared plumbing for the per-figure bench binaries: default run
- * configuration, common flag parsing (--jobs), the paper's best-case
+ * configuration, the command line (the config/options knob rows
+ * each binary takes), the paper's best-case
  * (miss-bound, size-bound) search evaluated once per benchmark for
  * both the performance-constrained and unconstrained cases, and
  * output helpers. The search runs as an executor JobGraph
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "config/options.hh"
 #include "farm/fragment.hh"
 #include "farm/sweep_registry.hh"
 #include "harness/executor.hh"
@@ -32,112 +34,53 @@ namespace drisim::bench
 /** Everything a figure bench needs. */
 struct BenchContext
 {
-    RunConfig cfg;
+    /** The parsed command line: `opts.run` is the machine every
+     *  run uses, `opts.dri` the DRI knobs the searches do not
+     *  sweep, and `opts.cores` bench_cmp's CMP width. */
+    Options opts;
     EnergyConstants constants = EnergyConstants::paper();
     SearchSpace space;
     /** The paper's performance constraint (Section 5.3). */
     double maxSlowdownPct = 4.0;
-    /** DRI knobs not searched. */
-    DriParams driTemplate;
 
     /** Worker pool shared by every sweep in this bench run; created
      *  by benchExecutor() so the worker threads spawn once, not per
      *  benchmark. Copies of the context share it. */
     mutable std::shared_ptr<Executor> exec;
 
-    /** --cores N (bench_cmp's CMP width; 0 = the bench's default). */
-    unsigned cores = 0;
-
-    /** --coherent (bench_cmp only): run the sharing workloads under
-     *  MSI coherence (mem/directory.hh) instead of the
-     *  multiprogrammed private-data mixes. */
-    bool coherent = false;
-
-    /** --list: print the SPEC workload names and exit. */
-    bool listOnly = false;
-
-    /**
-     * --json PATH: write the bench's winner rows + wall-clock as a
-     * machine-readable report (writeJsonReport()). Empty = off.
-     */
-    std::string jsonPath;
-
-    /** --short: restrict to a quick workload subset (binaries that
-     *  accept it; the CI smoke uses it). */
-    bool shortRun = false;
-
-    /**
-     * --part PATH: stream every completed sweep unit into a
-     * resumable fragment at PATH (farm/fragment.hh), written
-     * record-at-a-time with atomic rename. tools/farm_runner points
-     * each shard here. Empty = off.
-     */
-    std::string partPath;
-
-    /**
-     * Observability sinks (src/obs/) — strictly execution-only:
-     * none of these enters any ConfigKey, and with all three unset
-     * every output byte is identical to a build without them.
-     *  - --trace PATH            Perfetto/chrome://tracing span file
-     *  - --metrics PATH          interval time-series CSV
-     *  - --metrics-interval N    sampling interval in instructions
-     *                            (0 = obs::kDefaultMetricsInterval)
-     * parseBenchArgs installs the global obs sinks on success;
-     * reportFastSim() flushes them to disk.
-     */
-    std::string tracePath;
-    std::string metricsPath;
-    InstCount metricsInterval = 0;
-
     /** Wall-clock anchor for the JSON report (context creation). */
     std::chrono::steady_clock::time_point startTime =
         std::chrono::steady_clock::now();
 };
 
-/** The context's pool, created on first use with cfg.jobs workers.
- *  The first use is not thread-safe: SweepDriver::run() makes it
- *  before any unit starts. */
+/** The context's pool, created on first use with opts.run.jobs
+ *  workers. The first use is not thread-safe: SweepDriver::run()
+ *  makes it before any unit starts. */
 Executor &benchExecutor(const BenchContext &ctx);
 
-/** Default context: Table 1 system, scaled run length. */
+/** Default context: Table 1 system, scaled run length, the
+ *  paper's sense interval and a 2-core CMP. */
 BenchContext defaultContext();
 
 /**
- * Parse the flags every bench binary accepts (--jobs N, --jobs=N,
- * jobs=N, --list, --json PATH) into @p ctx. Returns false and fills
- * @p error (usage included) on anything unrecognized. After a
- * successful parse check ctx.listOnly: --list asks the binary to
- * print the available SPEC workload names (listBenchmarks()) and
- * exit instead of failing later on a typo. `--cores N` and
- * `--coherent` are accepted only when @p acceptCores is set
- * (bench_cmp) — every other binary rejects them instead of silently
- * running single-core — and `--short` only when @p acceptShort is
- * set (bench_policies).
- *
- * `--dram-banked` switches the memory system to the banked queued
- * DRAM model with default MSHR files at every cache level
- * (mem/dram.hh); without it the flat Table 1 memory is used and
- * results stay bit-identical to earlier versions.
- *
- * Fast-simulation flags (sim/ layer, accepted everywhere):
- *  - `--sample`             phase sampling (detailed windows +
- *                           functional fast-forward; approximate)
- *  - `--checkpoint-dir DIR` midpoint snapshot store (bit-exact)
- *  - `--result-cache FILE`  content-addressed result memoization
- *                           (bit-exact; shared across binaries)
- *
- * Sweep-farm flags, accepted only when @p acceptShard is set (the
- * sweep binaries; bench_table1/2 have no sweep to shard):
- *  - `--shard K/N`          run only the sweep units whose config
- *                           hash lands on 1-based shard K of N
- *                           (strict parse, farm/shard_plan.hh)
- *  - `--part PATH`          stream completed units into a resumable
- *                           fragment (farm/fragment.hh)
+ * Parse a bench command line into ctx.opts through the rows
+ * @p binary takes (config/options.hh: kTableBench, kSweepBench,
+ * kShortBench or kCmpBench). Banked DRAM (--dram-banked) then brings
+ * default MSHR files: 4 at each L1 and in the DRI template, 8 at the
+ * L2; no bench binary takes an MSHR row, so nothing overrides them.
+ * Installs nothing, so any command line can be parsed in a test.
  */
-bool parseBenchArgs(int argc, char **argv, BenchContext &ctx,
-                    std::string &error, bool acceptCores = false,
-                    bool acceptShort = false,
-                    bool acceptShard = false);
+bool parseBenchArgs(int argc, const char *const *argv, unsigned binary,
+                    BenchContext &ctx, std::string &error);
+
+/**
+ * A bench main's first step: parseBenchArgs(), then --list or the
+ * observability sinks (installObsSinks()). Returns the exit status
+ * when the binary is done — 2 after printing a bad command line, 0
+ * after --list — or -1 to go on.
+ */
+int startBench(int argc, char **argv, unsigned binary,
+               BenchContext &ctx);
 
 /**
  * One stderr line per configured fast-simulation mechanism
@@ -146,12 +89,13 @@ bool parseBenchArgs(int argc, char **argv, BenchContext &ctx,
  * configured. Flushes the result cache first, so a bench that was
  * killed right after its report still leaves a complete sidecar.
  * stderr keeps stdout byte-comparable across cached/uncached runs.
+ * Then writes out the trace and metrics sinks (writeObsSinks()).
  */
 void reportFastSim(const BenchContext &ctx);
 
 /**
  * Write the bench's winner rows + wall-clock since context creation
- * to ctx.jsonPath. Serialized by farm::renderBenchJson — schema 2:
+ * to ctx.opts.jsonPath. Serialized by farm::renderBenchJson — schema 2:
  * {"bench", "schema_version", "shard", "of_shards",
  * "wall_seconds", "workers", "columns", "winners"} with one winner
  * object per row, keyed by column; shard/of_shards are 0 unless
@@ -167,7 +111,7 @@ bool writeJsonReport(const BenchContext &ctx,
                      const std::vector<std::vector<std::string>> &rows);
 
 /** The registry setup describing this process's sweep (resolved CMP
- *  width, --short, final cfg). */
+ *  width, --short, final opts.run). */
 farm::SweepSetup sweepSetup(const BenchContext &ctx);
 
 /** One sweep unit's --json report rows. */

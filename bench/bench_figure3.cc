@@ -50,24 +50,17 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/false,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kSweepBench, ctx); rc >= 0)
+        return rc;
 
     printHeader("Figure 3: base energy-delay and average cache size",
                 "Section 5.3, Figure 3 (64K direct-mapped DRI)");
     std::cout << "C = performance-constrained (<=4% slowdown), "
                  "U = unconstrained\n\n";
 
-    std::cout << "run length: " << ctx.cfg.maxInstrs
+    std::cout << "run length: " << ctx.opts.run.maxInstrs
               << " instructions, sense interval "
-              << ctx.driTemplate.senseInterval << ", "
+              << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
     const std::vector<std::string> cols{
@@ -92,7 +85,7 @@ main(int argc, char **argv)
         std::vector<std::string> rc =
             rowCells(b.name, b.benchClass, bases[i].constrained);
         rc.push_back(
-            runKey(b, ctx.cfg, {bases[i].constrained.dri}).hashHex());
+            runKey(b, ctx.opts.run, {bases[i].constrained.dri}).hashHex());
         std::cerr << "  [figure3] " + b.name + " done\n";
         return {std::move(rc)};
     };

@@ -21,15 +21,8 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/true,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kShortBench, ctx); rc >= 0)
+        return rc;
 
     printHeader("Figure 4: impact of varying the miss-bound",
                 "Section 5.4.1, Figure 4");
@@ -50,7 +43,7 @@ main(int argc, char **argv)
     // applies, so unit indices keep matching the plan.
     std::vector<BenchmarkInfo> suite;
     for (const auto &b : specSuite()) {
-        if (ctx.shortRun && b.name != "compress" && b.name != "li")
+        if (ctx.opts.shortRun && b.name != "compress" && b.name != "li")
             continue;
         suite.push_back(b);
     }
@@ -73,7 +66,7 @@ main(int argc, char **argv)
             variants.push_back(p);
         }
         const std::vector<ComparisonResult> batch =
-            evaluateDetailedBatch(b, ctx.cfg, variants,
+            evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
 

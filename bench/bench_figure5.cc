@@ -19,15 +19,8 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/false,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kSweepBench, ctx); rc >= 0)
+        return rc;
 
     printHeader("Figure 5: impact of varying the size-bound",
                 "Section 5.4.2, Figure 5");
@@ -78,7 +71,7 @@ main(int argc, char **argv)
             variantSlot.push_back(k);
         }
         const std::vector<ComparisonResult> batch =
-            evaluateDetailedBatch(b, ctx.cfg, variants,
+            evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
         ed[1] = fmtDouble(

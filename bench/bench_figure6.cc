@@ -31,15 +31,8 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/false,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kSweepBench, ctx); rc >= 0)
+        return rc;
 
     printHeader("Figure 6: varying conventional cache parameters",
                 "Section 5.5, Figure 6");
@@ -82,7 +75,7 @@ main(int argc, char **argv)
             [&](std::size_t k, const JobContext &) {
                 const GeometryCase &g = cases[k == 0 ? 0 : 2];
 
-                RunConfig cfg = ctx.cfg;
+                RunConfig cfg = ctx.opts.run;
                 cfg.hier.l1i.sizeBytes = g.sizeBytes;
                 cfg.hier.l1i.assoc = g.assoc;
 

@@ -29,30 +29,23 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/false,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kSweepBench, ctx); rc >= 0)
+        return rc;
 
     printHeader("Multi-level DRI: per-level leakage accounting",
                 "extension of Section 5 after Bai et al. "
                 "(PAPERS.md)");
     std::cout << "grid: (L1 size-bound x L2 size-bound), <=4% "
                  "slowdown, hierarchy energy-delay objective\n\n";
-    std::cout << "run length: " << ctx.cfg.maxInstrs
+    std::cout << "run length: " << ctx.opts.run.maxInstrs
               << " instructions, sense interval "
-              << ctx.driTemplate.senseInterval << ", "
+              << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
     const MultiLevelConstants constants = MultiLevelConstants::paper();
     const MultiLevelSpace space;
     DriParams l2Template = HierarchyParams::defaultL2DriParams();
-    l2Template.senseInterval = ctx.driTemplate.senseInterval;
+    l2Template.senseInterval = ctx.opts.dri.senseInterval;
 
     const std::vector<std::string> cols{
         "benchmark", "L1-bound", "L1-mb",   "L2-bound", "L2-mb",
@@ -71,14 +64,14 @@ main(int argc, char **argv)
     std::vector<MultiLevelCandidate> best(suite.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        const RunOutput conv = run(b, ctx.cfg);
+        const RunOutput conv = run(b, ctx.opts.run);
         const MultiLevelSearchResult sr = searchMultiLevel(
-            b, ctx.cfg, ctx.driTemplate, l2Template, space, constants,
+            b, ctx.opts.run, ctx.opts.dri, l2Template, space, constants,
             ctx.maxSlowdownPct, conv, &benchExecutor(ctx));
         best[i] = sr.best;
         std::vector<std::string> row =
             multiLevelRowCells(b.name, sr.best);
-        RunConfig ml = ctx.cfg;
+        RunConfig ml = ctx.opts.run;
         ml.hier.l2Dri = true;
         ml.hier.l2DriParams = sr.best.l2;
         row.push_back(runKey(b, ml, {sr.best.l1}).hashHex());

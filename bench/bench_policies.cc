@@ -35,18 +35,11 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/true,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kShortBench, ctx); rc >= 0)
+        return rc;
 
     // Shared head-to-head geometry: 64 KB / 4-way / 32 B.
-    ctx.cfg.hier.l1i.assoc = 4;
+    ctx.opts.run.hier.l1i.assoc = 4;
 
     printHeader("Leakage-policy head-to-head: DRI vs Decay vs "
                 "Drowsy vs StaticWays",
@@ -54,16 +47,16 @@ main(int argc, char **argv)
                 "and Bai et al. (PAPERS.md)");
     std::cout << "L1I: 64K 4-way; <=4% slowdown; policy "
                  "energy-delay objective\n";
-    std::cout << "run length: " << ctx.cfg.maxInstrs
+    std::cout << "run length: " << ctx.opts.run.maxInstrs
               << " instructions, sense interval "
-              << ctx.driTemplate.senseInterval << ", "
+              << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
     const PolicyEnergyConstants constants =
         PolicyEnergyConstants::paper();
     const PolicySpace space;
     PolicyConfig tmpl;
-    tmpl.dri = ctx.driTemplate;
+    tmpl.dri = ctx.opts.dri;
 
     const std::vector<std::string> cols{
         "benchmark", "policy", "params",  "rel-ED",
@@ -78,7 +71,7 @@ main(int argc, char **argv)
 
     std::vector<BenchmarkInfo> benches;
     for (const auto &b : specSuite()) {
-        if (ctx.shortRun && b.name != "compress" && b.name != "li")
+        if (ctx.opts.shortRun && b.name != "compress" && b.name != "li")
             continue;
         benches.push_back(b);
     }
@@ -94,9 +87,9 @@ main(int argc, char **argv)
     std::vector<UnitResult> results(benches.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = benches[i];
-        const RunOutput conv = run(b, ctx.cfg);
+        const RunOutput conv = run(b, ctx.opts.run);
         const PolicySearchResult sr = searchPolicies(
-            b, ctx.cfg, tmpl, space, constants, ctx.maxSlowdownPct,
+            b, ctx.opts.run, tmpl, space, constants, ctx.maxSlowdownPct,
             conv, &benchExecutor(ctx));
 
         UnitResult &r = results[i];
@@ -110,7 +103,7 @@ main(int argc, char **argv)
             if (!cand.feasible)
                 row.back() += " (infeasible)";
             r.rows.push_back(row);
-            row.push_back(runKey(b, ctx.cfg, {cand.config}).hashHex());
+            row.push_back(runKey(b, ctx.opts.run, {cand.config}).hashHex());
             unitRows.push_back(std::move(row));
             const double ed = cand.cmp.relativeEnergyDelay();
             const char *name = policyKindName(cand.config.kind);

@@ -20,15 +20,8 @@ int
 main(int argc, char **argv)
 {
     BenchContext ctx = defaultContext();
-    std::string err;
-    if (!parseBenchArgs(argc, argv, ctx, err,
-                        /*acceptCores=*/false, /*acceptShort=*/false,
-                        /*acceptShard=*/true)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return listBenchmarks();
+    if (const int rc = startBench(argc, argv, kSweepBench, ctx); rc >= 0)
+        return rc;
 
     printHeader("Section 5.6: sense interval, divisibility, throttle",
                 "Section 5.6 (text)");
@@ -97,7 +90,7 @@ main(int argc, char **argv)
             variants.push_back(p);
         }
         const std::vector<ComparisonResult> batch =
-            evaluateDetailedBatch(b, ctx.cfg, variants,
+            evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
 
@@ -128,9 +121,9 @@ main(int argc, char **argv)
             b.name + "/throttle", 2,
             [&](std::size_t k, const JobContext &) {
                 if (k == 0)
-                    no_thr = run(b, ctx.cfg, {p});
+                    no_thr = run(b, ctx.opts.run, {p});
                 else
-                    with_thr = run(b, ctx.cfg, {bp});
+                    with_thr = run(b, ctx.opts.run, {bp});
             });
         const ComparisonResult c = compareRuns(
             ctx.constants, base.conv.meas, no_thr.meas);

@@ -40,13 +40,9 @@ main(int argc, char **argv)
     // Table 1 runs no simulations, but accepts the common flags so
     // every bench binary has a uniform command line.
     bench::BenchContext ctx = bench::defaultContext();
-    std::string err;
-    if (!bench::parseBenchArgs(argc, argv, ctx, err)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return bench::listBenchmarks();
+    if (const int rc = bench::startBench(argc, argv, kTableBench, ctx);
+        rc >= 0)
+        return rc;
 
     bench::printHeader("Table 1: system configuration parameters",
                        "Section 4, Table 1");

@@ -21,13 +21,9 @@ int
 main(int argc, char **argv)
 {
     bench::BenchContext ctx = bench::defaultContext();
-    std::string err;
-    if (!bench::parseBenchArgs(argc, argv, ctx, err)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
-    if (ctx.listOnly)
-        return bench::listBenchmarks();
+    if (const int rc = bench::startBench(argc, argv, kTableBench, ctx);
+        rc >= 0)
+        return rc;
 
     bench::printHeader(
         "Table 2: threshold voltage and gated-Vdd trade-offs",

@@ -28,28 +28,45 @@
  *
  *   ./param_tuner [benchmark[,benchmark...]] [instructions]
  *                 [--jobs N] [--l2 | --cores N | --policy]
+ *
+ * The command line goes through config/options: the benchmark,
+ * instrs, jobs and cores rows plus this binary's two mode switches.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "config/options.hh"
 #include "harness/executor.hh"
 #include "harness/multilevel.hh"
 #include "harness/policies.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
-#include "util/parse.hh"
 #include "util/str.hh"
 
 using namespace drisim;
 
 namespace
 {
+
+/** The tuning modes, bare switches only this binary takes. */
+bool tuneL2 = false;
+bool tunePolicy = false;
+const Knob kModeRows[] = {
+    {"l2", nullptr, "tune the (L1 x L2 size-bound) grid of a DRI L2",
+     Reach::None, 0,
+     [](Options &, const std::string &v, unsigned) {
+         return parseFlag(v, tuneL2);
+     }},
+    {"policy", nullptr, "tune the leakage-policy head-to-head grid",
+     Reach::None, 0,
+     [](Options &, const std::string &v, unsigned) {
+         return parseFlag(v, tunePolicy);
+     }},
+};
 
 /** The --l2 mode: multi-level grid, per-level energy rows. */
 int
@@ -266,71 +283,26 @@ tuneCmp(const std::vector<std::string> &benches, unsigned cores,
 int
 main(int argc, char **argv)
 {
-    std::string name = "ijpeg";
-    InstCount instrs = 3000000;
-    unsigned jobs = 0;
-    bool multilevel = false;
-    bool policies = false;
-    unsigned cmpCores = 0;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--l2") {
-            multilevel = true;
-            continue;
-        } else if (arg == "--policy") {
-            policies = true;
-            continue;
-        } else if (arg == "--cores") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value after %s\n",
-                             arg.c_str());
-                return 2;
-            }
-            std::uint64_t v = 0;
-            if (!parsePositiveValue(argv[++i], v, kMaxCmpCores)) {
-                std::fprintf(stderr, "bad cores value '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-            cmpCores = static_cast<unsigned>(v);
-            continue;
-        } else if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value after %s\n",
-                             arg.c_str());
-                return 2;
-            }
-            value = argv[++i];
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            value = arg.substr(7);
-        } else {
-            positional.push_back(arg);
-            continue;
-        }
-        if (!parseJobsValue(value, jobs)) {
-            std::fprintf(stderr, "bad jobs value '%s'\n",
-                         value.c_str());
-            return 2;
-        }
+    Options opts;
+    opts.benchmark = "ijpeg";
+    opts.run.maxInstrs = 3000000;
+    opts.cores = 0; // the single-core tuners unless --cores N
+    std::string err;
+    if (!parseArgs(argc, argv, knobRows(kParamTuner, kModeRows), opts,
+                   err)) {
+        std::fputs(err.c_str(), stderr);
+        return 2;
     }
-    if (!positional.empty())
-        name = positional[0];
-    if (positional.size() > 1)
-        instrs = std::strtoull(positional[1].c_str(), nullptr, 10);
+    const std::string &name = opts.benchmark;
+    const RunConfig &cfg = opts.run;
 
-    RunConfig cfg;
-    cfg.maxInstrs = instrs;
-    cfg.jobs = jobs;
-
-    if (cmpCores > 0) {
+    if (opts.cores > 0) {
         // The positional may be a comma-separated mix; validate
         // every name up front.
         std::vector<std::string> benches = strSplit(name, ',');
         for (const std::string &b : benches)
             findBenchmark(b);
-        return tuneCmp(benches, cmpCores, cfg);
+        return tuneCmp(benches, opts.cores, cfg);
     }
 
     const BenchmarkInfo &bench = findBenchmark(
@@ -338,10 +310,10 @@ main(int argc, char **argv)
             ? name
             : strSplit(name, ',')[0]);
 
-    if (multilevel)
+    if (tuneL2)
         return tuneMultiLevel(bench, cfg);
 
-    if (policies)
+    if (tunePolicy)
         return tunePolicies(bench, cfg);
 
     std::printf("detailed conventional baseline for %s "

@@ -13,14 +13,17 @@
  *
  *   ./phase_explorer [benchmark[,benchmark...]] [instructions]
  *                    [--jobs N] [--l2]
+ *
+ * The command line goes through config/options: the benchmark,
+ * instrs and jobs rows plus this binary's --l2 switch.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "config/options.hh"
 #include "core/dri_icache.hh"
 #include "cpu/ooo_core.hh"
 #include "harness/executor.hh"
@@ -33,6 +36,14 @@ using namespace drisim;
 
 namespace
 {
+
+/** --l2: a bare switch only this binary takes. */
+const Knob kL2Row[] = {
+    {"l2", nullptr, "resize the L2 too and chart it", Reach::None, 0,
+     [](Options &o, const std::string &v, unsigned) {
+         return parseFlag(v, o.run.hier.l2Dri);
+     }},
+};
 
 /** Run one benchmark and render its strip chart into a string. */
 std::string
@@ -139,43 +150,18 @@ exploreOne(const BenchmarkInfo &bench, InstCount instrs, bool l2Dri)
 int
 main(int argc, char **argv)
 {
-    std::string names = "hydro2d";
-    InstCount instrs = 4000000;
-    unsigned jobs = 0;
-    bool l2Dri = false;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--l2") {
-            l2Dri = true;
-            continue;
-        } else if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value after %s\n",
-                             arg.c_str());
-                return 2;
-            }
-            value = argv[++i];
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            value = arg.substr(7);
-        } else {
-            positional.push_back(arg);
-            continue;
-        }
-        if (!parseJobsValue(value, jobs)) {
-            std::fprintf(stderr, "bad jobs value '%s'\n",
-                         value.c_str());
-            return 2;
-        }
+    Options opts;
+    opts.benchmark = "hydro2d";
+    opts.run.maxInstrs = 4000000;
+    std::string err;
+    if (!parseArgs(argc, argv, knobRows(kPhaseExplorer, kL2Row), opts,
+                   err)) {
+        std::fputs(err.c_str(), stderr);
+        return 2;
     }
-    if (!positional.empty())
-        names = positional[0];
-    if (positional.size() > 1)
-        instrs = std::strtoull(positional[1].c_str(), nullptr, 10);
 
     std::vector<const BenchmarkInfo *> benches;
-    std::stringstream ss(names);
+    std::stringstream ss(opts.benchmark);
     std::string item;
     while (std::getline(ss, item, ','))
         if (!item.empty())
@@ -188,11 +174,12 @@ main(int argc, char **argv)
     // Charts land in index-addressed slots and print in list order
     // whatever the completion interleaving.
     std::vector<std::string> charts(benches.size());
-    Executor exec(jobs);
+    Executor exec(opts.run.jobs);
     exec.forEachIndex("phase_explorer", benches.size(),
                       [&](std::size_t i, const JobContext &) {
-                          charts[i] = exploreOne(*benches[i], instrs,
-                                                 l2Dri);
+                          charts[i] = exploreOne(
+                              *benches[i], opts.run.maxInstrs,
+                              opts.run.hier.l2Dri);
                       });
 
     for (std::size_t i = 0; i < charts.size(); ++i) {

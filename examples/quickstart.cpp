@@ -5,11 +5,11 @@
  *
  *   ./quickstart [benchmark] [instructions] [key=value ...]
  *
- * Positionals keep the one-liner friendly; any further key=value
- * token goes through config/options (geometry, every DRI knob, the
- * l2.* multi-level keys — `optionsUsage()` lists them). With
- * `l2.dri=1` the DRI leg resizes the L2 as well and the report
- * switches to the per-level hierarchy accounting.
+ * The command line goes through config/options with every
+ * simulator knob (geometry, every DRI knob, the l2.* multi-level
+ * keys; a bad one prints the generated list). With `l2.dri=1` the
+ * DRI leg resizes the L2 as well and the report switches to the
+ * per-level hierarchy accounting.
  *
  * With `policy=decay|drowsy|ways` the adaptive leg swaps the DRI
  * i-cache for the chosen leakage policy (policy/leakage_policy.hh)
@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -39,8 +38,6 @@
 #include "harness/multilevel.hh"
 #include "harness/policies.hh"
 #include "harness/runner.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 using namespace drisim;
 
@@ -216,60 +213,22 @@ runCmpQuickstart(const Options &opts)
 int
 main(int argc, char **argv)
 {
-    // Leading positionals ([benchmark] [instructions]), then
-    // key=value overrides on top of the quickstart defaults below.
+    // The quickstart defaults; the command line goes on top.
     Options opts;
     opts.run.maxInstrs = 2000000;
     opts.dri.sizeBoundBytes = 2048;
     opts.dri.senseInterval = 100000;
     opts.dri.missBound = 200;
-    int first_kv = 1;
-    if (argc > 1 && std::string(argv[1]).find('=') ==
-                        std::string::npos) {
-        opts.benchmark = argv[1];
-        first_kv = 2;
-        if (argc > 2 && std::string(argv[2]).find('=') ==
-                            std::string::npos) {
-            opts.run.maxInstrs =
-                std::strtoull(argv[2], nullptr, 10);
-            first_kv = 3;
-        }
-    }
-    std::vector<const char *> kv{argv[0]};
-    for (int i = first_kv; i < argc; ++i)
-        kv.push_back(argv[i]);
     std::string err;
-    if (!parseOptions(static_cast<int>(kv.size()), kv.data(), opts,
-                      err)) {
-        std::fprintf(stderr, "%s\n%s\n", err.c_str(),
-                     optionsUsage().c_str());
+    if (!parseArgs(argc, argv, knobRows(kQuickstart), opts, err)) {
+        std::fputs(err.c_str(), stderr);
         return 2;
     }
-    for (const std::string &key : opts.unknown)
-        std::fprintf(stderr, "warning: unknown option '%s'\n",
-                     key.c_str());
-
-    // trace=/metrics= install the observability sinks; a flusher
-    // writes them out whichever return path the run takes.
-    if (!opts.tracePath.empty())
-        obs::initTrace(opts.tracePath);
-    if (!opts.metricsPath.empty())
-        obs::initMetrics(opts.metricsPath,
-                         opts.metricsInterval
-                             ? opts.metricsInterval
-                             : obs::kDefaultMetricsInterval);
+    installObsSinks(opts);
+    // Writes the sinks out whichever return path the run takes.
     struct ObsFlush
     {
-        ~ObsFlush()
-        {
-            std::string err;
-            if (obs::TraceWriter *tw = obs::trace())
-                if (!tw->write(err))
-                    std::fprintf(stderr, "%s\n", err.c_str());
-            if (obs::TimeSeriesRecorder *m = obs::metrics())
-                if (!m->write(err))
-                    std::fprintf(stderr, "%s\n", err.c_str());
-        }
+        ~ObsFlush() { writeObsSinks(); }
     } obsFlush;
 
     if (opts.cores > 1)

@@ -1,14 +1,19 @@
 /**
  * @file
- * Key=value option parsing and application to RunConfig/DriParams
- * and the CMP per-core overrides.
+ * The knob table, its parser and usage text, and the CMP per-core
+ * resolution of the parsed overrides.
  */
 
 #include "config/options.hh"
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 
 #include "harness/executor.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
 #include "util/str.hh"
@@ -19,49 +24,38 @@ namespace drisim
 namespace
 {
 
-/**
- * Strict decimal u64 (util/parse.hh): rejects sign characters and
- * junk, so "-1" can never wrap to 2^64-1 here.
- */
+/** A count in [lo, hi] into any unsigned field. */
+template <typename T>
 bool
-parseU64(const std::string &v, std::uint64_t &out)
+setCount(const std::string &v, T &out, std::uint64_t lo = 0,
+         std::uint64_t hi = UINT64_MAX)
 {
-    return parseUnsignedValue(v, out);
+    std::uint64_t u = 0;
+    if (!parseUnsignedValue(v, u, hi) || u < lo)
+        return false;
+    out = static_cast<T>(u);
+    return true;
 }
 
+/** A non-zero size with an optional K/M/G suffix. */
+template <typename T>
 bool
-parseBool(const std::string &v, bool &out)
+setBytes(const std::string &v, T &out)
 {
-    if (v == "1" || v == "true" || v == "yes") {
-        out = true;
-        return true;
-    }
-    if (v == "0" || v == "false" || v == "no") {
-        out = false;
-        return true;
-    }
-    return false;
+    std::uint64_t u = 0;
+    if (!parseBytes(v, u) || u == 0)
+        return false;
+    out = static_cast<T>(u);
+    return true;
 }
 
-/**
- * Split a "coreK.<sub>" key: fills @p core and @p sub and returns
- * true when @p key has that shape (K decimal, in range).
- */
+/** A non-empty name or path. */
 bool
-splitCoreKey(const std::string &key, unsigned &core,
-             std::string &sub)
+setText(const std::string &v, std::string &out)
 {
-    if (key.rfind("core", 0) != 0)
+    if (v.empty())
         return false;
-    const std::size_t dot = key.find('.', 4);
-    if (dot == std::string::npos || dot == 4)
-        return false;
-    std::uint64_t k = 0;
-    if (!parseUnsignedValue(key.substr(4, dot - 4), k,
-                            kMaxCmpCores - 1))
-        return false;
-    core = static_cast<unsigned>(k);
-    sub = key.substr(dot + 1);
+    out = v;
     return true;
 }
 
@@ -74,94 +68,449 @@ coreOverride(Options &out, unsigned k)
     return out.coreOverrides[k];
 }
 
-/** The override record for core @p k, with its DRI knobs made
- *  authoritative: on the first coreK.dri.* key they seed from the
- *  global dri.* template as parsed so far (put global dri.* keys
- *  before per-core ones). */
-CoreOverride &
-driOverride(Options &out, unsigned k)
+/** Core @p k's DRI knobs, made authoritative: the first coreK.dri.*
+ *  key seeds them from the global dri.* template as parsed so far. */
+DriParams &
+coreDri(Options &out, unsigned k)
 {
     CoreOverride &o = coreOverride(out, k);
     if (!o.driKnobsSet) {
         o.driParams = out.dri;
         o.driKnobsSet = true;
     }
-    return o;
+    return o.driParams;
 }
 
-/** The override record for core @p k, with its policy made
- *  authoritative: on the first coreK.policy* key it seeds from the
- *  global policy template as parsed so far (same ordering rule as
- *  driOverride). */
-CoreOverride &
-policyOverride(Options &out, unsigned k)
+/** Core @p k's policy, made authoritative the same way. */
+PolicyConfig &
+corePolicy(Options &out, unsigned k)
 {
     CoreOverride &o = coreOverride(out, k);
     if (!o.policySet) {
         o.policy = out.policy;
         o.policySet = true;
     }
-    return o;
+    return o.policy;
+}
+
+/** A result-cache sidecar at a non-empty path. */
+bool
+setCache(const std::string &v, std::shared_ptr<sim::ResultCache> &out)
+{
+    if (v.empty())
+        return false;
+    out = std::make_shared<sim::ResultCache>(v);
+    return true;
+}
+
+/** A "K/N" sweep-farm shard (farm/shard_plan.hh). */
+bool
+setShard(const std::string &v, farm::ShardPlan &out)
+{
+    std::string why;
+    return farm::parseShardSpec(v, out, why);
+}
+
+/** coreK.dri: -1 unset, else 0/1. */
+bool
+setCoreFlag(const std::string &v, int &out)
+{
+    bool b = false;
+    if (!parseFlag(v, b))
+        return false;
+    out = b ? 1 : 0;
+    return true;
+}
+
+// Short names keep each row a line or two of a table: kQ is
+// quickstart alone, kQB quickstart and every bench binary.
+constexpr unsigned kBenches =
+    kTableBench | kSweepBench | kShortBench | kCmpBench;
+constexpr unsigned kSweeps = kSweepBench | kShortBench | kCmpBench;
+constexpr unsigned kExamples =
+    kQuickstart | kParamTuner | kPhaseExplorer;
+constexpr unsigned kQB = kQuickstart | kBenches;
+constexpr unsigned kQ = kQuickstart;
+constexpr Reach kRun = Reach::RunKey;
+constexpr Reach kCmp = Reach::CmpKey;
+constexpr Reach kNone = Reach::None;
+
+// A row's apply: `o` is the Options, `v` the value and `k` the core
+// index of a coreK row.
+#define APPLY(expr)                                                   \
+    [](Options &o, const std::string &v, [[maybe_unused]] unsigned k) { \
+        return expr;                                                  \
+    }
+
+constexpr Knob kKnobs[] = {
+    // What to run, and how.
+    {"benchmark", "NAME", "SPEC workload (the first bare argument)",
+     kRun, kExamples, APPLY(setText(v, o.benchmark))},
+    {"instrs", "N", "instructions to simulate (the second bare one)",
+     kRun, kExamples, APPLY(setCount(v, o.run.maxInstrs, 1))},
+    {"jobs", "N", "sweep workers (0 = DRISIM_JOBS, else serial)", kNone,
+     kBenches | kParamTuner | kPhaseExplorer,
+     APPLY(parseJobsValue(v, o.run.jobs))},
+    {"cores", "N", "CMP cores, 1..64", kCmp,
+     kQuickstart | kParamTuner | kCmpBench,
+     APPLY(setCount(v, o.cores, 1, kMaxCmpCores))},
+    {"list", nullptr, "print the SPEC workload names and exit", kNone,
+     kBenches, APPLY(parseFlag(v, o.list))},
+    {"json", "PATH", "write the winner rows as a JSON report", kNone,
+     kBenches, APPLY(setText(v, o.jsonPath))},
+    {"short", nullptr, "run the quick compress+li subset", kNone,
+     kShortBench, APPLY(parseFlag(v, o.shortRun))},
+    {"shard", "K/N", "run only the units of 1-based shard K of N",
+     kNone, kSweeps, APPLY(setShard(v, o.run.shard))},
+    {"part", "PATH", "stream finished units into a resumable fragment",
+     kNone, kSweeps, APPLY(setText(v, o.partPath))},
+    {"coherent", nullptr, "run the sharing mixes under MSI coherence",
+     kNone, kCmpBench, APPLY(parseFlag(v, o.coherent))},
+
+    // Fast simulation and observability.
+    {"sample", nullptr, "phase sampling (detailed windows)", kRun, kQB,
+     APPLY(parseFlag(v, o.run.sampling.enabled))},
+    {"sample.window", "N", "detailed instructions per period", kRun, kQ,
+     APPLY(setCount(v, o.run.sampling.detailedWindow, 1))},
+    {"sample.period", "N", "instructions per sampling period", kRun, kQ,
+     APPLY(setCount(v, o.run.sampling.period, 1))},
+    {"checkpoint_dir", "DIR", "midpoint snapshot store (bit-exact)",
+     kNone, kQB, APPLY(setText(v, o.run.checkpointDir))},
+    {"result_cache", "PATH", "whole-run memoization sidecar", kNone,
+     kQB, APPLY(setCache(v, o.run.resultCache))},
+    {"trace", "PATH", "chrome-trace span file", kNone, kQB,
+     APPLY(setText(v, o.tracePath))},
+    {"metrics", "PATH", "interval time-series CSV", kNone, kQB,
+     APPLY(setText(v, o.metricsPath))},
+    {"metrics.interval", "N", "instructions per metrics sample, 1..2^40",
+     kNone, kQB,
+     APPLY(setCount(v, o.metricsInterval, 1, std::uint64_t(1) << 40))},
+
+    // The L1 i-cache and the DRI template.
+    {"l1i.size", "SIZE", "L1 i-cache size (and the DRI template's)",
+     kRun, kQ,
+     APPLY(setBytes(v, o.run.hier.l1i.sizeBytes) &&
+           setBytes(v, o.dri.sizeBytes))},
+    {"l1i.assoc", "N", "L1 i-cache associativity", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.l1i.assoc, 1) &&
+           setCount(v, o.dri.assoc, 1))},
+    {"l1i.block", "SIZE", "L1 i-cache block (and the fetch block)",
+     kRun, kQ,
+     APPLY(setBytes(v, o.run.hier.l1i.blockBytes) &&
+           setBytes(v, o.dri.blockBytes) &&
+           setBytes(v, o.run.core.fetchBlockBytes))},
+    {"dri.size_bound", "SIZE", "smallest size DRI may shrink to", kRun,
+     kQ, APPLY(setBytes(v, o.dri.sizeBoundBytes))},
+    {"dri.miss_bound", "N", "misses per interval that trigger a resize",
+     kRun, kQ, APPLY(setCount(v, o.dri.missBound))},
+    {"dri.interval", "N", "sense interval in instructions", kRun, kQ,
+     APPLY(setCount(v, o.dri.senseInterval, 1))},
+    {"dri.divisibility", "N", "resize factor per step, >= 2", kRun, kQ,
+     APPLY(setCount(v, o.dri.divisibility, 2))},
+    {"dri.throttle_hold", "N", "intervals a throttle trigger holds",
+     kRun, kQ, APPLY(setCount(v, o.dri.throttleHoldIntervals))},
+    {"dri.adaptive", nullptr, "resize at all (0 freezes DRI at full)",
+     kRun, kQ, APPLY(parseFlag(v, o.dri.adaptive))},
+
+    // The L1I leakage technique (policy/leakage_policy.hh).
+    {"policy", "KIND", "L1I technique: dri, decay, drowsy or ways",
+     kRun, kQ, APPLY(parsePolicyKind(v, o.policy.kind))},
+    {"policy.decay.interval", "N", "decay generation length", kRun, kQ,
+     APPLY(setCount(v, o.policy.decay.decayInterval, 1))},
+    {"policy.decay.limit", "N", "idle generations before gating, 1..64",
+     kRun, kQ, APPLY(setCount(v, o.policy.decay.counterLimit, 1, 64))},
+    {"policy.drowsy.interval", "N", "instructions between drowsy sweeps",
+     kRun, kQ, APPLY(setCount(v, o.policy.drowsy.drowsyInterval, 1))},
+    {"policy.drowsy.wake", "N", "drowsy wake latency, 0..1000 cycles",
+     kRun, kQ,
+     APPLY(setCount(v, o.policy.drowsy.wakeLatency, 0, 1000))},
+    {"policy.ways.active", "N", "ways left powered, 1..256", kRun, kQ,
+     APPLY(setCount(v, o.policy.ways.activeWays, 1, 256))},
+
+    // The L2 and its DRI controller (mem/hierarchy.hh).
+    {"l2.size", "SIZE", "L2 size", kRun, kQ,
+     APPLY(setBytes(v, o.run.hier.l2.sizeBytes))},
+    {"l2.assoc", "N", "L2 associativity", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.l2.assoc, 1))},
+    {"l2.block", "SIZE", "L2 block", kRun, kQ,
+     APPLY(setBytes(v, o.run.hier.l2.blockBytes))},
+    {"l2.dri", nullptr, "resize the L2 too (the multi-level study)",
+     kRun, kQ, APPLY(parseFlag(v, o.run.hier.l2Dri))},
+    {"l2.size_bound", "SIZE", "smallest size the L2 may shrink to",
+     kRun, kQ, APPLY(setBytes(v, o.run.hier.l2DriParams.sizeBoundBytes))},
+    {"l2.miss_bound", "N", "L2 misses per interval that resize it",
+     kRun, kQ, APPLY(setCount(v, o.run.hier.l2DriParams.missBound))},
+    {"l2.interval", "N", "L2 sense interval in instructions", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.l2DriParams.senseInterval, 1))},
+
+    // Non-blocking memory (mem/mshr.hh, mem/dram.hh).
+    {"l1.mshrs", "N", "MSHRs per L1 and in the DRI template, 0..256",
+     kRun, kQ,
+     APPLY(setCount(v, o.run.hier.l1i.mshrs, 0, 256) &&
+           setCount(v, o.run.hier.l1d.mshrs, 0, 256) &&
+           setCount(v, o.dri.mshrs, 0, 256))},
+    {"l2.mshrs", "N", "L2 MSHRs, 0..256", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.l2.mshrs, 0, 256))},
+    {"dram.banked", nullptr, "banked, queued DRAM (not flat memory)",
+     kRun, kQB, APPLY(parseFlag(v, o.run.hier.dram.banked))},
+    {"dram.banks", "N", "DRAM banks, 1..64", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.dram.banks, 1, 64))},
+    {"dram.row_hit", "N", "row-hit latency in cycles", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.dram.rowHitLatency, 1))},
+    {"dram.row_miss", "N", "row-miss latency in cycles", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.dram.rowMissLatency, 1))},
+    {"dram.queue", "N", "per-bank queue depth, 1..1024", kRun, kQ,
+     APPLY(setCount(v, o.run.hier.dram.queueDepth, 1, 1024))},
+
+    // The CMP (system/cmp.hh, mem/directory.hh).
+    {"coherence", nullptr, "MSI over the private L1s", kCmp, kQ,
+     APPLY(parseFlag(v, o.coherence.enabled))},
+    {"coherence.entries", "N", "sparse directory entries", kCmp, kQ,
+     APPLY(setCount(v, o.coherence.directoryEntries, 1))},
+    {"coherence.msg_latency", "N", "cycles per coherence message", kCmp,
+     kQ, APPLY(setCount(v, o.coherence.msgLatency))},
+    {"coreK.bench", "NAME", "core K's workload", kCmp, kQ,
+     APPLY(setText(v, coreOverride(o, k).bench))},
+    {"coreK.dri", nullptr, "core K's L1I is managed (0 opts out)", kCmp,
+     kQ, APPLY(setCoreFlag(v, coreOverride(o, k).dri))},
+    {"coreK.dri.size_bound", "SIZE", "core K's dri.size_bound", kCmp, kQ,
+     APPLY(setBytes(v, coreDri(o, k).sizeBoundBytes))},
+    {"coreK.dri.miss_bound", "N", "core K's dri.miss_bound", kCmp, kQ,
+     APPLY(setCount(v, coreDri(o, k).missBound))},
+    {"coreK.dri.interval", "N", "core K's dri.interval", kCmp, kQ,
+     APPLY(setCount(v, coreDri(o, k).senseInterval, 1))},
+    {"coreK.policy", "KIND", "core K's policy", kCmp, kQ,
+     APPLY(parsePolicyKind(v, corePolicy(o, k).kind))},
+    {"coreK.policy.decay.interval", "N", "core K's decay interval",
+     kCmp, kQ, APPLY(setCount(v, corePolicy(o, k).decay.decayInterval, 1))},
+    {"coreK.policy.decay.limit", "N", "core K's decay limit", kCmp, kQ,
+     APPLY(setCount(v, corePolicy(o, k).decay.counterLimit, 1, 64))},
+    {"coreK.policy.drowsy.interval", "N", "core K's drowsy interval",
+     kCmp, kQ,
+     APPLY(setCount(v, corePolicy(o, k).drowsy.drowsyInterval, 1))},
+    {"coreK.policy.drowsy.wake", "N", "core K's drowsy wake", kCmp, kQ,
+     APPLY(setCount(v, corePolicy(o, k).drowsy.wakeLatency, 0, 1000))},
+    {"coreK.policy.ways.active", "N", "core K's active ways", kCmp, kQ,
+     APPLY(setCount(v, corePolicy(o, k).ways.activeWays, 1, 256))},
+};
+
+#undef APPLY
+
+/** The flag spelling of @p name: '.' and '_' become '-'. */
+std::string
+flagSpelling(std::string name)
+{
+    std::replace(name.begin(), name.end(), '.', '-');
+    std::replace(name.begin(), name.end(), '_', '-');
+    return name;
 }
 
 /**
- * Parse one `policy*` sub-key ("", ".decay.interval", ...) into
- * @p policy. Every count goes through the strict bounded parser
- * (util/parse.hh), so "-1" is rejected instead of wrapping.
- * Returns false on a bad value; sets @p known false when the
- * sub-key is not a policy key at all.
+ * The row @p name spells (already in flag spelling when @p flag),
+ * or null. A `coreN` prefix matches the `coreK` rows and yields the
+ * core index N in @p core.
  */
-bool
-applyPolicyKey(const std::string &sub, const std::string &value,
-               PolicyConfig &policy, bool &known)
+const Knob *
+findRow(const std::vector<const Knob *> &rows, std::string name,
+        bool flag, unsigned &core)
 {
-    known = true;
-    std::uint64_t u = 0;
-    if (sub.empty()) {
-        PolicyKind kind;
-        if (!parsePolicyKind(value, kind))
-            return false;
-        policy.kind = kind;
-        return true;
+    const char sep = flag ? '-' : '.';
+    const std::size_t end = name.find(sep);
+    std::uint64_t k = 0;
+    if (name.rfind("core", 0) == 0 && end != std::string::npos &&
+        end > 4 &&
+        parseUnsignedValue(std::string_view(name).substr(4, end - 4),
+                           k, kMaxCmpCores - 1)) {
+        core = static_cast<unsigned>(k);
+        name = "coreK" + name.substr(end);
     }
-    if (sub == ".decay.interval") {
-        if (!parsePositiveValue(value, u))
-            return false;
-        policy.decay.decayInterval = u;
-        return true;
-    }
-    if (sub == ".decay.limit") {
-        if (!parsePositiveValue(value, u, 64))
-            return false;
-        policy.decay.counterLimit = static_cast<unsigned>(u);
-        return true;
-    }
-    if (sub == ".drowsy.interval") {
-        if (!parsePositiveValue(value, u))
-            return false;
-        policy.drowsy.drowsyInterval = u;
-        return true;
-    }
-    if (sub == ".drowsy.wake") {
-        // 0 is legal (an idealized instant wake); the cap keeps a
-        // typo from stalling every access for an epoch.
-        if (!parseUnsignedValue(value, u, 1000))
-            return false;
-        policy.drowsy.wakeLatency = u;
-        return true;
-    }
-    if (sub == ".ways.active") {
-        // Strictly positive: way 0 is never gated.
-        if (!parsePositiveValue(value, u, 256))
-            return false;
-        policy.ways.activeWays = static_cast<unsigned>(u);
-        return true;
-    }
-    known = false;
-    return false;
+    for (const Knob *row : rows)
+        if ((flag ? flagSpelling(row->name) : row->name) == name)
+            return row;
+    return nullptr;
+}
+
+/** Empty when @p c builds; else why not. A power-of-two size that
+ *  (assoc x block) divides leaves a power-of-two set count >= 1. */
+std::string
+geometryError(const char *level, const CacheParams &c)
+{
+    const std::uint64_t frame =
+        std::uint64_t(c.assoc) * std::uint64_t(c.blockBytes);
+    if (isPowerOf2(c.sizeBytes) && isPowerOf2(c.blockBytes) &&
+        frame > 0 && c.sizeBytes % frame == 0)
+        return "";
+    return strFormat("bad %s geometry: %s.size=%s %s.assoc=%u "
+                     "%s.block=%s (size and block must be powers of "
+                     "two, and size / (assoc x block) a power of two "
+                     ">= 1)",
+                     level, level, bytesToString(c.sizeBytes).c_str(),
+                     level, c.assoc, level,
+                     bytesToString(c.blockBytes).c_str());
 }
 
 } // namespace
+
+bool
+parseFlag(const std::string &v, bool &out)
+{
+    if (v == "1" || v == "true" || v == "yes") {
+        out = true;
+        return true;
+    }
+    if (v == "0" || v == "false" || v == "no") {
+        out = false;
+        return true;
+    }
+    return false;
+}
+
+std::vector<const Knob *>
+knobRows(unsigned binaries, std::span<const Knob> local)
+{
+    std::vector<const Knob *> rows;
+    for (const Knob &row : kKnobs)
+        if (row.binaries & binaries)
+            rows.push_back(&row);
+    for (const Knob &row : local)
+        rows.push_back(&row);
+    return rows;
+}
+
+std::string
+knobUsage(const std::string &prog,
+          const std::vector<const Knob *> &rows)
+{
+    unsigned core = 0;
+    const bool positionals = findRow(rows, "benchmark", false, core);
+    std::string u =
+        "usage: " + prog +
+        (positionals ? " [benchmark] [instrs]" : "") +
+        " [option ...]\n"
+        "options read as name=V, --name V or --name=V, where '-' in "
+        "--name stands\nfor '.' and '_' (--checkpoint-dir DIR is "
+        "checkpoint_dir=DIR); a boolean alone\nas --name sets it "
+        "(--dram-banked is dram.banked=1); -j N is jobs=N\n";
+    for (const Knob *row : rows) {
+        const std::string spelling =
+            std::string(row->name) + "=" +
+            (row->value ? row->value : "0|1");
+        u += strFormat("  %-34s %s\n", spelling.c_str(), row->help);
+    }
+    return u;
+}
+
+bool
+parseArgs(int argc, const char *const *argv,
+          const std::vector<const Knob *> &rows, Options &out,
+          std::string &error)
+{
+    const auto fail = [&](const std::string &why) {
+        error = why + "\n" +
+                knobUsage(argc > 0 ? argv[0] : "drisim", rows);
+        return false;
+    };
+    static constexpr const char *kPositional[] = {"benchmark",
+                                                  "instrs"};
+    std::size_t positionals = 0;
+    for (int i = 1; i < argc; ++i) {
+        const std::string tok = argv[i];
+        const std::size_t eq = tok.find('=');
+        const bool hasValue = eq != std::string::npos;
+        // -j N is --jobs N.
+        const bool flag =
+            tok == "-j" || (tok.size() > 2 && tok.rfind("--", 0) == 0);
+        const bool bare = !flag && !hasValue && !tok.empty() &&
+                          tok[0] != '-';
+        std::string name;
+        std::string value = hasValue ? tok.substr(eq + 1) : tok;
+        if (flag)
+            name = tok == "-j" ? "jobs"
+                               : flagSpelling(tok.substr(2, eq - 2));
+        else if (hasValue && eq > 0 && tok[0] != '-')
+            name = tok.substr(0, eq);
+        else if (bare && positionals < std::size(kPositional))
+            name = kPositional[positionals++];
+        else if (!bare)
+            return fail("malformed option '" + tok + "'");
+
+        unsigned core = 0;
+        const Knob *row = findRow(rows, name, flag, core);
+        if (!row)
+            return fail((bare ? "unexpected argument '"
+                              : "unknown option '") +
+                        tok + "'");
+        if (flag && !hasValue) {
+            if (!row->value)
+                value = "1";
+            else if (i + 1 < argc)
+                value = argv[++i];
+            else
+                return fail("missing value after " + tok);
+        }
+        if (!row->apply(out, value, core)) {
+            std::string knob = row->name;
+            if (knob.rfind("coreK", 0) == 0)
+                knob.replace(4, 1, std::to_string(core));
+            return fail("bad value for '" + knob + "': '" + value +
+                        "'");
+        }
+    }
+
+    std::string why = geometryError("l1i", out.run.hier.l1i);
+    if (why.empty())
+        why = geometryError("l1d", out.run.hier.l1d);
+    if (why.empty())
+        why = geometryError("l2", out.run.hier.l2);
+    if (!why.empty())
+        return fail(why);
+
+    // coreK.* keys for cores the final `cores=` count never builds
+    // would vanish silently in cmpCores(); warn once per orphaned
+    // record instead (checked here, so key order is free).
+    for (std::size_t k = out.cores; k < out.coreOverrides.size();
+         ++k) {
+        const CoreOverride &o = out.coreOverrides[k];
+        if (!o.bench.empty() || o.dri != -1 || o.driKnobsSet ||
+            o.policySet)
+            warn("core%zu.* options ignored: only %u core%s "
+                 "configured (cores=%u)",
+                 k, out.cores, out.cores == 1 ? " is" : "s are",
+                 out.cores);
+    }
+    error.clear();
+    return true;
+}
+
+void
+installObsSinks(const Options &opts)
+{
+    if (!opts.tracePath.empty())
+        obs::initTrace(opts.tracePath);
+    if (!opts.metricsPath.empty())
+        obs::initMetrics(opts.metricsPath,
+                         opts.metricsInterval > 0
+                             ? opts.metricsInterval
+                             : obs::kDefaultMetricsInterval);
+}
+
+void
+writeObsSinks()
+{
+    std::string err;
+    if (obs::TraceWriter *tw = obs::trace()) {
+        if (!tw->write(err))
+            std::fprintf(stderr, "warning: %s\n", err.c_str());
+        std::fprintf(stderr, "trace: %zu spans -> %s\n",
+                     tw->spanCount(), tw->path().c_str());
+    }
+    if (obs::TimeSeriesRecorder *m = obs::metrics()) {
+        if (!m->write(err))
+            std::fprintf(stderr, "warning: %s\n", err.c_str());
+        std::fprintf(stderr, "metrics: %zu samples -> %s\n",
+                     m->sampleCount(), m->path().c_str());
+    }
+}
 
 std::vector<CmpCoreConfig>
 Options::cmpCores(bool driByDefault) const
@@ -220,303 +569,6 @@ Options::policyConfig() const
     PolicyConfig p = policy;
     p.dri = dri;
     return p;
-}
-
-bool
-parseOptions(int argc, const char *const *argv, Options &out,
-             std::string &error)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string token = argv[i];
-        const size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            error = "malformed option '" + token +
-                    "' (expected key=value)";
-            return false;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-
-        auto bad_value = [&] {
-            error = "bad value for '" + key + "': '" + value + "'";
-            return false;
-        };
-
-        std::uint64_t u = 0;
-        unsigned core = 0;
-        std::string sub;
-        if (key == "instrs") {
-            if (!parseU64(value, u) || u == 0)
-                return bad_value();
-            out.run.maxInstrs = u;
-        } else if (key == "jobs") {
-            unsigned jobs = 0;
-            if (!parseJobsValue(value, jobs))
-                return bad_value();
-            out.run.jobs = jobs;
-        } else if (key == "shard") {
-            std::string shardErr;
-            if (!farm::parseShardSpec(value, out.run.shard,
-                                      shardErr)) {
-                error = shardErr;
-                return false;
-            }
-        } else if (key == "cores") {
-            if (!parsePositiveValue(value, u, kMaxCmpCores))
-                return bad_value();
-            out.cores = static_cast<unsigned>(u);
-        } else if (key == "coherence") {
-            bool b = false;
-            if (!parseBool(value, b))
-                return bad_value();
-            out.coherence.enabled = b;
-        } else if (key == "coherence.entries") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.coherence.directoryEntries = u;
-        } else if (key == "coherence.msg_latency") {
-            if (!parseU64(value, u))
-                return bad_value();
-            out.coherence.msgLatency = u;
-        } else if (key == "benchmark") {
-            if (value.empty())
-                return bad_value();
-            out.benchmark = value;
-        } else if (key == "l1i.size") {
-            if (!parseBytes(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l1i.sizeBytes = u;
-            out.dri.sizeBytes = u;
-        } else if (key == "l1i.assoc") {
-            if (!parseU64(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l1i.assoc = static_cast<unsigned>(u);
-            out.dri.assoc = static_cast<unsigned>(u);
-        } else if (key == "l1i.block") {
-            if (!parseBytes(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l1i.blockBytes = static_cast<unsigned>(u);
-            out.dri.blockBytes = static_cast<unsigned>(u);
-            out.run.core.fetchBlockBytes = static_cast<unsigned>(u);
-        } else if (key == "dri.size_bound") {
-            if (!parseBytes(value, u) || u == 0)
-                return bad_value();
-            out.dri.sizeBoundBytes = u;
-        } else if (key == "dri.miss_bound") {
-            if (!parseU64(value, u))
-                return bad_value();
-            out.dri.missBound = u;
-        } else if (key == "dri.interval") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.dri.senseInterval = u;
-        } else if (key == "dri.divisibility") {
-            if (!parseU64(value, u) || u < 2)
-                return bad_value();
-            out.dri.divisibility = static_cast<unsigned>(u);
-        } else if (key == "dri.throttle_hold") {
-            if (!parseU64(value, u))
-                return bad_value();
-            out.dri.throttleHoldIntervals =
-                static_cast<unsigned>(u);
-        } else if (key == "dri.adaptive") {
-            bool b = true;
-            if (!parseBool(value, b))
-                return bad_value();
-            out.dri.adaptive = b;
-        } else if (key == "policy" ||
-                   key.rfind("policy.", 0) == 0) {
-            bool known = true;
-            if (!applyPolicyKey(key.substr(6), value, out.policy,
-                                known)) {
-                if (known)
-                    return bad_value();
-                out.unknown.push_back(key);
-            }
-        } else if (key == "sample") {
-            bool b = false;
-            if (!parseBool(value, b))
-                return bad_value();
-            out.run.sampling.enabled = b;
-        } else if (key == "sample.window") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.run.sampling.detailedWindow = u;
-        } else if (key == "sample.period") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.run.sampling.period = u;
-        } else if (key == "checkpoint_dir") {
-            if (value.empty())
-                return bad_value();
-            out.run.checkpointDir = value;
-        } else if (key == "result_cache") {
-            if (value.empty())
-                return bad_value();
-            out.run.resultCache =
-                std::make_shared<sim::ResultCache>(value);
-        } else if (key == "trace") {
-            if (value.empty())
-                return bad_value();
-            out.tracePath = value;
-        } else if (key == "metrics") {
-            if (value.empty())
-                return bad_value();
-            out.metricsPath = value;
-        } else if (key == "metrics.interval") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.metricsInterval = u;
-        } else if (key == "l2.size") {
-            if (!parseBytes(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l2.sizeBytes = u;
-        } else if (key == "l2.assoc") {
-            if (!parseU64(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l2.assoc = static_cast<unsigned>(u);
-        } else if (key == "l2.block") {
-            if (!parseBytes(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l2.blockBytes = static_cast<unsigned>(u);
-        } else if (key == "l2.dri") {
-            bool b = false;
-            if (!parseBool(value, b))
-                return bad_value();
-            out.run.hier.l2Dri = b;
-        } else if (key == "l2.size_bound") {
-            if (!parseBytes(value, u) || u == 0)
-                return bad_value();
-            out.run.hier.l2DriParams.sizeBoundBytes = u;
-        } else if (key == "l2.miss_bound") {
-            if (!parseU64(value, u))
-                return bad_value();
-            out.run.hier.l2DriParams.missBound = u;
-        } else if (key == "l2.interval") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.run.hier.l2DriParams.senseInterval = u;
-        } else if (key == "l1.mshrs") {
-            if (!parseU64(value, u) || u > 256)
-                return bad_value();
-            // Both L1s and the DRI/policy template: the knob means
-            // "make the private level non-blocking", not one array.
-            out.run.hier.l1i.mshrs = static_cast<unsigned>(u);
-            out.run.hier.l1d.mshrs = static_cast<unsigned>(u);
-            out.dri.mshrs = static_cast<unsigned>(u);
-        } else if (key == "l2.mshrs") {
-            if (!parseU64(value, u) || u > 256)
-                return bad_value();
-            out.run.hier.l2.mshrs = static_cast<unsigned>(u);
-        } else if (key == "dram.banked") {
-            bool b = false;
-            if (!parseBool(value, b))
-                return bad_value();
-            out.run.hier.dram.banked = b;
-        } else if (key == "dram.banks") {
-            if (!parsePositiveValue(value, u) || u > 64)
-                return bad_value();
-            out.run.hier.dram.banks = static_cast<unsigned>(u);
-        } else if (key == "dram.row_hit") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.run.hier.dram.rowHitLatency = u;
-        } else if (key == "dram.row_miss") {
-            if (!parsePositiveValue(value, u))
-                return bad_value();
-            out.run.hier.dram.rowMissLatency = u;
-        } else if (key == "dram.queue") {
-            if (!parsePositiveValue(value, u) || u > 1024)
-                return bad_value();
-            out.run.hier.dram.queueDepth = static_cast<unsigned>(u);
-        } else if (splitCoreKey(key, core, sub)) {
-            if (sub == "bench") {
-                if (value.empty())
-                    return bad_value();
-                coreOverride(out, core).bench = value;
-            } else if (sub == "dri") {
-                bool b = false;
-                if (!parseBool(value, b))
-                    return bad_value();
-                coreOverride(out, core).dri = b ? 1 : 0;
-            } else if (sub == "dri.size_bound") {
-                if (!parseBytes(value, u) || u == 0)
-                    return bad_value();
-                driOverride(out, core).driParams.sizeBoundBytes = u;
-            } else if (sub == "dri.miss_bound") {
-                if (!parseU64(value, u))
-                    return bad_value();
-                driOverride(out, core).driParams.missBound = u;
-            } else if (sub == "dri.interval") {
-                if (!parsePositiveValue(value, u))
-                    return bad_value();
-                driOverride(out, core).driParams.senseInterval = u;
-            } else if (sub == "policy" ||
-                       sub.rfind("policy.", 0) == 0) {
-                // Parse into a scratch copy first so an unknown
-                // sub-key cannot mark the core policy-authoritative.
-                bool known = true;
-                const CoreOverride &cur = coreOverride(out, core);
-                PolicyConfig p =
-                    cur.policySet ? cur.policy : out.policy;
-                if (!applyPolicyKey(sub.substr(6), value, p,
-                                    known)) {
-                    if (known)
-                        return bad_value();
-                    out.unknown.push_back(key);
-                } else {
-                    policyOverride(out, core).policy = p;
-                }
-            } else {
-                out.unknown.push_back(key);
-            }
-        } else {
-            out.unknown.push_back(key);
-        }
-    }
-    // coreK.* keys for cores the final `cores=` count never builds
-    // would vanish silently in cmpCores(); warn once per orphaned
-    // record instead (checked post-loop, so key order is free).
-    for (std::size_t k = out.cores; k < out.coreOverrides.size();
-         ++k) {
-        const CoreOverride &o = out.coreOverrides[k];
-        if (!o.bench.empty() || o.dri != -1 || o.driKnobsSet ||
-            o.policySet)
-            warn("core%zu.* options ignored: only %u core%s "
-                 "configured (cores=%u)",
-                 k, out.cores, out.cores == 1 ? " is" : "s are",
-                 out.cores);
-    }
-    error.clear();
-    return true;
-}
-
-std::string
-optionsUsage()
-{
-    return "options: instrs=N jobs=N shard=K/N benchmark=NAME "
-           "l1i.size=64K "
-           "l1i.assoc=N l1i.block=32 dri.size_bound=1K "
-           "dri.miss_bound=N dri.interval=N dri.divisibility=2 "
-           "dri.throttle_hold=N dri.adaptive=0|1 "
-           "policy=dri|decay|drowsy|ways policy.decay.interval=N "
-           "policy.decay.limit=N policy.drowsy.interval=N "
-           "policy.drowsy.wake=N policy.ways.active=N sample=0|1 "
-           "sample.window=N sample.period=N checkpoint_dir=DIR "
-           "result_cache=FILE trace=FILE metrics=FILE "
-           "metrics.interval=N l2.size=1M "
-           "l2.assoc=N l2.block=64 l2.dri=0|1 l2.size_bound=64K "
-           "l2.miss_bound=N l2.interval=N l1.mshrs=N l2.mshrs=N "
-           "dram.banked=0|1 dram.banks=N dram.row_hit=N "
-           "dram.row_miss=N dram.queue=N cores=N coherence=0|1 "
-           "coherence.entries=N coherence.msg_latency=N "
-           "coreK.bench=NAME "
-           "coreK.dri=0|1 coreK.dri.size_bound=1K "
-           "coreK.dri.miss_bound=N coreK.dri.interval=N "
-           "coreK.policy=NAME coreK.policy.decay.interval=N "
-           "coreK.policy.decay.limit=N "
-           "coreK.policy.drowsy.interval=N "
-           "coreK.policy.drowsy.wake=N coreK.policy.ways.active=N";
 }
 
 } // namespace drisim

@@ -1,76 +1,40 @@
 /**
  * @file
- * Key=value option parsing shared by the examples and bench
- * binaries: overrides for run length, cache geometry and every DRI
- * parameter, so experiments are scriptable without recompiling.
+ * Every command-line knob of the simulator binaries: one constant
+ * table with one row per knob, in the one-row-per-knob shape of
+ * CACTI's cache.cfg, and one parser, parseArgs(), that the bench
+ * binaries, quickstart, param_tuner and phase_explorer all call with
+ * the rows they honor (knobRows()).
  *
- * Accepted keys (sizes take 512 / 4K / 1M suffixes):
- *   instrs, jobs, shard, benchmark,
- *   l1i.size, l1i.assoc, l1i.block,
- *   dri.size_bound, dri.miss_bound, dri.interval,
- *   dri.divisibility, dri.throttle_hold, dri.adaptive,
- *   policy, policy.decay.interval, policy.decay.limit,
- *   policy.drowsy.interval, policy.drowsy.wake, policy.ways.active,
- *   sample, sample.window, sample.period,
- *   checkpoint_dir, result_cache,
- *   trace, metrics, metrics.interval,
- *   l2.size, l2.assoc, l2.block,
- *   l2.dri, l2.size_bound, l2.miss_bound, l2.interval,
- *   l1.mshrs, l2.mshrs,
- *   dram.banked, dram.banks, dram.row_hit, dram.row_miss,
- *   dram.queue,
- *   cores, coreK.bench, coreK.dri,
- *   coreK.dri.size_bound, coreK.dri.miss_bound, coreK.dri.interval,
- *   coreK.policy, coreK.policy.decay.interval,
- *   coreK.policy.drowsy.interval, coreK.policy.drowsy.wake,
- *   coreK.policy.ways.active
+ * Spelling: every row reads as `name=V`, `--name V` and `--name=V`.
+ * In the flag form `-` stands for `.` and `_` (`--dram-banked` is
+ * `dram.banked`, `--checkpoint-dir` is `checkpoint_dir`), a boolean
+ * row alone (`--sample`) sets it, and `-j N` is `--jobs N`. Bare
+ * tokens fill `benchmark`, then `instrs`, wherever they appear.
+ * Sizes take 512 / 4K / 1M suffixes; counts go through the strict
+ * bounded parser (util/parse.hh), so "-1" is rejected instead of
+ * wrapping. An unknown name, an empty value in any spelling and a
+ * cache geometry the caches cannot build are errors. The usage text
+ * is generated from the rows (knobUsage()).
  *
- * `jobs` is the sweep worker count (0 = DRISIM_JOBS env, else
- * serial); see harness/executor.hh. `shard=K/N` assigns the run
- * 1-based shard K of an N-way sweep-farm partition
- * (src/farm/shard_plan.hh) — execution-only like `jobs`, it never
- * enters a run's identity key. The `l2.*` resize keys
- * configure the multi-level scenario (DRI-enabled L2,
- * mem/hierarchy.hh): `l2.dri=1` builds the L2 resizable, and the
- * bound/interval keys set its controller knobs (geometry always
- * follows l2.size/l2.assoc/l2.block).
+ * `coreK.*` rows configure CMP core K (system/cmp.hh). A
+ * `coreK.dri.*` or `coreK.policy*` row starts that core's knobs from
+ * the global `dri.*` / `policy*` template as parsed *so far*, so put
+ * global keys first; cores without such rows follow the final
+ * template.
  *
- * `l1.mshrs`/`l2.mshrs` give the private L1s (and the DRI/policy
- * template) / the L2 a non-blocking MSHR file of N entries (0, the
- * default, keeps the historical blocking path). `dram.banked=1`
- * replaces the flat Table 1 memory with the banked, queued model
- * (mem/dram.hh); `dram.banks`, `dram.row_hit`, `dram.row_miss` and
- * `dram.queue` tune it.
- *
- * `policy=dri|decay|drowsy|ways` selects the leakage technique
- * managing the L1 i-cache (policy/leakage_policy.hh); the
- * `policy.*` keys set the per-technique knobs (`dri` remains the
- * default and keeps its classic `dri.*` keys).
- *
- * `sample=1` switches detailed single-core runs to systematic
- * sampling (src/sim/sampling.hh) with `sample.window` detailed
- * instructions at the head of every `sample.period`-instruction
- * period. `checkpoint_dir=DIR` enables mid-run snapshot/restore
- * (src/sim/checkpoint.hh) and `result_cache=FILE` memoizes whole
- * runs into a JSON sidecar keyed by the canonical config hash
- * (src/sim/result_cache.hh). CMP runs ignore all three.
- *
- * `cores=N` switches consumers to the CMP scenario (system/cmp.hh):
- * N cores with private L1s over the shared L2. `coreK.bench=` gives
- * core K its own workload (default: the `benchmark` key), the
- * `coreK.dri.*` keys override that core's L1I resize knobs (they
- * start from the global `dri.*` template as parsed *so far*, so put
- * global keys first) and `coreK.policy*` picks and tunes that
- * core's leakage technique the same way. Every count key (`jobs`,
- * `cores`, the intervals, the wake latency, the active-way count,
- * ...) parses through the strict bounded parser (util/parse.hh):
- * "-1" is rejected everywhere instead of wrapping.
+ * The run keys (harness/runner.hh) stay hand-written: most of their
+ * columns have no knob, several names differ, and one row can set
+ * several columns. Each row instead declares which key it reaches,
+ * and tests/options_test.cc checks every row against its
+ * declaration.
  */
 
 #ifndef DRISIM_CONFIG_OPTIONS_HH
 #define DRISIM_CONFIG_OPTIONS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,8 +90,7 @@ struct Options
 
     /** `trace=FILE`: Perfetto/chrome-trace span output
      *  (src/obs/trace.hh). Execution-only like `jobs` — never
-     *  enters a run's identity key; empty = disabled. Consumers
-     *  install it with obs::initTrace(). */
+     *  enters a run's identity key; empty = disabled. */
     std::string tracePath;
     /** `metrics=FILE`: interval time-series CSV output
      *  (src/obs/metrics.hh). Execution-only; empty = disabled. */
@@ -136,8 +99,17 @@ struct Options
      *  (0 = obs::kDefaultMetricsInterval). Execution-only. */
     std::uint64_t metricsInterval = 0;
 
-    /** Keys that were not recognized (caller decides severity). */
-    std::vector<std::string> unknown;
+    /** The bench binaries' own rows (bench/bench_common.hh), all
+     *  execution-only: `list` prints the workload names and exits,
+     *  `json` writes the winner rows as a report, `short` runs the
+     *  compress+li subset, `part` streams completed sweep units
+     *  into a resumable fragment (farm/fragment.hh) and `coherent`
+     *  switches bench_cmp to its MSI sharing study. */
+    bool list = false;
+    std::string jsonPath;
+    bool shortRun = false;
+    std::string partPath;
+    bool coherent = false;
 
     /**
      * Resolve the per-core configs for a CMP run: one entry per
@@ -162,16 +134,86 @@ struct Options
     PolicyConfig policyConfig() const;
 };
 
-/**
- * Parse argv-style "key=value" tokens into Options.
- * Returns false (and fills @p error) on a malformed token or value;
- * unknown keys are collected, not fatal.
- */
-bool parseOptions(int argc, const char *const *argv, Options &out,
-                  std::string &error);
+/** The run identity a knob must reach. */
+enum class Reach
+{
+    /** Changes runKey(): it can change a single-core result. */
+    RunKey,
+    /** Changes runKeyCmp(): it shapes a CMP run only. */
+    CmpKey,
+    /** Execution-only: changes neither key. */
+    None,
+};
 
-/** One-line usage text listing the accepted keys. */
-std::string optionsUsage();
+/** The binaries; Knob::binaries is a mask of these. */
+enum Binary : unsigned
+{
+    kQuickstart = 1u << 0,
+    kParamTuner = 1u << 1,
+    kPhaseExplorer = 1u << 2,
+    /** bench_table1, bench_table2: no sweep to shard. */
+    kTableBench = 1u << 3,
+    /** bench_figure3/5/6, bench_section56, bench_multilevel. */
+    kSweepBench = 1u << 4,
+    /** bench_figure4, bench_policies: a sweep with --short. */
+    kShortBench = 1u << 5,
+    /** bench_cmp: a sweep with --cores and --coherent. */
+    kCmpBench = 1u << 6,
+    kBinaryEnd = 1u << 7,
+};
+
+/** One knob: a row of the table. */
+struct Knob
+{
+    /** Key spelling; a `coreK.` prefix takes a core index for K. */
+    const char *name;
+    /** Value placeholder for the usage text; null for a boolean. */
+    const char *value;
+    /** One line of usage. */
+    const char *help;
+    Reach reach;
+    /** The binaries that take the row (a mask of Binary). */
+    unsigned binaries;
+    /**
+     * Strict apply into Options: false rejects @p value and leaves
+     * the parse failed. @p core is K for a coreK row. A boolean
+     * given alone as --name applies "1".
+     */
+    bool (*apply)(Options &out, const std::string &value,
+                  unsigned core);
+};
+
+/** The shared rows any binary in the mask @p binaries takes, in
+ *  table order (kBinaryEnd - 1 gives every row), then @p local: rows
+ *  only one binary defines. */
+std::vector<const Knob *> knobRows(unsigned binaries,
+                                   std::span<const Knob> local = {});
+
+/**
+ * Parse argv[1..] through @p rows into @p out, on top of the
+ * defaults @p out already holds. Returns false on an unknown name, a
+ * missing or bad value, a surplus bare token or a cache geometry the
+ * caches cannot build, with @p error naming the knob on its first
+ * line followed by the usage. Installs nothing (installObsSinks()).
+ */
+bool parseArgs(int argc, const char *const *argv,
+               const std::vector<const Knob *> &rows, Options &out,
+               std::string &error);
+
+/** Usage text for @p prog generated from @p rows. */
+std::string knobUsage(const std::string &prog,
+                      const std::vector<const Knob *> &rows);
+
+/** A boolean knob value: 1/true/yes or 0/false/no. */
+bool parseFlag(const std::string &text, bool &out);
+
+/** Install the trace and metrics sinks @p opts names, once, after
+ *  parsing: every layer's hooks then find them (obs/trace.hh,
+ *  obs/metrics.hh). */
+void installObsSinks(const Options &opts);
+
+/** Write the installed sinks out, one stderr line each. */
+void writeObsSinks();
 
 } // namespace drisim
 

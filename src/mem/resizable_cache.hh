@@ -6,9 +6,9 @@
  * the machinery — a size mask over a tag store, a miss-bound/
  * size-bound controller sampled at sense-interval boundaries, and
  * time-integrated active-size bookkeeping — is level-agnostic.
- * This class owns all of it once, so the L1 i-cache, the L1 d-cache
- * extension and the DRI-enabled L2 differ only in their access-type
- * restrictions and in two policy bits:
+ * This class owns all of it once, so the L1 i-cache and the
+ * DRI-enabled L2 differ only in their access-type restrictions and
+ * in two policy bits:
  *
  *  - `writebackDirty`: whether dirty blocks must reach the lower
  *    level before their set's supply is gated (mandatory for any
@@ -18,9 +18,10 @@
  *    aliases are not harmless, i.e. everywhere except the read-only
  *    i-stream).
  *
- * Used directly, the class is a resizable unified write-back,
- * write-allocate cache (the DRI L2 configuration); DriICache and
- * DriDCache derive from it to add their restrictions.
+ * Used directly with ResizePolicy::writeback(), the class is a
+ * resizable unified write-back, write-allocate cache: the DRI L2,
+ * and the DRI d-cache the paper defers (tests/dri_dcache_test.cc).
+ * DriICache derives from it to serve instruction fetches only.
  */
 
 #ifndef DRISIM_MEM_RESIZABLE_CACHE_HH

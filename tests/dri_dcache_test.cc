@@ -1,14 +1,18 @@
 /**
  * @file
- * DRI d-cache tests: the dirty-block handling the paper defers.
- * Downsizing must write back dirty state before gating; upsizing
- * must evict remapped blocks (no stale aliases for data).
+ * DRI d-cache tests: the dirty-block handling the paper defers
+ * ("Because of complications involving dirty cache blocks, studying
+ * d-cache designs is beyond the scope of this paper", Section 2). A
+ * DRI d-cache is a ResizableCache on ResizePolicy::writeback(), the
+ * policy the DRI L2 runs on. Downsizing must write back dirty state
+ * before gating; upsizing must evict remapped blocks (no stale
+ * aliases for data).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/dri_dcache.hh"
 #include "mem/memory.hh"
+#include "mem/resizable_cache.hh"
 #include "stats/stats.hh"
 #include "util/random.hh"
 
@@ -27,6 +31,15 @@ smallDri(std::uint64_t missBound = 10)
     p.missBound = missBound;
     p.senseInterval = 1000;
     return p;
+}
+
+/** A DRI d-cache over @p below. */
+ResizableCache
+dcache(const DriParams &params, MemoryLevel *below,
+       stats::StatGroup *parent)
+{
+    return ResizableCache(params, ResizePolicy::writeback(), below,
+                          parent, "dri_dcache");
 }
 
 /** Tracks store traffic arriving from writebacks. */
@@ -54,7 +67,7 @@ TEST(DriDCache, LoadStoreHitMiss)
 {
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(), &mem, &root);
+    ResizableCache c = dcache(smallDri(), &mem, &root);
     EXPECT_FALSE(c.access(0x100, AccessType::Load).hit);
     EXPECT_TRUE(c.access(0x100, AccessType::Load).hit);
     EXPECT_TRUE(c.access(0x104, AccessType::Store).hit);
@@ -65,7 +78,7 @@ TEST(DriDCache, DowsizeWritesBackDirtyBlocks)
 {
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(), &mem, &root);
+    ResizableCache c = dcache(smallDri(), &mem, &root);
 
     // Dirty a block in set 200 (doomed by the first downsize).
     const Addr doomed = 32 * 200;
@@ -83,7 +96,7 @@ TEST(DriDCache, CleanBlocksAreDroppedSilently)
 {
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(), &mem, &root);
+    ResizableCache c = dcache(smallDri(), &mem, &root);
     c.access(32 * 200, AccessType::Load); // clean block, set 200
     const std::uint64_t stores_before = mem.stores;
     c.retireInstructions(1000);
@@ -95,7 +108,7 @@ TEST(DriDCache, UpsizeEvictsRemappedDirtyBlocks)
 {
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(), &mem, &root);
+    ResizableCache c = dcache(smallDri(), &mem, &root);
 
     // Shrink to 32 sets.
     for (int i = 0; i < 3; ++i)
@@ -129,7 +142,7 @@ TEST(DriDCache, MappingConsistencyUnderRandomTraffic)
     // makes data resizing safe.
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(50), &mem, &root);
+    ResizableCache c = dcache(smallDri(50), &mem, &root);
     Rng rng(99);
     for (int step = 0; step < 400; ++step) {
         const int burst = static_cast<int>(rng.range(150));
@@ -150,7 +163,7 @@ TEST(DriDCache, NoDirtyDataIsEverLost)
     // flush. We count unique dirtied blocks and writebacks.
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(50), &mem, &root);
+    ResizableCache c = dcache(smallDri(50), &mem, &root);
     Rng rng(7);
     std::uint64_t stores_issued = 0;
     for (int step = 0; step < 200; ++step) {
@@ -177,21 +190,13 @@ TEST(DriDCache, ResizesUnderTheSameControllerRules)
 {
     stats::StatGroup root("t");
     CountingMemory mem;
-    DriDCache c(smallDri(), &mem, &root);
+    ResizableCache c = dcache(smallDri(), &mem, &root);
     c.retireInstructions(1000);
     c.retireInstructions(1000);
     EXPECT_EQ(c.downsizes(), 2u);
     EXPECT_DOUBLE_EQ(c.activeFraction(), 0.25);
     c.integrateCycles(100);
     EXPECT_DOUBLE_EQ(c.averageActiveFraction(), 0.25);
-}
-
-TEST(DriDCache, RejectsInstructionFetches)
-{
-    stats::StatGroup root("t");
-    DriDCache c(smallDri(), nullptr, &root);
-    EXPECT_DEATH(
-        { c.access(0x0, AccessType::InstFetch); }, "");
 }
 
 } // namespace

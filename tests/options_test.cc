@@ -1,9 +1,10 @@
 /**
  * @file
- * Option-parser tests, including the semantic-key guard: every key
- * optionsUsage() advertises either demonstrably changes a canonical
- * run key (so the result cache and checkpoint store can never serve
- * stale artifacts across it) or is explicitly execution-only.
+ * Option-parser tests over the knob table (config/options.hh): the
+ * key guard (every row reaches exactly the run identity it
+ * declares, so the result cache and checkpoint store can never
+ * serve stale artifacts across a knob), spelling equivalence in
+ * every binary's row set, and the values each row rejects.
  */
 
 #include <gtest/gtest.h>
@@ -21,14 +22,30 @@ namespace drisim
 namespace
 {
 
+/** Every shared row: the union of every binary's set. */
+std::vector<const Knob *>
+allRows()
+{
+    return knobRows(kBinaryEnd - 1);
+}
+
+bool
+parseWith(const std::vector<const Knob *> &rows,
+          const std::vector<std::string> &args, Options &out,
+          std::string &err)
+{
+    std::vector<const char *> argv{"prog"};
+    for (const std::string &a : args)
+        argv.push_back(a.c_str());
+    return parseArgs(static_cast<int>(argv.size()), argv.data(), rows,
+                     out, err);
+}
+
 bool
 parse(std::initializer_list<const char *> args, Options &out,
       std::string &err)
 {
-    std::vector<const char *> argv{"prog"};
-    argv.insert(argv.end(), args.begin(), args.end());
-    return parseOptions(static_cast<int>(argv.size()), argv.data(),
-                        out, err);
+    return parseWith(allRows(), {args.begin(), args.end()}, out, err);
 }
 
 TEST(Options, Defaults)
@@ -38,7 +55,6 @@ TEST(Options, Defaults)
     ASSERT_TRUE(parse({}, o, err));
     EXPECT_EQ(o.benchmark, "compress");
     EXPECT_EQ(o.dri.sizeBytes, 64u * 1024);
-    EXPECT_TRUE(o.unknown.empty());
 }
 
 TEST(Options, ParsesRunAndBenchmark)
@@ -83,21 +99,26 @@ TEST(Options, ParsesDriKnobs)
 
 TEST(Options, CollectsUnknownKeys)
 {
+    // Unknown keys are errors in every binary, named on the first
+    // line of the message.
     Options o;
     std::string err;
-    ASSERT_TRUE(parse({"nonsense=1", "instrs=10"}, o, err));
-    ASSERT_EQ(o.unknown.size(), 1u);
-    EXPECT_EQ(o.unknown[0], "nonsense");
-    EXPECT_EQ(o.run.maxInstrs, 10u);
+    EXPECT_FALSE(parse({"nonsense=1", "instrs=10"}, o, err));
+    EXPECT_EQ(err.rfind("unknown option 'nonsense=1'", 0), 0u) << err;
+    EXPECT_FALSE(parse({"--nonsense", "1"}, o, err));
+    EXPECT_FALSE(parse({"--nonsense=1"}, o, err));
 }
 
 TEST(Options, RejectsMalformedTokens)
 {
     Options o;
     std::string err;
-    EXPECT_FALSE(parse({"no_equals"}, o, err));
+    // A bare token is a positional only where the binary takes one.
+    EXPECT_FALSE(parseWith(knobRows(kTableBench), {"no_equals"}, o,
+                           err));
     EXPECT_FALSE(err.empty());
     EXPECT_FALSE(parse({"=value"}, o, err));
+    EXPECT_FALSE(parse({"-x"}, o, err));
 }
 
 TEST(Options, RejectsBadValues)
@@ -186,7 +207,6 @@ TEST(Options, ParsesL2GeometryAndDriKnobs)
     EXPECT_EQ(o.run.hier.l2DriParams.sizeBoundBytes, 32u * 1024);
     EXPECT_EQ(o.run.hier.l2DriParams.missBound, 40u);
     EXPECT_EQ(o.run.hier.l2DriParams.senseInterval, 200000u);
-    EXPECT_TRUE(o.unknown.empty());
 }
 
 TEST(Options, L2DriDefaultsOff)
@@ -211,7 +231,7 @@ TEST(Options, RejectsBadL2Values)
 
 TEST(Options, UsageMentionsEveryKey)
 {
-    const std::string u = optionsUsage();
+    const std::string u = knobUsage("prog", allRows());
     for (const char *key :
          {"instrs", "benchmark", "l1i.size", "l1i.assoc",
           "l1i.block", "dri.size_bound", "dri.miss_bound",
@@ -245,7 +265,6 @@ TEST(Options, ParsesMemorySystemKeys)
     EXPECT_EQ(o.run.hier.dram.rowHitLatency, 30u);
     EXPECT_EQ(o.run.hier.dram.rowMissLatency, 90u);
     EXPECT_EQ(o.run.hier.dram.queueDepth, 4u);
-    EXPECT_TRUE(o.unknown.empty());
 }
 
 TEST(Options, MemorySystemDefaultsToBlockingFlat)
@@ -289,147 +308,311 @@ canonicalOf(const Options &o)
            runKey(b, o.run, {o.policyConfig()}).canonical();
 }
 
+/** The canonical key of the CMP run the options describe. */
+std::string
+canonicalCmpOf(const Options &o)
+{
+    return runKeyCmp(o.run, o.cmpConfig(true), o.benchmark)
+        .canonical();
+}
+
+/** Everything a parse can set: both keys plus the execution-only
+ *  fields. Two spellings of a knob must agree on all of it. */
+std::string
+fingerprintOf(const Options &o)
+{
+    std::ostringstream f;
+    f << canonicalOf(o) << "|" << canonicalCmpOf(o) << "|"
+      << o.run.jobs << "|" << o.run.shard.spec() << "|"
+      << o.run.checkpointDir << "|"
+      << (o.run.resultCache ? o.run.resultCache->path() : "-") << "|"
+      << o.tracePath << "|" << o.metricsPath << "|"
+      << o.metricsInterval << "|" << o.list << "|" << o.jsonPath
+      << "|" << o.shortRun << "|" << o.partPath << "|" << o.coherent
+      << "|" << o.cores;
+    return f.str();
+}
+
 /**
- * The satellite guard: a new Options knob that changes simulation
- * results but is missing from the canonical config key would make
- * the result cache and checkpoint store silently serve stale
- * artifacts across it. Every key optionsUsage() advertises must
- * therefore either (a) have a probe here proving it reaches the
- * canonical string, or (b) be on the explicit execution-only list.
- * Adding a key to usage without extending one of the two fails this
- * test by name.
+ * One probe per row: @p base is the context that makes a
+ * conditional key column appear (sample.window enters the key only
+ * once sampling is on), and @p variant a non-default value of the
+ * row itself, in key spelling.
+ */
+struct Probe
+{
+    std::vector<std::string> base;
+    std::string variant;
+};
+
+const std::map<std::string, Probe> &
+probes()
+{
+    static const std::map<std::string, Probe> p{
+        {"benchmark", {{}, "benchmark=gcc"}},
+        {"instrs", {{}, "instrs=1234"}},
+        {"jobs", {{}, "jobs=4"}},
+        {"cores", {{}, "cores=2"}},
+        {"list", {{}, "list=1"}},
+        {"json", {{}, "json=/tmp/r.json"}},
+        {"short", {{}, "short=1"}},
+        {"shard", {{}, "shard=2/3"}},
+        {"part", {{}, "part=/tmp/p.json"}},
+        {"coherent", {{}, "coherent=1"}},
+        {"sample", {{}, "sample=1"}},
+        {"sample.window", {{"sample=1"}, "sample.window=5000"}},
+        {"sample.period", {{"sample=1"}, "sample.period=40000"}},
+        {"checkpoint_dir", {{}, "checkpoint_dir=/tmp/ck"}},
+        {"result_cache", {{}, "result_cache=/tmp/rc.json"}},
+        {"trace", {{}, "trace=/tmp/t.json"}},
+        {"metrics", {{}, "metrics=/tmp/m.csv"}},
+        {"metrics.interval", {{}, "metrics.interval=5000"}},
+        {"l1i.size", {{}, "l1i.size=128K"}},
+        {"l1i.assoc", {{}, "l1i.assoc=4"}},
+        {"l1i.block", {{}, "l1i.block=64"}},
+        {"dri.size_bound", {{}, "dri.size_bound=2K"}},
+        {"dri.miss_bound", {{}, "dri.miss_bound=123"}},
+        {"dri.interval", {{}, "dri.interval=50000"}},
+        {"dri.divisibility", {{}, "dri.divisibility=4"}},
+        {"dri.throttle_hold", {{}, "dri.throttle_hold=7"}},
+        {"dri.adaptive", {{}, "dri.adaptive=0"}},
+        {"policy", {{}, "policy=decay"}},
+        {"policy.decay.interval", {{}, "policy.decay.interval=40000"}},
+        {"policy.decay.limit", {{}, "policy.decay.limit=2"}},
+        {"policy.drowsy.interval", {{}, "policy.drowsy.interval=50000"}},
+        {"policy.drowsy.wake", {{}, "policy.drowsy.wake=2"}},
+        {"policy.ways.active", {{}, "policy.ways.active=3"}},
+        {"l2.size", {{}, "l2.size=512K"}},
+        {"l2.assoc", {{}, "l2.assoc=8"}},
+        {"l2.block", {{}, "l2.block=128"}},
+        {"l2.dri", {{}, "l2.dri=1"}},
+        {"l2.size_bound", {{"l2.dri=1"}, "l2.size_bound=32K"}},
+        {"l2.miss_bound", {{"l2.dri=1"}, "l2.miss_bound=40"}},
+        {"l2.interval", {{"l2.dri=1"}, "l2.interval=200000"}},
+        {"l1.mshrs", {{}, "l1.mshrs=4"}},
+        {"l2.mshrs", {{}, "l2.mshrs=8"}},
+        {"dram.banked", {{}, "dram.banked=1"}},
+        {"dram.banks", {{"dram.banked=1"}, "dram.banks=16"}},
+        {"dram.row_hit", {{"dram.banked=1"}, "dram.row_hit=30"}},
+        {"dram.row_miss", {{"dram.banked=1"}, "dram.row_miss=90"}},
+        {"dram.queue", {{"dram.banked=1"}, "dram.queue=4"}},
+        {"coherence", {{"cores=2"}, "coherence=1"}},
+        {"coherence.entries",
+         {{"cores=2", "coherence=1"}, "coherence.entries=64"}},
+        {"coherence.msg_latency",
+         {{"cores=2", "coherence=1"}, "coherence.msg_latency=9"}},
+        {"coreK.bench", {{"cores=2"}, "core1.bench=li"}},
+        {"coreK.dri", {{"cores=2"}, "core1.dri=0"}},
+        {"coreK.dri.size_bound",
+         {{"cores=2"}, "core1.dri.size_bound=2K"}},
+        {"coreK.dri.miss_bound",
+         {{"cores=2"}, "core1.dri.miss_bound=77"}},
+        {"coreK.dri.interval", {{"cores=2"}, "core1.dri.interval=5000"}},
+        {"coreK.policy", {{"cores=2"}, "core1.policy=decay"}},
+        {"coreK.policy.decay.interval",
+         {{"cores=2", "policy=decay"},
+          "core1.policy.decay.interval=40000"}},
+        {"coreK.policy.decay.limit",
+         {{"cores=2", "policy=decay"}, "core1.policy.decay.limit=2"}},
+        {"coreK.policy.drowsy.interval",
+         {{"cores=2", "policy=drowsy"},
+          "core1.policy.drowsy.interval=50000"}},
+        {"coreK.policy.drowsy.wake",
+         {{"cores=2", "policy=drowsy"}, "core1.policy.drowsy.wake=2"}},
+        {"coreK.policy.ways.active",
+         {{"cores=2", "policy=ways", "l1i.assoc=4"},
+          "core1.policy.ways.active=3"}},
+    };
+    return p;
+}
+
+/**
+ * The key guard: a knob that changes simulation results but is
+ * missing from its run key would make the result cache and
+ * checkpoint store silently serve stale artifacts across it. Every
+ * row declares the key it reaches, and each declaration is checked:
+ * a RunKey row must change runKey(), a CmpKey row runKeyCmp(), and
+ * an execution-only row neither. A row without a probe here fails
+ * this test by name.
  */
 TEST(Options, EveryUsageKeyIsSemanticOrExplicitlyExecutionOnly)
 {
-    // Execution-strategy keys deliberately outside the run key:
-    // jobs/checkpoint_dir/result_cache cannot change results, and
-    // the cores/coreK.*/coherence.* families configure CMP runs,
-    // which are never result-cached (bench_cmp derives its own
-    // row-identity key; coherent identity is locked by runKeyCmp,
-    // tests/checkpoint_test.cc).
-    const std::set<std::string> executionOnly{
-        "jobs",
-        "shard", // farm partition assignment (src/farm/shard_plan.hh)
-        "checkpoint_dir",
-        "result_cache",
-        // Observability sinks (src/obs/): pure output taps that can
-        // never change simulation results, so goldens stay
-        // byte-identical whether or not tracing is on.
-        "trace",
-        "metrics",
-        "metrics.interval",
-        "cores",
-        "coherence",
-        "coherence.entries",
-        "coherence.msg_latency",
-        "coreK.bench",
-        "coreK.dri",
-        "coreK.dri.size_bound",
-        "coreK.dri.miss_bound",
-        "coreK.dri.interval",
-        "coreK.policy",
-        "coreK.policy.decay.interval",
-        "coreK.policy.decay.limit",
-        "coreK.policy.drowsy.interval",
-        "coreK.policy.drowsy.wake",
-        "coreK.policy.ways.active",
-    };
-
-    // base = context making a conditional key participate (e.g.
-    // sample.window only enters the key once sampling is on);
-    // variant = base + a value different from the default.
-    struct Probe
-    {
-        std::vector<const char *> base;
-        std::vector<const char *> variant;
-    };
-    const std::map<std::string, Probe> probes{
-        {"instrs", {{}, {"instrs=1234"}}},
-        {"benchmark", {{}, {"benchmark=gcc"}}},
-        {"l1i.size", {{}, {"l1i.size=128K"}}},
-        {"l1i.assoc", {{}, {"l1i.assoc=4"}}},
-        {"l1i.block", {{}, {"l1i.block=64"}}},
-        {"dri.size_bound", {{}, {"dri.size_bound=2K"}}},
-        {"dri.miss_bound", {{}, {"dri.miss_bound=123"}}},
-        {"dri.interval", {{}, {"dri.interval=50000"}}},
-        {"dri.divisibility", {{}, {"dri.divisibility=4"}}},
-        {"dri.throttle_hold", {{}, {"dri.throttle_hold=7"}}},
-        {"dri.adaptive", {{}, {"dri.adaptive=0"}}},
-        {"policy", {{}, {"policy=decay"}}},
-        {"policy.decay.interval", {{}, {"policy.decay.interval=40000"}}},
-        {"policy.decay.limit", {{}, {"policy.decay.limit=2"}}},
-        {"policy.drowsy.interval",
-         {{}, {"policy.drowsy.interval=50000"}}},
-        {"policy.drowsy.wake", {{}, {"policy.drowsy.wake=2"}}},
-        {"policy.ways.active", {{}, {"policy.ways.active=3"}}},
-        {"sample", {{}, {"sample=1"}}},
-        {"sample.window",
-         {{"sample=1"}, {"sample=1", "sample.window=5000"}}},
-        {"sample.period",
-         {{"sample=1"}, {"sample=1", "sample.period=40000"}}},
-        {"l2.size", {{}, {"l2.size=512K"}}},
-        {"l2.assoc", {{}, {"l2.assoc=8"}}},
-        {"l2.block", {{}, {"l2.block=128"}}},
-        {"l2.dri", {{}, {"l2.dri=1"}}},
-        {"l2.size_bound",
-         {{"l2.dri=1"}, {"l2.dri=1", "l2.size_bound=32K"}}},
-        {"l2.miss_bound",
-         {{"l2.dri=1"}, {"l2.dri=1", "l2.miss_bound=40"}}},
-        {"l2.interval",
-         {{"l2.dri=1"}, {"l2.dri=1", "l2.interval=200000"}}},
-        {"l1.mshrs", {{}, {"l1.mshrs=4"}}},
-        {"l2.mshrs", {{}, {"l2.mshrs=8"}}},
-        {"dram.banked", {{}, {"dram.banked=1"}}},
-        {"dram.banks",
-         {{"dram.banked=1"}, {"dram.banked=1", "dram.banks=16"}}},
-        {"dram.row_hit",
-         {{"dram.banked=1"}, {"dram.banked=1", "dram.row_hit=30"}}},
-        {"dram.row_miss",
-         {{"dram.banked=1"}, {"dram.banked=1", "dram.row_miss=90"}}},
-        {"dram.queue",
-         {{"dram.banked=1"}, {"dram.banked=1", "dram.queue=4"}}},
-    };
-
-    // Every key the usage string advertises, in "key=..." tokens.
-    std::istringstream usage(optionsUsage());
-    std::string tok;
-    std::vector<std::string> keys;
-    while (usage >> tok) {
-        const std::size_t eq = tok.find('=');
-        if (eq != std::string::npos && eq > 0)
-            keys.push_back(tok.substr(0, eq));
-    }
-    ASSERT_GT(keys.size(), 30u); // the usage string really parsed
-
-    for (const std::string &key : keys) {
-        if (executionOnly.count(key))
-            continue;
-        const auto it = probes.find(key);
-        ASSERT_NE(it, probes.end())
-            << "usage key '" << key
-            << "' has neither a semantic probe nor an execution-only "
-               "entry: a knob outside the canonical key serves stale "
+    ASSERT_GT(allRows().size(), 55u);
+    for (const Knob *row : allRows()) {
+        SCOPED_TRACE(row->name);
+        const auto it = probes().find(row->name);
+        ASSERT_NE(it, probes().end())
+            << "row '" << row->name
+            << "' has no probe: a knob outside its key serves stale "
                "cached results";
-        SCOPED_TRACE(key);
         Options base, variant;
         std::string err;
-        std::vector<const char *> argvBase{"prog"};
-        argvBase.insert(argvBase.end(), it->second.base.begin(),
-                        it->second.base.end());
-        ASSERT_TRUE(parseOptions(
-            static_cast<int>(argvBase.size()), argvBase.data(),
-            base, err))
+        ASSERT_TRUE(parseWith(allRows(), it->second.base, base, err))
             << err;
-        std::vector<const char *> argvVar{"prog"};
-        argvVar.insert(argvVar.end(), it->second.variant.begin(),
-                       it->second.variant.end());
-        ASSERT_TRUE(parseOptions(static_cast<int>(argvVar.size()),
-                                 argvVar.data(), variant, err))
-            << err;
-        EXPECT_NE(canonicalOf(base), canonicalOf(variant))
-            << "'" << key << "' parses but never reaches the "
-            << "canonical config string";
+        std::vector<std::string> args = it->second.base;
+        args.push_back(it->second.variant);
+        ASSERT_TRUE(parseWith(allRows(), args, variant, err)) << err;
+        const bool runKeyMoved =
+            canonicalOf(base) != canonicalOf(variant);
+        const bool cmpKeyMoved =
+            canonicalCmpOf(base) != canonicalCmpOf(variant);
+        switch (row->reach) {
+          case Reach::RunKey:
+            EXPECT_TRUE(runKeyMoved)
+                << "parses but never reaches runKey()";
+            break;
+          case Reach::CmpKey:
+            EXPECT_TRUE(cmpKeyMoved)
+                << "parses but never reaches runKeyCmp()";
+            break;
+          case Reach::None:
+            EXPECT_FALSE(runKeyMoved || cmpKeyMoved)
+                << "declared execution-only but moves a run key";
+            EXPECT_NE(fingerprintOf(base), fingerprintOf(variant))
+                << "parses but sets nothing";
+            break;
+        }
     }
+}
+
+/** The flag spelling of a row name. */
+std::string
+flagOf(std::string name)
+{
+    for (char &c : name)
+        if (c == '.' || c == '_')
+            c = '-';
+    return "--" + name;
+}
+
+TEST(Options, EverySpellingOfEveryRowMeansTheSame)
+{
+    for (unsigned binary = 1; binary < kBinaryEnd; binary <<= 1) {
+        const std::vector<const Knob *> rows = knobRows(binary);
+        ASSERT_FALSE(rows.empty());
+        std::set<std::string> flags;
+        for (const Knob *row : rows) {
+            SCOPED_TRACE(std::string(row->name) + " in binary " +
+                         std::to_string(binary));
+            EXPECT_TRUE(flags.insert(flagOf(row->name)).second)
+                << "two rows share a flag spelling";
+            const Probe &probe = probes().at(row->name);
+            const std::size_t eq = probe.variant.find('=');
+            const std::string name = probe.variant.substr(0, eq);
+            // A boolean alone sets it; its probe may clear it.
+            const std::vector<std::string> values =
+                row->value ? std::vector<std::string>{probe.variant
+                                                          .substr(eq + 1)}
+                           : std::vector<std::string>{"1", "0"};
+            for (const std::string &v : values) {
+                std::vector<std::vector<std::string>> spellings{
+                    {name + "=" + v},
+                    {flagOf(name) + "=" + v},
+                };
+                if (row->value)
+                    spellings.push_back({flagOf(name), v});
+                else if (v == "1")
+                    spellings.push_back({flagOf(name)});
+                std::string first;
+                for (const std::vector<std::string> &spelling :
+                     spellings) {
+                    std::vector<std::string> args = probe.base;
+                    args.insert(args.end(), spelling.begin(),
+                                spelling.end());
+                    Options o;
+                    std::string err;
+                    ASSERT_TRUE(parseWith(rows, args, o, err))
+                        << spelling[0] << ": " << err;
+                    const std::string f = fingerprintOf(o);
+                    if (first.empty())
+                        first = f;
+                    EXPECT_EQ(f, first) << spelling[0];
+                }
+            }
+        }
+    }
+    // The union too: one table, one spelling per knob.
+    std::set<std::string> flags;
+    for (const Knob *row : allRows())
+        EXPECT_TRUE(flags.insert(flagOf(row->name)).second) << row->name;
+}
+
+TEST(Options, BareTokensFillBenchmarkThenInstrs)
+{
+    Options o;
+    std::string err;
+    ASSERT_TRUE(parse({"jobs=2", "gcc", "l2.dri=1", "5000"}, o, err))
+        << err;
+    EXPECT_EQ(o.benchmark, "gcc");
+    EXPECT_EQ(o.run.maxInstrs, 5000u);
+    // Positional instruction counts are strict, in every binary
+    // that takes them.
+    for (const unsigned binary :
+         {kQuickstart, kParamTuner, kPhaseExplorer}) {
+        for (const char *bad : {"abc", "3e5", "0", "12x"}) {
+            Options p;
+            EXPECT_FALSE(
+                parseWith(knobRows(binary), {"compress", bad}, p, err))
+                << bad;
+            EXPECT_EQ(err.rfind("bad value for 'instrs'", 0), 0u)
+                << err;
+        }
+        Options p;
+        EXPECT_FALSE(parseWith(knobRows(binary), {"compress", "-1"}, p,
+                               err));
+        EXPECT_FALSE(parseWith(knobRows(binary),
+                               {"compress", "100", "extra"}, p, err));
+        EXPECT_EQ(err.rfind("unexpected argument 'extra'", 0), 0u)
+            << err;
+    }
+}
+
+TEST(Options, RejectsAnEmptyValueInEverySpelling)
+{
+    Options o;
+    std::string err;
+    for (const Knob *row : allRows()) {
+        if (!row->value)
+            continue;
+        const std::string &variant = probes().at(row->name).variant;
+        const std::string name = variant.substr(0, variant.find('='));
+        for (const std::vector<std::string> &spelling :
+             std::vector<std::vector<std::string>>{
+                 {name + "="}, {flagOf(name) + "="},
+                 {flagOf(name), ""}}) {
+            EXPECT_FALSE(parseWith(allRows(), spelling, o, err))
+                << spelling[0];
+            EXPECT_NE(err.find(name), std::string::npos) << err;
+        }
+    }
+}
+
+TEST(Options, RejectsCacheGeometryTheCachesCannotBuild)
+{
+    std::string err;
+    for (const char *bad : {"l1i.size=48K", "l1i.assoc=3",
+                            "l1i.block=1G", "l1i.block=48"}) {
+        Options o;
+        EXPECT_FALSE(parse({bad}, o, err)) << bad;
+        EXPECT_EQ(err.rfind("bad l1i geometry: l1i.size=", 0), 0u)
+            << err;
+    }
+    Options o;
+    EXPECT_FALSE(parse({"l2.size=3M"}, o, err));
+    EXPECT_EQ(err.rfind("bad l2 geometry: l2.size=3M l2.assoc=4 "
+                        "l2.block=64",
+                        0),
+              0u)
+        << err;
+    // Every power-of-two shape with at least one set still builds.
+    Options big;
+    EXPECT_TRUE(parse({"l1i.size=128K", "l1i.assoc=8", "l1i.block=64",
+                       "l2.size=256K", "l2.assoc=16"},
+                      big, err))
+        << err;
+    Options oneSet;
+    EXPECT_TRUE(parse({"l1i.size=32", "l1i.block=32"}, oneSet, err))
+        << err;
 }
 
 TEST(Options, ParsesShardSpec)
@@ -474,7 +657,6 @@ TEST(Options, ParsesCoresAndPerCoreKeys)
                        "core1.dri.interval=50000"},
                       o, err));
     EXPECT_EQ(o.cores, 2u);
-    EXPECT_TRUE(o.unknown.empty());
 
     const std::vector<CmpCoreConfig> cfgs = o.cmpCores(true);
     ASSERT_EQ(cfgs.size(), 2u);
@@ -631,11 +813,11 @@ TEST(Options, UnknownPolicySubkeysCollected)
 {
     Options o;
     std::string err;
-    ASSERT_TRUE(parse({"policy.banana=1", "core0.policy.banana=1"},
-                      o, err));
-    ASSERT_EQ(o.unknown.size(), 2u);
-    EXPECT_EQ(o.unknown[0], "policy.banana");
-    EXPECT_EQ(o.unknown[1], "core0.policy.banana");
+    EXPECT_FALSE(parse({"policy.banana=1"}, o, err));
+    EXPECT_EQ(err.rfind("unknown option 'policy.banana=1'", 0), 0u);
+    EXPECT_FALSE(parse({"core0.policy.banana=1"}, o, err));
+    EXPECT_EQ(err.rfind("unknown option 'core0.policy.banana=1'", 0),
+              0u);
     // The unknown coreK.policy.* key must not have made core 0's
     // policy authoritative.
     EXPECT_TRUE(o.coreOverrides.empty() ||
@@ -646,16 +828,17 @@ TEST(Options, UnknownCoreSubkeysCollected)
 {
     Options o;
     std::string err;
-    ASSERT_TRUE(parse({"core0.banana=1", "core999.bench=li",
-                       "corex.bench=li"},
-                      o, err));
     // core0.banana: valid core prefix, unknown subkey.
     // core999: index past kMaxCmpCores does not match the coreK
     // shape. corex: not a decimal index.
-    ASSERT_EQ(o.unknown.size(), 3u);
-    EXPECT_EQ(o.unknown[0], "core0.banana");
-    EXPECT_EQ(o.unknown[1], "core999.bench");
-    EXPECT_EQ(o.unknown[2], "corex.bench");
+    for (const char *key :
+         {"core0.banana=1", "core999.bench=li", "corex.bench=li",
+          "--core64-bench=li"}) {
+        EXPECT_FALSE(parse({key}, o, err));
+        EXPECT_EQ(err.rfind(std::string("unknown option '") + key, 0),
+                  0u)
+            << err;
+    }
 }
 
 } // namespace
