@@ -57,8 +57,7 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
                  "alternation, "
               << workerBanner(ctx) << "\n";
 
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
+    const EnergyConstants constants;
 
     const std::vector<std::vector<std::string>> mixes =
         farm::cmpCoherentMixes(n);
@@ -102,9 +101,9 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
             runCmp(ctx.opts.run, conv_cmp, benches[0]);
         pols[m] = runCmp(ctx.opts.run, pol_cmp, benches[0]);
         const CmpRunOutput &pol = pols[m];
-        const CmpComparison cc =
-            compareCmp(constants, toCmpMeasurement(conv),
-                       toCmpMeasurement(pol));
+        const Comparison cc =
+            compare(constants, conv.systemCycles, cmpView(conv),
+                    pol.systemCycles, cmpView(pol));
 
         std::uint64_t wakes = 0;
         std::uint64_t refetches = 0;
@@ -194,8 +193,7 @@ main(int argc, char **argv)
               << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
+    const EnergyConstants constants;
     const CmpSpace space;
     DriParams l2Template = HierarchyParams::defaultL2DriParams();
     l2Template.senseInterval = ctx.opts.dri.senseInterval;
@@ -336,7 +334,7 @@ main(int argc, char **argv)
                   << ": winner energy (nJ; per-core l1i[k] rows + "
                      "shared l2/mem rows sum to the system total)\n";
         Table e({"level", "leakage", "dynamic", "total"});
-        addHierarchyEnergyRows(e, results[m].best.cmp.dri);
+        addHierarchyEnergyRows(e, results[m].best.cmp.run);
         e.print(std::cout);
     }
 

@@ -319,7 +319,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     {
         DriParams dri;
         double ed = 0.0;
-        double slowdown = 0.0;
+        bool feasible = false;
     };
     std::vector<CellResult> slots(cells.size());
     std::vector<JobId> grid;
@@ -339,10 +339,11 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
                                                conv_mpi));
 
                 const RunOutput d = run(bench, ctx.opts.run, {p, &cal});
-                const ComparisonResult cmp = compareRuns(
-                    ctx.constants, conv_fast.meas, d.meas);
+                const Comparison cmp = compare(
+                    ctx.constants, conv_fast.meas.cycles,
+                    paperView(conv_fast), d.meas.cycles, paperView(d));
                 slots[i] = {p, cmp.relativeEnergyDelay(),
-                            cmp.slowdownPercent()};
+                            cmp.meetsSlowdown(ctx.maxSlowdownPct)};
             },
             {calibrate}));
     }
@@ -371,8 +372,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
                     best_u = cell.ed;
                     params_u = cell.dri;
                 }
-                if (cell.slowdown <= ctx.maxSlowdownPct &&
-                    (!have_c || cell.ed < best_c)) {
+                if (cell.feasible && (!have_c || cell.ed < best_c)) {
                     have_c = true;
                     best_c = cell.ed;
                     params_c = cell.dri;
@@ -397,12 +397,10 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
     graph.add(
         bench.name + "/winner-constrained",
         [&](const JobContext &) {
-            out.constrained.dri = params_c;
-            out.constrained.cmp = evaluateDetailed(
+            out.constrained = evaluateDetailed(
                 bench, ctx.opts.run, params_c, ctx.constants, out.conv);
             out.constrained.feasible =
-                out.constrained.cmp.slowdownPercent() <=
-                ctx.maxSlowdownPct;
+                out.constrained.cmp.meetsSlowdown(ctx.maxSlowdownPct);
         },
         {select});
 
@@ -415,8 +413,7 @@ computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
             // flight here).
             if (!u_distinct)
                 return;
-            out.unconstrained.dri = params_u;
-            out.unconstrained.cmp = evaluateDetailed(
+            out.unconstrained = evaluateDetailed(
                 bench, ctx.opts.run, params_u, ctx.constants, out.conv);
         },
         {select});

@@ -38,7 +38,7 @@ struct BenchContext
      *  run uses, `opts.dri` the DRI knobs the searches do not
      *  sweep, and `opts.cores` bench_cmp's CMP width. */
     Options opts;
-    EnergyConstants constants = EnergyConstants::paper();
+    EnergyConstants constants;
     SearchSpace space;
     /** The paper's performance constraint (Section 5.3). */
     double maxSlowdownPct = 4.0;

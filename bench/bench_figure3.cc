@@ -23,16 +23,16 @@ std::vector<std::string>
 rowCells(const std::string &name, int cls,
          const SearchCandidate &cand)
 {
-    const ComparisonResult &c = cand.cmp;
+    const Comparison &c = cand.cmp;
     return {name, std::to_string(cls),
             bytesToString(cand.dri.sizeBoundBytes),
             std::to_string(cand.dri.missBound),
             fmtDouble(c.relativeEnergyDelay(), 3),
             fmtDouble(c.relativeEdLeakage(), 3),
             fmtDouble(c.relativeEdDynamic(), 3),
-            fmtDouble(c.averageSizeFraction(), 3),
+            fmtDouble(cand.out.meas.avgActiveFraction, 3),
             fmtDouble(c.slowdownPercent(), 2) + "%",
-            fmtPercent(c.driRun.missRate(), 2)};
+            fmtPercent(cand.out.meas.missRate(), 2)};
 }
 
 /** @p name padded to the bar charts' 10-column label field (a
@@ -104,11 +104,11 @@ main(int argc, char **argv)
                            base.unconstrained));
         sum_ed_c += base.constrained.cmp.relativeEnergyDelay();
         sum_ed_u += base.unconstrained.cmp.relativeEnergyDelay();
-        sum_size_c += base.constrained.cmp.averageSizeFraction();
+        sum_size_c += base.constrained.out.meas.avgActiveFraction;
         bars_c.emplace_back(
             b.name, base.constrained.cmp.relativeEnergyDelay());
         bars_size.emplace_back(
-            b.name, base.constrained.cmp.averageSizeFraction());
+            b.name, base.constrained.out.meas.avgActiveFraction);
     }
 
     std::cout << "\n-- performance-constrained (left bars) --\n";

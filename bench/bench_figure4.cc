@@ -65,15 +65,15 @@ main(int argc, char **argv)
                        f * static_cast<double>(bp.missBound)));
             variants.push_back(p);
         }
-        const std::vector<ComparisonResult> batch =
+        const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
 
         double ed[3];
         double slow[3];
-        const ComparisonResult *cmps[3] = {
-            &batch[0], &base.constrained.cmp, &batch[1]};
+        const Comparison *cmps[3] = {
+            &batch[0].cmp, &base.constrained.cmp, &batch[1].cmp};
         for (int k = 0; k < 3; ++k) {
             ed[k] = cmps[k]->relativeEnergyDelay();
             slow[k] = cmps[k]->slowdownPercent();

@@ -70,7 +70,7 @@ main(int argc, char **argv)
             variants.push_back(p);
             variantSlot.push_back(k);
         }
-        const std::vector<ComparisonResult> batch =
+        const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
@@ -81,9 +81,9 @@ main(int argc, char **argv)
             "%";
         for (std::size_t k = 0; k < batch.size(); ++k) {
             ed[variantSlot[k]] =
-                fmtDouble(batch[k].relativeEnergyDelay(), 3);
+                fmtDouble(batch[k].cmp.relativeEnergyDelay(), 3);
             slow[variantSlot[k]] =
-                fmtDouble(batch[k].slowdownPercent(), 1) + "%";
+                fmtDouble(batch[k].cmp.slowdownPercent(), 1) + "%";
         }
         rows[i] = {b.name, bytesToString(bp.sizeBoundBytes),
                    ed[0],  ed[1],

@@ -69,7 +69,7 @@ main(int argc, char **argv)
         // Cases A and C each need their own conventional baseline
         // plus a DRI re-run — four detailed simulations. Run both
         // cases as executor jobs; case B reuses the base result.
-        ComparisonResult offBase[2];
+        SearchCandidate offBase[2];
         benchExecutor(ctx).forEachIndex(
             b.name + "/geometry", 2,
             [&](std::size_t k, const JobContext &) {
@@ -100,12 +100,14 @@ main(int argc, char **argv)
         std::string ed[3];
         std::string size[3];
         std::string slow[3];
-        const ComparisonResult *cmps[3] = {
-            &offBase[0], &base.constrained.cmp, &offBase[1]};
+        const SearchCandidate *cands[3] = {
+            &offBase[0], &base.constrained, &offBase[1]};
         for (int k = 0; k < 3; ++k) {
-            ed[k] = fmtDouble(cmps[k]->relativeEnergyDelay(), 3);
-            size[k] = fmtDouble(cmps[k]->averageSizeFraction(), 3);
-            slow[k] = fmtDouble(cmps[k]->slowdownPercent(), 1) + "%";
+            ed[k] = fmtDouble(cands[k]->cmp.relativeEnergyDelay(), 3);
+            size[k] =
+                fmtDouble(cands[k]->out.meas.avgActiveFraction, 3);
+            slow[k] =
+                fmtDouble(cands[k]->cmp.slowdownPercent(), 1) + "%";
         }
         rows[i] = {b.name,  ed[0],   ed[1],   ed[2],   size[0],
                    size[1], size[2], slow[0], slow[1], slow[2]};

@@ -42,7 +42,7 @@ main(int argc, char **argv)
               << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
-    const MultiLevelConstants constants = MultiLevelConstants::paper();
+    const EnergyConstants constants;
     const MultiLevelSpace space;
     DriParams l2Template = HierarchyParams::defaultL2DriParams();
     l2Template.senseInterval = ctx.opts.dri.senseInterval;
@@ -87,8 +87,8 @@ main(int argc, char **argv)
     for (const std::size_t i : ran) {
         summary.addRow(multiLevelRowCells(suite[i].name, best[i]));
         sum_ed += best[i].cmp.relativeEnergyDelay();
-        sum_l1_size += best[i].cmp.l1AverageSizeFraction();
-        sum_l2_size += best[i].cmp.l2AverageSizeFraction();
+        sum_l1_size += best[i].out.meas.avgActiveFraction;
+        sum_l2_size += best[i].out.l2AvgActiveFraction;
     }
 
     std::cout << "\n-- best configurations (<=4% slowdown) --\n";
@@ -99,7 +99,7 @@ main(int argc, char **argv)
     for (const std::size_t i : ran) {
         std::cout << "\n" << suite[i].name << ":\n";
         Table t({"level", "leakage", "dynamic", "total"});
-        addHierarchyEnergyRows(t, best[i].cmp.dri);
+        addHierarchyEnergyRows(t, best[i].cmp.run);
         t.print(std::cout);
     }
 

@@ -52,8 +52,7 @@ main(int argc, char **argv)
               << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
-    const PolicyEnergyConstants constants =
-        PolicyEnergyConstants::paper();
+    const EnergyConstants constants;
     const PolicySpace space;
     PolicyConfig tmpl;
     tmpl.dri = ctx.opts.dri;
@@ -96,7 +95,7 @@ main(int argc, char **argv)
         UnitRows unitRows;
         double best_ed = 0.0;
         for (const PolicyCandidate &cand : sr.bestPerKind) {
-            if (cand.cmp.run.meas.cycles == 0)
+            if (cand.out.meas.cycles == 0)
                 continue; // kind had no cells in this grid
             std::vector<std::string> row =
                 policyRowCells(b.name, cand);

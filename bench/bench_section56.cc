@@ -65,7 +65,7 @@ main(int argc, char **argv)
         // detailed runs; batch them through one executor pass.
         double base_ed = base.constrained.cmp.relativeEnergyDelay();
         std::vector<DriParams> variants;
-        std::vector<const ComparisonResult *> ivCmp;
+        std::vector<const Comparison *> ivCmp;
         for (InstCount iv : intervals) {
             if (iv == bp.senseInterval) {
                 ivCmp.push_back(&base.constrained.cmp);
@@ -89,16 +89,16 @@ main(int argc, char **argv)
             p.divisibility = div;
             variants.push_back(p);
         }
-        const std::vector<ComparisonResult> batch =
+        const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.conv,
                                   &benchExecutor(ctx));
 
         r.interval = {b.name};
         std::size_t next = 0;
-        for (const ComparisonResult *&slot : ivCmp) {
+        for (const Comparison *&slot : ivCmp) {
             if (!slot)
-                slot = &batch[next++];
+                slot = &batch[next++].cmp;
             r.interval.push_back(
                 fmtDouble(slot->relativeEnergyDelay(), 3));
             r.dev = std::max(r.dev,
@@ -110,7 +110,7 @@ main(int argc, char **argv)
         r.divisibility = {b.name, fmtDouble(base_ed, 3)};
         for (std::size_t k = divFirst; k < variants.size(); ++k)
             r.divisibility.push_back(
-                fmtDouble(batch[k].relativeEnergyDelay(), 3));
+                fmtDouble(batch[k].cmp.relativeEnergyDelay(), 3));
 
         // --- throttle ablation ----------------------------------
         DriParams p = bp;
@@ -125,8 +125,10 @@ main(int argc, char **argv)
                 else
                     with_thr = run(b, ctx.opts.run, {bp});
             });
-        const ComparisonResult c = compareRuns(
-            ctx.constants, base.conv.meas, no_thr.meas);
+        const Comparison c =
+            compare(ctx.constants, base.conv.meas.cycles,
+                    paperView(base.conv), no_thr.meas.cycles,
+                    paperView(no_thr));
         r.throttle = {b.name, fmtDouble(base_ed, 3),
                       fmtDouble(c.relativeEnergyDelay(), 3),
                       std::to_string(with_thr.resizes),

@@ -12,6 +12,7 @@
 #include "bench_common.hh"
 #include "circuit/area_model.hh"
 #include "circuit/gated_vdd.hh"
+#include "circuit/hierarchy_energy.hh"
 #include "circuit/sram_cell.hh"
 
 using namespace drisim;
@@ -92,12 +93,13 @@ main(int argc, char **argv)
     std::cout << "\nDerived Section 5.2 constants "
                  "(model vs paper):\n";
     Table c({"constant", "model", "paper"});
-    const EnergyConstants derived = EnergyConstants::derived(
-        tech, l1Geometry(), l2Geometry());
+    const std::vector<LevelCircuit> levels = defaultHierarchyCircuit();
+    const EnergyConstants derived =
+        EnergyConstants::derived(levels[0], levels[1]);
     c.addRow({"64K L1 leakage (nJ/cycle)",
               fmtDouble(derived.l1LeakPerCycleNJ, 3), "0.91"});
     c.addRow({"resizing bitline (nJ/access)",
-              fmtDouble(derived.bitlinePerAccessNJ, 5), "0.0022"});
+              fmtDouble(derived.l1BitlinePerAccessNJ, 5), "0.0022"});
     c.addRow({"L2 access (nJ)", fmtDouble(derived.l2PerAccessNJ, 2),
               "3.6"});
     c.print(std::cout);

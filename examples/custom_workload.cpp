@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "energy/accounting.hh"
 #include "harness/runner.hh"
 #include "workload/program.hh"
 
@@ -59,8 +58,9 @@ main()
     dri.senseInterval = 100000;
     const RunOutput adaptive = run(bench, cfg, {dri});
 
-    const ComparisonResult cmp = compareRuns(
-        EnergyConstants::paper(), conv.meas, adaptive.meas);
+    const Comparison cmp =
+        compare(EnergyConstants{}, conv.meas.cycles, paperView(conv),
+                adaptive.meas.cycles, paperView(adaptive));
 
     // --- 3. Report -------------------------------------------------
     std::printf("custom workload '%s': %zu phases, total footprint "
@@ -76,7 +76,7 @@ main()
                 100.0 * conv.meas.missRate(),
                 100.0 * adaptive.meas.missRate());
     std::printf("%-28s %14s %13.1f%%\n", "avg active size", "100%",
-                100.0 * cmp.averageSizeFraction());
+                100.0 * adaptive.meas.avgActiveFraction);
     std::printf("%-28s %14s %14llu\n", "resizes", "-",
                 static_cast<unsigned long long>(adaptive.resizes));
 

@@ -87,8 +87,7 @@ tuneMultiLevel(const BenchmarkInfo &bench, const RunConfig &cfg)
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 100000;
 
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
+    const EnergyConstants constants;
     const MultiLevelSpace space;
     const MultiLevelSearchResult sr =
         searchMultiLevel(bench, cfg, l1Tmpl, l2Tmpl, space, constants,
@@ -102,8 +101,8 @@ tuneMultiLevel(const BenchmarkInfo &bench, const RunConfig &cfg)
                   bytesToString(cand.l2.sizeBoundBytes),
                   std::to_string(cand.l2.missBound),
                   fmtDouble(cand.cmp.relativeEnergyDelay(), 3),
-                  fmtDouble(cand.cmp.l1AverageSizeFraction(), 3),
-                  fmtDouble(cand.cmp.l2AverageSizeFraction(), 3),
+                  fmtDouble(cand.out.meas.avgActiveFraction, 3),
+                  fmtDouble(cand.out.l2AvgActiveFraction, 3),
                   fmtDouble(cand.cmp.slowdownPercent(), 2) + "%",
                   cand.feasible ? "yes" : "NO"});
     }
@@ -129,7 +128,7 @@ tuneMultiLevel(const BenchmarkInfo &bench, const RunConfig &cfg)
     std::printf("per-level energy (nJ; rows sum to the hierarchy "
                 "total):\n");
     Table e({"level", "leakage", "dynamic", "total"});
-    addHierarchyEnergyRows(e, best.cmp.dri);
+    addHierarchyEnergyRows(e, best.cmp.run);
     e.print(std::cout);
     return 0;
 }
@@ -154,8 +153,7 @@ tunePolicies(const BenchmarkInfo &bench, RunConfig cfg)
     tmpl.dri.senseInterval = 100000;
     const PolicySpace space;
     const PolicySearchResult sr = searchPolicies(
-        bench, cfg, tmpl, space, PolicyEnergyConstants::paper(),
-        4.0, conv);
+        bench, cfg, tmpl, space, EnergyConstants{}, 4.0, conv);
 
     Table t({"policy", "params", "rel-ED", "active", "drowsy",
              "wakes", "slowdown", "<=4%?"});
@@ -173,7 +171,7 @@ tunePolicies(const BenchmarkInfo &bench, RunConfig cfg)
     std::printf("\nper-policy winners (lowest feasible "
                 "energy-delay):\n");
     for (const PolicyCandidate &best : sr.bestPerKind) {
-        if (best.cmp.run.meas.cycles == 0)
+        if (best.out.meas.cycles == 0)
             continue; // kind had no cells in this grid
         std::printf("  %-6s %-24s rel-ED %.3f (%.1f%% reduction), "
                     "slowdown %.2f%%%s\n",
@@ -184,7 +182,7 @@ tunePolicies(const BenchmarkInfo &bench, RunConfig cfg)
                     best.cmp.slowdownPercent(),
                     best.feasible ? "" : " (infeasible)");
         std::printf("        energy rows (nJ):");
-        for (const auto &[label, nj] : best.cmp.policy.rows())
+        for (const auto &[label, nj] : policyEnergyRows(best.cmp.run))
             std::printf(" %s=%.1f", label.c_str(), nj);
         std::printf("\n");
     }
@@ -232,8 +230,7 @@ tuneCmp(const std::vector<std::string> &benches, unsigned cores,
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 100000;
 
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
+    const EnergyConstants constants;
     const CmpSpace space;
     const CmpSearchResult sr =
         searchCmp(cfg, cmp, benches[0], l1Tmpl, l2Tmpl, space,
@@ -273,7 +270,7 @@ tuneCmp(const std::vector<std::string> &benches, unsigned cores,
     std::printf("per-level energy (nJ; rows sum to the system "
                 "total):\n");
     Table e({"level", "leakage", "dynamic", "total"});
-    addHierarchyEnergyRows(e, best.cmp.dri);
+    addHierarchyEnergyRows(e, best.cmp.run);
     e.print(std::cout);
     return 0;
 }
@@ -328,7 +325,7 @@ main(int argc, char **argv)
     DriParams tmpl;
     tmpl.senseInterval = 100000;
 
-    const EnergyConstants constants = EnergyConstants::paper();
+    const EnergyConstants constants;
     const SearchResult constrained = searchBestEnergyDelay(
         bench, cfg, tmpl, space, constants, 4.0, conv);
 
@@ -342,7 +339,7 @@ main(int argc, char **argv)
         t.setRow(i, {bytesToString(cand.dri.sizeBoundBytes),
                      std::to_string(cand.dri.missBound),
                      fmtDouble(cand.cmp.relativeEnergyDelay(), 3),
-                     fmtDouble(cand.cmp.averageSizeFraction(), 3),
+                     fmtDouble(cand.out.meas.avgActiveFraction, 3),
                      fmtDouble(cand.cmp.slowdownPercent(), 2) + "%",
                      cand.feasible ? "yes" : "NO"});
     }
@@ -361,7 +358,7 @@ main(int argc, char **argv)
                 best.cmp.relativeEnergyDelay(),
                 100.0 * (1 - best.cmp.relativeEnergyDelay()),
                 best.cmp.slowdownPercent(),
-                best.cmp.averageSizeFraction());
+                best.out.meas.avgActiveFraction);
 
     const SearchResult unconstrained = searchBestEnergyDelay(
         bench, cfg, tmpl, space, constants, -1.0, conv);

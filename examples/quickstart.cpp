@@ -28,13 +28,11 @@
  *   ./quickstart compress cores=2 core1.bench=li l2.dri=1
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "config/options.hh"
-#include "energy/accounting.hh"
 #include "harness/multilevel.hh"
 #include "harness/policies.hh"
 #include "harness/runner.hh"
@@ -43,6 +41,17 @@ using namespace drisim;
 
 namespace
 {
+
+/** @p l's per-level rows, then their @p total row (nJ). */
+void
+printLevelRows(const Ledger &l, const char *total)
+{
+    for (const Ledger::Row &r : l.rows)
+        std::printf("  %-9s leakage %12.1f  dynamic %10.1f\n",
+                    r.level.c_str(), r.leakageNJ(), r.dynamicNJ());
+    std::printf("  %-9s leakage %12.1f  dynamic %10.1f\n", total,
+                l.leakageNJ(), l.dynamicNJ());
+}
 
 /** The policy=decay|drowsy|ways mode: conventional vs policy L1I. */
 int
@@ -65,9 +74,9 @@ runPolicyQuickstart(const Options &opts, const BenchmarkInfo &bench)
     const RunOutput conv = run(bench, convCfg);
     const RunOutput managed = run(bench, policyCfg, {pc});
 
-    const PolicyComparison cmp = comparePolicyRuns(
-        PolicyEnergyConstants::paper(), conv.meas,
-        toPolicyMeasurement(managed));
+    const Comparison cmp =
+        compare(EnergyConstants{}, conv.meas.cycles, paperView(conv),
+                managed.meas.cycles, paperView(managed));
 
     std::printf("\nconventional L1 i-cache:\n");
     std::printf("  cycles            %llu (IPC %.2f)\n",
@@ -86,11 +95,9 @@ runPolicyQuickstart(const Options &opts, const BenchmarkInfo &bench)
                 100.0 * managed.meas.missRate());
     std::printf("  avg full-power    %.1f%%, drowsy %.1f%%, gated "
                 "%.1f%%\n",
-                100.0 * cmp.averageActiveFraction(),
-                100.0 * cmp.averageDrowsyFraction(),
-                100.0 * std::max(0.0,
-                                 1.0 - cmp.averageActiveFraction() -
-                                     cmp.averageDrowsyFraction()));
+                100.0 * managed.meas.avgActiveFraction,
+                100.0 * managed.l1DrowsyFraction,
+                100.0 * managed.l1GatedFraction);
     std::printf("  wake transitions  %llu (%llu stall cycles)\n",
                 static_cast<unsigned long long>(
                     managed.wakeTransitions),
@@ -113,7 +120,7 @@ runPolicyQuickstart(const Options &opts, const BenchmarkInfo &bench)
 
     std::printf("\nenergy (nJ; state-preserving vs "
                 "state-destroying split):\n");
-    for (const auto &[label, nj] : cmp.policy.rows())
+    for (const auto &[label, nj] : policyEnergyRows(cmp.run))
         std::printf("  %-11s %14.1f\n", label.c_str(), nj);
     std::printf("  relative energy-delay %.3f (%.1f%% reduction)\n",
                 cmp.relativeEnergyDelay(),
@@ -151,9 +158,9 @@ runCmpQuickstart(const Options &opts)
         runCmp(driCfg, driCmp, opts.benchmark);
 
     // 3. Compare with the per-level CMP accounting.
-    const CmpComparison cmp = compareCmp(
-        MultiLevelConstants::paper(), toCmpMeasurement(conv),
-        toCmpMeasurement(adaptive));
+    const Comparison cmp =
+        compare(EnergyConstants{}, conv.systemCycles, cmpView(conv),
+                adaptive.systemCycles, cmpView(adaptive));
 
     std::printf("\nper core (conventional -> DRI):\n");
     for (std::size_t k = 0; k < adaptive.cores.size(); ++k) {
@@ -195,12 +202,7 @@ runCmpQuickstart(const Options &opts)
 
     std::printf("\nsystem energy (per level, nJ; rows sum to the "
                 "total):\n");
-    for (const LevelEnergy &l : cmp.dri.levels)
-        std::printf("  %-9s leakage %12.1f  dynamic %10.1f\n",
-                    l.level.c_str(), l.leakageNJ, l.dynamicNJ);
-    std::printf("  %-9s leakage %12.1f  dynamic %10.1f\n", "system",
-                cmp.dri.totalLeakageNJ(),
-                cmp.dri.totalDynamicNJ());
+    printLevelRows(cmp.run, "system");
     std::printf("  relative system energy-delay %.3f "
                 "(%.1f%% reduction)\n",
                 cmp.relativeEnergyDelay(),
@@ -257,8 +259,9 @@ main(int argc, char **argv)
     const RunOutput adaptive = run(bench, driCfg, {dri});
 
     // 3. Compare using the paper's energy model (Section 5.2).
-    const ComparisonResult cmp = compareRuns(
-        EnergyConstants::paper(), conv.meas, adaptive.meas);
+    const Comparison cmp =
+        compare(EnergyConstants{}, conv.meas.cycles, paperView(conv),
+                adaptive.meas.cycles, paperView(adaptive));
 
     std::printf("\nconventional 64K i-cache:\n");
     std::printf("  cycles            %llu (IPC %.2f)\n",
@@ -279,7 +282,7 @@ main(int argc, char **argv)
     std::printf("  L1I miss rate     %.3f%%\n",
                 100.0 * adaptive.meas.missRate());
     std::printf("  avg active size   %.1f%% of 64K (%llu resizes)\n",
-                100.0 * cmp.averageSizeFraction(),
+                100.0 * adaptive.meas.avgActiveFraction,
                 static_cast<unsigned long long>(adaptive.resizes));
     if (l2Dri)
         std::printf("  L2 avg active     %.1f%% of %lluK "
@@ -302,18 +305,12 @@ main(int argc, char **argv)
 
     if (l2Dri) {
         // Per-level hierarchy accounting (the multi-level study).
-        const MultiLevelComparison ml = compareMultiLevel(
-            MultiLevelConstants::paper(),
-            toMultiLevelMeasurement(conv),
-            toMultiLevelMeasurement(adaptive));
+        const Comparison ml = compare(
+            EnergyConstants{}, conv.meas.cycles, hierarchyView(conv),
+            adaptive.meas.cycles, hierarchyView(adaptive));
         std::printf("\nhierarchy energy (per level, nJ; rows sum to "
                     "the total):\n");
-        for (const LevelEnergy &l : ml.dri.levels)
-            std::printf("  %-9s leakage %12.1f  dynamic %10.1f\n",
-                        l.level.c_str(), l.leakageNJ, l.dynamicNJ);
-        std::printf("  %-9s leakage %12.1f  dynamic %10.1f\n",
-                    "hierarchy", ml.dri.totalLeakageNJ(),
-                    ml.dri.totalDynamicNJ());
+        printLevelRows(ml.run, "hierarchy");
         std::printf("  relative hierarchy energy-delay %.3f "
                     "(%.1f%% reduction)\n",
                     ml.relativeEnergyDelay(),

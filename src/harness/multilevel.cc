@@ -21,32 +21,12 @@
 namespace drisim
 {
 
-MultiLevelMeasurement
-toMultiLevelMeasurement(const RunOutput &out)
-{
-    MultiLevelMeasurement m;
-    m.cycles = out.meas.cycles;
-    m.instructions = out.meas.instructions;
-    m.l1Bytes = out.meas.l1iBytes;
-    m.l1AvgActiveFraction = out.meas.avgActiveFraction;
-    m.l1Accesses = out.meas.l1iAccesses;
-    m.l1Misses = out.meas.l1iMisses;
-    m.l1ResizingTagBits = out.meas.resizingTagBits;
-    m.l2Bytes = out.l2SizeBytes;
-    m.l2AvgActiveFraction = out.l2AvgActiveFraction;
-    m.l2Accesses = out.l2Accesses;
-    m.l2Misses = out.l2Misses;
-    m.l2ResizingTagBits = out.l2ResizingTagBits;
-    m.memAccesses = out.memAccesses;
-    return m;
-}
-
 MultiLevelSearchResult
 searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
                  const DriParams &l1Template,
                  const DriParams &l2Template,
                  const MultiLevelSpace &space,
-                 const MultiLevelConstants &constants,
+                 const EnergyConstants &constants,
                  double maxSlowdownPct, const RunOutput &convDetailed,
                  Executor *exec)
 {
@@ -95,8 +75,8 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
     // there. The grid is small (|L1 bounds| x |L2 bounds|) and the
     // cells are independent executor jobs, so detailed evaluation
     // parallelizes instead of approximating.
-    const MultiLevelMeasurement conv_meas =
-        toMultiLevelMeasurement(convDetailed);
+    const std::vector<LevelInput> conv_view =
+        hierarchyView(convDetailed);
     const double l1_intervals =
         static_cast<double>(config.maxInstrs) /
         static_cast<double>(l1_base.senseInterval);
@@ -133,14 +113,14 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
         RunConfig ml = config;
         ml.hier.l2Dri = true;
         ml.hier.l2DriParams = p2;
-        const RunOutput d = run(bench, ml, {p1});
         MultiLevelCandidate cand;
         cand.l1 = p1;
         cand.l2 = p2;
-        cand.cmp = compareMultiLevel(constants, conv_meas,
-                                     toMultiLevelMeasurement(d));
-        cand.feasible = maxSlowdownPct <= 0.0 ||
-                        cand.cmp.slowdownPercent() <= maxSlowdownPct;
+        cand.out = run(bench, ml, {p1});
+        cand.cmp = compare(constants, convDetailed.meas.cycles,
+                           conv_view, cand.out.meas.cycles,
+                           hierarchyView(cand.out));
+        cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
         return cand;
     };
 
@@ -219,56 +199,25 @@ multiLevelRowCells(const std::string &bench,
             bytesToString(cand.l2.sizeBoundBytes),
             std::to_string(cand.l2.missBound),
             fmtDouble(cand.cmp.relativeEnergyDelay(), 3),
-            fmtDouble(cand.cmp.l1AverageSizeFraction(), 3),
-            fmtDouble(cand.cmp.l2AverageSizeFraction(), 3),
+            fmtDouble(cand.out.meas.avgActiveFraction, 3),
+            fmtDouble(cand.out.l2AvgActiveFraction, 3),
             fmtDouble(cand.cmp.slowdownPercent(), 2) + "%"};
 }
 
 void
-addHierarchyEnergyRows(Table &t, const HierarchyEnergy &h)
+addHierarchyEnergyRows(Table &t, const Ledger &l)
 {
-    for (const LevelEnergy &l : h.levels)
-        t.addRow({l.level, fmtDouble(l.leakageNJ, 1),
-                  fmtDouble(l.dynamicNJ, 1),
-                  fmtDouble(l.totalNJ(), 1)});
-    t.addRow({"hierarchy", fmtDouble(h.totalLeakageNJ(), 1),
-              fmtDouble(h.totalDynamicNJ(), 1),
-              fmtDouble(h.totalNJ(), 1)});
+    for (const Ledger::Row &r : l.rows)
+        t.addRow({r.level, fmtDouble(r.leakageNJ(), 1),
+                  fmtDouble(r.dynamicNJ(), 1),
+                  fmtDouble(r.totalNJ(), 1)});
+    t.addRow({"hierarchy", fmtDouble(l.leakageNJ(), 1),
+              fmtDouble(l.dynamicNJ(), 1), fmtDouble(l.totalNJ(), 1)});
 }
 
 // ---------------------------------------------------------------------
 // CMP search
 // ---------------------------------------------------------------------
-
-CmpMeasurement
-toCmpMeasurement(const CmpRunOutput &out)
-{
-    CmpMeasurement m;
-    m.cycles = out.systemCycles;
-    m.cores.reserve(out.cores.size());
-    for (const CmpCoreOutput &c : out.cores) {
-        CmpCoreMeasurement cm;
-        cm.l1Bytes = c.meas.l1iBytes;
-        cm.l1AvgActiveFraction = c.meas.avgActiveFraction;
-        cm.l1Accesses = c.meas.l1iAccesses;
-        cm.l1Misses = c.meas.l1iMisses;
-        cm.l1ResizingTagBits = c.meas.resizingTagBits;
-        cm.l1DrowsyFraction = c.l1DrowsyFraction;
-        cm.l1GatedFraction = c.l1GatedFraction;
-        cm.wakeTransitions = c.wakeTransitions;
-        m.cores.push_back(cm);
-    }
-    m.l2Bytes = out.l2SizeBytes;
-    m.l2AvgActiveFraction = out.l2AvgActiveFraction;
-    m.l2Accesses = out.l2Accesses;
-    m.l2Misses = out.l2Misses;
-    m.l2ResizingTagBits = out.l2ResizingTagBits;
-    m.memAccesses = out.memAccesses;
-    m.dramBusyCycles = out.dramBusyCycles;
-    m.coherenceMessages =
-        out.coherenceInvalidations + out.coherenceDowngrades;
-    return m;
-}
 
 std::string
 cmpMixName(const std::vector<std::string> &benches)
@@ -304,7 +253,7 @@ CmpSearchResult
 searchCmp(const RunConfig &config, const CmpConfig &cmp,
           const std::string &defaultBench, const DriParams &l1Template,
           const DriParams &l2Template, const CmpSpace &space,
-          const MultiLevelConstants &constants, double maxSlowdownPct,
+          const EnergyConstants &constants, double maxSlowdownPct,
           const CmpRunOutput &convDetailed, Executor *exec)
 {
     CmpSearchResult result;
@@ -329,8 +278,7 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
     // Per-core conventional misses per sense interval: each core's
     // miss-bound is scaled to its *own* workload, which is the point
     // of per-core controllers in a heterogeneous mix.
-    const CmpMeasurement conv_meas =
-        toCmpMeasurement(convDetailed);
+    const std::vector<LevelInput> conv_view = cmpView(convDetailed);
     const double l1_intervals =
         static_cast<double>(config.maxInstrs) /
         static_cast<double>(l1_base.senseInterval);
@@ -441,14 +389,14 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
             core.driParams = p1[k];
             cc.coreConfigs.push_back(std::move(core));
         }
-        const CmpRunOutput d = runCmp(ml, cc, defaultBench);
         CmpCandidate cand;
         cand.l1 = p1;
         cand.l2 = p2;
-        cand.cmp = compareCmp(constants, conv_meas,
-                              toCmpMeasurement(d));
-        cand.feasible = maxSlowdownPct <= 0.0 ||
-                        cand.cmp.slowdownPercent() <= maxSlowdownPct;
+        cand.out = runCmp(ml, cc, defaultBench);
+        cand.cmp = compare(constants, convDetailed.systemCycles,
+                           conv_view, cand.out.systemCycles,
+                           cmpView(cand.out));
+        cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
         return cand;
     };
 
@@ -546,7 +494,7 @@ cmpRowCells(const std::string &mix, const CmpCandidate &cand)
     for (std::size_t k = 0; k < cand.l1.size(); ++k) {
         mbs.push_back(std::to_string(cand.l1[k].missBound));
         sizes.push_back(
-            fmtDouble(cand.cmp.coreAverageSizeFraction(k), 3));
+            fmtDouble(cand.out.cores[k].meas.avgActiveFraction, 3));
     }
     return {mix,
             joinCells(mbs),
@@ -554,7 +502,7 @@ cmpRowCells(const std::string &mix, const CmpCandidate &cand)
             std::to_string(cand.l2.missBound),
             fmtDouble(cand.cmp.relativeEnergyDelay(), 3),
             joinCells(sizes),
-            fmtDouble(cand.cmp.l2AverageSizeFraction(), 3),
+            fmtDouble(cand.out.l2AvgActiveFraction, 3),
             fmtDouble(cand.cmp.slowdownPercent(), 2) + "%"};
 }
 

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "energy/accounting.hh"
 #include "harness/runner.hh"
 
 namespace drisim
@@ -57,7 +56,10 @@ struct MultiLevelCandidate
 {
     DriParams l1;
     DriParams l2;
-    MultiLevelComparison cmp;
+    /** The run with both levels resizing. */
+    RunOutput out;
+    /** Its hierarchy view against the conventional run. */
+    Comparison cmp;
     bool feasible = true;
 };
 
@@ -71,9 +73,6 @@ struct MultiLevelSearchResult
     /** Detailed conventional baseline used throughout. */
     RunOutput convDetailed;
 };
-
-/** Reduce a RunOutput to the multi-level measurement view. */
-MultiLevelMeasurement toMultiLevelMeasurement(const RunOutput &out);
 
 /**
  * Search the (L1 bound x L2 bound) grid for the lowest hierarchy
@@ -95,7 +94,7 @@ MultiLevelMeasurement toMultiLevelMeasurement(const RunOutput &out);
 MultiLevelSearchResult searchMultiLevel(
     const BenchmarkInfo &bench, const RunConfig &config,
     const DriParams &l1Template, const DriParams &l2Template,
-    const MultiLevelSpace &space, const MultiLevelConstants &constants,
+    const MultiLevelSpace &space, const EnergyConstants &constants,
     double maxSlowdownPct, const RunOutput &convDetailed,
     Executor *exec = nullptr);
 
@@ -110,18 +109,15 @@ multiLevelRowCells(const std::string &bench,
                    const MultiLevelCandidate &cand);
 
 /**
- * Append the per-level energy rows of @p h to @p t (columns: level,
+ * Append the per-level energy rows of @p l to @p t (columns: level,
  * leakage nJ, dynamic nJ, total nJ) followed by a "hierarchy" total
  * row that equals the column sums by construction.
  */
-void addHierarchyEnergyRows(Table &t, const HierarchyEnergy &h);
+void addHierarchyEnergyRows(Table &t, const Ledger &l);
 
 // ---------------------------------------------------------------------
 // CMP search (multiprogrammed mixes; see system/cmp.hh)
 // ---------------------------------------------------------------------
-
-/** Reduce a CmpRunOutput to the CMP measurement view. */
-CmpMeasurement toCmpMeasurement(const CmpRunOutput &out);
 
 /** "bench0+bench1+..." label for a CMP mix. */
 std::string cmpMixName(const std::vector<std::string> &benches);
@@ -157,7 +153,10 @@ struct CmpCandidate
     std::vector<DriParams> l1;
     /** Shared-L2 resize knobs. */
     DriParams l2;
-    CmpComparison cmp;
+    /** The CMP run. */
+    CmpRunOutput out;
+    /** Its CMP view against the conventional CMP run. */
+    Comparison cmp;
     bool feasible = true;
 };
 
@@ -206,7 +205,7 @@ CmpSearchResult searchCmp(
     const RunConfig &config, const CmpConfig &cmp,
     const std::string &defaultBench, const DriParams &l1Template,
     const DriParams &l2Template, const CmpSpace &space,
-    const MultiLevelConstants &constants, double maxSlowdownPct,
+    const EnergyConstants &constants, double maxSlowdownPct,
     const CmpRunOutput &convDetailed, Executor *exec = nullptr);
 
 /**

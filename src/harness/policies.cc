@@ -20,16 +20,6 @@
 namespace drisim
 {
 
-PolicyMeasurement
-toPolicyMeasurement(const RunOutput &out)
-{
-    PolicyMeasurement m;
-    m.meas = out.meas;
-    m.avgDrowsyFraction = out.l1DrowsyFraction;
-    m.wakeTransitions = out.wakeTransitions;
-    return m;
-}
-
 namespace
 {
 
@@ -105,7 +95,7 @@ enumerateCells(const PolicyConfig &base, const PolicySpace &space,
 PolicySearchResult
 searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
                const PolicyConfig &tmpl, const PolicySpace &space,
-               const PolicyEnergyConstants &constants,
+               const EnergyConstants &constants,
                double maxSlowdownPct, const RunOutput &convDetailed,
                Executor *exec)
 {
@@ -129,15 +119,15 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
     const std::vector<PolicyCell> cells =
         enumerateCells(base, space, conv_mpi);
 
+    const std::vector<LevelInput> conv_view = paperView(convDetailed);
     auto evaluate = [&](const PolicyConfig &pc) {
-        const RunOutput d = run(bench, config, {pc});
         PolicyCandidate cand;
         cand.config = pc;
-        cand.cmp = comparePolicyRuns(constants,
-                                     convDetailed.meas,
-                                     toPolicyMeasurement(d));
-        cand.feasible = maxSlowdownPct <= 0.0 ||
-                        cand.cmp.slowdownPercent() <= maxSlowdownPct;
+        cand.out = run(bench, config, {pc});
+        cand.cmp = compare(constants, convDetailed.meas.cycles,
+                           conv_view, cand.out.meas.cycles,
+                           paperView(cand.out));
+        cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
         return cand;
     };
 
@@ -234,10 +224,20 @@ policyRowCells(const std::string &bench, const PolicyCandidate &cand)
             policyKindName(cand.config.kind),
             cand.config.paramSummary(),
             fmtDouble(cand.cmp.relativeEnergyDelay(), 3),
-            fmtDouble(cand.cmp.averageActiveFraction(), 3),
-            fmtDouble(cand.cmp.averageDrowsyFraction(), 3),
-            std::to_string(cand.cmp.run.wakeTransitions),
+            fmtDouble(cand.out.meas.avgActiveFraction, 3),
+            fmtDouble(cand.out.l1DrowsyFraction, 3),
+            std::to_string(cand.out.wakeTransitions),
             fmtDouble(cand.cmp.slowdownPercent(), 2) + "%"};
+}
+
+std::vector<std::pair<std::string, double>>
+policyEnergyRows(const Ledger &paper)
+{
+    const Ledger::Row &l1 = paper.rows.at(0);
+    return {{"leak-active", l1.activeNJ}, {"leak-gated", l1.gatedNJ},
+            {"leak-drowsy", l1.drowsyNJ}, {"wake", l1.wakeNJ},
+            {"l1-dynamic", l1.tagNJ},
+            {"l2-dynamic", paper.rows.at(1).trafficNJ}};
 }
 
 } // namespace drisim

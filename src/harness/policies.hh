@@ -6,8 +6,8 @@
  * trade-off; see docs/REPRODUCTION.md, Policy comparison study).
  *
  * Every cell is one PolicyConfig run on the *detailed* core and
- * scored by policy energy-delay against the shared conventional
- * baseline (energy/accounting.hh). The grid runs as a JobGraph with
+ * scored by the paper view's energy-delay against the shared
+ * conventional baseline (energy/ledger.hh). The grid runs as a JobGraph with
  * index-addressed slots and index-order selection, so results are
  * byte-identical at any --jobs value (locked by golden tests). The
  * selection keeps one winner per policy kind — the point of the
@@ -18,9 +18,9 @@
 #define DRISIM_HARNESS_POLICIES_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "energy/accounting.hh"
 #include "harness/runner.hh"
 #include "policy/leakage_policy.hh"
 
@@ -62,7 +62,10 @@ struct PolicySpace
 struct PolicyCandidate
 {
     PolicyConfig config;
-    PolicyComparison cmp;
+    /** The policy run (zero cycles: the kind had no cells). */
+    RunOutput out;
+    /** Its paper view against the conventional run. */
+    Comparison cmp;
     bool feasible = true;
 };
 
@@ -84,9 +87,6 @@ struct PolicySearchResult
     RunOutput convDetailed;
 };
 
-/** Reduce a policy run() output to the accounting view. */
-PolicyMeasurement toPolicyMeasurement(const RunOutput &out);
-
 /**
  * Search the (policy x parameter) grid for each policy's best
  * energy-delay.
@@ -98,7 +98,7 @@ PolicyMeasurement toPolicyMeasurement(const RunOutput &out);
  *                       against config.hier.l1i) and the Dri
  *                       interval/divisibility/throttle knobs
  * @param space          the grid
- * @param constants      policy energy constants
+ * @param constants      energy constants
  * @param maxSlowdownPct constraint; <= 0 means unconstrained
  * @param convDetailed   pre-computed detailed conventional run
  * @param exec           optional executor to reuse; otherwise one
@@ -107,7 +107,7 @@ PolicyMeasurement toPolicyMeasurement(const RunOutput &out);
 PolicySearchResult searchPolicies(
     const BenchmarkInfo &bench, const RunConfig &config,
     const PolicyConfig &tmpl, const PolicySpace &space,
-    const PolicyEnergyConstants &constants, double maxSlowdownPct,
+    const EnergyConstants &constants, double maxSlowdownPct,
     const RunOutput &convDetailed, Executor *exec = nullptr);
 
 /**
@@ -118,6 +118,15 @@ PolicySearchResult searchPolicies(
  */
 std::vector<std::string>
 policyRowCells(const std::string &bench, const PolicyCandidate &cand);
+
+/**
+ * The policy study's energy rows (nJ) of a paper-view ledger, in
+ * fixed order: the L1I's leakage by supply state (leak-active,
+ * leak-gated, leak-drowsy), its wake and resizing-tag energy (wake,
+ * l1-dynamic) and the L2's extra-miss traffic (l2-dynamic).
+ */
+std::vector<std::pair<std::string, double>>
+policyEnergyRows(const Ledger &paper);
 
 } // namespace drisim
 

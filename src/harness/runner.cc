@@ -7,7 +7,6 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -309,19 +308,10 @@ doubleField(double v)
 
 bool
 fieldU64(const sim::ResultCache::Fields &f, const char *name,
-         std::uint64_t &out)
+         std::uint64_t &out, std::uint64_t maxValue = UINT64_MAX)
 {
     const auto it = f.find(name);
-    if (it == f.end() || it->second.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return it != f.end() && parseUnsignedValue(it->second, out, maxValue);
 }
 
 bool
@@ -339,7 +329,7 @@ runOutputToFields(const RunOutput &out)
     // Payload layout version: bumped when fields are added so
     // pre-existing sidecar entries (which lack the new columns)
     // miss cleanly instead of being served with silent zeros.
-    f["payload_v"] = "2";
+    f["payload_v"] = "3";
     f["cycles"] = std::to_string(out.meas.cycles);
     f["instructions"] = std::to_string(out.meas.instructions);
     f["l1i_accesses"] = std::to_string(out.meas.l1iAccesses);
@@ -371,6 +361,7 @@ runOutputToFields(const RunOutput &out)
     f["l2_tag_bits"] = std::to_string(out.l2ResizingTagBits);
     f["l2_resizes"] = std::to_string(out.l2Resizes);
     f["l1_drowsy_fraction"] = doubleField(out.l1DrowsyFraction);
+    f["l1_gated_fraction"] = doubleField(out.l1GatedFraction);
     f["wake_transitions"] = std::to_string(out.wakeTransitions);
     f["wake_stall_cycles"] = std::to_string(out.wakeStallCycles);
     f["policy_blocks_lost"] = std::to_string(out.policyBlocksLost);
@@ -379,12 +370,17 @@ runOutputToFields(const RunOutput &out)
 
 /** Strict: any absent or malformed field rejects the entry, and the
  *  payload layout version must match exactly — entries written by a
- *  binary with a different column set miss and are recomputed. */
+ *  binary with a different column set miss and are recomputed. So
+ *  does a record no run of @p maxInstrs can produce (no or too many
+ *  instructions, no cycles, more misses than accesses, a fraction
+ *  outside [0, 1], more than 64 tag bits): it would be served as a
+ *  wrong answer or abort the calibration that reads it. */
 bool
-runOutputFromFields(const sim::ResultCache::Fields &f, RunOutput &out)
+runOutputFromFields(const sim::ResultCache::Fields &f, InstCount maxInstrs,
+                    RunOutput &out)
 {
     const auto pv = f.find("payload_v");
-    if (pv == f.end() || pv->second != "2")
+    if (pv == f.end() || pv->second != "3")
         return false;
     std::uint64_t u = 0;
     if (!fieldU64(f, "cycles", u))
@@ -398,7 +394,7 @@ runOutputFromFields(const sim::ResultCache::Fields &f, RunOutput &out)
         !fieldF64(f, "l1i_active_fraction",
                   out.meas.avgActiveFraction))
         return false;
-    if (!fieldU64(f, "l1i_tag_bits", u))
+    if (!fieldU64(f, "l1i_tag_bits", u, 64))
         return false;
     out.meas.resizingTagBits = static_cast<unsigned>(u);
     if (!fieldU64(f, "l1i_bytes", out.meas.l1iBytes) ||
@@ -424,16 +420,25 @@ runOutputFromFields(const sim::ResultCache::Fields &f, RunOutput &out)
         !fieldU64(f, "l2_size_bytes", out.l2SizeBytes) ||
         !fieldF64(f, "l2_active_fraction", out.l2AvgActiveFraction))
         return false;
-    if (!fieldU64(f, "l2_tag_bits", u))
+    if (!fieldU64(f, "l2_tag_bits", u, 64))
         return false;
     out.l2ResizingTagBits = static_cast<unsigned>(u);
     if (!fieldU64(f, "l2_resizes", out.l2Resizes) ||
         !fieldF64(f, "l1_drowsy_fraction", out.l1DrowsyFraction) ||
+        !fieldF64(f, "l1_gated_fraction", out.l1GatedFraction) ||
         !fieldU64(f, "wake_transitions", out.wakeTransitions) ||
         !fieldU64(f, "wake_stall_cycles", out.wakeStallCycles) ||
         !fieldU64(f, "policy_blocks_lost", out.policyBlocksLost))
         return false;
-    return true;
+    const auto isFraction = [](double v) { return v >= 0.0 && v <= 1.0; };
+    return out.meas.instructions >= 1 &&
+           out.meas.instructions <= maxInstrs && out.meas.cycles >= 1 &&
+           out.meas.l1iMisses <= out.meas.l1iAccesses &&
+           out.l2Misses <= out.l2Accesses &&
+           isFraction(out.meas.avgActiveFraction) &&
+           isFraction(out.l2AvgActiveFraction) &&
+           isFraction(out.l1DrowsyFraction) &&
+           isFraction(out.l1GatedFraction);
 }
 
 /**
@@ -466,7 +471,7 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
     sim::ResultCache::Fields f;
     if (config.resultCache->lookup(key, f)) {
         RunOutput out;
-        if (runOutputFromFields(f, out)) {
+        if (runOutputFromFields(f, config.maxInstrs, out)) {
             cacheEvent("hit", key);
             return out;
         }
@@ -847,8 +852,9 @@ RunOutput
 simulate(const BenchmarkInfo &bench, const RunConfig &config,
          const RunSpec &spec, const sim::ConfigKey &key)
 {
-    // A DRI L1I is the Dri leakage policy. Only its probes and its
-    // policyBlocksLost, never reported (0), stay DRI-specific.
+    // A DRI L1I is the Dri leakage policy. Only its probes, its
+    // policyBlocksLost (never reported, 0) and its gated share
+    // (charged at zero, the paper's rounding) stay DRI-specific.
     const DriParams *dri = std::get_if<DriParams>(&spec.l1i);
     PolicyConfig driPolicy;
     const PolicyConfig *pol = std::get_if<PolicyConfig>(&spec.l1i);
@@ -939,6 +945,10 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
             policy->l1Misses(), act.avgActiveFraction,
             act.resizingTagBits, pol->dri.sizeBytes);
         out.l1DrowsyFraction = act.avgDrowsyFraction;
+        out.l1GatedFraction =
+            dri ? 0.0
+                : std::max(0.0, 1.0 - act.avgActiveFraction -
+                                    act.avgDrowsyFraction);
         out.wakeTransitions = act.wakeTransitions;
         out.wakeStallCycles = act.wakeStallCycles;
         out.policyBlocksLost = dri ? 0 : act.blocksLost;
@@ -1168,6 +1178,79 @@ runCmp(const RunConfig &config, const CmpConfig &cmp,
     for (std::size_t k = 0; k < out.cores.size(); ++k)
         out.cores[k].bench = names[k];
     return out;
+}
+
+namespace
+{
+
+LevelInput
+l1iLevel(std::string name, const RunMeasurement &m, double drowsy,
+         double gated, std::uint64_t wakes)
+{
+    LevelInput l{std::move(name), LevelInput::Tier::L1, m.l1iBytes};
+    l.active = m.avgActiveFraction;
+    l.drowsy = drowsy;
+    l.gated = gated;
+    l.tagBits = m.resizingTagBits;
+    l.lookups = m.l1iAccesses;
+    l.wakes = wakes;
+    return l;
+}
+
+/** The levels below the L1Is: the L2, which reads its resizing tags
+ *  on every access it receives, and memory. */
+template <typename Out>
+void
+appendL2AndMem(std::vector<LevelInput> &levels, const Out &out,
+               std::uint64_t probes)
+{
+    LevelInput l2{"l2", LevelInput::Tier::L2, out.l2SizeBytes};
+    l2.active = out.l2AvgActiveFraction;
+    l2.tagBits = out.l2ResizingTagBits;
+    l2.lookups = out.l2Accesses;
+    l2.received = out.l2Accesses;
+    l2.probes = probes;
+    levels.push_back(std::move(l2));
+    LevelInput mem{"mem", LevelInput::Tier::Mem};
+    mem.received = out.memAccesses;
+    levels.push_back(std::move(mem));
+}
+
+} // namespace
+
+std::vector<LevelInput>
+paperView(const RunOutput &out)
+{
+    LevelInput l2{"l2", LevelInput::Tier::L2};
+    l2.received = out.meas.l1iMisses;
+    return {l1iLevel("l1i", out.meas, out.l1DrowsyFraction,
+                     out.l1GatedFraction, out.wakeTransitions),
+            std::move(l2)};
+}
+
+std::vector<LevelInput>
+hierarchyView(const RunOutput &out)
+{
+    std::vector<LevelInput> levels{
+        l1iLevel("l1i", out.meas, out.l1DrowsyFraction,
+                 out.l1GatedFraction, out.wakeTransitions)};
+    appendL2AndMem(levels, out, 0);
+    return levels;
+}
+
+std::vector<LevelInput>
+cmpView(const CmpRunOutput &out)
+{
+    std::vector<LevelInput> levels;
+    for (std::size_t k = 0; k < out.cores.size(); ++k) {
+        const CmpCoreOutput &c = out.cores[k];
+        levels.push_back(l1iLevel("l1i[" + std::to_string(k) + "]",
+                                  c.meas, c.l1DrowsyFraction,
+                                  c.l1GatedFraction, c.wakeTransitions));
+    }
+    appendL2AndMem(levels, out,
+                   out.coherenceInvalidations + out.coherenceDowngrades);
+    return levels;
 }
 
 } // namespace drisim

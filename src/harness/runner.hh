@@ -6,7 +6,9 @@
  * DRI or any leakage policy) and the core model (the detailed
  * out-of-order core, or the fast fetch-driven model used only for
  * parameter search; see SimpleCore). runKey() names the run; the CMP
- * study has its own pair, runCmp() and runKeyCmp().
+ * study has its own pair, runCmp() and runKeyCmp(). paperView(),
+ * hierarchyView() and cmpView() turn an output into the energy
+ * ledger's input.
  */
 
 #ifndef DRISIM_HARNESS_RUNNER_HH
@@ -21,7 +23,7 @@
 #include "core/dri_params.hh"
 #include "cpu/ooo_core.hh"
 #include "farm/shard_plan.hh"
-#include "energy/energy_model.hh"
+#include "energy/ledger.hh"
 #include "mem/hierarchy.hh"
 #include "policy/leakage_policy.hh"
 #include "sim/result_cache.hh"
@@ -131,12 +133,29 @@ struct RunOutput
     std::uint64_t l2Resizes = 0;
 
     /** Leakage-policy activity (PolicyConfig runs; defaults
-     *  describe a fixed, fully-powered L1I). */
+     *  describe a fixed, fully-powered L1I). The gated share is
+     *  what the ledger charges at the gated residual: max(0, 1 -
+     *  active - drowsy) for a PolicyConfig L1I, and 0 for a
+     *  DriParams one (the paper's Section 5.2 rounding). */
     double l1DrowsyFraction = 0.0;
+    double l1GatedFraction = 0.0;
     std::uint64_t wakeTransitions = 0;
     std::uint64_t wakeStallCycles = 0;
     std::uint64_t policyBlocksLost = 0;
 };
+
+/**
+ * The ledger's views of a run (energy/ledger.hh). The paper view
+ * (Figures 3-6, Section 5.6, the policy study) is the L1I row plus
+ * an L2 row that carries only the extra-miss traffic. The hierarchy
+ * view (Bai et al.) is l1i, l2 and mem, each level with its own
+ * leakage and tag overhead and the traffic it receives. The CMP view
+ * is the hierarchy view with an l1i[k] row per core and the
+ * coherence probes on the shared l2.
+ */
+std::vector<LevelInput> paperView(const RunOutput &out);
+std::vector<LevelInput> hierarchyView(const RunOutput &out);
+std::vector<LevelInput> cmpView(const CmpRunOutput &out);
 
 /**
  * Default run length honouring the DRISIM_SCALE environment

@@ -20,23 +20,42 @@
 namespace drisim
 {
 
-ComparisonResult
+namespace
+{
+
+/** @p dri run on @p spec's core model, paper view against @p conv. */
+SearchCandidate
+evaluate(const BenchmarkInfo &bench, const RunConfig &config,
+         const DriParams &dri, const FastCalibration *fast,
+         const EnergyConstants &constants, const RunOutput &conv)
+{
+    SearchCandidate cand;
+    cand.dri = dri;
+    cand.out = run(bench, config, {dri, fast});
+    cand.cmp = compare(constants, conv.meas.cycles, paperView(conv),
+                       cand.out.meas.cycles, paperView(cand.out));
+    return cand;
+}
+
+} // namespace
+
+SearchCandidate
 evaluateDetailed(const BenchmarkInfo &bench, const RunConfig &config,
                  const DriParams &dri, const EnergyConstants &constants,
                  const RunOutput &convDetailed)
 {
-    RunOutput d = run(bench, config, {dri});
-    return compareRuns(constants, convDetailed.meas, d.meas);
+    return evaluate(bench, config, dri, nullptr, constants,
+                    convDetailed);
 }
 
-std::vector<ComparisonResult>
+std::vector<SearchCandidate>
 evaluateDetailedBatch(const BenchmarkInfo &bench,
                       const RunConfig &config,
                       const std::vector<DriParams> &variants,
                       const EnergyConstants &constants,
                       const RunOutput &convDetailed, Executor *exec)
 {
-    std::vector<ComparisonResult> out(variants.size());
+    std::vector<SearchCandidate> out(variants.size());
     std::optional<Executor> local;
     if (!exec)
         exec = &local.emplace(config.jobs);
@@ -124,15 +143,11 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
                         cells[i].factor *
                         conv_misses_per_interval));
 
-                RunOutput d = run(bench, config, {p, &cal});
-                SearchCandidate cand;
-                cand.dri = p;
-                cand.cmp =
-                    compareRuns(constants, conv_fast.meas, d.meas);
-                cand.feasible =
-                    maxSlowdownPct <= 0.0 ||
-                    cand.cmp.slowdownPercent() <= maxSlowdownPct;
-                result.evaluated[i] = cand;
+                SearchCandidate cand =
+                    evaluate(bench, config, p, &cal, constants,
+                             conv_fast);
+                cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
+                result.evaluated[i] = std::move(cand);
             },
             {calibrate}));
     }
@@ -176,12 +191,10 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
     graph.add(
         bench.name + "/winner-detailed",
         [&](const JobContext &) {
-            result.best.dri = best_params;
-            result.best.cmp = evaluateDetailed(
-                bench, config, best_params, constants, convDetailed);
+            result.best = evaluateDetailed(bench, config, best_params,
+                                           constants, convDetailed);
             result.best.feasible =
-                maxSlowdownPct <= 0.0 ||
-                result.best.cmp.slowdownPercent() <= maxSlowdownPct;
+                result.best.cmp.meetsSlowdown(maxSlowdownPct);
         },
         {select});
 

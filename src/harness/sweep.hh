@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "energy/accounting.hh"
 #include "harness/runner.hh"
 
 namespace drisim
@@ -42,7 +41,10 @@ struct SearchSpace
 struct SearchCandidate
 {
     DriParams dri;
-    ComparisonResult cmp;
+    /** The DRI run (fast model in the grid, detailed otherwise). */
+    RunOutput out;
+    /** Its paper view against the conventional run. */
+    Comparison cmp;
     bool feasible = true;
 };
 
@@ -75,12 +77,13 @@ SearchResult searchBestEnergyDelay(
     const EnergyConstants &constants, double maxSlowdownPct,
     const RunOutput &convDetailed);
 
-/** Detailed paired evaluation of one explicit configuration. */
-ComparisonResult evaluateDetailed(const BenchmarkInfo &bench,
-                                  const RunConfig &config,
-                                  const DriParams &dri,
-                                  const EnergyConstants &constants,
-                                  const RunOutput &convDetailed);
+/** Detailed paired evaluation of one explicit configuration
+ *  (feasible stays true: the caller owns the constraint). */
+SearchCandidate evaluateDetailed(const BenchmarkInfo &bench,
+                                 const RunConfig &config,
+                                 const DriParams &dri,
+                                 const EnergyConstants &constants,
+                                 const RunOutput &convDetailed);
 
 class Executor; // harness/executor.hh
 
@@ -91,7 +94,7 @@ class Executor; // harness/executor.hh
  * reuse an existing pool; otherwise one is created with config.jobs
  * workers for the call.
  */
-std::vector<ComparisonResult> evaluateDetailedBatch(
+std::vector<SearchCandidate> evaluateDetailedBatch(
     const BenchmarkInfo &bench, const RunConfig &config,
     const std::vector<DriParams> &variants,
     const EnergyConstants &constants, const RunOutput &convDetailed,

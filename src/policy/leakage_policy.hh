@@ -28,7 +28,7 @@
  * counted in dynamic instructions so behaviour is identical on the
  * detailed and fast timing models) and elapsed cycles — and reports
  * the same integrals: time-averaged full-power / drowsy fractions,
- * wake events and wake stalls. energy/accounting.hh turns those into
+ * wake events and wake stalls. energy/ledger.hh turns those into
  * state-preserving vs state-destroying leakage rows.
  */
 

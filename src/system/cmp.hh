@@ -32,7 +32,7 @@
 
 #include "core/dri_icache.hh"
 #include "cpu/ooo_core.hh"
-#include "energy/energy_model.hh"
+#include "energy/ledger.hh"
 #include "mem/directory.hh"
 #include "mem/hierarchy.hh"
 #include "policy/leakage_policy.hh"

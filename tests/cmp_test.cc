@@ -19,6 +19,47 @@ namespace drisim
 namespace
 {
 
+/**
+ * The single-core hierarchy-view ledger of @p single (against
+ * @p singleBase) equals the CMP-view ledger of its cores=1 twin
+ * @p cmp (against @p cmpBase): every row, every term and every
+ * total, bit for bit. Only the L1I row's name differs.
+ */
+void
+expectSameLedger(const RunOutput &single, const RunOutput &singleBase,
+                 const CmpRunOutput &cmp, const CmpRunOutput &cmpBase)
+{
+    const EnergyConstants c;
+    const Ledger a = ledger(c, single.meas.cycles, hierarchyView(single),
+                            hierarchyView(singleBase));
+    const Ledger b = ledger(c, cmp.systemCycles, cmpView(cmp),
+                            cmpView(cmpBase));
+    ASSERT_EQ(a.rows.size(), 3u);
+    ASSERT_EQ(b.rows.size(), 3u);
+    EXPECT_EQ(a.rows[0].level, "l1i");
+    EXPECT_EQ(b.rows[0].level, "l1i[0]");
+    for (std::size_t i = 0; i < a.rows.size(); ++i) {
+        const Ledger::Row &x = a.rows[i];
+        const Ledger::Row &y = b.rows[i];
+        SCOPED_TRACE(x.level);
+        if (i > 0) {
+            EXPECT_EQ(x.level, y.level);
+        }
+        EXPECT_EQ(x.activeNJ, y.activeNJ);
+        EXPECT_EQ(x.gatedNJ, y.gatedNJ);
+        EXPECT_EQ(x.drowsyNJ, y.drowsyNJ);
+        EXPECT_EQ(x.tagNJ, y.tagNJ);
+        EXPECT_EQ(x.wakeNJ, y.wakeNJ);
+        EXPECT_EQ(x.trafficNJ, y.trafficNJ);
+        EXPECT_EQ(x.probeNJ, y.probeNJ);
+    }
+    EXPECT_EQ(a.leakageNJ(), b.leakageNJ());
+    EXPECT_EQ(a.dynamicNJ(), b.dynamicNJ());
+    EXPECT_EQ(a.totalNJ(), b.totalNJ());
+    EXPECT_EQ(a.energyDelay(), b.energyDelay());
+    EXPECT_GT(a.totalNJ(), 0.0);
+}
+
 TEST(CmpSystem, SingleCoreConventionalMatchesRunnerBitForBit)
 {
     const BenchmarkInfo &b = findBenchmark("compress");
@@ -45,6 +86,7 @@ TEST(CmpSystem, SingleCoreConventionalMatchesRunnerBitForBit)
     EXPECT_EQ(out.l2MissRate, single.l2MissRate);
     EXPECT_EQ(out.memAccesses, single.memAccesses);
     EXPECT_EQ(out.l2ContentionEvents, 0u);
+    expectSameLedger(single, single, out, out);
 }
 
 TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
@@ -94,6 +136,17 @@ TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
     EXPECT_EQ(out.l2AvgActiveFraction, single.l2AvgActiveFraction);
     EXPECT_EQ(out.l2ResizingTagBits, single.l2ResizingTagBits);
     EXPECT_EQ(out.l2Resizes, single.l2Resizes);
+
+    // Against the conventional hierarchy, so the resizing L2's
+    // extra memory traffic is charged too.
+    RunConfig convCfg = cfg;
+    convCfg.hier.l2Dri = false;
+    CmpConfig convCmp;
+    convCmp.cores = 1;
+    const RunOutput singleBase = run(b, convCfg);
+    const CmpRunOutput cmpBase = runCmp(convCfg, convCmp, "li");
+    ASSERT_GT(single.memAccesses, singleBase.memAccesses);
+    expectSameLedger(single, singleBase, out, cmpBase);
 }
 
 TEST(CmpSystem, AttributionSumsAndContentionFiresWithSharers)
@@ -307,66 +360,68 @@ TEST(CmpCoherence, PolicyCoresReportWakesAndRefetches)
 
 TEST(CmpAccounting, PerCoreRowsPlusSharedRowsSumToSystemTotal)
 {
-    CmpMeasurement conv;
-    conv.cycles = 1000000;
+    CmpRunOutput conv;
+    conv.systemCycles = 1000000;
     conv.cores.resize(2);
-    conv.cores[0].l1Accesses = 500000;
-    conv.cores[1].l1Accesses = 400000;
+    conv.cores[0].meas.l1iAccesses = 500000;
+    conv.cores[1].meas.l1iAccesses = 400000;
+    conv.l2SizeBytes = 1024 * 1024;
     conv.l2Accesses = 20000;
     conv.l2Misses = 2000;
     conv.memAccesses = 2000;
 
-    CmpMeasurement dri = conv;
-    dri.cycles = 1010000;
-    dri.cores[0].l1AvgActiveFraction = 0.4;
-    dri.cores[0].l1ResizingTagBits = 4;
-    dri.cores[1].l1AvgActiveFraction = 0.7;
-    dri.cores[1].l1ResizingTagBits = 2;
+    CmpRunOutput dri = conv;
+    dri.systemCycles = 1010000;
+    dri.cores[0].meas.avgActiveFraction = 0.4;
+    dri.cores[0].meas.resizingTagBits = 4;
+    dri.cores[1].meas.avgActiveFraction = 0.7;
+    dri.cores[1].meas.resizingTagBits = 2;
     dri.l2AvgActiveFraction = 0.5;
     dri.l2ResizingTagBits = 4;
     dri.l2Accesses = 25000; // extra traffic charged to the L2 row
     dri.memAccesses = 2600; // extra traffic charged to the mem row
 
-    const CmpComparison cmp =
-        compareCmp(MultiLevelConstants::paper(), conv, dri);
+    const EnergyConstants c;
+    const Comparison cmp = compare(c, conv.systemCycles, cmpView(conv),
+                                   dri.systemCycles, cmpView(dri));
 
     // Row identities: one l1i[k] per core, then shared l2 and mem.
-    ASSERT_EQ(cmp.dri.levels.size(), 4u);
-    EXPECT_EQ(cmp.dri.levels[0].level, "l1i[0]");
-    EXPECT_EQ(cmp.dri.levels[1].level, "l1i[1]");
-    EXPECT_EQ(cmp.dri.levels[2].level, "l2");
-    EXPECT_EQ(cmp.dri.levels[3].level, "mem");
+    ASSERT_EQ(cmp.run.rows.size(), 4u);
+    EXPECT_EQ(cmp.run.rows[0].level, "l1i[0]");
+    EXPECT_EQ(cmp.run.rows[1].level, "l1i[1]");
+    EXPECT_EQ(cmp.run.rows[2].level, "l2");
+    EXPECT_EQ(cmp.run.rows[3].level, "mem");
 
     // Totals are the row sums by construction — exactly.
     double leak = 0.0, dyn = 0.0;
-    for (const LevelEnergy &l : cmp.dri.levels) {
-        leak += l.leakageNJ;
-        dyn += l.dynamicNJ;
+    for (const Ledger::Row &l : cmp.run.rows) {
+        leak += l.leakageNJ();
+        dyn += l.dynamicNJ();
     }
-    EXPECT_EQ(leak, cmp.dri.totalLeakageNJ());
-    EXPECT_EQ(dyn, cmp.dri.totalDynamicNJ());
+    EXPECT_EQ(leak, cmp.run.leakageNJ());
+    EXPECT_EQ(dyn, cmp.run.dynamicNJ());
 
     // The conventional baseline pairs against itself: no extra
     // traffic, no resizing overhead, relative ED of exactly 1.
-    EXPECT_DOUBLE_EQ(cmp.conventional.level("mem")->dynamicNJ, 0.0);
-    const double conv_ed =
-        cmp.conventional.energyDelay(conv.cycles);
+    EXPECT_DOUBLE_EQ(cmp.baseline.rows[3].dynamicNJ(), 0.0);
+    const double conv_ed = cmp.baseline.energyDelay();
     EXPECT_GT(conv_ed, 0.0);
-    EXPECT_DOUBLE_EQ(
-        compareCmp(MultiLevelConstants::paper(), conv, conv)
-            .relativeEnergyDelay(),
-        1.0);
+    EXPECT_DOUBLE_EQ(compare(c, conv.systemCycles, cmpView(conv),
+                             conv.systemCycles, cmpView(conv))
+                         .relativeEnergyDelay(),
+                     1.0);
 
     // Gating the arrays must have cut the DRI leakage below the
     // conventional leakage despite the longer run.
-    EXPECT_LT(cmp.dri.totalLeakageNJ(),
-              cmp.conventional.totalLeakageNJ() * 1.02);
+    EXPECT_LT(cmp.run.leakageNJ(), cmp.baseline.leakageNJ() * 1.02);
 
     // The slowdown is computed on system time.
     EXPECT_NEAR(cmp.slowdownPercent(), 1.0, 1e-9);
-    EXPECT_DOUBLE_EQ(cmp.coreAverageSizeFraction(0), 0.4);
-    EXPECT_DOUBLE_EQ(cmp.coreAverageSizeFraction(1), 0.7);
-    EXPECT_DOUBLE_EQ(cmp.l2AverageSizeFraction(), 0.5);
+    // The view carries each array's powered share.
+    const std::vector<LevelInput> view = cmpView(dri);
+    EXPECT_DOUBLE_EQ(view[0].active, 0.4);
+    EXPECT_DOUBLE_EQ(view[1].active, 0.7);
+    EXPECT_DOUBLE_EQ(view[2].active, 0.5);
 }
 
 TEST(CmpSearch, WinnerAndGridShapeAreSane)
@@ -392,7 +447,7 @@ TEST(CmpSearch, WinnerAndGridShapeAreSane)
 
     const CmpSearchResult sr = searchCmp(
         cfg, cmp, "compress", l1Tmpl, l2Tmpl, space,
-        MultiLevelConstants::paper(), 4.0, conv);
+        EnergyConstants{}, 4.0, conv);
 
     // |factors|^2 x |l2 bounds| = 1 x 2 cells, grid order.
     ASSERT_EQ(sr.evaluated.size(), 2u);
@@ -402,7 +457,7 @@ TEST(CmpSearch, WinnerAndGridShapeAreSane)
         ASSERT_EQ(cand.l1.size(), 2u);
         EXPECT_GE(cand.l1[0].missBound, space.missBoundFloor);
         // Per-level rows: l1i[0], l1i[1], l2, mem.
-        ASSERT_EQ(cand.cmp.dri.levels.size(), 4u);
+        ASSERT_EQ(cand.cmp.run.rows.size(), 4u);
     }
     ASSERT_EQ(sr.best.l1.size(), 2u);
     EXPECT_GT(sr.best.cmp.relativeEnergyDelay(), 0.0);
@@ -437,7 +492,7 @@ TEST(CmpSearch, WideCmpDegradesToSharedFactorSweep)
 
     const CmpSearchResult sr = searchCmp(
         cfg, cmp, "compress", l1Tmpl, l2Tmpl, space,
-        MultiLevelConstants::paper(), -1.0, conv);
+        EnergyConstants{}, -1.0, conv);
 
     ASSERT_EQ(sr.evaluated.size(), 2u);
     for (std::size_t i = 0; i < sr.evaluated.size(); ++i) {
@@ -447,7 +502,7 @@ TEST(CmpSearch, WideCmpDegradesToSharedFactorSweep)
         for (const DriParams &p : cand.l1)
             EXPECT_EQ(p.missBound, cand.l1[0].missBound);
         // Per-level rows: 12 l1i[k] + l2 + mem.
-        EXPECT_EQ(cand.cmp.dri.levels.size(), 14u);
+        EXPECT_EQ(cand.cmp.run.rows.size(), 14u);
     }
     // The two cells differ (factor 2 vs factor 32).
     EXPECT_NE(sr.evaluated[0].l1[0].missBound,
@@ -504,12 +559,12 @@ TEST(CmpSearchConcurrency, ImageCacheHammeredFromConcurrentCells)
 
     const CmpSearchResult sr = searchCmp(
         cfg, cmp, "gcc", l1Tmpl, l2Tmpl, space,
-        MultiLevelConstants::paper(), -1.0, conv);
+        EnergyConstants{}, -1.0, conv);
 
     // 2^3 factor combinations x 1 bound.
     ASSERT_EQ(sr.evaluated.size(), 8u);
     for (const CmpCandidate &cand : sr.evaluated)
-        EXPECT_EQ(cand.cmp.driRun.cores.size(), 3u);
+        EXPECT_EQ(cand.out.cores.size(), 3u);
 }
 
 } // namespace

@@ -539,13 +539,13 @@ TEST(CmpBankedDramConcurrency, SearchIsJobCountInvariant)
     serial.jobs = 1;
     const CmpSearchResult one = searchCmp(
         serial, cmp, "compress", l1Tmpl, l2Tmpl, space,
-        MultiLevelConstants::paper(), -1.0, conv);
+        EnergyConstants{}, -1.0, conv);
 
     RunConfig pooled = cfg;
     pooled.jobs = 4;
     const CmpSearchResult four = searchCmp(
         pooled, cmp, "compress", l1Tmpl, l2Tmpl, space,
-        MultiLevelConstants::paper(), -1.0, conv);
+        EnergyConstants{}, -1.0, conv);
 
     ASSERT_EQ(one.evaluated.size(), four.evaluated.size());
     for (std::size_t i = 0; i < one.evaluated.size(); ++i) {
@@ -560,10 +560,9 @@ TEST(CmpBankedDramConcurrency, SearchIsJobCountInvariant)
         EXPECT_EQ(x.cmp.relativeEnergyDelay(),
                   y.cmp.relativeEnergyDelay());
         EXPECT_EQ(x.cmp.slowdownPercent(), y.cmp.slowdownPercent());
-        EXPECT_EQ(x.cmp.driRun.cycles, y.cmp.driRun.cycles);
-        EXPECT_EQ(x.cmp.driRun.memAccesses, y.cmp.driRun.memAccesses);
-        EXPECT_EQ(x.cmp.driRun.dramBusyCycles,
-                  y.cmp.driRun.dramBusyCycles);
+        EXPECT_EQ(x.out.systemCycles, y.out.systemCycles);
+        EXPECT_EQ(x.out.memAccesses, y.out.memAccesses);
+        EXPECT_EQ(x.out.dramBusyCycles, y.out.dramBusyCycles);
     }
     EXPECT_EQ(one.best.l2.sizeBoundBytes, four.best.l2.sizeBoundBytes);
 }

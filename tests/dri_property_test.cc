@@ -16,7 +16,6 @@
 #include <type_traits>
 
 #include "core/dri_icache.hh"
-#include "energy/accounting.hh"
 #include "harness/runner.hh"
 #include "mem/cache.hh"
 #include "stats/stats.hh"
@@ -382,7 +381,12 @@ TEST(AggregationProperty, ShuffledCompletionOrderMatchesSerialSum)
     for (std::size_t i = 0; i < cells.size(); ++i)
         serialSlots[i] = evaluateCell(cells[i]);
 
-    const EnergyConstants constants = EnergyConstants::paper();
+    const EnergyConstants constants;
+    const auto paperOf = [](const RunMeasurement &m) {
+        RunOutput o;
+        o.meas = m;
+        return paperView(o);
+    };
     auto aggregate = [&](const std::vector<RunMeasurement> &slots) {
         // The reductions the table/figure paths perform: energy and
         // miss totals over slots in index order.
@@ -392,7 +396,9 @@ TEST(AggregationProperty, ShuffledCompletionOrderMatchesSerialSum)
         for (std::size_t i = 0; i < slots.size(); ++i) {
             misses += slots[i].l1iMisses;
             cycles += slots[i].cycles;
-            energy += compareRuns(constants, slots[0], slots[i])
+            energy += compare(constants, slots[0].cycles,
+                              paperOf(slots[0]), slots[i].cycles,
+                              paperOf(slots[i]))
                           .relativeEnergyDelay();
         }
         return std::tuple{misses, cycles, energy};

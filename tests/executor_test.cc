@@ -457,7 +457,7 @@ searchAt(unsigned jobs)
     DriParams tmpl;
     tmpl.senseInterval = 50000;
     return searchBestEnergyDelay(b, cfg, tmpl, space,
-                                 EnergyConstants::paper(), 4.0, conv);
+                                 EnergyConstants{}, 4.0, conv);
 }
 
 void
@@ -470,17 +470,17 @@ expectSameParams(const DriParams &a, const DriParams &b)
 }
 
 void
-expectSameComparison(const ComparisonResult &a,
-                     const ComparisonResult &b)
+expectSameCandidate(const SearchCandidate &a, const SearchCandidate &b)
 {
     // Bit-identical, not approximately equal: the parallel schedule
     // must not perturb a single floating-point operation.
-    EXPECT_EQ(a.relativeEnergyDelay(), b.relativeEnergyDelay());
-    EXPECT_EQ(a.slowdownPercent(), b.slowdownPercent());
-    EXPECT_EQ(a.averageSizeFraction(), b.averageSizeFraction());
-    EXPECT_EQ(a.driRun.cycles, b.driRun.cycles);
-    EXPECT_EQ(a.driRun.l1iMisses, b.driRun.l1iMisses);
-    EXPECT_EQ(a.convRun.cycles, b.convRun.cycles);
+    EXPECT_EQ(a.cmp.relativeEnergyDelay(), b.cmp.relativeEnergyDelay());
+    EXPECT_EQ(a.cmp.slowdownPercent(), b.cmp.slowdownPercent());
+    EXPECT_EQ(a.out.meas.avgActiveFraction,
+              b.out.meas.avgActiveFraction);
+    EXPECT_EQ(a.out.meas.cycles, b.out.meas.cycles);
+    EXPECT_EQ(a.out.meas.l1iMisses, b.out.meas.l1iMisses);
+    EXPECT_EQ(a.cmp.baseline.cycles, b.cmp.baseline.cycles);
 }
 
 TEST(Determinism, SearchIsIdenticalAtAnyWorkerCount)
@@ -493,7 +493,7 @@ TEST(Determinism, SearchIsIdenticalAtAnyWorkerCount)
 
         expectSameParams(serial.best.dri, parallel.best.dri);
         EXPECT_EQ(serial.best.feasible, parallel.best.feasible);
-        expectSameComparison(serial.best.cmp, parallel.best.cmp);
+        expectSameCandidate(serial.best, parallel.best);
 
         // The evaluated vector must be identically *ordered*, not
         // just equal as a set.
@@ -503,8 +503,8 @@ TEST(Determinism, SearchIsIdenticalAtAnyWorkerCount)
                              parallel.evaluated[i].dri);
             EXPECT_EQ(serial.evaluated[i].feasible,
                       parallel.evaluated[i].feasible);
-            expectSameComparison(serial.evaluated[i].cmp,
-                                 parallel.evaluated[i].cmp);
+            expectSameCandidate(serial.evaluated[i],
+                                parallel.evaluated[i]);
         }
     }
 }
@@ -529,7 +529,7 @@ TEST(Determinism, EmptyGridFallbackStillOrdersCalibration)
         const RunConfig cfg = searchConfig(counts[k]);
         const RunOutput conv = run(b, cfg);
         results[k] = searchBestEnergyDelay(
-            b, cfg, tmpl, space, EnergyConstants::paper(), 4.0,
+            b, cfg, tmpl, space, EnergyConstants{}, 4.0,
             conv);
         EXPECT_TRUE(results[k].evaluated.empty());
         // Fallback pins to full size with a 2x-conventional-MPI
@@ -540,7 +540,7 @@ TEST(Determinism, EmptyGridFallbackStillOrdersCalibration)
         EXPECT_GT(results[k].best.dri.missBound, 16u);
     }
     expectSameParams(results[0].best.dri, results[1].best.dri);
-    expectSameComparison(results[0].best.cmp, results[1].best.cmp);
+    expectSameCandidate(results[0].best, results[1].best);
 }
 
 TEST(Determinism, DetailedBatchMatchesSingleEvaluations)
@@ -548,7 +548,7 @@ TEST(Determinism, DetailedBatchMatchesSingleEvaluations)
     const auto &b = findBenchmark("li");
     const RunConfig cfg = searchConfig(4);
     const RunOutput conv = run(b, cfg);
-    const EnergyConstants constants = EnergyConstants::paper();
+    const EnergyConstants constants;
 
     std::vector<DriParams> variants;
     for (const std::uint64_t sb : {1024u, 4096u, 65536u}) {
@@ -558,13 +558,13 @@ TEST(Determinism, DetailedBatchMatchesSingleEvaluations)
         p.senseInterval = 50000;
         variants.push_back(p);
     }
-    const std::vector<ComparisonResult> batch =
+    const std::vector<SearchCandidate> batch =
         evaluateDetailedBatch(b, cfg, variants, constants, conv);
     ASSERT_EQ(batch.size(), variants.size());
     for (std::size_t i = 0; i < variants.size(); ++i) {
-        const ComparisonResult one = evaluateDetailed(
+        const SearchCandidate one = evaluateDetailed(
             b, cfg, variants[i], constants, conv);
-        expectSameComparison(one, batch[i]);
+        expectSameCandidate(one, batch[i]);
     }
 }
 

@@ -270,7 +270,7 @@ runGoldenSearch(const std::string &name)
     DriParams tmpl;
     tmpl.senseInterval = 50000;
     return searchBestEnergyDelay(b, cfg, tmpl, space,
-                                 EnergyConstants::paper(), 4.0, conv);
+                                 EnergyConstants{}, 4.0, conv);
 }
 
 /** The fixed multi-level golden run ((L1 x L2) bound grid). */
@@ -291,7 +291,7 @@ runGoldenMultiSearch(const std::string &name, unsigned jobs)
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 50000;
     return searchMultiLevel(b, cfg, l1Tmpl, l2Tmpl, space,
-                            MultiLevelConstants::paper(), 4.0, conv);
+                            EnergyConstants{}, 4.0, conv);
 }
 
 /**
@@ -316,7 +316,7 @@ runGoldenPolicySearch(const std::string &name, unsigned jobs)
     space.drowsyIntervals = {50000};
     space.waysActive = {1};
     return searchPolicies(b, cfg, tmpl, space,
-                          PolicyEnergyConstants::paper(), 4.0, conv);
+                          EnergyConstants{}, 4.0, conv);
 }
 inline const std::vector<std::string> &
 goldenCmpBenches()
@@ -351,8 +351,7 @@ runGoldenCmpSearch(unsigned jobs)
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 50000;
     return searchCmp(cfg, cmp, goldenCmpBenches()[0], l1Tmpl,
-                     l2Tmpl, space, MultiLevelConstants::paper(),
-                     4.0, conv);
+                     l2Tmpl, space, EnergyConstants{}, 4.0, conv);
 }
 
 /** One CSV line from a Table (the row after the header). */
@@ -376,7 +375,7 @@ renderGoldenRow(const std::string &name, const SearchResult &sr)
     t.addRow({name, bytesToString(c.dri.sizeBoundBytes),
               std::to_string(c.dri.missBound),
               fmtDouble(c.cmp.relativeEnergyDelay(), 3),
-              fmtDouble(c.cmp.averageSizeFraction(), 3),
+              fmtDouble(c.out.meas.avgActiveFraction, 3),
               fmtDouble(c.cmp.slowdownPercent(), 2) + "%"});
     return csvRow(t);
 }
@@ -421,11 +420,9 @@ serializePolicyResult(const PolicySearchResult &sr)
             policyKindName(c.config.kind),
             c.config.paramSummary().c_str(), c.feasible ? 1 : 0,
             c.cmp.relativeEnergyDelay(), c.cmp.slowdownPercent(),
-            c.cmp.averageActiveFraction(),
-            c.cmp.averageDrowsyFraction(),
-            static_cast<unsigned long long>(
-                c.cmp.run.wakeTransitions));
-        for (const auto &[label, nj] : c.cmp.policy.rows())
+            c.out.meas.avgActiveFraction, c.out.l1DrowsyFraction,
+            static_cast<unsigned long long>(c.out.wakeTransitions));
+        for (const auto &[label, nj] : policyEnergyRows(c.cmp.run))
             os << strFormat(" %s=%.17g", label.c_str(), nj);
         os << "\n";
     };
@@ -472,10 +469,10 @@ serializeCmpResult(const CmpSearchResult &sr)
             c.cmp.slowdownPercent());
         for (std::size_t k = 0; k < c.l1.size(); ++k)
             os << strFormat(" sz%zu=%.17g", k,
-                            c.cmp.coreAverageSizeFraction(k));
-        for (const LevelEnergy &l : c.cmp.dri.levels)
-            os << strFormat(" %s=%.17g+%.17g", l.level.c_str(),
-                            l.leakageNJ, l.dynamicNJ);
+                            c.out.cores[k].meas.avgActiveFraction);
+        for (const Ledger::Row &r : c.cmp.run.rows)
+            os << strFormat(" %s=%.17g+%.17g", r.level.c_str(),
+                            r.leakageNJ(), r.dynamicNJ());
         os << "\n";
     };
     os << "conv cycles=" << sr.convDetailed.systemCycles
@@ -537,9 +534,10 @@ runGoldenCoherentCmp()
 inline std::string
 renderCoherentCmpGoldenRow(const CoherentCmpGoldenRun &run)
 {
-    const CmpComparison cc = compareCmp(
-        MultiLevelConstants::paper(), toCmpMeasurement(run.conv),
-        toCmpMeasurement(run.pol));
+    const Comparison cc =
+        compare(EnergyConstants{}, run.conv.systemCycles,
+                cmpView(run.conv), run.pol.systemCycles,
+                cmpView(run.pol));
     std::uint64_t wakes = 0;
     std::uint64_t refetches = 0;
     for (const CmpCoreOutput &c : run.pol.cores) {
@@ -629,11 +627,11 @@ serializeMultiLevelResult(const MultiLevelSearchResult &sr)
             static_cast<unsigned long long>(c.l2.sizeBoundBytes),
             static_cast<unsigned long long>(c.l2.missBound),
             c.feasible ? 1 : 0, c.cmp.relativeEnergyDelay(),
-            c.cmp.slowdownPercent(), c.cmp.l1AverageSizeFraction(),
-            c.cmp.l2AverageSizeFraction());
-        for (const LevelEnergy &l : c.cmp.dri.levels)
-            os << strFormat(" %s=%.17g+%.17g", l.level.c_str(),
-                            l.leakageNJ, l.dynamicNJ);
+            c.cmp.slowdownPercent(), c.out.meas.avgActiveFraction,
+            c.out.l2AvgActiveFraction);
+        for (const Ledger::Row &r : c.cmp.run.rows)
+            os << strFormat(" %s=%.17g+%.17g", r.level.c_str(),
+                            r.leakageNJ(), r.dynamicNJ());
         os << "\n";
     };
     os << "conv cycles=" << sr.convDetailed.meas.cycles

@@ -104,7 +104,7 @@ TEST_P(GoldenSearch, WinnerAndRowMatchGolden)
                 gold.relativeEnergyDelay, 1e-9);
     EXPECT_NEAR(sr.best.cmp.slowdownPercent(), gold.slowdownPercent,
                 1e-9);
-    EXPECT_NEAR(sr.best.cmp.averageSizeFraction(),
+    EXPECT_NEAR(sr.best.out.meas.avgActiveFraction,
                 gold.averageSizeFraction, 1e-9);
 
     EXPECT_EQ(sr.convDetailed.meas.cycles, gold.convCycles);
@@ -135,9 +135,9 @@ TEST_P(MultiLevelGolden, WinnerRowAndJobsInvarianceMatchGolden)
                 gold.relativeEnergyDelay, 1e-9);
     EXPECT_NEAR(sr.best.cmp.slowdownPercent(), gold.slowdownPercent,
                 1e-9);
-    EXPECT_NEAR(sr.best.cmp.l1AverageSizeFraction(), gold.l1AvgSize,
+    EXPECT_NEAR(sr.best.out.meas.avgActiveFraction, gold.l1AvgSize,
                 1e-9);
-    EXPECT_NEAR(sr.best.cmp.l2AverageSizeFraction(), gold.l2AvgSize,
+    EXPECT_NEAR(sr.best.out.l2AvgActiveFraction, gold.l2AvgSize,
                 1e-9);
 
     EXPECT_EQ(sr.convDetailed.meas.cycles, gold.convCycles);
@@ -148,17 +148,17 @@ TEST_P(MultiLevelGolden, WinnerRowAndJobsInvarianceMatchGolden)
 
     // Per-level rows must sum to the reported hierarchy totals —
     // exactly, since the totals are defined as the row sums.
-    const HierarchyEnergy &h = sr.best.cmp.dri;
+    const Ledger &h = sr.best.cmp.run;
     double leak = 0.0, dyn = 0.0, total = 0.0;
-    for (const LevelEnergy &l : h.levels) {
-        leak += l.leakageNJ;
-        dyn += l.dynamicNJ;
+    for (const Ledger::Row &l : h.rows) {
+        leak += l.leakageNJ();
+        dyn += l.dynamicNJ();
         total += l.totalNJ();
     }
-    EXPECT_EQ(leak, h.totalLeakageNJ());
-    EXPECT_EQ(dyn, h.totalDynamicNJ());
+    EXPECT_EQ(leak, h.leakageNJ());
+    EXPECT_EQ(dyn, h.dynamicNJ());
     EXPECT_EQ(total, h.totalNJ());
-    EXPECT_EQ(h.levels.size(), 3u); // l1i, l2, mem
+    EXPECT_EQ(h.rows.size(), 3u); // l1i, l2, mem
 
     // The determinism contract: a 4-worker pool must produce a
     // byte-identical SearchResult (and hence identical rendered
@@ -193,11 +193,11 @@ TEST_P(CmpGolden, WinnerRowAndJobsInvarianceMatchGolden)
                 gold.relativeEnergyDelay, 1e-9);
     EXPECT_NEAR(sr.best.cmp.slowdownPercent(), gold.slowdownPercent,
                 1e-9);
-    EXPECT_NEAR(sr.best.cmp.coreAverageSizeFraction(0),
+    EXPECT_NEAR(sr.best.out.cores[0].meas.avgActiveFraction,
                 gold.l1AvgSize0, 1e-9);
-    EXPECT_NEAR(sr.best.cmp.coreAverageSizeFraction(1),
+    EXPECT_NEAR(sr.best.out.cores[1].meas.avgActiveFraction,
                 gold.l1AvgSize1, 1e-9);
-    EXPECT_NEAR(sr.best.cmp.l2AverageSizeFraction(), gold.l2AvgSize,
+    EXPECT_NEAR(sr.best.out.l2AvgActiveFraction, gold.l2AvgSize,
                 1e-9);
 
     EXPECT_EQ(sr.convDetailed.systemCycles, gold.convSystemCycles);
@@ -209,21 +209,21 @@ TEST_P(CmpGolden, WinnerRowAndJobsInvarianceMatchGolden)
 
     // Per-level rows — one l1i[k] per core plus shared l2/mem —
     // must sum to the reported system totals exactly.
-    const HierarchyEnergy &h = sr.best.cmp.dri;
+    const Ledger &h = sr.best.cmp.run;
     double leak = 0.0, dyn = 0.0, total = 0.0;
-    for (const LevelEnergy &l : h.levels) {
-        leak += l.leakageNJ;
-        dyn += l.dynamicNJ;
+    for (const Ledger::Row &l : h.rows) {
+        leak += l.leakageNJ();
+        dyn += l.dynamicNJ();
         total += l.totalNJ();
     }
-    EXPECT_EQ(leak, h.totalLeakageNJ());
-    EXPECT_EQ(dyn, h.totalDynamicNJ());
+    EXPECT_EQ(leak, h.leakageNJ());
+    EXPECT_EQ(dyn, h.dynamicNJ());
     EXPECT_EQ(total, h.totalNJ());
-    ASSERT_EQ(h.levels.size(), 4u); // l1i[0], l1i[1], l2, mem
-    EXPECT_EQ(h.levels[0].level, "l1i[0]");
-    EXPECT_EQ(h.levels[1].level, "l1i[1]");
-    EXPECT_EQ(h.levels[2].level, "l2");
-    EXPECT_EQ(h.levels[3].level, "mem");
+    ASSERT_EQ(h.rows.size(), 4u); // l1i[0], l1i[1], l2, mem
+    EXPECT_EQ(h.rows[0].level, "l1i[0]");
+    EXPECT_EQ(h.rows[1].level, "l1i[1]");
+    EXPECT_EQ(h.rows[2].level, "l2");
+    EXPECT_EQ(h.rows[3].level, "mem");
 
     // The determinism contract: a 4-worker pool must produce a
     // byte-identical CmpSearchResult (and hence identical rendered
@@ -285,30 +285,29 @@ TEST_P(CoherentCmpGolden, AttributionEnergyAndReplayMatchGolden)
 
     // Energy plumbing: every probe (invalidation or downgrade) is
     // one L2-tier access charged on the shared l2 row — silencing
-    // coherenceMessages must remove exactly that much dynamic nJ.
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
-    const CmpMeasurement conv_m = toCmpMeasurement(run.conv);
-    const CmpMeasurement pol_m = toCmpMeasurement(pol);
-    EXPECT_EQ(pol_m.coherenceMessages,
+    // the probes must remove exactly that much dynamic nJ.
+    const EnergyConstants constants;
+    const std::vector<LevelInput> conv_v = cmpView(run.conv);
+    const std::vector<LevelInput> pol_v = cmpView(pol);
+    ASSERT_EQ(pol_v.size(), 4u); // l1i[0], l1i[1], l2, mem
+    EXPECT_EQ(pol_v[2].probes,
               pol.coherenceInvalidations + pol.coherenceDowngrades);
-    CmpMeasurement quiet_m = pol_m;
-    quiet_m.coherenceMessages = 0;
-    const HierarchyEnergy loud =
-        cmpEnergy(constants, pol_m, conv_m);
-    const HierarchyEnergy quiet =
-        cmpEnergy(constants, quiet_m, conv_m);
-    ASSERT_EQ(loud.levels.size(), 4u); // l1i[0], l1i[1], l2, mem
-    EXPECT_EQ(loud.levels[2].level, "l2");
-    EXPECT_NEAR(loud.levels[2].dynamicNJ -
-                    quiet.levels[2].dynamicNJ,
-                constants.l1.l2PerAccessNJ *
-                    static_cast<double>(pol_m.coherenceMessages),
+    std::vector<LevelInput> quiet_v = pol_v;
+    quiet_v[2].probes = 0;
+    const Ledger loud =
+        ledger(constants, pol.systemCycles, pol_v, conv_v);
+    const Ledger quiet =
+        ledger(constants, pol.systemCycles, quiet_v, conv_v);
+    ASSERT_EQ(loud.rows.size(), 4u);
+    EXPECT_EQ(loud.rows[2].level, "l2");
+    EXPECT_NEAR(loud.rows[2].dynamicNJ() - quiet.rows[2].dynamicNJ(),
+                constants.l2PerAccessNJ *
+                    static_cast<double>(pol_v[2].probes),
                 1e-9);
 
     // Winner comparison and the rendered bench_cmp --coherent row.
-    const CmpComparison cc =
-        compareCmp(constants, conv_m, pol_m);
+    const Comparison cc = compare(constants, run.conv.systemCycles,
+                                  conv_v, pol.systemCycles, pol_v);
     EXPECT_NEAR(cc.relativeEnergyDelay(), gold.relativeEnergyDelay,
                 1e-9);
     EXPECT_EQ(golden::renderCoherentCmpGoldenRow(run), gold.row);

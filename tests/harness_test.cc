@@ -232,7 +232,7 @@ TEST(Sweep, FindsFeasibleConfigForClass1)
     DriParams tmpl;
     tmpl.senseInterval = 50000;
     const auto sr = searchBestEnergyDelay(
-        b, cfg, tmpl, space, EnergyConstants::paper(), 4.0, conv);
+        b, cfg, tmpl, space, EnergyConstants{}, 4.0, conv);
 
     EXPECT_EQ(sr.evaluated.size(), 6u);
     EXPECT_TRUE(sr.best.feasible);
@@ -254,9 +254,9 @@ TEST(Sweep, UnconstrainedNeverWorseThanConstrained)
     tmpl.senseInterval = 50000;
 
     const auto constrained = searchBestEnergyDelay(
-        b, cfg, tmpl, space, EnergyConstants::paper(), 4.0, conv);
+        b, cfg, tmpl, space, EnergyConstants{}, 4.0, conv);
     const auto unconstrained = searchBestEnergyDelay(
-        b, cfg, tmpl, space, EnergyConstants::paper(), -1.0, conv);
+        b, cfg, tmpl, space, EnergyConstants{}, -1.0, conv);
     // Compare on the fast-model candidates (shared baseline).
     double best_c = 1e9;
     double best_u = 1e9;

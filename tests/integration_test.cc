@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "energy/accounting.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 
@@ -15,6 +14,14 @@ namespace drisim
 {
 namespace
 {
+
+/** The paper view of @p run against @p conv. */
+Comparison
+paperComparison(const RunOutput &conv, const RunOutput &run)
+{
+    return compare(EnergyConstants{}, conv.meas.cycles, paperView(conv),
+                   run.meas.cycles, paperView(run));
+}
 
 RunConfig
 config(InstCount instrs = 2 * 1000 * 1000)
@@ -84,9 +91,8 @@ TEST(Integration, Class1ShrinksToTheBoundWithTinySlowdown)
         const auto conv = run(b, cfg);
         const auto dri =
             run(b, cfg, {driFor(conv, cfg, size_bound, 8.0)});
-        const auto cmp = compareRuns(EnergyConstants::paper(),
-                                     conv.meas, dri.meas);
-        EXPECT_LT(cmp.averageSizeFraction(), 0.35) << name;
+        const auto cmp = paperComparison(conv, dri);
+        EXPECT_LT(dri.meas.avgActiveFraction, 0.35) << name;
         EXPECT_LT(cmp.slowdownPercent(), 5.0) << name;
         EXPECT_LT(cmp.relativeEnergyDelay(), 0.5) << name;
     }
@@ -103,17 +109,15 @@ TEST(Integration, FppppCannotDownsizeWithoutPain)
     // Forced downsizing (high miss-bound): large slowdown.
     const auto forced =
         run(b, cfg, {driFor(conv, cfg, 1024, 200.0)});
-    const auto cmp_forced = compareRuns(EnergyConstants::paper(),
-                                        conv.meas, forced.meas);
+    const auto cmp_forced = paperComparison(conv, forced);
     EXPECT_GT(cmp_forced.slowdownPercent(), 5.0);
 
     // With the size-bound at 64K (the paper's fpppp setting),
     // behaviour is identical to conventional.
     const auto fixed =
         run(b, cfg, {driFor(conv, cfg, 64 * 1024, 2.0)});
-    const auto cmp_fixed = compareRuns(EnergyConstants::paper(),
-                                       conv.meas, fixed.meas);
-    EXPECT_NEAR(cmp_fixed.averageSizeFraction(), 1.0, 1e-9);
+    const auto cmp_fixed = paperComparison(conv, fixed);
+    EXPECT_NEAR(fixed.meas.avgActiveFraction, 1.0, 1e-9);
     EXPECT_NEAR(cmp_fixed.slowdownPercent(), 0.0, 0.1);
 }
 
@@ -211,8 +215,7 @@ TEST(Integration, ExtraDynamicEnergyIsSmall)
         const auto conv = run(b, cfg);
         const auto dri =
             run(b, cfg, {driFor(conv, cfg, 1024, 8.0)});
-        const auto cmp = compareRuns(EnergyConstants::paper(),
-                                     conv.meas, dri.meas);
+        const auto cmp = paperComparison(conv, dri);
         EXPECT_LT(cmp.relativeEdDynamic(),
                   0.35 * cmp.relativeEnergyDelay())
             << name;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/hierarchy_energy.hh"
 #include "harness/multilevel.hh"
 #include "harness/runner.hh"
 #include "mem/hierarchy.hh"
@@ -178,103 +179,116 @@ TEST(DriL2Hierarchy, ConventionalRunLeavesL2Fixed)
 
 // --- per-level energy accounting --------------------------------------
 
+/** A conventional two-level run's output (Table 1 L1I and L2). */
+RunOutput
+convHierarchy()
+{
+    RunOutput o;
+    o.meas.cycles = 1000000;
+    o.meas.l1iAccesses = 800000;
+    o.meas.l1iMisses = 5000;
+    o.l2SizeBytes = 1024 * 1024;
+    o.l2Accesses = 9000;
+    o.l2Misses = 700;
+    o.memAccesses = 700;
+    return o;
+}
+
+/** The hierarchy-view ledger of @p run against @p base. */
+Ledger
+hierarchyLedger(const EnergyConstants &c, const RunOutput &run,
+                const RunOutput &base)
+{
+    return ledger(c, run.meas.cycles, hierarchyView(run),
+                  hierarchyView(base));
+}
+
 TEST(MultiLevelEnergy, RowsSumToHierarchyTotal)
 {
-    MultiLevelConstants c = MultiLevelConstants::paper();
-    MultiLevelMeasurement conv;
-    conv.cycles = 1000000;
-    conv.l1Accesses = 800000;
-    conv.l1Misses = 5000;
-    conv.l2Accesses = 9000;
-    conv.l2Misses = 700;
-    conv.memAccesses = 700;
+    const EnergyConstants c;
+    const RunOutput conv = convHierarchy();
 
-    MultiLevelMeasurement dri = conv;
-    dri.cycles = 1020000;
-    dri.l1AvgActiveFraction = 0.4;
-    dri.l1ResizingTagBits = 6;
-    dri.l1Misses = 9000;
+    RunOutput dri = conv;
+    dri.meas.cycles = 1020000;
+    dri.meas.avgActiveFraction = 0.4;
+    dri.meas.resizingTagBits = 6;
+    dri.meas.l1iMisses = 9000;
     dri.l2Accesses = 13000;
     dri.l2AvgActiveFraction = 0.5;
     dri.l2ResizingTagBits = 4;
     dri.memAccesses = 1500;
 
-    const HierarchyEnergy h = multiLevelEnergy(c, dri, conv);
-    ASSERT_EQ(h.levels.size(), 3u);
-    EXPECT_EQ(h.levels[0].level, "l1i");
-    EXPECT_EQ(h.levels[1].level, "l2");
-    EXPECT_EQ(h.levels[2].level, "mem");
+    const Ledger h = hierarchyLedger(c, dri, conv);
+    ASSERT_EQ(h.rows.size(), 3u);
+    EXPECT_EQ(h.rows[0].level, "l1i");
+    EXPECT_EQ(h.rows[1].level, "l2");
+    EXPECT_EQ(h.rows[2].level, "mem");
 
     double leak = 0.0, dyn = 0.0;
-    for (const LevelEnergy &l : h.levels) {
-        leak += l.leakageNJ;
-        dyn += l.dynamicNJ;
+    for (const Ledger::Row &l : h.rows) {
+        leak += l.leakageNJ();
+        dyn += l.dynamicNJ();
     }
-    EXPECT_EQ(h.totalLeakageNJ(), leak);
-    EXPECT_EQ(h.totalDynamicNJ(), dyn);
+    EXPECT_EQ(h.leakageNJ(), leak);
+    EXPECT_EQ(h.dynamicNJ(), dyn);
     EXPECT_EQ(h.totalNJ(), leak + dyn);
 
     // Level rows carry the expected physics.
-    EXPECT_DOUBLE_EQ(h.levels[0].leakageNJ,
-                     0.4 * c.l1.leakPerCycleNJ(conv.l1Bytes) *
-                         1020000.0);
-    EXPECT_DOUBLE_EQ(h.levels[1].leakageNJ,
-                     0.5 * c.l2LeakPerCycleFor(conv.l2Bytes) *
-                         1020000.0);
+    EXPECT_DOUBLE_EQ(h.rows[0].leakageNJ(), 0.4 * 0.91 * 1020000.0);
+    EXPECT_DOUBLE_EQ(h.rows[1].leakageNJ(),
+                     0.5 * c.l2LeakPerCycleNJ * 1020000.0);
     // Extra traffic: 4000 L2 accesses, 800 memory accesses.
-    EXPECT_DOUBLE_EQ(h.levels[2].dynamicNJ,
-                     c.memPerAccessNJ * 800.0);
-    EXPECT_EQ(h.levels[2].leakageNJ, 0.0);
+    EXPECT_DOUBLE_EQ(h.rows[2].dynamicNJ(), c.memPerAccessNJ * 800.0);
+    EXPECT_EQ(h.rows[2].leakageNJ(), 0.0);
 }
 
 TEST(MultiLevelEnergy, ConventionalBaselineHasNoDynamicOverhead)
 {
-    MultiLevelConstants c = MultiLevelConstants::paper();
-    MultiLevelMeasurement conv;
-    conv.cycles = 500000;
-    conv.l1Accesses = 400000;
+    RunOutput conv = convHierarchy();
+    conv.meas.cycles = 500000;
+    conv.meas.l1iAccesses = 400000;
     conv.l2Accesses = 4000;
     conv.memAccesses = 300;
-    const HierarchyEnergy h = multiLevelEnergy(c, conv, conv);
-    EXPECT_EQ(h.totalDynamicNJ(), 0.0);
-    EXPECT_GT(h.totalLeakageNJ(), 0.0);
+    const Ledger h = hierarchyLedger(EnergyConstants{}, conv, conv);
+    EXPECT_EQ(h.dynamicNJ(), 0.0);
+    EXPECT_GT(h.leakageNJ(), 0.0);
     // The L2 dominates the conventional hierarchy's leakage (the
     // Bai et al. observation motivating the scenario).
-    EXPECT_GT(h.level("l2")->leakageNJ,
-              10.0 * h.level("l1i")->leakageNJ);
+    EXPECT_GT(h.rows[1].leakageNJ(), 10.0 * h.rows[0].leakageNJ());
 }
 
 TEST(MultiLevelEnergy, ExtraTrafficClampsAtZero)
 {
     // A DRI run with *less* downstream traffic than baseline must
     // not produce negative dynamic energy.
-    MultiLevelConstants c = MultiLevelConstants::paper();
-    MultiLevelMeasurement conv;
-    conv.cycles = 1000;
+    RunOutput conv = convHierarchy();
+    conv.meas.cycles = 1000;
     conv.l2Accesses = 500;
     conv.memAccesses = 100;
-    MultiLevelMeasurement dri = conv;
+    RunOutput dri = conv;
     dri.l2Accesses = 400;
     dri.memAccesses = 50;
-    const HierarchyEnergy h = multiLevelEnergy(c, dri, conv);
-    EXPECT_GE(h.level("l2")->dynamicNJ, 0.0);
-    EXPECT_EQ(h.level("mem")->dynamicNJ, 0.0);
+    const Ledger h = hierarchyLedger(EnergyConstants{}, dri, conv);
+    EXPECT_GE(h.rows[1].dynamicNJ(), 0.0);
+    EXPECT_EQ(h.rows[2].dynamicNJ(), 0.0);
 }
 
 TEST(MultiLevelEnergy, DerivedConstantsMatchCircuitSubstrate)
 {
     const auto levels = circuit::defaultHierarchyCircuit();
     ASSERT_EQ(levels.size(), 2u);
-    const MultiLevelConstants c =
-        MultiLevelConstants::derived(levels[0], levels[1]);
+    const EnergyConstants c =
+        EnergyConstants::derived(levels[0], levels[1]);
     // The derived L1 figures are the paper's constants (the circuit
     // substrate is calibrated to them); the L2 leakage then scales
     // with the 16x larger array.
-    EXPECT_NEAR(c.l1.l1LeakPerCycleNJ, 0.91, 0.05);
-    EXPECT_NEAR(c.l2LeakPerCycleNJ / c.l1.l1LeakPerCycleNJ, 16.0,
-                0.1);
+    EXPECT_NEAR(c.l1LeakPerCycleNJ, 0.91, 0.05);
+    EXPECT_NEAR(c.l2LeakPerCycleNJ / c.l1LeakPerCycleNJ, 16.0, 0.1);
     EXPECT_GT(c.l2BitlinePerAccessNJ, 0.0);
-    EXPECT_NEAR(c.l1.l2PerAccessNJ, 3.6, 0.2);
+    EXPECT_NEAR(c.l2PerAccessNJ, 3.6, 0.2);
+    // One derivation covers the standby residuals too.
+    EXPECT_NEAR(c.gatedLeakFraction, 0.03, 0.02);
+    EXPECT_GT(c.wakePerTransitionNJ, 0.0);
 }
 
 // --- the search itself ------------------------------------------------
@@ -292,8 +306,7 @@ TEST(MultiLevelSearch, DeterministicAcrossWorkerCounts)
     l1Tmpl.senseInterval = 20 * 1000;
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 20 * 1000;
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
+    const EnergyConstants constants;
 
     const RunOutput conv = run(b, cfg);
 
@@ -342,8 +355,7 @@ TEST(MultiLevelSearch, UnconstrainedAlwaysSelectsLowestEd)
 
     const RunOutput conv = run(b, cfg);
     const MultiLevelSearchResult sr = searchMultiLevel(
-        b, cfg, tmpl, l2Tmpl, space, MultiLevelConstants::paper(),
-        -1.0, conv);
+        b, cfg, tmpl, l2Tmpl, space, EnergyConstants{}, -1.0, conv);
 
     ASSERT_FALSE(sr.evaluated.empty());
     double min_ed = sr.evaluated[0].cmp.relativeEnergyDelay();
@@ -401,7 +413,7 @@ TEST(CmpSearch, FactorCapDegradationIsFlaggedAndWarned)
     setLogHook(&caplog::hook);
     const CmpSearchResult degraded = searchCmp(
         cfg, cmp, "compress", l1Tmpl, l2Tmpl, wide,
-        MultiLevelConstants::paper(), -1.0, conv);
+        EnergyConstants{}, -1.0, conv);
     setLogHook(nullptr);
 
     EXPECT_TRUE(degraded.sharedFactorSweep);
@@ -422,7 +434,7 @@ TEST(CmpSearch, FactorCapDegradationIsFlaggedAndWarned)
     setLogHook(&caplog::hook);
     const CmpSearchResult full = searchCmp(
         cfg, cmp, "compress", l1Tmpl, l2Tmpl, small,
-        MultiLevelConstants::paper(), -1.0, conv);
+        EnergyConstants{}, -1.0, conv);
     setLogHook(nullptr);
     EXPECT_FALSE(full.sharedFactorSweep);
     EXPECT_EQ(full.evaluated.size(), 4u); // 2^2 x 1 bound

@@ -3,9 +3,9 @@
  * Leakage-policy subsystem tests: per-policy edge cases (decay
  * counter saturation/reset, drowsy single-charge wake stalls,
  * static-ways way-0 protection), the Dri adapter's bit-for-bit
- * equivalence with a hand-wired DriICache, the policy energy
- * accounting (including its exact reduction to the paper's
- * Section 5.2 model when the gated residual is zeroed), and the
+ * equivalence with a hand-wired DriICache, the policy view of the
+ * energy ledger (including its exact reduction to the paper's
+ * Section 5.2 view when the gated residual is zeroed), and the
  * per-core policy CMP wiring.
  */
 
@@ -19,7 +19,7 @@
 
 #include "circuit/drowsy_cell.hh"
 #include "cpu/simple_core.hh"
-#include "energy/accounting.hh"
+#include "circuit/hierarchy_energy.hh"
 #include "harness/multilevel.hh"
 #include "harness/policies.hh"
 #include "harness/runner.hh"
@@ -286,6 +286,7 @@ expectSameRun(const RunOutput &a, const RunOutput &b)
     EXPECT_EQ(a.l2ResizingTagBits, b.l2ResizingTagBits);
     EXPECT_EQ(a.l2Resizes, b.l2Resizes);
     EXPECT_EQ(a.l1DrowsyFraction, b.l1DrowsyFraction);
+    EXPECT_EQ(a.l1GatedFraction, b.l1GatedFraction);
     EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
     EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
     EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
@@ -388,7 +389,9 @@ directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
  * run() with a DRI L1I goes through the DriPolicy adapter; it must
  * give every output field and the exact checkpoint bytes of the
  * hand-wired cache. A PolicyConfig of kind Dri takes the same adapter
- * and differs only in also reporting the blocks downsizing lost.
+ * and differs only in also reporting the blocks downsizing lost and
+ * in reporting its inactive share as gated (charged at the gated
+ * residual, where a DriParams L1I keeps the paper's zero).
  */
 void
 expectAdapterMatchesDirectPath(const BenchmarkInfo &bench,
@@ -419,6 +422,9 @@ expectAdapterMatchesDirectPath(const BenchmarkInfo &bench,
     pc.dri = dri;
     RunOutput viaPolicy = direct.out;
     viaPolicy.policyBlocksLost = direct.blocksLost;
+    viaPolicy.l1GatedFraction =
+        std::max(0.0, 1.0 - direct.out.meas.avgActiveFraction);
+    ASSERT_GT(viaPolicy.l1GatedFraction, 0.0);
     expectSameRun(viaPolicy, run(bench, cfg, {pc, cal}));
     std::filesystem::remove_all(cfg.checkpointDir);
 }
@@ -448,92 +454,121 @@ TEST(DriAdapter, FastRunBitForBitEqualsDirectPath)
 // Energy accounting
 // ---------------------------------------------------------------
 
-RunMeasurement
-convMeas()
+RunOutput
+convOut()
 {
-    RunMeasurement m;
-    m.cycles = 1000000;
-    m.instructions = 1000000;
-    m.l1iAccesses = 800000;
-    m.l1iMisses = 5000;
-    return m;
+    RunOutput o;
+    o.meas.cycles = 1000000;
+    o.meas.instructions = 1000000;
+    o.meas.l1iAccesses = 800000;
+    o.meas.l1iMisses = 5000;
+    return o;
+}
+
+/** The paper view of @p run against @p conv. */
+Comparison
+paperComparison(const EnergyConstants &c, const RunOutput &conv,
+                const RunOutput &run)
+{
+    return compare(c, conv.meas.cycles, paperView(conv),
+                   run.meas.cycles, paperView(run));
 }
 
 TEST(PolicyEnergy, ReducesToPaperModelWithZeroGatedResidual)
 {
     // With the gated residual zeroed and no drowsy component, the
-    // policy accounting must reproduce Section 5.2 exactly — the
-    // bridge between the new subsystem and the paper's numbers.
-    PolicyEnergyConstants pc = PolicyEnergyConstants::paper();
-    pc.gatedLeakFraction = 0.0;
+    // policy view of a run must reproduce the paper's Section 5.2
+    // view row by row — the bridge between the policy subsystem and
+    // the paper's numbers.
+    EnergyConstants c;
+    c.gatedLeakFraction = 0.0;
 
-    RunMeasurement conv = convMeas();
-    PolicyMeasurement run;
-    run.meas = conv;
-    run.meas.cycles = 1010000;
-    run.meas.l1iMisses = 9000;
-    run.meas.avgActiveFraction = 0.4;
-    run.meas.resizingTagBits = 6;
+    const RunOutput conv = convOut();
+    RunOutput dri = conv;
+    dri.meas.cycles = 1010000;
+    dri.meas.l1iMisses = 9000;
+    dri.meas.avgActiveFraction = 0.4;
+    dri.meas.resizingTagBits = 6;
+    // The same run reported by a PolicyConfig L1I: its inactive
+    // share is gated.
+    RunOutput policy = dri;
+    policy.l1GatedFraction = 0.6;
 
-    const PolicyEnergy pe = policyEnergy(pc, run, conv);
-    const EnergyBreakdown de =
-        driEnergy(pc.base, run.meas, conv);
-    EXPECT_DOUBLE_EQ(pe.activeLeakageNJ, de.l1LeakageNJ);
-    EXPECT_DOUBLE_EQ(pe.extraL1DynamicNJ, de.extraL1DynamicNJ);
-    EXPECT_DOUBLE_EQ(pe.extraL2DynamicNJ, de.extraL2DynamicNJ);
-    EXPECT_DOUBLE_EQ(pe.effectiveNJ(), de.effectiveNJ());
-    EXPECT_DOUBLE_EQ(pe.gatedLeakageNJ, 0.0);
-    EXPECT_DOUBLE_EQ(pe.drowsyLeakageNJ, 0.0);
-    EXPECT_DOUBLE_EQ(pe.wakeTransitionNJ, 0.0);
+    const Ledger pe = paperComparison(c, conv, policy).run;
+    const Ledger de = paperComparison(c, conv, dri).run;
+    ASSERT_EQ(pe.rows.size(), de.rows.size());
+    for (std::size_t i = 0; i < pe.rows.size(); ++i) {
+        const Ledger::Row &p = pe.rows[i];
+        const Ledger::Row &d = de.rows[i];
+        EXPECT_EQ(p.level, d.level);
+        EXPECT_EQ(p.activeNJ, d.activeNJ);
+        EXPECT_EQ(p.gatedNJ, d.gatedNJ);
+        EXPECT_EQ(p.drowsyNJ, d.drowsyNJ);
+        EXPECT_EQ(p.tagNJ, d.tagNJ);
+        EXPECT_EQ(p.wakeNJ, d.wakeNJ);
+        EXPECT_EQ(p.trafficNJ, d.trafficNJ);
+        EXPECT_EQ(p.probeNJ, d.probeNJ);
+    }
+    EXPECT_EQ(pe.totalNJ(), de.totalNJ());
+    EXPECT_DOUBLE_EQ(pe.rows[0].gatedNJ, 0.0);
+    EXPECT_DOUBLE_EQ(pe.rows[0].drowsyNJ, 0.0);
+    EXPECT_DOUBLE_EQ(pe.rows[0].wakeNJ, 0.0);
+
+    // With the default residual the gated share costs ~3% of its
+    // active leakage.
+    const Ledger charged = paperComparison(EnergyConstants{}, conv,
+                                           policy).run;
+    EXPECT_DOUBLE_EQ(charged.rows[0].gatedNJ,
+                     0.6 * 0.03 * 0.91 * 1010000.0);
 }
 
 TEST(PolicyEnergy, SplitsStatePreservingFromStateDestroying)
 {
-    const PolicyEnergyConstants pc = PolicyEnergyConstants::paper();
-    RunMeasurement conv = convMeas();
+    const EnergyConstants pc;
+    const RunOutput conv = convOut();
 
     // A drowsy-style run: 30% active, 70% state-preserving.
-    PolicyMeasurement drowsy;
-    drowsy.meas = conv;
+    RunOutput drowsy = conv;
     drowsy.meas.avgActiveFraction = 0.3;
-    drowsy.avgDrowsyFraction = 0.7;
+    drowsy.l1DrowsyFraction = 0.7;
     drowsy.wakeTransitions = 1000;
-    const PolicyEnergy de = policyEnergy(pc, drowsy, conv);
-    EXPECT_GT(de.drowsyLeakageNJ, 0.0);
-    EXPECT_DOUBLE_EQ(de.gatedLeakageNJ, 0.0);
-    EXPECT_DOUBLE_EQ(de.wakeTransitionNJ,
+    const Ledger de = paperComparison(pc, conv, drowsy).run;
+    EXPECT_GT(de.rows[0].drowsyNJ, 0.0);
+    EXPECT_DOUBLE_EQ(de.rows[0].gatedNJ, 0.0);
+    EXPECT_DOUBLE_EQ(de.rows[0].wakeNJ,
                      1000.0 * pc.wakePerTransitionNJ);
 
     // A decay-style run: same inactive fraction, state-destroying.
-    PolicyMeasurement decay;
-    decay.meas = conv;
+    RunOutput decay = conv;
     decay.meas.avgActiveFraction = 0.3;
-    const PolicyEnergy ce = policyEnergy(pc, decay, conv);
-    EXPECT_GT(ce.gatedLeakageNJ, 0.0);
-    EXPECT_DOUBLE_EQ(ce.drowsyLeakageNJ, 0.0);
+    decay.l1GatedFraction = 0.7;
+    const Ledger ce = paperComparison(pc, conv, decay).run;
+    EXPECT_GT(ce.rows[0].gatedNJ, 0.0);
+    EXPECT_DOUBLE_EQ(ce.rows[0].drowsyNJ, 0.0);
 
     // The state-preserving residual costs more standby leakage
     // than gated-Vdd at equal inactive fraction — Bai et al.'s
     // trade (the drowsy run buys back the miss behaviour instead).
-    EXPECT_GT(de.drowsyLeakageNJ, ce.gatedLeakageNJ);
+    EXPECT_GT(de.rows[0].drowsyNJ, ce.rows[0].gatedNJ);
 
     // The rows expose the split, in fixed order.
-    const auto rows = de.rows();
+    const auto rows = policyEnergyRows(de);
     ASSERT_EQ(rows.size(), 6u);
     EXPECT_EQ(rows[1].first, "leak-gated");
     EXPECT_EQ(rows[2].first, "leak-drowsy");
     double sum = 0.0;
     for (const auto &[label, nj] : rows)
         sum += nj;
-    EXPECT_DOUBLE_EQ(sum, de.effectiveNJ());
+    EXPECT_DOUBLE_EQ(sum, de.totalNJ());
 }
 
 TEST(PolicyEnergy, DerivedConstantsMatchCircuitFigures)
 {
-    const circuit::Technology tech = circuit::Technology::scaled018();
-    const PolicyEnergyConstants c = PolicyEnergyConstants::derived(
-        tech, circuit::CacheGeometry{},
-        circuit::CacheGeometry{1024 * 1024, 4, 64, 4096});
+    circuit::LevelCircuit l1;
+    l1.geom = circuit::CacheGeometry{};
+    circuit::LevelCircuit l2;
+    l2.geom = circuit::CacheGeometry{1024 * 1024, 4, 64, 4096};
+    const EnergyConstants c = EnergyConstants::derived(l1, l2);
     // Gated-Vdd residual: Table 2's preferred scheme saves ~97%.
     EXPECT_NEAR(c.gatedLeakFraction, 0.03, 0.02);
     // Drowsy residual: the ~6x reduction regime.
@@ -541,7 +576,7 @@ TEST(PolicyEnergy, DerivedConstantsMatchCircuitFigures)
     EXPECT_LT(c.drowsyLeakFraction, 0.30);
     // Waking one 32-byte line costs far less than one L2 access.
     EXPECT_GT(c.wakePerTransitionNJ, 0.0);
-    EXPECT_LT(c.wakePerTransitionNJ, c.base.l2PerAccessNJ);
+    EXPECT_LT(c.wakePerTransitionNJ, c.l2PerAccessNJ);
 }
 
 TEST(DrowsyCellCircuit, StatePreservingFiguresAreSane)
@@ -603,7 +638,7 @@ TEST(CmpPolicy, PerCoreTechniquesRunSideBySide)
     EXPECT_GT(out.cores[1].wakeStallCycles, 0u);
 
     // The energy view carries the per-core split and still sums
-    // exactly (HierarchyEnergy's rows-define-totals contract).
+    // exactly (the ledger's rows-define-totals contract).
     const CmpConfig convCmp = [&] {
         CmpConfig c = cmp;
         for (CmpCoreConfig &cc : c.coreConfigs)
@@ -611,49 +646,43 @@ TEST(CmpPolicy, PerCoreTechniquesRunSideBySide)
         return c;
     }();
     const CmpRunOutput conv = runCmp(cfg, convCmp, "compress");
-    const CmpComparison cmpResult = compareCmp(
-        MultiLevelConstants::paper(), toCmpMeasurement(conv),
-        toCmpMeasurement(out));
-    ASSERT_EQ(cmpResult.dri.levels.size(), 4u);
+    const EnergyConstants mc;
+    const Comparison cmpResult =
+        compare(mc, conv.systemCycles, cmpView(conv), out.systemCycles,
+                cmpView(out));
+    ASSERT_EQ(cmpResult.run.rows.size(), 4u);
     double leak = 0.0;
-    for (const LevelEnergy &l : cmpResult.dri.levels)
-        leak += l.leakageNJ;
-    EXPECT_EQ(leak, cmpResult.dri.totalLeakageNJ());
+    for (const Ledger::Row &l : cmpResult.run.rows)
+        leak += l.leakageNJ();
+    EXPECT_EQ(leak, cmpResult.run.leakageNJ());
     // Both managed L1Is leak less than a fully-active array would
     // (the conventional comparison's l1i rows).
-    EXPECT_LT(cmpResult.dri.levels[0].leakageNJ,
-              cmpResult.conventional.levels[0].leakageNJ);
-    EXPECT_LT(cmpResult.dri.levels[1].leakageNJ,
-              cmpResult.conventional.levels[1].leakageNJ);
+    EXPECT_LT(cmpResult.run.rows[0].leakageNJ(),
+              cmpResult.baseline.rows[0].leakageNJ());
+    EXPECT_LT(cmpResult.run.rows[1].leakageNJ(),
+              cmpResult.baseline.rows[1].leakageNJ());
 
-    // The CMP accounting charges the same standby residuals as the
-    // single-core policyEnergy(): the decay core's gated fraction
+    // The CMP view charges the same standby residuals as the
+    // single-core policy view: the decay core's gated fraction
     // carries the Table 2 residual on top of its active share, and
     // the drowsy core's standby fraction its drowsy residual.
-    const MultiLevelConstants mc = MultiLevelConstants::paper();
-    const CmpMeasurement meas = toCmpMeasurement(out);
-    const double cycles = static_cast<double>(meas.cycles);
+    const double cycles = static_cast<double>(out.systemCycles);
     for (std::size_t k = 0; k < 2; ++k) {
-        const CmpCoreMeasurement &c = meas.cores[k];
+        const CmpCoreOutput &c = out.cores[k];
+        const double leakPerCycle = mc.l1LeakPerCycleNJ *
+                                    static_cast<double>(c.meas.l1iBytes) /
+                                    static_cast<double>(mc.l1BaseBytes);
         const double expected =
-            (c.l1AvgActiveFraction +
+            (c.meas.avgActiveFraction +
              c.l1DrowsyFraction * mc.drowsyLeakFraction +
              c.l1GatedFraction * mc.gatedLeakFraction) *
-            mc.l1.leakPerCycleNJ(c.l1Bytes) * cycles;
-        EXPECT_DOUBLE_EQ(cmpResult.dri.levels[k].leakageNJ,
-                         expected);
+            leakPerCycle * cycles;
+        EXPECT_DOUBLE_EQ(cmpResult.run.rows[k].leakageNJ(), expected);
         // active + drowsy + gated partitions the array.
-        EXPECT_NEAR(c.l1AvgActiveFraction + c.l1DrowsyFraction +
+        EXPECT_NEAR(c.meas.avgActiveFraction + c.l1DrowsyFraction +
                         c.l1GatedFraction,
                     1.0, 1e-12);
     }
-    // One definition point for the residuals: the CMP constants
-    // are the policy constants.
-    const PolicyEnergyConstants pec =
-        PolicyEnergyConstants::paper();
-    EXPECT_EQ(mc.gatedLeakFraction, pec.gatedLeakFraction);
-    EXPECT_EQ(mc.drowsyLeakFraction, pec.drowsyLeakFraction);
-    EXPECT_EQ(mc.wakePerTransitionNJ, pec.wakePerTransitionNJ);
 }
 
 // ---------------------------------------------------------------
@@ -677,8 +706,7 @@ TEST(SearchPolicies, FindsOneWinnerPerKindInOrder)
 
     const RunOutput conv = run(bench, cfg);
     const PolicySearchResult sr = searchPolicies(
-        bench, cfg, tmpl, space, PolicyEnergyConstants::paper(),
-        4.0, conv);
+        bench, cfg, tmpl, space, EnergyConstants{}, 4.0, conv);
 
     ASSERT_EQ(sr.evaluated.size(), 4u);
     ASSERT_EQ(sr.bestPerKind.size(), 4u);

@@ -22,6 +22,7 @@
 
 #include "harness/runner.hh"
 #include "sim/result_cache.hh"
+#include "workload/fetch_replay.hh"
 #include "workload/spec_suite.hh"
 
 namespace drisim
@@ -245,6 +246,368 @@ TEST(RunKeyTest, CmpKeyNamesTheCoreAndPredictor)
     RunConfig sampled = base;
     sampled.sampling.enabled = true;
     EXPECT_EQ(runKeyCmp(sampled, cmp, "gcc").hashHex(), hash);
+}
+
+// --- key completeness -----------------------------------------------
+//
+// Every field a run's result depends on reaches its key, including
+// the fields no knob sets. Each perturbation opens with a structured
+// binding that names every field of its struct, so a field added
+// later fails to compile here until it is perturbed below or listed
+// in ExecutionOnlyFieldsChangeNoKey.
+
+/** Copies of @p base with field @p i perturbed by @p perturb, for
+ *  each i in [0, n). */
+template <typename T, typename F>
+std::vector<T>
+perturbEach(const T &base, unsigned n, F perturb)
+{
+    std::vector<T> out(n, base);
+    for (unsigned i = 0; i < n; ++i)
+        perturb(out[i], i);
+    return out;
+}
+
+std::vector<CacheParams>
+cacheVariants(const CacheParams &base)
+{
+    return perturbEach(base, 6, [](CacheParams &c, unsigned i) {
+        auto &[name, size, assoc, block, lat, repl, mshrs] = c;
+        (void)name; // a label: ExecutionOnlyFieldsChangeNoKey
+        switch (i) {
+          case 0: size *= 2; break;
+          case 1: assoc *= 2; break;
+          case 2: block *= 2; break;
+          case 3: lat += 1; break;
+          case 4: repl = ReplPolicy::Random; break;
+          default: mshrs += 1; break;
+        }
+    });
+}
+
+std::vector<DriParams>
+driVariants(const DriParams &base)
+{
+    return perturbEach(base, 13, [](DriParams &d, unsigned i) {
+        auto &[size, assoc, block, lat, repl, sizeBound, missBound,
+               interval, divisibility, throttleBits, throttleHold,
+               adaptive, mshrs] = d;
+        switch (i) {
+          case 0: size *= 2; break;
+          case 1: assoc *= 2; break;
+          case 2: block *= 2; break;
+          case 3: lat += 1; break;
+          case 4: repl = ReplPolicy::Random; break;
+          case 5: sizeBound *= 2; break;
+          case 6: missBound += 1; break;
+          case 7: interval += 1; break;
+          case 8: divisibility *= 2; break;
+          case 9: throttleBits += 1; break;
+          case 10: throttleHold += 1; break;
+          case 11: adaptive = !adaptive; break;
+          default: mshrs += 1; break;
+        }
+    });
+}
+
+/** Variants of a banked DRAM (flat memory keys none of its
+ *  timing), the banked switch first. */
+std::vector<DramParams>
+dramVariants(const DramParams &base)
+{
+    return perturbEach(base, 6, [](DramParams &d, unsigned i) {
+        auto &[banked, banks, rowHit, rowMiss, queue, rowBytes] = d;
+        switch (i) {
+          case 0: banked = !banked; break;
+          case 1: banks *= 2; break;
+          case 2: rowHit += 1; break;
+          case 3: rowMiss += 1; break;
+          case 4: queue += 1; break;
+          default: rowBytes *= 2; break;
+        }
+    });
+}
+
+std::vector<OooParams>
+coreVariants(const OooParams &base)
+{
+    std::vector<OooParams> out =
+        perturbEach(base, 11, [](OooParams &c, unsigned i) {
+            auto &[fetch, issue, commit, rob, lsq, fq, redirect,
+                   fetchBlock, memPorts, fpPorts, mulPorts, bpred] = c;
+            (void)bpred; // perturbed field by field below
+            switch (i) {
+              case 0: fetch += 1; break;
+              case 1: issue += 1; break;
+              case 2: commit += 1; break;
+              case 3: rob *= 2; break;
+              case 4: lsq *= 2; break;
+              case 5: fq *= 2; break;
+              case 6: redirect += 1; break;
+              case 7: fetchBlock *= 2; break;
+              case 8: memPorts += 1; break;
+              case 9: fpPorts += 1; break;
+              default: mulPorts += 1; break;
+            }
+        });
+    for (const BranchPredParams &bp : perturbEach(
+             base.bpred, 7, [](BranchPredParams &p, unsigned i) {
+                 auto &[bimodal, gshare, chooser, history, btbSets,
+                        btbAssoc, ras] = p;
+                 switch (i) {
+                   case 0: bimodal *= 2; break;
+                   case 1: gshare *= 2; break;
+                   case 2: chooser *= 2; break;
+                   case 3: history += 1; break;
+                   case 4: btbSets *= 2; break;
+                   case 5: btbAssoc *= 2; break;
+                   default: ras += 1; break;
+                 }
+             })) {
+        OooParams c = base;
+        c.bpred = bp;
+        out.push_back(c);
+    }
+    return out;
+}
+
+/**
+ * Every field of the machine a RunConfig describes, each perturbed
+ * on a base where it matters: the resizable L2's knobs with l2.dri
+ * on, the DRAM's timing with banked DRAM on. Each pair is (base,
+ * variant).
+ */
+std::vector<std::pair<RunConfig, RunConfig>>
+machineVariants()
+{
+    std::vector<std::pair<RunConfig, RunConfig>> out;
+    const RunConfig base;
+    const auto add = [&](const RunConfig &from, auto set) {
+        RunConfig to = from;
+        set(to);
+        out.emplace_back(from, to);
+    };
+    {
+        const auto &[l1i, l1d, l2, l2Dri, l2DriParams, dram] =
+            base.hier;
+        for (const CacheParams &c : cacheVariants(l1i))
+            add(base, [&](RunConfig &r) { r.hier.l1i = c; });
+        for (const CacheParams &c : cacheVariants(l1d))
+            add(base, [&](RunConfig &r) { r.hier.l1d = c; });
+        for (const CacheParams &c : cacheVariants(l2))
+            add(base, [&](RunConfig &r) { r.hier.l2 = c; });
+        add(base, [&](RunConfig &r) { r.hier.l2Dri = !base.hier.l2Dri; });
+        (void)l2Dri;
+        RunConfig withDriL2 = base;
+        withDriL2.hier.l2Dri = true;
+        for (const DriParams &d : driVariants(l2DriParams))
+            add(withDriL2,
+                [&](RunConfig &r) { r.hier.l2DriParams = d; });
+        RunConfig banked = base;
+        banked.hier.dram.banked = true;
+        for (const DramParams &d : dramVariants(banked.hier.dram))
+            add(banked, [&](RunConfig &r) { r.hier.dram = d; });
+        (void)dram;
+    }
+    for (const OooParams &c : coreVariants(base.core))
+        add(base, [&](RunConfig &r) { r.core = c; });
+    add(base, [](RunConfig &r) { r.maxInstrs += 1; });
+    return out;
+}
+
+TEST(RunKeyTest, EveryMachineFieldReachesEveryKey)
+{
+    const auto &b = findBenchmark("gcc");
+    CmpConfig cmp;
+    cmp.cores = 2;
+    const auto variants = machineVariants();
+    ASSERT_EQ(variants.size(), 6u * 3 + 1 + 13 + 6 + 11 + 7 + 1);
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        SCOPED_TRACE("machine variant " + std::to_string(i));
+        const auto &[from, to] = variants[i];
+        EXPECT_NE(runKey(b, from).hashHex(), runKey(b, to).hashHex());
+        EXPECT_NE(runKeyCalibrate(b, from).hashHex(),
+                  runKeyCalibrate(b, to).hashHex());
+        EXPECT_NE(runKeyCmp(from, cmp, "gcc").hashHex(),
+                  runKeyCmp(to, cmp, "gcc").hashHex());
+    }
+
+    // Sampling names a single-core run, on or off and each window
+    // when on; the CMP ignores it (RunKeyTest.CmpKeyNamesTheCore...).
+    RunConfig sampled;
+    sampled.sampling.enabled = true;
+    const auto samplingVariants = perturbEach(
+        sampled.sampling, 3, [](sim::SamplingConfig &c, unsigned i) {
+            auto &[enabled, window, period] = c;
+            switch (i) {
+              case 0: enabled = !enabled; break;
+              case 1: window += 1; break;
+              default: period += 1; break;
+            }
+        });
+    for (const sim::SamplingConfig &sc : samplingVariants) {
+        RunConfig to = sampled;
+        to.sampling = sc;
+        EXPECT_NE(runKey(b, sampled).hashHex(), runKey(b, to).hashHex());
+        EXPECT_NE(runKeyCalibrate(b, sampled).hashHex(),
+                  runKeyCalibrate(b, to).hashHex());
+    }
+}
+
+TEST(RunKeyTest, EveryRunSpecFieldReachesTheKey)
+{
+    const auto &b = findBenchmark("gcc");
+    const RunConfig cfg;
+    std::vector<std::pair<RunSpec, RunSpec>> pairs;
+
+    const DriParams dri;
+    for (const DriParams &d : driVariants(dri))
+        pairs.push_back({{dri}, {d}});
+
+    const PolicyConfig pol;
+    std::vector<PolicyConfig> pols = perturbEach(
+        pol, 6, [](PolicyConfig &p, unsigned i) {
+            auto &[kind, driKnobs, decay, drowsy, ways] = p;
+            (void)driKnobs; // perturbed field by field below
+            auto &[decayInterval, counterLimit] = decay;
+            auto &[drowsyInterval, wakeLatency] = drowsy;
+            auto &[activeWays] = ways;
+            switch (i) {
+              case 0: kind = PolicyKind::Drowsy; break;
+              case 1: decayInterval += 1; break;
+              case 2: counterLimit += 1; break;
+              case 3: drowsyInterval += 1; break;
+              case 4: wakeLatency += 1; break;
+              default: activeWays += 1; break;
+            }
+        });
+    for (const DriParams &d : driVariants(pol.dri)) {
+        pols.push_back(pol);
+        pols.back().dri = d;
+    }
+    for (const PolicyConfig &p : pols)
+        pairs.push_back({{pol}, {p}});
+
+    FastCalibration cal;
+    const std::vector<FastCalibration> cals = perturbEach(
+        cal, 2, [](FastCalibration &c, unsigned i) {
+            auto &[baseCpi, missOverlap, recording] = c;
+            (void)recording; // ExecutionOnlyFieldsChangeNoKey
+            if (i == 0)
+                baseCpi += 0.25;
+            else
+                missOverlap -= 0.25;
+        });
+    for (const FastCalibration &c : cals)
+        pairs.push_back({{dri, &cal}, {dri, &c}});
+    // The core model and the L1I kind name the run too.
+    pairs.push_back({{dri}, {dri, &cal}});
+    pairs.push_back({{ConventionalL1i{}}, {dri}});
+    pairs.push_back({{dri}, {pol}});
+
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        SCOPED_TRACE("spec variant " + std::to_string(i));
+        EXPECT_NE(runKey(b, cfg, pairs[i].first).hashHex(),
+                  runKey(b, cfg, pairs[i].second).hashHex());
+    }
+}
+
+TEST(RunKeyTest, EveryCmpFieldReachesTheCmpKey)
+{
+    const RunConfig cfg;
+    CmpConfig base;
+    base.cores = 2;
+    base.coherence.enabled = true;
+    base.coreConfigs.resize(2);
+    for (CmpCoreConfig &c : base.coreConfigs)
+        c.dri = true;
+
+    std::vector<CmpConfig> variants = perturbEach(
+        base, 7, [](CmpConfig &c, unsigned i) {
+            auto &[cores, quantum, banks, penalty, coherence,
+                   coreConfigs] = c;
+            (void)coreConfigs; // perturbed core by core below
+            auto &[enabled, entries, msgLatency] = coherence;
+            switch (i) {
+              case 0: cores += 1; break;
+              case 1: quantum += 1; break;
+              case 2: banks *= 2; break;
+              case 3: penalty += 1; break;
+              case 4: enabled = !enabled; break;
+              case 5: entries *= 2; break;
+              default: msgLatency += 1; break;
+            }
+        });
+    const CmpCoreConfig core = base.coreConfigs[0];
+    std::vector<CmpCoreConfig> cores = perturbEach(
+        core, 8, [](CmpCoreConfig &c, unsigned i) {
+            auto &[bench, dri, driParams, kind, decay, drowsy, ways] = c;
+            (void)driParams; // perturbed field by field below
+            switch (i) {
+              case 0: bench = "li"; break;
+              case 1: dri = !dri; break;
+              case 2: kind = PolicyKind::Decay; break;
+              case 3: decay.decayInterval += 1; break;
+              case 4: decay.counterLimit += 1; break;
+              case 5: drowsy.drowsyInterval += 1; break;
+              case 6: drowsy.wakeLatency += 1; break;
+              default: ways.activeWays += 1; break;
+            }
+        });
+    for (const DriParams &d : driVariants(core.driParams)) {
+        cores.push_back(core);
+        cores.back().driParams = d;
+    }
+    for (std::size_t k = 0; k < base.coreConfigs.size(); ++k)
+        for (const CmpCoreConfig &c : cores) {
+            variants.push_back(base);
+            variants.back().coreConfigs[k] = c;
+        }
+
+    const std::string hash = runKeyCmp(cfg, base, "gcc").hashHex();
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        SCOPED_TRACE("cmp variant " + std::to_string(i));
+        EXPECT_NE(runKeyCmp(cfg, variants[i], "gcc").hashHex(), hash);
+    }
+}
+
+TEST(RunKeyTest, ExecutionOnlyFieldsChangeNoKey)
+{
+    // How a run executes — its labels, workers, checkpoints, shard,
+    // result cache and the fast model's shared recording — cannot
+    // change its result, so it changes no key.
+    const auto &b = findBenchmark("gcc");
+    CmpConfig cmp;
+    cmp.cores = 2;
+    const RunConfig base;
+    FastCalibration cal;
+    const std::string conv = runKey(b, base).hashHex();
+    const std::string fast =
+        runKey(b, base, {ConventionalL1i{}, &cal}).hashHex();
+    const std::string calibrate = runKeyCalibrate(b, base).hashHex();
+    const std::string cmpKey = runKeyCmp(base, cmp, "gcc").hashHex();
+
+    RunConfig other = base;
+    {
+        auto &[hier, core, instrs, jobs, sampling, checkpointDir, shard,
+               resultCache] = other;
+        (void)core, (void)instrs, (void)sampling;
+        hier.l1i.name = "other-l1i";
+        hier.l1d.name = "other-l1d";
+        hier.l2.name = "other-l2";
+        jobs = 7;
+        checkpointDir = "/nonexistent/checkpoints";
+        shard = farm::ShardPlan{1, 3};
+        resultCache = std::make_shared<ResultCache>(
+            "/nonexistent/rc.json");
+    }
+    FastCalibration shared = cal;
+    shared.recording = std::make_shared<RecordingSlot>();
+    EXPECT_EQ(runKey(b, other).hashHex(), conv);
+    EXPECT_EQ(runKey(b, other, {ConventionalL1i{}, &shared}).hashHex(),
+              fast);
+    EXPECT_EQ(runKeyCalibrate(b, other).hashHex(), calibrate);
+    EXPECT_EQ(runKeyCmp(other, cmp, "gcc").hashHex(), cmpKey);
 }
 
 // --- store / lookup / persistence -------------------------------------
@@ -605,10 +968,11 @@ TEST(ResultCacheRunnerTest, NonBlockingMemoryFieldsRoundTrip)
 
 TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
 {
-    // An entry written under the previous payload layout (before
-    // the non-blocking-memory columns) carries payload_v=1 — or no
-    // marker at all. Either must miss cleanly and be recomputed,
-    // never served with the missing columns zeroed.
+    // An entry written under an earlier payload layout (v1 before
+    // the non-blocking-memory columns, v2 before l1_gated_fraction)
+    // carries an older marker — or none at all. Either must miss
+    // cleanly and be recomputed, never served with the missing
+    // columns zeroed.
     const auto &b = findBenchmark("compress");
     TempDir dir;
     RunConfig cfg;
@@ -620,16 +984,18 @@ TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
     const sim::ConfigKey key = runKey(b, cfg);
     sim::ResultCache::Fields f;
     ASSERT_TRUE(cfg.resultCache->lookup(key, f));
-    ASSERT_EQ(f.at("payload_v"), "2");
+    ASSERT_EQ(f.at("payload_v"), "3");
 
     // Rewrite the entry as an older binary would have left it.
-    f["payload_v"] = "1";
-    cfg.resultCache->store(key, f);
-    const auto before = cfg.resultCache->counters();
-    const RunOutput out = run(b, cfg);
-    EXPECT_EQ(cfg.resultCache->counters().stores,
-              before.stores + 1);
-    EXPECT_EQ(out.meas.cycles, computed.meas.cycles);
+    for (const char *older : {"1", "2"}) {
+        f["payload_v"] = older;
+        cfg.resultCache->store(key, f);
+        const auto before = cfg.resultCache->counters();
+        const RunOutput out = run(b, cfg);
+        EXPECT_EQ(cfg.resultCache->counters().stores,
+                  before.stores + 1);
+        EXPECT_EQ(out.meas.cycles, computed.meas.cycles);
+    }
 
     // Same for an entry with the marker stripped entirely.
     f.erase("payload_v");
@@ -639,6 +1005,70 @@ TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)
     EXPECT_EQ(cfg.resultCache->counters().stores,
               before2.stores + 1);
     EXPECT_EQ(again.meas.cycles, computed.meas.cycles);
+}
+
+TEST(ResultCacheRunnerTest, ImpossibleRunRecordIsRecomputedNeverServed)
+{
+    // A run record no run of the key's length can produce — a
+    // negative or sign-prefixed count, no instructions or more than
+    // the key asks for, no cycles, more misses than accesses, a
+    // fraction outside [0, 1], more than 64 tag bits — misses and is
+    // recomputed and overwritten. Before, "-1" cycles wrapped to
+    // 2^64 - 1 and was served, and zero instructions reached the
+    // calibration, which aborted.
+    const auto &b = findBenchmark("compress");
+    TempDir dir;
+    RunConfig cfg;
+    cfg.maxInstrs = 200 * 1000;
+    cfg.resultCache =
+        std::make_shared<ResultCache>(dir.file("rc.json"));
+    const RunOutput fresh = run(b, cfg);
+    const ConfigKey key = runKey(b, cfg);
+    ResultCache::Fields real;
+    ASSERT_TRUE(cfg.resultCache->lookup(key, real));
+
+    const std::pair<const char *, std::string> splices[] = {
+        {"cycles", "-1"},
+        {"cycles", "0"},
+        {"l2_misses", " +5"},
+        {"mem_accesses", "+5"},
+        {"instructions", "0"},
+        {"instructions", std::to_string(cfg.maxInstrs + 1)},
+        {"l1i_misses", std::to_string(fresh.meas.l1iAccesses + 1)},
+        {"l2_misses", std::to_string(fresh.l2Accesses + 1)},
+        {"l1i_active_fraction", "1.5"},
+        {"l2_active_fraction", "-0.5"},
+        {"l1_drowsy_fraction", "1.5"},
+        {"l1_gated_fraction", "1.5"},
+        {"l1i_tag_bits", "65"},
+        {"l2_tag_bits", "4294967297"}};
+    for (const auto &[field, value] : splices) {
+        SCOPED_TRACE(std::string(field) + "=" + value);
+        ResultCache::Fields spliced = real;
+        spliced[field] = value;
+        cfg.resultCache->store(key, spliced);
+
+        const auto before = cfg.resultCache->counters();
+        const RunOutput out = run(b, cfg);
+        EXPECT_EQ(cfg.resultCache->counters().stores,
+                  before.stores + 1);
+        EXPECT_EQ(out.meas.cycles, fresh.meas.cycles);
+        EXPECT_EQ(out.meas.instructions, fresh.meas.instructions);
+        EXPECT_EQ(out.meas.l1iMisses, fresh.meas.l1iMisses);
+        EXPECT_EQ(out.meas.avgActiveFraction,
+                  fresh.meas.avgActiveFraction);
+        EXPECT_EQ(out.l2Misses, fresh.l2Misses);
+        EXPECT_EQ(out.memAccesses, fresh.memAccesses);
+        EXPECT_EQ(out.l1GatedFraction, fresh.l1GatedFraction);
+        // The calibration that reads the run gets a real one.
+        EXPECT_GT(calibrateFast(b, cfg, out).baseCpi, 0.0);
+
+        // The recomputed record replaced the bad one and is served.
+        const auto mid = cfg.resultCache->counters();
+        EXPECT_EQ(run(b, cfg).meas.cycles, fresh.meas.cycles);
+        EXPECT_EQ(cfg.resultCache->counters().stores, mid.stores);
+        EXPECT_EQ(cfg.resultCache->counters().hits, mid.hits + 1);
+    }
 }
 
 TEST(ResultCacheRunnerTest, ImpossibleCalibrationIsRecomputedNeverServed)

@@ -204,8 +204,7 @@ TEST(SamplingDeterminism, DeterministicAcrossWorkerCounts)
     l1Tmpl.senseInterval = 20 * 1000;
     DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
     l2Tmpl.senseInterval = 20 * 1000;
-    const MultiLevelConstants constants =
-        MultiLevelConstants::paper();
+    const EnergyConstants constants;
 
     const RunOutput conv = run(b, cfg);
 

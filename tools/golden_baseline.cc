@@ -53,7 +53,7 @@ printSingleLevel(const std::vector<std::string> &benches)
             best.feasible ? "true" : "false",
             g(best.cmp.relativeEnergyDelay()).c_str(),
             g(best.cmp.slowdownPercent()).c_str(),
-            g(best.cmp.averageSizeFraction()).c_str(),
+            g(best.out.meas.avgActiveFraction).c_str(),
             static_cast<unsigned long long>(
                 sr.convDetailed.meas.cycles),
             static_cast<unsigned long long>(
@@ -94,8 +94,8 @@ printMultiLevel(const std::vector<std::string> &benches)
             best.feasible ? "true" : "false",
             g(best.cmp.relativeEnergyDelay()).c_str(),
             g(best.cmp.slowdownPercent()).c_str(),
-            g(best.cmp.l1AverageSizeFraction()).c_str(),
-            g(best.cmp.l2AverageSizeFraction()).c_str(),
+            g(best.out.meas.avgActiveFraction).c_str(),
+            g(best.out.l2AvgActiveFraction).c_str(),
             static_cast<unsigned long long>(
                 sr.convDetailed.meas.cycles),
             static_cast<unsigned long long>(sr.convDetailed.l2Misses),
@@ -131,9 +131,9 @@ printCmp()
         best.feasible ? "true" : "false",
         g(best.cmp.relativeEnergyDelay()).c_str(),
         g(best.cmp.slowdownPercent()).c_str(),
-        g(best.cmp.coreAverageSizeFraction(0)).c_str(),
-        g(best.cmp.coreAverageSizeFraction(1)).c_str(),
-        g(best.cmp.l2AverageSizeFraction()).c_str(),
+        g(best.out.cores[0].meas.avgActiveFraction).c_str(),
+        g(best.out.cores[1].meas.avgActiveFraction).c_str(),
+        g(best.out.l2AvgActiveFraction).c_str(),
         static_cast<unsigned long long>(
             sr.convDetailed.systemCycles),
         static_cast<unsigned long long>(sr.convDetailed.l2Misses),
@@ -152,9 +152,9 @@ printCoherentCmp()
     const golden::CoherentCmpGoldenRun run =
         golden::runGoldenCoherentCmp();
     const CmpRunOutput &pol = run.pol;
-    const CmpComparison cc = compareCmp(
-        MultiLevelConstants::paper(), toCmpMeasurement(run.conv),
-        toCmpMeasurement(pol));
+    const Comparison cc =
+        compare(EnergyConstants{}, run.conv.systemCycles,
+                cmpView(run.conv), pol.systemCycles, cmpView(pol));
     std::printf("\nINSTANTIATE_TEST_SUITE_P(\n"
                 "    CoherentCmpPath, CoherentCmpGolden,\n"
                 "    ::testing::Values(\n");
