@@ -202,9 +202,10 @@ main(int argc, char **argv)
         "mix",    "L1-mb",    "L2-bound", "L2-mb",
         "rel-ED", "L1-sizes", "L2-size",  "slowdown"};
     Table summary(cols);
-    // JSON rows additionally carry a canonical config hash. CMP
-    // runs are not result-cached (multi-stream), so this hash is a
-    // stable row identity rather than a cache join key.
+    // JSON rows additionally carry the winning cell's runKeyCmp
+    // hash, as the --coherent rows do. CMP runs are not
+    // result-cached (multi-stream), so this hash is a stable row
+    // identity rather than a cache join key.
     std::vector<std::string> jsonCols = cols;
     jsonCols.push_back("config_hash");
     // Under --dram-banked the rows additionally report the
@@ -248,19 +249,7 @@ main(int argc, char **argv)
         const CmpSearchResult &sr = results[m];
 
         std::vector<std::string> row = cmpRowCells(mix, sr.best);
-        {
-            sim::ConfigKey k;
-            k.add("mode", "cmp");
-            k.add("mix", mix);
-            k.add("cores", static_cast<std::uint64_t>(n));
-            k.add("instrs", ctx.opts.run.maxInstrs);
-            k.add("l2.size_bound", sr.best.l2.sizeBoundBytes);
-            k.add("l2.miss_bound", sr.best.l2.missBound);
-            for (std::size_t c = 0; c < sr.best.l1.size(); ++c)
-                k.add("l1." + std::to_string(c) + ".miss_bound",
-                      sr.best.l1[c].missBound);
-            row.push_back(k.hashHex());
-        }
+        row.push_back(sr.best.configHash);
         if (banked) {
             row.push_back(std::to_string(conv.mshrCoalesced));
             row.push_back(std::to_string(conv.mshrFullStalls));

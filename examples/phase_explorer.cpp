@@ -64,8 +64,8 @@ exploreOne(const BenchmarkInfo &bench, InstCount instrs, bool l2Dri)
     DriICache icache(dp, hier.l2Level(), &root);
     hier.setL1I(&icache);
     OooCore core(OooParams{}, &icache, &hier.l1d(), &root);
-    core.addResizable(&icache);
-    core.addResizable(hier.driL2());
+    core.addRetireSink(&icache);
+    core.addRetireSink(hier.driL2());
 
     TraceGenerator gen(image);
 

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "cpu/isa.hh"
-#include "mem/resizable_cache.hh"
+#include "mem/retire_sink.hh"
 #include "util/types.hh"
 
 namespace drisim::sim
@@ -59,21 +59,10 @@ class Core
     virtual ~Core() = default;
 
     /**
-     * Attach any resizable cache level (DRI L1I, L1D or a private
-     * view of a shared L2) for retirement notifications and
-     * active-size integration; each level resizes under its own
-     * controller. No-op on nullptr.
-     */
-    void addResizable(ResizableCache *cache)
-    {
-        if (cache)
-            sinks_.push_back(cache);
-    }
-
-    /**
-     * Attach any other retirement/time consumer (a leakage-policy
-     * cache, policy/leakage_policy.hh). Broadcast order follows
-     * attachment order. No-op on nullptr.
+     * Attach a retirement/time consumer: a resizable cache level (a
+     * DRI L1I or a resizable L2, each resizing under its own
+     * controller) or a leakage policy (policy/leakage_policy.hh).
+     * Broadcast order follows attachment order. No-op on nullptr.
      */
     void addRetireSink(RetireSink *sink)
     {

@@ -393,6 +393,7 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
         cand.l1 = p1;
         cand.l2 = p2;
         cand.out = runCmp(ml, cc, defaultBench);
+        cand.configHash = runKeyCmp(ml, cc, defaultBench).hashHex();
         cand.cmp = compare(constants, convDetailed.systemCycles,
                            conv_view, cand.out.systemCycles,
                            cmpView(cand.out));

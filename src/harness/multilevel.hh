@@ -155,6 +155,9 @@ struct CmpCandidate
     DriParams l2;
     /** The CMP run. */
     CmpRunOutput out;
+    /** runKeyCmp hash of the run: the row identity bench_cmp
+     *  reports for a winning cell. */
+    std::string configHash;
     /** Its CMP view against the conventional CMP run. */
     Comparison cmp;
     bool feasible = true;

@@ -10,18 +10,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 #include <variant>
 
-#include "core/dri_icache.hh"
 #include "cpu/simple_core.hh"
 #include "obs/metrics.hh"
-#include "obs/probe.hh"
 #include "obs/trace.hh"
-#include "policy/dri_policy.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -298,28 +297,40 @@ l1iMode(const RunSpec &spec)
 // RunOutput <-> result-cache fields (exact string round-trip)
 // ------------------------------------------------------------------
 
+/** A payload field's text: the exact decimal of a count, %.17g (which
+ *  always round-trips) for a double. */
+template <typename T>
 std::string
-doubleField(double v)
+fieldText(T v)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    if constexpr (std::is_floating_point_v<T>) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return buf;
+    } else {
+        return std::to_string(v);
+    }
 }
 
+/** Parse field @p name of @p f into @p out; false when it is absent
+ *  or malformed (not finite, or a count out of @p T's range). */
+template <typename T>
 bool
-fieldU64(const sim::ResultCache::Fields &f, const char *name,
-         std::uint64_t &out, std::uint64_t maxValue = UINT64_MAX)
+parseField(const sim::ResultCache::Fields &f, const char *name, T &out)
 {
     const auto it = f.find(name);
-    return it != f.end() && parseUnsignedValue(it->second, out, maxValue);
-}
-
-bool
-fieldF64(const sim::ResultCache::Fields &f, const char *name,
-         double &out)
-{
-    const auto it = f.find(name);
-    return it != f.end() && parseFiniteValue(it->second, out);
+    if (it == f.end())
+        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        return parseFiniteValue(it->second, out);
+    } else {
+        std::uint64_t v = 0;
+        if (!parseUnsignedValue(it->second, v,
+                                std::numeric_limits<T>::max()))
+            return false;
+        out = static_cast<T>(v);
+        return true;
+    }
 }
 
 sim::ResultCache::Fields
@@ -330,41 +341,9 @@ runOutputToFields(const RunOutput &out)
     // pre-existing sidecar entries (which lack the new columns)
     // miss cleanly instead of being served with silent zeros.
     f["payload_v"] = "3";
-    f["cycles"] = std::to_string(out.meas.cycles);
-    f["instructions"] = std::to_string(out.meas.instructions);
-    f["l1i_accesses"] = std::to_string(out.meas.l1iAccesses);
-    f["l1i_misses"] = std::to_string(out.meas.l1iMisses);
-    f["l1i_active_fraction"] = doubleField(out.meas.avgActiveFraction);
-    f["l1i_tag_bits"] = std::to_string(out.meas.resizingTagBits);
-    f["l1i_bytes"] = std::to_string(out.meas.l1iBytes);
-    f["ipc"] = doubleField(out.ipc);
-    f["l1d_miss_rate"] = doubleField(out.l1dMissRate);
-    f["l2_miss_rate"] = doubleField(out.l2MissRate);
-    f["l2_accesses"] = std::to_string(out.l2Accesses);
-    f["l2_misses"] = std::to_string(out.l2Misses);
-    f["mem_accesses"] = std::to_string(out.memAccesses);
-    f["mem_reads"] = std::to_string(out.memReads);
-    f["mem_writebacks"] = std::to_string(out.memWritebacks);
-    f["mshr_coalesced"] = std::to_string(out.mshrCoalesced);
-    f["mshr_full_stalls"] = std::to_string(out.mshrFullStalls);
-    f["mshr_full_stall_cycles"] =
-        std::to_string(out.mshrFullStallCycles);
-    f["mshr_peak_occupancy"] = std::to_string(out.mshrPeakOccupancy);
-    f["dram_row_hits"] = std::to_string(out.dramRowHits);
-    f["dram_row_misses"] = std::to_string(out.dramRowMisses);
-    f["dram_queue_full"] = std::to_string(out.dramQueueFullEvents);
-    f["dram_busy_cycles"] = std::to_string(out.dramBusyCycles);
-    f["resizes"] = std::to_string(out.resizes);
-    f["throttle_events"] = std::to_string(out.throttleEvents);
-    f["l2_size_bytes"] = std::to_string(out.l2SizeBytes);
-    f["l2_active_fraction"] = doubleField(out.l2AvgActiveFraction);
-    f["l2_tag_bits"] = std::to_string(out.l2ResizingTagBits);
-    f["l2_resizes"] = std::to_string(out.l2Resizes);
-    f["l1_drowsy_fraction"] = doubleField(out.l1DrowsyFraction);
-    f["l1_gated_fraction"] = doubleField(out.l1GatedFraction);
-    f["wake_transitions"] = std::to_string(out.wakeTransitions);
-    f["wake_stall_cycles"] = std::to_string(out.wakeStallCycles);
-    f["policy_blocks_lost"] = std::to_string(out.policyBlocksLost);
+    forEachCounter(out, [&f](const char *name, auto v) {
+        f[name] = fieldText(v);
+    });
     return f;
 }
 
@@ -382,63 +361,20 @@ runOutputFromFields(const sim::ResultCache::Fields &f, InstCount maxInstrs,
     const auto pv = f.find("payload_v");
     if (pv == f.end() || pv->second != "3")
         return false;
-    std::uint64_t u = 0;
-    if (!fieldU64(f, "cycles", u))
-        return false;
-    out.meas.cycles = u;
-    if (!fieldU64(f, "instructions", u))
-        return false;
-    out.meas.instructions = u;
-    if (!fieldU64(f, "l1i_accesses", out.meas.l1iAccesses) ||
-        !fieldU64(f, "l1i_misses", out.meas.l1iMisses) ||
-        !fieldF64(f, "l1i_active_fraction",
-                  out.meas.avgActiveFraction))
-        return false;
-    if (!fieldU64(f, "l1i_tag_bits", u, 64))
-        return false;
-    out.meas.resizingTagBits = static_cast<unsigned>(u);
-    if (!fieldU64(f, "l1i_bytes", out.meas.l1iBytes) ||
-        !fieldF64(f, "ipc", out.ipc) ||
-        !fieldF64(f, "l1d_miss_rate", out.l1dMissRate) ||
-        !fieldF64(f, "l2_miss_rate", out.l2MissRate) ||
-        !fieldU64(f, "l2_accesses", out.l2Accesses) ||
-        !fieldU64(f, "l2_misses", out.l2Misses) ||
-        !fieldU64(f, "mem_accesses", out.memAccesses) ||
-        !fieldU64(f, "mem_reads", out.memReads) ||
-        !fieldU64(f, "mem_writebacks", out.memWritebacks) ||
-        !fieldU64(f, "mshr_coalesced", out.mshrCoalesced) ||
-        !fieldU64(f, "mshr_full_stalls", out.mshrFullStalls) ||
-        !fieldU64(f, "mshr_full_stall_cycles",
-                  out.mshrFullStallCycles) ||
-        !fieldU64(f, "mshr_peak_occupancy", out.mshrPeakOccupancy) ||
-        !fieldU64(f, "dram_row_hits", out.dramRowHits) ||
-        !fieldU64(f, "dram_row_misses", out.dramRowMisses) ||
-        !fieldU64(f, "dram_queue_full", out.dramQueueFullEvents) ||
-        !fieldU64(f, "dram_busy_cycles", out.dramBusyCycles) ||
-        !fieldU64(f, "resizes", out.resizes) ||
-        !fieldU64(f, "throttle_events", out.throttleEvents) ||
-        !fieldU64(f, "l2_size_bytes", out.l2SizeBytes) ||
-        !fieldF64(f, "l2_active_fraction", out.l2AvgActiveFraction))
-        return false;
-    if (!fieldU64(f, "l2_tag_bits", u, 64))
-        return false;
-    out.l2ResizingTagBits = static_cast<unsigned>(u);
-    if (!fieldU64(f, "l2_resizes", out.l2Resizes) ||
-        !fieldF64(f, "l1_drowsy_fraction", out.l1DrowsyFraction) ||
-        !fieldF64(f, "l1_gated_fraction", out.l1GatedFraction) ||
-        !fieldU64(f, "wake_transitions", out.wakeTransitions) ||
-        !fieldU64(f, "wake_stall_cycles", out.wakeStallCycles) ||
-        !fieldU64(f, "policy_blocks_lost", out.policyBlocksLost))
-        return false;
+    bool parsed = true;
+    forEachCounter(out, [&](const char *name, auto &field) {
+        parsed = parsed && parseField(f, name, field);
+    });
     const auto isFraction = [](double v) { return v >= 0.0 && v <= 1.0; };
-    return out.meas.instructions >= 1 &&
+    return parsed && out.meas.instructions >= 1 &&
            out.meas.instructions <= maxInstrs && out.meas.cycles >= 1 &&
            out.meas.l1iMisses <= out.meas.l1iAccesses &&
            out.l2Misses <= out.l2Accesses &&
            isFraction(out.meas.avgActiveFraction) &&
            isFraction(out.l2AvgActiveFraction) &&
            isFraction(out.l1DrowsyFraction) &&
-           isFraction(out.l1GatedFraction);
+           isFraction(out.l1GatedFraction) &&
+           out.meas.resizingTagBits <= 64 && out.l2ResizingTagBits <= 64;
 }
 
 /**
@@ -595,238 +531,44 @@ obsSeries(const BenchmarkInfo &bench, const std::string &mode,
 }
 
 /**
- * Per-interval differencing over a probe registry of *cumulative*
- * readouts (obs/probe.hh). run() registers probes under the
- * canonical names below; sample() derives the already-differenced
- * interval metrics the CSV carries — interval CPI and miss rates,
- * active/drowsy fractions from the cycle-area integrals, resize and
- * wake deltas, the instantaneous active-byte count.
+ * A single-core run's cumulative interval readings: the core clock,
+ * the L1D, the L2, DRAM and MSHR counters as fillL2Outputs reads
+ * them into RunOutput, and the L1I's (l1iReadings).
  */
-class IntervalSampler
+obs::Readings
+runReadings(const Core &core, Hierarchy &hier, const LeakagePolicy *policy,
+            std::uint64_t l1iBytes)
 {
-  public:
-    explicit IntervalSampler(std::string series)
-        : series_(std::move(series))
-    {
-    }
-
-    obs::MetricRegistry &registry() { return reg_; }
-
-    void sample(const CoreStats &cs)
-    {
-        obs::TimeSeriesRecorder *m = obs::metrics();
-        if (!m)
-            return;
-        std::map<std::string, double> cur;
-        for (auto &[name, value] : reg_.sample())
-            cur[name] = value;
-        const auto has = [&cur](const char *name) {
-            return cur.count(name) > 0;
-        };
-
-        const double dc = delta(cur, "cycles");
-        const double di =
-            static_cast<double>(cs.instructions) - prevInstrs_;
-
-        std::vector<std::pair<std::string, double>> out;
-        out.emplace_back("cycles", dc);
-        out.emplace_back("cpi", di > 0.0 ? dc / di : 0.0);
-        missRate(cur, "l1i", out);
-        missRate(cur, "l1d", out);
-        missRate(cur, "l2", out);
-
-        const bool hasActive = has("active_cycle_area");
-        double activeFraction = 1.0;
-        if (hasActive) {
-            activeFraction =
-                fraction(delta(cur, "active_cycle_area"), dc);
-            out.emplace_back("active_fraction", activeFraction);
-        }
-        if (has("drowsy_cycle_area"))
-            out.emplace_back(
-                "drowsy_fraction",
-                fraction(delta(cur, "drowsy_cycle_area"), dc));
-        if (has("active_bytes")) {
-            out.emplace_back("active_bytes",
-                             cur.at("active_bytes"));
-        } else if (has("l1i_size_bytes")) {
-            // No instantaneous size probe (time-integrated
-            // policies): reconstruct the interval's average active
-            // bytes from the fraction.
-            out.emplace_back("active_bytes",
-                             activeFraction *
-                                 cur.at("l1i_size_bytes"));
-        }
-        for (const char *counter :
-             {"resizes", "wakes", "wake_stall_cycles",
-              "dram_busy_cycles", "coherence_invalidations",
-              "coherence_wakes", "coherence_refetches"})
-            if (has(counter))
-                out.emplace_back(counter, delta(cur, counter));
-        if (has("mshr_peak_occupancy"))
-            out.emplace_back("mshr_peak_occupancy",
-                             cur.at("mshr_peak_occupancy"));
-
-        m->record(series_, cs.instructions, std::move(out));
-        prev_ = std::move(cur);
-        prevInstrs_ = static_cast<double>(cs.instructions);
-    }
-
-  private:
-    double delta(const std::map<std::string, double> &cur,
-                 const std::string &name)
-    {
-        const auto it = cur.find(name);
-        if (it == cur.end())
-            return 0.0;
-        const auto pit = prev_.find(name);
-        return it->second -
-               (pit == prev_.end() ? 0.0 : pit->second);
-    }
-
-    static double fraction(double area, double cycles)
-    {
-        if (cycles <= 0.0)
-            return 0.0;
-        return std::min(1.0, std::max(0.0, area / cycles));
-    }
-
-    void missRate(const std::map<std::string, double> &cur,
-                  const std::string &level,
-                  std::vector<std::pair<std::string, double>> &out)
-    {
-        if (cur.count(level + "_accesses") == 0)
-            return;
-        const double da = delta(cur, level + "_accesses");
-        const double dm = delta(cur, level + "_misses");
-        out.emplace_back(level + "_miss_rate",
-                         da > 0.0 ? dm / da : 0.0);
-    }
-
-    std::string series_;
-    obs::MetricRegistry reg_;
-    std::map<std::string, double> prev_;
-    double prevInstrs_ = 0.0;
-};
-
-/** Common probes: core clock, D-side/L2 hierarchy counters. */
-void
-addHierProbes(obs::MetricRegistry &reg, Core &core, Hierarchy &hier)
-{
-    reg.add("cycles", [&core] {
-        return static_cast<double>(core.stats().cycles);
-    });
-    reg.add("l1d_accesses", [&hier] {
-        return static_cast<double>(hier.l1d().accesses());
-    });
-    reg.add("l1d_misses", [&hier] {
-        return static_cast<double>(hier.l1d().misses());
-    });
-    reg.add("l2_accesses", [&hier] {
-        return static_cast<double>(hier.l2Accesses());
-    });
-    reg.add("l2_misses", [&hier] {
-        return static_cast<double>(hier.l2Misses());
-    });
-    reg.add("mshr_peak_occupancy", [&hier] {
-        return static_cast<double>(
-            hier.l1d().mshrPeakOccupancy());
-    });
-    if (Dram *d = hier.dram())
-        reg.add("dram_busy_cycles", [d] {
-            return static_cast<double>(d->busyCycles());
-        });
-}
-
-/** Conventional L1I: full-size, always active. */
-void
-addConvL1iProbes(obs::MetricRegistry &reg, Cache &l1i,
-                 std::uint64_t sizeBytes)
-{
-    reg.add("l1i_accesses", [&l1i] {
-        return static_cast<double>(l1i.accesses());
-    });
-    reg.add("l1i_misses", [&l1i] {
-        return static_cast<double>(l1i.misses());
-    });
-    reg.add("active_bytes", [sizeBytes] {
-        return static_cast<double>(sizeBytes);
-    });
-}
-
-/** DRI L1I: instantaneous size plus the active-area integral. */
-void
-addDriL1iProbes(obs::MetricRegistry &reg, DriICache &icache,
-                Core &core)
-{
-    reg.add("l1i_accesses", [&icache] {
-        return static_cast<double>(icache.accesses());
-    });
-    reg.add("l1i_misses", [&icache] {
-        return static_cast<double>(icache.misses());
-    });
-    reg.add("active_cycle_area", [&icache, &core] {
-        return icache.averageActiveFraction() *
-               static_cast<double>(core.stats().cycles);
-    });
-    reg.add("active_bytes", [&icache] {
-        return static_cast<double>(icache.currentSizeBytes());
-    });
-    reg.add("resizes", [&icache] {
-        return static_cast<double>(icache.upsizes() +
-                                   icache.downsizes());
-    });
-}
-
-/** Leakage-policy L1I: time-integrated activity + wake events. */
-void
-addPolicyL1iProbes(obs::MetricRegistry &reg, LeakagePolicy &policy,
-                   Core &core, std::uint64_t sizeBytes)
-{
-    reg.add("l1i_accesses", [&policy] {
-        return static_cast<double>(policy.l1Accesses());
-    });
-    reg.add("l1i_misses", [&policy] {
-        return static_cast<double>(policy.l1Misses());
-    });
-    reg.add("l1i_size_bytes", [sizeBytes] {
-        return static_cast<double>(sizeBytes);
-    });
-    reg.add("active_cycle_area", [&policy, &core] {
-        return policy.activity().avgActiveFraction *
-               static_cast<double>(core.stats().cycles);
-    });
-    reg.add("drowsy_cycle_area", [&policy, &core] {
-        return policy.activity().avgDrowsyFraction *
-               static_cast<double>(core.stats().cycles);
-    });
-    reg.add("resizes", [&policy] {
-        return static_cast<double>(policy.activity().resizes);
-    });
-    reg.add("wakes", [&policy] {
-        return static_cast<double>(
-            policy.activity().wakeTransitions);
-    });
-    reg.add("wake_stall_cycles", [&policy] {
-        return static_cast<double>(
-            policy.activity().wakeStallCycles);
-    });
+    RunOutput o;
+    fillL2Outputs(hier, o);
+    const Cycles cycles = core.stats().cycles;
+    obs::Readings r =
+        l1iReadings(policy, hier.convL1i(), l1iBytes, cycles, false);
+    r["cycles"] = static_cast<double>(cycles);
+    r["l1d_accesses"] = static_cast<double>(hier.l1d().accesses());
+    r["l1d_misses"] = static_cast<double>(hier.l1d().misses());
+    r["l2_accesses"] = static_cast<double>(o.l2Accesses);
+    r["l2_misses"] = static_cast<double>(o.l2Misses);
+    r["mshr_peak_occupancy"] = static_cast<double>(o.mshrPeakOccupancy);
+    if (hier.dram())
+        r["dram_busy_cycles"] = static_cast<double>(o.dramBusyCycles);
+    return r;
 }
 
 /**
  * Interval-metered alternative to runCheckpointed: chunk the run at
  * the recorder's interval (a multiple of the fast model's
  * 64-instruction retire batch, so chunked execution is bit-identical
- * to one call) and sample after every chunk. Only reached when a
- * metrics sink is installed; checkpoints are skipped for the run —
- * observability is execution-only, so results are unchanged either
- * way.
+ * to one call) and hand @p read()'s readings to @p sampler after
+ * every chunk. Only reached when a metrics sink is installed;
+ * checkpoints are skipped for the run — observability is
+ * execution-only, so results are unchanged either way.
  */
+template <typename Read>
 CoreStats
 runMetered(Core &core, InstrStream &stream, InstCount total,
-           IntervalSampler &sampler)
+           InstCount interval, obs::IntervalSampler &sampler, Read &&read)
 {
-    const InstCount interval = obs::metrics()->interval();
     CoreStats cs = core.stats();
     InstCount done = 0;
     while (done < total) {
@@ -835,7 +577,7 @@ runMetered(Core &core, InstrStream &stream, InstCount total,
         cs = core.run(stream, chunk);
         const InstCount ran = cs.instructions - before;
         done += ran;
-        sampler.sample(cs);
+        sampler.sample(cs.instructions, read());
         if (ran < chunk)
             break; // stream drained
     }
@@ -852,9 +594,9 @@ RunOutput
 simulate(const BenchmarkInfo &bench, const RunConfig &config,
          const RunSpec &spec, const sim::ConfigKey &key)
 {
-    // A DRI L1I is the Dri leakage policy. Only its probes, its
-    // policyBlocksLost (never reported, 0) and its gated share
-    // (charged at zero, the paper's rounding) stay DRI-specific.
+    // A DRI L1I is the Dri leakage policy. Only its policyBlocksLost
+    // (never reported, 0) and its gated share (charged at zero, the
+    // paper's rounding) stay DRI-specific.
     const DriParams *dri = std::get_if<DriParams>(&spec.l1i);
     PolicyConfig driPolicy;
     const PolicyConfig *pol = std::get_if<PolicyConfig>(&spec.l1i);
@@ -862,6 +604,8 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
         driPolicy.dri = *dri;
         pol = &driPolicy;
     }
+    const std::uint64_t l1iBytes =
+        pol ? pol->dri.sizeBytes : config.hier.l1i.sizeBytes;
 
     const std::string series = obsSeries(
         bench, std::string(l1iMode(spec)) + (spec.fast ? "-fast" : ""),
@@ -888,7 +632,7 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
                                          &hier.l1d(), &root);
     }
     core->addRetireSink(policy.get());
-    core->addResizable(hier.driL2());
+    core->addRetireSink(hier.driL2());
 
     const auto drive = [&](auto &stream) {
         if (!spec.fast && config.sampling.enabled)
@@ -896,22 +640,14 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
                                    stream, config.maxInstrs,
                                    config.sampling,
                                    config.core.fetchBlockBytes);
-        if (obs::metrics()) {
-            IntervalSampler sampler(series);
-            obs::MetricRegistry &reg = sampler.registry();
-            addHierProbes(reg, *core, hier);
-            if (dri)
-                addDriL1iProbes(
-                    reg, static_cast<DriPolicy &>(*policy).icache(),
-                    *core);
-            else if (policy)
-                addPolicyL1iProbes(reg, *policy, *core,
-                                   pol->dri.sizeBytes);
-            else
-                addConvL1iProbes(reg, *hier.convL1i(),
-                                 config.hier.l1i.sizeBytes);
+        if (obs::TimeSeriesRecorder *m = obs::metrics()) {
+            obs::IntervalSampler sampler(*m, series);
             return runMetered(*core, stream, config.maxInstrs,
-                              sampler);
+                              m->interval(), sampler, [&] {
+                                  return runReadings(*core, hier,
+                                                     policy.get(),
+                                                     l1iBytes);
+                              });
         }
         return runCheckpointed(
             config, key, *core, stream,
@@ -943,7 +679,7 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
         out.meas = measurementFromCounts(
             cs.cycles, cs.instructions, policy->l1Accesses(),
             policy->l1Misses(), act.avgActiveFraction,
-            act.resizingTagBits, pol->dri.sizeBytes);
+            act.resizingTagBits, l1iBytes);
         out.l1DrowsyFraction = act.avgDrowsyFraction;
         out.l1GatedFraction =
             dri ? 0.0
@@ -958,7 +694,7 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
         Cache *l1i = hier.convL1i();
         out.meas = measurementFromCounts(
             cs.cycles, cs.instructions, l1i->accesses(),
-            l1i->misses(), 1.0, 0, config.hier.l1i.sizeBytes);
+            l1i->misses(), 1.0, 0, l1iBytes);
     }
     out.ipc = cs.ipc();
     out.l1dMissRate = hier.l1d().missRate();
@@ -1077,8 +813,8 @@ calibrateFast(const BenchmarkInfo &bench, const RunConfig &config,
     sim::ResultCache::Fields f;
     FastCalibration cal;
     if (config.resultCache->lookup(key, f) &&
-        fieldF64(f, "base_cpi", cal.baseCpi) &&
-        fieldF64(f, "miss_overlap", cal.missOverlap) &&
+        parseField(f, "base_cpi", cal.baseCpi) &&
+        parseField(f, "miss_overlap", cal.missOverlap) &&
         cal.baseCpi >= kMinBaseCpi && cal.missOverlap >= 0.0 &&
         cal.missOverlap <= 1.0) {
         // Nothing was simulated, so nothing was recorded: the first
@@ -1089,8 +825,8 @@ calibrateFast(const BenchmarkInfo &bench, const RunConfig &config,
 
     cal = calibrateFastImpl(bench, config, convDetailed);
     sim::ResultCache::Fields out;
-    out["base_cpi"] = doubleField(cal.baseCpi);
-    out["miss_overlap"] = doubleField(cal.missOverlap);
+    out["base_cpi"] = fieldText(cal.baseCpi);
+    out["miss_overlap"] = fieldText(cal.missOverlap);
     config.resultCache->store(key, out);
     return cal;
 }

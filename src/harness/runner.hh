@@ -145,6 +145,53 @@ struct RunOutput
 };
 
 /**
+ * Call f(name, field) for every field of @p out (a RunOutput, const
+ * or not) under its result-cache payload name. Each field is a
+ * std::uint64_t, an unsigned or a double. The payload writer and
+ * reader and the tests' run comparator walk this one list, so a new
+ * field is named here and nowhere else.
+ */
+template <typename Out, typename F>
+void
+forEachCounter(Out &out, F &&f)
+{
+    f("cycles", out.meas.cycles);
+    f("instructions", out.meas.instructions);
+    f("l1i_accesses", out.meas.l1iAccesses);
+    f("l1i_misses", out.meas.l1iMisses);
+    f("l1i_active_fraction", out.meas.avgActiveFraction);
+    f("l1i_tag_bits", out.meas.resizingTagBits);
+    f("l1i_bytes", out.meas.l1iBytes);
+    f("ipc", out.ipc);
+    f("l1d_miss_rate", out.l1dMissRate);
+    f("l2_miss_rate", out.l2MissRate);
+    f("l2_accesses", out.l2Accesses);
+    f("l2_misses", out.l2Misses);
+    f("mem_accesses", out.memAccesses);
+    f("mem_reads", out.memReads);
+    f("mem_writebacks", out.memWritebacks);
+    f("mshr_coalesced", out.mshrCoalesced);
+    f("mshr_full_stalls", out.mshrFullStalls);
+    f("mshr_full_stall_cycles", out.mshrFullStallCycles);
+    f("mshr_peak_occupancy", out.mshrPeakOccupancy);
+    f("dram_row_hits", out.dramRowHits);
+    f("dram_row_misses", out.dramRowMisses);
+    f("dram_queue_full", out.dramQueueFullEvents);
+    f("dram_busy_cycles", out.dramBusyCycles);
+    f("resizes", out.resizes);
+    f("throttle_events", out.throttleEvents);
+    f("l2_size_bytes", out.l2SizeBytes);
+    f("l2_active_fraction", out.l2AvgActiveFraction);
+    f("l2_tag_bits", out.l2ResizingTagBits);
+    f("l2_resizes", out.l2Resizes);
+    f("l1_drowsy_fraction", out.l1DrowsyFraction);
+    f("l1_gated_fraction", out.l1GatedFraction);
+    f("wake_transitions", out.wakeTransitions);
+    f("wake_stall_cycles", out.wakeStallCycles);
+    f("policy_blocks_lost", out.policyBlocksLost);
+}
+
+/**
  * The ledger's views of a run (energy/ledger.hh). The paper view
  * (Figures 3-6, Section 5.6, the policy study) is the L1I row plus
  * an L2 row that carries only the extra-miss traffic. The hierarchy

@@ -1,6 +1,7 @@
 /**
  * @file
- * Interval time-series buffering and canonical CSV emission.
+ * Interval differencing, time-series buffering and canonical CSV
+ * emission.
  */
 
 #include "obs/metrics.hh"
@@ -112,6 +113,73 @@ TimeSeriesRecorder::write(std::string &error) const
     if (!ok)
         error = "short write to '" + path_ + "'";
     return ok;
+}
+
+IntervalSampler::IntervalSampler(TimeSeriesRecorder &recorder,
+                                 std::string series)
+    : recorder_(recorder), series_(std::move(series))
+{
+}
+
+double
+IntervalSampler::delta(const Readings &cur, const std::string &name) const
+{
+    const auto it = cur.find(name);
+    if (it == cur.end())
+        return 0.0;
+    const auto pit = prev_.find(name);
+    return it->second - (pit == prev_.end() ? 0.0 : pit->second);
+}
+
+void
+IntervalSampler::sample(InstCount instrs, Readings cur)
+{
+    const auto has = [&cur](const std::string &name) {
+        return cur.count(name) > 0;
+    };
+    const double dc = delta(cur, "cycles");
+    const double di = static_cast<double>(instrs - prevInstrs_);
+    const auto fraction = [dc](double area) {
+        return dc <= 0.0 ? 0.0 : std::min(1.0, std::max(0.0, area / dc));
+    };
+
+    std::vector<std::pair<std::string, double>> out;
+    out.emplace_back("cycles", dc);
+    out.emplace_back("cpi", di > 0.0 ? dc / di : 0.0);
+    for (const std::string level : {"l1i", "l1d", "l2"}) {
+        if (!has(level + "_accesses"))
+            continue;
+        const double da = delta(cur, level + "_accesses");
+        out.emplace_back(level + "_miss_rate",
+                         da > 0.0 ? delta(cur, level + "_misses") / da
+                                  : 0.0);
+    }
+    double activeFraction = 1.0;
+    if (has("active_cycle_area")) {
+        activeFraction = fraction(delta(cur, "active_cycle_area"));
+        out.emplace_back("active_fraction", activeFraction);
+    }
+    if (has("drowsy_cycle_area"))
+        out.emplace_back("drowsy_fraction",
+                         fraction(delta(cur, "drowsy_cycle_area")));
+    if (has("active_bytes"))
+        out.emplace_back("active_bytes", cur.at("active_bytes"));
+    else if (has("l1i_size_bytes"))
+        out.emplace_back("active_bytes",
+                         activeFraction * cur.at("l1i_size_bytes"));
+    for (const char *counter :
+         {"resizes", "wakes", "wake_stall_cycles", "dram_busy_cycles",
+          "coherence_invalidations", "coherence_wakes",
+          "coherence_refetches"})
+        if (has(counter))
+            out.emplace_back(counter, delta(cur, counter));
+    if (has("mshr_peak_occupancy"))
+        out.emplace_back("mshr_peak_occupancy",
+                         cur.at("mshr_peak_occupancy"));
+
+    recorder_.record(series_, instrs, std::move(out));
+    prev_ = std::move(cur);
+    prevInstrs_ = instrs;
 }
 
 TimeSeriesRecorder *

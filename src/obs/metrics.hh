@@ -1,9 +1,10 @@
 /**
  * @file
- * Interval time-series recorder: the sink the per-run samplers feed
- * every `metrics.interval` retired instructions (aligned down to the
- * fast model's 64-instruction retire batch so chunked execution
- * stays bit-identical to a single run).
+ * Interval time series: the sampler a run (or a CMP core) feeds its
+ * cumulative readings every `metrics.interval` retired instructions
+ * (aligned down to the fast model's 64-instruction retire batch so
+ * chunked execution stays bit-identical to a single run), and the
+ * recorder the samplers write to.
  *
  * One *series* is one simulated run, named
  * `<bench>/<mode>#<confighash>` (or `<mix>/cmp#<hash>/coreK` for CMP
@@ -79,6 +80,45 @@ class TimeSeriesRecorder
     mutable std::mutex mu_;
     /** Keyed by series name: map order IS the canonical order. */
     std::map<std::string, std::vector<Sample>> series_;
+};
+
+/**
+ * Cumulative readings of one run in flight, by name: event counts
+ * (`cycles`, `<level>_accesses`, `<level>_misses`, `resizes`,
+ * `wakes`, ...), time integrals (`active_cycle_area`,
+ * `drowsy_cycle_area`: powered or drowsy fraction x cycles) and
+ * instantaneous gauges (`active_bytes`, `l1i_size_bytes`,
+ * `mshr_peak_occupancy`).
+ */
+using Readings = std::map<std::string, double>;
+
+/**
+ * Turns one series' cumulative readings into the recorder's interval
+ * rows: interval CPI and miss rates, active/drowsy fractions from
+ * the cycle-area integrals, resize, wake, DRAM and coherence deltas,
+ * and the gauges as read (active bytes rebuilt as fraction x size
+ * when the L1I reports no instantaneous size). A metric appears in a
+ * row only when its reading does.
+ */
+class IntervalSampler
+{
+  public:
+    IntervalSampler(TimeSeriesRecorder &recorder, std::string series);
+
+    /** Instructions at the previous sample (0 before the first). */
+    InstCount lastInstrs() const { return prevInstrs_; }
+
+    /** Record the interval that ends at @p instrs committed
+     *  instructions, given the readings @p cur taken there. */
+    void sample(InstCount instrs, Readings cur);
+
+  private:
+    double delta(const Readings &cur, const std::string &name) const;
+
+    TimeSeriesRecorder &recorder_;
+    std::string series_;
+    Readings prev_;
+    InstCount prevInstrs_ = 0;
 };
 
 /** @name Global metrics sink

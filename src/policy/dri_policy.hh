@@ -57,6 +57,7 @@ class DriPolicy : public LeakagePolicy
 
     /** The wrapped cache (tests / flavour-aware reports). */
     DriICache &icache() { return icache_; }
+    const DriICache &icache() const { return icache_; }
 
   private:
     DriICache icache_;

@@ -1,10 +1,12 @@
 /**
  * @file
- * Leakage-policy names, validation and the concrete-policy factory.
+ * Leakage-policy names, validation, the concrete-policy factory and
+ * the L1I interval readings.
  */
 
 #include "policy/leakage_policy.hh"
 
+#include "mem/cache.hh"
 #include "policy/decay_policy.hh"
 #include "policy/dri_policy.hh"
 #include "policy/drowsy_policy.hh"
@@ -109,6 +111,43 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
                                                  parent);
     }
     drisim_panic("unreachable policy kind");
+}
+
+obs::Readings
+l1iReadings(const LeakagePolicy *policy, const Cache *conv,
+            std::uint64_t sizeBytes, Cycles cycles, bool coherent)
+{
+    const double c = static_cast<double>(cycles);
+    obs::Readings r;
+    if (!policy) {
+        r["l1i_accesses"] = static_cast<double>(conv->accesses());
+        r["l1i_misses"] = static_cast<double>(conv->misses());
+        r["active_cycle_area"] = c;
+        r["active_bytes"] = static_cast<double>(sizeBytes);
+        return r;
+    }
+    const PolicyActivity act = policy->activity();
+    r["l1i_accesses"] = static_cast<double>(policy->l1Accesses());
+    r["l1i_misses"] = static_cast<double>(policy->l1Misses());
+    r["active_cycle_area"] = act.avgActiveFraction * c;
+    r["resizes"] = static_cast<double>(act.resizes);
+    if (coherent)
+        r["coherence_refetches"] =
+            static_cast<double>(act.coherenceRefetches);
+    if (policy->kind() == PolicyKind::Dri) {
+        r["active_bytes"] = static_cast<double>(
+            static_cast<const DriPolicy &>(*policy)
+                .icache()
+                .currentSizeBytes());
+        return r;
+    }
+    r["l1i_size_bytes"] = static_cast<double>(sizeBytes);
+    r["drowsy_cycle_area"] = act.avgDrowsyFraction * c;
+    r["wakes"] = static_cast<double>(act.wakeTransitions);
+    r["wake_stall_cycles"] = static_cast<double>(act.wakeStallCycles);
+    if (coherent)
+        r["coherence_wakes"] = static_cast<double>(act.coherenceWakes);
+    return r;
 }
 
 } // namespace drisim

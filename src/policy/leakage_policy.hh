@@ -41,6 +41,7 @@
 #include "core/dri_params.hh"
 #include "mem/memory.hh"
 #include "mem/retire_sink.hh"
+#include "obs/metrics.hh"
 #include "stats/stats.hh"
 #include "util/types.hh"
 
@@ -52,6 +53,8 @@ class CheckpointReader;
 
 namespace drisim
 {
+
+class Cache; // mem/cache.hh
 
 /** Which leakage-control technique manages the L1 i-cache. */
 enum class PolicyKind { Dri, Decay, Drowsy, StaticWays };
@@ -222,6 +225,23 @@ class LeakagePolicy : public RetireSink
 std::unique_ptr<LeakagePolicy>
 makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
                   stats::StatGroup *parent);
+
+/**
+ * The cumulative interval readings (obs::IntervalSampler) of one L1
+ * i-cache of @p sizeBytes after @p cycles: the leakage-managed
+ * @p policy, or the conventional @p conv when @p policy is null.
+ * Every flavour reports its accesses, misses and active-cycle area
+ * (a conventional cache is always fully powered). The size comes
+ * from the flavour: a conventional cache reports its full size, a
+ * Dri policy its instantaneous size, and any other policy its full
+ * size for the sampler to scale by the interval's active fraction.
+ * Policies add resizes; the others also drowsy area, wakes and wake
+ * stalls. With @p coherent, policies add the refetches probes forced
+ * and, but for Dri (which keeps no drowsy lines), probe wakes.
+ */
+obs::Readings l1iReadings(const LeakagePolicy *policy, const Cache *conv,
+                          std::uint64_t sizeBytes, Cycles cycles,
+                          bool coherent);
 
 } // namespace drisim
 

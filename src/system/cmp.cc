@@ -7,14 +7,30 @@
 #include "system/cmp.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/metrics.hh"
+#include "policy/dri_policy.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
 namespace drisim
 {
+
+namespace
+{
+
+/** Add one cache level's MSHR activity to the run's sums. */
+template <typename Level>
+void
+addMshrs(CmpRunOutput &out, const Level &level)
+{
+    out.mshrCoalesced += level.mshrCoalesced();
+    out.mshrFullStalls += level.mshrFullStalls();
+    out.mshrPeakOccupancy =
+        std::max(out.mshrPeakOccupancy, level.mshrPeakOccupancy());
+}
+
+} // namespace
 
 SharedL2Bus::SharedL2Bus(MemoryLevel *l2, unsigned blockBytes,
                          unsigned banks, Cycles penalty,
@@ -116,7 +132,6 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         bus_->enableCoherence(cmp.coherence, n);
 
     convL1is_.resize(n);
-    driL1is_.resize(n);
     policyL1is_.resize(n);
     for (unsigned k = 0; k < n; ++k) {
         cpuGroups_.push_back(std::make_unique<stats::StatGroup>(
@@ -130,14 +145,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
 
         const CmpCoreConfig cfg = cmp.coreConfig(k);
         MemoryLevel *l1i = nullptr;
-        if (cfg.dri && cfg.policyKind == PolicyKind::Dri) {
-            // The classic path, byte-identical to pre-policy
-            // builds (locked by the CMP goldens).
-            driL1is_[k] = std::make_unique<DriICache>(
-                driParamsForLevel(hier.l1i, cfg.driParams), port,
-                grp);
-            l1i = driL1is_[k].get();
-        } else if (cfg.dri) {
+        if (cfg.dri) {
             PolicyConfig pc;
             pc.kind = cfg.policyKind;
             pc.dri = driParamsForLevel(hier.l1i, cfg.driParams);
@@ -157,28 +165,17 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         if (CoherenceController *cc = bus_->coherence()) {
             l1ds_.back()->setCoherence(bus_.get(), k);
             cc->addClient(k, l1ds_.back().get());
-            if (convL1is_[k]) {
-                convL1is_[k]->setCoherence(bus_.get(), k);
-                cc->addClient(k, convL1is_[k].get());
-            } else if (driL1is_[k]) {
-                driL1is_[k]->setCoherence(bus_.get(), k);
-                cc->addClient(k, driL1is_[k].get());
-            } else if (auto *pc = dynamic_cast<Cache *>(
-                           policyL1is_[k]->level())) {
-                pc->setCoherence(bus_.get(), k);
-                cc->addClient(k, pc);
-            } else if (auto *rc = dynamic_cast<ResizableCache *>(
-                           policyL1is_[k]->level())) {
+            if (auto *c = dynamic_cast<Cache *>(l1i)) {
+                c->setCoherence(bus_.get(), k);
+                cc->addClient(k, c);
+            } else if (auto *rc = dynamic_cast<ResizableCache *>(l1i)) {
                 rc->setCoherence(bus_.get(), k);
                 cc->addClient(k, rc);
             }
         }
         cores_.push_back(std::make_unique<OooCore>(
             coreParams, l1i, l1ds_.back().get(), grp));
-        if (driL1is_[k])
-            cores_.back()->addResizable(driL1is_[k].get());
-        if (policyL1is_[k])
-            cores_.back()->addRetireSink(policyL1is_[k].get());
+        cores_.back()->addRetireSink(policyL1is_[k].get());
         gens_.push_back(
             std::make_unique<TraceGenerator>(*images[k]));
     }
@@ -187,8 +184,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
     // there is only one core (the exact single-core runner wiring);
     // with several cores the scheduler drives it from system-wide
     // progress instead (see run()).
-    if (n == 1 && driL2_)
-        cores_[0]->addResizable(driL2_.get());
+    if (n == 1)
+        cores_[0]->addRetireSink(driL2_.get());
 }
 
 CmpRunOutput
@@ -200,148 +197,30 @@ CmpSystem::run(InstCount maxInstrsPerCore)
 
     // Per-core interval metrics (observation only): each core is
     // sampled once its committed-instruction count has advanced by
-    // the recorder interval since its previous sample. Probes read
-    // cumulative state; the recorder rows carry interval deltas
-    // (counters) or cycle-area fractions, mirroring the single-core
-    // runner's sampler so downstream reports treat both alike.
+    // the recorder interval since its previous sample, through the
+    // single-core runner's sampler and L1I readings, so downstream
+    // reports treat both alike.
     obs::TimeSeriesRecorder *metrics =
         obsSeries_.empty() ? nullptr : obs::metrics();
-    struct ObsPrev
-    {
-        std::map<std::string, double> vals;
-        InstCount instrs = 0;
-    };
-    std::vector<ObsPrev> obsPrev(metrics ? n : 0);
-    const InstCount obsInterval = metrics ? metrics->interval() : 0;
-
-    auto readCore = [&](unsigned k) {
-        std::map<std::string, double> v;
+    std::vector<obs::IntervalSampler> samplers;
+    if (metrics)
+        for (unsigned k = 0; k < n; ++k)
+            samplers.emplace_back(*metrics,
+                                  obsSeries_ + "/core" +
+                                      std::to_string(k));
+    const CoherenceController *coh = bus_->coherence();
+    const auto sample = [&](unsigned k) {
         const CoreStats cs = cores_[k]->stats();
-        v["cycles"] = static_cast<double>(cs.cycles);
-        if (driL1is_[k]) {
-            const DriICache &ic = *driL1is_[k];
-            v["l1i_accesses"] =
-                static_cast<double>(ic.accesses());
-            v["l1i_misses"] = static_cast<double>(ic.misses());
-            v["active_cycle_area"] =
-                ic.averageActiveFraction() *
-                static_cast<double>(cs.cycles);
-            v["active_bytes"] =
-                static_cast<double>(ic.currentSizeBytes());
-            v["resizes"] = static_cast<double>(ic.upsizes() +
-                                               ic.downsizes());
-        } else if (policyL1is_[k]) {
-            const LeakagePolicy &p = *policyL1is_[k];
-            const PolicyActivity act = p.activity();
-            v["l1i_accesses"] =
-                static_cast<double>(p.l1Accesses());
-            v["l1i_misses"] = static_cast<double>(p.l1Misses());
-            v["l1i_size_bytes"] =
-                static_cast<double>(hier_.l1i.sizeBytes);
-            v["active_cycle_area"] =
-                act.avgActiveFraction *
-                static_cast<double>(cs.cycles);
-            v["drowsy_cycle_area"] =
-                act.avgDrowsyFraction *
-                static_cast<double>(cs.cycles);
-            v["resizes"] = static_cast<double>(act.resizes);
-            v["wakes"] =
-                static_cast<double>(act.wakeTransitions);
-            v["wake_stall_cycles"] =
-                static_cast<double>(act.wakeStallCycles);
-        } else {
-            const Cache &ic = *convL1is_[k];
-            v["l1i_accesses"] =
-                static_cast<double>(ic.accesses());
-            v["l1i_misses"] = static_cast<double>(ic.misses());
-            v["active_cycle_area"] =
-                static_cast<double>(cs.cycles);
-            v["active_bytes"] =
-                static_cast<double>(hier_.l1i.sizeBytes);
-        }
-        v["l2_accesses"] =
-            static_cast<double>(bus_->accesses(k));
-        v["l2_misses"] = static_cast<double>(bus_->misses(k));
-        if (const CoherenceController *cc = bus_->coherence()) {
-            v["coherence_invalidations"] = static_cast<double>(
-                cc->coreStats(k).invalidationsReceived);
-            if (policyL1is_[k]) {
-                const PolicyActivity act =
-                    policyL1is_[k]->activity();
-                v["coherence_wakes"] =
-                    static_cast<double>(act.coherenceWakes);
-                v["coherence_refetches"] =
-                    static_cast<double>(act.coherenceRefetches);
-            } else if (driL1is_[k]) {
-                v["coherence_refetches"] = static_cast<double>(
-                    driL1is_[k]->coherenceRefetches());
-            }
-        }
-        return v;
-    };
-
-    auto sampleCore = [&](unsigned k) {
-        std::map<std::string, double> cur = readCore(k);
-        ObsPrev &p = obsPrev[k];
-        auto has = [&](const char *name) {
-            return cur.count(name) > 0;
-        };
-        auto delta = [&](const char *name) {
-            const auto it = cur.find(name);
-            const double now =
-                it == cur.end() ? 0.0 : it->second;
-            const auto pit = p.vals.find(name);
-            const double was =
-                pit == p.vals.end() ? 0.0 : pit->second;
-            return now - was;
-        };
-        auto clamp01 = [](double f) {
-            return std::min(1.0, std::max(0.0, f));
-        };
-
-        const CoreStats cs = cores_[k]->stats();
-        const double dc = delta("cycles");
-        const double di =
-            static_cast<double>(cs.instructions - p.instrs);
-        std::vector<std::pair<std::string, double>> out;
-        out.emplace_back("cycles", dc);
-        out.emplace_back("cpi", di > 0.0 ? dc / di : 0.0);
-        const double dAcc = delta("l1i_accesses");
-        out.emplace_back("l1i_miss_rate",
-                         dAcc > 0.0 ? delta("l1i_misses") / dAcc
-                                    : 0.0);
-        const double activeFraction =
-            dc > 0.0 ? clamp01(delta("active_cycle_area") / dc)
-                     : 0.0;
-        out.emplace_back("active_fraction", activeFraction);
-        if (has("drowsy_cycle_area"))
-            out.emplace_back(
-                "drowsy_fraction",
-                dc > 0.0
-                    ? clamp01(delta("drowsy_cycle_area") / dc)
-                    : 0.0);
-        if (has("active_bytes"))
-            out.emplace_back("active_bytes",
-                             cur.at("active_bytes"));
-        else if (has("l1i_size_bytes"))
-            out.emplace_back("active_bytes",
-                             activeFraction *
-                                 cur.at("l1i_size_bytes"));
-        const double dL2 = delta("l2_accesses");
-        out.emplace_back("l2_miss_rate",
-                         dL2 > 0.0 ? delta("l2_misses") / dL2
-                                   : 0.0);
-        for (const char *name :
-             {"resizes", "wakes", "wake_stall_cycles",
-              "coherence_invalidations", "coherence_wakes",
-              "coherence_refetches"})
-            if (has(name))
-                out.emplace_back(name, delta(name));
-
-        metrics->record(obsSeries_ + "/core" + std::to_string(k),
-                        cs.instructions, std::move(out));
-        p.vals = std::move(cur);
-        p.instrs = cs.instructions;
+        obs::Readings r =
+            l1iReadings(policyL1is_[k].get(), convL1is_[k].get(),
+                        hier_.l1i.sizeBytes, cs.cycles, coh != nullptr);
+        r["cycles"] = static_cast<double>(cs.cycles);
+        r["l2_accesses"] = static_cast<double>(bus_->accesses(k));
+        r["l2_misses"] = static_cast<double>(bus_->misses(k));
+        if (coh)
+            r["coherence_invalidations"] = static_cast<double>(
+                coh->coreStats(k).invalidationsReceived);
+        samplers[k].sample(cs.instructions, std::move(r));
     };
 
     while (true) {
@@ -375,9 +254,9 @@ CmpSystem::run(InstCount maxInstrsPerCore)
                 pending = true;
             if (metrics &&
                 cores_[k]->stats().instructions -
-                        obsPrev[k].instrs >=
-                    obsInterval)
-                sampleCore(k);
+                        samplers[k].lastInstrs() >=
+                    metrics->interval())
+                sample(k);
         }
 
         // The shared resizable L2 belongs to no single core: its
@@ -408,8 +287,8 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     if (metrics)
         for (unsigned k = 0; k < n; ++k)
             if (cores_[k]->stats().instructions >
-                obsPrev[k].instrs)
-                sampleCore(k);
+                samplers[k].lastInstrs())
+                sample(k);
 
     CmpRunOutput out;
     out.cores.resize(n);
@@ -418,38 +297,30 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         const CoreStats cs = cores_[k]->stats();
         c.meas.cycles = cs.cycles;
         c.meas.instructions = cs.instructions;
-        if (driL1is_[k]) {
-            const DriICache &ic = *driL1is_[k];
-            c.meas.l1iAccesses = ic.accesses();
-            c.meas.l1iMisses = ic.misses();
-            c.meas.avgActiveFraction = ic.averageActiveFraction();
-            c.meas.resizingTagBits = ic.params().resizingTagBits();
-            c.meas.l1iBytes = ic.params().sizeBytes;
-            c.resizes = ic.upsizes() + ic.downsizes();
-            c.throttleEvents = ic.controller().throttleEvents();
-        } else if (policyL1is_[k]) {
-            const LeakagePolicy &p = *policyL1is_[k];
-            const PolicyActivity act = p.activity();
-            c.meas.l1iAccesses = p.l1Accesses();
-            c.meas.l1iMisses = p.l1Misses();
+        c.meas.l1iBytes = hier_.l1i.sizeBytes;
+        if (const LeakagePolicy *p = policyL1is_[k].get()) {
+            const PolicyActivity act = p->activity();
+            c.meas.l1iAccesses = p->l1Accesses();
+            c.meas.l1iMisses = p->l1Misses();
             c.meas.avgActiveFraction = act.avgActiveFraction;
             c.meas.resizingTagBits = act.resizingTagBits;
-            c.meas.l1iBytes = hier_.l1i.sizeBytes;
             c.resizes = act.resizes;
             c.throttleEvents = act.throttleEvents;
             c.l1DrowsyFraction = act.avgDrowsyFraction;
-            c.l1GatedFraction =
-                std::max(0.0, 1.0 - act.avgActiveFraction -
-                                  act.avgDrowsyFraction);
+            // DRI cores keep the paper's zero gated share.
+            if (p->kind() != PolicyKind::Dri)
+                c.l1GatedFraction =
+                    std::max(0.0, 1.0 - act.avgActiveFraction -
+                                      act.avgDrowsyFraction);
             c.wakeTransitions = act.wakeTransitions;
             c.wakeStallCycles = act.wakeStallCycles;
+            if (coh) {
+                c.coherenceWakes = act.coherenceWakes;
+                c.coherenceRefetches = act.coherenceRefetches;
+            }
         } else {
-            const Cache &ic = *convL1is_[k];
-            c.meas.l1iAccesses = ic.accesses();
-            c.meas.l1iMisses = ic.misses();
-            c.meas.avgActiveFraction = 1.0;
-            c.meas.resizingTagBits = 0;
-            c.meas.l1iBytes = hier_.l1i.sizeBytes;
+            c.meas.l1iAccesses = convL1is_[k]->accesses();
+            c.meas.l1iMisses = convL1is_[k]->misses();
         }
         c.ipc = cs.ipc();
         c.l1dMissRate = l1ds_[k]->missRate();
@@ -457,9 +328,9 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         c.l2Misses = bus_->misses(k);
         c.l2ContentionEvents = bus_->contentionEvents(k);
         c.l2MissLatencyCycles = bus_->missLatency(k);
-        if (const CoherenceController *cc = bus_->coherence()) {
+        if (coh) {
             const CoherenceController::CoreStats &ccs =
-                cc->coreStats(k);
+                coh->coreStats(k);
             c.coherenceInvalidationsReceived =
                 ccs.invalidationsReceived;
             c.coherenceInvalidationsCaused =
@@ -467,15 +338,6 @@ CmpSystem::run(InstCount maxInstrsPerCore)
             c.coherenceDowngrades = ccs.downgradesReceived;
             c.coherenceWritebacks = ccs.coherenceWritebacks;
             c.coherenceMsgCycles = ccs.messageCycles;
-            if (policyL1is_[k]) {
-                const PolicyActivity act =
-                    policyL1is_[k]->activity();
-                c.coherenceWakes = act.coherenceWakes;
-                c.coherenceRefetches = act.coherenceRefetches;
-            } else if (driL1is_[k]) {
-                c.coherenceRefetches =
-                    driL1is_[k]->coherenceRefetches();
-            }
         }
 
         out.systemCycles = std::max(out.systemCycles, cs.cycles);
@@ -489,51 +351,34 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         out.coherenceWritebacks += c.coherenceWritebacks;
         out.coherenceMsgCycles += c.coherenceMsgCycles;
 
-        // MSHR activity over this core's private levels (policy
-        // wrappers keep theirs in their own stat groups).
-        out.mshrCoalesced += l1ds_[k]->mshrCoalesced();
-        out.mshrFullStalls += l1ds_[k]->mshrFullStalls();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, l1ds_[k]->mshrPeakOccupancy());
-        if (convL1is_[k]) {
-            out.mshrCoalesced += convL1is_[k]->mshrCoalesced();
-            out.mshrFullStalls += convL1is_[k]->mshrFullStalls();
-            out.mshrPeakOccupancy =
-                std::max(out.mshrPeakOccupancy,
-                         convL1is_[k]->mshrPeakOccupancy());
-        } else if (driL1is_[k]) {
-            out.mshrCoalesced += driL1is_[k]->mshrCoalesced();
-            out.mshrFullStalls += driL1is_[k]->mshrFullStalls();
-            out.mshrPeakOccupancy =
-                std::max(out.mshrPeakOccupancy,
-                         driL1is_[k]->mshrPeakOccupancy());
-        }
+        // MSHR activity over this core's private levels: the L1D and
+        // a conventional or DRI L1I (the other policies keep theirs
+        // in their own stat groups).
+        addMshrs(out, *l1ds_[k]);
+        if (convL1is_[k])
+            addMshrs(out, *convL1is_[k]);
+        else if (policyL1is_[k]->kind() == PolicyKind::Dri)
+            addMshrs(out,
+                     static_cast<DriPolicy &>(*policyL1is_[k]).icache());
     }
     out.l2MissRate =
         out.l2Accesses == 0
             ? 0.0
             : static_cast<double>(out.l2Misses) /
                   static_cast<double>(out.l2Accesses);
-    out.memAccesses = memAccesses();
+    out.memAccesses = mem_ ? mem_->accesses() : dram_->accesses();
     if (driL2_) {
         out.l2SizeBytes = driL2_->params().sizeBytes;
         out.l2AvgActiveFraction = driL2_->averageActiveFraction();
         out.l2ResizingTagBits = driL2_->params().resizingTagBits();
         out.l2Resizes = driL2_->upsizes() + driL2_->downsizes();
-        out.mshrCoalesced += driL2_->mshrCoalesced();
-        out.mshrFullStalls += driL2_->mshrFullStalls();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, driL2_->mshrPeakOccupancy());
+        addMshrs(out, *driL2_);
     } else {
         out.l2SizeBytes = hier_.l2.sizeBytes;
-        out.mshrCoalesced += convL2_->mshrCoalesced();
-        out.mshrFullStalls += convL2_->mshrFullStalls();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, convL2_->mshrPeakOccupancy());
+        addMshrs(out, *convL2_);
     }
-    if (const CoherenceController *cc = bus_->coherence())
-        out.directoryEvictions =
-            cc->directory().capacityEvictions();
+    if (coh)
+        out.directoryEvictions = coh->directory().capacityEvictions();
     if (dram_) {
         out.dramRowHits = dram_->rowHits();
         out.dramRowMisses = dram_->rowMisses();
@@ -544,21 +389,6 @@ CmpSystem::run(InstCount maxInstrsPerCore)
             out.dramBankRowHits[b] = dram_->rowHitsForBank(b);
     }
     return out;
-}
-
-MainMemory &
-CmpSystem::mem()
-{
-    drisim_assert(mem_ != nullptr,
-                  "CMP was built with banked DRAM; use dram() or "
-                  "memAccesses()");
-    return *mem_;
-}
-
-std::uint64_t
-CmpSystem::memAccesses() const
-{
-    return mem_ ? mem_->accesses() : dram_->accesses();
 }
 
 } // namespace drisim

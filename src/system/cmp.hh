@@ -1,9 +1,9 @@
 /**
  * @file
  * The chip-multiprocessor system: N cores, each with a private L1
- * i-cache (conventional or DRI) and L1 d-cache and its own workload,
- * sharing one unified L2 (conventional or resizable) and main
- * memory.
+ * i-cache (conventional or leakage-managed) and L1 d-cache and its
+ * own workload, sharing one unified L2 (conventional or resizable)
+ * and main memory.
  *
  * The paper evaluates gated-Vdd resizing on a single core; leakage
  * pressure is worst where SRAM is largest and shared — the CMP
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dri_icache.hh"
 #include "cpu/ooo_core.hh"
 #include "energy/ledger.hh"
 #include "mem/directory.hh"
@@ -55,11 +54,10 @@ struct CmpCoreConfig
     DriParams driParams{};
 
     /**
-     * Which leakage technique manages the L1I when dri is set.
-     * Dri takes driParams through the classic DriICache path
-     * (byte-identical to pre-policy builds); Decay/Drowsy/
-     * StaticWays take the matching knobs below (geometry still
-     * follows hier.l1i).
+     * Which leakage technique manages the L1I when dri is set: Dri
+     * takes driParams, Decay/Drowsy/StaticWays the matching knobs
+     * below (geometry always follows hier.l1i). Every kind is built
+     * by makeLeakagePolicy, as in the single-core run().
      */
     PolicyKind policyKind = PolicyKind::Dri;
     DecayParams decay{};
@@ -308,8 +306,8 @@ class SharedL2Port : public MemoryLevel
 /**
  * Owns the whole CMP: memory, the shared L2 (conventional or
  * resizable, per hier.l2Dri), the bus, and per core a port, an L1D,
- * an L1I (conventional or DRI, per CmpCoreConfig) and an OooCore
- * fed by its own trace generator.
+ * an L1I (conventional or a leakage policy, per CmpCoreConfig) and
+ * an OooCore fed by its own trace generator.
  */
 class CmpSystem
 {
@@ -340,24 +338,6 @@ class CmpSystem
     {
         return static_cast<unsigned>(cores_.size());
     }
-    OooCore &core(unsigned k) { return *cores_[k]; }
-    const SharedL2Bus &bus() const { return *bus_; }
-    /** Core @p k's policy L1I, or nullptr (conventional/DRI). */
-    LeakagePolicy *policyL1i(unsigned k)
-    {
-        return policyL1is_[k].get();
-    }
-    ResizableCache *driL2() { return driL2_.get(); }
-    Cache *convL2() { return convL2_.get(); }
-
-    /** The flat memory (fatal if banked DRAM was built). */
-    MainMemory &mem();
-
-    /** Banked DRAM if built, else nullptr. */
-    Dram *dram() { return dram_.get(); }
-
-    /** Memory accesses regardless of flavour. */
-    std::uint64_t memAccesses() const;
 
     /**
      * Enable per-core interval metrics: when the global interval
@@ -386,8 +366,9 @@ class CmpSystem
     std::vector<std::unique_ptr<stats::StatGroup>> cpuGroups_;
     std::vector<std::unique_ptr<SharedL2Port>> ports_;
     std::vector<std::unique_ptr<Cache>> l1ds_;
+    /** Core k's L1I: conventional, or a leakage policy (DRI
+     *  included); exactly one of the two is set. */
     std::vector<std::unique_ptr<Cache>> convL1is_;
-    std::vector<std::unique_ptr<DriICache>> driL1is_;
     std::vector<std::unique_ptr<LeakagePolicy>> policyL1is_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     std::vector<std::unique_ptr<TraceGenerator>> gens_;

@@ -28,6 +28,8 @@
 #include "system/cmp.hh"
 #include "workload/generator.hh"
 
+#include "same_run.hh"
+
 namespace drisim
 {
 namespace
@@ -84,41 +86,6 @@ bankedConfig()
     c.hier.l1d.mshrs = 4;
     c.hier.l2.mshrs = 8;
     return c;
-}
-
-/** Every RunOutput field, compared exactly (doubles included). */
-void
-expectSameRun(const RunOutput &a, const RunOutput &b)
-{
-    EXPECT_EQ(a.meas.cycles, b.meas.cycles);
-    EXPECT_EQ(a.meas.instructions, b.meas.instructions);
-    EXPECT_EQ(a.meas.l1iAccesses, b.meas.l1iAccesses);
-    EXPECT_EQ(a.meas.l1iMisses, b.meas.l1iMisses);
-    EXPECT_EQ(a.meas.avgActiveFraction, b.meas.avgActiveFraction);
-    EXPECT_EQ(a.meas.resizingTagBits, b.meas.resizingTagBits);
-    EXPECT_EQ(a.meas.l1iBytes, b.meas.l1iBytes);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
-    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWritebacks, b.memWritebacks);
-    EXPECT_EQ(a.resizes, b.resizes);
-    EXPECT_EQ(a.throttleEvents, b.throttleEvents);
-    EXPECT_EQ(a.mshrCoalesced, b.mshrCoalesced);
-    EXPECT_EQ(a.mshrFullStalls, b.mshrFullStalls);
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
-    EXPECT_EQ(a.l2SizeBytes, b.l2SizeBytes);
-    EXPECT_EQ(a.l2AvgActiveFraction, b.l2AvgActiveFraction);
-    EXPECT_EQ(a.l2ResizingTagBits, b.l2ResizingTagBits);
-    EXPECT_EQ(a.l2Resizes, b.l2Resizes);
-    EXPECT_EQ(a.l1DrowsyFraction, b.l1DrowsyFraction);
-    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
-    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
-    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
 }
 
 /**
@@ -542,8 +509,8 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
         scp.missOverlap = cal.missOverlap;
         scp.fetchBlockBytes = dp.blockBytes;
         SimpleCore fast(scp, &icache);
-        fast.addResizable(&icache);
-        fast.addResizable(hier.driL2());
+        fast.addRetireSink(&icache);
+        fast.addRetireSink(hier.driL2());
         TraceGenerator gen(programImageFor(b));
         fast.run(gen, split);
         sim::CheckpointWriter w;

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "harness/multilevel.hh"
 #include "harness/runner.hh"
+#include "obs/metrics.hh"
+#include "obs/report.hh"
 #include "system/cmp.hh"
 
 namespace drisim
@@ -319,6 +323,79 @@ TEST(CmpCoherence, DisabledProtocolReportsNoCoherenceActivity)
     }
 }
 
+TEST(CmpMetrics, PerCoreIntervalsSumToCoreTotals)
+{
+    // One core of each L1I flavour on a coherent sharing mix: a
+    // conventional core, a DRI core with an aggressive bound and a
+    // drowsy core, sampled every 10 K instructions. The last 5 K
+    // instructions fall short of an interval, so every core's last
+    // row comes from the tail pass after all cores finished and
+    // carries the probes that landed on it after its last turn.
+    RunConfig cfg;
+    cfg.maxInstrs = 45 * 1000;
+    CmpConfig cmp;
+    cmp.cores = 3;
+    cmp.coherence.enabled = true;
+    CmpCoreConfig conv, dri, drowsy;
+    conv.bench = dri.bench = drowsy.bench = "shared_image";
+    dri.dri = true;
+    dri.driParams.sizeBoundBytes = 1024;
+    dri.driParams.missBound = 2000;
+    dri.driParams.senseInterval = 5 * 1000;
+    drowsy.dri = true;
+    drowsy.policyKind = PolicyKind::Drowsy;
+    drowsy.drowsy.drowsyInterval = 10 * 1000;
+    cmp.coreConfigs = {conv, dri, drowsy};
+
+    obs::initMetrics("cmp_test.metrics.csv", 10 * 1000);
+    const CmpRunOutput out = runCmp(cfg, cmp, "shared_image");
+    const std::string text = obs::metrics()->renderCsv();
+    obs::resetMetrics();
+
+    obs::MetricsCsv csv;
+    std::string err;
+    ASSERT_TRUE(obs::parseMetricsCsvText(text, csv, err)) << err;
+    ASSERT_EQ(out.cores.size(), 3u);
+    for (std::size_t k = 0; k < out.cores.size(); ++k) {
+        SCOPED_TRACE(k);
+        const CmpCoreOutput &c = out.cores[k];
+        const std::string suffix = "/core" + std::to_string(k);
+        std::map<std::string, double> sums;
+        std::uint64_t lastInstrs = 0;
+        for (const obs::MetricsCsv::Row &row : csv.rows) {
+            if (row.series.size() < suffix.size() ||
+                row.series.compare(row.series.size() - suffix.size(),
+                                   suffix.size(), suffix) != 0)
+                continue;
+            for (std::size_t i = 0; i < row.values.size(); ++i)
+                sums[csv.columns[i + 2]] += row.values[i];
+            lastInstrs = row.instrs;
+        }
+        EXPECT_EQ(lastInstrs, c.meas.instructions);
+        EXPECT_EQ(sums["cycles"], static_cast<double>(c.meas.cycles));
+        EXPECT_EQ(sums["resizes"], static_cast<double>(c.resizes));
+        EXPECT_EQ(sums["wakes"],
+                  static_cast<double>(c.wakeTransitions));
+        EXPECT_EQ(sums["coherence_invalidations"],
+                  static_cast<double>(c.coherenceInvalidationsReceived));
+        EXPECT_EQ(sums["coherence_refetches"],
+                  static_cast<double>(c.coherenceRefetches));
+    }
+    EXPECT_GT(out.cores[1].resizes, 0u);
+    EXPECT_GT(out.cores[2].wakeTransitions, 0u);
+    EXPECT_EQ(text,
+              "series,instrs,active_bytes,active_fraction,coherence_invalidations,coherence_refetches,coherence_wakes,cpi,cycles,drowsy_fraction,l1i_miss_rate,l2_miss_rate,resizes,wake_stall_cycles,wakes\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core0,20000,65536,1,1272,0,0,2.1174,42348,0,0.0654205607,0.372504829,0,0,0\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core0,40000,65536,1,1443,0,0,1.16365,23273,0,0.0282828283,0.168927649,0,0,0\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core0,45000,65536,1,640,0,0,1.1218,5609,0,0.0459652707,0.0968718466,0,0,0\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core1,20000,4096,0.446596388,1272,3,0,0.61185,12237,0,0.0654205607,0,4,0,0\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core1,40000,1024,0.0344614766,1416,102,0,0.43545,8709,0,0.0299971157,0,2,0,0\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core1,45000,1024,0.015625,635,32,0,0.4902,2451,0,0.0472279261,0,0,0,0\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core2,20000,30817.63,0.470239715,1272,3,11,0.61155,12231,0.529760285,0.0654205607,0,0,14,153\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core2,40000,1794.28571,0.0273786272,1442,92,51,0.434,8680,0.972621373,0.0285549466,0,0,57,147\n"
+              "shared_image/cmp#8ed91da4d0f7785e/core2,45000,1072.56026,0.0163659708,387,45,10,0.4912,2456,0.983634029,0.046201232,0,0,10,53\n");
+}
+
 TEST(CmpCoherence, PolicyCoresReportWakesAndRefetches)
 {
     // Drowsy and decay L1Is under the producer/consumer pair: the
@@ -507,6 +584,48 @@ TEST(CmpSearch, WideCmpDegradesToSharedFactorSweep)
     // The two cells differ (factor 2 vs factor 32).
     EXPECT_NE(sr.evaluated[0].l1[0].missBound,
               sr.evaluated[1].l1[0].missBound);
+}
+
+TEST(CmpSearch, RowHashIsTheWinnersRunKey)
+{
+    // bench_cmp's row identity is the winning cell's runKeyCmp hash,
+    // so two machines that differ only below the L2 never share it.
+    CmpConfig cmp;
+    cmp.cores = 2;
+    CmpCoreConfig c0, c1;
+    c0.bench = "compress";
+    c1.bench = "li";
+    cmp.coreConfigs = {c0, c1};
+    CmpSpace space;
+    space.l1MissBoundFactors = {32.0};
+    space.l2SizeBounds = {64 * 1024};
+    DriParams l1Tmpl;
+    l1Tmpl.senseInterval = 5000;
+    DriParams l2Tmpl = HierarchyParams::defaultL2DriParams();
+    l2Tmpl.senseInterval = 5000;
+
+    RunConfig flat;
+    flat.maxInstrs = 15 * 1000;
+    RunConfig banked = flat;
+    banked.hier.dram.banked = true;
+    std::vector<std::string> hashes;
+    for (const RunConfig &cfg : {flat, banked}) {
+        const CmpSearchResult sr = searchCmp(
+            cfg, cmp, "compress", l1Tmpl, l2Tmpl, space,
+            EnergyConstants{}, -1.0, runCmp(cfg, cmp, "compress"));
+        RunConfig winner = cfg;
+        winner.hier.l2Dri = true;
+        winner.hier.l2DriParams = sr.best.l2;
+        CmpConfig cells = cmp;
+        for (unsigned k = 0; k < cmp.cores; ++k) {
+            cells.coreConfigs[k].dri = true;
+            cells.coreConfigs[k].driParams = sr.best.l1[k];
+        }
+        EXPECT_EQ(sr.best.configHash,
+                  runKeyCmp(winner, cells, "compress").hashHex());
+        hashes.push_back(sr.best.configHash);
+    }
+    EXPECT_NE(hashes[0], hashes[1]);
 }
 
 /**

@@ -26,6 +26,8 @@
 #include "workload/generator.hh"
 #include "workload/spec_suite.hh"
 
+#include "same_run.hh"
+
 namespace drisim
 {
 namespace
@@ -72,7 +74,7 @@ runSimpleCore(InstrStream &stream, unsigned blockBytes,
     scp.baseCpi = 0.7;
     scp.fetchBlockBytes = blockBytes;
     SimpleCore core(scp, hier.l1i());
-    core.addResizable(icache.get());
+    core.addRetireSink(icache.get());
     const CoreStats cs = core.run(stream, kInstrs);
 
     CoreOutcome o;
@@ -108,28 +110,6 @@ slotHolding(const ProgramImage &img, InstCount instrs)
 {
     return std::make_shared<RecordingSlot>(
         std::make_shared<const FetchRecording>(img, instrs));
-}
-
-void
-expectSameRun(const RunOutput &a, const RunOutput &b)
-{
-    EXPECT_EQ(a.meas.cycles, b.meas.cycles);
-    EXPECT_EQ(a.meas.instructions, b.meas.instructions);
-    EXPECT_EQ(a.meas.l1iAccesses, b.meas.l1iAccesses);
-    EXPECT_EQ(a.meas.l1iMisses, b.meas.l1iMisses);
-    EXPECT_EQ(bitsOf(a.meas.avgActiveFraction),
-              bitsOf(b.meas.avgActiveFraction));
-    EXPECT_EQ(a.meas.resizingTagBits, b.meas.resizingTagBits);
-    EXPECT_EQ(bitsOf(a.ipc), bitsOf(b.ipc));
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.resizes, b.resizes);
-    EXPECT_EQ(a.throttleEvents, b.throttleEvents);
-    EXPECT_EQ(bitsOf(a.l1DrowsyFraction), bitsOf(b.l1DrowsyFraction));
-    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
-    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
-    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
 }
 
 class EveryBenchmark : public ::testing::TestWithParam<std::string>

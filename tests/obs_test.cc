@@ -1,9 +1,9 @@
 /**
  * @file
- * Observability-layer tests (src/obs/): the probe registry, the
- * trace-event writer's canonical ordering and strict reader, the
- * interval time-series recorder's CSV canonicalization, and the
- * two locks the layer promises:
+ * Observability-layer tests (src/obs/): the trace-event writer's
+ * canonical ordering and strict reader, the interval time-series
+ * recorder's CSV canonicalization, the interval CSVs each L1I
+ * flavour's series carries, and the two locks the layer promises:
  *
  *  - with DRISIM_JSON_WALL_SECONDS pinned, trace and metrics output
  *    is byte-identical at --jobs 1 vs --jobs 4 (the span/sample
@@ -23,10 +23,11 @@
 #include "harness/executor.hh"
 #include "harness/runner.hh"
 #include "obs/metrics.hh"
-#include "obs/probe.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
 #include "workload/spec_suite.hh"
+
+#include "same_run.hh"
 
 namespace drisim
 {
@@ -52,27 +53,6 @@ tempPath(const char *name)
 {
     const char *dir = std::getenv("TMPDIR");
     return std::string(dir ? dir : "/tmp") + "/" + name;
-}
-
-// --------------------------------------------------------------
-// Probe registry
-// --------------------------------------------------------------
-
-TEST(Probes, RegistrySamplesInRegistrationOrder)
-{
-    obs::MetricRegistry reg;
-    double x = 1.0;
-    reg.add("b", [&x] { return x; });
-    reg.add("a", [] { return 42.0; });
-    ASSERT_EQ(reg.probes().size(), 2u);
-    auto s = reg.sample();
-    ASSERT_EQ(s.size(), 2u);
-    EXPECT_EQ(s[0].first, "b");
-    EXPECT_EQ(s[0].second, 1.0);
-    EXPECT_EQ(s[1].first, "a");
-    EXPECT_EQ(s[1].second, 42.0);
-    x = 7.0;
-    EXPECT_EQ(reg.sample()[0].second, 7.0); // live readers
 }
 
 // --------------------------------------------------------------
@@ -380,16 +360,159 @@ TEST(MetricsReconstruction, MeteredRunMatchesUnmeteredResults)
     EXPECT_GT(obs::metrics()->sampleCount(), 0u);
     for (std::size_t i = 0; i < plain.size(); ++i) {
         SCOPED_TRACE(i);
-        EXPECT_EQ(plain[i].meas.cycles, metered[i].meas.cycles);
-        EXPECT_EQ(plain[i].meas.l1iAccesses,
-                  metered[i].meas.l1iAccesses);
-        EXPECT_EQ(plain[i].meas.l1iMisses, metered[i].meas.l1iMisses);
-        EXPECT_EQ(plain[i].resizes, metered[i].resizes);
-        EXPECT_EQ(plain[i].meas.avgActiveFraction,
-                  metered[i].meas.avgActiveFraction);
-        EXPECT_EQ(plain[i].wakeTransitions,
-                  metered[i].wakeTransitions);
+        expectSameRun(plain[i], metered[i]);
     }
+}
+
+// --------------------------------------------------------------
+// Pinned interval CSVs: what each L1I flavour's series carries
+// --------------------------------------------------------------
+
+/** The interval CSV of @p runs, each run under a fresh sink sampling
+ *  every @p interval instructions. */
+template <typename Runs>
+std::string
+meteredCsv(InstCount interval, Runs &&runs)
+{
+    PinnedClock pin;
+    obs::initMetrics(tempPath("obs_pin.metrics.csv"), interval);
+    runs();
+    return obs::metrics()->renderCsv();
+}
+
+/** The rows of @p csv whose series name contains @p mode. */
+std::vector<obs::MetricsCsv::Row>
+seriesRows(const obs::MetricsCsv &csv, const std::string &mode)
+{
+    std::vector<obs::MetricsCsv::Row> rows;
+    for (const obs::MetricsCsv::Row &row : csv.rows)
+        if (row.series.find(mode) != std::string::npos)
+            rows.push_back(row);
+    return rows;
+}
+
+obs::MetricsCsv
+parsedCsv(const std::string &text)
+{
+    obs::MetricsCsv csv;
+    std::string err;
+    EXPECT_TRUE(obs::parseMetricsCsvText(text, csv, err)) << err;
+    return csv;
+}
+
+TEST(MetricsPins, DriParamsSeriesOnFlatMemory)
+{
+    DriParams dri;
+    dri.sizeBoundBytes = 1024;
+    dri.missBound = 2000;
+    dri.senseInterval = 10 * 1000;
+    RunConfig cfg;
+    cfg.maxInstrs = 100 * 1000;
+    const std::string csv = meteredCsv(25 * 1000, [&] {
+        run(findBenchmark("compress"), cfg, {dri});
+    });
+    EXPECT_EQ(csv,
+              "series,instrs,active_bytes,active_fraction,cpi,cycles,l1d_miss_rate,l1i_miss_rate,l2_miss_rate,mshr_peak_occupancy,resizes\n"
+              "compress/dri#bdaf1cb94cc29bf7,24960,16384,0.760704324,1.14903846,28680,0.129069469,0.0331638293,0.507346586,0,2\n"
+              "compress/dri#bdaf1cb94cc29bf7,49920,4096,0.129565277,0.881971154,22014,0.00226999599,0.0439390594,0.476851852,0,2\n"
+              "compress/dri#bdaf1cb94cc29bf7,74880,1024,0.0234689369,0.736778846,18390,0,0.0512764085,0.291845494,0,2\n"
+              "compress/dri#bdaf1cb94cc29bf7,99840,1024,0.015625,0.426642628,10649,0,0.0549258936,0,0,0\n"
+              "compress/dri#bdaf1cb94cc29bf7,100000,1024,0.015625,0.18125,29,0,0,0,0,0\n");
+}
+
+TEST(MetricsPins, DrowsySeriesOnFlatMemory)
+{
+    PolicyConfig pc;
+    pc.kind = PolicyKind::Drowsy;
+    pc.drowsy.drowsyInterval = 20 * 1000;
+    RunConfig cfg;
+    cfg.maxInstrs = 100 * 1000;
+    const std::string csv = meteredCsv(25 * 1000, [&] {
+        run(findBenchmark("compress"), cfg, {pc});
+    });
+    EXPECT_EQ(csv,
+              "series,instrs,active_bytes,active_fraction,cpi,cycles,drowsy_fraction,l1d_miss_rate,l1i_miss_rate,l2_miss_rate,mshr_peak_occupancy,resizes,wake_stall_cycles,wakes\n"
+              "compress/policy#e576eb115290a211,24960,60439.7113,0.922236806,1.14907853,28681,0.0777631942,0.129069469,0.0331638293,0.507346586,0,0,4,16\n"
+              "compress/policy#e576eb115290a211,49920,1953.55516,0.0298088861,0.882091346,22017,0.970191114,0.00226999599,0.0439390594,0.476851852,0,0,3,202\n"
+              "compress/policy#e576eb115290a211,74880,3130.11992,0.0477618396,0.692908654,17295,0.95223816,0,0.029709507,0.503703704,0,0,94,229\n"
+              "compress/policy#e576eb115290a211,99840,3512.85509,0.0536019148,0.311858974,7784,0.946398085,0,0.000217959895,0,0,0,250,251\n"
+              "compress/policy#e576eb115290a211,100000,6144,0.09375,0.18125,29,0.90625,0,0,0,0,0,0,0\n");
+}
+
+TEST(MetricsPins, ConventionalSeriesIsFullyActive)
+{
+    // A conventional L1I is always fully powered, on either core
+    // model, so a CSV that also holds managed series reads 1 there.
+    const BenchmarkInfo &bench = findBenchmark("li");
+    const RunConfig cfg = shortConfig();
+    const RunOutput conv = run(bench, cfg);
+    const FastCalibration cal = calibrateFast(bench, cfg, conv);
+    const obs::MetricsCsv csv = parsedCsv(meteredCsv(50 * 1000, [&] {
+        run(bench, cfg);
+        run(bench, cfg, {ConventionalL1i{}, &cal});
+    }));
+    const int frac = csv.column("active_fraction");
+    ASSERT_GE(frac, 0);
+    for (const char *mode : {"/conv#", "/conv-fast#"}) {
+        SCOPED_TRACE(mode);
+        const auto rows = seriesRows(csv, mode);
+        ASSERT_FALSE(rows.empty());
+        for (const auto &row : rows)
+            EXPECT_EQ(row.values[frac], 1.0) << row.instrs;
+    }
+}
+
+TEST(MetricsPins, PolicyDriSeriesEqualsDriParamsSeries)
+{
+    // policy=dri is the DriParams cache behind the policy interface:
+    // its series reports the same instantaneous active bytes.
+    const BenchmarkInfo &bench = findBenchmark("li");
+    DriParams dri;
+    dri.sizeBoundBytes = 2048;
+    dri.missBound = 100;
+    PolicyConfig pc;
+    pc.dri = dri;
+    const obs::MetricsCsv csv = parsedCsv(meteredCsv(30 * 1000, [&] {
+        run(bench, shortConfig(), {dri});
+        run(bench, shortConfig(), {pc});
+    }));
+    const auto direct = seriesRows(csv, "/dri#");
+    const auto viaPolicy = seriesRows(csv, "/policy#");
+    ASSERT_FALSE(direct.empty());
+    ASSERT_EQ(direct.size(), viaPolicy.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+        EXPECT_EQ(direct[i].instrs, viaPolicy[i].instrs);
+        for (std::size_t c = 0; c < direct[i].values.size(); ++c)
+            EXPECT_EQ(direct[i].values[c], viaPolicy[i].values[c])
+                << csv.columns[c + 2] << " @ " << direct[i].instrs;
+    }
+    // The cache did resize, so fraction x size would differ.
+    const int bytes = csv.column("active_bytes");
+    ASSERT_GE(bytes, 0);
+    bool shrunk = false;
+    for (const auto &row : direct)
+        shrunk |= row.values[bytes] < static_cast<double>(dri.sizeBytes);
+    EXPECT_TRUE(shrunk);
+}
+
+TEST(MetricsPins, LastMshrPeakIsTheRunsPeak)
+{
+    RunConfig cfg;
+    cfg.maxInstrs = 300 * 1000;
+    cfg.hier.dram.banked = true;
+    cfg.hier.l1i.mshrs = 4;
+    cfg.hier.l1d.mshrs = 4;
+    cfg.hier.l2.mshrs = 8;
+    RunOutput out;
+    const obs::MetricsCsv csv = parsedCsv(meteredCsv(50 * 1000, [&] {
+        out = run(findBenchmark("compress"), cfg);
+    }));
+    const int peak = csv.column("mshr_peak_occupancy");
+    ASSERT_GE(peak, 0);
+    ASSERT_FALSE(csv.rows.empty());
+    EXPECT_EQ(csv.rows.back().values[peak],
+              static_cast<double>(out.mshrPeakOccupancy));
+    EXPECT_GT(out.mshrPeakOccupancy, 0u);
 }
 
 // --------------------------------------------------------------

@@ -32,6 +32,8 @@
 #include "workload/fetch_replay.hh"
 #include "workload/generator.hh"
 
+#include "same_run.hh"
+
 namespace drisim
 {
 namespace
@@ -252,46 +254,6 @@ TEST(StaticWaysPolicy, GatedWaysAreNeverAllocated)
 // Dri adapter equivalence
 // ---------------------------------------------------------------
 
-/** Field-by-field equality of every RunOutput field. */
-void
-expectSameRun(const RunOutput &a, const RunOutput &b)
-{
-    EXPECT_EQ(a.meas.cycles, b.meas.cycles);
-    EXPECT_EQ(a.meas.instructions, b.meas.instructions);
-    EXPECT_EQ(a.meas.l1iAccesses, b.meas.l1iAccesses);
-    EXPECT_EQ(a.meas.l1iMisses, b.meas.l1iMisses);
-    EXPECT_EQ(a.meas.avgActiveFraction, b.meas.avgActiveFraction);
-    EXPECT_EQ(a.meas.resizingTagBits, b.meas.resizingTagBits);
-    EXPECT_EQ(a.meas.l1iBytes, b.meas.l1iBytes);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
-    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWritebacks, b.memWritebacks);
-    EXPECT_EQ(a.resizes, b.resizes);
-    EXPECT_EQ(a.throttleEvents, b.throttleEvents);
-    EXPECT_EQ(a.mshrCoalesced, b.mshrCoalesced);
-    EXPECT_EQ(a.mshrFullStalls, b.mshrFullStalls);
-    EXPECT_EQ(a.mshrFullStallCycles, b.mshrFullStallCycles);
-    EXPECT_EQ(a.mshrPeakOccupancy, b.mshrPeakOccupancy);
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
-    EXPECT_EQ(a.dramQueueFullEvents, b.dramQueueFullEvents);
-    EXPECT_EQ(a.dramBusyCycles, b.dramBusyCycles);
-    EXPECT_EQ(a.l2SizeBytes, b.l2SizeBytes);
-    EXPECT_EQ(a.l2AvgActiveFraction, b.l2AvgActiveFraction);
-    EXPECT_EQ(a.l2ResizingTagBits, b.l2ResizingTagBits);
-    EXPECT_EQ(a.l2Resizes, b.l2Resizes);
-    EXPECT_EQ(a.l1DrowsyFraction, b.l1DrowsyFraction);
-    EXPECT_EQ(a.l1GatedFraction, b.l1GatedFraction);
-    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
-    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
-    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
-}
-
 /** A hand-wired DRI run: its outputs and its midpoint snapshot. */
 struct DirectDriRun
 {
@@ -304,7 +266,7 @@ struct DirectDriRun
 
 /**
  * Run @p dri without the policy layer: a DriICache wired by hand and
- * attached to the core with addResizable, on the detailed core or,
+ * attached to the core with addRetireSink, on the detailed core or,
  * given @p cal, the fast model, over the default (blocking, flat
  * memory, fixed L2) hierarchy. The run stops at the checkpoint seam's
  * midpoint to take the snapshot run() would save there.
@@ -328,8 +290,8 @@ directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
         core = std::make_unique<OooCore>(cfg.core, &icache,
                                          &hier.l1d(), &root);
     }
-    core->addResizable(&icache);
-    core->addResizable(hier.driL2());
+    core->addRetireSink(&icache);
+    core->addRetireSink(hier.driL2());
 
     DirectDriRun r;
     const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};

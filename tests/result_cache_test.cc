@@ -15,8 +15,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <sys/wait.h>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
@@ -24,6 +26,8 @@
 #include "sim/result_cache.hh"
 #include "workload/fetch_replay.hh"
 #include "workload/spec_suite.hh"
+
+#include "same_run.hh"
 
 namespace drisim
 {
@@ -897,13 +901,46 @@ TEST(ResultCacheRunnerTest, CachedRunIsByteIdenticalToComputed)
     const RunOutput cached = run(b, cfg, {dp});
     EXPECT_EQ(cfg.resultCache->counters().hits, 1u);
 
-    EXPECT_EQ(computed.meas.cycles, cached.meas.cycles);
-    EXPECT_EQ(computed.meas.avgActiveFraction,
-              cached.meas.avgActiveFraction);
-    EXPECT_EQ(computed.ipc, cached.ipc);
-    EXPECT_EQ(computed.l1dMissRate, cached.l1dMissRate);
-    EXPECT_EQ(computed.resizes, cached.resizes);
-    EXPECT_EQ(computed.l2Misses, cached.l2Misses);
+    expectSameRun(computed, cached);
+}
+
+TEST(ResultCacheRunnerTest, EveryRunOutputFieldIsACounter)
+{
+    // The payload and expectSameRun carry exactly what
+    // forEachCounter lists. Binding every field of RunOutput here
+    // makes a new field fail to compile until it is listed; each
+    // field then gets a distinct value that the walk must visit once.
+    RunOutput out;
+    auto &[meas, ipc, l1dMissRate, l2MissRate, l2Accesses, l2Misses,
+           memAccesses, memReads, memWritebacks, resizes, throttles,
+           coalesced, fullStalls, fullStallCycles, peak, rowHits,
+           rowMisses, queueFull, busy, l2Bytes, l2Active, l2TagBits,
+           l2Resizes, drowsy, gated, wakes, wakeStalls, lost] = out;
+    auto &[cycles, instrs, l1iAccesses, l1iMisses, l1iActive, tagBits,
+           l1iBytes] = meas;
+    double next = 0.0;
+    const auto number = [&next](auto &...fields) {
+        ((fields = static_cast<std::remove_reference_t<decltype(fields)>>(
+              ++next)),
+         ...);
+    };
+    number(cycles, instrs, l1iAccesses, l1iMisses, l1iActive, tagBits,
+           l1iBytes, ipc, l1dMissRate, l2MissRate, l2Accesses, l2Misses,
+           memAccesses, memReads, memWritebacks, resizes, throttles,
+           coalesced, fullStalls, fullStallCycles, peak, rowHits,
+           rowMisses, queueFull, busy, l2Bytes, l2Active, l2TagBits,
+           l2Resizes, drowsy, gated, wakes, wakeStalls, lost);
+
+    std::set<std::string> names;
+    std::set<double> values;
+    forEachCounter(out, [&](const char *name, auto v) {
+        names.insert(name);
+        values.insert(static_cast<double>(v));
+    });
+    EXPECT_EQ(names.size(), 34u);
+    ASSERT_EQ(values.size(), 34u);
+    EXPECT_EQ(*values.begin(), 1.0);
+    EXPECT_EQ(*values.rbegin(), next);
 }
 
 TEST(ResultCacheRunnerTest, PartialEntryIsRecomputedNeverServed)
@@ -958,12 +995,7 @@ TEST(ResultCacheRunnerTest, NonBlockingMemoryFieldsRoundTrip)
 
     const RunOutput cached = run(b, cfg);
     EXPECT_EQ(cfg.resultCache->counters().hits, 1u);
-    EXPECT_EQ(cached.mshrFullStallCycles,
-              computed.mshrFullStallCycles);
-    EXPECT_EQ(cached.mshrPeakOccupancy, computed.mshrPeakOccupancy);
-    EXPECT_EQ(cached.dramQueueFullEvents,
-              computed.dramQueueFullEvents);
-    EXPECT_EQ(cached.dramBusyCycles, computed.dramBusyCycles);
+    expectSameRun(cached, computed);
 }
 
 TEST(ResultCacheRunnerTest, StalePayloadVersionIsAMissNotServed)

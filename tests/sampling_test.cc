@@ -17,6 +17,8 @@
 #include "sim/result_cache.hh"
 #include "workload/spec_suite.hh"
 
+#include "same_run.hh"
+
 namespace drisim
 {
 namespace
@@ -110,35 +112,6 @@ expectWithinBounds(const BenchmarkInfo &bench)
                      f2.l2AvgActiveFraction *
                          static_cast<double>(f2.meas.cycles)),
               kLeakBound);
-}
-
-// Every field of two RunOutputs, compared exactly.
-void
-expectSameRun(const RunOutput &a, const RunOutput &b)
-{
-    EXPECT_EQ(a.meas.cycles, b.meas.cycles);
-    EXPECT_EQ(a.meas.instructions, b.meas.instructions);
-    EXPECT_EQ(a.meas.l1iAccesses, b.meas.l1iAccesses);
-    EXPECT_EQ(a.meas.l1iMisses, b.meas.l1iMisses);
-    EXPECT_EQ(a.meas.avgActiveFraction, b.meas.avgActiveFraction);
-    EXPECT_EQ(a.meas.resizingTagBits, b.meas.resizingTagBits);
-    EXPECT_EQ(a.meas.l1iBytes, b.meas.l1iBytes);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
-    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.resizes, b.resizes);
-    EXPECT_EQ(a.throttleEvents, b.throttleEvents);
-    EXPECT_EQ(a.l2SizeBytes, b.l2SizeBytes);
-    EXPECT_EQ(a.l2AvgActiveFraction, b.l2AvgActiveFraction);
-    EXPECT_EQ(a.l2ResizingTagBits, b.l2ResizingTagBits);
-    EXPECT_EQ(a.l2Resizes, b.l2Resizes);
-    EXPECT_EQ(a.l1DrowsyFraction, b.l1DrowsyFraction);
-    EXPECT_EQ(a.wakeTransitions, b.wakeTransitions);
-    EXPECT_EQ(a.wakeStallCycles, b.wakeStallCycles);
-    EXPECT_EQ(a.policyBlocksLost, b.policyBlocksLost);
 }
 
 /** Self-deleting scratch directory for result-cache sidecars. */
