@@ -19,8 +19,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -68,8 +67,7 @@ class ResizeController
     std::uint64_t throttleEvents() const { return throttleEvents_; }
 
     /** Serialize the FSM state (sim/checkpoint.hh). */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     DriParams params_;

@@ -16,8 +16,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -89,8 +88,7 @@ class BranchPredictor
 
     /** Serialize tables + history + BTB + RAS + stats
      *  (sim/checkpoint.hh). Restore requires identical params. */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     unsigned bimodalIndex(Addr pc) const;

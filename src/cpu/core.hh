@@ -32,8 +32,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -90,13 +89,12 @@ class Core
 
     /**
      * Serialize the full machine state — pipeline, local clock,
-     * committed counts, predictor — so a later restoreFrom() into an
+     * committed counts, predictor — so a later restore into an
      * identically-configured core continues bit-identically
      * (sim/checkpoint.hh). Attached sinks are serialized separately
      * by the owner.
      */
-    virtual void snapshotTo(sim::CheckpointWriter &w) const = 0;
-    virtual void restoreFrom(sim::CheckpointReader &r) = 0;
+    virtual void checkpoint(sim::StateIO io) = 0;
 
     /**
      * Sampler seam (sim/sampling.hh): forward externally-simulated

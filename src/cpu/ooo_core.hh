@@ -92,10 +92,15 @@ class OooCore : public Core
 
     BranchPredictor &predictor() { return bpred_; }
 
+    /** Architectural registers: an instruction names 0..kRegs-1
+     *  (0 = none), and the rename table holds one writer for each. */
+    static constexpr unsigned kRegs = 64;
+
     /** Core contract: serialize/restore the full pipeline state.
-     *  Split-and-continue is bit-identical at any split point. */
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+     *  Split-and-continue is bit-identical at any split point. A
+     *  restored instruction must name a real op class and registers
+     *  below kRegs. */
+    void checkpoint(sim::StateIO io) override;
 
     Cycles cycles() const { return now_; }
     InstCount committed() const { return committedInstrs_.value(); }
@@ -228,7 +233,7 @@ class OooCore : public Core
     size_t fetchQueueCount_ = 0;
 
     /** Rename table: last in-flight writer per register. */
-    std::int64_t lastWriter_[64];
+    std::int64_t lastWriter_[kRegs];
 
     unsigned lsqOccupancy_ = 0;
 

@@ -66,8 +66,7 @@ class SimpleCore : public Core
      *  continued run is bit-identical only when the split point is a
      *  multiple of the retire batch (64); see run()'s tail-flush
      *  note. The harness aligns its split accordingly. */
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+    void checkpoint(sim::StateIO io) override;
 
   private:
     /** Flush any buffered retirements to the attached levels. */

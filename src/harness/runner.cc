@@ -439,19 +439,32 @@ snapshotVersion(const FetchReplay &)
 }
 
 /**
- * Run @p core to config.maxInstrs through the midpoint checkpoint
- * seam: restore and simulate only the second half when a snapshot of
- * this exact key exists, else simulate the first half, snapshot, and
- * continue. The split is aligned to the fast model's retire batch
- * (64) so both core models continue bit-identically. Disabled (plain
- * full run) when no checkpoint directory is configured or the run is
- * too short to split.
+ * Thrown by runCheckpointed() when a stored snapshot passes the
+ * store's checks but not the restore walk. The walk may have
+ * overwritten any component, so run() treats the snapshot as a miss:
+ * it builds the components afresh and simulates from instruction 0,
+ * and that run's midpoint snapshot replaces the bad one.
  */
-template <typename Stream, typename Snap, typename Restore>
+struct UnusableSnapshot
+{
+};
+
+/**
+ * Run @p core to config.maxInstrs through the midpoint checkpoint
+ * seam: when @p restore is set and a snapshot of this exact key
+ * exists, restore it and simulate only the second half, else
+ * simulate the first half, snapshot, and continue. One walk covers
+ * both directions: the stream, the core, then @p walkExtra (the
+ * hierarchy and the L1I policy). The split is aligned to the fast
+ * model's retire batch (64) so both core models continue
+ * bit-identically. Disabled (plain full run) when no checkpoint
+ * directory is configured or the run is too short to split.
+ */
+template <typename Stream, typename Walk>
 CoreStats
 runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
-                Core &core, Stream &stream, Snap &&snapExtra,
-                Restore &&restoreExtra)
+                bool restore, Core &core, Stream &stream,
+                Walk &&walkExtra)
 {
     const InstCount total = config.maxInstrs;
     const InstCount split = (total / 2) & ~InstCount{63};
@@ -462,17 +475,30 @@ runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
     const std::string storeKey = std::string(snapshotVersion(stream)) +
                                  "|" + key.canonical() + "|ckpt@" +
                                  std::to_string(split);
+    const auto walk = [&](sim::StateIO io) {
+        io.begin("run");
+        stream.checkpoint(io);
+        core.checkpoint(io);
+        walkExtra(io);
+        io.end();
+    };
     std::string blob;
-    if (store.load(storeKey, blob)) {
+    if (restore && store.load(storeKey, blob)) {
         {
             obs::ScopedSpan span(obs::trace(), "checkpoint",
                                  "restore");
             sim::CheckpointReader r(std::move(blob));
-            r.beginSection("run");
-            stream.restoreFrom(r);
-            core.restoreFrom(r);
-            restoreExtra(r);
-            r.endSection();
+            try {
+                walk(r);
+                if (!r.atEnd())
+                    throw sim::CheckpointError("bytes after the run section");
+            } catch (const sim::CheckpointError &e) {
+                warn("snapshot of run %s does not restore (%s); "
+                     "simulating it from the start",
+                     key.hashHex().c_str(), e.what());
+                throw UnusableSnapshot{};
+            }
+            sim::countRestore();
         }
         return core.run(stream, total - split);
     }
@@ -481,11 +507,7 @@ runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
     {
         obs::ScopedSpan span(obs::trace(), "checkpoint", "save");
         sim::CheckpointWriter w;
-        w.beginSection("run");
-        stream.snapshotTo(w);
-        core.snapshotTo(w);
-        snapExtra(w);
-        w.endSection();
+        walk(w);
         store.save(storeKey, w.bytes());
     }
     return core.run(stream, total - split);
@@ -587,12 +609,13 @@ runMetered(Core &core, InstrStream &stream, InstCount total,
 /**
  * The body of run(): build the hierarchy, the L1I and the core, drive
  * the core over the run's stream by one of three branches (sampled,
- * interval-metered or through the checkpoint seam), and read the
- * counters out.
+ * interval-metered or through the checkpoint seam, which restores a
+ * stored snapshot only when @p restore is set), and read the counters
+ * out.
  */
 RunOutput
 simulate(const BenchmarkInfo &bench, const RunConfig &config,
-         const RunSpec &spec, const sim::ConfigKey &key)
+         const RunSpec &spec, const sim::ConfigKey &key, bool restore)
 {
     // A DRI L1I is the Dri leakage policy. Only its policyBlocksLost
     // (never reported, 0) and its gated share (charged at zero, the
@@ -649,18 +672,12 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
                                                      l1iBytes);
                               });
         }
-        return runCheckpointed(
-            config, key, *core, stream,
-            [&](sim::CheckpointWriter &w) {
-                hier.snapshotTo(w);
-                if (policy)
-                    policy->snapshotTo(w);
-            },
-            [&](sim::CheckpointReader &r) {
-                hier.restoreFrom(r);
-                if (policy)
-                    policy->restoreFrom(r);
-            });
+        return runCheckpointed(config, key, restore, *core, stream,
+                               [&](sim::StateIO io) {
+                                   hier.checkpoint(io);
+                                   if (policy)
+                                       policy->checkpoint(io);
+                               });
     };
     CoreStats cs;
     if (spec.fast) {
@@ -796,7 +813,11 @@ run(const BenchmarkInfo &bench, const RunConfig &config,
 {
     const sim::ConfigKey key = runKey(bench, config, spec);
     return memoizedRun(config, key, [&] {
-        return simulate(bench, config, spec, key);
+        try {
+            return simulate(bench, config, spec, key, true);
+        } catch (const UnusableSnapshot &) {
+            return simulate(bench, config, spec, key, false);
+        }
     });
 }
 

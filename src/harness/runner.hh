@@ -74,6 +74,7 @@ struct RunConfig
      * A run first looks for a snapshot of its own key at the
      * midpoint; on a hit it restores and simulates only the second
      * half, bit-identically (locked by tests/checkpoint_test.cc).
+     * A snapshot that fails to restore is a miss, overwritten.
      */
     std::string checkpointDir;
 

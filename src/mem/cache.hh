@@ -29,8 +29,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -156,8 +155,7 @@ class Cache : public MemoryLevel, public CoherenceClient
 
     /** Serialize contents + stats (sim/checkpoint.hh). Restore
      *  requires an identically-configured cache. */
-    virtual void snapshotTo(sim::CheckpointWriter &w) const;
-    virtual void restoreFrom(sim::CheckpointReader &r);
+    virtual void checkpoint(sim::StateIO io);
 
   protected:
     // Per-line leakage-policy hooks (no-ops for a plain cache).

@@ -32,8 +32,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -153,8 +152,7 @@ class SparseDirectory
      *  requires an identical capacity, rejects a block held by two
      *  valid slots or a lastTouch past the clock, and rebuilds the
      *  allocation order. */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     /** A slot's neighbours in the allocation order. */
@@ -238,8 +236,7 @@ class CoherenceController
     std::uint64_t downgradesSent() const;
 
     /** Serialize directory + per-core attribution. */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     /** Probe every client of @p target; attribute to @p requester. */

@@ -97,45 +97,23 @@ Dram::accessAt(Addr addr, AccessType type, Cycles now)
 }
 
 void
-Dram::snapshotTo(sim::CheckpointWriter &w) const
+Dram::checkpoint(sim::StateIO io)
 {
-    w.beginSection("dram");
-    w.putU64(banks_.size());
-    for (const Bank &b : banks_) {
-        w.putU64(b.openRow);
-        w.putU64(b.inflight.size());
-        for (const Cycles c : b.inflight)
-            w.putU64(c);
-    }
-    for (const std::uint64_t h : bankRowHits_)
-        w.putU64(h);
-    for (const std::uint64_t m : bankRowMisses_)
-        w.putU64(m);
-    w.putU64(busyCycles_);
-    group_.snapshotTo(w);
-    w.endSection();
-}
-
-void
-Dram::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("dram");
-    if (r.getU64() != banks_.size())
-        throw sim::CheckpointError("DRAM bank count mismatch");
+    io.begin("dram");
+    io.expect(banks_.size(), "DRAM bank count");
     for (Bank &b : banks_) {
-        b.openRow = r.getU64();
-        b.inflight.clear();
-        const std::uint64_t n = r.getU64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            b.inflight.push_back(r.getU64());
+        io(b.openRow);
+        io.length(b.inflight, "DRAM bank queue");
+        for (Cycles &c : b.inflight)
+            io(c);
     }
     for (std::uint64_t &h : bankRowHits_)
-        h = r.getU64();
+        io(h);
     for (std::uint64_t &m : bankRowMisses_)
-        m = r.getU64();
-    busyCycles_ = r.getU64();
-    group_.restoreFrom(r);
-    r.endSection();
+        io(m);
+    io(busyCycles_);
+    group_.checkpoint(io);
+    io.end();
 }
 
 } // namespace drisim

@@ -18,8 +18,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -133,8 +132,7 @@ class Hierarchy
      *  L1D, and the conventional L1I when one was built. A
      *  caller-installed L1I (DRI/policy) is the caller's to
      *  serialize (sim/checkpoint.hh). */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     HierarchyParams params_;

@@ -16,8 +16,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -89,8 +88,7 @@ class MainMemory : public MemoryLevel
     std::uint64_t writebacks() const { return writebacks_.value(); }
 
     /** Serialize the access counter (sim/checkpoint.hh). */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
     /** Table 1 constants. */
     static constexpr Cycles kBaseLatency = 80;

@@ -56,33 +56,13 @@ MshrFile::allocate(Addr blockAddr, Cycles fillAt)
 }
 
 void
-MshrFile::snapshotTo(sim::CheckpointWriter &w) const
+MshrFile::checkpoint(sim::StateIO io)
 {
-    w.beginSection("mshr");
-    w.putU64(live_.size());
-    for (const Entry &e : live_) {
-        w.putU64(e.blockAddr);
-        w.putU64(e.fillAt);
-    }
-    w.endSection();
-}
-
-void
-MshrFile::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("mshr");
-    const std::uint64_t n = r.getU64();
-    if (n > entries_)
-        throw sim::CheckpointError("MSHR occupancy exceeds file");
-    live_.clear();
-    live_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Entry e;
-        e.blockAddr = r.getU64();
-        e.fillAt = r.getU64();
-        live_.push_back(e);
-    }
-    r.endSection();
+    io.begin("mshr");
+    io.length(live_, "MSHR occupancy", entries_);
+    for (Entry &e : live_)
+        io(e.blockAddr, e.fillAt);
+    io.end();
 }
 
 } // namespace drisim

@@ -32,8 +32,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -80,8 +79,7 @@ class MshrFile
     void clear() { live_.clear(); }
 
     /** Serialize live entries (sim/checkpoint.hh). */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     struct Entry

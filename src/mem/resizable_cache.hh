@@ -42,8 +42,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -238,11 +237,11 @@ class ResizableCache : public MemoryLevel, public RetireSink,
     void resetStats();
 
     /** Serialize mask + controller + contents + integrals + stats
-     *  (sim/checkpoint.hh). Restore requires identical params.
+     *  (sim/checkpoint.hh). Restore requires identical params and a
+     *  set count the mask can take.
      *  Covers derived flavours (their extra stats register in the
      *  same group and are walked with it). */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   protected:
     void applyDecision(ResizeDecision decision);

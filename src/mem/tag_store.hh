@@ -20,8 +20,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -102,8 +101,7 @@ class TagStore
 
     /** Serialize frames + replacement clock (sim/checkpoint.hh).
      *  Restore requires identical geometry. */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     std::span<CacheBlk> mutableSet(std::uint64_t set);

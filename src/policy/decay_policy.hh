@@ -55,8 +55,7 @@ class DecayCache : public PolicyCacheBase
     Cycles onLineHit(std::uint64_t set, unsigned way) override;
     void policyLineFill(std::uint64_t set, unsigned way) override;
 
-    void snapshotExtra(sim::CheckpointWriter &w) const override;
-    void restoreExtra(sim::CheckpointReader &r) override;
+    void checkpointExtra(sim::StateIO io) override;
 
   private:
     std::size_t lineIndex(std::uint64_t set, unsigned way) const

@@ -52,8 +52,7 @@ class DriPolicy : public LeakagePolicy
     PolicyActivity activity() const override;
 
     /** LeakagePolicy contract: forward 1:1 to the wrapped cache. */
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+    void checkpoint(sim::StateIO io) override;
 
     /** The wrapped cache (tests / flavour-aware reports). */
     DriICache &icache() { return icache_; }

@@ -63,8 +63,7 @@ class DrowsyCache : public PolicyCacheBase
     Cycles policyCoherenceEvent(std::uint64_t set, unsigned way,
                                 bool invalidate) override;
 
-    void snapshotExtra(sim::CheckpointWriter &w) const override;
-    void restoreExtra(sim::CheckpointReader &r) override;
+    void checkpointExtra(sim::StateIO io) override;
 
   private:
     std::size_t lineIndex(std::uint64_t set, unsigned way) const

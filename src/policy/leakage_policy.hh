@@ -47,8 +47,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -206,8 +205,7 @@ class LeakagePolicy : public RetireSink
      * for checkpoint/restore (sim/checkpoint.hh). Restore requires
      * an identically-configured policy.
      */
-    virtual void snapshotTo(sim::CheckpointWriter &w) const = 0;
-    virtual void restoreFrom(sim::CheckpointReader &r) = 0;
+    virtual void checkpoint(sim::StateIO io) = 0;
 
     double l1MissRate() const
     {

@@ -58,8 +58,7 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     /** One override serves both bases (Cache and LeakagePolicy):
      *  cache contents + stats, the shared policy bookkeeping, then
      *  the flavour hook below. */
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+    void checkpoint(sim::StateIO io) override;
 
   protected:
     /**
@@ -98,12 +97,8 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     }
 
     /** Flavour-specific per-line state (decay counters, drowsy
-     *  bits). Defaults are empty for stateless flavours. */
-    virtual void snapshotExtra(sim::CheckpointWriter &w) const
-    {
-        (void)w;
-    }
-    virtual void restoreExtra(sim::CheckpointReader &r) { (void)r; }
+     *  bits). Empty by default, for stateless flavours. */
+    virtual void checkpointExtra(sim::StateIO io);
 
     /** Length of this policy's interval in instructions (0 = no
      *  periodic behaviour; onRetire then never ticks). */

@@ -231,6 +231,12 @@ checkpointCounters()
     return c;
 }
 
+void
+countRestore()
+{
+    g_restores.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::uint64_t
 fnv1a64(std::string_view s)
 {
@@ -323,7 +329,6 @@ CheckpointStore::load(const std::string &key,
     if (fnv1a64(blob) != bsum)
         return false; // corrupted payload: miss
     blobOut.assign(blob);
-    g_restores.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 

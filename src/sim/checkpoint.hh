@@ -2,12 +2,13 @@
  * @file
  * Serializable-state interface for checkpoint/restore.
  *
- * Components expose snapshotTo(CheckpointWriter&) / restoreFrom
- * (CheckpointReader&) member functions built from the typed
- * primitives here. The encoding is type-tagged so a reader that
- * drifts out of sync with the writer fails loudly (CheckpointError)
- * instead of silently misinterpreting bytes, and sectioned so
- * component boundaries are verified by name.
+ * Each component has one checkpoint(StateIO) walk that names every
+ * field of its state once. Over a CheckpointWriter the walk appends
+ * each field; over a CheckpointReader it reads each field back in
+ * place and rejects a value the field cannot hold. The encoding is
+ * type-tagged so a reader that drifts out of sync with the writer
+ * fails loudly (CheckpointError) instead of silently misinterpreting
+ * bytes, and sectioned so component boundaries are verified by name.
  *
  * CheckpointStore persists blobs keyed by an arbitrary string: the
  * file embeds the full key and a format magic, both verified on
@@ -19,9 +20,13 @@
 #define DRISIM_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace drisim::sim
 {
@@ -82,6 +87,9 @@ class CheckpointReader
     /** True when every byte has been consumed. */
     bool atEnd() const { return pos_ == buf_.size(); }
 
+    /** Bytes not yet consumed. */
+    std::size_t remaining() const { return buf_.size() - pos_; }
+
   private:
     char takeTag();
     void expectTag(char want);
@@ -92,14 +100,148 @@ class CheckpointReader
     std::size_t pos_ = 0;
 };
 
+/**
+ * One direction of a component's checkpoint walk. It converts from a
+ * writer or a reader, so c.checkpoint(w) snapshots c and
+ * c.checkpoint(r) restores it. Fields are encoded by type: bool as
+ * Bool, floating as F64, signed as I64, unsigned and enums as U64.
+ */
+class StateIO
+{
+  public:
+    StateIO(CheckpointWriter &w) : w_(&w) {}
+    StateIO(CheckpointReader &r) : r_(&r) {}
+
+    /** True over a reader: guards read-only checks and the rebuilds
+     *  of derived state after a restore. */
+    bool restoring() const { return r_ != nullptr; }
+
+    /** Write each field in order, or read each back in place; a
+     *  value a field's type cannot hold throws. C arrays go element
+     *  by element. */
+    template <typename... T>
+    void operator()(T &...fields)
+    {
+        (field(fields), ...);
+    }
+
+    /** A value the config implies (a size, a layout magic, a flavour
+     *  flag): written on snapshot, and must match on restore. */
+    template <typename T>
+    void expect(T v, const char *what)
+    {
+        T got = v;
+        (*this)(got);
+        if (got != v)
+            throw CheckpointError(std::string(what) + " mismatch");
+    }
+
+    /** A byte vector of config-implied length. */
+    template <typename Byte>
+    void bytes(std::vector<Byte> &v, const char *what)
+    {
+        static_assert(sizeof(Byte) == 1);
+        if (w_) {
+            w_->putString(std::string_view(
+                reinterpret_cast<const char *>(v.data()), v.size()));
+            return;
+        }
+        const std::string s = r_->getString();
+        if (s.size() != v.size())
+            throw CheckpointError(std::string(what) + " size mismatch");
+        std::memcpy(v.data(), s.data(), s.size());
+    }
+
+    /**
+     * The length of the variable-length sequence @p c, whose elements
+     * the caller walks next. On restore @p c is resized to it, after
+     * checking it against @p max and against the bytes left (every
+     * element takes at least one).
+     */
+    template <typename Seq>
+    void length(Seq &c, const char *what,
+                std::uint64_t max = ~std::uint64_t{0})
+    {
+        std::uint64_t n = c.size();
+        (*this)(n);
+        if (!r_)
+            return;
+        if (n > max || n > r_->remaining())
+            throw CheckpointError(std::string(what) +
+                                  " length out of range");
+        c.resize(n);
+    }
+
+    /** Open and close a named section (a component boundary). */
+    void begin(std::string_view name)
+    {
+        w_ ? w_->beginSection(name) : r_->beginSection(name);
+    }
+    void end() { w_ ? w_->endSection() : r_->endSection(); }
+
+  private:
+    template <typename T>
+    void field(T &f)
+    {
+        if constexpr (std::is_array_v<T>) {
+            for (auto &e : f)
+                field(e);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            if (w_)
+                w_->putBool(f);
+            else
+                f = r_->getBool();
+        } else if constexpr (std::is_floating_point_v<T>) {
+            if (w_)
+                w_->putF64(f);
+            else
+                f = static_cast<T>(r_->getF64());
+        } else if constexpr (std::is_enum_v<T>) {
+            using U = std::underlying_type_t<T>;
+            if (w_)
+                w_->putU64(static_cast<std::uint64_t>(f));
+            else
+                f = static_cast<T>(fit<U>(r_->getU64()));
+        } else if constexpr (std::is_signed_v<T>) {
+            if (w_)
+                w_->putI64(f);
+            else
+                f = fit<T>(r_->getI64());
+        } else {
+            static_assert(std::is_unsigned_v<T>);
+            if (w_)
+                w_->putU64(f);
+            else
+                f = fit<T>(r_->getU64());
+        }
+    }
+
+    template <typename T, typename V>
+    static T fit(V v)
+    {
+        if (!std::in_range<T>(v))
+            throw CheckpointError("value " + std::to_string(v) +
+                                  " out of its field's range");
+        return static_cast<T>(v);
+    }
+
+    CheckpointWriter *w_ = nullptr;
+    CheckpointReader *r_ = nullptr;
+};
+
 /** Process-wide checkpoint activity, for bench-side reporting. */
 struct CheckpointCounters
 {
     std::uint64_t saves = 0;
+    /** Snapshots whose walk restored every component. */
     std::uint64_t restores = 0;
 };
 
 CheckpointCounters checkpointCounters();
+
+/** Count one restore that completed (CheckpointStore::load() alone
+ *  does not). */
+void countRestore();
 
 /**
  * Directory of checkpoint blobs addressed by string key. Files are

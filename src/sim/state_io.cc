@@ -1,19 +1,20 @@
 /**
  * @file
- * snapshotTo()/restoreFrom() implementations for every serializable
- * component, collected in the sim layer: the components declare the
- * pair in their headers (against forward-declared writer/reader
- * types), and this translation unit supplies the encodings, so the
- * serialization format lives in one place next to its primitives
- * (sim/checkpoint.hh).
+ * checkpoint(StateIO) walks of every serializable component, collected
+ * in the sim layer: the components declare the walk in their headers
+ * (against a forward-declared StateIO), and this translation unit
+ * supplies it, so the serialization format lives in one place next to
+ * its primitives (sim/checkpoint.hh). Each walk names every field
+ * once, for both directions; Dram and MshrFile keep theirs beside
+ * their code.
  *
  * Conventions: geometry/config is NOT serialized — snapshots restore
  * into an identically-configured twin, and the store key plus the
  * typed tags catch mismatches. Sizes that the config implies (table
- * lengths, set counts) are written anyway and verified on restore.
+ * lengths, set counts) are written anyway and verified on restore
+ * (StateIO::expect), and every length read from the stream is bounded
+ * before anything is allocated (StateIO::length).
  */
-
-#include <cstring>
 
 #include "cpu/branch_pred.hh"
 #include "cpu/ooo_core.hh"
@@ -30,6 +31,7 @@
 #include "policy/policy_cache.hh"
 #include "sim/checkpoint.hh"
 #include "stats/stats.hh"
+#include "util/bitops.hh"
 #include "util/random.hh"
 #include "workload/fetch_replay.hh"
 #include "workload/generator.hh"
@@ -41,62 +43,18 @@ namespace
 {
 
 using sim::CheckpointError;
-using sim::CheckpointReader;
-using sim::CheckpointWriter;
+using sim::StateIO;
 
+/** An instruction in flight; a restored one names a real op class and
+ *  registers the rename table holds. */
 void
-expectU64(CheckpointReader &r, std::uint64_t want, const char *what)
+checkpointInstr(StateIO io, Instr &i)
 {
-    const std::uint64_t got = r.getU64();
-    if (got != want)
-        throw CheckpointError(std::string(what) + " mismatch");
-}
-
-template <typename Byte>
-void
-putByteVector(CheckpointWriter &w, const std::vector<Byte> &v)
-{
-    static_assert(sizeof(Byte) == 1);
-    w.putString(std::string_view(
-        reinterpret_cast<const char *>(v.data()), v.size()));
-}
-
-template <typename Byte>
-void
-getByteVector(CheckpointReader &r, std::vector<Byte> &v,
-              const char *what)
-{
-    static_assert(sizeof(Byte) == 1);
-    const std::string s = r.getString();
-    if (s.size() != v.size())
-        throw CheckpointError(std::string(what) + " size mismatch");
-    std::memcpy(v.data(), s.data(), s.size());
-}
-
-void
-putInstr(CheckpointWriter &w, const Instr &i)
-{
-    w.putU64(i.pc);
-    w.putU64(static_cast<std::uint64_t>(i.op));
-    w.putU64(i.dest);
-    w.putU64(i.src1);
-    w.putU64(i.src2);
-    w.putBool(i.taken);
-    w.putU64(i.nextPc);
-    w.putU64(i.memAddr);
-}
-
-void
-getInstr(CheckpointReader &r, Instr &i)
-{
-    i.pc = r.getU64();
-    i.op = static_cast<OpClass>(r.getU64());
-    i.dest = static_cast<std::uint8_t>(r.getU64());
-    i.src1 = static_cast<std::uint8_t>(r.getU64());
-    i.src2 = static_cast<std::uint8_t>(r.getU64());
-    i.taken = r.getBool();
-    i.nextPc = r.getU64();
-    i.memAddr = r.getU64();
+    io(i.pc, i.op, i.dest, i.src1, i.src2, i.taken, i.nextPc, i.memAddr);
+    if (io.restoring() &&
+        (i.op > OpClass::Return || i.dest >= OooCore::kRegs ||
+         i.src1 >= OooCore::kRegs || i.src2 >= OooCore::kRegs))
+        throw CheckpointError("instruction field out of range");
 }
 
 } // namespace
@@ -106,17 +64,9 @@ getInstr(CheckpointReader &r, Instr &i)
 // ---------------------------------------------------------------
 
 void
-Rng::snapshotTo(sim::CheckpointWriter &w) const
+Rng::checkpoint(StateIO io)
 {
-    for (const std::uint64_t s : s_)
-        w.putU64(s);
-}
-
-void
-Rng::restoreFrom(sim::CheckpointReader &r)
-{
-    for (std::uint64_t &s : s_)
-        s = r.getU64();
+    io(s_);
 }
 
 // ---------------------------------------------------------------
@@ -124,62 +74,21 @@ Rng::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-TraceGenerator::snapshotTo(sim::CheckpointWriter &w) const
+TraceGenerator::checkpoint(StateIO io)
 {
-    w.beginSection("gen");
-    rng_.snapshotTo(w);
-    w.putU64(phaseIdx_);
-    w.putU64(emittedInPhase_);
-    w.putU64(produced_);
-    w.putU64(stack_.size());
-    for (const Frame &f : stack_) {
-        w.putI64(f.func);
-        w.putI64(f.block);
-        w.putU64(f.instr);
-        w.putU64(f.latchRemaining.size());
-        for (const std::uint64_t rem : f.latchRemaining)
-            w.putU64(rem);
-    }
-    w.putU64(destCounter_);
-    w.putU64(fpDestCounter_);
-    for (const std::uint8_t d : recentDest_)
-        w.putU64(d);
-    w.putU64(recentIdx_);
-    w.putU64(seqLoadOff_);
-    w.putU64(seqStoreOff_);
-    w.putU64(seqSharedOff_);
-    w.endSection();
-}
-
-void
-TraceGenerator::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("gen");
-    rng_.restoreFrom(r);
-    phaseIdx_ = r.getU64();
-    emittedInPhase_ = r.getU64();
-    produced_ = r.getU64();
-    stack_.clear();
-    const std::uint64_t frames = r.getU64();
-    for (std::uint64_t k = 0; k < frames; ++k) {
-        Frame f;
-        f.func = static_cast<int>(r.getI64());
-        f.block = static_cast<int>(r.getI64());
-        f.instr = static_cast<unsigned>(r.getU64());
-        f.latchRemaining.resize(r.getU64());
+    io.begin("gen");
+    rng_.checkpoint(io);
+    io(phaseIdx_, emittedInPhase_, produced_);
+    io.length(stack_, "call stack", img_.functions.size());
+    for (Frame &f : stack_) {
+        io(f.func, f.block, f.instr);
+        io.length(f.latchRemaining, "loop latches");
         for (std::uint64_t &rem : f.latchRemaining)
-            rem = r.getU64();
-        stack_.push_back(std::move(f));
+            io(rem);
     }
-    destCounter_ = static_cast<unsigned>(r.getU64());
-    fpDestCounter_ = static_cast<unsigned>(r.getU64());
-    for (std::uint8_t &d : recentDest_)
-        d = static_cast<std::uint8_t>(r.getU64());
-    recentIdx_ = static_cast<unsigned>(r.getU64());
-    seqLoadOff_ = r.getU64();
-    seqStoreOff_ = r.getU64();
-    seqSharedOff_ = r.getU64();
-    r.endSection();
+    io(destCounter_, fpDestCounter_, recentDest_, recentIdx_);
+    io(seqLoadOff_, seqStoreOff_, seqSharedOff_);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -187,24 +96,17 @@ TraceGenerator::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-FetchReplay::snapshotTo(sim::CheckpointWriter &w) const
+FetchReplay::checkpoint(StateIO io)
 {
-    w.beginSection("replay");
-    w.putU64(produced_);
-    w.endSection();
-}
-
-void
-FetchReplay::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("replay");
-    const std::uint64_t position = r.getU64();
-    if (!seek(position))
-        throw sim::CheckpointError(
+    io.begin("replay");
+    InstCount position = produced_;
+    io(position);
+    if (io.restoring() && !seek(position))
+        throw CheckpointError(
             "replay position " + std::to_string(position) +
             " is past the recording's " +
             std::to_string(rec_.instructions()) + " instructions");
-    r.endSection();
+    io.end();
 }
 
 } // namespace drisim
@@ -217,77 +119,35 @@ namespace drisim::stats
 {
 
 void
-Scalar::snapshotTo(sim::CheckpointWriter &w) const
+Scalar::checkpoint(sim::StateIO io)
 {
-    w.putU64(value_);
+    io(value_);
 }
 
 void
-Scalar::restoreFrom(sim::CheckpointReader &r)
+Average::checkpoint(sim::StateIO io)
 {
-    value_ = r.getU64();
+    io(sum_, count_);
 }
 
 void
-Average::snapshotTo(sim::CheckpointWriter &w) const
+Distribution::checkpoint(sim::StateIO io)
 {
-    w.putF64(sum_);
-    w.putU64(count_);
-}
-
-void
-Average::restoreFrom(sim::CheckpointReader &r)
-{
-    sum_ = r.getF64();
-    count_ = r.getU64();
-}
-
-void
-Distribution::snapshotTo(sim::CheckpointWriter &w) const
-{
-    w.putU64(buckets_.size());
-    for (const std::uint64_t b : buckets_)
-        w.putU64(b);
-    w.putU64(underflow_);
-    w.putU64(overflow_);
-    w.putU64(samples_);
-    w.putF64(sum_);
-}
-
-void
-Distribution::restoreFrom(sim::CheckpointReader &r)
-{
-    const std::uint64_t n = r.getU64();
-    if (n != buckets_.size())
-        throw sim::CheckpointError("distribution bucket mismatch");
+    io.expect(buckets_.size(), "distribution bucket");
     for (std::uint64_t &b : buckets_)
-        b = r.getU64();
-    underflow_ = r.getU64();
-    overflow_ = r.getU64();
-    samples_ = r.getU64();
-    sum_ = r.getF64();
+        io(b);
+    io(underflow_, overflow_, samples_, sum_);
 }
 
 void
-StatGroup::snapshotTo(sim::CheckpointWriter &w) const
+StatGroup::checkpoint(sim::StateIO io)
 {
-    w.beginSection(name_);
-    for (const StatBase *s : stats_)
-        s->snapshotTo(w);
-    for (const StatGroup *c : children_)
-        c->snapshotTo(w);
-    w.endSection();
-}
-
-void
-StatGroup::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection(name_);
+    io.begin(name_);
     for (StatBase *s : stats_)
-        s->restoreFrom(r);
+        s->checkpoint(io);
     for (StatGroup *c : children_)
-        c->restoreFrom(r);
-    r.endSection();
+        c->checkpoint(io);
+    io.end();
 }
 
 } // namespace drisim::stats
@@ -314,41 +174,16 @@ constexpr std::uint64_t kTagStoreLayoutV3 = 0x6472'6973'2d76'3303ULL;
 } // namespace
 
 void
-TagStore::snapshotTo(sim::CheckpointWriter &w) const
+TagStore::checkpoint(StateIO io)
 {
-    w.beginSection("tags");
-    w.putU64(kTagStoreLayoutV3);
-    w.putU64(numSets_);
-    w.putU64(assoc_);
-    w.putU64(tick_);
-    for (const CacheBlk &b : blocks_) {
-        w.putU64(b.blockAddr);
-        w.putBool(b.valid);
-        w.putBool(b.dirty);
-        w.putU64(b.lastTouch);
-        w.putU64(static_cast<std::uint64_t>(b.cstate));
-    }
-    w.endSection();
-}
-
-void
-TagStore::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("tags");
-    if (r.getU64() != kTagStoreLayoutV3)
-        throw CheckpointError(
-            "tag-store layout version mismatch (pre-v3 snapshot?)");
-    expectU64(r, numSets_, "tag-store sets");
-    expectU64(r, assoc_, "tag-store assoc");
-    tick_ = r.getU64();
-    for (CacheBlk &b : blocks_) {
-        b.blockAddr = r.getU64();
-        b.valid = r.getBool();
-        b.dirty = r.getBool();
-        b.lastTouch = r.getU64();
-        b.cstate = static_cast<CoherenceState>(r.getU64());
-    }
-    r.endSection();
+    io.begin("tags");
+    io.expect(kTagStoreLayoutV3, "tag-store layout version");
+    io.expect(numSets_, "tag-store sets");
+    io.expect(assoc_, "tag-store assoc");
+    io(tick_);
+    for (CacheBlk &b : blocks_)
+        io(b.blockAddr, b.valid, b.dirty, b.lastTouch, b.cstate);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -356,39 +191,18 @@ TagStore::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-SparseDirectory::snapshotTo(sim::CheckpointWriter &w) const
+SparseDirectory::checkpoint(StateIO io)
 {
-    w.beginSection("dir");
-    w.putU64(maxEntries_);
-    w.putU64(tick_);
-    w.putU64(allocations_);
-    w.putU64(capacityEvictions_);
-    for (const Entry &e : slots_) {
-        w.putU64(e.block);
-        w.putU64(e.sharers);
-        w.putI64(e.owner);
-        w.putU64(e.lastTouch);
-        w.putBool(e.valid);
-    }
-    w.endSection();
-}
-
-void
-SparseDirectory::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("dir");
-    expectU64(r, maxEntries_, "directory capacity");
-    tick_ = r.getU64();
-    allocations_ = r.getU64();
-    capacityEvictions_ = r.getU64();
-    index_.clear();
+    io.begin("dir");
+    io.expect(maxEntries_, "directory capacity");
+    io(tick_, allocations_, capacityEvictions_);
+    if (io.restoring())
+        index_.clear();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         Entry &e = slots_[i];
-        e.block = r.getU64();
-        e.sharers = r.getU64();
-        e.owner = static_cast<int>(r.getI64());
-        e.lastTouch = r.getU64();
-        e.valid = r.getBool();
+        io(e.block, e.sharers, e.owner, e.lastTouch, e.valid);
+        if (!io.restoring())
+            continue;
         // A touch past the clock would tie with a later one and
         // break the allocation order.
         if (e.lastTouch > tick_)
@@ -397,38 +211,20 @@ SparseDirectory::restoreFrom(sim::CheckpointReader &r)
         if (e.valid && !index_.emplace(e.block, i).second)
             throw CheckpointError("directory block in two slots");
     }
-    r.endSection();
-    rebuildOrder();
+    io.end();
+    if (io.restoring())
+        rebuildOrder();
 }
 
 void
-CoherenceController::snapshotTo(sim::CheckpointWriter &w) const
+CoherenceController::checkpoint(StateIO io)
 {
-    w.beginSection("coherence");
-    dir_.snapshotTo(w);
-    for (const CoreStats &s : stats_) {
-        w.putU64(s.invalidationsReceived);
-        w.putU64(s.invalidationsCaused);
-        w.putU64(s.downgradesReceived);
-        w.putU64(s.coherenceWritebacks);
-        w.putU64(s.messageCycles);
-    }
-    w.endSection();
-}
-
-void
-CoherenceController::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("coherence");
-    dir_.restoreFrom(r);
-    for (CoreStats &s : stats_) {
-        s.invalidationsReceived = r.getU64();
-        s.invalidationsCaused = r.getU64();
-        s.downgradesReceived = r.getU64();
-        s.coherenceWritebacks = r.getU64();
-        s.messageCycles = r.getU64();
-    }
-    r.endSection();
+    io.begin("coherence");
+    dir_.checkpoint(io);
+    for (CoreStats &s : stats_)
+        io(s.invalidationsReceived, s.invalidationsCaused,
+           s.downgradesReceived, s.coherenceWritebacks, s.messageCycles);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -436,39 +232,21 @@ CoherenceController::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-Cache::snapshotTo(sim::CheckpointWriter &w) const
+Cache::checkpoint(StateIO io)
 {
-    w.beginSection("cache");
-    store_.snapshotTo(w);
-    mshr_.snapshotTo(w);
-    group_.snapshotTo(w);
-    w.endSection();
+    io.begin("cache");
+    store_.checkpoint(io);
+    mshr_.checkpoint(io);
+    group_.checkpoint(io);
+    io.end();
 }
 
 void
-Cache::restoreFrom(sim::CheckpointReader &r)
+MainMemory::checkpoint(StateIO io)
 {
-    r.beginSection("cache");
-    store_.restoreFrom(r);
-    mshr_.restoreFrom(r);
-    group_.restoreFrom(r);
-    r.endSection();
-}
-
-void
-MainMemory::snapshotTo(sim::CheckpointWriter &w) const
-{
-    w.beginSection("mem");
-    group_.snapshotTo(w);
-    w.endSection();
-}
-
-void
-MainMemory::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("mem");
-    group_.restoreFrom(r);
-    r.endSection();
+    io.begin("mem");
+    group_.checkpoint(io);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -476,61 +254,35 @@ MainMemory::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-ResizeController::snapshotTo(sim::CheckpointWriter &w) const
+ResizeController::checkpoint(StateIO io)
 {
-    w.beginSection("controller");
-    w.putU64(missCount_);
-    w.putU64(instrsIntoInterval_);
-    w.putU64(intervals_);
-    w.putU64(throttleCounter_);
-    w.putU64(freezeRemaining_);
-    w.putU64(throttleEvents_);
-    w.putU64(static_cast<std::uint64_t>(lastApplied_));
-    w.endSection();
+    io.begin("controller");
+    io(missCount_, instrsIntoInterval_, intervals_, throttleCounter_,
+       freezeRemaining_, throttleEvents_, lastApplied_);
+    io.end();
 }
 
 void
-ResizeController::restoreFrom(sim::CheckpointReader &r)
+ResizableCache::checkpoint(StateIO io)
 {
-    r.beginSection("controller");
-    missCount_ = r.getU64();
-    instrsIntoInterval_ = r.getU64();
-    intervals_ = r.getU64();
-    throttleCounter_ = static_cast<unsigned>(r.getU64());
-    freezeRemaining_ = static_cast<unsigned>(r.getU64());
-    throttleEvents_ = r.getU64();
-    lastApplied_ = static_cast<ResizeDecision>(r.getU64());
-    r.endSection();
-}
-
-void
-ResizableCache::snapshotTo(sim::CheckpointWriter &w) const
-{
-    w.beginSection("rcache");
-    w.putU64(mask_.numSets());
-    controller_.snapshotTo(w);
-    store_.snapshotTo(w);
-    mshr_.snapshotTo(w);
-    w.putF64(activeSetCycles_);
-    w.putU64(integratedCycles_);
-    putByteVector(w, coherenceLost_);
-    group_.snapshotTo(w);
-    w.endSection();
-}
-
-void
-ResizableCache::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("rcache");
-    mask_.setNumSets(r.getU64());
-    controller_.restoreFrom(r);
-    store_.restoreFrom(r);
-    mshr_.restoreFrom(r);
-    activeSetCycles_ = r.getF64();
-    integratedCycles_ = r.getU64();
-    getByteVector(r, coherenceLost_, "rcache coherence-lost bits");
-    group_.restoreFrom(r);
-    r.endSection();
+    io.begin("rcache");
+    std::uint64_t sets = mask_.numSets();
+    io(sets);
+    if (io.restoring()) {
+        if (!isPowerOf2(sets) || sets < mask_.minSets() ||
+            sets > mask_.maxSets())
+            throw CheckpointError("rcache set count " +
+                                  std::to_string(sets) +
+                                  " is not a size the mask can take");
+        mask_.setNumSets(sets);
+    }
+    controller_.checkpoint(io);
+    store_.checkpoint(io);
+    mshr_.checkpoint(io);
+    io(activeSetCycles_, integratedCycles_);
+    io.bytes(coherenceLost_, "rcache coherence-lost bits");
+    group_.checkpoint(io);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -538,48 +290,24 @@ ResizableCache::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-Hierarchy::snapshotTo(sim::CheckpointWriter &w) const
+Hierarchy::checkpoint(StateIO io)
 {
-    w.beginSection("hier");
-    w.putBool(dram_ != nullptr);
+    io.begin("hier");
+    io.expect(dram_ != nullptr, "memory flavour");
     if (dram_)
-        dram_->snapshotTo(w);
+        dram_->checkpoint(io);
     else
-        mem_->snapshotTo(w);
-    w.putBool(driL2_ != nullptr);
+        mem_->checkpoint(io);
+    io.expect(driL2_ != nullptr, "L2 flavour");
     if (driL2_)
-        driL2_->snapshotTo(w);
+        driL2_->checkpoint(io);
     else
-        l2_->snapshotTo(w);
-    l1d_->snapshotTo(w);
-    w.putBool(convL1i_ != nullptr);
+        l2_->checkpoint(io);
+    l1d_->checkpoint(io);
+    io.expect(convL1i_ != nullptr, "L1I flavour");
     if (convL1i_)
-        convL1i_->snapshotTo(w);
-    w.endSection();
-}
-
-void
-Hierarchy::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("hier");
-    if (r.getBool() != (dram_ != nullptr))
-        throw sim::CheckpointError("memory flavour mismatch");
-    if (dram_)
-        dram_->restoreFrom(r);
-    else
-        mem_->restoreFrom(r);
-    if (r.getBool() != (driL2_ != nullptr))
-        throw sim::CheckpointError("L2 flavour mismatch");
-    if (driL2_)
-        driL2_->restoreFrom(r);
-    else
-        l2_->restoreFrom(r);
-    l1d_->restoreFrom(r);
-    if (r.getBool() != (convL1i_ != nullptr))
-        throw sim::CheckpointError("L1I flavour mismatch");
-    if (convL1i_)
-        convL1i_->restoreFrom(r);
-    r.endSection();
+        convL1i_->checkpoint(io);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -587,49 +315,23 @@ Hierarchy::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-BranchPredictor::snapshotTo(sim::CheckpointWriter &w) const
+BranchPredictor::checkpoint(StateIO io)
 {
-    w.beginSection("bpred");
-    putByteVector(w, bimodal_);
-    putByteVector(w, gshare_);
-    putByteVector(w, chooser_);
-    w.putU64(history_);
-    w.putU64(btb_.size());
-    for (const BtbEntry &e : btb_) {
-        w.putU64(e.tag);
-        w.putU64(e.target);
-        w.putU64(e.lastTouch);
-    }
-    w.putU64(btbTick_);
-    w.putU64(ras_.size());
-    for (const Addr a : ras_)
-        w.putU64(a);
-    w.putU64(rasTop_);
-    group_.snapshotTo(w);
-    w.endSection();
-}
-
-void
-BranchPredictor::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("bpred");
-    getByteVector(r, bimodal_, "bimodal");
-    getByteVector(r, gshare_, "gshare");
-    getByteVector(r, chooser_, "chooser");
-    history_ = r.getU64();
-    expectU64(r, btb_.size(), "btb size");
-    for (BtbEntry &e : btb_) {
-        e.tag = r.getU64();
-        e.target = r.getU64();
-        e.lastTouch = r.getU64();
-    }
-    btbTick_ = r.getU64();
-    expectU64(r, ras_.size(), "ras size");
+    io.begin("bpred");
+    io.bytes(bimodal_, "bimodal");
+    io.bytes(gshare_, "gshare");
+    io.bytes(chooser_, "chooser");
+    io(history_);
+    io.expect(btb_.size(), "btb size");
+    for (BtbEntry &e : btb_)
+        io(e.tag, e.target, e.lastTouch);
+    io(btbTick_);
+    io.expect(ras_.size(), "ras size");
     for (Addr &a : ras_)
-        a = r.getU64();
-    rasTop_ = static_cast<unsigned>(r.getU64());
-    group_.restoreFrom(r);
-    r.endSection();
+        io(a);
+    io(rasTop_);
+    group_.checkpoint(io);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -637,27 +339,11 @@ BranchPredictor::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-SimpleCore::snapshotTo(sim::CheckpointWriter &w) const
+SimpleCore::checkpoint(StateIO io)
 {
-    w.beginSection("simple_core");
-    w.putU64(missStall_);
-    w.putU64(instrs_);
-    w.putU64(lastBlock_);
-    w.putU64(retireBatch_);
-    w.putBool(streamDone_);
-    w.endSection();
-}
-
-void
-SimpleCore::restoreFrom(sim::CheckpointReader &r)
-{
-    r.beginSection("simple_core");
-    missStall_ = r.getU64();
-    instrs_ = r.getU64();
-    lastBlock_ = r.getU64();
-    retireBatch_ = r.getU64();
-    streamDone_ = r.getBool();
-    r.endSection();
+    io.begin("simple_core");
+    io(missStall_, instrs_, lastBlock_, retireBatch_, streamDone_);
+    io.end();
 }
 
 // ---------------------------------------------------------------
@@ -665,127 +351,64 @@ SimpleCore::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-OooCore::snapshotTo(sim::CheckpointWriter &w) const
+OooCore::checkpoint(StateIO io)
 {
-    const auto putRobEntry = [&w](const RobEntry &e) {
-        putInstr(w, e.instr);
-        w.putBool(e.pred.taken);
-        w.putU64(e.pred.target);
-        w.putBool(e.predMade);
-        w.putBool(e.mispredict);
-        w.putI64(e.prod1);
-        w.putI64(e.prod2);
-        w.putI64(e.depStore);
-        w.putBool(e.issued);
-        w.putU64(e.completeAt);
+    const auto fetched = [&io](Instr &instr, BranchPrediction &pred,
+                               bool &predMade, bool &mispredict) {
+        checkpointInstr(io, instr);
+        io(pred.taken, pred.target, predMade, mispredict);
     };
 
-    w.beginSection("ooo_core");
-    w.putU64(now_);
-    w.putU64(robBuf_.size());
-    for (const RobEntry &e : robBuf_)
-        putRobEntry(e);
-    w.putI64(seqHead_);
-    w.putI64(seqTail_);
-    // The live fetch-queue entries, oldest first, then head 0.
-    w.putU64(fetchQueueCount_);
-    for (size_t i = 0; i < fetchQueueCount_; ++i) {
-        const FetchedInstr &f =
-            fetchQueue_[(fetchQueueHead_ + i) % fetchQueue_.size()];
-        putInstr(w, f.instr);
-        w.putBool(f.pred.taken);
-        w.putU64(f.pred.target);
-        w.putBool(f.predMade);
-        w.putBool(f.mispredict);
+    io.begin("ooo_core");
+    io(now_);
+    io.expect(robBuf_.size(), "rob size");
+    for (RobEntry &e : robBuf_) {
+        fetched(e.instr, e.pred, e.predMade, e.mispredict);
+        io(e.prod1, e.prod2, e.depStore, e.issued, e.completeAt);
     }
-    w.putU64(0);
-    for (const std::int64_t s : lastWriter_)
-        w.putI64(s);
-    w.putU64(lsqOccupancy_);
-    w.putU64(storeSeqs_.size());
-    for (const std::int64_t s : storeSeqs_)
-        w.putI64(s);
-    w.putBool(streamDone_);
-    w.putU64(fetchResumeAt_);
-    w.putBool(haltedForBranch_);
-    w.putI64(stallBranchSeq_);
-    w.putU64(branchStallFrom_);
-    w.putU64(lastFetchBlock_);
-    w.putBool(fetchStallIsIcache_);
-    w.putBool(instrPending_);
-    putInstr(w, pendingInstr_);
-    w.putU64(lastCommitCycle_);
-    w.putU64(commitsThisCycle_);
-    bpred_.snapshotTo(w);
-    group_.snapshotTo(w);
-    w.endSection();
-}
-
-void
-OooCore::restoreFrom(sim::CheckpointReader &r)
-{
-    const auto getRobEntry = [&r](RobEntry &e) {
-        getInstr(r, e.instr);
-        e.pred.taken = r.getBool();
-        e.pred.target = r.getU64();
-        e.predMade = r.getBool();
-        e.mispredict = r.getBool();
-        e.prod1 = r.getI64();
-        e.prod2 = r.getI64();
-        e.depStore = r.getI64();
-        e.issued = r.getBool();
-        e.completeAt = r.getU64();
-    };
-
-    r.beginSection("ooo_core");
-    now_ = r.getU64();
-    expectU64(r, robBuf_.size(), "rob size");
-    for (RobEntry &e : robBuf_)
-        getRobEntry(e);
-    seqHead_ = r.getI64();
-    seqTail_ = r.getI64();
-    if (seqHead_ < 0 || seqTail_ < seqHead_ ||
-        seqTail_ - seqHead_ > static_cast<std::int64_t>(params_.robSize))
+    io(seqHead_, seqTail_);
+    if (io.restoring() &&
+        (seqHead_ < 0 || seqTail_ < seqHead_ ||
+         seqTail_ - seqHead_ > static_cast<std::int64_t>(params_.robSize)))
         throw CheckpointError("rob occupancy out of range");
-    // The format lists entries [0, listed), of which [head, listed)
-    // are live. snapshotTo() writes head 0, but older snapshots
-    // carry a dead, dispatched prefix; reading entry i into ring
-    // slot i % size keeps exactly the live ones.
-    const std::uint64_t listed = r.getU64();
+
+    // The format lists entries [0, listed) of the fetch queue, then
+    // the index of the first live one. A snapshot lists the live
+    // entries, oldest first, and head 0; older snapshots carry a
+    // dead, dispatched prefix. Reading entry i into ring slot
+    // i % size keeps exactly the live ones.
+    if (io.restoring())
+        fetchQueueHead_ = 0;
+    std::uint64_t listed = fetchQueueCount_;
+    io(listed);
     for (std::uint64_t i = 0; i < listed; ++i) {
-        FetchedInstr &f = fetchQueue_[i % fetchQueue_.size()];
-        getInstr(r, f.instr);
-        f.pred.taken = r.getBool();
-        f.pred.target = r.getU64();
-        f.predMade = r.getBool();
-        f.mispredict = r.getBool();
+        FetchedInstr &f =
+            fetchQueue_[(fetchQueueHead_ + i) % fetchQueue_.size()];
+        fetched(f.instr, f.pred, f.predMade, f.mispredict);
     }
-    const std::uint64_t head = r.getU64();
-    if (head > listed || listed - head > fetchQueue_.size())
-        throw CheckpointError("fetch queue overflows its ring");
-    fetchQueueHead_ = head % fetchQueue_.size();
-    fetchQueueCount_ = listed - head;
-    for (std::int64_t &s : lastWriter_)
-        s = r.getI64();
-    lsqOccupancy_ = static_cast<unsigned>(r.getU64());
-    storeSeqs_.resize(r.getU64());
+    std::uint64_t head = 0;
+    io(head);
+    if (io.restoring()) {
+        if (head > listed || listed - head > fetchQueue_.size())
+            throw CheckpointError("fetch queue overflows its ring");
+        fetchQueueHead_ = head % fetchQueue_.size();
+        fetchQueueCount_ = listed - head;
+    }
+
+    io(lastWriter_, lsqOccupancy_);
+    io.length(storeSeqs_, "store list", params_.lsqSize);
     for (std::int64_t &s : storeSeqs_)
-        s = r.getI64();
-    streamDone_ = r.getBool();
-    fetchResumeAt_ = r.getU64();
-    haltedForBranch_ = r.getBool();
-    stallBranchSeq_ = r.getI64();
-    branchStallFrom_ = r.getU64();
-    lastFetchBlock_ = r.getU64();
-    fetchStallIsIcache_ = r.getBool();
-    instrPending_ = r.getBool();
-    getInstr(r, pendingInstr_);
-    lastCommitCycle_ = r.getU64();
-    commitsThisCycle_ = static_cast<unsigned>(r.getU64());
-    bpred_.restoreFrom(r);
-    group_.restoreFrom(r);
-    r.endSection();
-    rebuildScheduler();
+        io(s);
+    io(streamDone_, fetchResumeAt_, haltedForBranch_, stallBranchSeq_,
+       branchStallFrom_, lastFetchBlock_, fetchStallIsIcache_,
+       instrPending_);
+    checkpointInstr(io, pendingInstr_);
+    io(lastCommitCycle_, commitsThisCycle_);
+    bpred_.checkpoint(io);
+    group_.checkpoint(io);
+    io.end();
+    if (io.restoring())
+        rebuildScheduler();
 }
 
 // ---------------------------------------------------------------
@@ -793,91 +416,44 @@ OooCore::restoreFrom(sim::CheckpointReader &r)
 // ---------------------------------------------------------------
 
 void
-PolicyCacheBase::snapshotTo(sim::CheckpointWriter &w) const
+PolicyCacheBase::checkpoint(StateIO io)
 {
-    w.beginSection("policy_cache");
-    Cache::snapshotTo(w);
-    w.putU64(instrsIntoInterval_);
-    w.putU64(integratedCycles_);
-    w.putF64(activeLineCycles_);
-    w.putF64(drowsyLineCycles_);
-    w.putU64(wakeTransitions_);
-    w.putU64(wakeStallCycles_);
-    w.putU64(coherenceWakes_);
-    w.putU64(coherenceRefetches_);
-    putByteVector(w, coherenceLost_);
-    snapshotExtra(w);
-    w.endSection();
+    io.begin("policy_cache");
+    Cache::checkpoint(io);
+    io(instrsIntoInterval_, integratedCycles_, activeLineCycles_,
+       drowsyLineCycles_, wakeTransitions_, wakeStallCycles_,
+       coherenceWakes_, coherenceRefetches_);
+    io.bytes(coherenceLost_, "policy coherence-lost bits");
+    checkpointExtra(io);
+    io.end();
 }
 
 void
-PolicyCacheBase::restoreFrom(sim::CheckpointReader &r)
+PolicyCacheBase::checkpointExtra(StateIO)
 {
-    r.beginSection("policy_cache");
-    Cache::restoreFrom(r);
-    instrsIntoInterval_ = r.getU64();
-    integratedCycles_ = r.getU64();
-    activeLineCycles_ = r.getF64();
-    drowsyLineCycles_ = r.getF64();
-    wakeTransitions_ = r.getU64();
-    wakeStallCycles_ = r.getU64();
-    coherenceWakes_ = r.getU64();
-    coherenceRefetches_ = r.getU64();
-    getByteVector(r, coherenceLost_, "policy coherence-lost bits");
-    restoreExtra(r);
-    r.endSection();
 }
 
 void
-DecayCache::snapshotExtra(sim::CheckpointWriter &w) const
+DecayCache::checkpointExtra(StateIO io)
 {
-    w.putU64(counters_.size());
-    for (const unsigned c : counters_)
-        w.putU64(c);
-    putByteVector(w, lit_);
-    w.putU64(powered_);
-    w.putU64(generations_);
-    w.putU64(blocksLost_);
-}
-
-void
-DecayCache::restoreExtra(sim::CheckpointReader &r)
-{
-    expectU64(r, counters_.size(), "decay counters");
+    io.expect(counters_.size(), "decay counters");
     for (unsigned &c : counters_)
-        c = static_cast<unsigned>(r.getU64());
-    getByteVector(r, lit_, "decay lit bits");
-    powered_ = r.getU64();
-    generations_ = r.getU64();
-    blocksLost_ = r.getU64();
+        io(c);
+    io.bytes(lit_, "decay lit bits");
+    io(powered_, generations_, blocksLost_);
 }
 
 void
-DrowsyCache::snapshotExtra(sim::CheckpointWriter &w) const
+DrowsyCache::checkpointExtra(StateIO io)
 {
-    putByteVector(w, drowsy_);
-    w.putU64(drowsyCount_);
-    w.putU64(episodes_);
+    io.bytes(drowsy_, "drowsy bits");
+    io(drowsyCount_, episodes_);
 }
 
 void
-DrowsyCache::restoreExtra(sim::CheckpointReader &r)
+DriPolicy::checkpoint(StateIO io)
 {
-    getByteVector(r, drowsy_, "drowsy bits");
-    drowsyCount_ = r.getU64();
-    episodes_ = r.getU64();
-}
-
-void
-DriPolicy::snapshotTo(sim::CheckpointWriter &w) const
-{
-    icache_.snapshotTo(w);
-}
-
-void
-DriPolicy::restoreFrom(sim::CheckpointReader &r)
-{
-    icache_.restoreFrom(r);
+    icache_.checkpoint(io);
 }
 
 } // namespace drisim

@@ -19,8 +19,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim::stats
@@ -49,8 +48,7 @@ class StatBase
                        const std::string &prefix) const = 0;
 
     /** Serialize the current value (sim/checkpoint.hh). */
-    virtual void snapshotTo(sim::CheckpointWriter &w) const = 0;
-    virtual void restoreFrom(sim::CheckpointReader &r) = 0;
+    virtual void checkpoint(sim::StateIO io) = 0;
 
   private:
     std::string name_;
@@ -72,8 +70,7 @@ class Scalar : public StatBase
     void reset() override { value_ = 0; }
     void print(std::ostream &os,
                const std::string &prefix) const override;
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+    void checkpoint(sim::StateIO io) override;
 
   private:
     std::uint64_t value_ = 0;
@@ -97,8 +94,7 @@ class Average : public StatBase
     void reset() override;
     void print(std::ostream &os,
                const std::string &prefix) const override;
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+    void checkpoint(sim::StateIO io) override;
 
   private:
     double sum_ = 0.0;
@@ -126,8 +122,7 @@ class Distribution : public StatBase
     void reset() override;
     void print(std::ostream &os,
                const std::string &prefix) const override;
-    void snapshotTo(sim::CheckpointWriter &w) const override;
-    void restoreFrom(sim::CheckpointReader &r) override;
+    void checkpoint(sim::StateIO io) override;
 
   private:
     double min_;
@@ -175,8 +170,7 @@ class StatGroup
      * identically-shaped tree (same component construction order) —
      * any drift trips a CheckpointError.
      */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     friend class StatBase;

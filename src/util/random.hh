@@ -18,8 +18,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -96,8 +95,7 @@ class Rng
     std::uint64_t geometric(double mean);
 
     /** Serialize the generator state (sim/checkpoint.hh). */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     std::uint64_t s_[4];

@@ -33,8 +33,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -149,8 +148,7 @@ class FetchReplay : public InstrStream
      * position; restoring re-walks the recording to it, so any
      * recording of the same stream that covers the position serves.
      */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     /** Decode the next run; false at the end of the recording. */

@@ -20,8 +20,7 @@
 
 namespace drisim::sim
 {
-class CheckpointWriter;
-class CheckpointReader;
+class StateIO;
 } // namespace drisim::sim
 
 namespace drisim
@@ -50,8 +49,7 @@ class TraceGenerator : public InstrStream
      * image itself is not serialized: restore into a generator
      * built over the same ProgramImage.
      */
-    void snapshotTo(sim::CheckpointWriter &w) const;
-    void restoreFrom(sim::CheckpointReader &r);
+    void checkpoint(sim::StateIO io);
 
   private:
     /** One call-stack activation. */

@@ -88,6 +88,63 @@ bankedConfig()
     return c;
 }
 
+/** quickDri() as @p kind over a 4-way L1I, each policy's interval
+ *  short enough to act in a quick run. */
+PolicyConfig
+quickPolicy(PolicyKind kind, unsigned mshrs = 0)
+{
+    PolicyConfig pol;
+    pol.kind = kind;
+    pol.dri = quickDri();
+    pol.dri.assoc = 4;
+    pol.dri.mshrs = mshrs;
+    pol.decay.decayInterval = 20 * 1000;
+    pol.drowsy.drowsyInterval = 20 * 1000;
+    pol.ways.activeWays = 2;
+    return pol;
+}
+
+/**
+ * The one snapshot file a store directory holds, split per the
+ * store layout (sim/checkpoint.cc): magic, key length and key, then
+ * blob length, blob FNV-1a and blob.
+ */
+struct StoredSnapshot
+{
+    std::filesystem::path path;
+    std::string head;
+    std::string blob;
+
+    explicit StoredSnapshot(const std::string &dir)
+    {
+        for (const auto &ent : std::filesystem::directory_iterator(dir)) {
+            EXPECT_TRUE(path.empty()) << "more than one snapshot";
+            path = ent.path();
+        }
+        std::ifstream in(path, std::ios::binary);
+        const std::string file((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        std::size_t keyLen = 0;
+        for (int i = 0; i < 8; ++i)
+            keyLen |= std::size_t{static_cast<unsigned char>(file[6 + i])}
+                      << (8 * i);
+        head = file.substr(0, 14 + keyLen);
+        blob = file.substr(head.size() + 16);
+    }
+
+    /** Write the file back, blob length and checksum recomputed. */
+    void write() const
+    {
+        std::string file = head;
+        for (const std::uint64_t v : {std::uint64_t{blob.size()},
+                                      sim::fnv1a64(blob)})
+            for (int i = 0; i < 8; ++i)
+                file.push_back(static_cast<char>(v >> (8 * i)));
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << file + blob;
+    }
+};
+
 /**
  * Run @p fn three ways — uninterrupted, snapshot pass (simulates
  * both halves, persisting the midpoint), restore pass (restores the
@@ -325,16 +382,9 @@ TEST(CheckpointedRun, EveryPolicySplitIsExact)
     for (const PolicyKind kind :
          {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
           PolicyKind::StaticWays}) {
-        PolicyConfig pol;
-        pol.kind = kind;
-        pol.dri = quickDri();
-        pol.dri.assoc = 4;
-        pol.decay.decayInterval = 20 * 1000;
-        pol.drowsy.drowsyInterval = 20 * 1000;
-        pol.ways.activeWays = 2;
         SCOPED_TRACE(static_cast<int>(kind));
         expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-            return run(b, c, {pol});
+            return run(b, c, {quickPolicy(kind)});
         });
     }
 }
@@ -385,17 +435,9 @@ TEST(CheckpointedRun, EveryPolicyBankedDramSplitIsExact)
     for (const PolicyKind kind :
          {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
           PolicyKind::StaticWays}) {
-        PolicyConfig pol;
-        pol.kind = kind;
-        pol.dri = quickDri();
-        pol.dri.assoc = 4;
-        pol.dri.mshrs = 4;
-        pol.decay.decayInterval = 20 * 1000;
-        pol.drowsy.drowsyInterval = 20 * 1000;
-        pol.ways.activeWays = 2;
         SCOPED_TRACE(static_cast<int>(kind));
         expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-            return run(b, c, {pol});
+            return run(b, c, {quickPolicy(kind, 4)});
         });
     }
 }
@@ -473,13 +515,8 @@ TEST(CheckpointedRun, FastPolicySplitIsExact)
     const RunOutput conv = run(b, cfg);
     const FastCalibration cal = calibrateFast(b, cfg, conv);
 
-    PolicyConfig pol;
-    pol.kind = PolicyKind::Drowsy;
-    pol.dri = quickDri();
-    pol.dri.assoc = 4;
-    pol.drowsy.drowsyInterval = 20 * 1000;
     expectSplitEquivalence(cfg, [&](const RunConfig &c) {
-        return run(b, c, {pol, &cal});
+        return run(b, c, {quickPolicy(PolicyKind::Drowsy), &cal});
     });
 }
 
@@ -515,10 +552,10 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
         fast.run(gen, split);
         sim::CheckpointWriter w;
         w.beginSection("run");
-        gen.snapshotTo(w);
-        fast.snapshotTo(w);
-        hier.snapshotTo(w);
-        icache.snapshotTo(w);
+        gen.checkpoint(w);
+        fast.checkpoint(w);
+        hier.checkpoint(w);
+        icache.checkpoint(w);
         w.endSection();
         sim::CheckpointStore(dir.path).save(
             "v3|" + runKey(b, cfg, {dp, &cal}).canonical() +
@@ -535,6 +572,124 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
 
     // The rewritten snapshot serves the next run.
     expectSameRun(plain, run(b, cfg, {dp, &cal}));
+    EXPECT_EQ(sim::checkpointCounters().restores, after.restores + 1);
+}
+
+// ---------------------------------------------------------------
+// Snapshot bytes. The midpoint blob of every configuration the split
+// tests run is pinned by its FNV-1a. A change to the format must edit
+// these literals and bump the store-key tag (snapshotVersion() in
+// harness/runner.cc) together, so that older stores miss.
+// ---------------------------------------------------------------
+
+TEST(CheckpointBytes, MidpointSnapshotsArePinned)
+{
+    const auto &compress = findBenchmark("compress");
+    const auto &li = findBenchmark("li");
+    RunConfig ways = quickConfig();
+    ways.hier.l1i.assoc = 4;
+    RunConfig waysBanked = bankedConfig();
+    waysBanked.hier.l1i.assoc = 4;
+    RunConfig driL2 = quickConfig();
+    driL2.hier.l2Dri = true;
+    driL2.hier.l2DriParams = HierarchyParams::defaultL2DriParams();
+    driL2.hier.l2DriParams.senseInterval = 20 * 1000;
+    RunConfig driL2Banked = bankedConfig();
+    driL2Banked.hier.l2Dri = true;
+    driL2Banked.hier.l2DriParams = driL2.hier.l2DriParams;
+    const DriParams dri = quickDri();
+    DriParams driMshrs = quickDri();
+    driMshrs.mshrs = 4;
+    const FastCalibration liCal =
+        calibrateFast(li, quickConfig(), run(li, quickConfig()));
+    const FastCalibration liBankedCal =
+        calibrateFast(li, bankedConfig(), run(li, bankedConfig()));
+    const FastCalibration waysCal =
+        calibrateFast(compress, ways, run(compress, ways));
+
+    struct Pin
+    {
+        std::string name;
+        const BenchmarkInfo &bench;
+        RunConfig config;
+        RunSpec spec;
+        std::uint64_t fnv;
+    };
+    std::vector<Pin> pins = {
+        {"conv", compress, quickConfig(), {}, 0xcc4c889f29caf7d6},
+        {"dri", li, quickConfig(), {dri}, 0x84259d20fcd60f74},
+        {"dri_l2", compress, driL2, {dri}, 0x31a70af59f90b167},
+        {"conv_fast", li, quickConfig(), {ConventionalL1i{}, &liCal},
+         0xf2c97fc9c559ab85},
+        {"dri_fast", li, quickConfig(), {dri, &liCal}, 0x2f865150f21db8e4},
+        {"conv_banked", compress, bankedConfig(), {}, 0xc40259d44d51a42b},
+        {"dri_banked", li, bankedConfig(), {driMshrs}, 0x786a0ed5b46e52c9},
+        {"dri_l2_banked", compress, driL2Banked, {driMshrs},
+         0x6daa414f93af9286},
+        {"conv_fast_banked", li, bankedConfig(),
+         {ConventionalL1i{}, &liBankedCal}, 0x1ed75e674deb5720},
+        {"dri_fast_banked", li, bankedConfig(), {driMshrs, &liBankedCal},
+         0x20f5887c0752a4f8},
+    };
+    const std::uint64_t policyPins[][3] = {
+        // Dri, Decay, Drowsy, StaticWays: detailed, fast, and
+        // detailed over banked DRAM
+        {0x37d2c10085e4702f, 0xd370cd471b630f95, 0xda1781d07e73989b},
+        {0xcbbc25ff6f6390bf, 0xf4bbc0f5c46b977d, 0x350d152b171f4fea},
+        {0xe5d1dd9e8a609f4f, 0xa812f3a7b2fb73fb, 0x38c12be2b09b9f81},
+        {0x00d81a207ed875b2, 0xd9cd99a15f58d866, 0xc12ef10b76116c30},
+    };
+    for (const PolicyKind kind :
+         {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
+          PolicyKind::StaticWays}) {
+        const std::uint64_t *fnv = policyPins[static_cast<int>(kind)];
+        const std::string name =
+            std::string("policy_") + policyKindName(kind);
+        pins.push_back({name, compress, ways, {quickPolicy(kind)}, fnv[0]});
+        pins.push_back({name + "_fast", compress, ways,
+                        {quickPolicy(kind), &waysCal}, fnv[1]});
+        pins.push_back({name + "_banked", compress, waysBanked,
+                        {quickPolicy(kind, 4)}, fnv[2]});
+    }
+
+    for (const Pin &p : pins) {
+        TempDir dir;
+        RunConfig ck = p.config;
+        ck.checkpointDir = dir.path;
+        run(p.bench, ck, p.spec);
+        const std::uint64_t fnv =
+            sim::fnv1a64(StoredSnapshot(dir.path).blob);
+        EXPECT_EQ(fnv, p.fnv) << p.name << ": 0x" << std::hex << fnv;
+    }
+}
+
+TEST(CheckpointedRun, SnapshotThatFailsToRestoreIsAMiss)
+{
+    // A blob that passes the store's checksum but not the restore
+    // walk is recomputed, not fatal. Its last tag closes the run
+    // section, so the walk fails only after every component has been
+    // overwritten: the run must start over on fresh components, and
+    // its midpoint snapshot replaces the bad one.
+    const auto &b = findBenchmark("li");
+    const DriParams dp = quickDri();
+    RunConfig cfg = quickConfig();
+    const RunOutput plain = run(b, cfg, {dp});
+
+    TempDir dir;
+    cfg.checkpointDir = dir.path;
+    run(b, cfg, {dp});
+    StoredSnapshot snap(dir.path);
+    ASSERT_EQ(snap.blob.back(), ')');
+    snap.blob.back() = 'U';
+    snap.write();
+
+    const sim::CheckpointCounters before = sim::checkpointCounters();
+    expectSameRun(plain, run(b, cfg, {dp}));
+    const sim::CheckpointCounters after = sim::checkpointCounters();
+    EXPECT_EQ(after.restores, before.restores);
+    EXPECT_EQ(after.saves, before.saves + 1);
+
+    expectSameRun(plain, run(b, cfg, {dp}));
     EXPECT_EQ(sim::checkpointCounters().restores, after.restores + 1);
 }
 

@@ -247,7 +247,7 @@ restoredDirectory(std::uint64_t entries, const std::string &bytes)
 {
     auto dir = std::make_unique<SparseDirectory>(entries);
     sim::CheckpointReader r(bytes);
-    dir->restoreFrom(r);
+    dir->checkpoint(r);
     return dir;
 }
 
@@ -262,7 +262,7 @@ TEST(SparseDirectory, VictimsMatchTheLinearScanAcrossARestore)
         driveAgainstOracle(dir, oracle, rng, steps);
 
         sim::CheckpointWriter w;
-        dir.snapshotTo(w);
+        dir.checkpoint(w);
         auto restored = restoredDirectory(entries, w.bytes());
         driveAgainstOracle(*restored, oracle, rng, steps);
         EXPECT_GT(oracle.evictions, 0u);
@@ -646,11 +646,11 @@ TEST(CheckpointV3, TagStoreRoundTripsCoherenceState)
                         CoherenceState::Modified);
 
     sim::CheckpointWriter w;
-    a.snapshotTo(w);
+    a.checkpoint(w);
 
     TagStore b(4, 2);
     sim::CheckpointReader r(w.bytes());
-    b.restoreFrom(r);
+    b.checkpoint(r);
     EXPECT_EQ(b.coherenceState(0, static_cast<unsigned>(way)),
               CoherenceState::Modified);
 }
@@ -675,7 +675,7 @@ TEST(CheckpointV3, PreV3TagStoreStreamFailsLoudly)
 
     TagStore b(4, 2);
     sim::CheckpointReader r(w.bytes());
-    EXPECT_THROW(b.restoreFrom(r), sim::CheckpointError);
+    EXPECT_THROW(b.checkpoint(r), sim::CheckpointError);
 }
 
 TEST(CheckpointV3, ControllerRoundTripsDirectoryAndAttribution)
@@ -690,14 +690,14 @@ TEST(CheckpointV3, ControllerRoundTripsDirectoryAndAttribution)
     a.fill(1, 0x2000, false);
 
     sim::CheckpointWriter w;
-    a.snapshotTo(w);
+    a.checkpoint(w);
 
     CoherenceController b(smallConfig(), 2, kGranule);
     FakeClient b0, b1;
     b.addClient(0, &b0);
     b.addClient(1, &b1);
     sim::CheckpointReader r(w.bytes());
-    b.restoreFrom(r);
+    b.checkpoint(r);
 
     EXPECT_EQ(b.coreStats(0).downgradesReceived, 1u);
     EXPECT_EQ(b.coreStats(0).coherenceWritebacks, 1u);
@@ -719,11 +719,11 @@ TEST(CheckpointV3, DirectoryRestoreRejectsDifferentCapacity)
     SparseDirectory::Entry victim;
     a.allocate(0x10, &victim);
     sim::CheckpointWriter w;
-    a.snapshotTo(w);
+    a.checkpoint(w);
 
     SparseDirectory b(16);
     sim::CheckpointReader r(w.bytes());
-    EXPECT_THROW(b.restoreFrom(r), sim::CheckpointError);
+    EXPECT_THROW(b.checkpoint(r), sim::CheckpointError);
 }
 
 /** Byte offset of directory slot @p slot's field @p field (0 block,
@@ -761,13 +761,13 @@ TEST(CheckpointV3, DirectoryRestoreRejectsMalformedSlots)
     a.fill(0, 0x1000, false);
     a.fill(1, 0x2000, true);
     sim::CheckpointWriter w;
-    a.snapshotTo(w);
+    a.checkpoint(w);
     const std::string snap = w.bytes();
 
     const auto restores = [](const std::string &bytes) {
         CoherenceController b(smallConfig(), 2, kGranule);
         sim::CheckpointReader r(bytes);
-        b.restoreFrom(r);
+        b.checkpoint(r);
     };
     EXPECT_NO_THROW(restores(snap));
 

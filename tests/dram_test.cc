@@ -336,11 +336,11 @@ TEST(MshrCheckpoint, LiveEntriesSurviveARoundTrip)
     f.allocate(0x20, 200);
 
     sim::CheckpointWriter w;
-    f.snapshotTo(w);
+    f.checkpoint(w);
 
     MshrFile g(4);
     sim::CheckpointReader r(w.bytes());
-    g.restoreFrom(r);
+    g.checkpoint(r);
 
     EXPECT_EQ(g.occupancy(), 2u);
     Cycles fill = 0;
@@ -357,11 +357,11 @@ TEST(MshrCheckpoint, RestoreIntoASmallerFileThrows)
     f.allocate(0x10, 100);
     f.allocate(0x20, 200);
     sim::CheckpointWriter w;
-    f.snapshotTo(w);
+    f.checkpoint(w);
 
     MshrFile tiny(1);
     sim::CheckpointReader r(w.bytes());
-    EXPECT_THROW(tiny.restoreFrom(r), sim::CheckpointError);
+    EXPECT_THROW(tiny.checkpoint(r), sim::CheckpointError);
 }
 
 TEST(DramCheckpoint, BankAndQueueStateSurviveARoundTrip)
@@ -375,12 +375,12 @@ TEST(DramCheckpoint, BankAndQueueStateSurviveARoundTrip)
     a.accessAt(64, AccessType::Store, 0);
 
     sim::CheckpointWriter w;
-    a.snapshotTo(w);
+    a.checkpoint(w);
 
     stats::StatGroup root2("t");
     Dram b(p, 64, &root2);
     sim::CheckpointReader r(w.bytes());
-    b.restoreFrom(r);
+    b.checkpoint(r);
 
     EXPECT_EQ(b.reads(), a.reads());
     EXPECT_EQ(b.writebacks(), a.writebacks());
@@ -403,7 +403,7 @@ TEST(DramCheckpoint, BankCountMismatchThrows)
     stats::StatGroup root("t");
     Dram a(oneBank(), 64, &root);
     sim::CheckpointWriter w;
-    a.snapshotTo(w);
+    a.checkpoint(w);
 
     DramParams p8;
     p8.banked = true;
@@ -411,7 +411,7 @@ TEST(DramCheckpoint, BankCountMismatchThrows)
     stats::StatGroup root2("t");
     Dram b(p8, 64, &root2);
     sim::CheckpointReader r(w.bytes());
-    EXPECT_THROW(b.restoreFrom(r), sim::CheckpointError);
+    EXPECT_THROW(b.checkpoint(r), sim::CheckpointError);
 }
 
 // ---------------------------------------------------------------

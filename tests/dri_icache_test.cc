@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dri_icache.hh"
+#include "sim/checkpoint.hh"
 #include "stats/stats.hh"
 
 namespace drisim
@@ -250,6 +251,36 @@ TEST(DriICache, RejectsInvalidParams)
     DriParams p = smallDri();
     p.sizeBoundBytes = 3000; // not a power of two
     EXPECT_DEATH({ p.validate(); }, "");
+}
+
+TEST(DriICache, RestoreRejectsASetCountTheMaskCannotTake)
+{
+    // The rcache section leads with the set count. One that is not a
+    // power of two or lies outside smallDri()'s 32..256 sets must
+    // throw CheckpointError rather than reach SizeMask's assert.
+    stats::StatGroup root("t");
+    DriICache c(smallDri(), nullptr, &root);
+    c.retireInstructions(1000); // down to 128 sets
+    sim::CheckpointWriter w;
+    c.checkpoint(w);
+    const std::string snap = w.bytes();
+    const std::size_t at = snap.find("rcache") + 6;
+    ASSERT_EQ(snap[at], 'U');
+
+    for (const std::uint64_t sets : {0u, 3u, 16u, 96u, 255u, 512u, 64u}) {
+        sim::CheckpointWriter count;
+        count.putU64(sets);
+        std::string spliced = snap;
+        spliced.replace(at, 9, count.bytes());
+        stats::StatGroup twinRoot("t");
+        DriICache twin(smallDri(), nullptr, &twinRoot);
+        sim::CheckpointReader r(spliced);
+        if (sets == 64)
+            EXPECT_NO_THROW(twin.checkpoint(r));
+        else
+            EXPECT_THROW(twin.checkpoint(r), sim::CheckpointError)
+                << sets << " sets";
+    }
 }
 
 TEST(DriICache, MissesRouteToLowerLevel)

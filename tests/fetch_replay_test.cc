@@ -283,11 +283,11 @@ TEST(FetchReplay, CursorRoundTripsThroughACheckpoint)
         for (InstCount i = 0; i < p; ++i)
             ASSERT_TRUE(a.next(in));
         sim::CheckpointWriter w;
-        a.snapshotTo(w);
+        a.checkpoint(w);
 
         FetchReplay b(rec);
         sim::CheckpointReader r(w.bytes());
-        b.restoreFrom(r);
+        b.checkpoint(r);
         EXPECT_TRUE(r.atEnd());
         EXPECT_EQ(b.produced(), p);
         for (InstCount i = p; i < rec.instructions(); ++i) {
@@ -309,7 +309,7 @@ TEST(FetchReplay, RestorePastTheRecordingThrows)
     w.endSection();
     FetchReplay replay(rec);
     sim::CheckpointReader r(w.bytes());
-    EXPECT_THROW(replay.restoreFrom(r), sim::CheckpointError);
+    EXPECT_THROW(replay.checkpoint(r), sim::CheckpointError);
     EXPECT_EQ(replay.produced(), 0u);
 }
 

@@ -301,7 +301,7 @@ TEST(OooCore, DrainsAndStops)
 
 // --------------------------------------------------------------
 // Snapshot/restore of the pipeline. The scheduler's waiter lists,
-// ready set and completion events are derived state: restoreFrom()
+// ready set and completion events are derived state: a restore
 // rebuilds them from the ROB entries.
 // --------------------------------------------------------------
 
@@ -325,10 +325,10 @@ struct CoreOnHierarchy
         return os.str();
     }
 
-    std::string snapshot() const
+    std::string snapshot()
     {
         sim::CheckpointWriter w;
-        core.snapshotTo(w);
+        core.checkpoint(w);
         return w.bytes();
     }
 
@@ -412,7 +412,7 @@ struct SplitRig
                 ++restoresPastTheWheel;
             cur = std::make_unique<CoreOnHierarchy>(hier, dside);
             sim::CheckpointReader r(snap);
-            cur->core.restoreFrom(r);
+            cur->core.checkpoint(r);
         }
     }
 
@@ -615,7 +615,7 @@ TEST(OooCoreRestore, DeadFetchQueuePrefixRestoresToTheLiveQueue)
 
     CoreOnHierarchy fromOld(hier);
     sim::CheckpointReader r(old);
-    fromOld.core.restoreFrom(r);
+    fromOld.core.checkpoint(r);
     EXPECT_EQ(fromOld.snapshot(), snap);
 
     // A head past the listed entries, or more live entries than
@@ -632,7 +632,7 @@ TEST(OooCoreRestore, DeadFetchQueuePrefixRestoresToTheLiveQueue)
         bad += hw.bytes() + snap.substr(headAt + 9);
         CoreOnHierarchy victim(hier);
         sim::CheckpointReader br(bad);
-        EXPECT_THROW(victim.core.restoreFrom(br), sim::CheckpointError);
+        EXPECT_THROW(victim.core.checkpoint(br), sim::CheckpointError);
     }
 }
 
@@ -648,12 +648,12 @@ TEST(OooCoreRestore, OccupancyIsBoundByRobSizeNotTheRing)
         stats::StatGroup root("sim");
         OooCore core(p, hier.l1i(), &hier.l1d(), &root);
         sim::CheckpointReader r(bytes);
-        core.restoreFrom(r);
+        core.checkpoint(r);
     };
     stats::StatGroup root("sim");
-    const OooCore empty(p, hier.l1i(), &hier.l1d(), &root);
+    OooCore empty(p, hier.l1i(), &hier.l1d(), &root);
     sim::CheckpointWriter w;
-    empty.snapshotTo(w);
+    empty.checkpoint(w);
     const std::size_t tailAt = fetchQueueOffset(128) - 9; // seqTail_
     for (const std::int64_t tail : {100, 101, 128}) {
         sim::CheckpointWriter tw;
@@ -665,6 +665,106 @@ TEST(OooCoreRestore, OccupancyIsBoundByRobSizeNotTheRing)
         else
             EXPECT_THROW(restore(bytes), sim::CheckpointError);
     }
+}
+
+/** Offsets of the value tags in a checkpoint stream, in order: every
+ *  tag but a section's open and close. */
+std::vector<std::size_t>
+valueOffsets(const std::string &snap)
+{
+    const auto u64At = [&snap](std::size_t at) {
+        sim::CheckpointReader r(std::string(1, 'U') + snap.substr(at, 8));
+        return r.getU64();
+    };
+    std::vector<std::size_t> values;
+    for (std::size_t i = 0; i < snap.size();) {
+        switch (snap[i]) {
+          case '(':
+            i += 9 + u64At(i + 1);
+            break;
+          case ')':
+            ++i;
+            break;
+          case 'B':
+            values.push_back(i);
+            i += 2;
+            break;
+          case 'S':
+            values.push_back(i);
+            i += 9 + u64At(i + 1);
+            break;
+          default: // U, I, D
+            values.push_back(i);
+            i += 9;
+        }
+    }
+    return values;
+}
+
+/** @p snap with the 64-bit value whose tag is at @p at set to @p v. */
+std::string
+withValue(std::string snap, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        snap[at + 1 + i] = static_cast<char>(v >> (8 * i));
+    return snap;
+}
+
+TEST(OooCoreRestore, RejectsValuesItsFieldsCannotHold)
+{
+    // A real snapshot with one field spliced out of range: a register
+    // past the rename table, an op past OpClass::Return, a value wider
+    // than its field, and a store list longer than the LSQ. Each must
+    // throw CheckpointError: none may restore, abort or allocate.
+    stats::StatGroup hierRoot("h");
+    Hierarchy hier(hierarchyParams(false), &hierRoot, true);
+    CoreOnHierarchy c(hier);
+    TraceGenerator gen(programImageFor(findBenchmark("li")));
+    c.core.run(gen, 10007);
+    const std::string snap = c.snapshot();
+    const std::vector<std::size_t> at = valueOffsets(snap);
+
+    // now_ and the ROB size, then 17 values per ROB entry: pc, op,
+    // dest, src1, src2, ...
+    const unsigned robSize = OooParams{}.robSize;
+    const auto robValue = [](unsigned entry, unsigned field) {
+        return 2 + 17 * entry + field;
+    };
+    // seqHead_, seqTail_, the fetch-queue count and its 12-value
+    // entries, the head, the rename table's writers, lsqOccupancy_
+    // and the store-list length.
+    const std::size_t fetchCount = robValue(robSize, 2);
+    const std::size_t live =
+        sim::CheckpointReader(snap.substr(at[fetchCount], 9)).getU64();
+    const std::size_t lsq = fetchCount + 1 + 12 * live + 1 + OooCore::kRegs;
+    const std::size_t stores = lsq + 1;
+    ASSERT_LT(stores, at.size());
+
+    std::string everyDest = snap;
+    for (unsigned e = 0; e < robSize; ++e)
+        everyDest = withValue(everyDest, at[robValue(e, 2)], 100);
+    const std::pair<const char *, std::string> cases[] = {
+        {"dest 100 in every ROB entry", everyDest},
+        {"dest kRegs", withValue(snap, at[robValue(0, 2)], OooCore::kRegs)},
+        {"src1 261", withValue(snap, at[robValue(0, 3)], 256 + 5)},
+        {"op past Return", withValue(snap, at[robValue(0, 1)], 9)},
+        {"lsqOccupancy_ 2^32 + 1",
+         withValue(snap, at[lsq], (std::uint64_t{1} << 32) + 1)},
+        {"store list of 2^61",
+         withValue(snap, at[stores], std::uint64_t{1} << 61)},
+        {"store list past the LSQ",
+         withValue(snap, at[stores], OooParams{}.lsqSize + 1)},
+    };
+    for (const auto &[what, bytes] : cases) {
+        CoreOnHierarchy victim(hier);
+        sim::CheckpointReader r(bytes);
+        EXPECT_THROW(victim.core.checkpoint(r), sim::CheckpointError)
+            << what;
+    }
+    // The unspliced snapshot restores.
+    CoreOnHierarchy twin(hier);
+    sim::CheckpointReader r(snap);
+    EXPECT_NO_THROW(twin.core.checkpoint(r));
 }
 
 TEST(OooParams, ExecLatencies)

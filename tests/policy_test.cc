@@ -299,10 +299,10 @@ directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
         core->run(stream, split);
         sim::CheckpointWriter w;
         w.beginSection("run");
-        stream.snapshotTo(w);
-        core->snapshotTo(w);
-        hier.snapshotTo(w);
-        icache.snapshotTo(w);
+        stream.checkpoint(w);
+        core->checkpoint(w);
+        hier.checkpoint(w);
+        icache.checkpoint(w);
         w.endSection();
         r.snapshot = w.bytes();
         return core->run(stream, cfg.maxInstrs - split);
