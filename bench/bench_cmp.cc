@@ -20,7 +20,11 @@
  * (mem/directory.hh): every core touches one shared window, stores
  * invalidate remote copies, and the leakage policies pay
  * coherence-induced wakes (drowsy) and refetches (decay/DRI) that
- * the 2001 single-core paper never modelled.
+ * the 2001 single-core paper never modelled. Each mix runs a
+ * conventional, then a leakage-managed system, and the mixes run
+ * concurrently like every other sweep's units: two coherent 4-core
+ * systems can be in flight, about 0.9 MB of heap each, most of it
+ * the caches' 16-byte block frames (mem/cache_blk.hh).
  *
  *   ./bench_cmp [--cores N] [--jobs N] [--dram-banked] [--coherent]
  *               [--shard K/N] [--part PATH] [--json PATH] [--list]
@@ -72,8 +76,8 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
     SweepDriver drv(ctx, "bench_cmp_coherent", "cmp_coherent",
                     jsonCols);
 
-    // Index-addressed per-unit slots: the leakage-managed run and
-    // its summary row.
+    // Index-addressed per-unit slots, as units run concurrently: the
+    // leakage-managed run and its summary row.
     std::vector<CmpRunOutput> pols(mixes.size());
     std::vector<std::vector<std::string>> rows(mixes.size());
     const auto computeUnit = [&](std::size_t m) -> UnitRows {
@@ -129,13 +133,8 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
         return {std::move(row)};
     };
 
-    // One worker on purpose: a coherent 4-core system is the largest
-    // simulation in the tree, and running both mixes at once raised
-    // peak RSS from 6.8 to 9.0 MB (--cores 4 --dram-banked). The
-    // mixes run one after another on the calling thread.
-    Executor serial(1);
     // Cross-unit pass in plan order: identical stdout at any --jobs.
-    for (const std::size_t m : drv.run(computeUnit, &serial)) {
+    for (const std::size_t m : drv.run(computeUnit)) {
         const CmpRunOutput &pol = pols[m];
         summary.addRow(rows[m]);
         std::cout << "\n" << cmpMixName(mixes[m])

@@ -143,8 +143,7 @@ SweepDriver::SweepDriver(const BenchContext &ctx,
 }
 
 std::vector<std::size_t>
-SweepDriver::run(const std::function<UnitRows(std::size_t)> &unitFn,
-                 Executor *exec)
+SweepDriver::run(const std::function<UnitRows(std::size_t)> &unitFn)
 {
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < units_.size(); ++i)
@@ -158,7 +157,7 @@ SweepDriver::run(const std::function<UnitRows(std::size_t)> &unitFn,
     // Create the pool before any unit starts: unit bodies reach it
     // concurrently, and benchExecutor()'s lazy set-up is not
     // thread-safe.
-    Executor &pool = exec ? *exec : benchExecutor(ctx_);
+    Executor &pool = benchExecutor(ctx_);
     JobGraph graph;
     for (const std::size_t i : todo) {
         std::string name = benchName_ + "/unit/" + units_[i].hashHex;

@@ -155,13 +155,12 @@ class SweepDriver
      * @p unitFn(i) computes unit i and returns its --json rows. It
      * runs on a worker, concurrently with other units, so it may
      * write only unit i's slots (and writes each stderr progress
-     * line with one insertion, so lines do not interleave). @p exec
-     * defaults to the context's pool, which is created here, and
-     * only when some unit runs. The first failure is rethrown.
+     * line with one insertion, so lines do not interleave). Units
+     * run on the context's pool, which is created here, and only
+     * when some unit runs. The first failure is rethrown.
      */
     std::vector<std::size_t>
-    run(const std::function<UnitRows(std::size_t)> &unitFn,
-        Executor *exec = nullptr);
+    run(const std::function<UnitRows(std::size_t)> &unitFn);
 
     /** Finalize the fragment and write the --json report. */
     void finish();

@@ -24,6 +24,10 @@ namespace drisim
 /** Instruction byte size (fixed-width ISA). */
 inline constexpr unsigned kInstrBytes = 4;
 
+/** Architectural registers: an instruction names 0..kRegs-1
+ *  (0 = none); a core's rename table holds one writer for each. */
+inline constexpr unsigned kRegs = 64;
+
 /** Operation classes with distinct timing behaviour. */
 enum class OpClass : std::uint8_t
 {
@@ -60,7 +64,7 @@ struct Instr
     Addr pc = 0;
     /** Operation class. */
     OpClass op = OpClass::IntAlu;
-    /** Destination register (0 = none; regs 1..63). */
+    /** Destination register (0 = none; regs 1..kRegs-1). */
     std::uint8_t dest = 0;
     /** Source registers (0 = none). */
     std::uint8_t src1 = 0;

@@ -92,14 +92,11 @@ class OooCore : public Core
 
     BranchPredictor &predictor() { return bpred_; }
 
-    /** Architectural registers: an instruction names 0..kRegs-1
-     *  (0 = none), and the rename table holds one writer for each. */
-    static constexpr unsigned kRegs = 64;
-
     /** Core contract: serialize/restore the full pipeline state.
      *  Split-and-continue is bit-identical at any split point. A
      *  restored instruction must name a real op class and registers
-     *  below kRegs. */
+     *  below kRegs (cpu/isa.hh), and the LSQ must hold exactly the
+     *  ROB's loads and stores. */
     void checkpoint(sim::StateIO io) override;
 
     Cycles cycles() const { return now_; }

@@ -48,10 +48,19 @@ TagStore::findWay(std::uint64_t set, Addr blockAddr) const
     return kNoWay;
 }
 
+std::uint64_t
+TagStore::nextTick()
+{
+    drisim_assert(tick_ < CacheBlk::kMaxTouch,
+                  "replacement clock past its %u-bit timestamps",
+                  CacheBlk::kTouchBits);
+    return ++tick_;
+}
+
 void
 TagStore::touch(std::uint64_t set, unsigned way)
 {
-    mutableSet(set)[way].lastTouch = ++tick_;
+    mutableSet(set)[way].lastTouch = nextTick();
 }
 
 CacheBlk
@@ -68,7 +77,7 @@ TagStore::insert(std::uint64_t set, Addr blockAddr,
                   "waysLimit %u outside [1, %u]", waysLimit, assoc_);
     auto ways = mutableSet(set);
     unsigned victim = selectVictim({ways.data(), waysLimit},
-                                   policy_, ++tick_);
+                                   policy_, nextTick());
     CacheBlk evicted = ways[victim];
     ways[victim].blockAddr = blockAddr;
     ways[victim].valid = true;

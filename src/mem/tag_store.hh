@@ -100,11 +100,16 @@ class TagStore
     std::uint64_t validCount() const;
 
     /** Serialize frames + replacement clock (sim/checkpoint.hh).
-     *  Restore requires identical geometry. */
+     *  Restore requires identical geometry, and rejects a clock past
+     *  a frame's lastTouch width or a frame touched after it. */
     void checkpoint(sim::StateIO io);
 
   private:
     std::span<CacheBlk> mutableSet(std::uint64_t set);
+
+    /** Advance the replacement clock; asserts it still fits a
+     *  frame's lastTouch. */
+    std::uint64_t nextTick();
 
     std::uint64_t numSets_;
     unsigned assoc_;

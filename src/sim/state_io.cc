@@ -16,6 +16,9 @@
  * before anything is allocated (StateIO::length).
  */
 
+#include <algorithm>
+#include <utility>
+
 #include "cpu/branch_pred.hh"
 #include "cpu/ooo_core.hh"
 #include "cpu/simple_core.hh"
@@ -52,9 +55,25 @@ checkpointInstr(StateIO io, Instr &i)
 {
     io(i.pc, i.op, i.dest, i.src1, i.src2, i.taken, i.nextPc, i.memAddr);
     if (io.restoring() &&
-        (i.op > OpClass::Return || i.dest >= OooCore::kRegs ||
-         i.src1 >= OooCore::kRegs || i.src2 >= OooCore::kRegs))
+        (i.op > OpClass::Return || i.dest >= kRegs || i.src1 >= kRegs ||
+         i.src2 >= kRegs))
         throw CheckpointError("instruction field out of range");
+}
+
+/** A generator frame names a function of @p img, a block of it and
+ *  an instruction of that block, and keeps one loop latch per block
+ *  of the function. */
+bool
+frameInImage(const ProgramImage &img, int func, int block,
+             unsigned instr, std::size_t latches)
+{
+    if (func < 0 || std::cmp_greater_equal(func, img.functions.size()))
+        return false;
+    const std::vector<BasicBlock> &blocks =
+        img.functions[static_cast<std::size_t>(func)].blocks;
+    return block >= 0 && std::cmp_less(block, blocks.size()) &&
+           instr < blocks[static_cast<std::size_t>(block)].numInstrs &&
+           latches == blocks.size();
 }
 
 } // namespace
@@ -80,13 +99,27 @@ TraceGenerator::checkpoint(StateIO io)
     rng_.checkpoint(io);
     io(phaseIdx_, emittedInPhase_, produced_);
     io.length(stack_, "call stack", img_.functions.size());
+    // Restored state must be state the image can produce: next()
+    // indexes the image by the phase and by each frame's function,
+    // block and latch, and the core's rename table by each register.
+    if (io.restoring() &&
+        (phaseIdx_ >= img_.phases.size() || stack_.empty()))
+        throw CheckpointError("generator phase or call stack outside "
+                              "the image");
     for (Frame &f : stack_) {
         io(f.func, f.block, f.instr);
         io.length(f.latchRemaining, "loop latches");
+        if (io.restoring() &&
+            !frameInImage(img_, f.func, f.block, f.instr,
+                          f.latchRemaining.size()))
+            throw CheckpointError("generator frame outside the image");
         for (std::uint64_t &rem : f.latchRemaining)
             io(rem);
     }
     io(destCounter_, fpDestCounter_, recentDest_, recentIdx_);
+    const auto isReg = [](unsigned r) { return r < kRegs; };
+    if (io.restoring() && !std::ranges::all_of(recentDest_, isReg))
+        throw CheckpointError("generator register out of range");
     io(seqLoadOff_, seqStoreOff_, seqSharedOff_);
     io.end();
 }
@@ -181,8 +214,33 @@ TagStore::checkpoint(StateIO io)
     io.expect(numSets_, "tag-store sets");
     io.expect(assoc_, "tag-store assoc");
     io(tick_);
-    for (CacheBlk &b : blocks_)
-        io(b.blockAddr, b.valid, b.dirty, b.lastTouch, b.cstate);
+    if (io.restoring() && tick_ > CacheBlk::kMaxTouch)
+        throw CheckpointError("tag-store clock past its frames' "
+                              "timestamp width");
+    // A bit-field cannot bind to the walk's references, so each field
+    // goes through a local of its declared type, which fixes its
+    // encoding: U64, Bool, Bool, U64, U64.
+    for (CacheBlk &b : blocks_) {
+        Addr blockAddr = b.blockAddr;
+        bool valid = b.valid;
+        bool dirty = b.dirty;
+        std::uint64_t lastTouch = b.lastTouch;
+        CoherenceState cstate = b.cstate;
+        io(blockAddr, valid, dirty, lastTouch, cstate);
+        if (!io.restoring())
+            continue;
+        // A touch past the clock would tie with a later one.
+        if (lastTouch > tick_)
+            throw CheckpointError("tag-store frame touched after the "
+                                  "store's clock");
+        if (cstate > CoherenceState::Modified)
+            throw CheckpointError("tag-store frame in no MSI state");
+        b.blockAddr = blockAddr;
+        b.valid = valid;
+        b.dirty = dirty;
+        b.lastTouch = lastTouch;
+        b.cstate = cstate;
+    }
     io.end();
 }
 
@@ -396,6 +454,15 @@ OooCore::checkpoint(StateIO io)
     }
 
     io(lastWriter_, lsqOccupancy_);
+    if (io.restoring()) {
+        // Commit frees one LSQ entry per load or store it retires.
+        unsigned memOps = 0;
+        for (std::int64_t seq = seqHead_; seq < seqTail_; ++seq)
+            memOps += isMem(rob(seq).instr.op);
+        if (lsqOccupancy_ != memOps)
+            throw CheckpointError("lsq occupancy differs from the rob's "
+                                  "loads and stores");
+    }
     io.length(storeSeqs_, "store list", params_.lsqSize);
     for (std::int64_t &s : storeSeqs_)
         io(s);

@@ -2,14 +2,18 @@
  * @file
  * Trace-generator tests: stream consistency (the invariant that
  * each instruction's nextPc is the next instruction's pc),
- * determinism, op mix, phase cycling, footprint.
+ * determinism, op mix, phase cycling, footprint, and a restore that
+ * rejects state the image cannot produce.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <utility>
 
+#include "sim/checkpoint.hh"
+#include "snapshot_splice.hh"
 #include "workload/generator.hh"
 #include "workload/program.hh"
 
@@ -209,6 +213,78 @@ TEST(Generator, MemoryAddressesStayInDataRegion)
             EXPECT_GE(ins.memAddr, ph.dataBase);
             EXPECT_LT(ins.memAddr, ph.dataBase + ph.dataBytes);
         }
+    }
+}
+
+TEST(GeneratorRestore, RejectsStateItsImageCannotProduce)
+{
+    // A real snapshot with one field spliced to state the image
+    // cannot produce. next() would index the image, or a core's
+    // rename table, with it, so each must throw CheckpointError.
+    const ProgramImage img = buildProgram(spec());
+    TraceGenerator gen(img);
+    Instr ins;
+    for (int i = 0; i < 12345; ++i)
+        gen.next(ins);
+    sim::CheckpointWriter w;
+    gen.checkpoint(w);
+    const std::string snap = w.bytes();
+    const std::vector<std::size_t> at = valueOffsets(snap);
+
+    // The RNG's four words, the phase, two counts and the call
+    // stack's length; then per frame its function, block,
+    // instruction, latch count and latches; then two register
+    // counters and the eight recent destinations.
+    const std::size_t phase = 4;
+    const std::size_t stack = 7;
+    const std::size_t frame = stack + 1;
+    const auto i64 = [&](std::size_t v) {
+        return sim::CheckpointReader(snap.substr(at[v], 9)).getI64();
+    };
+    std::size_t after = frame;
+    for (std::uint64_t f = 0; f < u64Value(snap, at[stack]); ++f)
+        after += 4 + u64Value(snap, at[after + 3]);
+    const std::size_t recentDest = after + 2;
+    ASSERT_EQ(recentDest + 8 + 4, at.size());
+
+    const auto &blocks = img.functions[i64(frame)].blocks;
+    const std::size_t latches = u64Value(snap, at[frame + 3]);
+    ASSERT_EQ(latches, blocks.size());
+    std::string noStack = withValue(snap, at[stack], 0);
+    noStack.erase(at[frame], at[after] - at[frame]);
+    std::string fewerLatches = withValue(snap, at[frame + 3], latches - 1);
+    fewerLatches.erase(at[frame + 3 + latches], 9);
+
+    const std::pair<const char *, std::string> cases[] = {
+        {"phase past the image's",
+         withValue(snap, at[phase], img.phases.size())},
+        {"empty call stack", noStack},
+        {"function past the image's",
+         withValue(snap, at[frame], img.functions.size())},
+        {"block past the function's",
+         withValue(snap, at[frame + 1], blocks.size())},
+        {"instruction past the block's",
+         withValue(snap, at[frame + 2], blocks[i64(frame + 1)].numInstrs)},
+        {"one latch fewer than the function's blocks", fewerLatches},
+        {"recent destination kRegs",
+         withValue(snap, at[recentDest], kRegs)},
+    };
+    for (const auto &[what, bytes] : cases) {
+        TraceGenerator victim(img);
+        sim::CheckpointReader r(bytes);
+        EXPECT_THROW(victim.checkpoint(r), sim::CheckpointError) << what;
+    }
+
+    // The unspliced snapshot restores and continues the stream.
+    TraceGenerator twin(img);
+    sim::CheckpointReader r(snap);
+    ASSERT_NO_THROW(twin.checkpoint(r));
+    for (int i = 0; i < 1000; ++i) {
+        Instr x, y;
+        ASSERT_TRUE(gen.next(x));
+        ASSERT_TRUE(twin.next(y));
+        ASSERT_EQ(x.pc, y.pc);
+        ASSERT_EQ(x.memAddr, y.memAddr);
     }
 }
 

@@ -19,6 +19,7 @@
 #include "mem/hierarchy.hh"
 #include "mem/memory.hh"
 #include "sim/checkpoint.hh"
+#include "snapshot_splice.hh"
 #include "workload/generator.hh"
 
 namespace drisim
@@ -667,55 +668,13 @@ TEST(OooCoreRestore, OccupancyIsBoundByRobSizeNotTheRing)
     }
 }
 
-/** Offsets of the value tags in a checkpoint stream, in order: every
- *  tag but a section's open and close. */
-std::vector<std::size_t>
-valueOffsets(const std::string &snap)
-{
-    const auto u64At = [&snap](std::size_t at) {
-        sim::CheckpointReader r(std::string(1, 'U') + snap.substr(at, 8));
-        return r.getU64();
-    };
-    std::vector<std::size_t> values;
-    for (std::size_t i = 0; i < snap.size();) {
-        switch (snap[i]) {
-          case '(':
-            i += 9 + u64At(i + 1);
-            break;
-          case ')':
-            ++i;
-            break;
-          case 'B':
-            values.push_back(i);
-            i += 2;
-            break;
-          case 'S':
-            values.push_back(i);
-            i += 9 + u64At(i + 1);
-            break;
-          default: // U, I, D
-            values.push_back(i);
-            i += 9;
-        }
-    }
-    return values;
-}
-
-/** @p snap with the 64-bit value whose tag is at @p at set to @p v. */
-std::string
-withValue(std::string snap, std::size_t at, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        snap[at + 1 + i] = static_cast<char>(v >> (8 * i));
-    return snap;
-}
-
 TEST(OooCoreRestore, RejectsValuesItsFieldsCannotHold)
 {
     // A real snapshot with one field spliced out of range: a register
     // past the rename table, an op past OpClass::Return, a value wider
-    // than its field, and a store list longer than the LSQ. Each must
-    // throw CheckpointError: none may restore, abort or allocate.
+    // than its field, a store list longer than the LSQ, and an LSQ
+    // that does not hold the ROB's memory ops. Each must throw
+    // CheckpointError: none may restore, abort or allocate.
     stats::StatGroup hierRoot("h");
     Hierarchy hier(hierarchyParams(false), &hierRoot, true);
     CoreOnHierarchy c(hier);
@@ -734,18 +693,19 @@ TEST(OooCoreRestore, RejectsValuesItsFieldsCannotHold)
     // entries, the head, the rename table's writers, lsqOccupancy_
     // and the store-list length.
     const std::size_t fetchCount = robValue(robSize, 2);
-    const std::size_t live =
-        sim::CheckpointReader(snap.substr(at[fetchCount], 9)).getU64();
-    const std::size_t lsq = fetchCount + 1 + 12 * live + 1 + OooCore::kRegs;
+    const std::size_t live = u64Value(snap, at[fetchCount]);
+    const std::size_t lsq = fetchCount + 1 + 12 * live + 1 + kRegs;
     const std::size_t stores = lsq + 1;
     ASSERT_LT(stores, at.size());
+    // Loads and stores are in flight.
+    ASSERT_GT(u64Value(snap, at[lsq]), 0u);
 
     std::string everyDest = snap;
     for (unsigned e = 0; e < robSize; ++e)
         everyDest = withValue(everyDest, at[robValue(e, 2)], 100);
     const std::pair<const char *, std::string> cases[] = {
         {"dest 100 in every ROB entry", everyDest},
-        {"dest kRegs", withValue(snap, at[robValue(0, 2)], OooCore::kRegs)},
+        {"dest kRegs", withValue(snap, at[robValue(0, 2)], kRegs)},
         {"src1 261", withValue(snap, at[robValue(0, 3)], 256 + 5)},
         {"op past Return", withValue(snap, at[robValue(0, 1)], 9)},
         {"lsqOccupancy_ 2^32 + 1",
@@ -754,6 +714,8 @@ TEST(OooCoreRestore, RejectsValuesItsFieldsCannotHold)
          withValue(snap, at[stores], std::uint64_t{1} << 61)},
         {"store list past the LSQ",
          withValue(snap, at[stores], OooParams{}.lsqSize + 1)},
+        {"lsqOccupancy_ 0 with memory ops in flight",
+         withValue(snap, at[lsq], 0)},
     };
     for (const auto &[what, bytes] : cases) {
         CoreOnHierarchy victim(hier);
