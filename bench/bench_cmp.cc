@@ -84,15 +84,8 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
         const std::vector<std::string> &benches = mixes[m];
         const std::string mix = cmpMixName(benches);
 
-        CmpConfig conv_cmp;
-        conv_cmp.cores = n;
-        conv_cmp.coherence.enabled = true;
-        for (const std::string &b : benches) {
-            CmpCoreConfig core;
-            core.bench = b;
-            conv_cmp.coreConfigs.push_back(std::move(core));
-        }
-
+        const CmpConfig conv_cmp =
+            farm::mixCmpConfig(benches, n, /*coherent=*/true);
         CmpConfig pol_cmp = conv_cmp;
         for (unsigned k = 0; k < n; ++k) {
             CmpCoreConfig &core = pol_cmp.coreConfigs[k];
@@ -231,14 +224,8 @@ main(int argc, char **argv)
         mixNames[m] = cmpMixName(benches);
         const std::string &mix = mixNames[m];
 
-        CmpConfig cmp;
-        cmp.cores = n;
-        for (const std::string &b : benches) {
-            CmpCoreConfig core;
-            core.bench = b;
-            cmp.coreConfigs.push_back(std::move(core));
-        }
-
+        const CmpConfig cmp =
+            farm::mixCmpConfig(benches, n, /*coherent=*/false);
         const CmpRunOutput conv =
             runCmp(ctx.opts.run, cmp, benches[0]);
         results[m] = searchCmp(

@@ -1,6 +1,5 @@
 #include "bench_common.hh"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "farm/merge.hh"
@@ -265,164 +264,14 @@ reportFastSim(const BenchContext &ctx)
     writeObsSinks();
 }
 
-BaseResult
+SearchResult
 computeBase(const BenchmarkInfo &bench, const BenchContext &ctx)
 {
-    BaseResult out;
-
-    struct Cell
-    {
-        std::uint64_t sizeBound;
-        double factor;
-    };
-    std::vector<Cell> cells;
-    for (std::uint64_t size_bound : ctx.space.sizeBounds) {
-        if (size_bound > ctx.opts.dri.sizeBytes)
-            continue;
-        for (double factor : ctx.space.missBoundFactors)
-            cells.push_back({size_bound, factor});
-    }
-
-    Executor &exec = benchExecutor(ctx);
-    JobGraph graph;
-
-    // Content-addressed job keys: the base-config hash makes every
-    // key unique per configuration, so job-keyed artifacts (seeds,
-    // traces) never collide across differently-configured sweeps.
-    const std::string cfgHash = runKey(bench, ctx.opts.run).hashHex();
-
-    const JobId conv = graph.add(
-        bench.name + "/conv-detailed#" + cfgHash,
-        [&](const JobContext &) {
-            out.conv = run(bench, ctx.opts.run);
-        });
-
-    FastCalibration cal;
-    RunOutput conv_fast;
-    double conv_mpi = 0.0;
-    const JobId calibrate = graph.add(
-        bench.name + "/calibrate",
-        [&](const JobContext &) {
-            cal = calibrateFast(bench, ctx.opts.run, out.conv);
-            conv_fast = run(bench, ctx.opts.run, {ConventionalL1i{}, &cal});
-            const double intervals =
-                static_cast<double>(ctx.opts.run.maxInstrs) /
-                static_cast<double>(ctx.opts.dri.senseInterval);
-            conv_mpi =
-                static_cast<double>(conv_fast.meas.l1iMisses) /
-                intervals;
-        },
-        {conv});
-
-    struct CellResult
-    {
-        DriParams dri;
-        double ed = 0.0;
-        bool feasible = false;
-    };
-    std::vector<CellResult> slots(cells.size());
-    std::vector<JobId> grid;
-    grid.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        grid.push_back(graph.add(
-            strFormat("%s/sb=%llu/mbf=%g#%s", bench.name.c_str(),
-                      static_cast<unsigned long long>(
-                          cells[i].sizeBound),
-                      cells[i].factor, cfgHash.c_str()),
-            [&, i](const JobContext &) {
-                DriParams p = ctx.opts.dri;
-                p.sizeBoundBytes = cells[i].sizeBound;
-                p.missBound = std::max<std::uint64_t>(
-                    ctx.space.missBoundFloor,
-                    static_cast<std::uint64_t>(cells[i].factor *
-                                               conv_mpi));
-
-                const RunOutput d = run(bench, ctx.opts.run, {p, &cal});
-                const Comparison cmp = compare(
-                    ctx.constants, conv_fast.meas.cycles,
-                    paperView(conv_fast), d.meas.cycles, paperView(d));
-                slots[i] = {p, cmp.relativeEnergyDelay(),
-                            cmp.meetsSlowdown(ctx.maxSlowdownPct)};
-            },
-            {calibrate}));
-    }
-
-    // Listing calibrate explicitly also covers the empty-grid case,
-    // where select (and the winner jobs behind it) would otherwise
-    // run unordered with respect to conv-detailed and calibrate.
-    std::vector<JobId> selectDeps = grid;
-    selectDeps.push_back(calibrate);
-
-    DriParams params_c = ctx.opts.dri;
-    DriParams params_u = ctx.opts.dri;
-    bool u_distinct = false;
-    const JobId select = graph.add(
-        bench.name + "/select",
-        [&](const JobContext &) {
-            // Index-order scan: independent of which worker finished
-            // which cell first.
-            bool have_c = false;
-            bool have_u = false;
-            double best_c = 0.0;
-            double best_u = 0.0;
-            for (const CellResult &cell : slots) {
-                if (!have_u || cell.ed < best_u) {
-                    have_u = true;
-                    best_u = cell.ed;
-                    params_u = cell.dri;
-                }
-                if (cell.feasible && (!have_c || cell.ed < best_c)) {
-                    have_c = true;
-                    best_c = cell.ed;
-                    params_c = cell.dri;
-                }
-            }
-            if (!have_c) {
-                // Constraint unreachable (fpppp-like): pin to full
-                // size.
-                params_c = ctx.opts.dri;
-                params_c.sizeBoundBytes = ctx.opts.dri.sizeBytes;
-                params_c.missBound = std::max<std::uint64_t>(
-                    ctx.space.missBoundFloor,
-                    static_cast<std::uint64_t>(2.0 * conv_mpi));
-            }
-            u_distinct =
-                have_u && !(params_u.sizeBoundBytes ==
-                                params_c.sizeBoundBytes &&
-                            params_u.missBound == params_c.missBound);
-        },
-        selectDeps);
-
-    graph.add(
-        bench.name + "/winner-constrained",
-        [&](const JobContext &) {
-            out.constrained = evaluateDetailed(
-                bench, ctx.opts.run, params_c, ctx.constants, out.conv);
-            out.constrained.feasible =
-                out.constrained.cmp.meetsSlowdown(ctx.maxSlowdownPct);
-        },
-        {select});
-
-    graph.add(
-        bench.name + "/winner-unconstrained",
-        [&](const JobContext &) {
-            // Runs concurrently with the constrained winner; when
-            // both searches picked the same cell the copy happens
-            // after the graph (the constrained job may still be in
-            // flight here).
-            if (!u_distinct)
-                return;
-            out.unconstrained = evaluateDetailed(
-                bench, ctx.opts.run, params_u, ctx.constants, out.conv);
-        },
-        {select});
-
-    exec.run(graph);
-
-    if (!u_distinct)
-        out.unconstrained = out.constrained;
-    out.unconstrained.feasible = true;
-    return out;
+    return searchBestEnergyDelay(bench, ctx.opts.run, ctx.opts.dri,
+                                 ctx.space, ctx.constants,
+                                 ctx.maxSlowdownPct,
+                                 run(bench, ctx.opts.run),
+                                 &benchExecutor(ctx));
 }
 
 void

@@ -2,11 +2,10 @@
  * @file
  * Shared plumbing for the per-figure bench binaries: default run
  * configuration, the command line (the config/options knob rows
- * each binary takes), the paper's best-case
- * (miss-bound, size-bound) search evaluated once per benchmark for
- * both the performance-constrained and unconstrained cases, and
- * output helpers. The search runs as an executor JobGraph
- * (harness/executor.hh); results are identical at any --jobs value.
+ * each binary takes), the sweep driver, the paper's best-case
+ * (miss-bound, size-bound) search per benchmark (harness/sweep's
+ * searchBestEnergyDelay on the context's pool) and output helpers.
+ * Results are identical at any --jobs value.
  */
 
 #ifndef DRISIM_BENCH_BENCH_COMMON_HH
@@ -147,6 +146,9 @@ class SweepDriver
         return units_[i];
     }
 
+    /** Number of units in the plan (the bound of unit()). */
+    std::size_t unitCount() const { return units_.size(); }
+
     /**
      * Compute the units and return their indices in plan order: the
      * order a binary's cross-unit pass (tables, means, stdout) walks
@@ -187,23 +189,15 @@ int listBenchmarks();
 /** "<resolved workers> worker(s)" banner line for run headers. */
 std::string workerBanner(const BenchContext &ctx);
 
-/** Figure 3's two design points for one benchmark. */
-struct BaseResult
-{
-    RunOutput conv;                ///< detailed conventional run
-    SearchCandidate constrained;   ///< best with <= 4% slowdown
-    SearchCandidate unconstrained; ///< best regardless of slowdown
-};
-
 /**
- * Evaluate the (size-bound x miss-bound) grid once on the fast
- * model and detail-run both winners (the paper's "empirically
- * searching the combination space", Section 5.3). Internally a
- * JobGraph: conv-detailed -> calibrate -> grid -> select -> the two
- * detailed winner runs in parallel.
+ * The paper's best-case search for one benchmark (Section 5.3): the
+ * detailed conventional run, then searchBestEnergyDelay over
+ * ctx.space on the context's pool under ctx.maxSlowdownPct. Its best
+ * is the constrained winner; unconstrainedWinner() gives the other
+ * design point of Figure 3.
  */
-BaseResult computeBase(const BenchmarkInfo &bench,
-                       const BenchContext &ctx);
+SearchResult computeBase(const BenchmarkInfo &bench,
+                         const BenchContext &ctx);
 
 /** Print a figure/table banner. */
 void printHeader(const std::string &title,

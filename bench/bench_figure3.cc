@@ -77,15 +77,19 @@ main(int argc, char **argv)
     SweepDriver drv(ctx, "bench_figure3", "figure3", jsonCols);
 
     const auto &suite = specSuite();
-    // Index-addressed per-unit slots; units run concurrently.
-    std::vector<BaseResult> bases(suite.size());
+    // Index-addressed per-unit slots (each benchmark's two winners);
+    // units run concurrently.
+    std::vector<SearchCandidate> constrained(suite.size());
+    std::vector<SearchCandidate> unconstrained(suite.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        bases[i] = computeBase(b, ctx);
+        const SearchResult sr = computeBase(b, ctx);
+        constrained[i] = sr.best;
+        unconstrained[i] =
+            unconstrainedWinner(sr, b, ctx.opts.run, ctx.constants);
         std::vector<std::string> rc =
-            rowCells(b.name, b.benchClass, bases[i].constrained);
-        rc.push_back(
-            runKey(b, ctx.opts.run, {bases[i].constrained.dri}).hashHex());
+            rowCells(b.name, b.benchClass, sr.best);
+        rc.push_back(sr.best.configHash);
         std::cerr << "  [figure3] " + b.name + " done\n";
         return {std::move(rc)};
     };
@@ -98,17 +102,14 @@ main(int argc, char **argv)
     std::vector<std::pair<std::string, double>> bars_size;
     for (const std::size_t i : drv.run(computeUnit)) {
         const auto &b = suite[i];
-        const BaseResult &base = bases[i];
-        tc.addRow(rowCells(b.name, b.benchClass, base.constrained));
-        tu.addRow(rowCells(b.name, b.benchClass,
-                           base.unconstrained));
-        sum_ed_c += base.constrained.cmp.relativeEnergyDelay();
-        sum_ed_u += base.unconstrained.cmp.relativeEnergyDelay();
-        sum_size_c += base.constrained.out.meas.avgActiveFraction;
-        bars_c.emplace_back(
-            b.name, base.constrained.cmp.relativeEnergyDelay());
-        bars_size.emplace_back(
-            b.name, base.constrained.out.meas.avgActiveFraction);
+        const SearchCandidate &c = constrained[i];
+        tc.addRow(rowCells(b.name, b.benchClass, c));
+        tu.addRow(rowCells(b.name, b.benchClass, unconstrained[i]));
+        sum_ed_c += c.cmp.relativeEnergyDelay();
+        sum_ed_u += unconstrained[i].cmp.relativeEnergyDelay();
+        sum_size_c += c.out.meas.avgActiveFraction;
+        bars_c.emplace_back(b.name, c.cmp.relativeEnergyDelay());
+        bars_size.emplace_back(b.name, c.out.meas.avgActiveFraction);
     }
 
     std::cout << "\n-- performance-constrained (left bars) --\n";

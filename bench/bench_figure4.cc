@@ -39,21 +39,14 @@ main(int argc, char **argv)
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_figure4", "figure4", jsonCols);
 
-    // --short keeps compress+li, the same filter the sweep registry
-    // applies, so unit indices keep matching the plan.
-    std::vector<BenchmarkInfo> suite;
-    for (const auto &b : specSuite()) {
-        if (ctx.opts.shortRun && b.name != "compress" && b.name != "li")
-            continue;
-        suite.push_back(b);
-    }
-    // Index-addressed per-unit slots; units run concurrently.
-    std::vector<std::vector<std::string>> rows(suite.size());
-    std::vector<double> spreads(suite.size(), 0.0);
+    // Index-addressed per-unit slots; units run concurrently. Each
+    // unit names its benchmark (the plan applies --short).
+    std::vector<std::vector<std::string>> rows(drv.unitCount());
+    std::vector<double> spreads(drv.unitCount(), 0.0);
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
-        const auto &b = suite[i];
-        const BaseResult base = computeBase(b, ctx);
-        const DriParams &bp = base.constrained.dri;
+        const BenchmarkInfo &b = findBenchmark(drv.unit(i).label);
+        const SearchResult base = computeBase(b, ctx);
+        const DriParams &bp = base.best.dri;
 
         // The 0.5x and 2x re-runs are independent detailed
         // simulations; batch them through the executor.
@@ -67,13 +60,13 @@ main(int argc, char **argv)
         }
         const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
-                                  ctx.constants, base.conv,
+                                  ctx.constants, base.convDetailed,
                                   &benchExecutor(ctx));
 
         double ed[3];
         double slow[3];
-        const Comparison *cmps[3] = {
-            &batch[0].cmp, &base.constrained.cmp, &batch[1].cmp};
+        const Comparison *cmps[3] = {&batch[0].cmp, &base.best.cmp,
+                                     &batch[1].cmp};
         for (int k = 0; k < 3; ++k) {
             ed[k] = cmps[k]->relativeEnergyDelay();
             slow[k] = cmps[k]->slowdownPercent();
@@ -101,7 +94,7 @@ main(int argc, char **argv)
         t.addRow(rows[i]);
         if (spreads[i] > worst_spread) {
             worst_spread = spreads[i];
-            worst_name = suite[i].name;
+            worst_name = drv.unit(i).label;
         }
     }
     t.print(std::cout);

@@ -42,8 +42,8 @@ main(int argc, char **argv)
     std::vector<std::vector<std::string>> rows(suite.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        const BaseResult base = computeBase(b, ctx);
-        const DriParams &bp = base.constrained.dri;
+        const SearchResult base = computeBase(b, ctx);
+        const DriParams &bp = base.best.dri;
 
         // Collect the applicable off-base size-bounds, batch the
         // detailed re-runs through the executor, then map back.
@@ -56,9 +56,7 @@ main(int argc, char **argv)
             std::uint64_t sb = static_cast<std::uint64_t>(
                 factors[k] *
                 static_cast<double>(bp.sizeBoundBytes));
-            if (sb > bp.sizeBytes ||
-                sb < static_cast<std::uint64_t>(bp.blockBytes) *
-                         bp.assoc) {
+            if (!bp.sizeBoundFits(sb)) {
                 ed[k] = "N/A";
                 slow[k] = "N/A";
                 continue;
@@ -72,13 +70,10 @@ main(int argc, char **argv)
         }
         const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
-                                  ctx.constants, base.conv,
+                                  ctx.constants, base.convDetailed,
                                   &benchExecutor(ctx));
-        ed[1] = fmtDouble(
-            base.constrained.cmp.relativeEnergyDelay(), 3);
-        slow[1] =
-            fmtDouble(base.constrained.cmp.slowdownPercent(), 1) +
-            "%";
+        ed[1] = fmtDouble(base.best.cmp.relativeEnergyDelay(), 3);
+        slow[1] = fmtDouble(base.best.cmp.slowdownPercent(), 1) + "%";
         for (std::size_t k = 0; k < batch.size(); ++k) {
             ed[variantSlot[k]] =
                 fmtDouble(batch[k].cmp.relativeEnergyDelay(), 3);

@@ -8,6 +8,7 @@
  * extra resizing tag bit so its size-bound matches (Section 5.5).
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -63,8 +64,8 @@ main(int argc, char **argv)
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
         // The base 64K direct-mapped search supplies the bounds.
-        const BaseResult base = computeBase(b, ctx);
-        const DriParams &bp = base.constrained.dri;
+        const SearchResult base = computeBase(b, ctx);
+        const DriParams &bp = base.best.dri;
 
         // Cases A and C each need their own conventional baseline
         // plus a DRI re-run — four detailed simulations. Run both
@@ -85,12 +86,8 @@ main(int argc, char **argv)
                 // Keep the size-bound's absolute magnitude; the
                 // 128K cache just gains one resizing bit (Section
                 // 5.5). A 4-way set needs at least one full set.
-                if (p.sizeBoundBytes <
-                    static_cast<std::uint64_t>(p.blockBytes) *
-                        p.assoc)
-                    p.sizeBoundBytes =
-                        static_cast<std::uint64_t>(p.blockBytes) *
-                        p.assoc;
+                p.sizeBoundBytes =
+                    std::max(p.sizeBoundBytes, p.setBytes());
 
                 const RunOutput conv = run(b, cfg);
                 offBase[k] = evaluateDetailed(b, cfg, p,
@@ -101,7 +98,7 @@ main(int argc, char **argv)
         std::string size[3];
         std::string slow[3];
         const SearchCandidate *cands[3] = {
-            &offBase[0], &base.constrained, &offBase[1]};
+            &offBase[0], &base.best, &offBase[1]};
         for (int k = 0; k < 3; ++k) {
             ed[k] = fmtDouble(cands[k]->cmp.relativeEnergyDelay(), 3);
             size[k] =

@@ -71,10 +71,7 @@ main(int argc, char **argv)
         best[i] = sr.best;
         std::vector<std::string> row =
             multiLevelRowCells(b.name, sr.best);
-        RunConfig ml = ctx.opts.run;
-        ml.hier.l2Dri = true;
-        ml.hier.l2DriParams = sr.best.l2;
-        row.push_back(runKey(b, ml, {sr.best.l1}).hashHex());
+        row.push_back(sr.best.configHash);
         std::cerr << "  [multilevel] " + b.name + " done\n";
         return {std::move(row)};
     };

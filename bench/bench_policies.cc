@@ -68,14 +68,8 @@ main(int argc, char **argv)
     jsonCols.push_back("config_hash");
     SweepDriver drv(ctx, "bench_policies", "policies", jsonCols);
 
-    std::vector<BenchmarkInfo> benches;
-    for (const auto &b : specSuite()) {
-        if (ctx.opts.shortRun && b.name != "compress" && b.name != "li")
-            continue;
-        benches.push_back(b);
-    }
-
-    // Index-addressed per-unit slots; units run concurrently.
+    // Index-addressed per-unit slots; units run concurrently. Each
+    // unit names its benchmark (the plan applies --short).
     struct UnitResult
     {
         std::vector<std::vector<std::string>> rows;
@@ -83,9 +77,9 @@ main(int argc, char **argv)
         std::vector<std::pair<std::string, double>> feasible;
         std::string winner; ///< empty when no policy was feasible
     };
-    std::vector<UnitResult> results(benches.size());
+    std::vector<UnitResult> results(drv.unitCount());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
-        const auto &b = benches[i];
+        const BenchmarkInfo &b = findBenchmark(drv.unit(i).label);
         const RunOutput conv = run(b, ctx.opts.run);
         const PolicySearchResult sr = searchPolicies(
             b, ctx.opts.run, tmpl, space, constants, ctx.maxSlowdownPct,
@@ -93,27 +87,30 @@ main(int argc, char **argv)
 
         UnitResult &r = results[i];
         UnitRows unitRows;
-        double best_ed = 0.0;
-        for (const PolicyCandidate &cand : sr.bestPerKind) {
-            if (cand.out.meas.cycles == 0)
-                continue; // kind had no cells in this grid
+        // A kind without cells in this grid ran nothing (zero cycles).
+        const auto ran = [&](std::size_t k) {
+            return sr.bestPerKind[k].out.meas.cycles != 0;
+        };
+        for (std::size_t k = 0; k < sr.bestPerKind.size(); ++k) {
+            const PolicyCandidate &cand = sr.bestPerKind[k];
+            if (!ran(k))
+                continue;
             std::vector<std::string> row =
                 policyRowCells(b.name, cand);
             if (!cand.feasible)
                 row.back() += " (infeasible)";
             r.rows.push_back(row);
-            row.push_back(runKey(b, ctx.opts.run, {cand.config}).hashHex());
+            row.push_back(cand.configHash);
             unitRows.push_back(std::move(row));
-            const double ed = cand.cmp.relativeEnergyDelay();
-            const char *name = policyKindName(cand.config.kind);
-            if (cand.feasible) {
-                r.feasible.emplace_back(name, ed);
-                if (r.winner.empty() || ed < best_ed) {
-                    best_ed = ed;
-                    r.winner = name;
-                }
-            }
+            if (cand.feasible)
+                r.feasible.emplace_back(
+                    policyKindName(cand.config.kind),
+                    cand.cmp.relativeEnergyDelay());
         }
+        if (const auto w = lowestEd(sr.bestPerKind, [&](std::size_t k) {
+                return ran(k) && sr.bestPerKind[k].feasible;
+            }))
+            r.winner = policyKindName(sr.bestPerKind[*w].config.kind);
         std::cerr << "  [policies] " + b.name + " done (" +
                          (r.winner.empty() ? "none" : r.winner) +
                          " wins)\n";
@@ -151,7 +148,7 @@ main(int argc, char **argv)
                                    edCounts[policy]))
                   << " over " << edCounts[policy] << " workloads, "
                   << "wins " << wins[policy] << "/"
-                  << benches.size() << "\n";
+                  << drv.unitCount() << "\n";
 
     drv.finish();
     reportFastSim(ctx);

@@ -56,19 +56,19 @@ main(int argc, char **argv)
     std::vector<UnitResult> results(suite.size());
     const auto computeUnit = [&](std::size_t i) -> UnitRows {
         const auto &b = suite[i];
-        const BaseResult base = computeBase(b, ctx);
-        const DriParams &bp = base.constrained.dri;
+        const SearchResult base = computeBase(b, ctx);
+        const DriParams &bp = base.best.dri;
         UnitResult &r = results[i];
 
         // --- interval sweep + divisibility ----------------------
         // All off-base variants of both ablations are independent
         // detailed runs; batch them through one executor pass.
-        double base_ed = base.constrained.cmp.relativeEnergyDelay();
+        double base_ed = base.best.cmp.relativeEnergyDelay();
         std::vector<DriParams> variants;
         std::vector<const Comparison *> ivCmp;
         for (InstCount iv : intervals) {
             if (iv == bp.senseInterval) {
-                ivCmp.push_back(&base.constrained.cmp);
+                ivCmp.push_back(&base.best.cmp);
                 continue;
             }
             DriParams p = bp;
@@ -91,7 +91,7 @@ main(int argc, char **argv)
         }
         const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
-                                  ctx.constants, base.conv,
+                                  ctx.constants, base.convDetailed,
                                   &benchExecutor(ctx));
 
         r.interval = {b.name};
@@ -113,26 +113,15 @@ main(int argc, char **argv)
                 fmtDouble(batch[k].cmp.relativeEnergyDelay(), 3));
 
         // --- throttle ablation ----------------------------------
+        // The throttled side is the base winner's own detailed run.
         DriParams p = bp;
         p.throttleHoldIntervals = 0; // trigger becomes a no-op
-        RunOutput no_thr;
-        RunOutput with_thr;
-        benchExecutor(ctx).forEachIndex(
-            b.name + "/throttle", 2,
-            [&](std::size_t k, const JobContext &) {
-                if (k == 0)
-                    no_thr = run(b, ctx.opts.run, {p});
-                else
-                    with_thr = run(b, ctx.opts.run, {bp});
-            });
-        const Comparison c =
-            compare(ctx.constants, base.conv.meas.cycles,
-                    paperView(base.conv), no_thr.meas.cycles,
-                    paperView(no_thr));
+        const SearchCandidate no_thr = evaluateDetailed(
+            b, ctx.opts.run, p, ctx.constants, base.convDetailed);
         r.throttle = {b.name, fmtDouble(base_ed, 3),
-                      fmtDouble(c.relativeEnergyDelay(), 3),
-                      std::to_string(with_thr.resizes),
-                      std::to_string(no_thr.resizes)};
+                      fmtDouble(no_thr.cmp.relativeEnergyDelay(), 3),
+                      std::to_string(base.best.out.resizes),
+                      std::to_string(no_thr.out.resizes)};
 
         std::vector<std::string> jsonRow = r.interval;
         jsonRow.push_back(drv.unit(i).hashHex);

@@ -360,9 +360,8 @@ main(int argc, char **argv)
                 best.cmp.slowdownPercent(),
                 best.out.meas.avgActiveFraction);
 
-    const SearchResult unconstrained = searchBestEnergyDelay(
-        bench, cfg, tmpl, space, constants, -1.0, conv);
-    const auto &ubest = unconstrained.best;
+    const SearchCandidate ubest =
+        unconstrainedWinner(constrained, bench, cfg, constants);
     std::printf("\nbest unconstrained configuration:\n");
     std::printf("  size-bound %s, miss-bound %llu\n",
                 bytesToString(ubest.dri.sizeBoundBytes).c_str(),

@@ -67,6 +67,13 @@ struct DriParams
     /** Number of resizing tag bits implied by the size-bound. */
     unsigned resizingTagBits() const;
 
+    /** Bytes of one set: the smallest size the cache can take. */
+    std::uint64_t setBytes() const;
+
+    /** @p bound is a size-bound this geometry can take: at least
+     *  one set, at most the full size. */
+    bool sizeBoundFits(std::uint64_t bound) const;
+
     /** Sanity-check the parameter combination (fatal on bad input). */
     void validate() const;
 };

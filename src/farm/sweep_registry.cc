@@ -59,6 +59,21 @@ cmpCoherentMixes(unsigned cores)
     return mixes;
 }
 
+CmpConfig
+mixCmpConfig(const std::vector<std::string> &benches, unsigned cores,
+             bool coherent)
+{
+    CmpConfig cmp;
+    cmp.cores = cores;
+    cmp.coherence.enabled = coherent;
+    for (const std::string &b : benches) {
+        CmpCoreConfig core;
+        core.bench = b;
+        cmp.coreConfigs.push_back(std::move(core));
+    }
+    return cmp;
+}
+
 namespace
 {
 
@@ -78,23 +93,6 @@ suiteUnits(const std::string &sweep, const SweepSetup &setup,
         units.push_back(makeSweepUnit(b.name, key));
     }
     return units;
-}
-
-/** The conventional-baseline CmpConfig a mix runs (identity only —
- *  the leakage-managed build derives from it deterministically). */
-CmpConfig
-mixCmpConfig(const std::vector<std::string> &benches, unsigned cores,
-             bool coherent)
-{
-    CmpConfig cmp;
-    cmp.cores = cores;
-    cmp.coherence.enabled = coherent;
-    for (const std::string &b : benches) {
-        CmpCoreConfig core;
-        core.bench = b;
-        cmp.coreConfigs.push_back(std::move(core));
-    }
-    return cmp;
 }
 
 std::vector<SweepUnit>
@@ -128,9 +126,9 @@ sweepUnits(const std::string &sweep, const SweepSetup &setup)
         sweep == "figure6" || sweep == "section56" ||
         sweep == "multilevel")
         return suiteUnits(sweep, setup, /*honourShort=*/false);
-    // figure4 and policies honour --short: their binaries filter
-    // the same way, so plan indices keep matching the loop (the CI
-    // obs smoke runs bench_figure4 --short).
+    // figure4 and policies honour --short: their binaries take each
+    // unit's benchmark from this plan (the CI obs smoke runs
+    // bench_figure4 --short).
     if (sweep == "figure4" || sweep == "policies")
         return suiteUnits(sweep, setup, /*honourShort=*/true);
     if (sweep == "cmp")

@@ -68,6 +68,15 @@ std::vector<std::string> cmpMixBenches(unsigned m, unsigned cores);
 std::vector<std::vector<std::string>>
 cmpCoherentMixes(unsigned cores);
 
+/**
+ * The conventional-baseline CmpConfig mix @p benches runs on @p cores
+ * cores, under MSI when @p coherent. A CMP unit's identity key is
+ * built from it, and bench_cmp runs it (the leakage-managed build
+ * derives from it deterministically).
+ */
+CmpConfig mixCmpConfig(const std::vector<std::string> &benches,
+                       unsigned cores, bool coherent);
+
 /** Build a SweepUnit from a label and its identity key. */
 SweepUnit makeSweepUnit(const std::string &label,
                         const sim::ConfigKey &key);

@@ -1,18 +1,18 @@
 /**
  * @file
- * The (L1 size-bound x L2 size-bound) multi-level search, executed
- * as a JobGraph: calibrate -> fast grid -> select -> detailed
- * winner. Grid cells land in index-addressed slots and the
- * selection scans them in grid order, so results are bit-identical
- * at any worker count.
+ * The (L1 size-bound x L2 size-bound) multi-level search and the
+ * CMP search, each executed as a JobGraph: detailed grid -> select.
+ * Grid cells land in index-addressed slots and the selection scans
+ * them in grid order, so results are bit-identical at any worker
+ * count.
  */
 
 #include "harness/multilevel.hh"
 
-#include <algorithm>
 #include <optional>
 
 #include "harness/executor.hh"
+#include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "mem/hierarchy.hh"
 #include "util/logging.hh"
@@ -39,33 +39,44 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
         driParamsForLevel(config.hier.l1i, l1Template);
     const DriParams l2_base =
         driParamsForLevel(config.hier.l2, l2Template);
+    const double instrs = static_cast<double>(config.maxInstrs);
+    const double conv_l1_mpi = missesPerInterval(
+        convDetailed.meas.l1iMisses, instrs, l1_base.senseInterval);
+    const double conv_l2_mpi = missesPerInterval(
+        convDetailed.l2Misses, instrs, l2_base.senseInterval);
 
+    // A cell's run config (the L2 resizing with p2) and its run-key
+    // hash are built once: the hash is the job key, the memo key and
+    // the candidate's reported identity.
     struct Cell
     {
-        std::uint64_t l1Bound;
-        std::uint64_t l2Bound;
+        DriParams l1;
+        DriParams l2;
+        RunConfig config;
+        std::string hash;
+    };
+    const auto make_cell = [&](const DriParams &p1,
+                               const DriParams &p2) {
+        Cell cell{p1, p2, config, {}};
+        cell.config.hier.l2Dri = true;
+        cell.config.hier.l2DriParams = p2;
+        cell.hash = runKey(bench, cell.config, {p1}).hashHex();
+        return cell;
     };
     std::vector<Cell> cells;
-    const std::uint64_t l1_set_bytes =
-        static_cast<std::uint64_t>(l1_base.blockBytes) *
-        l1_base.assoc;
-    const std::uint64_t l2_set_bytes =
-        static_cast<std::uint64_t>(l2_base.blockBytes) *
-        l2_base.assoc;
     for (std::uint64_t b1 : space.l1SizeBounds) {
-        if (b1 > l1_base.sizeBytes || b1 < l1_set_bytes)
+        if (!l1_base.sizeBoundFits(b1))
             continue;
         for (std::uint64_t b2 : space.l2SizeBounds) {
-            if (b2 > l2_base.sizeBytes || b2 < l2_set_bytes)
+            if (!l2_base.sizeBoundFits(b2))
                 continue;
-            cells.push_back({b1, b2});
+            cells.push_back(make_cell(
+                cellParams(l1_base, b1, space.missBoundFloor,
+                           space.l1MissBoundFactor, conv_l1_mpi),
+                cellParams(l2_base, b2, space.missBoundFloor,
+                           space.l2MissBoundFactor, conv_l2_mpi)));
         }
     }
-
-    std::optional<Executor> local;
-    if (!exec)
-        exec = &local.emplace(config.jobs);
-    JobGraph graph;
 
     // Every cell is evaluated on the *detailed* core. The paper's
     // single-level search can lean on the fast fetch-driven model
@@ -77,46 +88,12 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
     // parallelizes instead of approximating.
     const std::vector<LevelInput> conv_view =
         hierarchyView(convDetailed);
-    const double l1_intervals =
-        static_cast<double>(config.maxInstrs) /
-        static_cast<double>(l1_base.senseInterval);
-    const double l2_intervals =
-        static_cast<double>(config.maxInstrs) /
-        static_cast<double>(l2_base.senseInterval);
-    const double conv_l1_mpi =
-        l1_intervals > 0.0
-            ? static_cast<double>(convDetailed.meas.l1iMisses) /
-                  l1_intervals
-            : 0.0;
-    const double conv_l2_mpi =
-        l2_intervals > 0.0
-            ? static_cast<double>(convDetailed.l2Misses) /
-                  l2_intervals
-            : 0.0;
-
-    auto cell_params = [&](const Cell &cell) {
-        std::pair<DriParams, DriParams> p{l1_base, l2_base};
-        p.first.sizeBoundBytes = cell.l1Bound;
-        p.first.missBound = std::max<std::uint64_t>(
-            space.missBoundFloor,
-            static_cast<std::uint64_t>(space.l1MissBoundFactor *
-                                       conv_l1_mpi));
-        p.second.sizeBoundBytes = cell.l2Bound;
-        p.second.missBound = std::max<std::uint64_t>(
-            space.missBoundFloor,
-            static_cast<std::uint64_t>(space.l2MissBoundFactor *
-                                       conv_l2_mpi));
-        return p;
-    };
-
-    auto evaluate = [&](const DriParams &p1, const DriParams &p2) {
-        RunConfig ml = config;
-        ml.hier.l2Dri = true;
-        ml.hier.l2DriParams = p2;
+    const auto evaluate = [&](const Cell &cell) {
         MultiLevelCandidate cand;
-        cand.l1 = p1;
-        cand.l2 = p2;
-        cand.out = run(bench, ml, {p1});
+        cand.l1 = cell.l1;
+        cand.l2 = cell.l2;
+        cand.out = run(bench, cell.config, {cell.l1});
+        cand.configHash = cell.hash;
         cand.cmp = compare(constants, convDetailed.meas.cycles,
                            conv_view, cand.out.meas.cycles,
                            hierarchyView(cand.out));
@@ -124,64 +101,41 @@ searchMultiLevel(const BenchmarkInfo &bench, const RunConfig &config,
         return cand;
     };
 
+    std::optional<Executor> local;
+    if (!exec)
+        exec = &local.emplace(config.jobs);
+    JobGraph graph;
     result.evaluated.resize(cells.size());
     std::vector<JobId> grid;
     grid.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        // Content-addressed job key: the cell's full run-key hash,
-        // the same identity its result is memoized under.
-        const auto [kp1, kp2] = cell_params(cells[i]);
-        RunConfig kml = config;
-        kml.hier.l2Dri = true;
-        kml.hier.l2DriParams = kp2;
+    for (std::size_t i = 0; i < cells.size(); ++i)
         grid.push_back(graph.add(
             strFormat("%s/ml-sb1=%llu/sb2=%llu#%s",
                       bench.name.c_str(),
                       static_cast<unsigned long long>(
-                          cells[i].l1Bound),
+                          cells[i].l1.sizeBoundBytes),
                       static_cast<unsigned long long>(
-                          cells[i].l2Bound),
-                      runKey(bench, kml, {kp1}).hashHex().c_str()),
+                          cells[i].l2.sizeBoundBytes),
+                      cells[i].hash.c_str()),
             [&, i](const JobContext &) {
-                const auto [p1, p2] = cell_params(cells[i]);
-                result.evaluated[i] = evaluate(p1, p2);
+                result.evaluated[i] = evaluate(cells[i]);
             }));
-    }
 
     graph.add(
         bench.name + "/ml-select",
         [&](const JobContext &) {
-            // Index-order scan: independent of which worker
-            // finished which cell first.
-            bool have_best = false;
-            double best_ed = 0.0;
-            for (const MultiLevelCandidate &cand : result.evaluated) {
-                if (!cand.feasible)
-                    continue;
-                const double ed = cand.cmp.relativeEnergyDelay();
-                if (!have_best || ed < best_ed) {
-                    have_best = true;
-                    best_ed = ed;
-                    result.best = cand;
-                }
-            }
-            if (!have_best) {
-                // Nothing met the constraint: fall back to the
-                // least-harm configuration (full-size size-bounds
-                // disable downsizing at both levels) and evaluate
-                // it so the report carries real numbers.
-                DriParams p1 = l1_base;
-                p1.sizeBoundBytes = l1_base.sizeBytes;
-                p1.missBound = std::max<std::uint64_t>(
-                    space.missBoundFloor,
-                    static_cast<std::uint64_t>(2.0 * conv_l1_mpi));
-                DriParams p2 = l2_base;
-                p2.sizeBoundBytes = l2_base.sizeBytes;
-                p2.missBound = std::max<std::uint64_t>(
-                    space.missBoundFloor,
-                    static_cast<std::uint64_t>(2.0 * conv_l2_mpi));
-                result.best = evaluate(p1, p2);
-            }
+            // When nothing met the constraint, the least-harm
+            // configuration at both levels is evaluated so the report
+            // carries real numbers.
+            const std::optional<std::size_t> w =
+                lowestFeasibleEd(result.evaluated);
+            result.best =
+                w ? result.evaluated[*w]
+                  : evaluate(make_cell(
+                        leastHarm(l1_base, space.missBoundFloor,
+                                  conv_l1_mpi),
+                        leastHarm(l2_base, space.missBoundFloor,
+                                  conv_l2_mpi)));
         },
         grid);
 
@@ -279,17 +233,12 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
     // miss-bound is scaled to its *own* workload, which is the point
     // of per-core controllers in a heterogeneous mix.
     const std::vector<LevelInput> conv_view = cmpView(convDetailed);
-    const double l1_intervals =
-        static_cast<double>(config.maxInstrs) /
-        static_cast<double>(l1_base.senseInterval);
     std::vector<double> conv_l1_mpi(n, 0.0);
     for (unsigned k = 0; k < n; ++k)
-        conv_l1_mpi[k] =
-            l1_intervals > 0.0
-                ? static_cast<double>(
-                      convDetailed.cores[k].meas.l1iMisses) /
-                      l1_intervals
-                : 0.0;
+        conv_l1_mpi[k] = missesPerInterval(
+            convDetailed.cores[k].meas.l1iMisses,
+            static_cast<double>(config.maxInstrs),
+            l1_base.senseInterval);
     // The shared L2 senses system-wide retirement (system/cmp.hh),
     // so its interval count runs over the sum of all cores'
     // instructions.
@@ -297,31 +246,8 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
     for (const CmpCoreOutput &c : convDetailed.cores)
         total_instrs +=
             static_cast<double>(c.meas.instructions);
-    const double l2_intervals =
-        total_instrs / static_cast<double>(l2_base.senseInterval);
-    const double conv_l2_mpi =
-        l2_intervals > 0.0
-            ? static_cast<double>(convDetailed.l2Misses) /
-                  l2_intervals
-            : 0.0;
-
-    auto l1_params = [&](unsigned core, double factor) {
-        DriParams p = l1_base;
-        p.missBound = std::max<std::uint64_t>(
-            space.missBoundFloor,
-            static_cast<std::uint64_t>(factor *
-                                       conv_l1_mpi[core]));
-        return p;
-    };
-    auto l2_params = [&](std::uint64_t bound) {
-        DriParams p = l2_base;
-        p.sizeBoundBytes = bound;
-        p.missBound = std::max<std::uint64_t>(
-            space.missBoundFloor,
-            static_cast<std::uint64_t>(space.l2MissBoundFactor *
-                                       conv_l2_mpi));
-        return p;
-    };
+    const double conv_l2_mpi = missesPerInterval(
+        convDetailed.l2Misses, total_instrs, l2_base.senseInterval);
 
     // The grid: shared L2 size-bound (outer) x one miss-bound-factor
     // choice per core (mixed-radix inner, core 0 most significant).
@@ -335,9 +261,6 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
         std::vector<unsigned> factorIdx; ///< one index per core
     };
     std::vector<Cell> cells;
-    const std::uint64_t l2_set_bytes =
-        static_cast<std::uint64_t>(l2_base.blockBytes) *
-        l2_base.assoc;
     const std::size_t nfactors = space.l1MissBoundFactors.size();
     constexpr std::size_t kMaxFactorCombos = 1024;
     std::size_t combos = 1;
@@ -359,7 +282,7 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
     if (uniform)
         combos = nfactors; // 0 factors -> no cells -> fallback
     for (std::uint64_t b2 : space.l2SizeBounds) {
-        if (b2 > l2_base.sizeBytes || b2 < l2_set_bytes)
+        if (!l2_base.sizeBoundFits(b2))
             continue;
         for (std::size_t c = 0; c < combos; ++c) {
             Cell cell;
@@ -401,13 +324,16 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
         return cand;
     };
 
+    // The L1 size-bound is not searched: each core keeps the
+    // template's and takes its own factor's miss-bound.
     auto cell_l1_params = [&](const Cell &cell) {
         std::vector<DriParams> p1;
         p1.reserve(n);
         for (unsigned k = 0; k < n; ++k)
-            p1.push_back(l1_params(
-                k,
-                space.l1MissBoundFactors[cell.factorIdx[k]]));
+            p1.push_back(cellParams(
+                l1_base, l1_base.sizeBoundBytes, space.missBoundFloor,
+                space.l1MissBoundFactors[cell.factorIdx[k]],
+                conv_l1_mpi[k]));
         return p1;
     };
 
@@ -433,53 +359,31 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
                              cells[i].factorIdx[k]);
         grid.push_back(graph.add(
             std::move(key), [&, i](const JobContext &) {
-                result.evaluated[i] =
-                    evaluate(cell_l1_params(cells[i]),
-                             l2_params(cells[i].l2Bound));
+                result.evaluated[i] = evaluate(
+                    cell_l1_params(cells[i]),
+                    cellParams(l2_base, cells[i].l2Bound,
+                               space.missBoundFloor,
+                               space.l2MissBoundFactor, conv_l2_mpi));
             }));
     }
 
     graph.add(
         mix + "/cmp-select",
         [&](const JobContext &) {
-            // Index-order scan: independent of which worker
-            // finished which cell first.
-            bool have_best = false;
-            double best_ed = 0.0;
-            for (const CmpCandidate &cand : result.evaluated) {
-                if (!cand.feasible)
-                    continue;
-                const double ed =
-                    cand.cmp.relativeEnergyDelay();
-                if (!have_best || ed < best_ed) {
-                    have_best = true;
-                    best_ed = ed;
-                    result.best = cand;
-                }
+            // When nothing met the constraint, the least-harm
+            // configuration on every core and the L2 is evaluated so
+            // the report carries real numbers.
+            if (const auto w = lowestFeasibleEd(result.evaluated)) {
+                result.best = result.evaluated[*w];
+                return;
             }
-            if (!have_best) {
-                // Nothing met the constraint: fall back to the
-                // least-harm configuration (full-size size-bounds
-                // disable downsizing everywhere) and evaluate it so
-                // the report carries real numbers.
-                std::vector<DriParams> p1;
-                for (unsigned k = 0; k < n; ++k) {
-                    DriParams p = l1_base;
-                    p.sizeBoundBytes = l1_base.sizeBytes;
-                    p.missBound = std::max<std::uint64_t>(
-                        space.missBoundFloor,
-                        static_cast<std::uint64_t>(
-                            2.0 * conv_l1_mpi[k]));
-                    p1.push_back(p);
-                }
-                DriParams p2 = l2_base;
-                p2.sizeBoundBytes = l2_base.sizeBytes;
-                p2.missBound = std::max<std::uint64_t>(
-                    space.missBoundFloor,
-                    static_cast<std::uint64_t>(2.0 *
-                                               conv_l2_mpi));
-                result.best = evaluate(p1, p2);
-            }
+            std::vector<DriParams> p1;
+            for (unsigned k = 0; k < n; ++k)
+                p1.push_back(leastHarm(l1_base, space.missBoundFloor,
+                                       conv_l1_mpi[k]));
+            result.best = evaluate(
+                p1, leastHarm(l2_base, space.missBoundFloor,
+                              conv_l2_mpi));
         },
         grid);
 

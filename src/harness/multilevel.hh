@@ -5,8 +5,9 @@
  * L2 (after Bai et al.'s multi-level leakage trade-off methodology;
  * see docs/REPRODUCTION.md).
  *
- * Mirrors the Section 5.3 single-level search (harness/sweep.hh)
- * with one deliberate difference: every grid cell runs on the
+ * Applies the Section 5.3 search's rules (harness/sweep.hh: the cell
+ * rule, the least-harm fallback, the index-order scan) with one
+ * deliberate difference: every grid cell runs on the
  * *detailed* core. The fast fetch-driven model is exact for the L1
  * i-cache but carries no d-cache traffic, so the L2's miss flow,
  * resize behaviour and slowdown are all wrong there; the grid is
@@ -58,6 +59,9 @@ struct MultiLevelCandidate
     DriParams l2;
     /** The run with both levels resizing. */
     RunOutput out;
+    /** runKey hash of the run in out: the row identity
+     *  bench_multilevel reports. */
+    std::string configHash;
     /** Its hierarchy view against the conventional run. */
     Comparison cmp;
     bool feasible = true;

@@ -9,10 +9,10 @@
 
 #include "harness/policies.hh"
 
-#include <algorithm>
 #include <optional>
 
 #include "harness/executor.hh"
+#include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "mem/hierarchy.hh"
 #include "util/str.hh"
@@ -43,19 +43,12 @@ enumerateCells(const PolicyConfig &base, const PolicySpace &space,
         switch (kind) {
           case PolicyKind::Dri:
             for (std::uint64_t sb : space.driSizeBounds) {
-                const std::uint64_t set_bytes =
-                    static_cast<std::uint64_t>(c.dri.blockBytes) *
-                    c.dri.assoc;
-                if (sb > c.dri.sizeBytes || sb < set_bytes)
+                if (!c.dri.sizeBoundFits(sb))
                     continue;
                 PolicyCell cell{c, ki};
-                cell.config.dri.sizeBoundBytes = sb;
-                cell.config.dri.missBound =
-                    std::max<std::uint64_t>(
-                        space.missBoundFloor,
-                        static_cast<std::uint64_t>(
-                            space.driMissBoundFactor *
-                            convMissesPerInterval));
+                cell.config.dri = cellParams(
+                    c.dri, sb, space.missBoundFloor,
+                    space.driMissBoundFactor, convMissesPerInterval);
                 cells.push_back(std::move(cell));
             }
             break;
@@ -107,23 +100,19 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
     PolicyConfig base = tmpl;
     base.dri = driParamsForLevel(config.hier.l1i, tmpl.dri);
 
-    const double intervals =
-        static_cast<double>(config.maxInstrs) /
-        static_cast<double>(base.dri.senseInterval);
-    const double conv_mpi =
-        intervals > 0.0
-            ? static_cast<double>(convDetailed.meas.l1iMisses) /
-                  intervals
-            : 0.0;
+    const double conv_mpi = missesPerInterval(
+        convDetailed.meas.l1iMisses,
+        static_cast<double>(config.maxInstrs), base.dri.senseInterval);
 
     const std::vector<PolicyCell> cells =
         enumerateCells(base, space, conv_mpi);
 
     const std::vector<LevelInput> conv_view = paperView(convDetailed);
-    auto evaluate = [&](const PolicyConfig &pc) {
+    auto evaluate = [&](const PolicyConfig &pc, std::string hash) {
         PolicyCandidate cand;
         cand.config = pc;
         cand.out = run(bench, config, {pc});
+        cand.configHash = std::move(hash);
         cand.cmp = compare(constants, convDetailed.meas.cycles,
                            conv_view, cand.out.meas.cycles,
                            paperView(cand.out));
@@ -144,70 +133,59 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
     grid.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         // Content-addressed job key: the cell's full run-key hash,
-        // the same identity its result is memoized under.
+        // the same identity its result is memoized under and its
+        // candidate reports.
+        std::string hash =
+            runKey(bench, config, {cells[i].config}).hashHex();
+        std::string key = strFormat(
+            "%s/policy=%s/%s#%s", bench.name.c_str(),
+            policyKindName(cells[i].config.kind),
+            cells[i].config.paramSummary().c_str(), hash.c_str());
         grid.push_back(graph.add(
-            strFormat("%s/policy=%s/%s#%s", bench.name.c_str(),
-                      policyKindName(cells[i].config.kind),
-                      cells[i].config.paramSummary().c_str(),
-                      runKey(bench, config, {cells[i].config})
-                          .hashHex()
-                          .c_str()),
-            [&, i](const JobContext &) {
-                result.evaluated[i] = evaluate(cells[i].config);
+            std::move(key),
+            [&, i, hash = std::move(hash)](const JobContext &) {
+                result.evaluated[i] = evaluate(cells[i].config, hash);
             }));
     }
 
     graph.add(
         bench.name + "/policy-select",
         [&](const JobContext &) {
-            // Index-order scans, one winner per kind: independent
-            // of which worker finished which cell first.
+            // One winner per kind, by index-order scans over that
+            // kind's cells.
             result.bestPerKind.resize(space.kinds.size());
             for (std::size_t ki = 0; ki < space.kinds.size();
                  ++ki) {
-                bool have_best = false;
-                double best_ed = 0.0;
-                bool have_fallback = false;
-                double best_slow = 0.0;
-                std::size_t fallback = 0;
-                for (std::size_t i = 0; i < cells.size(); ++i) {
-                    if (cells[i].kindIndex != ki)
-                        continue;
-                    const PolicyCandidate &cand =
-                        result.evaluated[i];
-                    const double slow =
-                        cand.cmp.slowdownPercent();
-                    if (!have_fallback || slow < best_slow) {
-                        have_fallback = true;
-                        best_slow = slow;
-                        fallback = i;
-                    }
-                    if (!cand.feasible)
-                        continue;
-                    const double ed =
-                        cand.cmp.relativeEnergyDelay();
-                    if (!have_best || ed < best_ed) {
-                        have_best = true;
-                        best_ed = ed;
-                        result.bestPerKind[ki] = cand;
-                    }
-                }
-                if (!have_best && have_fallback) {
+                const auto of_kind = [&](std::size_t i) {
+                    return cells[i].kindIndex == ki;
+                };
+                PolicyCandidate &best = result.bestPerKind[ki];
+                if (const auto w = lowestEd(
+                        result.evaluated, [&](std::size_t i) {
+                            return of_kind(i) &&
+                                   result.evaluated[i].feasible;
+                        })) {
+                    best = result.evaluated[*w];
+                } else if (const auto f = lowestKey(
+                               cells.size(),
+                               [&](std::size_t i) {
+                                   return result.evaluated[i]
+                                       .cmp.slowdownPercent();
+                               },
+                               of_kind)) {
                     // Nothing met the constraint: report the
-                    // least-harm cell, marked infeasible.
-                    result.bestPerKind[ki] =
-                        result.evaluated[fallback];
-                    result.bestPerKind[ki].feasible = false;
-                } else if (!have_best && !have_fallback) {
+                    // least-slowdown cell, marked infeasible.
+                    best = result.evaluated[*f];
+                    best.feasible = false;
+                } else {
                     // The grid filtered this kind down to zero
                     // cells (e.g. every waysActive value outside
                     // [1, assoc]): leave an explicit empty marker
                     // — correct kind, infeasible, zero cycles —
                     // so reports can skip it instead of showing a
                     // default-constructed "perfect" winner.
-                    result.bestPerKind[ki].config.kind =
-                        space.kinds[ki];
-                    result.bestPerKind[ki].feasible = false;
+                    best.config.kind = space.kinds[ki];
+                    best.feasible = false;
                 }
             }
         },

@@ -64,6 +64,9 @@ struct PolicyCandidate
     PolicyConfig config;
     /** The policy run (zero cycles: the kind had no cells). */
     RunOutput out;
+    /** runKey hash of the run in out: the row identity
+     *  bench_policies reports (empty when the kind had no cells). */
+    std::string configHash;
     /** Its paper view against the conventional run. */
     Comparison cmp;
     bool feasible = true;

@@ -1,24 +1,49 @@
 /**
  * @file
- * Best-case (miss-bound x size-bound) search with fast-model
- * calibration and detailed re-run of the winner, executed as a
- * JobGraph: calibrate -> fast-model grid -> select -> detailed
- * winner. Grid cells land in index-addressed slots and the selection
- * scans them in grid order, so results are bit-identical at any
- * worker count.
+ * The search rules every grid search shares, and the best-case
+ * (miss-bound x size-bound) search with fast-model calibration and
+ * detailed re-run of the winner, executed as a JobGraph: calibrate
+ * -> fast-model grid -> select and detailed winner. Grid cells land
+ * in index-addressed slots and the selection scans them in grid
+ * order, so results are bit-identical at any worker count.
  */
 
 #include "harness/sweep.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "harness/executor.hh"
-#include "util/logging.hh"
 #include "util/str.hh"
 
 namespace drisim
 {
+
+double
+missesPerInterval(std::uint64_t misses, double instructions,
+                  InstCount senseInterval)
+{
+    const double intervals =
+        instructions / static_cast<double>(senseInterval);
+    return intervals > 0.0 ? static_cast<double>(misses) / intervals
+                           : 0.0;
+}
+
+DriParams
+cellParams(const DriParams &base, std::uint64_t sizeBound,
+           std::uint64_t floor, double factor, double convMpi)
+{
+    DriParams p = base;
+    p.sizeBoundBytes = sizeBound;
+    p.missBound = std::max<std::uint64_t>(
+        floor, static_cast<std::uint64_t>(factor * convMpi));
+    return p;
+}
+
+DriParams
+leastHarm(const DriParams &base, std::uint64_t floor, double convMpi)
+{
+    return cellParams(base, base.sizeBytes, floor, 2.0, convMpi);
+}
 
 namespace
 {
@@ -32,6 +57,7 @@ evaluate(const BenchmarkInfo &bench, const RunConfig &config,
     SearchCandidate cand;
     cand.dri = dri;
     cand.out = run(bench, config, {dri, fast});
+    cand.configHash = runKey(bench, config, {dri, fast}).hashHex();
     cand.cmp = compare(constants, conv.meas.cycles, paperView(conv),
                        cand.out.meas.cycles, paperView(cand.out));
     return cand;
@@ -74,7 +100,7 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
                       const SearchSpace &space,
                       const EnergyConstants &constants,
                       double maxSlowdownPct,
-                      const RunOutput &convDetailed)
+                      const RunOutput &convDetailed, Executor *exec)
 {
     SearchResult result;
     result.convDetailed = convDetailed;
@@ -89,117 +115,95 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
         double factor;
     };
     std::vector<Cell> cells;
-    for (std::uint64_t size_bound : space.sizeBounds) {
-        if (size_bound > driTemplate.sizeBytes)
-            continue;
-        if (size_bound < static_cast<std::uint64_t>(
-                             driTemplate.blockBytes) *
-                             driTemplate.assoc)
-            continue;
-        for (double factor : space.missBoundFactors)
-            cells.push_back({size_bound, factor});
-    }
+    for (std::uint64_t size_bound : space.sizeBounds)
+        if (driTemplate.sizeBoundFits(size_bound))
+            for (double factor : space.missBoundFactors)
+                cells.push_back({size_bound, factor});
 
-    Executor exec(config.jobs);
+    std::optional<Executor> local;
+    if (!exec)
+        exec = &local.emplace(config.jobs);
     JobGraph graph;
 
-    // Content-addressed job keys (see bench_common::computeBase):
-    // the base-config hash keeps job-keyed artifacts distinct
-    // across differently-configured sweeps.
+    // Content-addressed job keys: the base-config hash keeps
+    // job-keyed artifacts (seeds, traces) distinct across
+    // differently-configured sweeps.
     const std::string cfgHash = runKey(bench, config).hashHex();
 
     FastCalibration cal;
     RunOutput conv_fast;
-    double conv_misses_per_interval = 0.0;
+    double conv_mpi = 0.0;
     const JobId calibrate = graph.add(
         bench.name + "/calibrate", [&](const JobContext &) {
             cal = calibrateFast(bench, config, convDetailed);
             conv_fast = run(bench, config, {ConventionalL1i{}, &cal});
-            const double intervals =
-                static_cast<double>(config.maxInstrs) /
-                static_cast<double>(driTemplate.senseInterval);
-            conv_misses_per_interval =
-                intervals > 0.0
-                    ? static_cast<double>(conv_fast.meas.l1iMisses) /
-                          intervals
-                    : 0.0;
+            conv_mpi = missesPerInterval(
+                conv_fast.meas.l1iMisses,
+                static_cast<double>(config.maxInstrs),
+                driTemplate.senseInterval);
         });
 
+    // The winner needs every grid slot and the calibration output
+    // (listing calibrate also covers the empty-grid case, where the
+    // winner would otherwise run unordered).
+    std::vector<JobId> winnerDeps{calibrate};
     result.evaluated.resize(cells.size());
-    std::vector<JobId> grid;
-    grid.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        grid.push_back(graph.add(
+        winnerDeps.push_back(graph.add(
             strFormat("%s/sb=%llu/mbf=%g#%s", bench.name.c_str(),
                       static_cast<unsigned long long>(
                           cells[i].sizeBound),
                       cells[i].factor, cfgHash.c_str()),
             [&, i](const JobContext &) {
-                DriParams p = driTemplate;
-                p.sizeBoundBytes = cells[i].sizeBound;
-                p.missBound = std::max<std::uint64_t>(
-                    space.missBoundFloor,
-                    static_cast<std::uint64_t>(
-                        cells[i].factor *
-                        conv_misses_per_interval));
-
-                SearchCandidate cand =
-                    evaluate(bench, config, p, &cal, constants,
-                             conv_fast);
+                SearchCandidate cand = evaluate(
+                    bench, config,
+                    cellParams(driTemplate, cells[i].sizeBound,
+                               space.missBoundFloor, cells[i].factor,
+                               conv_mpi),
+                    &cal, constants, conv_fast);
                 cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
                 result.evaluated[i] = std::move(cand);
             },
             {calibrate}));
     }
 
-    // The selection needs every grid slot AND the calibration
-    // outputs (listing calibrate explicitly also covers the
-    // empty-grid case, where it would otherwise run unordered).
-    std::vector<JobId> selectDeps = grid;
-    selectDeps.push_back(calibrate);
-
-    DriParams best_params = driTemplate;
-    const JobId select = graph.add(
-        bench.name + "/select",
-        [&](const JobContext &) {
-            bool have_best = false;
-            double best_ed = 0.0;
-            for (const SearchCandidate &cand : result.evaluated) {
-                if (!cand.feasible)
-                    continue;
-                const double ed = cand.cmp.relativeEnergyDelay();
-                if (!have_best || ed < best_ed) {
-                    have_best = true;
-                    best_ed = ed;
-                    best_params = cand.dri;
-                }
-            }
-            if (!have_best) {
-                // Nothing met the constraint: fall back to the
-                // least-harm configuration (full-size size-bound
-                // disables downsizing).
-                best_params = driTemplate;
-                best_params.sizeBoundBytes = driTemplate.sizeBytes;
-                best_params.missBound = std::max<std::uint64_t>(
-                    space.missBoundFloor,
-                    static_cast<std::uint64_t>(
-                        2.0 * conv_misses_per_interval));
-            }
-        },
-        selectDeps);
-
     graph.add(
         bench.name + "/winner-detailed",
         [&](const JobContext &) {
-            result.best = evaluateDetailed(bench, config, best_params,
-                                           constants, convDetailed);
+            const std::optional<std::size_t> w =
+                lowestFeasibleEd(result.evaluated);
+            result.best = evaluateDetailed(
+                bench, config,
+                w ? result.evaluated[*w].dri
+                  : leastHarm(driTemplate, space.missBoundFloor,
+                              conv_mpi),
+                constants, convDetailed);
             result.best.feasible =
                 result.best.cmp.meetsSlowdown(maxSlowdownPct);
         },
-        {select});
+        winnerDeps);
 
-    exec.run(graph);
+    exec->run(graph);
     return result;
+}
+
+SearchCandidate
+unconstrainedWinner(const SearchResult &sr, const BenchmarkInfo &bench,
+                    const RunConfig &config,
+                    const EnergyConstants &constants)
+{
+    const std::optional<std::size_t> u =
+        lowestEd(sr.evaluated, [](std::size_t) { return true; });
+    SearchCandidate cand = sr.best;
+    if (u) {
+        const DriParams &p = sr.evaluated[*u].dri;
+        if (p.sizeBoundBytes != sr.best.dri.sizeBoundBytes ||
+            p.missBound != sr.best.dri.missBound)
+            cand = evaluateDetailed(bench, config, p, constants,
+                                    sr.convDetailed);
+    }
+    cand.feasible = true;
+    return cand;
 }
 
 } // namespace drisim

@@ -42,6 +42,24 @@ TEST(DriParams, ResizingTagBits)
     EXPECT_EQ(p.resizingTagBits(), 5u);
 }
 
+TEST(DriParams, SizeBoundFitsFromOneSetToTheFullSize)
+{
+    // 64 KB, 4-way, 32 B blocks: one set is 128 B.
+    DriParams p;
+    p.sizeBytes = 64 * 1024;
+    p.assoc = 4;
+    p.blockBytes = 32;
+    EXPECT_EQ(p.setBytes(), 128u);
+    EXPECT_TRUE(p.sizeBoundFits(128));
+    EXPECT_TRUE(p.sizeBoundFits(64 * 1024));
+    EXPECT_FALSE(p.sizeBoundFits(64));
+    EXPECT_FALSE(p.sizeBoundFits(128 * 1024));
+    // Direct-mapped: one block is one set.
+    p.assoc = 1;
+    EXPECT_TRUE(p.sizeBoundFits(32));
+    EXPECT_FALSE(p.sizeBoundFits(16));
+}
+
 TEST(DriICache, BasicHitMiss)
 {
     stats::StatGroup root("t");

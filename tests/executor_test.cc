@@ -445,8 +445,10 @@ searchConfig(unsigned jobs)
     return c;
 }
 
+/** The search at @p jobs workers, or on @p exec when given (the
+ *  bench path: one pool the caller owns). */
 SearchResult
-searchAt(unsigned jobs)
+searchAt(unsigned jobs, Executor *exec = nullptr)
 {
     const auto &b = findBenchmark("compress");
     const RunConfig cfg = searchConfig(jobs);
@@ -457,7 +459,7 @@ searchAt(unsigned jobs)
     DriParams tmpl;
     tmpl.senseInterval = 50000;
     return searchBestEnergyDelay(b, cfg, tmpl, space,
-                                 EnergyConstants{}, 4.0, conv);
+                                 EnergyConstants{}, 4.0, conv, exec);
 }
 
 void
@@ -483,29 +485,46 @@ expectSameCandidate(const SearchCandidate &a, const SearchCandidate &b)
     EXPECT_EQ(a.cmp.baseline.cycles, b.cmp.baseline.cycles);
 }
 
+void
+expectSameSearch(const SearchResult &serial,
+                 const SearchResult &parallel)
+{
+    expectSameParams(serial.best.dri, parallel.best.dri);
+    EXPECT_EQ(serial.best.feasible, parallel.best.feasible);
+    expectSameCandidate(serial.best, parallel.best);
+
+    // The evaluated vector must be identically *ordered*, not just
+    // equal as a set.
+    ASSERT_EQ(serial.evaluated.size(), parallel.evaluated.size());
+    for (std::size_t i = 0; i < serial.evaluated.size(); ++i) {
+        expectSameParams(serial.evaluated[i].dri,
+                         parallel.evaluated[i].dri);
+        EXPECT_EQ(serial.evaluated[i].feasible,
+                  parallel.evaluated[i].feasible);
+        expectSameCandidate(serial.evaluated[i],
+                            parallel.evaluated[i]);
+    }
+}
+
 TEST(Determinism, SearchIsIdenticalAtAnyWorkerCount)
 {
     const SearchResult serial = searchAt(1);
     ASSERT_EQ(serial.evaluated.size(), 6u);
 
-    for (const unsigned jobs : {4u, hardwareJobCount()}) {
-        const SearchResult parallel = searchAt(jobs);
+    for (const unsigned jobs : {4u, hardwareJobCount()})
+        expectSameSearch(serial, searchAt(jobs));
 
-        expectSameParams(serial.best.dri, parallel.best.dri);
-        EXPECT_EQ(serial.best.feasible, parallel.best.feasible);
-        expectSameCandidate(serial.best, parallel.best);
-
-        // The evaluated vector must be identically *ordered*, not
-        // just equal as a set.
-        ASSERT_EQ(serial.evaluated.size(), parallel.evaluated.size());
-        for (std::size_t i = 0; i < serial.evaluated.size(); ++i) {
-            expectSameParams(serial.evaluated[i].dri,
-                             parallel.evaluated[i].dri);
-            EXPECT_EQ(serial.evaluated[i].feasible,
-                      parallel.evaluated[i].feasible);
-            expectSameCandidate(serial.evaluated[i],
-                                parallel.evaluated[i]);
-        }
+    // The bench path: the search runs inside a sweep unit's job, on
+    // the pool the caller owns, beside another unit doing the same.
+    for (const unsigned workers : {1u, 4u}) {
+        Executor exec(workers);
+        SearchResult units[2];
+        exec.forEachIndex("unit", 2,
+                          [&](std::size_t k, const JobContext &) {
+                              units[k] = searchAt(1, &exec);
+                          });
+        for (const SearchResult &unit : units)
+            expectSameSearch(serial, unit);
     }
 }
 

@@ -20,6 +20,7 @@
 #include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "obs/trace.hh"
+#include "same_run.hh"
 #include "sim/result_cache.hh"
 #include "workload/fetch_replay.hh"
 
@@ -241,6 +242,31 @@ TEST(Sweep, FindsFeasibleConfigForClass1)
     EXPECT_LT(sr.best.cmp.relativeEnergyDelay(), 0.6);
 }
 
+/** Index of the first lowest-ED cell of @p sr (the test's own scan). */
+std::size_t
+lowestEdCell(const SearchResult &sr)
+{
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < sr.evaluated.size(); ++i)
+        if (sr.evaluated[i].cmp.relativeEnergyDelay() <
+            sr.evaluated[best].cmp.relativeEnergyDelay())
+            best = i;
+    return best;
+}
+
+/** @p a and @p b are the same evaluated configuration, bit for bit. */
+void
+expectSameCandidateBits(const SearchCandidate &a,
+                        const SearchCandidate &b)
+{
+    EXPECT_EQ(a.dri.sizeBoundBytes, b.dri.sizeBoundBytes);
+    EXPECT_EQ(a.dri.missBound, b.dri.missBound);
+    EXPECT_EQ(a.configHash, b.configHash);
+    EXPECT_EQ(a.cmp.relativeEnergyDelay(), b.cmp.relativeEnergyDelay());
+    EXPECT_EQ(a.cmp.slowdownPercent(), b.cmp.slowdownPercent());
+    expectSameRun(a.out, b.out);
+}
+
 TEST(Sweep, UnconstrainedNeverWorseThanConstrained)
 {
     const auto &b = findBenchmark("ijpeg");
@@ -252,21 +278,150 @@ TEST(Sweep, UnconstrainedNeverWorseThanConstrained)
     space.missBoundFactors = {4.0, 64.0};
     DriParams tmpl;
     tmpl.senseInterval = 50000;
+    const EnergyConstants constants;
 
-    const auto constrained = searchBestEnergyDelay(
-        b, cfg, tmpl, space, EnergyConstants{}, 4.0, conv);
-    const auto unconstrained = searchBestEnergyDelay(
-        b, cfg, tmpl, space, EnergyConstants{}, -1.0, conv);
-    // Compare on the fast-model candidates (shared baseline).
-    double best_c = 1e9;
-    double best_u = 1e9;
-    for (const auto &cand : constrained.evaluated)
-        if (cand.feasible)
-            best_c =
-                std::min(best_c, cand.cmp.relativeEnergyDelay());
-    for (const auto &cand : unconstrained.evaluated)
-        best_u = std::min(best_u, cand.cmp.relativeEnergyDelay());
-    EXPECT_LE(best_u, best_c + 1e-12);
+    const SearchResult sr = searchBestEnergyDelay(
+        b, cfg, tmpl, space, constants, 4.0, conv);
+    ASSERT_EQ(sr.evaluated.size(), 6u);
+    // Each candidate's identity is the key of the run it carries: the
+    // fast-model run in the grid, the detailed run for the winner.
+    const FastCalibration cal = calibrateFast(b, cfg, conv);
+    for (const SearchCandidate &cand : sr.evaluated)
+        EXPECT_EQ(cand.configHash,
+                  runKey(b, cfg, {cand.dri, &cal}).hashHex());
+    EXPECT_EQ(sr.best.configHash,
+              runKey(b, cfg, {sr.best.dri}).hashHex());
+
+    // On the fast-model candidates (shared baseline), the
+    // unconstrained winner is at least as good as every feasible one.
+    const std::size_t u = lowestEdCell(sr);
+    for (const SearchCandidate &cand : sr.evaluated) {
+        if (cand.feasible) {
+            EXPECT_LE(sr.evaluated[u].cmp.relativeEnergyDelay(),
+                      cand.cmp.relativeEnergyDelay());
+        }
+    }
+
+    // Its detailed run is evaluateDetailed of that cell, bit for bit.
+    const SearchCandidate winner =
+        unconstrainedWinner(sr, b, cfg, constants);
+    EXPECT_TRUE(winner.feasible);
+    expectSameCandidateBits(
+        winner,
+        evaluateDetailed(b, cfg, sr.evaluated[u].dri, constants, conv));
+}
+
+TEST(Sweep, UnconstrainedWinnerCanDifferFromTheConstrainedOne)
+{
+    // fpppp under the bench defaults (Table 1 machine, 100 K sense
+    // interval, divisibility 2, the default grid, <= 4% slowdown) at
+    // 200 K instructions: its lowest-ED cell breaks the constraint,
+    // so the unconstrained winner is a run of its own.
+    const auto &b = findBenchmark("fpppp");
+    RunConfig cfg;
+    cfg.maxInstrs = 200 * 1000;
+    DriParams tmpl;
+    tmpl.senseInterval = 100 * 1000;
+    tmpl.divisibility = 2;
+    const EnergyConstants constants;
+    const RunOutput conv = run(b, cfg);
+
+    const SearchResult sr = searchBestEnergyDelay(
+        b, cfg, tmpl, SearchSpace{}, constants, 4.0, conv);
+    ASSERT_EQ(sr.evaluated.size(), 28u);
+    const std::size_t u = lowestEdCell(sr);
+    const DriParams &cell = sr.evaluated[u].dri;
+    EXPECT_FALSE(sr.evaluated[u].feasible);
+    EXPECT_TRUE(cell.sizeBoundBytes != sr.best.dri.sizeBoundBytes ||
+                cell.missBound != sr.best.dri.missBound);
+
+    const SearchCandidate winner =
+        unconstrainedWinner(sr, b, cfg, constants);
+    EXPECT_TRUE(winner.feasible);
+    expectSameCandidateBits(
+        winner, evaluateDetailed(b, cfg, cell, constants, conv));
+}
+
+TEST(Sweep, UnconstrainedWinnerOfAnEmptyGridIsTheBest)
+{
+    // No size-bound fits (16 B is below one block), so the grid is
+    // empty and both winners are the least-harm fallback.
+    const auto &b = findBenchmark("compress");
+    RunConfig cfg;
+    cfg.maxInstrs = 200 * 1000;
+    SearchSpace space;
+    space.sizeBounds = {16};
+    DriParams tmpl;
+    tmpl.senseInterval = 50000;
+    const EnergyConstants constants;
+
+    const SearchResult sr = searchBestEnergyDelay(
+        b, cfg, tmpl, space, constants, 4.0, run(b, cfg));
+    ASSERT_TRUE(sr.evaluated.empty());
+    const SearchCandidate winner =
+        unconstrainedWinner(sr, b, cfg, constants);
+    EXPECT_TRUE(winner.feasible);
+    expectSameCandidateBits(winner, sr.best);
+}
+
+TEST(SearchRules, MissesPerIntervalScalesByTheIntervalCount)
+{
+    // 1 M instructions in 100 K intervals: ten intervals.
+    EXPECT_EQ(missesPerInterval(500, 1e6, 100 * 1000), 50.0);
+    EXPECT_EQ(missesPerInterval(7, 250e3, 100 * 1000), 2.8);
+    // A run with no instructions spans no interval.
+    EXPECT_EQ(missesPerInterval(500, 0.0, 100 * 1000), 0.0);
+}
+
+TEST(SearchRules, CellRuleTruncatesAndKeepsTheFloor)
+{
+    DriParams base;
+    base.senseInterval = 50000;
+    base.throttleBits = 5;
+
+    // 2 x 10.9 = 21.8 truncates to 21.
+    const DriParams cell = cellParams(base, 4096, 16, 2.0, 10.9);
+    EXPECT_EQ(cell.sizeBoundBytes, 4096u);
+    EXPECT_EQ(cell.missBound, 21u);
+    // Every knob the rule does not set comes from the base.
+    EXPECT_EQ(cell.senseInterval, 50000u);
+    EXPECT_EQ(cell.throttleBits, 5u);
+    EXPECT_EQ(cell.sizeBytes, base.sizeBytes);
+
+    // Below the floor (2 x 7.9 = 15.8) the floor wins; exactly on it
+    // (2 x 8) the bound is the floor too.
+    EXPECT_EQ(cellParams(base, 4096, 16, 2.0, 7.9).missBound, 16u);
+    EXPECT_EQ(cellParams(base, 4096, 16, 2.0, 8.0).missBound, 16u);
+    EXPECT_EQ(cellParams(base, 4096, 16, 2.0, 0.0).missBound, 16u);
+    EXPECT_EQ(cellParams(base, 4096, 16, 32.0, 8.0).missBound, 256u);
+
+    // The least-harm fallback: full size, factor 2.
+    const DriParams harm = leastHarm(base, 16, 10.9);
+    EXPECT_EQ(harm.sizeBoundBytes, base.sizeBytes);
+    EXPECT_EQ(harm.missBound, 21u);
+    EXPECT_EQ(leastHarm(base, 16, 1.0).missBound, 16u);
+}
+
+TEST(SearchRules, ScanTakesTheFirstOfEqualKeys)
+{
+    const std::vector<double> keys{3.0, 1.0, 2.0, 1.0, 1.0};
+    const auto key = [&](std::size_t i) { return keys[i]; };
+    const auto all = [](std::size_t) { return true; };
+
+    EXPECT_EQ(lowestKey(keys.size(), key, all), std::size_t{1});
+    // With index 1 filtered out, the next of the equal keys wins.
+    EXPECT_EQ(lowestKey(keys.size(), key,
+                        [](std::size_t i) { return i != 1; }),
+              std::size_t{3});
+    // A single accepted element wins whatever its key.
+    EXPECT_EQ(lowestKey(keys.size(), key,
+                        [](std::size_t i) { return i == 0; }),
+              std::size_t{0});
+    // Nothing to scan, or nothing accepted: no winner.
+    EXPECT_FALSE(lowestKey(0, key, all).has_value());
+    EXPECT_FALSE(lowestKey(keys.size(), key, [](std::size_t) {
+                     return false;
+                 }).has_value());
 }
 
 TEST(Table, AlignsAndCounts)

@@ -364,6 +364,14 @@ TEST(MultiLevelSearch, UnconstrainedAlwaysSelectsLowestEd)
             std::min(min_ed, cand.cmp.relativeEnergyDelay());
     EXPECT_EQ(sr.best.cmp.relativeEnergyDelay(), min_ed);
     EXPECT_TRUE(sr.best.feasible);
+
+    // The winner carries its run's identity: the L1 run over the
+    // config that resizes the L2 too.
+    RunConfig ml = cfg;
+    ml.hier.l2Dri = true;
+    ml.hier.l2DriParams = sr.best.l2;
+    EXPECT_EQ(sr.best.configHash,
+              runKey(b, ml, {sr.best.l1}).hashHex());
 }
 
 // ---------------------------------------------------------------

@@ -677,6 +677,10 @@ TEST(SearchPolicies, FindsOneWinnerPerKindInOrder)
     EXPECT_EQ(sr.bestPerKind[2].config.kind, PolicyKind::Drowsy);
     EXPECT_EQ(sr.bestPerKind[3].config.kind,
               PolicyKind::StaticWays);
+    // Each winner carries its run's identity, the row's config_hash.
+    for (const PolicyCandidate &cand : sr.bestPerKind)
+        EXPECT_EQ(cand.configHash,
+                  runKey(bench, cfg, {cand.config}).hashHex());
     // Four different techniques cannot land on the same
     // energy-delay: the comparison is meaningful.
     for (std::size_t i = 0; i < 4; ++i)
