@@ -124,7 +124,9 @@ main(int argc, char **argv)
     // the constraint).
     std::map<std::string, double> edSums;
     std::map<std::string, unsigned> edCounts;
-    for (const std::size_t i : drv.run(computeUnit)) {
+    // The units this process ran: all of them, or its --shard's.
+    const std::vector<std::size_t> visited = drv.run(computeUnit);
+    for (const std::size_t i : visited) {
         const UnitResult &r = results[i];
         for (const std::vector<std::string> &row : r.rows)
             summary.addRow(row);
@@ -147,8 +149,8 @@ main(int argc, char **argv)
                          sum / static_cast<double>(
                                    edCounts[policy]))
                   << " over " << edCounts[policy] << " workloads, "
-                  << "wins " << wins[policy] << "/"
-                  << drv.unitCount() << "\n";
+                  << "wins " << wins[policy] << "/" << visited.size()
+                  << "\n";
 
     drv.finish();
     reportFastSim(ctx);

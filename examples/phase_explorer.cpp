@@ -61,7 +61,7 @@ exploreOne(const BenchmarkInfo &bench, InstCount instrs, bool l2Dri)
     dp.sizeBoundBytes = 1024;
     dp.senseInterval = 100000;
     dp.missBound = 150;
-    DriICache icache(dp, hier.l2Level(), &root);
+    DriICache icache(dp, &hier.l2(), &root);
     hier.setL1I(&icache);
     OooCore core(OooParams{}, &icache, &hier.l1d(), &root);
     core.addRetireSink(&icache);

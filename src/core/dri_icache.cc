@@ -25,7 +25,7 @@ DriICache::access(Addr addr, AccessType type)
 {
     drisim_assert(type == AccessType::InstFetch,
                   "DRI i-cache only serves instruction fetches");
-    return accessImpl(addr, type);
+    return accessTimed(addr, type, 0);
 }
 
 AccessResult
@@ -33,13 +33,13 @@ DriICache::accessAt(Addr addr, AccessType type, Cycles now)
 {
     drisim_assert(type == AccessType::InstFetch,
                   "DRI i-cache only serves instruction fetches");
-    return accessImpl(addr, type, now);
+    return accessTimed(addr, type, now);
 }
 
 void
 DriICache::invalidateBlock(Addr addr)
 {
-    const Addr ba = addr >> mask_.offsetBits();
+    const Addr ba = blockAddr(addr);
     const std::uint64_t min_sets = mask_.minSets();
     const std::uint64_t congruent = ba & (min_sets - 1);
     for (std::uint64_t s = congruent; s < mask_.numSets();

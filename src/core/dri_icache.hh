@@ -9,8 +9,10 @@
  * state and leak (nearly) nothing.
  *
  * All of that machinery lives in the level-agnostic ResizableCache
- * base (mem/resizable_cache.hh); this class adds the i-cache
- * specifics. Lookup correctness across sizes comes from maintaining
+ * base (mem/resizable_cache.hh), itself a Cache with a size mask, so
+ * a fetch takes the one cache access path (mem/cache.hh); this class
+ * adds the i-cache specifics: fetches only, and alias-sweeping
+ * invalidation. Lookup correctness across sizes comes from maintaining
  * the tag bits required by the *smallest* size at all times
  * (resizing tag bits). Upsizing can leave stale aliases of a block
  * in low-numbered sets; because the i-stream is read-only these are

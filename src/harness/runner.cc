@@ -99,14 +99,17 @@ measurementFromCounts(Cycles cycles, InstCount instrs,
 
 /**
  * Copy the L2 view of a finished run into @p out, whatever flavour
- * of L2 the hierarchy was built with.
+ * of L2 the hierarchy was built with, and the MSHR activity of the
+ * L2, the L1D and a conventional L1I.
  */
 void
 fillL2Outputs(Hierarchy &hier, RunOutput &out)
 {
-    out.l2MissRate = hier.l2MissRate();
-    out.l2Accesses = hier.l2Accesses();
-    out.l2Misses = hier.l2Misses();
+    Cache &l2 = hier.l2();
+    out.l2MissRate = l2.missRate();
+    out.l2Accesses = l2.accesses();
+    out.l2Misses = l2.misses();
+    out.l2SizeBytes = l2.params().sizeBytes;
     out.memAccesses = hier.memAccesses();
     out.memReads = hier.memReads();
     out.memWritebacks = hier.memWritebacks();
@@ -116,35 +119,19 @@ fillL2Outputs(Hierarchy &hier, RunOutput &out)
         out.dramQueueFullEvents = d->queueFullEvents();
         out.dramBusyCycles = d->busyCycles();
     }
-    if (ResizableCache *l2 = hier.driL2()) {
-        out.l2SizeBytes = l2->params().sizeBytes;
-        out.l2AvgActiveFraction = l2->averageActiveFraction();
-        out.l2ResizingTagBits = l2->params().resizingTagBits();
-        out.l2Resizes = l2->upsizes() + l2->downsizes();
-        out.mshrCoalesced += l2->mshrCoalesced();
-        out.mshrFullStalls += l2->mshrFullStalls();
-        out.mshrFullStallCycles += l2->mshrFullStallCycles();
-        out.mshrPeakOccupancy = std::max(out.mshrPeakOccupancy,
-                                         l2->mshrPeakOccupancy());
-    } else {
-        out.l2SizeBytes = hier.params().l2.sizeBytes;
-        out.mshrCoalesced += hier.l2().mshrCoalesced();
-        out.mshrFullStalls += hier.l2().mshrFullStalls();
-        out.mshrFullStallCycles += hier.l2().mshrFullStallCycles();
-        out.mshrPeakOccupancy = std::max(
-            out.mshrPeakOccupancy, hier.l2().mshrPeakOccupancy());
+    if (const ResizableCache *dri = hier.driL2()) {
+        out.l2AvgActiveFraction = dri->averageActiveFraction();
+        out.l2ResizingTagBits = dri->params().resizingTagBits();
+        out.l2Resizes = dri->upsizes() + dri->downsizes();
     }
-    out.mshrCoalesced += hier.l1d().mshrCoalesced();
-    out.mshrFullStalls += hier.l1d().mshrFullStalls();
-    out.mshrFullStallCycles += hier.l1d().mshrFullStallCycles();
-    out.mshrPeakOccupancy = std::max(out.mshrPeakOccupancy,
-                                     hier.l1d().mshrPeakOccupancy());
-    if (Cache *l1i = hier.convL1i()) {
-        out.mshrCoalesced += l1i->mshrCoalesced();
-        out.mshrFullStalls += l1i->mshrFullStalls();
-        out.mshrFullStallCycles += l1i->mshrFullStallCycles();
-        out.mshrPeakOccupancy = std::max(out.mshrPeakOccupancy,
-                                         l1i->mshrPeakOccupancy());
+    for (const Cache *c : {&l2, &hier.l1d(), hier.convL1i()}) {
+        if (!c)
+            continue;
+        out.mshrCoalesced += c->mshrCoalesced();
+        out.mshrFullStalls += c->mshrFullStalls();
+        out.mshrFullStallCycles += c->mshrFullStallCycles();
+        out.mshrPeakOccupancy =
+            std::max(out.mshrPeakOccupancy, c->mshrPeakOccupancy());
     }
 }
 
@@ -424,18 +411,21 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
  * store (plus a layout magic the reader verifies); stale v1/v2
  * snapshots must miss, not crash. v4 (fast runs): the stream state
  * is a replay cursor, not the generator's, so a fast v3 snapshot
- * written by an older build misses and is rewritten.
+ * written by an older build misses and is rewritten. v5 (detailed)
+ * and v6 (fast): every cache walks its coherence-lost bits and
+ * refetch count, and a resizable cache walks a cache's, so v3/v4
+ * snapshots miss.
  */
 const char *
 snapshotVersion(const TraceGenerator &)
 {
-    return "v3";
+    return "v5";
 }
 
 const char *
 snapshotVersion(const FetchReplay &)
 {
-    return "v4";
+    return "v6";
 }
 
 /**
@@ -638,7 +628,7 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
     Hierarchy hier(config.hier, &root, pol == nullptr);
     std::unique_ptr<LeakagePolicy> policy;
     if (pol) {
-        policy = makeLeakagePolicy(*pol, hier.l2Level(), &root);
+        policy = makeLeakagePolicy(*pol, &hier.l2(), &root);
         hier.setL1I(policy->level());
     }
 

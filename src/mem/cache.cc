@@ -1,6 +1,7 @@
 /**
  * @file
- * Conventional fixed-size cache level (write-allocate, write-back).
+ * The cache access path (write-allocate, write-back), the coherence
+ * probe pair and the coherence refetch rule.
  */
 
 #include "mem/cache.hh"
@@ -20,7 +21,9 @@ Cache::Cache(const CacheParams &params, MemoryLevel *below,
                  (static_cast<std::uint64_t>(params.blockBytes) *
                   params.assoc),
              params.assoc, params.repl),
+      indexMask_(store_.numSets() - 1),
       mshr_(params.mshrs),
+      coherenceLost_(store_.numSets() * params.assoc, 0),
       group_(parent, params.name),
       accesses_(&group_, "accesses", "total accesses"),
       misses_(&group_, "misses", "total misses"),
@@ -41,7 +44,9 @@ Cache::Cache(const CacheParams &params, MemoryLevel *below,
       coherenceDowngrades_(&group_, "coherence_downgrades",
                            "lines demoted Modified -> Shared"),
       coherenceWritebacks_(&group_, "coherence_writebacks",
-                           "dirty lines flushed to answer probes")
+                           "dirty lines flushed to answer probes"),
+      coherenceRefetches_(&group_, "coherence_refetches",
+                          "fills replacing probe-invalidated lines")
 {
     drisim_assert(isPowerOf2(params.sizeBytes) &&
                   isPowerOf2(params.blockBytes),
@@ -51,12 +56,6 @@ Cache::Cache(const CacheParams &params, MemoryLevel *below,
                   static_cast<std::uint64_t>(params.blockBytes) *
                   params.assoc,
                   "%s: size too small for one set", params.name.c_str());
-}
-
-std::uint64_t
-Cache::indexOf(Addr block_addr) const
-{
-    return block_addr & (store_.numSets() - 1);
 }
 
 bool
@@ -116,6 +115,7 @@ Cache::accessTimed(Addr addr, AccessType type, Cycles now)
     }
 
     ++misses_;
+    onMiss();
     // A primary miss with every register busy stalls until the
     // earliest outstanding fill frees one (structural hazard).
     Cycles stall = 0;
@@ -144,6 +144,13 @@ Cache::accessTimed(Addr addr, AccessType type, Cycles now)
     unsigned filled = 0;
     const CacheBlk evicted = store_.insert(set, ba, allocWays(),
                                            &filled);
+    char &lost = coherenceLost_[frameIndex(set, filled)];
+    if (lost) {
+        // Refilling a frame a coherence probe emptied: the refetch
+        // the directory forced on this core.
+        lost = 0;
+        ++coherenceRefetches_;
+    }
     onLineFill(set, filled);
     if (evicted.valid) {
         ++evictions_;
@@ -203,6 +210,7 @@ Cache::coherenceInvalidate(Addr addr, unsigned bytes)
                 below_->access(ba << offsetBits_, AccessType::Store);
         }
         ++coherenceInvalidations_;
+        coherenceLost_[frameIndex(set, static_cast<unsigned>(way))] = 1;
         store_.invalidate(set, static_cast<unsigned>(way));
     }
     return res;

@@ -1,24 +1,33 @@
 /**
  * @file
- * A conventional (fixed-size) cache level.
+ * A cache level: the one access path, probe pair and MSHR file of
+ * every cache in the simulator.
  *
  * Write policy: write-allocate, write-back. Dirty evictions are
  * counted as writeback traffic but are not charged on the access
  * latency path (write-buffer assumption), matching the paper's focus
  * on read/fetch latency.
  *
- * The access path exposes three protected hooks for per-line leakage
- * policies (policy/leakage_policy.hh): a wake-stall charge on hits
+ * The set index is the block address ANDed with an index mask. A
+ * conventional cache keeps it at full size; a resizable level
+ * (mem/resizable_cache.hh: the DRI i-cache and the DRI L2) narrows
+ * and widens it, and takes this same access path.
+ *
+ * The access path exposes protected hooks: a miss notification (the
+ * resize controller counts misses), a wake-stall charge on hits
  * (drowsy lines pay a latency penalty on first touch), a fill
- * notification (per-line counters reset, power state restored) and a
+ * notification (per-line counters reset, power state restored), a
  * victim-way limit (selective-ways gating allocates only in powered
- * ways). The defaults are no-ops, so a plain Cache is untouched.
+ * ways) and a probe notification. The defaults are no-ops, so a
+ * plain Cache is untouched. A fill into a frame a coherence probe
+ * emptied counts as a coherence refetch for every flavour.
  */
 
 #ifndef DRISIM_MEM_CACHE_HH
 #define DRISIM_MEM_CACHE_HH
 
 #include <string>
+#include <vector>
 
 #include "stats/stats.hh"
 #include "util/types.hh"
@@ -49,10 +58,10 @@ struct CacheParams
 };
 
 /**
- * A conventional cache backed by a lower MemoryLevel. When attached
- * to a coherence fabric (setCoherence) it participates as an MSI
- * client: fills and write upgrades consult the directory agent, and
- * incoming probes invalidate/downgrade lines (mem/directory.hh).
+ * A cache backed by a lower MemoryLevel. When attached to a
+ * coherence fabric (setCoherence) it participates as an MSI client:
+ * fills and write upgrades consult the directory agent, and incoming
+ * probes invalidate/downgrade lines (mem/directory.hh).
  */
 class Cache : public MemoryLevel, public CoherenceClient
 {
@@ -90,6 +99,7 @@ class Cache : public MemoryLevel, public CoherenceClient
 
     std::uint64_t accesses() const { return accesses_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t loadAccesses() const { return loadAccesses_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
     double missRate() const;
 
@@ -147,18 +157,23 @@ class Cache : public MemoryLevel, public CoherenceClient
     {
         return coherenceWritebacks_.value();
     }
-
-    /** Zero the statistics (not the contents). */
-    void resetStats() { group_.resetAll(); }
-
-    stats::StatGroup &statGroup() { return group_; }
+    /** Fills into a frame whose block a probe invalidated — the
+     *  coherence refetch traffic PolicyActivity reports. */
+    std::uint64_t coherenceRefetches() const
+    {
+        return coherenceRefetches_.value();
+    }
 
     /** Serialize contents + stats (sim/checkpoint.hh). Restore
      *  requires an identically-configured cache. */
     virtual void checkpoint(sim::StateIO io);
 
   protected:
-    // Per-line leakage-policy hooks (no-ops for a plain cache).
+    // Hooks for resizable levels and per-line leakage policies
+    // (no-ops for a plain cache).
+
+    /** An access missed the tag store; called before its fill. */
+    virtual void onMiss() {}
 
     /**
      * Extra latency charged when (@p set, @p way) hits — a drowsy
@@ -199,7 +214,16 @@ class Cache : public MemoryLevel, public CoherenceClient
         return 0;
     }
 
-    std::uint64_t indexOf(Addr blockAddr) const;
+    std::uint64_t indexOf(Addr blockAddr) const
+    {
+        return blockAddr & indexMask_;
+    }
+
+    /** Frame index shared by the per-frame state vectors. */
+    std::size_t frameIndex(std::uint64_t set, unsigned way) const
+    {
+        return static_cast<std::size_t>(set) * params_.assoc + way;
+    }
 
     /** The shared body of access()/accessAt(); see cache.cc. */
     AccessResult accessTimed(Addr addr, AccessType type, Cycles now);
@@ -208,9 +232,15 @@ class Cache : public MemoryLevel, public CoherenceClient
     MemoryLevel *below_;
     unsigned offsetBits_;
     TagStore store_;
+    /** Set index = block address & indexMask_; a resizable level
+     *  narrows it below numSets() - 1. */
+    std::uint64_t indexMask_;
     MshrFile mshr_;
     CoherenceAgent *coherence_ = nullptr;
     unsigned coherenceCore_ = 0;
+    /** Frames whose block a coherence probe invalidated; the next
+     *  fill of such a frame is a coherence refetch. */
+    std::vector<char> coherenceLost_;
 
     stats::StatGroup group_;
     stats::Scalar accesses_;
@@ -227,6 +257,7 @@ class Cache : public MemoryLevel, public CoherenceClient
     stats::Scalar coherenceInvalidations_;
     stats::Scalar coherenceDowngrades_;
     stats::Scalar coherenceWritebacks_;
+    stats::Scalar coherenceRefetches_;
 };
 
 } // namespace drisim

@@ -1,7 +1,8 @@
 /**
  * @file
- * Assembles the Table 1 memory system: L1I (conventional or DRI),
- * L1D, unified L2 (conventional or DRI), main memory.
+ * Assembles the Table 1 memory system: main memory (flat or banked)
+ * and the unified L2 (conventional or DRI) every L1 shares, then the
+ * L1D and the L1I (conventional or caller-installed).
  */
 
 #include "mem/hierarchy.hh"
@@ -45,88 +46,66 @@ driParamsForLevel(const CacheParams &level, const DriParams &dri)
     return p;
 }
 
-Hierarchy::Hierarchy(const HierarchyParams &params,
-                     stats::StatGroup *parent, bool buildConvL1i)
-    : params_(params)
+SharedLevels::SharedLevels(const HierarchyParams &params,
+                           stats::StatGroup *parent)
 {
+    MemoryLevel *memory = nullptr;
     if (params.dram.banked) {
         dram_ = std::make_unique<Dram>(params.dram,
                                        params.l2.blockBytes, parent);
-        memLevel_ = dram_.get();
+        memory = dram_.get();
     } else {
         mem_ = std::make_unique<MainMemory>(params.l2.blockBytes,
                                             parent);
-        memLevel_ = mem_.get();
+        memory = mem_.get();
     }
     if (params.l2Dri) {
-        driL2_ = std::make_unique<ResizableCache>(
+        auto dri = std::make_unique<ResizableCache>(
             driParamsForLevel(params.l2, params.l2DriParams),
-            ResizePolicy::writeback(), memLevel_, parent, "dri_l2");
-        l2Level_ = driL2_.get();
+            ResizePolicy::writeback(), memory, parent, "dri_l2");
+        driL2_ = dri.get();
+        l2_ = std::move(dri);
     } else {
-        l2_ = std::make_unique<Cache>(params.l2, memLevel_, parent);
-        l2Level_ = l2_.get();
-    }
-    l1d_ = std::make_unique<Cache>(params.l1d, l2Level_, parent);
-    if (buildConvL1i) {
-        convL1i_ = std::make_unique<Cache>(params.l1i, l2Level_,
-                                           parent);
-        l1i_ = convL1i_.get();
+        l2_ = std::make_unique<Cache>(params.l2, memory, parent);
     }
 }
 
 MainMemory &
-Hierarchy::mem()
+SharedLevels::mem()
 {
     drisim_assert(mem_ != nullptr,
-                  "hierarchy was built with banked DRAM; use "
-                  "memLevel()/dram() or memAccesses()");
+                  "hierarchy was built with banked DRAM; use dram() "
+                  "or memAccesses()");
     return *mem_;
 }
 
 std::uint64_t
-Hierarchy::memAccesses() const
+SharedLevels::memAccesses() const
 {
     return mem_ ? mem_->accesses() : dram_->accesses();
 }
 
 std::uint64_t
-Hierarchy::memReads() const
+SharedLevels::memReads() const
 {
     return mem_ ? mem_->reads() : dram_->reads();
 }
 
 std::uint64_t
-Hierarchy::memWritebacks() const
+SharedLevels::memWritebacks() const
 {
     return mem_ ? mem_->writebacks() : dram_->writebacks();
 }
 
-Cache &
-Hierarchy::l2()
+Hierarchy::Hierarchy(const HierarchyParams &params,
+                     stats::StatGroup *parent, bool buildConvL1i)
+    : SharedLevels(params, parent), params_(params)
 {
-    drisim_assert(l2_ != nullptr,
-                  "hierarchy was built with a DRI L2; use "
-                  "convL2()/driL2()");
-    return *l2_;
-}
-
-std::uint64_t
-Hierarchy::l2Accesses() const
-{
-    return l2_ ? l2_->accesses() : driL2_->accesses();
-}
-
-std::uint64_t
-Hierarchy::l2Misses() const
-{
-    return l2_ ? l2_->misses() : driL2_->misses();
-}
-
-double
-Hierarchy::l2MissRate() const
-{
-    return l2_ ? l2_->missRate() : driL2_->missRate();
+    l1d_ = std::make_unique<Cache>(params.l1d, &l2(), parent);
+    if (buildConvL1i) {
+        convL1i_ = std::make_unique<Cache>(params.l1i, &l2(), parent);
+        l1i_ = convL1i_.get();
+    }
 }
 
 } // namespace drisim

@@ -1,7 +1,8 @@
 /**
  * @file
- * The Table 1 memory system: L1 i-cache (conventional or DRI),
- * L1 d-cache, unified L2 (conventional or DRI), main memory.
+ * The Table 1 memory system: the shared levels (main memory, flat or
+ * banked, and the unified L2, conventional or DRI), the L1 d-cache
+ * and the L1 i-cache (conventional or caller-installed).
  */
 
 #ifndef DRISIM_MEM_HIERARCHY_HH
@@ -59,12 +60,55 @@ DriParams driParamsForLevel(const CacheParams &level,
                             const DriParams &dri);
 
 /**
- * Owns memory + L2 + L1D and (optionally) a conventional L1I.
- * The L1I slot is a MemoryLevel pointer so a DRI i-cache can be
- * substituted by the caller; the L2 slot is built either as a
- * conventional Cache or as a ResizableCache (params.l2Dri).
+ * Main memory (flat, or banked DRAM when params.dram.banked is set)
+ * and the unified L2 over it (a ResizableCache when params.l2Dri is
+ * set, else a conventional Cache): the levels every L1 shares.
+ * Hierarchy and CmpSystem build theirs here.
  */
-class Hierarchy
+class SharedLevels
+{
+  public:
+    SharedLevels(const HierarchyParams &params,
+                 stats::StatGroup *parent);
+
+    /** The unified L2, whatever flavour was built. */
+    Cache &l2() { return *l2_; }
+
+    /** The L2 if it was built resizable (to resize it), else
+     *  nullptr. */
+    ResizableCache *driL2() { return driL2_; }
+
+    /** The flat memory (fatal if banked DRAM was built — use
+     *  dram() or the flavour-agnostic counters). */
+    MainMemory &mem();
+
+    /** Banked DRAM if built, else nullptr. */
+    Dram *dram() { return dram_.get(); }
+
+    /** Memory accesses/reads/writebacks regardless of flavour. */
+    std::uint64_t memAccesses() const;
+    std::uint64_t memReads() const;
+    std::uint64_t memWritebacks() const;
+
+    /** Serialize the memory and the L2, each behind its flavour
+     *  flag (sim/checkpoint.hh). */
+    void checkpoint(sim::StateIO io);
+
+  private:
+    std::unique_ptr<MainMemory> mem_;
+    std::unique_ptr<Dram> dram_;
+    std::unique_ptr<Cache> l2_;
+    /** l2_ as its resizable type, when it is one. */
+    ResizableCache *driL2_ = nullptr;
+};
+
+/**
+ * The single-core memory system: the shared levels plus an L1D and
+ * (optionally) a conventional L1I. The L1I slot is a MemoryLevel
+ * pointer so a DRI or policy i-cache can be substituted by the
+ * caller.
+ */
+class Hierarchy : public SharedLevels
 {
   public:
     /**
@@ -83,46 +127,6 @@ class Hierarchy
     MemoryLevel *l1i() { return l1i_; }
     Cache &l1d() { return *l1d_; }
 
-    /** The flat memory (fatal if banked DRAM was built — use
-     *  memLevel()/dram() or the flavour-agnostic counters). */
-    MainMemory &mem();
-
-    /** The terminal level, whatever flavour was built. */
-    MemoryLevel *memLevel() { return memLevel_; }
-
-    /** Flat memory if built, else nullptr. */
-    MainMemory *flatMem() { return mem_.get(); }
-
-    /** Banked DRAM if built, else nullptr. */
-    Dram *dram() { return dram_.get(); }
-
-    /** Memory accesses/reads/writebacks regardless of flavour. */
-    std::uint64_t memAccesses() const;
-    std::uint64_t memReads() const;
-    std::uint64_t memWritebacks() const;
-
-    /** The L2 as a plain MemoryLevel, whatever flavour was built. */
-    MemoryLevel *l2Level() { return l2Level_; }
-
-    /** Conventional L2 if one was built, else nullptr. */
-    Cache *convL2() { return l2_.get(); }
-
-    /** DRI L2 if one was built, else nullptr. */
-    ResizableCache *driL2() { return driL2_.get(); }
-
-    /**
-     * The conventional L2 (fatal if the hierarchy was built with a
-     * DRI L2 — use convL2()/driL2() in flavour-aware code).
-     */
-    Cache &l2();
-
-    /** L2 accesses regardless of flavour. */
-    std::uint64_t l2Accesses() const;
-    /** L2 misses regardless of flavour. */
-    std::uint64_t l2Misses() const;
-    /** L2 miss rate regardless of flavour. */
-    double l2MissRate() const;
-
     /** Conventional L1I if one was built, else nullptr. */
     Cache *convL1i() { return convL1i_.get(); }
 
@@ -136,12 +140,6 @@ class Hierarchy
 
   private:
     HierarchyParams params_;
-    std::unique_ptr<MainMemory> mem_;
-    std::unique_ptr<Dram> dram_;
-    MemoryLevel *memLevel_ = nullptr;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<ResizableCache> driL2_;
-    MemoryLevel *l2Level_ = nullptr;
     std::unique_ptr<Cache> l1d_;
     std::unique_ptr<Cache> convL1i_;
     MemoryLevel *l1i_ = nullptr;

@@ -1,32 +1,39 @@
 /**
  * @file
- * Shared resize machinery: masked indexing, sense-interval resize
- * steps, gating/writeback/remap handling and active-size integrals.
+ * Shared resize machinery: sense-interval resize steps, the size and
+ * index masks, gating/writeback/remap handling and active-size
+ * integrals.
  */
 
 #include "mem/resizable_cache.hh"
 
-#include "util/bitops.hh"
-#include "util/logging.hh"
-
 namespace drisim
 {
+
+CacheParams
+cacheParamsFor(const DriParams &params, const std::string &name)
+{
+    CacheParams p;
+    p.name = name;
+    p.sizeBytes = params.sizeBytes;
+    p.assoc = params.assoc;
+    p.blockBytes = params.blockBytes;
+    p.hitLatency = params.hitLatency;
+    p.repl = params.repl;
+    p.mshrs = params.mshrs;
+    return p;
+}
 
 ResizableCache::ResizableCache(const DriParams &params,
                                const ResizePolicy &policy,
                                MemoryLevel *below,
                                stats::StatGroup *parent,
                                const std::string &groupName)
-    : params_(params),
+    : Cache(cacheParamsFor(params, groupName), below, parent),
+      dri_(params),
       policy_(policy),
-      below_(below),
       mask_(makeSizeMask(params)),
       controller_(params),
-      store_(mask_.maxSets(), params.assoc, params.repl),
-      mshr_(params.mshrs),
-      group_(parent, groupName),
-      accesses_(&group_, "accesses", "cache accesses"),
-      misses_(&group_, "misses", "cache misses"),
       upsizes_(&group_, "upsizes", "interval decisions: upsize"),
       downsizes_(&group_, "downsizes", "interval decisions: downsize"),
       holds_(&group_, "holds", "interval decisions: hold"),
@@ -34,203 +41,17 @@ ResizableCache::ResizableCache(const DriParams &params,
                   "valid blocks destroyed by gating sets off"),
       resizeWritebacks_(&group_, "resize_writebacks",
                         "dirty blocks written back by resizing"),
-      evictionWritebacks_(&group_, "eviction_writebacks",
-                          "dirty blocks written back by eviction"),
       remapInvalidations_(&group_, "remap_invalidations",
                           "blocks invalidated because upsizing "
-                          "changed their set index"),
-      mshrCoalesced_(&group_, "mshr_coalesced",
-                     "secondary misses merged onto in-flight fills"),
-      mshrFullStalls_(&group_, "mshr_full_stalls",
-                      "primary misses finding every MSHR busy"),
-      mshrFullStallCycles_(&group_, "mshr_full_stall_cycles",
-                           "cycles stalled waiting for a free MSHR"),
-      mshrPeak_(&group_, "mshr_peak", "peak live MSHR entries"),
-      coherenceInvalidations_(&group_, "coherence_invalidations",
-                              "lines dropped by coherence probes"),
-      coherenceDowngrades_(&group_, "coherence_downgrades",
-                           "lines demoted Modified -> Shared"),
-      coherenceWritebacks_(&group_, "coherence_writebacks",
-                           "dirty lines flushed to answer probes"),
-      coherenceRefetches_(&group_, "coherence_refetches",
-                          "fills replacing probe-invalidated lines")
+                          "changed their set index")
 {
-    coherenceLost_.assign(
-        static_cast<std::size_t>(mask_.maxSets()) * params_.assoc, 0);
 }
 
 void
 ResizableCache::writebackBlock(const CacheBlk &blk)
 {
     if (below_)
-        below_->access(blk.blockAddr << mask_.offsetBits(),
-                       AccessType::Store);
-}
-
-AccessResult
-ResizableCache::access(Addr addr, AccessType type)
-{
-    return accessImpl(addr, type);
-}
-
-AccessResult
-ResizableCache::accessImpl(Addr addr, AccessType type, Cycles now)
-{
-    ++accesses_;
-
-    if (mshr_.enabled())
-        mshr_.prune(now);
-
-    const Addr ba = addr >> mask_.offsetBits();
-    const std::uint64_t set = ba & mask_.mask();
-
-    int way = store_.findWay(set, ba);
-    if (way != TagStore::kNoWay) {
-        store_.touch(set, static_cast<unsigned>(way));
-        Cycles latency = params_.hitLatency;
-        if (type == AccessType::Store) {
-            store_.markDirty(set, static_cast<unsigned>(way));
-            // Write upgrade: a Shared line needs exclusive
-            // ownership before the store may retire.
-            if (coherence_ &&
-                store_.coherenceState(
-                    set, static_cast<unsigned>(way)) !=
-                    CoherenceState::Modified) {
-                latency += coherence_->coherentUpgrade(
-                    coherenceCore_, ba << mask_.offsetBits());
-                store_.setCoherenceState(
-                    set, static_cast<unsigned>(way),
-                    CoherenceState::Modified);
-            }
-        }
-        // The block was inserted at miss time; an in-flight fill
-        // makes this a secondary miss coalescing onto its MSHR.
-        Cycles fill_at = 0;
-        if (mshr_.enabled() && mshr_.find(ba, fill_at)) {
-            ++mshrCoalesced_;
-            latency += fill_at - now;
-        }
-        return {true, latency};
-    }
-
-    ++misses_;
-    controller_.recordMiss();
-    // Structural hazard: with every register busy the miss waits
-    // for the earliest outstanding fill to free one.
-    Cycles stall = 0;
-    if (mshr_.enabled() && mshr_.full()) {
-        const Cycles free_at = mshr_.earliestFillAt();
-        if (free_at > now)
-            stall = free_at - now;
-        mshr_.prune(now + stall);
-        ++mshrFullStalls_;
-        mshrFullStallCycles_ += stall;
-    }
-    Cycles latency = params_.hitLatency + stall;
-    // Fills are reads: fetches propagate as fetches, loads and
-    // stores (write-allocate) as loads.
-    const AccessType fill = type == AccessType::InstFetch
-                                ? AccessType::InstFetch
-                                : AccessType::Load;
-    if (below_)
-        latency += below_->accessAt(ba << mask_.offsetBits(), fill,
-                                    now + stall)
-                       .latency;
-    if (mshr_.enabled()) {
-        mshr_.allocate(ba, now + latency);
-        if (mshr_.occupancy() > mshrPeak_.value())
-            mshrPeak_.set(mshr_.occupancy());
-    }
-
-    unsigned filled = 0;
-    const CacheBlk evicted =
-        store_.insert(set, ba, store_.assoc(), &filled);
-    if (evicted.valid && evicted.dirty) {
-        ++evictionWritebacks_;
-        writebackBlock(evicted);
-    }
-    {
-        const std::size_t fi =
-            static_cast<std::size_t>(set) * params_.assoc + filled;
-        if (coherenceLost_[fi]) {
-            coherenceLost_[fi] = 0;
-            ++coherenceRefetches_;
-        }
-    }
-    if (type == AccessType::Store) {
-        int w = store_.findWay(set, ba);
-        drisim_assert(w != TagStore::kNoWay, "fill lost its block");
-        store_.markDirty(set, static_cast<unsigned>(w));
-    }
-    if (coherence_) {
-        // Register the fill with the directory (see Cache's access
-        // path); probe latency lands on this miss.
-        latency += coherence_->coherentFill(
-            coherenceCore_, ba << mask_.offsetBits(),
-            type == AccessType::Store);
-        const int w = store_.findWay(set, ba);
-        if (w != TagStore::kNoWay)
-            store_.setCoherenceState(set, static_cast<unsigned>(w),
-                                     type == AccessType::Store
-                                         ? CoherenceState::Modified
-                                         : CoherenceState::Shared);
-    }
-    return {false, latency};
-}
-
-CoherenceProbe
-ResizableCache::coherenceInvalidate(Addr addr, unsigned bytes)
-{
-    CoherenceProbe res;
-    const unsigned block = params_.blockBytes;
-    for (Addr a = addr; a < addr + bytes; a += block) {
-        const Addr ba = a >> mask_.offsetBits();
-        const std::uint64_t set = ba & mask_.mask();
-        const int way = store_.findWay(set, ba);
-        if (way == TagStore::kNoWay)
-            continue;
-        res.wasPresent = true;
-        if (store_.set(set)[static_cast<unsigned>(way)].dirty) {
-            res.wasDirty = true;
-            ++coherenceWritebacks_;
-            if (policy_.writebackDirty)
-                writebackBlock(
-                    store_.set(set)[static_cast<unsigned>(way)]);
-        }
-        ++coherenceInvalidations_;
-        coherenceLost_[static_cast<std::size_t>(set) *
-                           params_.assoc +
-                       static_cast<unsigned>(way)] = 1;
-        store_.invalidate(set, static_cast<unsigned>(way));
-    }
-    return res;
-}
-
-CoherenceProbe
-ResizableCache::coherenceDowngrade(Addr addr, unsigned bytes)
-{
-    CoherenceProbe res;
-    const unsigned block = params_.blockBytes;
-    for (Addr a = addr; a < addr + bytes; a += block) {
-        const Addr ba = a >> mask_.offsetBits();
-        const std::uint64_t set = ba & mask_.mask();
-        const int way = store_.findWay(set, ba);
-        if (way == TagStore::kNoWay)
-            continue;
-        res.wasPresent = true;
-        if (store_.set(set)[static_cast<unsigned>(way)].dirty) {
-            res.wasDirty = true;
-            ++coherenceWritebacks_;
-            if (policy_.writebackDirty)
-                writebackBlock(
-                    store_.set(set)[static_cast<unsigned>(way)]);
-            store_.clearDirty(set, static_cast<unsigned>(way));
-        }
-        ++coherenceDowngrades_;
-        store_.setCoherenceState(set, static_cast<unsigned>(way),
-                                 CoherenceState::Shared);
-    }
-    return res;
+        below_->access(blk.blockAddr << offsetBits_, AccessType::Store);
 }
 
 bool
@@ -259,7 +80,7 @@ ResizableCache::applyDecision(ResizeDecision decision)
         controller_.noteApplied(ResizeDecision::Hold);
         return;
       case ResizeDecision::Downsize: {
-        std::uint64_t target = sets / params_.divisibility;
+        std::uint64_t target = sets / dri_.divisibility;
         if (target < mask_.minSets())
             target = mask_.minSets();
         if (target == sets) {
@@ -273,7 +94,7 @@ ResizableCache::applyDecision(ResizeDecision decision)
         return;
       }
       case ResizeDecision::Upsize: {
-        std::uint64_t target = sets * params_.divisibility;
+        std::uint64_t target = sets * dri_.divisibility;
         if (target > mask_.maxSets())
             target = mask_.maxSets();
         if (target == sets) {
@@ -310,7 +131,7 @@ ResizableCache::resizeTo(std::uint64_t newSets)
             }
             store_.invalidateSet(s);
         }
-        mask_.setNumSets(newSets);
+        setSets(newSets);
         return;
     }
 
@@ -319,16 +140,15 @@ ResizableCache::resizeTo(std::uint64_t newSets)
     // holding data), evict every surviving block whose set index
     // changes under the wider mask; the read-only i-stream skips
     // this (Section 2.2).
-    mask_.setNumSets(newSets);
+    setSets(newSets);
     if (!policy_.remapOnUpsize)
         return;
-    const std::uint64_t new_mask = mask_.mask();
     for (std::uint64_t s = 0; s < old_sets; ++s) {
         for (unsigned w = 0; w < store_.assoc(); ++w) {
             const CacheBlk blk = store_.set(s)[w];
             if (!blk.valid)
                 continue;
-            if ((blk.blockAddr & new_mask) != s) {
+            if (indexOf(blk.blockAddr) != s) {
                 if (policy_.writebackDirty && blk.dirty) {
                     ++resizeWritebacks_;
                     writebackBlock(blk);
@@ -338,6 +158,13 @@ ResizableCache::resizeTo(std::uint64_t newSets)
             }
         }
     }
+}
+
+void
+ResizableCache::setSets(std::uint64_t sets)
+{
+    mask_.setNumSets(sets);
+    indexMask_ = mask_.mask();
 }
 
 double
@@ -351,8 +178,7 @@ std::uint64_t
 ResizableCache::currentSizeBytes() const
 {
     return mask_.numSets() *
-           static_cast<std::uint64_t>(params_.blockBytes) *
-           params_.assoc;
+           static_cast<std::uint64_t>(dri_.blockBytes) * dri_.assoc;
 }
 
 void
@@ -369,17 +195,7 @@ ResizableCache::invalidateAll()
             }
         }
     }
-    store_.invalidateAll();
-    mshr_.clear();
-}
-
-double
-ResizableCache::missRate() const
-{
-    return accesses_.value() == 0
-               ? 0.0
-               : static_cast<double>(misses_.value()) /
-                     static_cast<double>(accesses_.value());
+    Cache::invalidateAll();
 }
 
 void
@@ -403,23 +219,14 @@ ResizableCache::averageActiveFraction() const
 bool
 ResizableCache::mappingConsistent() const
 {
-    const std::uint64_t m = mask_.mask();
     for (std::uint64_t s = 0; s < mask_.numSets(); ++s) {
         for (unsigned w = 0; w < store_.assoc(); ++w) {
             const CacheBlk &blk = store_.set(s)[w];
-            if (blk.valid && (blk.blockAddr & m) != s)
+            if (blk.valid && indexOf(blk.blockAddr) != s)
                 return false;
         }
     }
     return true;
-}
-
-void
-ResizableCache::resetStats()
-{
-    group_.resetAll();
-    activeSetCycles_ = 0.0;
-    integratedCycles_ = 0;
 }
 
 } // namespace drisim

@@ -2,13 +2,15 @@
  * @file
  * The reusable dynamically-resizable cache layer.
  *
- * The paper applies gated-Vdd resizing to the L1 i-cache only, but
- * the machinery — a size mask over a tag store, a miss-bound/
- * size-bound controller sampled at sense-interval boundaries, and
- * time-integrated active-size bookkeeping — is level-agnostic.
- * This class owns all of it once, so the L1 i-cache and the
- * DRI-enabled L2 differ only in their access-type restrictions and
- * in two policy bits:
+ * A resizable level is a Cache (mem/cache.hh) whose index mask a
+ * resize controller narrows and widens (paper Section 2.1, Figure 1):
+ * the access path, the MSHR file, the coherence probes and the
+ * refetch rule are Cache's. This class adds what resizing needs, and
+ * nothing else: the size mask, the miss-bound/size-bound controller
+ * sampled at sense-interval boundaries, the resize steps and the
+ * time-integrated active-size bookkeeping. The machinery is
+ * level-agnostic, so the L1 i-cache and the DRI-enabled L2 differ
+ * only in their access-type restrictions and in two policy bits:
  *
  *  - `writebackDirty`: whether dirty blocks must reach the lower
  *    level before their set's supply is gated (mandatory for any
@@ -33,17 +35,9 @@
 #include "core/dri_params.hh"
 #include "core/resize_controller.hh"
 #include "core/size_mask.hh"
-#include "mem/directory.hh"
-#include "mem/memory.hh"
-#include "mem/mshr.hh"
+#include "mem/cache.hh"
 #include "mem/retire_sink.hh"
-#include "mem/tag_store.hh"
 #include "stats/stats.hh"
-
-namespace drisim::sim
-{
-class StateIO;
-} // namespace drisim::sim
 
 namespace drisim
 {
@@ -62,12 +56,16 @@ struct ResizePolicy
     static constexpr ResizePolicy writeback() { return {true, true}; }
 };
 
+/** The cache geometry of a DRI parameter set, under stats group
+ *  @p name. */
+CacheParams cacheParamsFor(const DriParams &params,
+                           const std::string &name);
+
 /**
  * A dynamically-resizable cache level (gated-Vdd semantics: sets
  * above the current size keep no state and leak nothing).
  */
-class ResizableCache : public MemoryLevel, public RetireSink,
-                       public CoherenceClient
+class ResizableCache : public Cache, public RetireSink
 {
   public:
     /**
@@ -80,16 +78,6 @@ class ResizableCache : public MemoryLevel, public RetireSink,
     ResizableCache(const DriParams &params, const ResizePolicy &policy,
                    MemoryLevel *below, stats::StatGroup *parent,
                    const std::string &groupName);
-
-    /** Unified write-back, write-allocate access (any type). */
-    AccessResult access(Addr addr, AccessType type) override;
-
-    /** Timed flavour: orders the access against in-flight MSHRs. */
-    AccessResult accessAt(Addr addr, AccessType type,
-                          Cycles now) override
-    {
-        return accessImpl(addr, type, now);
-    }
 
     /**
      * Account @p n retired instructions; at sense-interval
@@ -116,14 +104,10 @@ class ResizableCache : public MemoryLevel, public RetireSink,
      *  invalidate. */
     void invalidateAll() override;
 
-    const DriParams &params() const { return params_; }
+    const DriParams &params() const { return dri_; }
     const ResizePolicy &policy() const { return policy_; }
     const SizeMask &sizeMask() const { return mask_; }
     const ResizeController &controller() const { return controller_; }
-
-    std::uint64_t accesses() const { return accesses_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
-    double missRate() const;
 
     std::uint64_t upsizes() const { return upsizes_.value(); }
     std::uint64_t downsizes() const { return downsizes_.value(); }
@@ -139,68 +123,10 @@ class ResizableCache : public MemoryLevel, public RetireSink,
         return resizeWritebacks_.value();
     }
 
-    /** Ordinary dirty-eviction writebacks. */
-    std::uint64_t evictionWritebacks() const
-    {
-        return evictionWritebacks_.value();
-    }
-
-    /** Secondary misses coalesced onto an in-flight fill. */
-    std::uint64_t mshrCoalesced() const
-    {
-        return mshrCoalesced_.value();
-    }
-    /** Primary misses that found every MSHR busy. */
-    std::uint64_t mshrFullStalls() const
-    {
-        return mshrFullStalls_.value();
-    }
-    /** Cycles spent waiting for an MSHR to free. */
-    std::uint64_t mshrFullStallCycles() const
-    {
-        return mshrFullStallCycles_.value();
-    }
-    /** High-water mark of live MSHR entries. */
-    std::uint64_t mshrPeakOccupancy() const
-    {
-        return mshrPeak_.value();
-    }
-
     /** Blocks invalidated because upsizing changed their index. */
     std::uint64_t remapInvalidations() const
     {
         return remapInvalidations_.value();
-    }
-
-    /** Attach to a coherence fabric as @p core's private cache
-     *  (mem/directory.hh); see Cache::setCoherence. */
-    void setCoherence(CoherenceAgent *agent, unsigned core)
-    {
-        coherence_ = agent;
-        coherenceCore_ = core;
-    }
-
-    // CoherenceClient: probes from the directory controller.
-    CoherenceProbe coherenceInvalidate(Addr addr,
-                                       unsigned bytes) override;
-    CoherenceProbe coherenceDowngrade(Addr addr,
-                                      unsigned bytes) override;
-
-    /** Lines dropped by coherence invalidation probes. */
-    std::uint64_t coherenceInvalidations() const
-    {
-        return coherenceInvalidations_.value();
-    }
-    /** Lines demoted Modified -> Shared by downgrade probes. */
-    std::uint64_t coherenceDowngrades() const
-    {
-        return coherenceDowngrades_.value();
-    }
-    /** Fills re-fetching a block a probe invalidated from the same
-     *  frame — the coherence refetch traffic PolicyActivity reports. */
-    std::uint64_t coherenceRefetches() const
-    {
-        return coherenceRefetches_.value();
     }
 
     /**
@@ -234,58 +160,37 @@ class ResizableCache : public MemoryLevel, public RetireSink,
      */
     bool mappingConsistent() const;
 
-    void resetStats();
-
-    /** Serialize mask + controller + contents + integrals + stats
-     *  (sim/checkpoint.hh). Restore requires identical params and a
-     *  set count the mask can take.
-     *  Covers derived flavours (their extra stats register in the
-     *  same group and are walked with it). */
-    void checkpoint(sim::StateIO io);
+    /** Serialize the set count, controller and integrals, then the
+     *  cache (sim/checkpoint.hh). Restore requires identical params
+     *  and a set count the mask can take. Covers derived flavours
+     *  (their extra stats register in the same group and are walked
+     *  with it). */
+    void checkpoint(sim::StateIO io) override;
 
   protected:
+    /** Cache hook: the controller counts every miss. */
+    void onMiss() override { controller_.recordMiss(); }
+
     void applyDecision(ResizeDecision decision);
     void resizeTo(std::uint64_t newSets);
+    /** Move the size mask, and the index mask with it. */
+    void setSets(std::uint64_t sets);
     void writebackBlock(const CacheBlk &blk);
 
-    /** The access body shared by every flavour (after type checks). */
-    AccessResult accessImpl(Addr addr, AccessType type,
-                            Cycles now = 0);
-
-    DriParams params_;
+    DriParams dri_;
     ResizePolicy policy_;
-    MemoryLevel *below_;
     SizeMask mask_;
     ResizeController controller_;
-    TagStore store_;
-    MshrFile mshr_;
-    CoherenceAgent *coherence_ = nullptr;
-    unsigned coherenceCore_ = 0;
-    /** Frames whose block a coherence probe invalidated; the next
-     *  fill of such a frame is a coherence refetch. */
-    std::vector<char> coherenceLost_;
 
     double activeSetCycles_ = 0.0;
     Cycles integratedCycles_ = 0;
 
-    stats::StatGroup group_;
-    stats::Scalar accesses_;
-    stats::Scalar misses_;
     stats::Scalar upsizes_;
     stats::Scalar downsizes_;
     stats::Scalar holds_;
     stats::Scalar blocksLost_;
     stats::Scalar resizeWritebacks_;
-    stats::Scalar evictionWritebacks_;
     stats::Scalar remapInvalidations_;
-    stats::Scalar mshrCoalesced_;
-    stats::Scalar mshrFullStalls_;
-    stats::Scalar mshrFullStallCycles_;
-    stats::Scalar mshrPeak_;
-    stats::Scalar coherenceInvalidations_;
-    stats::Scalar coherenceDowngrades_;
-    stats::Scalar coherenceWritebacks_;
-    stats::Scalar coherenceRefetches_;
 };
 
 } // namespace drisim

@@ -30,7 +30,7 @@ DecayCache::intervalTick()
     const unsigned limit = config_.decay.counterLimit;
     for (std::uint64_t s = 0; s < numSets(); ++s) {
         for (unsigned w = 0; w < params().assoc; ++w) {
-            const std::size_t i = lineIndex(s, w);
+            const std::size_t i = frameIndex(s, w);
             if (!lit_[i])
                 continue;
             // Saturating increment; at the limit the line is dead.
@@ -54,20 +54,19 @@ Cycles
 DecayCache::onLineHit(std::uint64_t set, unsigned way)
 {
     // A hit proves the line is live: restart its generation clock.
-    counters_[lineIndex(set, way)] = 0;
+    counters_[frameIndex(set, way)] = 0;
     return 0;
 }
 
-// No policyCoherenceEvent override: a gated frame is already
+// No onLineCoherenceEvent override: a gated frame is already
 // invalid (probes never find it), and a probe on a lit frame costs
 // no extra stall here — the frame's supply stays on, so a later
-// refill of the invalidated block is the base class's coherence
-// refetch.
+// refill of the invalidated block is Cache's coherence refetch.
 
 void
-DecayCache::policyLineFill(std::uint64_t set, unsigned way)
+DecayCache::onLineFill(std::uint64_t set, unsigned way)
 {
-    const std::size_t i = lineIndex(set, way);
+    const std::size_t i = frameIndex(set, way);
     counters_[i] = 0;
     if (!lit_[i]) {
         // Restoring a gated frame's supply: the wake's latency
@@ -90,13 +89,13 @@ DecayCache::activity() const
 bool
 DecayCache::linePowered(std::uint64_t set, unsigned way) const
 {
-    return lit_[lineIndex(set, way)] != 0;
+    return lit_[frameIndex(set, way)] != 0;
 }
 
 unsigned
 DecayCache::lineCounter(std::uint64_t set, unsigned way) const
 {
-    return counters_[lineIndex(set, way)];
+    return counters_[frameIndex(set, way)];
 }
 
 } // namespace drisim

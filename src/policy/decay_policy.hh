@@ -53,16 +53,11 @@ class DecayCache : public PolicyCacheBase
     std::uint64_t poweredLines() const override { return powered_; }
 
     Cycles onLineHit(std::uint64_t set, unsigned way) override;
-    void policyLineFill(std::uint64_t set, unsigned way) override;
+    void onLineFill(std::uint64_t set, unsigned way) override;
 
     void checkpointExtra(sim::StateIO io) override;
 
   private:
-    std::size_t lineIndex(std::uint64_t set, unsigned way) const
-    {
-        return static_cast<std::size_t>(set) * params().assoc + way;
-    }
-
     /** Saturating generation counter per line frame. */
     std::vector<unsigned> counters_;
     /** Supply state per line frame (true = full Vdd). */

@@ -29,7 +29,7 @@ class DriPolicy : public LeakagePolicy
               stats::StatGroup *parent);
 
     PolicyKind kind() const override { return PolicyKind::Dri; }
-    MemoryLevel *level() override { return &icache_; }
+    Cache *level() override { return &icache_; }
 
     void onRetire(InstCount n) override
     {

@@ -41,7 +41,7 @@ DrowsyCache::wakeLine(std::size_t i)
 Cycles
 DrowsyCache::onLineHit(std::uint64_t set, unsigned way)
 {
-    const std::size_t i = lineIndex(set, way);
+    const std::size_t i = frameIndex(set, way);
     if (!drowsy_[i])
         return 0;
     // First touch after an episode: recharge the rail. Charged
@@ -53,9 +53,9 @@ DrowsyCache::onLineHit(std::uint64_t set, unsigned way)
 }
 
 void
-DrowsyCache::policyLineFill(std::uint64_t set, unsigned way)
+DrowsyCache::onLineFill(std::uint64_t set, unsigned way)
 {
-    const std::size_t i = lineIndex(set, way);
+    const std::size_t i = frameIndex(set, way);
     // The fill drives the frame at full rail; the wake transition
     // happens but its latency hides under the miss itself.
     if (drowsy_[i])
@@ -63,11 +63,11 @@ DrowsyCache::policyLineFill(std::uint64_t set, unsigned way)
 }
 
 Cycles
-DrowsyCache::policyCoherenceEvent(std::uint64_t set, unsigned way,
+DrowsyCache::onLineCoherenceEvent(std::uint64_t set, unsigned way,
                                   bool invalidate)
 {
     (void)invalidate;
-    const std::size_t i = lineIndex(set, way);
+    const std::size_t i = frameIndex(set, way);
     if (!drowsy_[i])
         return 0;
     // A drowsy line cannot be snooped at the retention voltage: the
@@ -89,7 +89,7 @@ DrowsyCache::activity() const
 bool
 DrowsyCache::lineDrowsy(std::uint64_t set, unsigned way) const
 {
-    return drowsy_[lineIndex(set, way)] != 0;
+    return drowsy_[frameIndex(set, way)] != 0;
 }
 
 } // namespace drisim

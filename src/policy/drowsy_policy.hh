@@ -59,18 +59,13 @@ class DrowsyCache : public PolicyCacheBase
     }
 
     Cycles onLineHit(std::uint64_t set, unsigned way) override;
-    void policyLineFill(std::uint64_t set, unsigned way) override;
-    Cycles policyCoherenceEvent(std::uint64_t set, unsigned way,
+    void onLineFill(std::uint64_t set, unsigned way) override;
+    Cycles onLineCoherenceEvent(std::uint64_t set, unsigned way,
                                 bool invalidate) override;
 
     void checkpointExtra(sim::StateIO io) override;
 
   private:
-    std::size_t lineIndex(std::uint64_t set, unsigned way) const
-    {
-        return static_cast<std::size_t>(set) * params().assoc + way;
-    }
-
     void wakeLine(std::size_t i);
 
     /** Standby state per line frame (true = drowsy rail). */

@@ -179,9 +179,9 @@ struct PolicyActivity
 /**
  * One leakage-managed L1 i-cache: the common handle the runner, the
  * CMP system and the search harness hold, whatever technique is
- * behind it. Concrete policies expose their cache as a MemoryLevel
- * (level()) so the hierarchy/core wiring is flavour-blind, and
- * consume the core's retire/cycle broadcast (RetireSink).
+ * behind it. Every policy's cache is a Cache (level()), so the
+ * hierarchy, core and coherence wiring is flavour-blind, and every
+ * policy consumes the core's retire/cycle broadcast (RetireSink).
  */
 class LeakagePolicy : public RetireSink
 {
@@ -191,7 +191,7 @@ class LeakagePolicy : public RetireSink
     virtual PolicyKind kind() const = 0;
 
     /** The managed i-cache, to wire as the core's L1I. */
-    virtual MemoryLevel *level() = 0;
+    virtual Cache *level() = 0;
 
     virtual std::uint64_t l1Accesses() const = 0;
     virtual std::uint64_t l1Misses() const = 0;

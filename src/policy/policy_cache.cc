@@ -6,63 +6,20 @@
 
 #include "policy/policy_cache.hh"
 
+#include "mem/resizable_cache.hh"
 #include "util/logging.hh"
 
 namespace drisim
 {
 
-namespace
-{
-
-CacheParams
-cacheParamsFor(const PolicyConfig &config,
-               const std::string &groupName)
-{
-    CacheParams p;
-    p.name = groupName;
-    p.sizeBytes = config.dri.sizeBytes;
-    p.assoc = config.dri.assoc;
-    p.blockBytes = config.dri.blockBytes;
-    p.hitLatency = config.dri.hitLatency;
-    p.repl = config.dri.repl;
-    p.mshrs = config.dri.mshrs;
-    return p;
-}
-
-} // namespace
-
 PolicyCacheBase::PolicyCacheBase(const PolicyConfig &config,
                                  MemoryLevel *below,
                                  stats::StatGroup *parent,
                                  const std::string &groupName)
-    : Cache(cacheParamsFor(config, groupName), below, parent),
+    : Cache(cacheParamsFor(config.dri, groupName), below, parent),
       config_(config),
-      totalLines_(numSets() * params().assoc),
-      coherenceLost_(totalLines_, 0)
+      totalLines_(numSets() * params().assoc)
 {
-}
-
-void
-PolicyCacheBase::onLineFill(std::uint64_t set, unsigned way)
-{
-    const std::size_t i = frameIndex(set, way);
-    if (coherenceLost_[i]) {
-        // Refilling a frame a coherence probe emptied: the refetch
-        // the directory forced on this core.
-        coherenceLost_[i] = 0;
-        ++coherenceRefetches_;
-    }
-    policyLineFill(set, way);
-}
-
-Cycles
-PolicyCacheBase::onLineCoherenceEvent(std::uint64_t set, unsigned way,
-                                      bool invalidate)
-{
-    const Cycles stall = policyCoherenceEvent(set, way, invalidate);
-    if (invalidate)
-        coherenceLost_[frameIndex(set, way)] = 1;
-    return stall;
 }
 
 AccessResult
@@ -131,7 +88,7 @@ PolicyCacheBase::baseActivity() const
     a.wakeStallCycles = wakeStallCycles_;
     a.coherenceInvalidations = coherenceInvalidations();
     a.coherenceWakes = coherenceWakes_;
-    a.coherenceRefetches = coherenceRefetches_;
+    a.coherenceRefetches = coherenceRefetches();
     return a;
 }
 

@@ -4,7 +4,9 @@
  * StaticWays): a conventional i-cache (mem/cache.hh) plus the
  * LeakagePolicy reporting plumbing — interval counting in retired
  * instructions and the time integrals of the powered/drowsy line
- * populations. The Dri policy does not use this base; it adapts the
+ * populations. The flavours override Cache's per-line hooks directly
+ * (hit, fill, probe, victim ways); coherence refetches are Cache's
+ * count. The Dri policy does not use this base; it adapts the
  * set-granularity ResizableCache machinery instead.
  */
 
@@ -12,7 +14,6 @@
 #define DRISIM_POLICY_POLICY_CACHE_HH
 
 #include <string>
-#include <vector>
 
 #include "mem/cache.hh"
 #include "policy/leakage_policy.hh"
@@ -40,7 +41,7 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     AccessResult accessAt(Addr addr, AccessType type,
                           Cycles now) override;
 
-    MemoryLevel *level() override { return this; }
+    Cache *level() override { return this; }
     std::uint64_t l1Accesses() const override { return accesses(); }
     std::uint64_t l1Misses() const override { return misses(); }
 
@@ -61,41 +62,6 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     void checkpoint(sim::StateIO io) override;
 
   protected:
-    /**
-     * The base intercepts the Cache fill/probe hooks to account
-     * coherence refetches uniformly (a fill into a frame a probe
-     * invalidated), then forwards to these flavour hooks — the
-     * per-line policies override policyLineFill/policyCoherenceEvent
-     * instead of the Cache hooks.
-     */
-    void onLineFill(std::uint64_t set, unsigned way) final;
-    Cycles onLineCoherenceEvent(std::uint64_t set, unsigned way,
-                                bool invalidate) final;
-
-    /** Flavour reaction to a fill (see Cache::onLineFill). */
-    virtual void policyLineFill(std::uint64_t set, unsigned way)
-    {
-        (void)set;
-        (void)way;
-    }
-
-    /** Flavour reaction to a coherence probe; returns the stall the
-     *  probe costs here (a drowsy line's wake). */
-    virtual Cycles policyCoherenceEvent(std::uint64_t set,
-                                        unsigned way, bool invalidate)
-    {
-        (void)set;
-        (void)way;
-        (void)invalidate;
-        return 0;
-    }
-
-    /** Frame index shared by the per-line state vectors. */
-    std::size_t frameIndex(std::uint64_t set, unsigned way) const
-    {
-        return static_cast<std::size_t>(set) * params().assoc + way;
-    }
-
     /** Flavour-specific per-line state (decay counters, drowsy
      *  bits). Empty by default, for stateless flavours. */
     virtual void checkpointExtra(sim::StateIO io);
@@ -129,14 +95,8 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     Cycles wakeStallCycles_ = 0;
 
     /** Wakes forced by coherence probes (flavours bump this from
-     *  policyCoherenceEvent when they wake a line to answer). */
+     *  onLineCoherenceEvent when they wake a line to answer). */
     std::uint64_t coherenceWakes_ = 0;
-
-  private:
-    /** Frames whose block a probe invalidated; the next fill there
-     *  is a coherence refetch. */
-    std::vector<char> coherenceLost_;
-    std::uint64_t coherenceRefetches_ = 0;
 };
 
 } // namespace drisim

@@ -158,21 +158,6 @@ Scalar::checkpoint(sim::StateIO io)
 }
 
 void
-Average::checkpoint(sim::StateIO io)
-{
-    io(sum_, count_);
-}
-
-void
-Distribution::checkpoint(sim::StateIO io)
-{
-    io.expect(buckets_.size(), "distribution bucket");
-    for (std::uint64_t &b : buckets_)
-        io(b);
-    io(underflow_, overflow_, samples_, sum_);
-}
-
-void
 StatGroup::checkpoint(sim::StateIO io)
 {
     io.begin(name_);
@@ -295,6 +280,7 @@ Cache::checkpoint(StateIO io)
     io.begin("cache");
     store_.checkpoint(io);
     mshr_.checkpoint(io);
+    io.bytes(coherenceLost_, "coherence-lost bits");
     group_.checkpoint(io);
     io.end();
 }
@@ -332,14 +318,11 @@ ResizableCache::checkpoint(StateIO io)
             throw CheckpointError("rcache set count " +
                                   std::to_string(sets) +
                                   " is not a size the mask can take");
-        mask_.setNumSets(sets);
+        setSets(sets);
     }
     controller_.checkpoint(io);
-    store_.checkpoint(io);
-    mshr_.checkpoint(io);
     io(activeSetCycles_, integratedCycles_);
-    io.bytes(coherenceLost_, "rcache coherence-lost bits");
-    group_.checkpoint(io);
+    Cache::checkpoint(io);
     io.end();
 }
 
@@ -348,19 +331,22 @@ ResizableCache::checkpoint(StateIO io)
 // ---------------------------------------------------------------
 
 void
-Hierarchy::checkpoint(StateIO io)
+SharedLevels::checkpoint(StateIO io)
 {
-    io.begin("hier");
     io.expect(dram_ != nullptr, "memory flavour");
     if (dram_)
         dram_->checkpoint(io);
     else
         mem_->checkpoint(io);
     io.expect(driL2_ != nullptr, "L2 flavour");
-    if (driL2_)
-        driL2_->checkpoint(io);
-    else
-        l2_->checkpoint(io);
+    l2_->checkpoint(io);
+}
+
+void
+Hierarchy::checkpoint(StateIO io)
+{
+    io.begin("hier");
+    SharedLevels::checkpoint(io);
     l1d_->checkpoint(io);
     io.expect(convL1i_ != nullptr, "L1I flavour");
     if (convL1i_)
@@ -489,8 +475,7 @@ PolicyCacheBase::checkpoint(StateIO io)
     Cache::checkpoint(io);
     io(instrsIntoInterval_, integratedCycles_, activeLineCycles_,
        drowsyLineCycles_, wakeTransitions_, wakeStallCycles_,
-       coherenceWakes_, coherenceRefetches_);
-    io.bytes(coherenceLost_, "policy coherence-lost bits");
+       coherenceWakes_);
     checkpointExtra(io);
     io.end();
 }

@@ -6,8 +6,6 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
-#include <cassert>
-#include <iomanip>
 
 #include "util/logging.hh"
 
@@ -26,98 +24,6 @@ void
 Scalar::print(std::ostream &os, const std::string &prefix) const
 {
     os << prefix << name() << " " << value_ << " # " << desc() << "\n";
-}
-
-void
-Average::sample(double v)
-{
-    sum_ += v;
-    ++count_;
-}
-
-void
-Average::sample(double v, std::uint64_t weight)
-{
-    sum_ += v * static_cast<double>(weight);
-    count_ += weight;
-}
-
-double
-Average::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-void
-Average::reset()
-{
-    sum_ = 0.0;
-    count_ = 0;
-}
-
-void
-Average::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " " << mean() << " # " << desc() << "\n";
-}
-
-Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc, double min, double max,
-                           unsigned buckets)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      min_(min), max_(max),
-      bucketWidth_((max - min) / buckets),
-      buckets_(buckets, 0)
-{
-    drisim_assert(max > min && buckets > 0,
-                  "distribution needs max > min and buckets > 0");
-}
-
-void
-Distribution::sample(double v, std::uint64_t count)
-{
-    samples_ += count;
-    sum_ += v * static_cast<double>(count);
-    if (v < min_) {
-        underflow_ += count;
-    } else if (v >= max_) {
-        overflow_ += count;
-    } else {
-        auto idx = static_cast<size_t>((v - min_) / bucketWidth_);
-        idx = std::min(idx, buckets_.size() - 1);
-        buckets_[idx] += count;
-    }
-}
-
-double
-Distribution::mean() const
-{
-    return samples_ == 0 ? 0.0 : sum_ / static_cast<double>(samples_);
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = samples_ = 0;
-    sum_ = 0.0;
-}
-
-void
-Distribution::print(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << "::samples " << samples_ << " # "
-       << desc() << "\n";
-    os << prefix << name() << "::mean " << mean() << "\n";
-    os << prefix << name() << "::underflows " << underflow_ << "\n";
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        double lo = min_ + bucketWidth_ * static_cast<double>(i);
-        os << prefix << name() << "::[" << lo << ","
-           << lo + bucketWidth_ << ") " << buckets_[i] << "\n";
-    }
-    os << prefix << name() << "::overflows " << overflow_ << "\n";
 }
 
 StatGroup::StatGroup(std::string name) : name_(std::move(name)) {}
@@ -173,16 +79,6 @@ StatGroup::dump(std::ostream &os, const std::string &prefix) const
         s->print(os, full);
     for (const auto *c : children_)
         c->dump(os, full);
-}
-
-const StatBase *
-StatGroup::find(const std::string &name) const
-{
-    for (const auto *s : stats_) {
-        if (s->name() == name)
-            return s;
-    }
-    return nullptr;
 }
 
 } // namespace drisim::stats

@@ -4,9 +4,9 @@
  *
  * Stats self-register with a StatGroup; groups form a tree rooted at
  * a simulation component, and the whole tree can be dumped as
- * name = value lines. Every simulator module exposes its counters
- * through this package so tests and the bench harness read one
- * uniform interface.
+ * name = value lines and walked by a checkpoint in registration
+ * order. Every simulator module exposes its counters through this
+ * package as Scalars, the one stat kind components register.
  */
 
 #ifndef DRISIM_STATS_STATS_HH
@@ -76,65 +76,6 @@ class Scalar : public StatBase
     std::uint64_t value_ = 0;
 };
 
-/** A running mean of double-valued samples. */
-class Average : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    /** Add one sample. */
-    void sample(double v);
-
-    /** Add @p weight copies of sample value @p v. */
-    void sample(double v, std::uint64_t weight);
-
-    double mean() const;
-    std::uint64_t samples() const { return count_; }
-
-    void reset() override;
-    void print(std::ostream &os,
-               const std::string &prefix) const override;
-    void checkpoint(sim::StateIO io) override;
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/**
- * A fixed-bucket histogram over [min, max) with uniform bucket width,
- * plus underflow/overflow buckets.
- */
-class Distribution : public StatBase
-{
-  public:
-    Distribution(StatGroup *parent, std::string name, std::string desc,
-                 double min, double max, unsigned buckets);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    std::uint64_t bucketCount(unsigned i) const { return buckets_.at(i); }
-    std::uint64_t underflows() const { return underflow_; }
-    std::uint64_t overflows() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    double mean() const;
-
-    void reset() override;
-    void print(std::ostream &os,
-               const std::string &prefix) const override;
-    void checkpoint(sim::StateIO io) override;
-
-  private:
-    double min_;
-    double max_;
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-};
-
 /**
  * A named collection of statistics and child groups. Components
  * (caches, cores) own a StatGroup and declare members against it.
@@ -160,9 +101,6 @@ class StatGroup
 
     /** Dump "prefix.name value # desc" for the whole subtree. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
-
-    /** Find a directly-owned stat by name (nullptr if absent). */
-    const StatBase *find(const std::string &name) const;
 
     /**
      * Serialize every stat in this subtree, in registration order,

@@ -20,9 +20,8 @@ namespace
 {
 
 /** Add one cache level's MSHR activity to the run's sums. */
-template <typename Level>
 void
-addMshrs(CmpRunOutput &out, const Level &level)
+addMshrs(CmpRunOutput &out, const Cache &level)
 {
     out.mshrCoalesced += level.mshrCoalesced();
     out.mshrFullStalls += level.mshrFullStalls();
@@ -96,7 +95,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                      const OooParams &coreParams,
                      const std::vector<const ProgramImage *> &images,
                      stats::StatGroup *parent)
-    : cmp_(cmp), hier_(hier)
+    : cmp_(cmp), hier_(hier), shared_(hier, parent)
 {
     const unsigned n = cmp.cores;
     drisim_assert(n >= 1 && n <= kMaxCmpCores,
@@ -106,27 +105,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                   "need one program image per core (%zu != %u)",
                   images.size(), n);
 
-    if (hier.dram.banked) {
-        dram_ = std::make_unique<Dram>(hier.dram, hier.l2.blockBytes,
-                                       parent);
-        memLevel_ = dram_.get();
-    } else {
-        mem_ = std::make_unique<MainMemory>(hier.l2.blockBytes,
-                                            parent);
-        memLevel_ = mem_.get();
-    }
-    if (hier.l2Dri) {
-        driL2_ = std::make_unique<ResizableCache>(
-            driParamsForLevel(hier.l2, hier.l2DriParams),
-            ResizePolicy::writeback(), memLevel_, parent, "dri_l2");
-        l2Level_ = driL2_.get();
-    } else {
-        convL2_ =
-            std::make_unique<Cache>(hier.l2, memLevel_, parent);
-        l2Level_ = convL2_.get();
-    }
     bus_ = std::make_unique<SharedL2Bus>(
-        l2Level_, hier.l2.blockBytes, cmp.l2Banks,
+        &shared_.l2(), hier.l2.blockBytes, cmp.l2Banks,
         cmp.l2ContentionPenalty, n);
     if (cmp.coherence.enabled)
         bus_->enableCoherence(cmp.coherence, n);
@@ -144,7 +124,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
             std::make_unique<Cache>(hier.l1d, port, grp));
 
         const CmpCoreConfig cfg = cmp.coreConfig(k);
-        MemoryLevel *l1i = nullptr;
+        Cache *l1i = nullptr;
         if (cfg.dri) {
             PolicyConfig pc;
             pc.kind = cfg.policyKind;
@@ -163,14 +143,9 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         // bus is the requester-side agent, and the controller probes
         // the L1D and the L1I (whatever flavour) as core k.
         if (CoherenceController *cc = bus_->coherence()) {
-            l1ds_.back()->setCoherence(bus_.get(), k);
-            cc->addClient(k, l1ds_.back().get());
-            if (auto *c = dynamic_cast<Cache *>(l1i)) {
+            for (Cache *c : {l1ds_.back().get(), l1i}) {
                 c->setCoherence(bus_.get(), k);
                 cc->addClient(k, c);
-            } else if (auto *rc = dynamic_cast<ResizableCache *>(l1i)) {
-                rc->setCoherence(bus_.get(), k);
-                cc->addClient(k, rc);
             }
         }
         cores_.push_back(std::make_unique<OooCore>(
@@ -185,7 +160,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
     // with several cores the scheduler drives it from system-wide
     // progress instead (see run()).
     if (n == 1)
-        cores_[0]->addRetireSink(driL2_.get());
+        cores_[0]->addRetireSink(shared_.driL2());
 }
 
 CmpRunOutput
@@ -263,15 +238,15 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         // sense interval counts instructions retired anywhere in
         // the system and its active-size integral runs on the
         // system clock (the slowest core's local time).
-        if (n > 1 && driL2_) {
+        if (ResizableCache *dri = shared_.driL2(); n > 1 && dri) {
             if (roundRetired > 0)
-                driL2_->retireInstructions(roundRetired);
+                dri->retireInstructions(roundRetired);
             Cycles clock = 0;
             for (unsigned k = 0; k < n; ++k)
                 clock =
                     std::max(clock, cores_[k]->stats().cycles);
             if (clock > sysClock) {
-                driL2_->integrateCycles(clock - sysClock);
+                dri->integrateCycles(clock - sysClock);
                 sysClock = clock;
             }
         }
@@ -366,27 +341,24 @@ CmpSystem::run(InstCount maxInstrsPerCore)
             ? 0.0
             : static_cast<double>(out.l2Misses) /
                   static_cast<double>(out.l2Accesses);
-    out.memAccesses = mem_ ? mem_->accesses() : dram_->accesses();
-    if (driL2_) {
-        out.l2SizeBytes = driL2_->params().sizeBytes;
-        out.l2AvgActiveFraction = driL2_->averageActiveFraction();
-        out.l2ResizingTagBits = driL2_->params().resizingTagBits();
-        out.l2Resizes = driL2_->upsizes() + driL2_->downsizes();
-        addMshrs(out, *driL2_);
-    } else {
-        out.l2SizeBytes = hier_.l2.sizeBytes;
-        addMshrs(out, *convL2_);
+    out.memAccesses = shared_.memAccesses();
+    out.l2SizeBytes = hier_.l2.sizeBytes;
+    if (const ResizableCache *dri = shared_.driL2()) {
+        out.l2AvgActiveFraction = dri->averageActiveFraction();
+        out.l2ResizingTagBits = dri->params().resizingTagBits();
+        out.l2Resizes = dri->upsizes() + dri->downsizes();
     }
+    addMshrs(out, shared_.l2());
     if (coh)
         out.directoryEvictions = coh->directory().capacityEvictions();
-    if (dram_) {
-        out.dramRowHits = dram_->rowHits();
-        out.dramRowMisses = dram_->rowMisses();
-        out.dramQueueFullEvents = dram_->queueFullEvents();
-        out.dramBusyCycles = dram_->busyCycles();
-        out.dramBankRowHits.resize(dram_->params().banks);
-        for (unsigned b = 0; b < dram_->params().banks; ++b)
-            out.dramBankRowHits[b] = dram_->rowHitsForBank(b);
+    if (const Dram *dram = shared_.dram()) {
+        out.dramRowHits = dram->rowHits();
+        out.dramRowMisses = dram->rowMisses();
+        out.dramQueueFullEvents = dram->queueFullEvents();
+        out.dramBusyCycles = dram->busyCycles();
+        out.dramBankRowHits.resize(dram->params().banks);
+        for (unsigned b = 0; b < dram->params().banks; ++b)
+            out.dramBankRowHits[b] = dram->rowHitsForBank(b);
     }
     return out;
 }

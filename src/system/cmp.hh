@@ -304,10 +304,11 @@ class SharedL2Port : public MemoryLevel
 };
 
 /**
- * Owns the whole CMP: memory, the shared L2 (conventional or
- * resizable, per hier.l2Dri), the bus, and per core a port, an L1D,
- * an L1I (conventional or a leakage policy, per CmpCoreConfig) and
- * an OooCore fed by its own trace generator.
+ * Owns the whole CMP: the shared levels (memory and the L2,
+ * conventional or resizable per hier.l2Dri, built by the
+ * SharedLevels the single-core Hierarchy uses), the bus, and per
+ * core a port, an L1D, an L1I (conventional or a leakage policy, per
+ * CmpCoreConfig) and an OooCore fed by its own trace generator.
  */
 class CmpSystem
 {
@@ -355,12 +356,7 @@ class CmpSystem
     CmpConfig cmp_;
     HierarchyParams hier_;
 
-    std::unique_ptr<MainMemory> mem_;
-    std::unique_ptr<Dram> dram_;
-    MemoryLevel *memLevel_ = nullptr;
-    std::unique_ptr<Cache> convL2_;
-    std::unique_ptr<ResizableCache> driL2_;
-    MemoryLevel *l2Level_ = nullptr;
+    SharedLevels shared_;
     std::unique_ptr<SharedL2Bus> bus_;
 
     std::vector<std::unique_ptr<stats::StatGroup>> cpuGroups_;

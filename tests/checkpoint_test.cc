@@ -539,7 +539,7 @@ TEST(CheckpointedRun, OlderFastSnapshotIsAMissNotACrash)
         // The older build's generator-driven fast run at the split.
         stats::StatGroup root("fast");
         Hierarchy hier(cfg.hier, &root, false);
-        DriICache icache(dp, hier.l2Level(), &root);
+        DriICache icache(dp, &hier.l2(), &root);
         hier.setL1I(&icache);
         SimpleCoreParams scp;
         scp.baseCpi = cal.baseCpi;
@@ -616,28 +616,28 @@ TEST(CheckpointBytes, MidpointSnapshotsArePinned)
         std::uint64_t fnv;
     };
     std::vector<Pin> pins = {
-        {"conv", compress, quickConfig(), {}, 0xcc4c889f29caf7d6},
-        {"dri", li, quickConfig(), {dri}, 0x84259d20fcd60f74},
-        {"dri_l2", compress, driL2, {dri}, 0x31a70af59f90b167},
+        {"conv", compress, quickConfig(), {}, 0x8d5aa035f144dbac},
+        {"dri", li, quickConfig(), {dri}, 0x5b7672deaaa9c630},
+        {"dri_l2", compress, driL2, {dri}, 0xe1dbacabf2dae812},
         {"conv_fast", li, quickConfig(), {ConventionalL1i{}, &liCal},
-         0xf2c97fc9c559ab85},
-        {"dri_fast", li, quickConfig(), {dri, &liCal}, 0x2f865150f21db8e4},
-        {"conv_banked", compress, bankedConfig(), {}, 0xc40259d44d51a42b},
-        {"dri_banked", li, bankedConfig(), {driMshrs}, 0x786a0ed5b46e52c9},
+         0x0b5deb0ced0b7371},
+        {"dri_fast", li, quickConfig(), {dri, &liCal}, 0x7ae4660729d43e5e},
+        {"conv_banked", compress, bankedConfig(), {}, 0xe2eb138c0de70261},
+        {"dri_banked", li, bankedConfig(), {driMshrs}, 0x23fdf88ca1b39877},
         {"dri_l2_banked", compress, driL2Banked, {driMshrs},
-         0x6daa414f93af9286},
+         0x79f05bf44822e53d},
         {"conv_fast_banked", li, bankedConfig(),
-         {ConventionalL1i{}, &liBankedCal}, 0x1ed75e674deb5720},
+         {ConventionalL1i{}, &liBankedCal}, 0x59047712bc190ee8},
         {"dri_fast_banked", li, bankedConfig(), {driMshrs, &liBankedCal},
-         0x20f5887c0752a4f8},
+         0x44ea5c7e3cdeb37e},
     };
     const std::uint64_t policyPins[][3] = {
         // Dri, Decay, Drowsy, StaticWays: detailed, fast, and
         // detailed over banked DRAM
-        {0x37d2c10085e4702f, 0xd370cd471b630f95, 0xda1781d07e73989b},
-        {0xcbbc25ff6f6390bf, 0xf4bbc0f5c46b977d, 0x350d152b171f4fea},
-        {0xe5d1dd9e8a609f4f, 0xa812f3a7b2fb73fb, 0x38c12be2b09b9f81},
-        {0x00d81a207ed875b2, 0xd9cd99a15f58d866, 0xc12ef10b76116c30},
+        {0x431c46aba5331c94, 0x99f680784f725bbf, 0x7a965660d5783e4e},
+        {0xae50d8a5e35fc179, 0x4e84431ac2280275, 0x72784b69d91dbec0},
+        {0xd6185b67b22c6e57, 0x3c026dda4a0f4e39, 0xabdb4029ef9a1dd5},
+        {0x9bba7970abacdd62, 0xc2345a678bd0986c, 0x4f4fcf6de4e049f0},
     };
     for (const PolicyKind kind :
          {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,

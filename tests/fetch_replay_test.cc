@@ -67,7 +67,7 @@ runSimpleCore(InstrStream &stream, unsigned blockBytes,
     std::unique_ptr<DriICache> icache;
     if (dri) {
         icache =
-            std::make_unique<DriICache>(*dri, hier.l2Level(), &root);
+            std::make_unique<DriICache>(*dri, &hier.l2(), &root);
         hier.setL1I(icache.get());
     }
     SimpleCoreParams scp;

@@ -112,8 +112,7 @@ TEST(DriL2Hierarchy, BuildsResizableL2)
     stats::StatGroup root("t");
     Hierarchy h(hp, &root, true);
     ASSERT_NE(h.driL2(), nullptr);
-    EXPECT_EQ(h.convL2(), nullptr);
-    EXPECT_EQ(h.l2Level(), h.driL2());
+    EXPECT_EQ(&h.l2(), h.driL2());
 
     // Geometry follows the conventional L2 description.
     const DriParams &p = h.driL2()->params();
@@ -125,8 +124,8 @@ TEST(DriL2Hierarchy, BuildsResizableL2)
     // The L1s miss into the DRI L2.
     h.l1i()->access(0x4000, AccessType::InstFetch);
     h.l1d().access(0x8000, AccessType::Load);
-    EXPECT_EQ(h.l2Accesses(), 2u);
-    EXPECT_EQ(h.l2Misses(), 2u);
+    EXPECT_EQ(h.l2().accesses(), 2u);
+    EXPECT_EQ(h.l2().misses(), 2u);
     EXPECT_EQ(h.mem().accesses(), 2u);
 }
 

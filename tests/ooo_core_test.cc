@@ -279,13 +279,9 @@ TEST(OooCore, StoreToLoadForwardingAvoidsDcache)
     rig.core.run(s, 1u << 30);
     // Forwarded loads never reach the d-cache; stores write at
     // commit. So d-cache sees (nearly) only store traffic.
-    const auto *g = rig.dcache.statGroup().find("load_accesses");
-    ASSERT_NE(g, nullptr);
-    const auto *loads = dynamic_cast<const stats::Scalar *>(g);
-    ASSERT_NE(loads, nullptr);
     // A handful of loads can slip past forwarding when the store
     // commits first; the overwhelming majority must forward.
-    EXPECT_LE(loads->value(), 10u);
+    EXPECT_LE(rig.dcache.loadAccesses(), 10u);
 }
 
 TEST(OooCore, DrainsAndStops)

@@ -277,7 +277,7 @@ directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
 {
     stats::StatGroup root(cal ? "fast" : "sim");
     Hierarchy hier(cfg.hier, &root, false);
-    DriICache icache(dri, hier.l2Level(), &root);
+    DriICache icache(dri, &hier.l2(), &root);
     hier.setL1I(&icache);
     std::unique_ptr<Core> core;
     if (cal) {
@@ -327,9 +327,9 @@ directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
     o.meas.l1iBytes = dri.sizeBytes;
     o.ipc = cs.ipc();
     o.l1dMissRate = hier.l1d().missRate();
-    o.l2MissRate = hier.l2MissRate();
-    o.l2Accesses = hier.l2Accesses();
-    o.l2Misses = hier.l2Misses();
+    o.l2MissRate = hier.l2().missRate();
+    o.l2Accesses = hier.l2().accesses();
+    o.l2Misses = hier.l2().misses();
     o.memAccesses = hier.memAccesses();
     o.memReads = hier.memReads();
     o.memWritebacks = hier.memWritebacks();
@@ -373,7 +373,7 @@ expectAdapterMatchesDirectPath(const BenchmarkInfo &bench,
     const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};
     std::string saved;
     EXPECT_TRUE(sim::CheckpointStore(cfg.checkpointDir)
-                    .load(std::string(cal ? "v4|" : "v3|") +
+                    .load(std::string(cal ? "v6|" : "v5|") +
                               runKey(bench, cfg, {dri, cal}).canonical() +
                               "|ckpt@" + std::to_string(split),
                           saved));

@@ -34,47 +34,6 @@ TEST(Scalar, SetOverwrites)
     EXPECT_EQ(s.value(), 100u);
 }
 
-TEST(Average, Mean)
-{
-    StatGroup g("g");
-    Average a(&g, "avg", "");
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(1.0);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    a.sample(2.0, 2);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    EXPECT_EQ(a.samples(), 4u);
-}
-
-TEST(Distribution, Buckets)
-{
-    StatGroup g("g");
-    Distribution d(&g, "d", "", 0.0, 10.0, 5);
-    d.sample(-1.0);
-    d.sample(0.5);
-    d.sample(2.5);
-    d.sample(9.99);
-    d.sample(10.0);
-    d.sample(50.0);
-    EXPECT_EQ(d.underflows(), 1u);
-    EXPECT_EQ(d.overflows(), 2u);
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(1), 1u);
-    EXPECT_EQ(d.bucketCount(4), 1u);
-    EXPECT_EQ(d.samples(), 6u);
-}
-
-TEST(Distribution, WeightedSamplesAndMean)
-{
-    StatGroup g("g");
-    Distribution d(&g, "d", "", 0.0, 4.0, 4);
-    d.sample(1.0, 3);
-    d.sample(3.0, 1);
-    EXPECT_EQ(d.samples(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 1.5);
-}
-
 TEST(StatGroup, DumpHierarchy)
 {
     StatGroup root("sim");
@@ -100,14 +59,6 @@ TEST(StatGroup, ResetAllRecurses)
     root.resetAll();
     EXPECT_EQ(a.value(), 0u);
     EXPECT_EQ(b.value(), 0u);
-}
-
-TEST(StatGroup, FindByName)
-{
-    StatGroup g("g");
-    Scalar s(&g, "needle", "");
-    EXPECT_EQ(g.find("needle"), &s);
-    EXPECT_EQ(g.find("missing"), nullptr);
 }
 
 } // namespace
