@@ -75,6 +75,7 @@ main(int argc, char **argv)
                                   "+ chooser), BTB, RAS",
               "2-level hybrid"});
     t.print(std::cout);
+    bench::writeJsonReport(ctx, "bench_table1", t.headers(), t.cells());
     reportFastSim(ctx);
     return 0;
 }

@@ -64,6 +64,7 @@ main(int argc, char **argv)
               fmtDouble(100.0 * gated.areaOverheadFraction(), 1),
               "-/-/5"});
     t.print(std::cout);
+    bench::writeJsonReport(ctx, "bench_table2", t.headers(), t.cells());
 
     std::cout << "\nGated-Vdd variants (model extension; "
                  "Section 3 discussion):\n";

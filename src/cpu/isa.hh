@@ -77,6 +77,16 @@ struct Instr
     Addr memAddr = 0;
 };
 
+/** A straight-line stretch of the executed path: @c count
+ *  instructions at consecutive PCs from @c pc, the last of them a
+ *  taken control instruction when @c endsTaken. */
+struct FetchSpan
+{
+    Addr pc = 0;
+    InstCount count = 0;
+    bool endsTaken = false;
+};
+
 /** A supplier of the executed instruction path. */
 class InstrStream
 {
@@ -88,6 +98,26 @@ class InstrStream
      * @return false when the program ends
      */
     virtual bool next(Instr &out) = 0;
+
+    /**
+     * Produce the next 1 to @p max (> 0) instructions as one span,
+     * for a consumer that reads only the fetch path (SimpleCore).
+     * The default yields one instruction through next(); a stream
+     * that holds whole straight-line runs hands out up to @p max of
+     * the current one.
+     * @return false when the program ends
+     */
+    virtual bool nextSpan(FetchSpan &out, InstCount max)
+    {
+        (void)max;
+        Instr instr;
+        if (!next(instr))
+            return false;
+        out.pc = instr.pc;
+        out.count = 1;
+        out.endsTaken = isControl(instr.op) && instr.taken;
+        return true;
+    }
 };
 
 } // namespace drisim

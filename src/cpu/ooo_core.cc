@@ -183,9 +183,10 @@ OooCore::firstWheelCycle() const
 void
 OooCore::drainEvents()
 {
-    for (Cycles at = firstWheelCycle(); at <= now_;
-         at = firstWheelCycle()) {
-        const unsigned bucket = at % kWheelSlots;
+    // The due buckets are those of [wheelBase_, now_], the whole
+    // wheel at most: from wheelBase_'s bucket on, in cycle order,
+    // wrapping round once.
+    const auto drain = [&](std::uint32_t bucket) {
         for (std::uint32_t slot = wheelHeads_[bucket]; slot != kNoSlot;) {
             RobEntry &e = robBuf_[slot];
             slot = e.nextEvent;
@@ -193,7 +194,14 @@ OooCore::drainEvents()
         }
         wheelHeads_[bucket] = kNoSlot;
         wheelBits_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
-    }
+        return true;
+    };
+    const auto from = static_cast<std::uint32_t>(wheelBase_ % kWheelSlots);
+    const auto to = from + static_cast<std::uint32_t>(std::min<Cycles>(
+                               now_ + 1 - wheelBase_, kWheelSlots));
+    forEachSetBit(wheelBits_, from, std::min(to, kWheelSlots), drain);
+    if (to > kWheelSlots)
+        forEachSetBit(wheelBits_, 0, to - kWheelSlots, drain);
     wheelBase_ = now_ + 1;
 
     if (overflowNext_ > now_)

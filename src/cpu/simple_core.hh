@@ -15,6 +15,13 @@
  * back-end hiding part of the fetch stall. Cache *behaviour* is
  * exact; only time is approximated. Winning configurations are
  * re-run on the detailed model for reporting.
+ *
+ * It reads only the fetch path, so it consumes the stream in
+ * straight-line spans (InstrStream::nextSpan) and steps from event
+ * to event rather than instruction by instruction: a fetch-block
+ * entry, a retire-batch boundary, the span's end or the budget. A
+ * recorded stream (workload/fetch_replay.hh) hands out whole runs;
+ * a live generator is a stream of one-instruction spans.
  */
 
 #ifndef DRISIM_CPU_SIMPLE_CORE_HH
@@ -48,7 +55,9 @@ class SimpleCore : public Core
      * Run the stream for up to @p maxInstrs further instructions.
      * Resumable (Core contract): the fetch-block and retirement
      * bookkeeping persist, so interleaved quanta see the same cache
-     * behaviour as one long run.
+     * behaviour as one long run. No span outlives the call: a span
+     * is asked for at most the instructions remaining, and one the
+     * budget cuts short resumes in the stream.
      * @return cumulative estimated cycles and instructions
      */
     CoreStats run(InstrStream &stream, InstCount maxInstrs) override;
@@ -73,6 +82,8 @@ class SimpleCore : public Core
     void flushRetireBatch();
 
     SimpleCoreParams params_;
+    /** log2 of params_.fetchBlockBytes. */
+    unsigned blockShift_ = 0;
     MemoryLevel *icache_;
     Cycles missStall_ = 0;
     InstCount instrs_ = 0;

@@ -41,6 +41,14 @@ class Table
 
     size_t rows() const { return rows_.size(); }
 
+    const std::vector<std::string> &headers() const { return headers_; }
+
+    /** Every row's cells, in slot order. */
+    const std::vector<std::vector<std::string>> &cells() const
+    {
+        return rows_;
+    }
+
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

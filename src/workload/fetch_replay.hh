@@ -10,17 +10,19 @@
  * generation cost.
  *
  * The replay is fetch-only: it yields each instruction's PC and
- * marks the last instruction of a taken run as a taken Jump. It
- * carries no data addresses, registers or not-taken branches, which
- * is exactly what SimpleCore reads (it derives block-entry fetches
- * for any fetch-block size from the PCs). Only the fast model may
- * consume it; the detailed, sampled and CMP models keep the
- * generator.
+ * marks the last instruction of a taken run as a taken Jump, or
+ * hands out the runs themselves as spans (InstrStream::nextSpan).
+ * It carries no data addresses, registers or not-taken branches,
+ * which is exactly what SimpleCore reads (it derives block-entry
+ * fetches for any fetch-block size from the PCs). Only the fast
+ * model may consume it; the detailed, sampled and CMP models keep
+ * the generator.
  */
 
 #ifndef DRISIM_WORKLOAD_FETCH_REPLAY_HH
 #define DRISIM_WORKLOAD_FETCH_REPLAY_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -119,7 +121,7 @@ class RecordingSlot
 };
 
 /** Cursor over a FetchRecording (fetch-only; see file comment). */
-class FetchReplay : public InstrStream
+class FetchReplay final : public InstrStream
 {
   public:
     /** @param rec the recording to walk (must outlive this). */
@@ -128,15 +130,30 @@ class FetchReplay : public InstrStream
     /** Sets pc, op and taken; other fields are left untouched. */
     bool next(Instr &out) override
     {
+        FetchSpan one;
+        if (!nextSpan(one, 1))
+            return false;
+        out.pc = one.pc;
+        out.op = one.endsTaken ? OpClass::Jump : OpClass::IntAlu;
+        out.taken = one.endsTaken;
+        return true;
+    }
+
+    /** The rest of the current recorded run, at most @p max
+     *  instructions of it. The span ends taken only where the run
+     *  does: a span the budget cuts short resumes the same run on
+     *  the next call. */
+    bool nextSpan(FetchSpan &out, InstCount max) override
+    {
         if (left_ == 0 && !startRun())
             return false;
-        --left_;
-        const bool taken = left_ == 0 && endsTaken_;
+        const std::uint64_t n = std::min<std::uint64_t>(left_, max);
+        left_ -= n;
         out.pc = pc_;
-        out.op = taken ? OpClass::Jump : OpClass::IntAlu;
-        out.taken = taken;
-        pc_ += kInstrBytes;
-        ++produced_;
+        out.count = n;
+        out.endsTaken = left_ == 0 && endsTaken_;
+        pc_ += n * kInstrBytes;
+        produced_ += n;
         return true;
     }
 

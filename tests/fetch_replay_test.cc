@@ -4,13 +4,15 @@
  * every suite benchmark: the replay reproduces the generator's fetch
  * path, SimpleCore over the replay matches SimpleCore over the live
  * generator bit for bit (conventional and DRI L1Is, several fetch
- * block sizes), and fast runs give the same results
+ * block sizes, after every call of a chunked run and across a split
+ * inside a recorded run), and fast runs give the same results
  * whether the calibration carries a recording or not. The cursor's
  * checkpoint round-trip is covered directly.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -54,43 +56,70 @@ struct CoreOutcome
     std::uint64_t activeFractionBits = 0;
 };
 
-/** SimpleCore over @p stream for kInstrs instructions, with a
- *  conventional L1I (@p dri null) or a DRI L1I. */
-CoreOutcome
-runSimpleCore(InstrStream &stream, unsigned blockBytes,
-              const DriParams *dri)
+/** SimpleCore on the Table 1 hierarchy, with a conventional L1I
+ *  (@p dri null) or a DRI L1I, driven one run() call at a time. */
+class SimpleCoreRig
 {
-    stats::StatGroup root("t");
-    HierarchyParams hp;
-    hp.l1i.blockBytes = blockBytes;
-    Hierarchy hier(hp, &root, dri == nullptr);
-    std::unique_ptr<DriICache> icache;
-    if (dri) {
-        icache =
-            std::make_unique<DriICache>(*dri, &hier.l2(), &root);
-        hier.setL1I(icache.get());
+  public:
+    SimpleCoreRig(unsigned blockBytes, const DriParams *dri)
+        : root_("t"), hier_(hierarchyParams(blockBytes), &root_,
+                            dri == nullptr)
+    {
+        if (dri) {
+            icache_ =
+                std::make_unique<DriICache>(*dri, &hier_.l2(), &root_);
+            hier_.setL1I(icache_.get());
+        }
+        SimpleCoreParams scp;
+        scp.baseCpi = 0.7;
+        scp.fetchBlockBytes = blockBytes;
+        core_ = std::make_unique<SimpleCore>(scp, hier_.l1i());
+        core_->addRetireSink(icache_.get());
     }
-    SimpleCoreParams scp;
-    scp.baseCpi = 0.7;
-    scp.fetchBlockBytes = blockBytes;
-    SimpleCore core(scp, hier.l1i());
-    core.addRetireSink(icache.get());
-    const CoreStats cs = core.run(stream, kInstrs);
 
-    CoreOutcome o;
-    o.cycles = cs.cycles;
-    o.missStall = core.missStallCycles();
-    if (icache) {
-        o.accesses = icache->accesses();
-        o.misses = icache->misses();
-        o.resizes = icache->upsizes() + icache->downsizes();
-        o.activeFractionBits = bitsOf(icache->averageActiveFraction());
-    } else {
-        o.accesses = hier.convL1i()->accesses();
-        o.misses = hier.convL1i()->misses();
+    /** Run up to @p instrs further instructions of @p stream. */
+    CoreOutcome run(InstrStream &stream, InstCount instrs)
+    {
+        const CoreStats cs = core_->run(stream, instrs);
+        CoreOutcome o;
+        o.cycles = cs.cycles;
+        o.missStall = core_->missStallCycles();
+        if (icache_) {
+            o.accesses = icache_->accesses();
+            o.misses = icache_->misses();
+            o.resizes = icache_->upsizes() + icache_->downsizes();
+            o.activeFractionBits =
+                bitsOf(icache_->averageActiveFraction());
+        } else {
+            o.accesses = hier_.convL1i()->accesses();
+            o.misses = hier_.convL1i()->misses();
+        }
+        return o;
     }
-    return o;
-}
+
+    /** Serialize or restore the core, the memory system and the L1I
+     *  (the stream is the caller's). */
+    void checkpoint(sim::StateIO io)
+    {
+        core_->checkpoint(io);
+        hier_.checkpoint(io);
+        if (icache_)
+            icache_->checkpoint(io);
+    }
+
+  private:
+    static HierarchyParams hierarchyParams(unsigned blockBytes)
+    {
+        HierarchyParams hp;
+        hp.l1i.blockBytes = blockBytes;
+        return hp;
+    }
+
+    stats::StatGroup root_;
+    Hierarchy hier_;
+    std::unique_ptr<DriICache> icache_;
+    std::unique_ptr<SimpleCore> core_;
+};
 
 void
 expectSameCore(const CoreOutcome &live, const CoreOutcome &replayed)
@@ -159,8 +188,9 @@ TEST_P(EveryBenchmark, SimpleCoreMatchesLiveGeneration)
         {
             TraceGenerator gen(image());
             FetchReplay replay(rec);
-            expectSameCore(runSimpleCore(gen, block, nullptr),
-                           runSimpleCore(replay, block, nullptr));
+            expectSameCore(
+                SimpleCoreRig(block, nullptr).run(gen, kInstrs),
+                SimpleCoreRig(block, nullptr).run(replay, kInstrs));
         }
         // Grid cells from tight to loose, with enough sense
         // intervals in 200 K instructions to resize.
@@ -175,9 +205,119 @@ TEST_P(EveryBenchmark, SimpleCoreMatchesLiveGeneration)
             dri.senseInterval = 10 * 1000;
             TraceGenerator gen(image());
             FetchReplay replay(rec);
-            expectSameCore(runSimpleCore(gen, block, &dri),
-                           runSimpleCore(replay, block, &dri));
+            expectSameCore(
+                SimpleCoreRig(block, &dri).run(gen, kInstrs),
+                SimpleCoreRig(block, &dri).run(replay, kInstrs));
         }
+    }
+}
+
+/** A DRI cell with a tight size bound and a low miss bound, so the
+ *  cache resizes within a 200 K-instruction run. */
+DriParams
+resizingCell(unsigned blockBytes)
+{
+    DriParams dri;
+    dri.blockBytes = blockBytes;
+    dri.sizeBoundBytes = 1024;
+    dri.missBound = 100;
+    dri.senseInterval = 10 * 1000;
+    return dri;
+}
+
+/** The two L1Is of a rig: conventional (null), then @p dri. */
+std::array<const DriParams *, 2>
+l1iFor(const DriParams &dri)
+{
+    return {nullptr, &dri};
+}
+
+TEST_P(EveryBenchmark, SpansMatchLiveGenerationUnderAnyChunking)
+{
+    // The replay hands SimpleCore whole recorded runs, the live
+    // generator one instruction at a time. Budgets that cut runs
+    // short and end on and beside the 64-instruction retire batch,
+    // then the rest of the run: after every call both cores must
+    // have reached the same state.
+    const FetchRecording rec(image(), kInstrs);
+    for (const unsigned block : {16u, 32u, 64u}) {
+        const DriParams cell = resizingCell(block);
+        for (const DriParams *dri : l1iFor(cell)) {
+            SCOPED_TRACE("fetchBlockBytes=" + std::to_string(block) +
+                         (dri ? " dri" : " conventional"));
+            TraceGenerator gen(image());
+            FetchReplay replay(rec);
+            SimpleCoreRig live(block, dri);
+            SimpleCoreRig replayed(block, dri);
+            InstCount done = 0;
+            CoreOutcome last;
+            const auto chunk = [&](InstCount n) {
+                SCOPED_TRACE("run(" + std::to_string(n) + ") after " +
+                             std::to_string(done));
+                last = live.run(gen, n);
+                expectSameCore(last, replayed.run(replay, n));
+                done += n;
+                EXPECT_EQ(gen.produced(), done);
+                EXPECT_EQ(replay.produced(), done);
+            };
+            for (const InstCount n : {1, 7, 63, 64, 65, 1000})
+                chunk(n);
+            chunk(kInstrs - done);
+            if (dri) {
+                EXPECT_GT(last.resizes, 0u);
+            }
+        }
+    }
+}
+
+TEST_P(EveryBenchmark, ReplayedRunSplitsInsideARecordedRun)
+{
+    // A fast run split through a checkpoint where the budget cut a
+    // recorded run short: the restored cursor resumes inside that
+    // run, and the continued run matches the uninterrupted one. The
+    // split is a multiple of the retire batch, as SimpleCore's
+    // checkpoint requires.
+    const FetchRecording rec(image(), kInstrs);
+    InstCount split = 0;
+    {
+        // The recorder ends a run only at a taken control
+        // instruction or a jump in PC.
+        FetchReplay walk(rec);
+        Instr prev;
+        Instr in;
+        for (InstCount i = 0; walk.next(in); ++i, prev = in) {
+            if (i >= kInstrs / 2 && i % 64 == 0 && !prev.taken &&
+                in.pc == prev.pc + kInstrBytes) {
+                split = i;
+                break;
+            }
+        }
+    }
+    ASSERT_GT(split, 0u) << "no 64-aligned split inside a recorded run";
+
+    const DriParams cell = resizingCell(32);
+    for (const DriParams *dri : l1iFor(cell)) {
+        SCOPED_TRACE(dri ? "dri" : "conventional");
+        FetchReplay whole(rec);
+        const CoreOutcome want =
+            SimpleCoreRig(32, dri).run(whole, kInstrs);
+
+        SimpleCoreRig first(32, dri);
+        FetchReplay cursor(rec);
+        first.run(cursor, split);
+        sim::CheckpointWriter w;
+        first.checkpoint(w);
+        cursor.checkpoint(w);
+
+        SimpleCoreRig second(32, dri);
+        FetchReplay resumed(rec);
+        sim::CheckpointReader r(w.bytes());
+        second.checkpoint(r);
+        resumed.checkpoint(r);
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_EQ(resumed.produced(), split);
+        expectSameCore(want, second.run(resumed, kInstrs - split));
+        EXPECT_EQ(resumed.produced(), kInstrs);
     }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -308,9 +309,13 @@ struct CoreOnHierarchy
 {
     explicit CoreOnHierarchy(Hierarchy &hier,
                              MemoryLevel *dside = nullptr)
-        : root("sim"),
-          core(OooParams{}, hier.l1i(), dside ? dside : &hier.l1d(),
-               &root)
+        : CoreOnHierarchy(hier.l1i(), dside ? dside : &hier.l1d())
+    {
+    }
+
+    /** A core on any i-side and d-side. */
+    CoreOnHierarchy(MemoryLevel *iside, MemoryLevel *dside)
+        : root("sim"), core(OooParams{}, iside, dside, &root)
     {
     }
 
@@ -505,9 +510,9 @@ const golden::CoreCounterGoldenCase kSlowDataSideGolden{
 // GOLDEN-BASELINE-END
 
 void
-expectSlowDataSideGolden(const golden::CoreCounterGoldenCase &got)
+expectSameCounters(const golden::CoreCounterGoldenCase &got,
+                   const golden::CoreCounterGoldenCase &want)
 {
-    const golden::CoreCounterGoldenCase &want = kSlowDataSideGolden;
     EXPECT_STREQ(got.benchmark, want.benchmark);
     EXPECT_EQ(got.l1iAssoc, want.l1iAssoc);
     EXPECT_EQ(got.cycles, want.cycles);
@@ -517,6 +522,12 @@ expectSlowDataSideGolden(const golden::CoreCounterGoldenCase &got)
     EXPECT_EQ(got.robFullStalls, want.robFullStalls);
     EXPECT_EQ(got.icacheStallCycles, want.icacheStallCycles);
     EXPECT_EQ(got.branchStallCycles, want.branchStallCycles);
+}
+
+void
+expectSlowDataSideGolden(const golden::CoreCounterGoldenCase &got)
+{
+    expectSameCounters(got, kSlowDataSideGolden);
 }
 
 TEST(OooCoreOverflow, SlowDataSideCountersMatchGolden)
@@ -546,6 +557,224 @@ TEST(OooCoreOverflow, SplitsWithCompletionsPastTheWheelMatchGolden)
         // Most restores rebuild an overflow list, not only the wheel.
         EXPECT_GT(split.restoresPastTheWheel, quanta / 2);
     }
+}
+
+// --------------------------------------------------------------
+// The edges of the timing wheel's due window. Each issue cycle
+// drains the buckets due since the last one, [wheelBase_, now_]:
+// after an idle skip that window can reach the wheel's last bucket,
+// wrap from bucket 255 to 0, or span more than the whole wheel.
+// Scripted loads on stub caches place one completion at each edge;
+// a core that misses a due bucket never wakes its consumer and
+// idles on, which the watchdog stops.
+// --------------------------------------------------------------
+
+/** OooCore's timing wheel: one bucket per cycle of the next 256. */
+constexpr Cycles kWheel = 256;
+
+/** An i-side that hits every fetch in one cycle. */
+class PerfectFetch : public MemoryLevel
+{
+  public:
+    AccessResult access(Addr, AccessType) override { return {true, 1}; }
+};
+
+/** A d-side that answers an access to address A in A / 64 cycles,
+ *  so a test sets a load's latency through its address. */
+class LatencyByAddress : public MemoryLevel
+{
+  public:
+    AccessResult access(Addr addr, AccessType) override
+    {
+        return {false, addr / 64};
+    }
+};
+
+/** A load of @p dest whose d-side access takes @p latency cycles,
+ *  waiting on @p src1 for its address. */
+Instr
+loadTaking(Addr pc, std::uint8_t dest, Cycles latency,
+           std::uint8_t src1 = 0)
+{
+    Instr i = alu(pc, dest, src1);
+    i.op = OpClass::Load;
+    i.memAddr = latency * 64;
+    return i;
+}
+
+/** Throws once the core it watches has run 100 000 cycles: a core
+ *  that lost a completion idles forever. */
+class CycleWatchdog : public RetireSink
+{
+  public:
+    void onRetire(InstCount) override {}
+    void onCycles(Cycles delta) override
+    {
+        cycles_ += delta;
+        if (cycles_ > 100 * 1000)
+            throw std::runtime_error("core still running after " +
+                                     std::to_string(cycles_) +
+                                     " cycles");
+    }
+
+  private:
+    Cycles cycles_ = 0;
+};
+
+/** A core on the stub caches, under a watchdog. */
+struct WheelRig
+{
+    WheelRig() : cur(&iside, &dside) { cur.core.addRetireSink(&watchdog); }
+
+    /** A fresh rig restored from @p snap. */
+    static std::unique_ptr<WheelRig> restored(const std::string &snap)
+    {
+        auto rig = std::make_unique<WheelRig>();
+        sim::CheckpointReader r(snap);
+        rig->cur.core.checkpoint(r);
+        return rig;
+    }
+
+    PerfectFetch iside;
+    LatencyByAddress dside;
+    CycleWatchdog watchdog;
+    CoreOnHierarchy cur;
+};
+
+/**
+ * Run @p program to its end: in one run() call, or (@p split) one
+ * instruction per call with a restore into a fresh rig after each.
+ * Every split lands on a commit-budget break, so the restored core
+ * rebuilds its wheel there.
+ */
+std::unique_ptr<WheelRig>
+runProgram(const std::vector<Instr> &program, bool split)
+{
+    auto rig = std::make_unique<WheelRig>();
+    VecStream s(program);
+    if (!split) {
+        rig->cur.core.run(s, program.size());
+        return rig;
+    }
+    for (std::size_t i = 0; i < program.size(); ++i) {
+        rig->cur.core.run(s, 1);
+        rig = WheelRig::restored(rig->cur.snapshot());
+    }
+    return rig;
+}
+
+/**
+ * r5 completes at cycle 3 and wakes a load, which issues then with
+ * the wheel's base at cycle 4. Its d-side access takes @p pastBase
+ * cycles on top of the one to issue, so it completes @p pastBase
+ * cycles past that base. Its consumers can do nothing before, so
+ * the core skips from cycle 4 to the completion in one step.
+ */
+std::vector<Instr>
+oneLoadPastTheBase(Cycles pastBase)
+{
+    return {alu(0x1000, 5), loadTaking(0x1004, 1, pastBase, 5),
+            alu(0x1008, 2, 1), alu(0x100c, 3, 2)};
+}
+
+/** A scripted program and the counters its uninterrupted run ends
+ *  with, named after the edge of the window it reaches. */
+struct WheelEdgeCase
+{
+    std::vector<Instr> program;
+    golden::CoreCounterGoldenCase want;
+};
+
+std::vector<WheelEdgeCase>
+wheelEdgeCases()
+{
+    // Captured with the drain that searched the whole wheel once per
+    // bucket: a change to how often the core steps must not move
+    // them.
+    return {
+        // The skip's window starts at bucket 5 and wraps past bucket
+        // 255 to the completion in bucket 0.
+        {oneLoadPastTheBase(252), {"wrap", 0, 258, 4, 0, 0, 0, 0, 0}},
+        // The completion in the wheel's last bucket.
+        {oneLoadPastTheBase(kWheel - 1),
+         {"last_bucket", 0, 261, 4, 0, 0, 0, 0, 0}},
+        // One and two cycles past the wheel, on the overflow list.
+        {oneLoadPastTheBase(kWheel),
+         {"past_the_wheel", 0, 262, 4, 0, 0, 0, 0, 0}},
+        {oneLoadPastTheBase(kWheel + 1),
+         {"one_more", 0, 263, 4, 0, 0, 0, 0, 0}},
+        // Two loads past the wheel: each consumer's skip to its
+        // completion is longer than the whole wheel.
+        {{alu(0x1000, 5), loadTaking(0x1004, 1, 600, 5),
+          loadTaking(0x1008, 2, 300, 5), alu(0x100c, 3, 1),
+          alu(0x1010, 4, 2), alu(0x1014, 6, 3, 4)},
+         {"longer_than_the_wheel", 0, 606, 6, 0, 0, 0, 0, 0}},
+    };
+}
+
+TEST(OooCoreOverflow, DueWindowEdgesMatchPinnedCounters)
+{
+    for (const WheelEdgeCase &c : wheelEdgeCases()) {
+        SCOPED_TRACE(c.want.benchmark);
+        const auto plain = runProgram(c.program, false);
+        expectSameCounters(
+            golden::coreCounters(c.want.benchmark, 0, plain->cur.core),
+            c.want);
+
+        const auto split = runProgram(c.program, true);
+        EXPECT_EQ(split->cur.core.cycles(), plain->cur.core.cycles());
+        EXPECT_EQ(split->cur.counters(), plain->cur.counters());
+        EXPECT_EQ(split->cur.snapshot(), plain->cur.snapshot());
+    }
+}
+
+/** Index of commitsThisCycle_ among an ooo_core snapshot's values
+ *  (snapshot_splice.hh): after now_, the ROB, seqHead_ and
+ *  seqTail_, the fetch queue, the rename table, the LSQ count, the
+ *  store list, eight fetch-state values, the pending instruction
+ *  and lastCommitCycle_. */
+std::size_t
+commitsThisCycleValue(const std::string &snap)
+{
+    const std::vector<std::size_t> at = valueOffsets(snap);
+    const std::size_t fetchCount = 2 + 17 * OooParams{}.robSize + 2;
+    const std::size_t fetched = u64Value(snap, at[fetchCount]);
+    const std::size_t stores = fetchCount + 1 + 12 * fetched + 1 + kRegs + 1;
+    return stores + 1 + u64Value(snap, at[stores]) + 8 + 8 + 1;
+}
+
+TEST(OooCoreOverflow, RestoreIdleAtItsCycleDrainsTheWholeWheel)
+{
+    // A restore rebuilds the wheel from the snapshot's cycle, so a
+    // completion 256 cycles out lands in its last bucket. A split
+    // always follows a commit, which keeps the restored core busy
+    // that cycle, and the wheel turns before its first idle skip.
+    // With the cycle's commit count spliced to zero the restored
+    // core is idle at once: its one skip spans the whole wheel, and
+    // the due window must reach the last bucket.
+    //
+    // r5 and r6 commit at cycles 3 and 4; the load, issued at cycle
+    // 2, completes at cycle 4 + kWheel.
+    const std::vector<Instr> program = {
+        alu(0x1000, 5), alu(0x1004, 6, 5),
+        loadTaking(0x1008, 1, kWheel + 1), alu(0x100c, 2, 1)};
+    const auto plain = runProgram(program, false);
+    expectSameCounters(golden::coreCounters("idle", 0, plain->cur.core),
+                       {"idle", 0, 261, 4, 0, 0, 0, 0, 0});
+
+    WheelRig first;
+    VecStream s(program);
+    first.cur.core.run(s, 2);
+    ASSERT_EQ(first.cur.core.cycles(), 4u);
+    const std::string snap = first.cur.snapshot();
+    const std::size_t commits = valueOffsets(snap)[commitsThisCycleValue(snap)];
+    ASSERT_EQ(u64Value(snap, commits), 1u);
+
+    const auto idle = WheelRig::restored(withValue(snap, commits, 0));
+    idle->cur.core.run(s, program.size() - 2);
+    EXPECT_EQ(idle->cur.core.cycles(), plain->cur.core.cycles());
+    EXPECT_EQ(idle->cur.counters(), plain->cur.counters());
+    EXPECT_EQ(idle->cur.snapshot(), plain->cur.snapshot());
 }
 
 TEST(OooCoreRestore, SnapshotSizeIsBoundedAfterALongRun)
