@@ -87,12 +87,10 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
         const CmpConfig conv_cmp =
             farm::mixCmpConfig(benches, n, /*coherent=*/true);
         CmpConfig pol_cmp = conv_cmp;
-        for (unsigned k = 0; k < n; ++k) {
-            CmpCoreConfig &core = pol_cmp.coreConfigs[k];
-            core.dri = true;
-            core.policyKind = k % 2 == 0 ? PolicyKind::Drowsy
-                                         : PolicyKind::Decay;
-        }
+        for (unsigned k = 0; k < n; ++k)
+            pol_cmp.coreConfigs[k].l1i =
+                PolicyConfig{.kind = k % 2 == 0 ? PolicyKind::Drowsy
+                                                : PolicyKind::Decay};
 
         const CmpRunOutput conv =
             runCmp(ctx.opts.run, conv_cmp, benches[0]);

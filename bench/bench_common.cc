@@ -5,6 +5,7 @@
 #include "farm/merge.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
+#include "util/file.hh"
 #include "util/str.hh"
 
 namespace drisim::bench
@@ -79,15 +80,12 @@ writeJsonReport(const BenchContext &ctx,
     const std::string doc = farm::renderBenchJson(
         benchName, ctx.opts.run.shard, wall,
         resolveJobCount(ctx.opts.run.jobs), columns, rows);
-    std::FILE *f = std::fopen(ctx.opts.jsonPath.c_str(), "w");
-    if (!f) {
+    if (writeFile(ctx.opts.jsonPath, doc) != WriteStep::None) {
         std::fprintf(stderr,
                      "warning: cannot write JSON report '%s'\n",
                      ctx.opts.jsonPath.c_str());
         return false;
     }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
     return true;
 }
 

@@ -518,35 +518,20 @@ Options::cmpCores(bool driByDefault) const
     std::vector<CmpCoreConfig> cfgs;
     cfgs.reserve(cores);
     for (unsigned k = 0; k < cores; ++k) {
+        const CoreOverride o =
+            k < coreOverrides.size() ? coreOverrides[k] : CoreOverride{};
         CmpCoreConfig c;
-        c.bench = benchmark;
+        c.bench = o.bench.empty() ? benchmark : o.bench;
         // The leg's intent gates every core: a conventional
         // baseline (driByDefault=false) never builds a leakage-
         // managed L1I no matter which per-core knobs were set, and
         // in the managed leg coreK.dri=0 opts a core out.
-        c.dri = driByDefault;
-        c.driParams = dri;
-        c.policyKind = policy.kind;
-        c.decay = policy.decay;
-        c.drowsy = policy.drowsy;
-        c.ways = policy.ways;
-        if (k < coreOverrides.size()) {
-            const CoreOverride &o = coreOverrides[k];
-            if (!o.bench.empty())
-                c.bench = o.bench;
-            if (o.dri == 0)
-                c.dri = false;
-            // Knob records are authoritative only when a coreK.dri.*
-            // key actually appeared; padding records keep following
-            // the (final) global template.
-            if (o.driKnobsSet)
-                c.driParams = o.driParams;
-            if (o.policySet) {
-                c.policyKind = o.policy.kind;
-                c.decay = o.policy.decay;
-                c.drowsy = o.policy.drowsy;
-                c.ways = o.policy.ways;
-            }
+        if (driByDefault && o.dri != 0) {
+            // Knob records are authoritative only when a coreK.*
+            // key of their kind actually appeared; padding records
+            // keep following the (final) global template.
+            c.l1i = o.policySet ? o.policy : policy;
+            c.l1i->dri = o.driKnobsSet ? o.driParams : dri;
         }
         cfgs.push_back(std::move(c));
     }

@@ -8,27 +8,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "sim/checkpoint.hh"
+#include "util/file.hh"
 #include "util/json.hh"
 
 namespace drisim::farm
 {
-
-namespace
-{
-
-/** Consume `"name":` (a fixed-order field of our own format). */
-bool
-expectKey(JsonParser &p, const char *name)
-{
-    if (p.parseString() != name || !p.ok)
-        p.ok = false;
-    return p.ok && p.consume(':');
-}
-
-} // namespace
 
 std::string
 renderFragment(const Fragment &f)
@@ -99,55 +85,53 @@ bool
 readFragment(const std::string &path, Fragment &out,
              std::string &error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, text)) {
         error = "cannot read fragment '" + path + "'";
         return false;
     }
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
 
     Fragment f;
     f.sourcePath = path;
     JsonParser p{text};
     p.consume('{');
-    if (!expectKey(p, "format") ||
+    if (!p.expectKey("format") ||
         p.parseString() != "drisim-sweep-fragment" || !p.ok) {
         error = "'" + path + "' is not a drisim sweep fragment";
         return false;
     }
     p.consume(',');
-    if (!expectKey(p, "version")) {
+    if (!p.expectKey("version")) {
         error = "'" + path + "': missing version";
         return false;
     }
     f.schemaVersion = static_cast<unsigned>(p.parseUInt());
     p.consume(',');
-    if (!expectKey(p, "bench")) {
+    if (!p.expectKey("bench")) {
         error = "'" + path + "': missing bench";
         return false;
     }
     f.bench = p.parseString();
     p.consume(',');
-    if (!expectKey(p, "shard")) {
+    if (!p.expectKey("shard")) {
         error = "'" + path + "': missing shard";
         return false;
     }
     f.shard.shard = static_cast<unsigned>(p.parseUInt());
     p.consume(',');
-    if (!expectKey(p, "of_shards")) {
+    if (!p.expectKey("of_shards")) {
         error = "'" + path + "': missing of_shards";
         return false;
     }
     f.shard.ofShards = static_cast<unsigned>(p.parseUInt());
     p.consume(',');
-    if (!expectKey(p, "columns")) {
+    if (!p.expectKey("columns")) {
         error = "'" + path + "': missing columns";
         return false;
     }
     f.columns = p.parseStringArray();
     p.consume(',');
-    if (!expectKey(p, "plan")) {
+    if (!p.expectKey("plan")) {
         error = "'" + path + "': missing plan";
         return false;
     }
@@ -156,11 +140,11 @@ readFragment(const std::string &path, Fragment &out,
         do {
             FragmentPlanEntry e;
             p.consume('{');
-            if (!expectKey(p, "index"))
+            if (!p.expectKey("index"))
                 break;
             e.index = p.parseUInt();
             p.consume(',');
-            if (!expectKey(p, "hash"))
+            if (!p.expectKey("hash"))
                 break;
             e.hash = p.parseString();
             p.consume('}');
@@ -171,7 +155,7 @@ readFragment(const std::string &path, Fragment &out,
     }
     p.consume(']');
     p.consume(',');
-    if (!expectKey(p, "records")) {
+    if (!p.expectKey("records")) {
         error = "'" + path + "': missing records";
         return false;
     }
@@ -180,23 +164,23 @@ readFragment(const std::string &path, Fragment &out,
         do {
             FragmentRecord r;
             p.consume('{');
-            if (!expectKey(p, "index"))
+            if (!p.expectKey("index"))
                 break;
             r.index = p.parseUInt();
             p.consume(',');
-            if (!expectKey(p, "hash"))
+            if (!p.expectKey("hash"))
                 break;
             r.hash = p.parseString();
             p.consume(',');
-            if (!expectKey(p, "config"))
+            if (!p.expectKey("config"))
                 break;
             r.config = p.parseString();
             p.consume(',');
-            if (!expectKey(p, "wall_seconds"))
+            if (!p.expectKey("wall_seconds"))
                 break;
             r.wallSeconds = p.parseString();
             p.consume(',');
-            if (!expectKey(p, "rows"))
+            if (!p.expectKey("rows"))
                 break;
             r.rows = p.parseStringArrayArray();
             p.consume('}');
@@ -207,7 +191,7 @@ readFragment(const std::string &path, Fragment &out,
     }
     p.consume(']');
     p.consume(',');
-    if (!expectKey(p, "complete")) {
+    if (!p.expectKey("complete")) {
         error = "'" + path + "': missing complete flag";
         return false;
     }
@@ -226,26 +210,21 @@ writeFileAtomic(const std::string &path,
                 const std::string &contents, std::string &error)
 {
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            error = "cannot write '" + tmp + "'";
-            return false;
-        }
-        out << contents;
-        if (!out) {
-            error = "short write to '" + tmp + "'";
-            return false;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        error = "cannot rename '" + tmp + "' to '" + path +
-                "': " + ec.message();
+    std::string reason;
+    switch (drisim::writeFileAtomic(path, contents, reason)) {
+      case WriteStep::None:
+        return true;
+      case WriteStep::Open:
+        error = "cannot write '" + tmp + "'";
+        return false;
+      case WriteStep::Write:
+        error = "short write to '" + tmp + "'";
+        return false;
+      case WriteStep::Rename:
+        error = "cannot rename '" + tmp + "' to '" + path + "': " + reason;
         return false;
     }
-    return true;
+    return false;
 }
 
 FragmentWriter::FragmentWriter(std::string path, std::string bench,

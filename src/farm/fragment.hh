@@ -103,8 +103,8 @@ std::string renderFragment(const Fragment &f);
 bool readFragment(const std::string &path, Fragment &out,
                   std::string &error);
 
-/** write tmp + fsync-less atomic rename (same pattern as the
- *  result-cache sidecar of PR 6). */
+/** util/file.hh's writeFileAtomic (tmp + rename, no fsync), with
+ *  the failed step worded into @p error. */
 bool writeFileAtomic(const std::string &path,
                      const std::string &contents,
                      std::string &error);

@@ -7,11 +7,11 @@
 #include "farm/merge.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 
 #include "sim/checkpoint.hh"
+#include "util/file.hh"
 #include "util/json.hh"
 #include "util/str.hh"
 
@@ -241,59 +241,46 @@ bool
 parseResumeManifest(const std::string &path, ResumeManifest &out,
                     std::string &error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, text)) {
         error = "cannot read manifest '" + path + "'";
         return false;
     }
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
 
     ResumeManifest m;
     JsonParser p{text};
     p.consume('{');
-    if (p.parseString() != "format" || !p.consume(':') ||
+    if (!p.expectKey("format") ||
         p.parseString() != "drisim-resume-manifest" || !p.ok) {
         error = "'" + path + "' is not a drisim resume manifest";
         return false;
     }
     p.consume(',');
-    if (p.parseString() != "version" || !p.ok)
-        p.ok = false;
-    p.consume(':');
+    p.expectKey("version");
     p.parseUInt();
     p.consume(',');
-    if (p.parseString() != "bench" || !p.ok)
-        p.ok = false;
-    p.consume(':');
+    p.expectKey("bench");
     m.bench = p.parseString();
     p.consume(',');
-    if (p.parseString() != "of_shards" || !p.ok)
-        p.ok = false;
-    p.consume(':');
+    p.expectKey("of_shards");
     m.ofShards = static_cast<unsigned>(p.parseUInt());
     p.consume(',');
-    if (p.parseString() != "missing" || !p.ok)
-        p.ok = false;
-    p.consume(':');
+    p.expectKey("missing");
     p.consume('[');
     if (p.ok && !p.peek(']')) {
         do {
             MissingUnit u;
             p.consume('{');
-            if (p.parseString() != "index" || !p.ok)
+            if (!p.expectKey("index"))
                 break;
-            p.consume(':');
             u.index = p.parseUInt();
             p.consume(',');
-            if (p.parseString() != "hash" || !p.ok)
+            if (!p.expectKey("hash"))
                 break;
-            p.consume(':');
             u.hash = p.parseString();
             p.consume(',');
-            if (p.parseString() != "shard" || !p.ok)
+            if (!p.expectKey("shard"))
                 break;
-            p.consume(':');
             u.shard = static_cast<unsigned>(p.parseUInt());
             p.consume('}');
             if (!p.ok)

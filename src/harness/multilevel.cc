@@ -305,13 +305,9 @@ searchCmp(const RunConfig &config, const CmpConfig &cmp,
         ml.hier.l2DriParams = p2;
         CmpConfig cc = cmp;
         cc.coreConfigs.clear();
-        for (unsigned k = 0; k < n; ++k) {
-            CmpCoreConfig core;
-            core.bench = names[k];
-            core.dri = true;
-            core.driParams = p1[k];
-            cc.coreConfigs.push_back(std::move(core));
-        }
+        for (unsigned k = 0; k < n; ++k)
+            cc.coreConfigs.push_back(
+                {names[k], PolicyConfig{.dri = p1[k]}});
         CmpCandidate cand;
         cand.l1 = p1;
         cand.l2 = p2;

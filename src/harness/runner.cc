@@ -80,23 +80,6 @@ imageFor(const BenchmarkInfo &bench)
     return imageCache().get(bench);
 }
 
-RunMeasurement
-measurementFromCounts(Cycles cycles, InstCount instrs,
-                      std::uint64_t accesses, std::uint64_t misses,
-                      double activeFraction, unsigned resizingBits,
-                      std::uint64_t l1iBytes)
-{
-    RunMeasurement m;
-    m.cycles = cycles;
-    m.instructions = instrs;
-    m.l1iAccesses = accesses;
-    m.l1iMisses = misses;
-    m.avgActiveFraction = activeFraction;
-    m.resizingTagBits = resizingBits;
-    m.l1iBytes = l1iBytes;
-    return m;
-}
-
 /**
  * Copy the L2 view of a finished run into @p out, whatever flavour
  * of L2 the hierarchy was built with, and the MSHR activity of the
@@ -105,25 +88,13 @@ measurementFromCounts(Cycles cycles, InstCount instrs,
 void
 fillL2Outputs(Hierarchy &hier, RunOutput &out)
 {
+    hier.fillSharedOutputs(out);
     Cache &l2 = hier.l2();
     out.l2MissRate = l2.missRate();
     out.l2Accesses = l2.accesses();
     out.l2Misses = l2.misses();
-    out.l2SizeBytes = l2.params().sizeBytes;
-    out.memAccesses = hier.memAccesses();
     out.memReads = hier.memReads();
     out.memWritebacks = hier.memWritebacks();
-    if (Dram *d = hier.dram()) {
-        out.dramRowHits = d->rowHits();
-        out.dramRowMisses = d->rowMisses();
-        out.dramQueueFullEvents = d->queueFullEvents();
-        out.dramBusyCycles = d->busyCycles();
-    }
-    if (const ResizableCache *dri = hier.driL2()) {
-        out.l2AvgActiveFraction = dri->averageActiveFraction();
-        out.l2ResizingTagBits = dri->params().resizingTagBits();
-        out.l2Resizes = dri->upsizes() + dri->downsizes();
-    }
     for (const Cache *c : {&l2, &hier.l1d(), hier.convL1i()}) {
         if (!c)
             continue;
@@ -177,19 +148,25 @@ addDriKey(sim::ConfigKey &k, const std::string &p, const DriParams &d)
         k.add(p + ".mshrs", static_cast<std::uint64_t>(d.mshrs));
 }
 
+/**
+ * A policy-managed L1I's columns under @p p: the technique in
+ * @p p.@p kindColumn (pol.kind in a run's key, coreK.policy in a CMP
+ * core's), then every knob.
+ */
 void
-addPolicyKey(sim::ConfigKey &k, const PolicyConfig &p)
+addPolicyKey(sim::ConfigKey &k, const std::string &p,
+             const char *kindColumn, const PolicyConfig &pol)
 {
-    k.add("pol.kind", static_cast<std::uint64_t>(p.kind));
-    addDriKey(k, "pol.dri", p.dri);
-    k.add("pol.decay_interval", p.decay.decayInterval);
-    k.add("pol.counter_limit",
-          static_cast<std::uint64_t>(p.decay.counterLimit));
-    k.add("pol.drowsy_interval", p.drowsy.drowsyInterval);
-    k.add("pol.wake_latency",
-          static_cast<std::uint64_t>(p.drowsy.wakeLatency));
-    k.add("pol.active_ways",
-          static_cast<std::uint64_t>(p.ways.activeWays));
+    k.add(p + "." + kindColumn, static_cast<std::uint64_t>(pol.kind));
+    addDriKey(k, p + ".dri", pol.dri);
+    k.add(p + ".decay_interval", pol.decay.decayInterval);
+    k.add(p + ".counter_limit",
+          static_cast<std::uint64_t>(pol.decay.counterLimit));
+    k.add(p + ".drowsy_interval", pol.drowsy.drowsyInterval);
+    k.add(p + ".wake_latency",
+          static_cast<std::uint64_t>(pol.drowsy.wakeLatency));
+    k.add(p + ".active_ways",
+          static_cast<std::uint64_t>(pol.ways.activeWays));
 }
 
 void
@@ -549,13 +526,12 @@ obsSeries(const BenchmarkInfo &bench, const std::string &mode,
  */
 obs::Readings
 runReadings(const Core &core, Hierarchy &hier, const LeakagePolicy *policy,
-            std::uint64_t l1iBytes)
+            const Cache &l1i, std::uint64_t l1iBytes)
 {
     RunOutput o;
     fillL2Outputs(hier, o);
     const Cycles cycles = core.stats().cycles;
-    obs::Readings r =
-        l1iReadings(policy, hier.convL1i(), l1iBytes, cycles, false);
+    obs::Readings r = l1iReadings(policy, l1i, l1iBytes, cycles, false);
     r["cycles"] = static_cast<double>(cycles);
     r["l1d_accesses"] = static_cast<double>(hier.l1d().accesses());
     r["l1d_misses"] = static_cast<double>(hier.l1d().misses());
@@ -631,6 +607,7 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
         policy = makeLeakagePolicy(*pol, &hier.l2(), &root);
         hier.setL1I(policy->level());
     }
+    const Cache &l1i = policy ? *policy->level() : *hier.convL1i();
 
     std::unique_ptr<Core> core;
     if (spec.fast) {
@@ -658,7 +635,7 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
             return runMetered(*core, stream, config.maxInstrs,
                               m->interval(), sampler, [&] {
                                   return runReadings(*core, hier,
-                                                     policy.get(),
+                                                     policy.get(), l1i,
                                                      l1iBytes);
                               });
         }
@@ -681,28 +658,11 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
     }
 
     RunOutput out;
-    if (policy) {
-        const PolicyActivity act = policy->activity();
-        out.meas = measurementFromCounts(
-            cs.cycles, cs.instructions, policy->l1Accesses(),
-            policy->l1Misses(), act.avgActiveFraction,
-            act.resizingTagBits, l1iBytes);
-        out.l1DrowsyFraction = act.avgDrowsyFraction;
-        out.l1GatedFraction =
-            dri ? 0.0
-                : std::max(0.0, 1.0 - act.avgActiveFraction -
-                                    act.avgDrowsyFraction);
-        out.wakeTransitions = act.wakeTransitions;
-        out.wakeStallCycles = act.wakeStallCycles;
-        out.policyBlocksLost = dri ? 0 : act.blocksLost;
-        out.resizes = act.resizes;
-        out.throttleEvents = act.throttleEvents;
-    } else {
-        Cache *l1i = hier.convL1i();
-        out.meas = measurementFromCounts(
-            cs.cycles, cs.instructions, l1i->accesses(),
-            l1i->misses(), 1.0, 0, l1iBytes);
-    }
+    out.meas.cycles = cs.cycles;
+    out.meas.instructions = cs.instructions;
+    const PolicyActivity act =
+        fillL1iOutputs(out, policy.get(), l1i, l1iBytes, dri != nullptr);
+    out.policyBlocksLost = dri ? 0 : act.blocksLost;
     out.ipc = cs.ipc();
     out.l1dMissRate = hier.l1d().missRate();
     fillL2Outputs(hier, out);
@@ -758,7 +718,7 @@ runKey(const BenchmarkInfo &bench, const RunConfig &config,
     if (const auto *dri = std::get_if<DriParams>(&spec.l1i))
         addDriKey(k, "dri", *dri);
     else if (const auto *pol = std::get_if<PolicyConfig>(&spec.l1i))
-        addPolicyKey(k, *pol);
+        addPolicyKey(k, "pol", "kind", *pol);
     if (spec.fast)
         addCalKey(k, *spec.fast);
     return k;
@@ -875,20 +835,9 @@ runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
         const CmpCoreConfig cc = cmp.coreConfig(c);
         const std::string p = "core" + std::to_string(c);
         k.add(p + ".bench", names[c]);
-        k.add(p + ".dri", cc.dri);
-        if (cc.dri) {
-            k.add(p + ".policy",
-                  static_cast<std::uint64_t>(cc.policyKind));
-            addDriKey(k, p + ".dri", cc.driParams);
-            k.add(p + ".decay_interval", cc.decay.decayInterval);
-            k.add(p + ".counter_limit",
-                  static_cast<std::uint64_t>(cc.decay.counterLimit));
-            k.add(p + ".drowsy_interval", cc.drowsy.drowsyInterval);
-            k.add(p + ".wake_latency",
-                  static_cast<std::uint64_t>(cc.drowsy.wakeLatency));
-            k.add(p + ".active_ways",
-                  static_cast<std::uint64_t>(cc.ways.activeWays));
-        }
+        k.add(p + ".dri", cc.l1i.has_value());
+        if (cc.l1i)
+            addPolicyKey(k, p, "policy", *cc.l1i);
     }
     // Conditional like dram.banked: non-coherent keys carry no
     // coherence columns, but a coherent run can never collide with

@@ -274,9 +274,9 @@ struct RunSpec
 
 /**
  * Run @p bench on the machine @p config describes with the L1I and
- * core model @p spec names. A DRI L1I runs through the DriPolicy
- * adapter, bit-identical to wiring a DriICache by hand (locked by
- * tests/policy_test.cc). Results are memoized in
+ * core model @p spec names. A DRI L1I is the Dri leakage policy, a
+ * DriICache built by makeLeakagePolicy, bit-identical to wiring one
+ * by hand (locked by tests/policy_test.cc). Results are memoized in
  * config.resultCache under runKey().
  */
 RunOutput run(const BenchmarkInfo &bench, const RunConfig &config,
@@ -310,8 +310,9 @@ std::vector<std::string> cmpBenchNames(const CmpConfig &cmp,
 /**
  * Canonical key for a CMP run: the machine every core shares (the
  * same cache, core, predictor and DRAM columns as runKey()), every
- * per-core flavour plus the sharing model, including the coherence
- * configuration — two runs that differ only in coherence
+ * core's benchmark and L1I (a managed one under runKey()'s policy
+ * columns, prefixed coreK), plus the sharing model, including the
+ * coherence configuration — two runs that differ only in coherence
  * enablement, directory capacity or message latency must never
  * share a snapshot or report identity (locked by
  * tests/checkpoint_test.cc).
@@ -321,11 +322,11 @@ sim::ConfigKey runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
 
 /**
  * Detailed CMP run (system/cmp.hh): N cores, private L1s
- * (conventional or DRI per cmp.coreConfigs), shared L2 (conventional
- * or resizable per config.hier.l2Dri), each core running
- * config.maxInstrs instructions of its own benchmark. With
- * cmp.cores == 1 this reproduces the single-core run()
- * bit-for-bit (locked by tests).
+ * (conventional or any leakage policy per cmp.coreConfigs), shared
+ * L2 (conventional or resizable per config.hier.l2Dri), each core
+ * running config.maxInstrs instructions of its own benchmark. With
+ * cmp.cores == 1 this reproduces the single-core run() bit-for-bit
+ * (locked by tests).
  */
 CmpRunOutput runCmp(const RunConfig &config, const CmpConfig &cmp,
                     const std::string &defaultBench);

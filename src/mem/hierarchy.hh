@@ -90,6 +90,31 @@ class SharedLevels
     std::uint64_t memReads() const;
     std::uint64_t memWritebacks() const;
 
+    /**
+     * Fill the fields a run's and a CMP run's output share
+     * (RunOutput in harness/runner.hh, CmpRunOutput in
+     * system/cmp.hh): memory accesses, the L2's size, a resizable
+     * L2's activity and banked DRAM's. Fields of a flavour not built
+     * keep their defaults (a fixed, fully-powered L2; flat memory).
+     */
+    template <typename Out>
+    void fillSharedOutputs(Out &out) const
+    {
+        out.memAccesses = memAccesses();
+        out.l2SizeBytes = l2_->params().sizeBytes;
+        if (driL2_) {
+            out.l2AvgActiveFraction = driL2_->averageActiveFraction();
+            out.l2ResizingTagBits = driL2_->params().resizingTagBits();
+            out.l2Resizes = driL2_->upsizes() + driL2_->downsizes();
+        }
+        if (dram_) {
+            out.dramRowHits = dram_->rowHits();
+            out.dramRowMisses = dram_->rowMisses();
+            out.dramQueueFullEvents = dram_->queueFullEvents();
+            out.dramBusyCycles = dram_->busyCycles();
+        }
+    }
+
     /** Serialize the memory and the L2, each behind its flavour
      *  flag (sim/checkpoint.hh). */
     void checkpoint(sim::StateIO io);

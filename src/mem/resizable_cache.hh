@@ -65,7 +65,7 @@ CacheParams cacheParamsFor(const DriParams &params,
  * A dynamically-resizable cache level (gated-Vdd semantics: sets
  * above the current size keep no state and leak nothing).
  */
-class ResizableCache : public Cache, public RetireSink
+class ResizableCache : public Cache, public virtual RetireSink
 {
   public:
     /**
@@ -105,13 +105,11 @@ class ResizableCache : public Cache, public RetireSink
     void invalidateAll() override;
 
     const DriParams &params() const { return dri_; }
-    const ResizePolicy &policy() const { return policy_; }
     const SizeMask &sizeMask() const { return mask_; }
     const ResizeController &controller() const { return controller_; }
 
     std::uint64_t upsizes() const { return upsizes_.value(); }
     std::uint64_t downsizes() const { return downsizes_.value(); }
-    std::uint64_t holds() const { return holds_.value(); }
 
     /** Valid blocks destroyed by gating their sets off. */
     std::uint64_t blocksLost() const { return blocksLost_.value(); }
@@ -136,12 +134,6 @@ class ResizableCache : public Cache, public RetireSink
      * size ... averaged over the benchmark execution time").
      */
     void integrateCycles(Cycles delta);
-
-    /** Integral of activeSets over cycles (set-cycles). */
-    double activeSetCycles() const { return activeSetCycles_; }
-
-    /** Cycles integrated so far. */
-    Cycles integratedCycles() const { return integratedCycles_; }
 
     /** Average active fraction over the integrated run. */
     double averageActiveFraction() const;

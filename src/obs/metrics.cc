@@ -7,9 +7,9 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
+#include "util/file.hh"
 #include "util/str.hh"
 
 namespace drisim::obs
@@ -101,18 +101,12 @@ TimeSeriesRecorder::renderCsv() const
 bool
 TimeSeriesRecorder::write(std::string &error) const
 {
-    const std::string doc = renderCsv();
-    std::FILE *f = std::fopen(path_.c_str(), "w");
-    if (!f) {
-        error = "cannot write metrics '" + path_ + "'";
-        return false;
-    }
-    const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) ==
-                    doc.size();
-    std::fclose(f);
-    if (!ok)
-        error = "short write to '" + path_ + "'";
-    return ok;
+    const WriteStep failed = writeFile(path_, renderCsv());
+    if (failed != WriteStep::None)
+        error = failed == WriteStep::Open
+                    ? "cannot write metrics '" + path_ + "'"
+                    : "short write to '" + path_ + "'";
+    return failed == WriteStep::None;
 }
 
 IntervalSampler::IntervalSampler(TimeSeriesRecorder &recorder,

@@ -6,10 +6,10 @@
 #include "obs/report.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 
+#include "util/file.hh"
 #include "util/str.hh"
 
 namespace drisim::obs
@@ -110,17 +110,11 @@ bool
 parseMetricsCsv(const std::string &path, MetricsCsv &out,
                 std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
+    std::string text;
+    if (!readFile(path, text)) {
         error = "cannot open '" + path + "'";
         return false;
     }
-    std::string text;
-    char buf[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
     return parseMetricsCsvText(text, out, error);
 }
 

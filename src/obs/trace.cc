@@ -9,9 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
+#include "util/file.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -59,34 +59,6 @@ renderEvent(const TraceSpan &s)
     }
     out += "}}";
     return out;
-}
-
-bool
-expectKey(JsonParser &p, const char *key)
-{
-    if (p.parseString() != key) {
-        p.ok = false;
-        return false;
-    }
-    return p.consume(':');
-}
-
-bool
-readWholeFile(const std::string &path, std::string &out,
-              std::string &error)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    char buf[1 << 16];
-    std::size_t n = 0;
-    out.clear();
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return true;
 }
 
 } // namespace
@@ -257,12 +229,14 @@ readTrace(const std::string &path, std::vector<TraceSpan> &out,
           std::string &error)
 {
     std::string text;
-    if (!readWholeFile(path, text, error))
+    if (!readFile(path, text)) {
+        error = "cannot open '" + path + "'";
         return false;
+    }
 
     JsonParser p(text);
     p.consume('{');
-    expectKey(p, "traceEvents");
+    p.expectKey("traceEvents");
     p.consume('[');
     out.clear();
     while (p.ok && !p.peek(']')) {
@@ -270,29 +244,29 @@ readTrace(const std::string &path, std::vector<TraceSpan> &out,
             p.consume(',');
         TraceSpan s;
         p.consume('{');
-        expectKey(p, "name");
+        p.expectKey("name");
         s.name = p.parseString();
         p.consume(',');
-        expectKey(p, "cat");
+        p.expectKey("cat");
         s.cat = p.parseString();
         p.consume(',');
-        expectKey(p, "ph");
+        p.expectKey("ph");
         if (p.parseString() != "X")
             p.ok = false;
         p.consume(',');
-        expectKey(p, "ts");
+        p.expectKey("ts");
         s.ts = p.parseUInt();
         p.consume(',');
-        expectKey(p, "dur");
+        p.expectKey("dur");
         s.dur = p.parseUInt();
         p.consume(',');
-        expectKey(p, "pid");
+        p.expectKey("pid");
         p.parseUInt();
         p.consume(',');
-        expectKey(p, "tid");
+        p.expectKey("tid");
         s.tid = static_cast<unsigned>(p.parseUInt());
         p.consume(',');
-        expectKey(p, "args");
+        p.expectKey("args");
         p.consume('{');
         while (p.ok && !p.peek('}')) {
             if (!s.args.empty())
@@ -310,7 +284,7 @@ readTrace(const std::string &path, std::vector<TraceSpan> &out,
     }
     p.consume(']');
     p.consume(',');
-    expectKey(p, "displayTimeUnit");
+    p.expectKey("displayTimeUnit");
     if (p.parseString() != "ms")
         p.ok = false;
     p.consume('}');
@@ -327,18 +301,12 @@ writeTraceFile(const std::string &path, std::vector<TraceSpan> spans,
                std::string &error)
 {
     sortSpans(spans);
-    const std::string doc = renderTraceEvents(spans);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        error = "cannot write trace '" + path + "'";
-        return false;
-    }
-    const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) ==
-                    doc.size();
-    std::fclose(f);
-    if (!ok)
-        error = "short write to '" + path + "'";
-    return ok;
+    const WriteStep failed = writeFile(path, renderTraceEvents(spans));
+    if (failed != WriteStep::None)
+        error = failed == WriteStep::Open
+                    ? "cannot write trace '" + path + "'"
+                    : "short write to '" + path + "'";
+    return failed == WriteStep::None;
 }
 
 } // namespace drisim::obs

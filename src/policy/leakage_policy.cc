@@ -6,9 +6,8 @@
 
 #include "policy/leakage_policy.hh"
 
-#include "mem/cache.hh"
+#include "core/dri_icache.hh"
 #include "policy/decay_policy.hh"
-#include "policy/dri_policy.hh"
 #include "policy/drowsy_policy.hh"
 #include "policy/static_ways.hh"
 #include "util/logging.hh"
@@ -101,7 +100,7 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
     config.validate();
     switch (config.kind) {
       case PolicyKind::Dri:
-        return std::make_unique<DriPolicy>(config, below, parent);
+        return std::make_unique<DriICache>(config.dri, below, parent);
       case PolicyKind::Decay:
         return std::make_unique<DecayCache>(config, below, parent);
       case PolicyKind::Drowsy:
@@ -114,34 +113,32 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
 }
 
 obs::Readings
-l1iReadings(const LeakagePolicy *policy, const Cache *conv,
+l1iReadings(const LeakagePolicy *policy, const Cache &l1i,
             std::uint64_t sizeBytes, Cycles cycles, bool coherent)
 {
     const double c = static_cast<double>(cycles);
+    const double bytes = static_cast<double>(sizeBytes);
     obs::Readings r;
+    r["l1i_accesses"] = static_cast<double>(l1i.accesses());
+    r["l1i_misses"] = static_cast<double>(l1i.misses());
     if (!policy) {
-        r["l1i_accesses"] = static_cast<double>(conv->accesses());
-        r["l1i_misses"] = static_cast<double>(conv->misses());
         r["active_cycle_area"] = c;
-        r["active_bytes"] = static_cast<double>(sizeBytes);
+        r["active_bytes"] = bytes;
         return r;
     }
     const PolicyActivity act = policy->activity();
-    r["l1i_accesses"] = static_cast<double>(policy->l1Accesses());
-    r["l1i_misses"] = static_cast<double>(policy->l1Misses());
     r["active_cycle_area"] = act.avgActiveFraction * c;
     r["resizes"] = static_cast<double>(act.resizes);
     if (coherent)
         r["coherence_refetches"] =
             static_cast<double>(act.coherenceRefetches);
     if (policy->kind() == PolicyKind::Dri) {
-        r["active_bytes"] = static_cast<double>(
-            static_cast<const DriPolicy &>(*policy)
-                .icache()
-                .currentSizeBytes());
+        // The powered sets' share of the array now: a power-of-two
+        // fraction, so the product is the exact byte count.
+        r["active_bytes"] = l1i.activeFraction() * bytes;
         return r;
     }
-    r["l1i_size_bytes"] = static_cast<double>(sizeBytes);
+    r["l1i_size_bytes"] = bytes;
     r["drowsy_cycle_area"] = act.avgDrowsyFraction * c;
     r["wakes"] = static_cast<double>(act.wakeTransitions);
     r["wake_stall_cycles"] = static_cast<double>(act.wakeStallCycles);

@@ -10,9 +10,9 @@
  * technique a plug-in so the simulator can answer "which leakage
  * technique wins, where?" instead of only "how good is DRI?":
  *
- *  - Dri        — the paper's set-granularity resizing, a thin
- *                 adapter over DriICache (behaviour byte-identical
- *                 to the direct path; locked by tests);
+ *  - Dri        — the paper's set-granularity resizing: the DRI
+ *                 i-cache itself (core/dri_icache.hh), so a policy
+ *                 run is the paper's path by construction;
  *  - Decay      — per-line generational counters gate dead lines
  *                 via gated-Vdd (state-destroying; Kaxiras et al.,
  *                 "Cache Decay");
@@ -35,10 +35,12 @@
 #ifndef DRISIM_POLICY_LEAKAGE_POLICY_HH
 #define DRISIM_POLICY_LEAKAGE_POLICY_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
 #include "core/dri_params.hh"
+#include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "mem/retire_sink.hh"
 #include "obs/metrics.hh"
@@ -52,8 +54,6 @@ class StateIO;
 
 namespace drisim
 {
-
-class Cache; // mem/cache.hh
 
 /** Which leakage-control technique manages the L1 i-cache. */
 enum class PolicyKind { Dri, Decay, Drowsy, StaticWays };
@@ -162,10 +162,6 @@ struct PolicyActivity
     /** Resizing tag bits in use (Dri only). */
     unsigned resizingTagBits = 0;
 
-    /** Lines lost to coherence invalidation probes (coherent CMP
-     *  runs only; mem/directory.hh). */
-    std::uint64_t coherenceInvalidations = 0;
-
     /** Wakes forced by coherence probes landing on drowsy lines —
      *  the probe cannot be answered until the rail recharges. */
     std::uint64_t coherenceWakes = 0;
@@ -181,9 +177,11 @@ struct PolicyActivity
  * CMP system and the search harness hold, whatever technique is
  * behind it. Every policy's cache is a Cache (level()), so the
  * hierarchy, core and coherence wiring is flavour-blind, and every
- * policy consumes the core's retire/cycle broadcast (RetireSink).
+ * policy consumes the core's retire/cycle broadcast (RetireSink, a
+ * virtual base: the Dri policy is a ResizableCache, which is a sink
+ * in its own right).
  */
-class LeakagePolicy : public RetireSink
+class LeakagePolicy : public virtual RetireSink
 {
   public:
     ~LeakagePolicy() override = default;
@@ -193,8 +191,8 @@ class LeakagePolicy : public RetireSink
     /** The managed i-cache, to wire as the core's L1I. */
     virtual Cache *level() = 0;
 
-    virtual std::uint64_t l1Accesses() const = 0;
-    virtual std::uint64_t l1Misses() const = 0;
+    /** Fetches the managed i-cache served. */
+    std::uint64_t l1Accesses() { return level()->accesses(); }
 
     /** Time-integrated activity report. */
     virtual PolicyActivity activity() const = 0;
@@ -206,14 +204,6 @@ class LeakagePolicy : public RetireSink
      * an identically-configured policy.
      */
     virtual void checkpoint(sim::StateIO io) = 0;
-
-    double l1MissRate() const
-    {
-        const std::uint64_t a = l1Accesses();
-        return a == 0 ? 0.0
-                      : static_cast<double>(l1Misses()) /
-                            static_cast<double>(a);
-    }
 };
 
 /**
@@ -226,20 +216,57 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
 
 /**
  * The cumulative interval readings (obs::IntervalSampler) of one L1
- * i-cache of @p sizeBytes after @p cycles: the leakage-managed
- * @p policy, or the conventional @p conv when @p policy is null.
- * Every flavour reports its accesses, misses and active-cycle area
- * (a conventional cache is always fully powered). The size comes
- * from the flavour: a conventional cache reports its full size, a
- * Dri policy its instantaneous size, and any other policy its full
- * size for the sampler to scale by the interval's active fraction.
- * Policies add resizes; the others also drowsy area, wakes and wake
- * stalls. With @p coherent, policies add the refetches probes forced
- * and, but for Dri (which keeps no drowsy lines), probe wakes.
+ * i-cache @p l1i of @p sizeBytes after @p cycles: the cache of the
+ * leakage-managed @p policy, or a conventional cache when @p policy
+ * is null. Every flavour reports its accesses, misses and
+ * active-cycle area (a conventional cache is always fully powered).
+ * The size comes from the flavour: a conventional cache reports its
+ * full size, a Dri policy its instantaneous size, and any other
+ * policy its full size for the sampler to scale by the interval's
+ * active fraction. Policies add resizes; the others also drowsy
+ * area, wakes and wake stalls. With @p coherent, policies add the
+ * refetches probes forced and, but for Dri (which keeps no drowsy
+ * lines), probe wakes.
  */
-obs::Readings l1iReadings(const LeakagePolicy *policy, const Cache *conv,
+obs::Readings l1iReadings(const LeakagePolicy *policy, const Cache &l1i,
                           std::uint64_t sizeBytes, Cycles cycles,
                           bool coherent);
+
+/**
+ * Fill the L1I fields a run's and a CMP core's output share
+ * (RunOutput in harness/runner.hh, CmpCoreOutput in system/cmp.hh)
+ * from the L1 i-cache @p l1i of @p sizeBytes, chosen like
+ * l1iReadings(): the accesses, misses, active fraction and tag bits
+ * of `meas`, resizes, throttles, the drowsy share, wakes and the
+ * gated share. A conventional cache (@p policy null) is fully
+ * powered. Under @p paperRule (a DriParams run, or a CMP core of
+ * kind Dri) the gated share is 0, the paper's rounding; otherwise it
+ * is max(0, 1 - active - drowsy), charged at the gated residual.
+ * Returns the activity, for the fields only one output carries.
+ */
+template <typename Out>
+PolicyActivity
+fillL1iOutputs(Out &out, const LeakagePolicy *policy, const Cache &l1i,
+               std::uint64_t sizeBytes, bool paperRule)
+{
+    const PolicyActivity act =
+        policy ? policy->activity() : PolicyActivity{};
+    out.meas.l1iBytes = sizeBytes;
+    out.meas.l1iAccesses = l1i.accesses();
+    out.meas.l1iMisses = l1i.misses();
+    out.meas.avgActiveFraction = act.avgActiveFraction;
+    out.meas.resizingTagBits = act.resizingTagBits;
+    out.resizes = act.resizes;
+    out.throttleEvents = act.throttleEvents;
+    out.l1DrowsyFraction = act.avgDrowsyFraction;
+    out.l1GatedFraction =
+        paperRule ? 0.0
+                  : std::max(0.0, 1.0 - act.avgActiveFraction -
+                                      act.avgDrowsyFraction);
+    out.wakeTransitions = act.wakeTransitions;
+    out.wakeStallCycles = act.wakeStallCycles;
+    return act;
+}
 
 } // namespace drisim
 

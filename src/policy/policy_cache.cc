@@ -86,7 +86,6 @@ PolicyCacheBase::baseActivity() const
     }
     a.wakeTransitions = wakeTransitions_;
     a.wakeStallCycles = wakeStallCycles_;
-    a.coherenceInvalidations = coherenceInvalidations();
     a.coherenceWakes = coherenceWakes_;
     a.coherenceRefetches = coherenceRefetches();
     return a;

@@ -6,8 +6,8 @@
  * instructions and the time integrals of the powered/drowsy line
  * populations. The flavours override Cache's per-line hooks directly
  * (hit, fill, probe, victim ways); coherence refetches are Cache's
- * count. The Dri policy does not use this base; it adapts the
- * set-granularity ResizableCache machinery instead.
+ * count. The Dri policy does not use this base: it is the DRI i-cache,
+ * a set-granularity ResizableCache (core/dri_icache.hh).
  */
 
 #ifndef DRISIM_POLICY_POLICY_CACHE_HH
@@ -42,8 +42,6 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
                           Cycles now) override;
 
     Cache *level() override { return this; }
-    std::uint64_t l1Accesses() const override { return accesses(); }
-    std::uint64_t l1Misses() const override { return misses(); }
 
     /** Count retired instructions; crossing an interval boundary
      *  (config-specific length) triggers intervalTick() once per
@@ -54,7 +52,6 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     void onCycles(Cycles delta) override;
 
     std::uint64_t totalLines() const { return totalLines_; }
-    Cycles integratedCycles() const { return integratedCycles_; }
 
     /** One override serves both bases (Cache and LeakagePolicy):
      *  cache contents + stats, the shared policy bookkeeping, then

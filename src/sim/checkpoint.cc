@@ -9,7 +9,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+
+#include "util/file.hh"
 
 namespace drisim::sim
 {
@@ -294,11 +295,9 @@ bool
 CheckpointStore::load(const std::string &key,
                       std::string &blobOut) const
 {
-    std::ifstream in(pathFor(key), std::ios::binary);
-    if (!in)
+    std::string contents;
+    if (!readFile(pathFor(key), contents))
         return false;
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
     // Layout: magic, u64 key length, key bytes, u64 blob length,
     // u64 FNV-1a of blob, blob. Any mismatch — magic, key, length
     // (truncation), checksum (bit rot) — is a miss, never an answer.
@@ -336,36 +335,31 @@ void
 CheckpointStore::save(const std::string &key,
                       const std::string &blob) const
 {
+    std::string doc(kStoreMagic, kStoreMagicLen);
+    const auto appendU64 = [&doc](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            doc += static_cast<char>((v >> (8 * i)) & 0xff);
+    };
+    appendU64(key.size());
+    doc += key;
+    appendU64(blob.size());
+    appendU64(fnv1a64(blob));
+    doc += blob;
+
     const std::string path = pathFor(key);
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw CheckpointError("cannot write '" + tmp + "'");
-        const auto writeU64 = [&out](std::uint64_t v) {
-            for (int i = 0; i < 8; ++i) {
-                const char b =
-                    static_cast<char>((v >> (8 * i)) & 0xff);
-                out.write(&b, 1);
-            }
-        };
-        out.write(kStoreMagic,
-                  static_cast<std::streamsize>(kStoreMagicLen));
-        writeU64(key.size());
-        out.write(key.data(),
-                  static_cast<std::streamsize>(key.size()));
-        writeU64(blob.size());
-        writeU64(fnv1a64(blob));
-        out.write(blob.data(),
-                  static_cast<std::streamsize>(blob.size()));
-        if (!out)
-            throw CheckpointError("write failed for '" + tmp + "'");
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
+    std::string reason;
+    switch (writeFileAtomic(path, doc, reason)) {
+      case WriteStep::None:
+        break;
+      case WriteStep::Open:
+        throw CheckpointError("cannot write '" + tmp + "'");
+      case WriteStep::Write:
+        throw CheckpointError("write failed for '" + tmp + "'");
+      case WriteStep::Rename:
         throw CheckpointError("rename to '" + path +
-                              "' failed: " + ec.message());
+                              "' failed: " + reason);
+    }
     g_saves.fetch_add(1, std::memory_order_relaxed);
 }
 

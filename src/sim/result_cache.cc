@@ -133,17 +133,14 @@ ResultCache::loadSidecarLocked()
             continue;
 
         JsonParser p{line};
-        if (!p.consume('{') || p.parseString() != "hash" || !p.ok ||
-            !p.consume(':'))
+        if (!p.consume('{') || !p.expectKey("hash"))
             continue;
         std::string hash = p.parseString();
-        if (!p.ok || !p.consume(',') ||
-            p.parseString() != "config" || !p.ok || !p.consume(':'))
+        if (!p.ok || !p.consume(',') || !p.expectKey("config"))
             continue;
         Entry e;
         e.config = p.parseString();
-        if (!p.ok || !p.consume(',') ||
-            p.parseString() != "fields" || !p.ok || !p.consume(':'))
+        if (!p.ok || !p.consume(',') || !p.expectKey("fields"))
             continue;
         e.fields = p.parseStringMap();
         if (!p.ok || !p.consume('}') || !p.ok)

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/dri_icache.hh"
 #include "cpu/branch_pred.hh"
 #include "cpu/ooo_core.hh"
 #include "cpu/simple_core.hh"
@@ -29,7 +30,6 @@
 #include "mem/resizable_cache.hh"
 #include "mem/tag_store.hh"
 #include "policy/decay_policy.hh"
-#include "policy/dri_policy.hh"
 #include "policy/drowsy_policy.hh"
 #include "policy/policy_cache.hh"
 #include "sim/checkpoint.hh"
@@ -503,9 +503,9 @@ DrowsyCache::checkpointExtra(StateIO io)
 }
 
 void
-DriPolicy::checkpoint(StateIO io)
+DriICache::checkpoint(StateIO io)
 {
-    icache_.checkpoint(io);
+    ResizableCache::checkpoint(io);
 }
 
 } // namespace drisim

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hh"
-#include "policy/dri_policy.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
@@ -125,13 +124,9 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
 
         const CmpCoreConfig cfg = cmp.coreConfig(k);
         Cache *l1i = nullptr;
-        if (cfg.dri) {
-            PolicyConfig pc;
-            pc.kind = cfg.policyKind;
-            pc.dri = driParamsForLevel(hier.l1i, cfg.driParams);
-            pc.decay = cfg.decay;
-            pc.drowsy = cfg.drowsy;
-            pc.ways = cfg.ways;
+        if (cfg.l1i) {
+            PolicyConfig pc = *cfg.l1i;
+            pc.dri = driParamsForLevel(hier.l1i, pc.dri);
             policyL1is_[k] = makeLeakagePolicy(pc, port, grp);
             l1i = policyL1is_[k]->level();
         } else {
@@ -139,6 +134,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                 std::make_unique<Cache>(hier.l1i, port, grp);
             l1i = convL1is_[k].get();
         }
+        l1is_.push_back(l1i);
         // Coherent runs attach every private L1 to the fabric: the
         // bus is the requester-side agent, and the controller probes
         // the L1D and the L1I (whatever flavour) as core k.
@@ -187,7 +183,7 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     const auto sample = [&](unsigned k) {
         const CoreStats cs = cores_[k]->stats();
         obs::Readings r =
-            l1iReadings(policyL1is_[k].get(), convL1is_[k].get(),
+            l1iReadings(policyL1is_[k].get(), *l1is_[k],
                         hier_.l1i.sizeBytes, cs.cycles, coh != nullptr);
         r["cycles"] = static_cast<double>(cs.cycles);
         r["l2_accesses"] = static_cast<double>(bus_->accesses(k));
@@ -225,8 +221,12 @@ CmpSystem::run(InstCount maxInstrsPerCore)
             remaining[k] -= std::min(done, remaining[k]);
             if (cores_[k]->drained())
                 remaining[k] = 0;
-            if (remaining[k] > 0)
-                pending = true;
+            if (remaining[k] == 0)
+                continue;
+            pending = true;
+            // A core that just finished waits for the tail pass: the
+            // probes other cores send it until they finish belong in
+            // its last sample.
             if (metrics &&
                 cores_[k]->stats().instructions -
                         samplers[k].lastInstrs() >=
@@ -257,8 +257,9 @@ CmpSystem::run(InstCount maxInstrsPerCore)
                       "CMP scheduler made no progress");
     }
 
-    // Tail sample: whatever each core committed since its last
-    // full interval still shows up in the series.
+    // Tail sample, after every core finished: whatever each core
+    // committed since its last sample, and every probe that landed
+    // on it since, still shows up in the series.
     if (metrics)
         for (unsigned k = 0; k < n; ++k)
             if (cores_[k]->stats().instructions >
@@ -272,31 +273,11 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         const CoreStats cs = cores_[k]->stats();
         c.meas.cycles = cs.cycles;
         c.meas.instructions = cs.instructions;
-        c.meas.l1iBytes = hier_.l1i.sizeBytes;
-        if (const LeakagePolicy *p = policyL1is_[k].get()) {
-            const PolicyActivity act = p->activity();
-            c.meas.l1iAccesses = p->l1Accesses();
-            c.meas.l1iMisses = p->l1Misses();
-            c.meas.avgActiveFraction = act.avgActiveFraction;
-            c.meas.resizingTagBits = act.resizingTagBits;
-            c.resizes = act.resizes;
-            c.throttleEvents = act.throttleEvents;
-            c.l1DrowsyFraction = act.avgDrowsyFraction;
-            // DRI cores keep the paper's zero gated share.
-            if (p->kind() != PolicyKind::Dri)
-                c.l1GatedFraction =
-                    std::max(0.0, 1.0 - act.avgActiveFraction -
-                                      act.avgDrowsyFraction);
-            c.wakeTransitions = act.wakeTransitions;
-            c.wakeStallCycles = act.wakeStallCycles;
-            if (coh) {
-                c.coherenceWakes = act.coherenceWakes;
-                c.coherenceRefetches = act.coherenceRefetches;
-            }
-        } else {
-            c.meas.l1iAccesses = convL1is_[k]->accesses();
-            c.meas.l1iMisses = convL1is_[k]->misses();
-        }
+        // DRI cores keep the paper's zero gated share.
+        const LeakagePolicy *pol = policyL1is_[k].get();
+        const bool dri = pol && pol->kind() == PolicyKind::Dri;
+        const PolicyActivity act = fillL1iOutputs(
+            c, pol, *l1is_[k], hier_.l1i.sizeBytes, dri);
         c.ipc = cs.ipc();
         c.l1dMissRate = l1ds_[k]->missRate();
         c.l2Accesses = bus_->accesses(k);
@@ -313,6 +294,8 @@ CmpSystem::run(InstCount maxInstrsPerCore)
             c.coherenceDowngrades = ccs.downgradesReceived;
             c.coherenceWritebacks = ccs.coherenceWritebacks;
             c.coherenceMsgCycles = ccs.messageCycles;
+            c.coherenceWakes = act.coherenceWakes;
+            c.coherenceRefetches = act.coherenceRefetches;
         }
 
         out.systemCycles = std::max(out.systemCycles, cs.cycles);
@@ -330,32 +313,19 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         // a conventional or DRI L1I (the other policies keep theirs
         // in their own stat groups).
         addMshrs(out, *l1ds_[k]);
-        if (convL1is_[k])
-            addMshrs(out, *convL1is_[k]);
-        else if (policyL1is_[k]->kind() == PolicyKind::Dri)
-            addMshrs(out,
-                     static_cast<DriPolicy &>(*policyL1is_[k]).icache());
+        if (!pol || dri)
+            addMshrs(out, *l1is_[k]);
     }
     out.l2MissRate =
         out.l2Accesses == 0
             ? 0.0
             : static_cast<double>(out.l2Misses) /
                   static_cast<double>(out.l2Accesses);
-    out.memAccesses = shared_.memAccesses();
-    out.l2SizeBytes = hier_.l2.sizeBytes;
-    if (const ResizableCache *dri = shared_.driL2()) {
-        out.l2AvgActiveFraction = dri->averageActiveFraction();
-        out.l2ResizingTagBits = dri->params().resizingTagBits();
-        out.l2Resizes = dri->upsizes() + dri->downsizes();
-    }
+    shared_.fillSharedOutputs(out);
     addMshrs(out, shared_.l2());
     if (coh)
         out.directoryEvictions = coh->directory().capacityEvictions();
     if (const Dram *dram = shared_.dram()) {
-        out.dramRowHits = dram->rowHits();
-        out.dramRowMisses = dram->rowMisses();
-        out.dramQueueFullEvents = dram->queueFullEvents();
-        out.dramBusyCycles = dram->busyCycles();
         out.dramBankRowHits.resize(dram->params().banks);
         for (unsigned b = 0; b < dram->params().banks; ++b)
             out.dramBankRowHits[b] = dram->rowHitsForBank(b);

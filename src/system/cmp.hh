@@ -1,7 +1,8 @@
 /**
  * @file
  * The chip-multiprocessor system: N cores, each with a private L1
- * i-cache (conventional or leakage-managed) and L1 d-cache and its
+ * i-cache (conventional, or managed by any leakage policy, named by
+ * the PolicyConfig a single-core run() takes) and L1 d-cache and its
  * own workload, sharing one unified L2 (conventional or resizable)
  * and main memory.
  *
@@ -27,6 +28,7 @@
 #define DRISIM_SYSTEM_CMP_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,21 +50,13 @@ struct CmpCoreConfig
 {
     /** Benchmark name; empty means "caller's default". */
     std::string bench;
-    /** Build this core's L1I leakage-managed (vs conventional). */
-    bool dri = false;
-    /** L1I resize knobs (geometry always follows hier.l1i). */
-    DriParams driParams{};
-
     /**
-     * Which leakage technique manages the L1I when dri is set: Dri
-     * takes driParams, Decay/Drowsy/StaticWays the matching knobs
-     * below (geometry always follows hier.l1i). Every kind is built
-     * by makeLeakagePolicy, as in the single-core run().
+     * The leakage technique managing this core's L1I and its knobs,
+     * as a single-core run() takes them; none = a conventional L1I.
+     * Geometry always follows hier.l1i: CmpSystem replaces the
+     * geometry of l1i->dri with driParamsForLevel()'s.
      */
-    PolicyKind policyKind = PolicyKind::Dri;
-    DecayParams decay{};
-    DrowsyParams drowsy{};
-    StaticWaysParams ways{};
+    std::optional<PolicyConfig> l1i;
 };
 
 /** Shape of the CMP: core count, scheduling, L2 sharing model. */
@@ -363,9 +357,11 @@ class CmpSystem
     std::vector<std::unique_ptr<SharedL2Port>> ports_;
     std::vector<std::unique_ptr<Cache>> l1ds_;
     /** Core k's L1I: conventional, or a leakage policy (DRI
-     *  included); exactly one of the two is set. */
+     *  included); exactly one of the two owners is set, and l1is_
+     *  holds the cache either way. */
     std::vector<std::unique_ptr<Cache>> convL1is_;
     std::vector<std::unique_ptr<LeakagePolicy>> policyL1is_;
+    std::vector<Cache *> l1is_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     std::vector<std::unique_ptr<TraceGenerator>> gens_;
 

@@ -64,6 +64,15 @@ struct JsonParser
         return pos < s.size() && s[pos] == c;
     }
 
+    /** Consume `"key":`, the next field of one of our fixed-order
+     *  formats; anything else leaves ok=false. */
+    bool expectKey(const char *key)
+    {
+        if (parseString() != key)
+            ok = false;
+        return ok && consume(':');
+    }
+
     std::string parseString();
     std::uint64_t parseUInt();
     bool parseBool();

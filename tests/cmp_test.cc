@@ -117,8 +117,7 @@ TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
     cmp.cores = 1;
     CmpCoreConfig core;
     core.bench = "li";
-    core.dri = true;
-    core.driParams = dri;
+    core.l1i = PolicyConfig{.dri = dri};
     cmp.coreConfigs.push_back(core);
     const CmpRunOutput out = runCmp(cfg, cmp, "li");
 
@@ -151,6 +150,76 @@ TEST(CmpSystem, SingleCoreDriWithDriL2MatchesRunnerBitForBit)
     const CmpRunOutput cmpBase = runCmp(convCfg, convCmp, "li");
     ASSERT_GT(single.memAccesses, singleBase.memAccesses);
     expectSameLedger(single, singleBase, out, cmpBase);
+}
+
+/**
+ * A cores=1 CMP whose L1I is @p pc matches run() with the same
+ * policy on the geometry CmpSystem gives it: every L1I field of the
+ * core's output and the ledger against the conventional runs, bit
+ * for bit.
+ */
+void
+expectSingleCorePolicyMatchesRunner(const RunConfig &cfg, PolicyConfig pc)
+{
+    const BenchmarkInfo &b = findBenchmark("gcc");
+    CmpConfig cmp;
+    cmp.cores = 1;
+    cmp.coreConfigs.push_back({"gcc", pc});
+    const CmpRunOutput out = runCmp(cfg, cmp, "gcc");
+    pc.dri = driParamsForLevel(cfg.hier.l1i, pc.dri);
+    const RunOutput single = run(b, cfg, {pc});
+
+    ASSERT_EQ(out.cores.size(), 1u);
+    const CmpCoreOutput &c = out.cores[0];
+    EXPECT_EQ(c.meas.cycles, single.meas.cycles);
+    EXPECT_EQ(c.meas.instructions, single.meas.instructions);
+    EXPECT_EQ(c.meas.l1iAccesses, single.meas.l1iAccesses);
+    EXPECT_EQ(c.meas.l1iMisses, single.meas.l1iMisses);
+    EXPECT_EQ(c.meas.avgActiveFraction, single.meas.avgActiveFraction);
+    EXPECT_EQ(c.meas.resizingTagBits, single.meas.resizingTagBits);
+    EXPECT_EQ(c.meas.l1iBytes, single.meas.l1iBytes);
+    EXPECT_EQ(c.ipc, single.ipc);
+    EXPECT_EQ(c.l1dMissRate, single.l1dMissRate);
+    EXPECT_EQ(c.resizes, single.resizes);
+    EXPECT_EQ(c.throttleEvents, single.throttleEvents);
+    EXPECT_EQ(c.l1DrowsyFraction, single.l1DrowsyFraction);
+    EXPECT_EQ(c.l1GatedFraction, single.l1GatedFraction);
+    EXPECT_EQ(c.wakeTransitions, single.wakeTransitions);
+    EXPECT_EQ(c.wakeStallCycles, single.wakeStallCycles);
+    // The policy manages the array: some of it is not at full power.
+    EXPECT_LT(c.meas.avgActiveFraction, 1.0);
+
+    CmpConfig convCmp;
+    convCmp.cores = 1;
+    expectSameLedger(single, run(b, cfg), out, runCmp(cfg, convCmp, "gcc"));
+}
+
+TEST(CmpSystem, SingleCoreDecayMatchesRunnerBitForBit)
+{
+    // 25 K generations, so idle lines decay well within the run.
+    RunConfig cfg;
+    cfg.maxInstrs = 300 * 1000;
+    PolicyConfig pc{.kind = PolicyKind::Decay};
+    pc.decay.decayInterval = 25 * 1000;
+    expectSingleCorePolicyMatchesRunner(cfg, pc);
+}
+
+TEST(CmpSystem, SingleCoreDrowsyMatchesRunnerBitForBit)
+{
+    RunConfig cfg;
+    cfg.maxInstrs = 300 * 1000;
+    expectSingleCorePolicyMatchesRunner(
+        cfg, PolicyConfig{.kind = PolicyKind::Drowsy});
+}
+
+TEST(CmpSystem, SingleCoreStaticWaysMatchesRunnerBitForBit)
+{
+    // A 4-way L1I, so gating all but way 0 leaves a quarter powered.
+    RunConfig cfg;
+    cfg.maxInstrs = 300 * 1000;
+    cfg.hier.l1i.assoc = 4;
+    expectSingleCorePolicyMatchesRunner(
+        cfg, PolicyConfig{.kind = PolicyKind::StaticWays});
 }
 
 TEST(CmpSystem, AttributionSumsAndContentionFiresWithSharers)
@@ -323,33 +392,37 @@ TEST(CmpCoherence, DisabledProtocolReportsNoCoherenceActivity)
     }
 }
 
-TEST(CmpMetrics, PerCoreIntervalsSumToCoreTotals)
+/**
+ * One core of each L1I flavour on a coherent sharing mix, @p instrs
+ * instructions each: a conventional core, a DRI core with an
+ * aggressive bound and a drowsy core, sampled every 10 K
+ * instructions. Every core's last row comes from the tail pass after
+ * all cores finished, so it carries the probes that landed on the
+ * core after its last turn, and each series' deltas sum to the
+ * core's totals. @p text receives the metrics CSV.
+ */
+void
+expectSharedMixIntervalsSumToCoreTotals(InstCount instrs,
+                                        std::string &text)
 {
-    // One core of each L1I flavour on a coherent sharing mix: a
-    // conventional core, a DRI core with an aggressive bound and a
-    // drowsy core, sampled every 10 K instructions. The last 5 K
-    // instructions fall short of an interval, so every core's last
-    // row comes from the tail pass after all cores finished and
-    // carries the probes that landed on it after its last turn.
     RunConfig cfg;
-    cfg.maxInstrs = 45 * 1000;
+    cfg.maxInstrs = instrs;
     CmpConfig cmp;
     cmp.cores = 3;
     cmp.coherence.enabled = true;
     CmpCoreConfig conv, dri, drowsy;
     conv.bench = dri.bench = drowsy.bench = "shared_image";
-    dri.dri = true;
-    dri.driParams.sizeBoundBytes = 1024;
-    dri.driParams.missBound = 2000;
-    dri.driParams.senseInterval = 5 * 1000;
-    drowsy.dri = true;
-    drowsy.policyKind = PolicyKind::Drowsy;
-    drowsy.drowsy.drowsyInterval = 10 * 1000;
+    dri.l1i = PolicyConfig{};
+    dri.l1i->dri.sizeBoundBytes = 1024;
+    dri.l1i->dri.missBound = 2000;
+    dri.l1i->dri.senseInterval = 5 * 1000;
+    drowsy.l1i = PolicyConfig{.kind = PolicyKind::Drowsy};
+    drowsy.l1i->drowsy.drowsyInterval = 10 * 1000;
     cmp.coreConfigs = {conv, dri, drowsy};
 
     obs::initMetrics("cmp_test.metrics.csv", 10 * 1000);
     const CmpRunOutput out = runCmp(cfg, cmp, "shared_image");
-    const std::string text = obs::metrics()->renderCsv();
+    text = obs::metrics()->renderCsv();
     obs::resetMetrics();
 
     obs::MetricsCsv csv;
@@ -383,6 +456,13 @@ TEST(CmpMetrics, PerCoreIntervalsSumToCoreTotals)
     }
     EXPECT_GT(out.cores[1].resizes, 0u);
     EXPECT_GT(out.cores[2].wakeTransitions, 0u);
+}
+
+TEST(CmpMetrics, PerCoreIntervalsSumToCoreTotals)
+{
+    // The last 5 K instructions fall short of an interval.
+    std::string text;
+    expectSharedMixIntervalsSumToCoreTotals(45 * 1000, text);
     EXPECT_EQ(text,
               "series,instrs,active_bytes,active_fraction,coherence_invalidations,coherence_refetches,coherence_wakes,cpi,cycles,drowsy_fraction,l1i_miss_rate,l2_miss_rate,resizes,wake_stall_cycles,wakes\n"
               "shared_image/cmp#8ed91da4d0f7785e/core0,20000,65536,1,1272,0,0,2.1174,42348,0,0.0654205607,0.372504829,0,0,0\n"
@@ -394,6 +474,15 @@ TEST(CmpMetrics, PerCoreIntervalsSumToCoreTotals)
               "shared_image/cmp#8ed91da4d0f7785e/core2,20000,30817.63,0.470239715,1272,3,11,0.61155,12231,0.529760285,0.0654205607,0,0,14,153\n"
               "shared_image/cmp#8ed91da4d0f7785e/core2,40000,1794.28571,0.0273786272,1442,92,51,0.434,8680,0.972621373,0.0285549466,0,0,57,147\n"
               "shared_image/cmp#8ed91da4d0f7785e/core2,45000,1072.56026,0.0163659708,387,45,10,0.4912,2456,0.983634029,0.046201232,0,0,10,53\n");
+}
+
+TEST(CmpMetrics, SeriesEndingOnAnIntervalCarryLateProbes)
+{
+    // Every series ends on an interval boundary: a core that
+    // finishes first still takes its last sample in the tail pass,
+    // after the probes the other cores send it while they finish.
+    std::string text;
+    expectSharedMixIntervalsSumToCoreTotals(40 * 1000, text);
 }
 
 TEST(CmpCoherence, PolicyCoresReportWakesAndRefetches)
@@ -409,11 +498,9 @@ TEST(CmpCoherence, PolicyCoresReportWakesAndRefetches)
     cmp.coherence.enabled = true;
     CmpCoreConfig c0, c1;
     c0.bench = "producer";
-    c0.dri = true;
-    c0.policyKind = PolicyKind::Drowsy;
+    c0.l1i = PolicyConfig{.kind = PolicyKind::Drowsy};
     c1.bench = "consumer";
-    c1.dri = true;
-    c1.policyKind = PolicyKind::Decay;
+    c1.l1i = PolicyConfig{.kind = PolicyKind::Decay};
     cmp.coreConfigs = {c0, c1};
 
     const CmpRunOutput out = runCmp(cfg, cmp, "producer");
@@ -617,10 +704,8 @@ TEST(CmpSearch, RowHashIsTheWinnersRunKey)
         winner.hier.l2Dri = true;
         winner.hier.l2DriParams = sr.best.l2;
         CmpConfig cells = cmp;
-        for (unsigned k = 0; k < cmp.cores; ++k) {
-            cells.coreConfigs[k].dri = true;
-            cells.coreConfigs[k].driParams = sr.best.l1[k];
-        }
+        for (unsigned k = 0; k < cmp.cores; ++k)
+            cells.coreConfigs[k].l1i = PolicyConfig{.dri = sr.best.l1[k]};
         EXPECT_EQ(sr.best.configHash,
                   runKeyCmp(winner, cells, "compress").hashHex());
         hashes.push_back(sr.best.configHash);

@@ -595,7 +595,7 @@ TEST(DrowsyCoherence, ProbeWakesTheLineAndChargesTheRequester)
 
     PolicyActivity act = c.activity();
     EXPECT_EQ(act.coherenceWakes, 1u);
-    EXPECT_EQ(act.coherenceInvalidations, 1u);
+    EXPECT_EQ(c.coherenceInvalidations(), 1u);
     EXPECT_GE(act.wakeStallCycles, 2u);
     EXPECT_EQ(act.coherenceRefetches, 0u);
 
@@ -626,7 +626,7 @@ TEST(DecayCoherence, InvalidatedFrameRefetchIsCountedNoWakes)
     // Decay keeps live lines at full supply: no wake to charge.
     EXPECT_EQ(p.extraCycles, 0u);
     EXPECT_EQ(c.activity().coherenceWakes, 0u);
-    EXPECT_EQ(c.activity().coherenceInvalidations, 1u);
+    EXPECT_EQ(c.coherenceInvalidations(), 1u);
 
     EXPECT_FALSE(c.access(0x100, AccessType::InstFetch).hit);
     EXPECT_EQ(c.activity().coherenceRefetches, 1u);

@@ -517,12 +517,9 @@ runGoldenCoherentCmp()
     }
 
     CmpConfig pol = conv;
-    for (unsigned k = 0; k < pol.cores; ++k) {
-        CmpCoreConfig &core = pol.coreConfigs[k];
-        core.dri = true;
-        core.policyKind =
-            k % 2 == 0 ? PolicyKind::Drowsy : PolicyKind::Decay;
-    }
+    for (unsigned k = 0; k < pol.cores; ++k)
+        pol.coreConfigs[k].l1i = PolicyConfig{
+            .kind = k % 2 == 0 ? PolicyKind::Drowsy : PolicyKind::Decay};
 
     CoherentCmpGoldenRun out;
     out.conv = runCmp(cfg, conv, "shared_image");

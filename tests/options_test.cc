@@ -661,19 +661,19 @@ TEST(Options, ParsesCoresAndPerCoreKeys)
     const std::vector<CmpCoreConfig> cfgs = o.cmpCores(true);
     ASSERT_EQ(cfgs.size(), 2u);
     EXPECT_EQ(cfgs[0].bench, "compress");
-    EXPECT_TRUE(cfgs[0].dri);
+    EXPECT_TRUE(cfgs[0].l1i);
     EXPECT_EQ(cfgs[1].bench, "li");
-    EXPECT_TRUE(cfgs[1].dri);
-    EXPECT_EQ(cfgs[1].driParams.missBound, 77u);
-    EXPECT_EQ(cfgs[1].driParams.sizeBoundBytes, 2048u);
-    EXPECT_EQ(cfgs[1].driParams.senseInterval, 50000u);
+    ASSERT_TRUE(cfgs[1].l1i);
+    EXPECT_EQ(cfgs[1].l1i->dri.missBound, 77u);
+    EXPECT_EQ(cfgs[1].l1i->dri.sizeBoundBytes, 2048u);
+    EXPECT_EQ(cfgs[1].l1i->dri.senseInterval, 50000u);
 
     // A conventional baseline resolution is conventional on every
     // core — tuning a core's DRI knobs must never pollute the
     // baseline leg it is compared against.
     const std::vector<CmpCoreConfig> conv = o.cmpCores(false);
-    EXPECT_FALSE(conv[0].dri);
-    EXPECT_FALSE(conv[1].dri);
+    EXPECT_FALSE(conv[0].l1i);
+    EXPECT_FALSE(conv[1].l1i);
 }
 
 TEST(Options, GlobalDriKeysReachUnconfiguredCoresRegardlessOfOrder)
@@ -688,8 +688,9 @@ TEST(Options, GlobalDriKeysReachUnconfiguredCoresRegardlessOfOrder)
                       o, err));
     const std::vector<CmpCoreConfig> cfgs = o.cmpCores(true);
     ASSERT_EQ(cfgs.size(), 2u);
-    EXPECT_EQ(cfgs[0].driParams.missBound, 999u);
-    EXPECT_EQ(cfgs[1].driParams.missBound, 999u);
+    ASSERT_TRUE(cfgs[0].l1i && cfgs[1].l1i);
+    EXPECT_EQ(cfgs[0].l1i->dri.missBound, 999u);
+    EXPECT_EQ(cfgs[1].l1i->dri.missBound, 999u);
 }
 
 TEST(Options, PerCoreKnobsSeedFromGlobalTemplate)
@@ -703,10 +704,11 @@ TEST(Options, PerCoreKnobsSeedFromGlobalTemplate)
                       o, err));
     const std::vector<CmpCoreConfig> cfgs = o.cmpCores(true);
     ASSERT_EQ(cfgs.size(), 2u);
-    EXPECT_EQ(cfgs[0].driParams.missBound, 123u);
-    EXPECT_EQ(cfgs[0].driParams.sizeBoundBytes, 4096u);
+    ASSERT_TRUE(cfgs[0].l1i && cfgs[1].l1i);
+    EXPECT_EQ(cfgs[0].l1i->dri.missBound, 123u);
+    EXPECT_EQ(cfgs[0].l1i->dri.sizeBoundBytes, 4096u);
     // Core 1 has no override record: it takes the global template.
-    EXPECT_EQ(cfgs[1].driParams.missBound, 123u);
+    EXPECT_EQ(cfgs[1].l1i->dri.missBound, 123u);
 }
 
 TEST(Options, CoreDriFlagDisablesPerCore)
@@ -715,13 +717,13 @@ TEST(Options, CoreDriFlagDisablesPerCore)
     std::string err;
     ASSERT_TRUE(parse({"cores=2", "core0.dri=0"}, o, err));
     const std::vector<CmpCoreConfig> cfgs = o.cmpCores(true);
-    EXPECT_FALSE(cfgs[0].dri); // explicit opt-out wins
-    EXPECT_TRUE(cfgs[1].dri);
+    EXPECT_FALSE(cfgs[0].l1i); // explicit opt-out wins
+    EXPECT_TRUE(cfgs[1].l1i);
 
     CmpConfig cmp = o.cmpConfig(true);
     EXPECT_EQ(cmp.cores, 2u);
     ASSERT_EQ(cmp.coreConfigs.size(), 2u);
-    EXPECT_FALSE(cmp.coreConfigs[0].dri);
+    EXPECT_FALSE(cmp.coreConfigs[0].l1i);
 }
 
 TEST(Options, RejectsBadCoresValues)
@@ -799,14 +801,15 @@ TEST(Options, PerCorePolicyOverrides)
     ASSERT_EQ(cfgs.size(), 2u);
     // Core 0 follows the global template; core 1 overrides, seeded
     // from the global policy as parsed so far.
-    EXPECT_EQ(cfgs[0].policyKind, PolicyKind::Decay);
-    EXPECT_EQ(cfgs[0].decay.decayInterval, 40000u);
-    EXPECT_EQ(cfgs[1].policyKind, PolicyKind::Drowsy);
-    EXPECT_EQ(cfgs[1].drowsy.wakeLatency, 3u);
-    EXPECT_EQ(cfgs[1].decay.decayInterval, 40000u);
+    ASSERT_TRUE(cfgs[0].l1i && cfgs[1].l1i);
+    EXPECT_EQ(cfgs[0].l1i->kind, PolicyKind::Decay);
+    EXPECT_EQ(cfgs[0].l1i->decay.decayInterval, 40000u);
+    EXPECT_EQ(cfgs[1].l1i->kind, PolicyKind::Drowsy);
+    EXPECT_EQ(cfgs[1].l1i->drowsy.wakeLatency, 3u);
+    EXPECT_EQ(cfgs[1].l1i->decay.decayInterval, 40000u);
     // A conventional baseline ignores every per-core policy knob.
     const std::vector<CmpCoreConfig> conv = o.cmpCores(false);
-    EXPECT_FALSE(conv[1].dri);
+    EXPECT_FALSE(conv[1].l1i);
 }
 
 TEST(Options, UnknownPolicySubkeysCollected)

@@ -25,7 +25,7 @@
 #include "harness/runner.hh"
 #include "mem/hierarchy.hh"
 #include "policy/decay_policy.hh"
-#include "policy/dri_policy.hh"
+#include "core/dri_icache.hh"
 #include "policy/drowsy_policy.hh"
 #include "policy/static_ways.hh"
 #include "sim/checkpoint.hh"
@@ -348,10 +348,10 @@ directDriRun(const BenchmarkInfo &bench, const RunConfig &cfg,
 }
 
 /**
- * run() with a DRI L1I goes through the DriPolicy adapter; it must
- * give every output field and the exact checkpoint bytes of the
- * hand-wired cache. A PolicyConfig of kind Dri takes the same adapter
- * and differs only in also reporting the blocks downsizing lost and
+ * run() builds a DRI L1I as the Dri policy; it must give every
+ * output field and the exact checkpoint bytes of the hand-wired
+ * cache. A PolicyConfig of kind Dri takes the same path and differs
+ * only in also reporting the blocks downsizing lost and
  * in reporting its inactive share as gated (charged at the gated
  * residual, where a DriParams L1I keeps the paper's zero).
  */
@@ -578,14 +578,12 @@ TEST(CmpPolicy, PerCoreTechniquesRunSideBySide)
     cmp.cores = 2;
     CmpCoreConfig c0;
     c0.bench = "compress";
-    c0.dri = true;
-    c0.policyKind = PolicyKind::Decay;
-    c0.decay.decayInterval = 25 * 1000;
+    c0.l1i = PolicyConfig{.kind = PolicyKind::Decay};
+    c0.l1i->decay.decayInterval = 25 * 1000;
     CmpCoreConfig c1;
     c1.bench = "li";
-    c1.dri = true;
-    c1.policyKind = PolicyKind::Drowsy;
-    c1.drowsy.drowsyInterval = 25 * 1000;
+    c1.l1i = PolicyConfig{.kind = PolicyKind::Drowsy};
+    c1.l1i->drowsy.drowsyInterval = 25 * 1000;
     cmp.coreConfigs = {c0, c1};
 
     const CmpRunOutput out = runCmp(cfg, cmp, "compress");
@@ -604,7 +602,7 @@ TEST(CmpPolicy, PerCoreTechniquesRunSideBySide)
     const CmpConfig convCmp = [&] {
         CmpConfig c = cmp;
         for (CmpCoreConfig &cc : c.coreConfigs)
-            cc.dri = false;
+            cc.l1i.reset();
         return c;
     }();
     const CmpRunOutput conv = runCmp(cfg, convCmp, "compress");

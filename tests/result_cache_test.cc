@@ -22,6 +22,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "config/options.hh"
 #include "harness/runner.hh"
 #include "sim/result_cache.hh"
 #include "workload/fetch_replay.hh"
@@ -250,6 +251,51 @@ TEST(RunKeyTest, CmpKeyNamesTheCoreAndPredictor)
     RunConfig sampled = base;
     sampled.sampling.enabled = true;
     EXPECT_EQ(runKeyCmp(sampled, cmp, "gcc").hashHex(), hash);
+}
+
+/**
+ * runKeyCmp()'s hash of the CMP the knobs @p args describe, built the
+ * way every binary builds one: through the knob table and
+ * Options::cmpConfig(), for the managed leg (@p managed) or the
+ * conventional baseline.
+ */
+std::string
+cmpKeyHash(std::initializer_list<const char *> args, bool managed)
+{
+    std::vector<const char *> argv{"prog"};
+    argv.insert(argv.end(), args);
+    Options o;
+    std::string err;
+    EXPECT_TRUE(parseArgs(static_cast<int>(argv.size()), argv.data(),
+                          knobRows(kBinaryEnd - 1), o, err))
+        << err;
+    return runKeyCmp(o.run, o.cmpConfig(managed), o.benchmark).hashHex();
+}
+
+TEST(RunKeyTest, CmpKeyHashesArePinned)
+{
+    // A CMP config_hash names bench_cmp's report rows, its metrics
+    // series and its snapshots, like the single-core pins above: no
+    // change to how a core's L1I is described or keyed may move one.
+    EXPECT_EQ(cmpKeyHash({"cores=2"}, false), "e880d6aad27c7856");
+    EXPECT_EQ(cmpKeyHash({"cores=2", "benchmark=gcc", "core1.bench=li",
+                          "core0.dri.miss_bound=77",
+                          "core0.dri.size_bound=2K",
+                          "core1.dri.interval=50000"},
+                         true),
+              "c50bffe8ecf0fb32");
+    EXPECT_EQ(cmpKeyHash({"cores=2", "policy=drowsy",
+                          "policy.drowsy.wake=2", "core0.dri=0"},
+                         true),
+              "e4ac872ca6257185");
+    EXPECT_EQ(cmpKeyHash({"cores=4", "benchmark=producer",
+                          "core1.bench=consumer", "core3.bench=consumer",
+                          "coherence=1", "dram.banked=1", "l1.mshrs=4",
+                          "l2.mshrs=8", "l2.dri=1", "core0.policy=drowsy",
+                          "core1.policy=decay", "core2.policy=drowsy",
+                          "core3.policy=decay"},
+                         true),
+              "761bc5113be2c170");
 }
 
 // --- key completeness -----------------------------------------------
@@ -524,7 +570,7 @@ TEST(RunKeyTest, EveryCmpFieldReachesTheCmpKey)
     base.coherence.enabled = true;
     base.coreConfigs.resize(2);
     for (CmpCoreConfig &c : base.coreConfigs)
-        c.dri = true;
+        c.l1i = PolicyConfig{};
 
     std::vector<CmpConfig> variants = perturbEach(
         base, 7, [](CmpConfig &c, unsigned i) {
@@ -545,11 +591,12 @@ TEST(RunKeyTest, EveryCmpFieldReachesTheCmpKey)
     const CmpCoreConfig core = base.coreConfigs[0];
     std::vector<CmpCoreConfig> cores = perturbEach(
         core, 8, [](CmpCoreConfig &c, unsigned i) {
-            auto &[bench, dri, driParams, kind, decay, drowsy, ways] = c;
+            auto &[bench, l1i] = c;
+            auto &[kind, driParams, decay, drowsy, ways] = *l1i;
             (void)driParams; // perturbed field by field below
             switch (i) {
               case 0: bench = "li"; break;
-              case 1: dri = !dri; break;
+              case 1: l1i.reset(); break;
               case 2: kind = PolicyKind::Decay; break;
               case 3: decay.decayInterval += 1; break;
               case 4: decay.counterLimit += 1; break;
@@ -558,9 +605,9 @@ TEST(RunKeyTest, EveryCmpFieldReachesTheCmpKey)
               default: ways.activeWays += 1; break;
             }
         });
-    for (const DriParams &d : driVariants(core.driParams)) {
+    for (const DriParams &d : driVariants(core.l1i->dri)) {
         cores.push_back(core);
-        cores.back().driParams = d;
+        cores.back().l1i->dri = d;
     }
     for (std::size_t k = 0; k < base.coreConfigs.size(); ++k)
         for (const CmpCoreConfig &c : cores) {
