@@ -172,6 +172,33 @@ TEST(TagStoreRestore, RejectsValuesThePackedFrameCannotHold)
     }
 }
 
+/** Fill two sets 576 apart of a 1024-set, 4-way store (16 KB of
+ *  frames), with one dirty and one Shared frame and a touch, so most
+ *  of its frames are never filled. */
+void
+fillPartly(TagStore &ts)
+{
+    ts.insert(3, 0x403);
+    ts.insert(3, 0x803);
+    ts.insert(579, 0x643);
+    ts.markDirty(3, 1);
+    ts.setCoherenceState(579, 0, CoherenceState::Shared);
+    ts.touch(3, 0);
+}
+
+TEST(TagStoreRestore, PartlyFilledSnapshotIsPinned)
+{
+    // Captured on a store that wrote every frame at construction: a
+    // frame no fill reached is written as a default frame.
+    TagStore ts(1024, 4);
+    fillPartly(ts);
+    sim::CheckpointWriter w;
+    ts.checkpoint(w);
+    EXPECT_EQ(w.bytes().size(), 127026u);
+    EXPECT_EQ(sim::fnv1a64(w.bytes()), 0x532881d93b4266d9u)
+        << std::hex << sim::fnv1a64(w.bytes());
+}
+
 TEST(TagStoreDeathTest, ClockNeverTruncatesATimestamp)
 {
     // At the last tick a frame can hold, the next touch panics
