@@ -57,6 +57,11 @@ startBench(int argc, char **argv, unsigned binary, BenchContext &ctx)
     }
     if (ctx.opts.list)
         return listBenchmarks();
+    err = createCheckpointDir(ctx.opts);
+    if (!err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
     installObsSinks(ctx.opts);
     return -1;
 }

@@ -73,10 +73,11 @@ bool parseBenchArgs(int argc, const char *const *argv, unsigned binary,
                     BenchContext &ctx, std::string &error);
 
 /**
- * A bench main's first step: parseBenchArgs(), then --list or the
- * observability sinks (installObsSinks()). Returns the exit status
- * when the binary is done — 2 after printing a bad command line, 0
- * after --list — or -1 to go on.
+ * A bench main's first step: parseBenchArgs(), then --list, or the
+ * checkpoint directory (createCheckpointDir()) and the observability
+ * sinks (installObsSinks()). Returns the exit status when the binary
+ * is done — 2 after printing a bad command line or a checkpoint_dir
+ * that cannot be created, 0 after --list — or -1 to go on.
  */
 int startBench(int argc, char **argv, unsigned binary,
                BenchContext &ctx);

@@ -226,6 +226,11 @@ main(int argc, char **argv)
         std::fputs(err.c_str(), stderr);
         return 2;
     }
+    err = createCheckpointDir(opts);
+    if (!err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
     installObsSinks(opts);
     // Writes the sinks out whichever return path the run takes.
     struct ObsFlush

@@ -13,6 +13,7 @@
 #include "harness/executor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -492,6 +493,20 @@ installObsSinks(const Options &opts)
                          opts.metricsInterval > 0
                              ? opts.metricsInterval
                              : obs::kDefaultMetricsInterval);
+}
+
+std::string
+createCheckpointDir(const Options &opts)
+{
+    if (opts.run.checkpointDir.empty())
+        return "";
+    try {
+        const sim::CheckpointStore store(opts.run.checkpointDir);
+    } catch (const sim::CheckpointError &e) {
+        return "bad value for 'checkpoint_dir': '" +
+               opts.run.checkpointDir + "' (" + e.what() + ")";
+    }
+    return "";
 }
 
 void

@@ -212,6 +212,12 @@ bool parseFlag(const std::string &text, bool &out);
  *  obs/metrics.hh). */
 void installObsSinks(const Options &opts);
 
+/** Create the checkpoint_dir directory @p opts names, once, after
+ *  parsing, so a path that cannot be one fails at start-up and not
+ *  inside a run. Returns "" (also when none is named) or an error
+ *  line naming the knob. */
+std::string createCheckpointDir(const Options &opts);
+
 /** Write the installed sinks out, one stderr line each. */
 void writeObsSinks();
 

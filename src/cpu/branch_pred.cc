@@ -71,15 +71,43 @@ BranchPredictor::bump(std::uint8_t &c, bool up)
     }
 }
 
+std::size_t
+BranchPredictor::btbBase(Addr pc) const
+{
+    return ((pc >> 2) & (params_.btbSets - 1)) * params_.btbAssoc;
+}
+
+std::span<const BranchPredictor::BtbEntry>
+BranchPredictor::btbSet(Addr pc) const
+{
+    return {&btb_[btbBase(pc)], params_.btbAssoc};
+}
+
+namespace
+{
+
+/** Move ways [0, @p w) down one, over way @p w, and write @p e to
+ *  way 0: the recency-order form of stamping @p e most recent. */
+void
+putFirst(BranchPredictor::BtbEntry *ways, unsigned w,
+         BranchPredictor::BtbEntry e)
+{
+    for (; w > 0; --w)
+        ways[w] = ways[w - 1];
+    ways[0] = e;
+}
+
+} // namespace
+
 BranchPredictor::BtbEntry *
 BranchPredictor::btbLookup(Addr pc)
 {
-    const std::uint64_t set =
-        (pc >> 2) & (params_.btbSets - 1);
-    BtbEntry *base = &btb_[set * params_.btbAssoc];
+    BtbEntry *ways = &btb_[btbBase(pc)];
     for (unsigned w = 0; w < params_.btbAssoc; ++w) {
-        if (base[w].tag == pc)
-            return &base[w];
+        if (ways[w].tag == pc) {
+            putFirst(ways, w, ways[w]);
+            return &ways[0];
+        }
     }
     return nullptr;
 }
@@ -87,21 +115,15 @@ BranchPredictor::btbLookup(Addr pc)
 void
 BranchPredictor::btbInstall(Addr pc, Addr target)
 {
-    const std::uint64_t set =
-        (pc >> 2) & (params_.btbSets - 1);
-    BtbEntry *base = &btb_[set * params_.btbAssoc];
-    BtbEntry *victim = &base[0];
-    for (unsigned w = 0; w < params_.btbAssoc; ++w) {
-        if (base[w].tag == pc || base[w].tag == kInvalidAddr) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastTouch < victim->lastTouch)
-            victim = &base[w];
-    }
-    victim->tag = pc;
-    victim->target = target;
-    victim->lastTouch = ++btbTick_;
+    BtbEntry *ways = &btb_[btbBase(pc)];
+    // Valid entries precede free ones, so the first way holding pc
+    // or free ends the scan; a full set without pc gives up its last
+    // (least recently used) way.
+    unsigned w = 0;
+    while (w + 1 < params_.btbAssoc && ways[w].tag != pc &&
+           ways[w].tag != kInvalidAddr)
+        ++w;
+    putFirst(ways, w, {pc, target});
 }
 
 BranchPrediction
@@ -129,8 +151,7 @@ BranchPredictor::predict(Addr pc, OpClass op)
 
       case OpClass::Jump: {
         pred.taken = true;
-        if (BtbEntry *e = btbLookup(pc)) {
-            e->lastTouch = ++btbTick_;
+        if (const BtbEntry *e = btbLookup(pc)) {
             pred.target = e->target;
             ++btbHits_;
         }
@@ -144,8 +165,7 @@ BranchPredictor::predict(Addr pc, OpClass op)
             counterTaken(chooser_[chooserIndex(pc)]);
         pred.taken = use_gshare ? gsh : bim;
         if (pred.taken) {
-            if (BtbEntry *e = btbLookup(pc)) {
-                e->lastTouch = ++btbTick_;
+            if (const BtbEntry *e = btbLookup(pc)) {
                 pred.target = e->target;
                 ++btbHits_;
             }

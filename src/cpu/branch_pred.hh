@@ -8,6 +8,7 @@
 #define DRISIM_CPU_BRANCH_PRED_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/stats.hh"
@@ -87,8 +88,21 @@ class BranchPredictor
                       Addr target);
 
     /** Serialize tables + history + BTB + RAS + stats
-     *  (sim/checkpoint.hh). Restore requires identical params. */
+     *  (sim/checkpoint.hh). Restore requires identical params, and
+     *  rejects a BTB set that is not in recency order: a valid entry
+     *  after an invalid one, or one tag twice. */
     void checkpoint(sim::StateIO io);
+
+    /** A BTB entry: a taken control instruction and its target
+     *  (tag kInvalidAddr: free). */
+    struct BtbEntry
+    {
+        Addr tag = kInvalidAddr;
+        Addr target = 0;
+    };
+
+    /** The BTB set @p pc maps to, most recently used first (tests). */
+    std::span<const BtbEntry> btbSet(Addr pc) const;
 
   private:
     unsigned bimodalIndex(Addr pc) const;
@@ -104,15 +118,10 @@ class BranchPredictor
     std::vector<std::uint8_t> chooser_;
     std::uint64_t history_ = 0;
 
-    /** BTB: direct arrays of (tag, target) per set/way. */
-    struct BtbEntry
-    {
-        Addr tag = kInvalidAddr;
-        Addr target = 0;
-        std::uint64_t lastTouch = 0;
-    };
+    /** BTB: btbSets x btbAssoc entries, each set's ways in recency
+     *  order (way 0 most recent, the free ways last), so LRU needs no
+     *  timestamps and an entry is 16 bytes. */
     std::vector<BtbEntry> btb_;
-    std::uint64_t btbTick_ = 0;
 
     std::vector<Addr> ras_;
     unsigned rasTop_ = 0;
@@ -124,7 +133,12 @@ class BranchPredictor
     stats::Scalar btbHits_;
     stats::Scalar rasPredictions_;
 
+    /** Index of way 0 of the BTB set @p pc maps to. */
+    std::size_t btbBase(Addr pc) const;
+    /** The entry for @p pc, moved to way 0; nullptr on a miss. */
     BtbEntry *btbLookup(Addr pc);
+    /** Write (@p pc, @p target) to way 0: over @p pc's entry, else
+     *  the first free way, else the least recently used. */
     void btbInstall(Addr pc, Addr target);
 };
 

@@ -110,14 +110,19 @@ class InstrStream
     virtual bool nextSpan(FetchSpan &out, InstCount max)
     {
         (void)max;
-        Instr instr;
-        if (!next(instr))
+        if (!next(spanInstr_))
             return false;
-        out.pc = instr.pc;
+        out.pc = spanInstr_.pc;
         out.count = 1;
-        out.endsTaken = isControl(instr.op) && instr.taken;
+        out.endsTaken = isControl(spanInstr_.op) && spanInstr_.taken;
         return true;
     }
+
+  private:
+    /** next()'s destination in the default nextSpan(). A member, so
+     *  a call does not zero a fresh 32-byte Instr first: next()
+     *  writes every field it yields. */
+    Instr spanInstr_;
 };
 
 } // namespace drisim

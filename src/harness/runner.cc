@@ -391,12 +391,15 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
  * written by an older build misses and is rewritten. v5 (detailed)
  * and v6 (fast): every cache walks its coherence-lost bits and
  * refetch count, and a resizable cache walks a cache's, so v3/v4
- * snapshots miss.
+ * snapshots miss. v7 (detailed; v6 is taken by fast runs): the BTB
+ * keeps each set in recency order instead of timestamps, so its walk
+ * lost an entry's lastTouch and the clock, and v5 snapshots miss.
+ * Fast runs carry no predictor and keep v6.
  */
 const char *
 snapshotVersion(const TraceGenerator &)
 {
-    return "v5";
+    return "v7";
 }
 
 const char *

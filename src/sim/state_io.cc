@@ -204,27 +204,37 @@ TagStore::checkpoint(StateIO io)
                               "timestamp width");
     // A bit-field cannot bind to the walk's references, so each field
     // goes through a local of its declared type, which fixes its
-    // encoding: U64, Bool, Bool, U64, U64.
-    for (CacheBlk &b : blocks_) {
-        Addr blockAddr = b.blockAddr;
-        bool valid = b.valid;
-        bool dirty = b.dirty;
-        std::uint64_t lastTouch = b.lastTouch;
-        CoherenceState cstate = b.cstate;
-        io(blockAddr, valid, dirty, lastTouch, cstate);
-        if (!io.restoring())
-            continue;
-        // A touch past the clock would tie with a later one.
-        if (lastTouch > tick_)
-            throw CheckpointError("tag-store frame touched after the "
-                                  "store's clock");
-        if (cstate > CoherenceState::Modified)
-            throw CheckpointError("tag-store frame in no MSI state");
-        b.blockAddr = blockAddr;
-        b.valid = valid;
-        b.dirty = dirty;
-        b.lastTouch = lastTouch;
-        b.cstate = cstate;
+    // encoding: U64, Bool, Bool, U64, U64. A set of an unfilled chunk
+    // reads as default frames, and a restore fills a chunk only for a
+    // frame that differs from one.
+    for (std::uint64_t s = 0; s < numSets_; ++s) {
+        for (unsigned w = 0; w < assoc_; ++w) {
+            const CacheBlk &b = set(s)[w];
+            Addr blockAddr = b.blockAddr;
+            bool valid = b.valid;
+            bool dirty = b.dirty;
+            std::uint64_t lastTouch = b.lastTouch;
+            CoherenceState cstate = b.cstate;
+            io(blockAddr, valid, dirty, lastTouch, cstate);
+            if (!io.restoring())
+                continue;
+            // A touch past the clock would tie with a later one.
+            if (lastTouch > tick_)
+                throw CheckpointError("tag-store frame touched after "
+                                      "the store's clock");
+            if (cstate > CoherenceState::Modified)
+                throw CheckpointError("tag-store frame in no MSI state");
+            if (!chunkFilled(s) && blockAddr == kInvalidAddr &&
+                !valid && !dirty && lastTouch == 0 &&
+                cstate == CoherenceState::Invalid)
+                continue;
+            CacheBlk &f = filledSet(s)[w];
+            f.blockAddr = blockAddr;
+            f.valid = valid;
+            f.dirty = dirty;
+            f.lastTouch = lastTouch;
+            f.cstate = cstate;
+        }
     }
     io.end();
 }
@@ -368,8 +378,22 @@ BranchPredictor::checkpoint(StateIO io)
     io(history_);
     io.expect(btb_.size(), "btb size");
     for (BtbEntry &e : btb_)
-        io(e.tag, e.target, e.lastTouch);
-    io(btbTick_);
+        io(e.tag, e.target);
+    // Each set's ways are in recency order: the valid entries first,
+    // each tag once.
+    for (std::size_t s = 0; io.restoring() && s < btb_.size();
+         s += params_.btbAssoc) {
+        for (unsigned w = 1; w < params_.btbAssoc; ++w) {
+            const Addr tag = btb_[s + w].tag;
+            if (tag == kInvalidAddr)
+                continue;
+            if (btb_[s + w - 1].tag == kInvalidAddr)
+                throw CheckpointError("btb entry after a free way");
+            for (unsigned v = 0; v < w; ++v)
+                if (btb_[s + v].tag == tag)
+                    throw CheckpointError("btb tag in two ways");
+        }
+    }
     io.expect(ras_.size(), "ras size");
     for (Addr &a : ras_)
         io(a);

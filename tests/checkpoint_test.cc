@@ -616,16 +616,16 @@ TEST(CheckpointBytes, MidpointSnapshotsArePinned)
         std::uint64_t fnv;
     };
     std::vector<Pin> pins = {
-        {"conv", compress, quickConfig(), {}, 0x8d5aa035f144dbac},
-        {"dri", li, quickConfig(), {dri}, 0x5b7672deaaa9c630},
-        {"dri_l2", compress, driL2, {dri}, 0xe1dbacabf2dae812},
+        {"conv", compress, quickConfig(), {}, 0x75867d121e882208},
+        {"dri", li, quickConfig(), {dri}, 0x6fcbb903e2ad3d53},
+        {"dri_l2", compress, driL2, {dri}, 0x88c424c7de4554f6},
         {"conv_fast", li, quickConfig(), {ConventionalL1i{}, &liCal},
          0x0b5deb0ced0b7371},
         {"dri_fast", li, quickConfig(), {dri, &liCal}, 0x7ae4660729d43e5e},
-        {"conv_banked", compress, bankedConfig(), {}, 0xe2eb138c0de70261},
-        {"dri_banked", li, bankedConfig(), {driMshrs}, 0x23fdf88ca1b39877},
+        {"conv_banked", compress, bankedConfig(), {}, 0x8661838e35d39055},
+        {"dri_banked", li, bankedConfig(), {driMshrs}, 0x24526c0dada01b5c},
         {"dri_l2_banked", compress, driL2Banked, {driMshrs},
-         0x79f05bf44822e53d},
+         0x4ae3dcc786843589},
         {"conv_fast_banked", li, bankedConfig(),
          {ConventionalL1i{}, &liBankedCal}, 0x59047712bc190ee8},
         {"dri_fast_banked", li, bankedConfig(), {driMshrs, &liBankedCal},
@@ -634,10 +634,10 @@ TEST(CheckpointBytes, MidpointSnapshotsArePinned)
     const std::uint64_t policyPins[][3] = {
         // Dri, Decay, Drowsy, StaticWays: detailed, fast, and
         // detailed over banked DRAM
-        {0x431c46aba5331c94, 0x99f680784f725bbf, 0x7a965660d5783e4e},
-        {0xae50d8a5e35fc179, 0x4e84431ac2280275, 0x72784b69d91dbec0},
-        {0xd6185b67b22c6e57, 0x3c026dda4a0f4e39, 0xabdb4029ef9a1dd5},
-        {0x9bba7970abacdd62, 0xc2345a678bd0986c, 0x4f4fcf6de4e049f0},
+        {0x6281c38103b3d774, 0x99f680784f725bbf, 0xff5f9ff69bd36cbe},
+        {0x2e74a20064703ee5, 0x4e84431ac2280275, 0x109a7c224e7ba804},
+        {0xbf0088fcc52f7ea5, 0x3c026dda4a0f4e39, 0x699c057edf20816b},
+        {0x2b09abb8689230de, 0xc2345a678bd0986c, 0x938391018f9e6a8c},
     };
     for (const PolicyKind kind :
          {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,

@@ -373,7 +373,7 @@ expectAdapterMatchesDirectPath(const BenchmarkInfo &bench,
     const InstCount split = (cfg.maxInstrs / 2) & ~InstCount{63};
     std::string saved;
     EXPECT_TRUE(sim::CheckpointStore(cfg.checkpointDir)
-                    .load(std::string(cal ? "v6|" : "v5|") +
+                    .load(std::string(cal ? "v6|" : "v7|") +
                               runKey(bench, cfg, {dri, cal}).canonical() +
                               "|ckpt@" + std::to_string(split),
                           saved));

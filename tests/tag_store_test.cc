@@ -1,7 +1,8 @@
 /**
  * @file
  * TagStore unit tests: lookup, insertion, LRU victims, invalidation,
- * and the packed frame's restore checks.
+ * the packed frame's restore checks, and frames written on first
+ * use.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "mem/resizable_cache.hh"
 #include "mem/tag_store.hh"
 #include "sim/checkpoint.hh"
 #include "snapshot_splice.hh"
@@ -197,6 +199,107 @@ TEST(TagStoreRestore, PartlyFilledSnapshotIsPinned)
     EXPECT_EQ(w.bytes().size(), 127026u);
     EXPECT_EQ(sim::fnv1a64(w.bytes()), 0x532881d93b4266d9u)
         << std::hex << sim::fnv1a64(w.bytes());
+}
+
+// ---------------------------------------------------------------
+// Frames written on first use: a 1024-set, 4-way store has 16
+// chunks of 64 sets (4 KB of frames each).
+// ---------------------------------------------------------------
+
+TEST(TagStoreChunks, FillsOnlyTheChunksItsInsertsReach)
+{
+    TagStore ts(1024, 4);
+    EXPECT_EQ(ts.filledChunks(), 0u);
+    fillPartly(ts); // sets 3 and 579: chunks 0 and 9
+    EXPECT_EQ(ts.filledChunks(), 2u);
+    ts.insert(63, 0x43F); // the last set of chunk 0
+    ts.insert(576, 0x240); // the first set of chunk 9
+    EXPECT_EQ(ts.filledChunks(), 2u);
+    EXPECT_EQ(ts.validCount(), 5u);
+    ts.invalidateAll();
+    EXPECT_EQ(ts.validCount(), 0u);
+    EXPECT_EQ(ts.filledChunks(), 2u);
+}
+
+TEST(TagStoreChunks, LookupsAndReadsOfAnUnfilledChunkFillNothing)
+{
+    TagStore ts(1024, 4);
+    fillPartly(ts);
+    // 0x643 lives in set 579; set 64 opens chunk 1, never filled.
+    EXPECT_EQ(ts.findWay(64, 0x643), TagStore::kNoWay);
+    EXPECT_EQ(ts.findWay(1023, kInvalidAddr), TagStore::kNoWay);
+    EXPECT_NE(ts.findWay(579, 0x643), TagStore::kNoWay);
+    const std::span<const CacheBlk> ways = ts.set(64);
+    ASSERT_EQ(ways.size(), 4u);
+    for (const CacheBlk &b : ways) {
+        EXPECT_EQ(b.blockAddr, kInvalidAddr);
+        EXPECT_FALSE(b.valid);
+        EXPECT_FALSE(b.dirty);
+        EXPECT_EQ(b.lastTouch, 0u);
+        EXPECT_EQ(b.cstate, CoherenceState::Invalid);
+    }
+    ts.invalidateSet(64);
+    EXPECT_EQ(ts.filledChunks(), 2u);
+}
+
+/** A resizable cache that shows its store's filled chunks. */
+class ChunkCountingCache : public ResizableCache
+{
+  public:
+    using ResizableCache::ResizableCache;
+    std::uint64_t filledChunks() const { return store_.filledChunks(); }
+};
+
+TEST(TagStoreChunks, DownsizingOverUnfilledSetsFillsNothing)
+{
+    // 64 KB direct-mapped with 32-byte blocks: 2048 sets in 8 chunks
+    // of 256. One fill in set 5; every quiet interval halves the
+    // cache and gates sets no insert reached.
+    DriParams p;
+    p.sizeBytes = 64 * 1024;
+    p.sizeBoundBytes = 1024;
+    p.blockBytes = 32;
+    p.assoc = 1;
+    p.missBound = 10;
+    p.senseInterval = 1000;
+    stats::StatGroup root("t");
+    ChunkCountingCache c(p, ResizePolicy::writeback(), nullptr, &root,
+                         "rc");
+    c.access(32 * 5, AccessType::Store);
+    EXPECT_EQ(c.filledChunks(), 1u);
+    for (int i = 0; i < 6; ++i)
+        c.retireInstructions(1000);
+    ASSERT_EQ(c.currentSets(), 32u);
+    EXPECT_EQ(c.filledChunks(), 1u);
+    EXPECT_EQ(c.blocksLost(), 0u);
+    EXPECT_TRUE(c.contains(32 * 5));
+}
+
+TEST(TagStoreChunks, RestoreFillsOnlyChunksWithAFrameToWrite)
+{
+    // An all-default snapshot restores into a store that fills
+    // nothing; the partly filled one fills its two chunks back and
+    // snapshots to the same bytes.
+    TagStore blank(1024, 4);
+    sim::CheckpointWriter wb;
+    blank.checkpoint(wb);
+    TagStore fromBlank(1024, 4);
+    sim::CheckpointReader rb(wb.bytes());
+    fromBlank.checkpoint(rb);
+    EXPECT_EQ(fromBlank.filledChunks(), 0u);
+
+    TagStore partly(1024, 4);
+    fillPartly(partly);
+    sim::CheckpointWriter wp;
+    partly.checkpoint(wp);
+    TagStore restored(1024, 4);
+    sim::CheckpointReader rp(wp.bytes());
+    restored.checkpoint(rp);
+    EXPECT_EQ(restored.filledChunks(), 2u);
+    EXPECT_EQ(restored.validCount(), 3u);
+    sim::CheckpointWriter again;
+    restored.checkpoint(again);
+    EXPECT_EQ(again.bytes(), wp.bytes());
 }
 
 TEST(TagStoreDeathTest, ClockNeverTruncatesATimestamp)
