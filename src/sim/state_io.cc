@@ -381,16 +381,16 @@ BranchPredictor::checkpoint(StateIO io)
         io(e.tag, e.target);
     // Each set's ways are in recency order: the valid entries first,
     // each tag once.
-    for (std::size_t s = 0; io.restoring() && s < btb_.size();
+    for (std::size_t s = 0; s < btb_.size() && io.restoring();
          s += params_.btbAssoc) {
+        const BtbEntry *ways = &btb_[s];
         for (unsigned w = 1; w < params_.btbAssoc; ++w) {
-            const Addr tag = btb_[s + w].tag;
-            if (tag == kInvalidAddr)
+            if (ways[w].tag == kInvalidAddr)
                 continue;
-            if (btb_[s + w - 1].tag == kInvalidAddr)
+            if (ways[w - 1].tag == kInvalidAddr)
                 throw CheckpointError("btb entry after a free way");
             for (unsigned v = 0; v < w; ++v)
-                if (btb_[s + v].tag == tag)
+                if (ways[v].tag == ways[w].tag)
                     throw CheckpointError("btb tag in two ways");
         }
     }
