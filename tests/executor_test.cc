@@ -10,15 +10,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
 #include "harness/executor.hh"
+#include "harness/multilevel.hh"
+#include "harness/policies.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
+#include "obs/trace.hh"
 
 namespace drisim
 {
@@ -585,6 +590,353 @@ TEST(Determinism, DetailedBatchMatchesSingleEvaluations)
             b, cfg, variants[i], constants, conv);
         expectSameCandidate(one, batch[i]);
     }
+}
+
+// --------------------------------------------------------------
+// Search job graphs: the job keys of every search (keys seed jobs
+// and name trace spans, so they are part of the output)
+// --------------------------------------------------------------
+
+constexpr InstCount kGraphInstrs = 100 * 1000;
+
+RunConfig
+graphConfig(unsigned jobs)
+{
+    RunConfig c;
+    c.maxInstrs = kGraphInstrs;
+    c.jobs = jobs;
+    return c;
+}
+
+/** The sorted names of the job spans @p search leaves in a trace. */
+template <typename Search>
+std::vector<std::string>
+jobSpanNames(const Search &search)
+{
+    obs::resetTrace();
+    const obs::TraceWriter *tw = obs::initTrace(
+        ::testing::TempDir() + "search_graphs.trace.json");
+    search();
+    std::vector<std::string> names;
+    for (const obs::TraceSpan &span : tw->spans())
+        if (span.cat == "job")
+            names.push_back(span.name);
+    obs::resetTrace();
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** The compress+li mix the CMP graph and fallback tests search. */
+CmpConfig
+twoCoreMix()
+{
+    CmpConfig cmp;
+    cmp.cores = 2;
+    CmpCoreConfig c0, c1;
+    c0.bench = "compress";
+    c1.bench = "li";
+    cmp.coreConfigs = {c0, c1};
+    return cmp;
+}
+
+DriParams
+l1Template(InstCount senseInterval = 50000)
+{
+    DriParams p;
+    p.senseInterval = senseInterval;
+    return p;
+}
+
+DriParams
+l2Template(InstCount senseInterval = 50000)
+{
+    DriParams p = HierarchyParams::defaultL2DriParams();
+    p.senseInterval = senseInterval;
+    return p;
+}
+
+TEST(SearchGraphs, JobKeysArePinned)
+{
+    const BenchmarkInfo &compress = findBenchmark("compress");
+    const BenchmarkInfo &li = findBenchmark("li");
+    const EnergyConstants constants;
+    const RunOutput conv = run(compress, graphConfig(1));
+
+    RunConfig policyCfg = graphConfig(1);
+    policyCfg.hier.l1i.assoc = 4;
+    const RunOutput policyConv = run(li, policyCfg);
+    const CmpRunOutput cmpConv =
+        runCmp(graphConfig(1), twoCoreMix(), "compress");
+
+    SearchSpace space;
+    space.sizeBounds = {1024, 4096};
+    space.missBoundFactors = {2.0, 32.0};
+    PolicySpace policySpace;
+    policySpace.driSizeBounds = {4096};
+    policySpace.decayIntervals = {50000};
+    policySpace.drowsyIntervals = {50000};
+    policySpace.waysActive = {1};
+    PolicyConfig policyTmpl;
+    policyTmpl.dri.senseInterval = 50000;
+    MultiLevelSpace mlSpace;
+    mlSpace.l1SizeBounds = {4096};
+    mlSpace.l2SizeBounds = {64 * 1024, 1024 * 1024};
+    CmpSpace cmpSpace;
+    cmpSpace.l1MissBoundFactors = {2.0, 32.0};
+    cmpSpace.l2SizeBounds = {64 * 1024};
+    std::vector<DriParams> variants(2, l1Template());
+    variants[0].sizeBoundBytes = 1024;
+    variants[1].sizeBoundBytes = 4096;
+
+    const std::vector<std::string> paper{
+        "compress/calibrate",
+        "compress/sb=1024/mbf=2#9baab81ca08828b7",
+        "compress/sb=1024/mbf=32#9baab81ca08828b7",
+        "compress/sb=4096/mbf=2#9baab81ca08828b7",
+        "compress/sb=4096/mbf=32#9baab81ca08828b7",
+        "compress/winner-detailed"};
+    const std::vector<std::string> policies{
+        "li/policy-select",
+        "li/policy=decay/interval=50000/limit=3#1f50e722d5362b1e",
+        "li/policy=dri/sb=4K/mb=7824#75d8e1e8265d714d",
+        "li/policy=drowsy/interval=50000/wake=1#2e9ee6fa26bd9b67",
+        "li/policy=ways/active=1/4#177a88dcfca639da"};
+    const std::vector<std::string> multiLevel{
+        "compress/ml-sb1=4096/sb2=1048576#6fb3e047f95cd5a7",
+        "compress/ml-sb1=4096/sb2=65536#a39042f2b4f1fd73",
+        "compress/ml-select"};
+    const std::vector<std::string> cmp{
+        "compress+li/cmp-l2b=65536/f=0-0",
+        "compress+li/cmp-l2b=65536/f=0-1",
+        "compress+li/cmp-l2b=65536/f=1-0",
+        "compress+li/cmp-l2b=65536/f=1-1",
+        "compress+li/cmp-select"};
+    const std::vector<std::string> batch{"compress/detailed/0",
+                                         "compress/detailed/1"};
+
+    // Each search on a pool of its own (config.jobs workers) and,
+    // at 4 workers, on a pool the caller owns (the bench path).
+    for (const unsigned jobs : {1u, 4u, 0u}) {
+        SCOPED_TRACE(jobs);
+        std::optional<Executor> owned;
+        if (jobs == 0)
+            owned.emplace(4);
+        Executor *exec = owned ? &*owned : nullptr;
+        const RunConfig cfg = graphConfig(jobs == 0 ? 1 : jobs);
+        RunConfig pcfg = policyCfg;
+        pcfg.jobs = cfg.jobs;
+        EXPECT_EQ(jobSpanNames([&] {
+                      searchBestEnergyDelay(compress, cfg, l1Template(),
+                                            space, constants, 4.0,
+                                            conv, exec);
+                  }),
+                  paper);
+        EXPECT_EQ(jobSpanNames([&] {
+                      searchPolicies(li, pcfg, policyTmpl, policySpace,
+                                     constants, 4.0, policyConv, exec);
+                  }),
+                  policies);
+        EXPECT_EQ(jobSpanNames([&] {
+                      searchMultiLevel(compress, cfg, l1Template(),
+                                       l2Template(), mlSpace, constants,
+                                       4.0, conv, exec);
+                  }),
+                  multiLevel);
+        EXPECT_EQ(jobSpanNames([&] {
+                      searchCmp(cfg, twoCoreMix(), "compress",
+                                l1Template(), l2Template(), cmpSpace,
+                                constants, 4.0, cmpConv, exec);
+                  }),
+                  cmp);
+        EXPECT_EQ(jobSpanNames([&] {
+                      evaluateDetailedBatch(compress, cfg, variants,
+                                            constants, conv, exec);
+                  }),
+                  batch);
+    }
+}
+
+// --------------------------------------------------------------
+// Search fallbacks: a constraint no cell meets (the goldens and
+// the other search tests always find a feasible cell)
+// --------------------------------------------------------------
+
+/** A slowdown bound every cell of the fallback grids misses. */
+constexpr double kUnmeetable = 1e-9;
+/** Sense interval of the fallback grids: short enough that every
+ *  cell resizes within the run. */
+constexpr InstCount kShortInterval = 5000;
+
+template <typename Candidate>
+void
+expectNoneFeasible(const std::vector<Candidate> &evaluated)
+{
+    ASSERT_FALSE(evaluated.empty());
+    for (const Candidate &cand : evaluated)
+        ASSERT_FALSE(cand.feasible)
+            << "slowdown " << cand.cmp.slowdownPercent() << "%";
+}
+
+TEST(SearchFallback, PaperSearchRunsLeastHarmOnTheDetailedCore)
+{
+    const BenchmarkInfo &b = findBenchmark("compress");
+    const RunConfig cfg = graphConfig(1);
+    const RunOutput conv = run(b, cfg);
+    const DriParams tmpl = l1Template(kShortInterval);
+    SearchSpace space;
+    space.sizeBounds = {1024, 4096};
+    space.missBoundFactors = {2.0};
+    const SearchResult sr = searchBestEnergyDelay(
+        b, cfg, tmpl, space, EnergyConstants{}, kUnmeetable, conv);
+    expectNoneFeasible(sr.evaluated);
+
+    // Least harm at the fast model's conventional miss rate, run on
+    // the detailed core.
+    const FastCalibration cal = calibrateFast(b, cfg, conv);
+    const RunOutput convFast = run(b, cfg, {ConventionalL1i{}, &cal});
+    const DriParams fallback = leastHarm(
+        tmpl, space.missBoundFloor,
+        missesPerInterval(convFast.meas.l1iMisses,
+                          static_cast<double>(cfg.maxInstrs),
+                          tmpl.senseInterval));
+    EXPECT_EQ(sr.best.dri.sizeBoundBytes, fallback.sizeBoundBytes);
+    EXPECT_EQ(sr.best.dri.missBound, fallback.missBound);
+    EXPECT_EQ(sr.best.out.meas.cycles,
+              run(b, cfg, {fallback}).meas.cycles);
+    EXPECT_EQ(sr.best.configHash,
+              runKey(b, cfg, {fallback}).hashHex());
+    EXPECT_EQ(sr.best.feasible,
+              sr.best.cmp.meetsSlowdown(kUnmeetable));
+}
+
+TEST(SearchFallback, PolicySearchKeepsLeastSlowdownAndMarksEmptyKinds)
+{
+    const BenchmarkInfo &b = findBenchmark("li");
+    RunConfig cfg = graphConfig(1);
+    cfg.hier.l1i.assoc = 4;
+    const RunOutput conv = run(b, cfg);
+    PolicyConfig tmpl;
+    tmpl.dri.senseInterval = kShortInterval;
+    PolicySpace space;
+    space.driSizeBounds = {1024, 4096};
+    space.decayIntervals = {5000, 10000};
+    space.drowsyIntervals = {5000, 10000};
+    space.waysActive = {0, 99}; // outside [1, assoc]: no cells
+    const PolicySearchResult sr = searchPolicies(
+        b, cfg, tmpl, space, EnergyConstants{}, kUnmeetable, conv);
+    expectNoneFeasible(sr.evaluated);
+    ASSERT_EQ(sr.bestPerKind.size(), space.kinds.size());
+
+    for (std::size_t k = 0; k < space.kinds.size(); ++k) {
+        SCOPED_TRACE(policyKindName(space.kinds[k]));
+        const PolicyCandidate &best = sr.bestPerKind[k];
+        EXPECT_EQ(best.config.kind, space.kinds[k]);
+        EXPECT_FALSE(best.feasible);
+        // The first of the kind's least-slowdown cells.
+        const PolicyCandidate *least = nullptr;
+        for (const PolicyCandidate &cand : sr.evaluated)
+            if (cand.config.kind == space.kinds[k] &&
+                (!least || cand.cmp.slowdownPercent() <
+                               least->cmp.slowdownPercent()))
+                least = &cand;
+        if (space.kinds[k] == PolicyKind::StaticWays) {
+            // The empty marker: no cell, no run, no identity.
+            EXPECT_EQ(least, nullptr);
+            EXPECT_EQ(best.out.meas.cycles, 0u);
+            EXPECT_TRUE(best.configHash.empty());
+            continue;
+        }
+        ASSERT_NE(least, nullptr);
+        EXPECT_EQ(best.config.paramSummary(),
+                  least->config.paramSummary());
+        EXPECT_EQ(best.out.meas.cycles,
+                  run(b, cfg, {least->config}).meas.cycles);
+        EXPECT_EQ(best.configHash,
+                  runKey(b, cfg, {least->config}).hashHex());
+    }
+}
+
+TEST(SearchFallback, MultiLevelSearchRunsLeastHarmAtBothLevels)
+{
+    const BenchmarkInfo &b = findBenchmark("compress");
+    const RunConfig cfg = graphConfig(1);
+    const RunOutput conv = run(b, cfg);
+    const DriParams l1Tmpl = l1Template(kShortInterval);
+    const DriParams l2Tmpl = l2Template(kShortInterval);
+    MultiLevelSpace space;
+    space.l1SizeBounds = {1024};
+    space.l2SizeBounds = {64 * 1024};
+    const MultiLevelSearchResult sr =
+        searchMultiLevel(b, cfg, l1Tmpl, l2Tmpl, space,
+                         EnergyConstants{}, kUnmeetable, conv);
+    expectNoneFeasible(sr.evaluated);
+
+    const double instrs = static_cast<double>(cfg.maxInstrs);
+    const DriParams l1 = leastHarm(
+        driParamsForLevel(cfg.hier.l1i, l1Tmpl), space.missBoundFloor,
+        missesPerInterval(conv.meas.l1iMisses, instrs,
+                          l1Tmpl.senseInterval));
+    RunConfig fallback = cfg;
+    fallback.hier.l2Dri = true;
+    fallback.hier.l2DriParams = leastHarm(
+        driParamsForLevel(cfg.hier.l2, l2Tmpl), space.missBoundFloor,
+        missesPerInterval(conv.l2Misses, instrs, l2Tmpl.senseInterval));
+    EXPECT_EQ(sr.best.l1.missBound, l1.missBound);
+    EXPECT_EQ(sr.best.l2.missBound,
+              fallback.hier.l2DriParams.missBound);
+    EXPECT_EQ(sr.best.out.meas.cycles,
+              run(b, fallback, {l1}).meas.cycles);
+    EXPECT_EQ(sr.best.configHash,
+              runKey(b, fallback, {l1}).hashHex());
+}
+
+TEST(SearchFallback, CmpSearchRunsLeastHarmOnEveryCoreAndTheL2)
+{
+    const RunConfig cfg = graphConfig(1);
+    const CmpConfig mix = twoCoreMix();
+    const CmpRunOutput conv = runCmp(cfg, mix, "compress");
+    const DriParams l1Tmpl = l1Template(kShortInterval);
+    const DriParams l2Tmpl = l2Template(kShortInterval);
+    CmpSpace space;
+    space.l1MissBoundFactors = {32.0};
+    space.l2SizeBounds = {64 * 1024};
+    const CmpSearchResult sr =
+        searchCmp(cfg, mix, "compress", l1Tmpl, l2Tmpl, space,
+                  EnergyConstants{}, kUnmeetable, conv);
+    expectNoneFeasible(sr.evaluated);
+
+    // Each core's least harm at its own conventional miss rate; the
+    // L2's over every core's instructions.
+    const DriParams l1Base = driParamsForLevel(cfg.hier.l1i, l1Tmpl);
+    const DriParams l2Base = driParamsForLevel(cfg.hier.l2, l2Tmpl);
+    CmpConfig cells = mix;
+    double totalInstrs = 0.0;
+    for (unsigned k = 0; k < mix.cores; ++k) {
+        cells.coreConfigs[k].l1i = PolicyConfig{
+            .dri = leastHarm(
+                l1Base, space.missBoundFloor,
+                missesPerInterval(conv.cores[k].meas.l1iMisses,
+                                  static_cast<double>(cfg.maxInstrs),
+                                  l1Base.senseInterval))};
+        totalInstrs +=
+            static_cast<double>(conv.cores[k].meas.instructions);
+    }
+    RunConfig fallback = cfg;
+    fallback.hier.l2Dri = true;
+    fallback.hier.l2DriParams =
+        leastHarm(l2Base, space.missBoundFloor,
+                  missesPerInterval(conv.l2Misses, totalInstrs,
+                                    l2Base.senseInterval));
+    ASSERT_EQ(sr.best.l1.size(), 2u);
+    for (unsigned k = 0; k < mix.cores; ++k)
+        EXPECT_EQ(sr.best.l1[k].missBound,
+                  cells.coreConfigs[k].l1i->dri.missBound);
+    EXPECT_EQ(sr.best.l2.missBound,
+              fallback.hier.l2DriParams.missBound);
+    EXPECT_EQ(sr.best.out.systemCycles,
+              runCmp(fallback, cells, "compress").systemCycles);
+    EXPECT_EQ(sr.best.configHash,
+              runKeyCmp(fallback, cells, "compress").hashHex());
 }
 
 // --------------------------------------------------------------
