@@ -3,17 +3,18 @@
  * Multi-level DRI search: the (L1 size-bound x L2 size-bound) grid
  * for a hierarchy that resizes both the L1 i-cache and the unified
  * L2 (after Bai et al.'s multi-level leakage trade-off methodology;
- * see docs/REPRODUCTION.md).
+ * see docs/REPRODUCTION.md), and the CMP search over per-core L1
+ * miss-bounds and the shared L2's size-bound.
  *
- * Applies the Section 5.3 search's rules (harness/sweep.hh: the cell
- * rule, the least-harm fallback, the index-order scan) with one
- * deliberate difference: every grid cell runs on the
- * *detailed* core. The fast fetch-driven model is exact for the L1
- * i-cache but carries no d-cache traffic, so the L2's miss flow,
- * resize behaviour and slowdown are all wrong there; the grid is
- * small and its cells are independent executor jobs, so detailed
- * evaluation parallelizes instead of approximating. Runs as a
- * JobGraph with index-addressed slots, so SearchResults are
+ * Both are lists of cells over the grid engine (harness/sweep.hh:
+ * the cell rule, the least-harm fallback, the scoring step, the
+ * runner and the index-order scan) with one deliberate difference
+ * from the paper's search: every grid cell runs on the *detailed*
+ * core. The fast fetch-driven model is exact for the L1 i-cache but
+ * carries no d-cache traffic, so the L2's miss flow, resize
+ * behaviour and slowdown are all wrong there; the grids are small
+ * and their cells are independent executor jobs, so detailed
+ * evaluation parallelizes instead of approximating. Results are
  * bit-identical at any --jobs value (locked by golden tests).
  */
 
@@ -23,13 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hh"
+#include "harness/sweep.hh"
 
 namespace drisim
 {
 
-class Executor; // harness/executor.hh
-class Table;    // harness/table.hh
+class Table; // harness/table.hh
 
 /** Search-space definition for the two-level grid. */
 struct MultiLevelSpace
@@ -52,31 +52,16 @@ struct MultiLevelSpace
     std::uint64_t missBoundFloor = 16;
 };
 
-/** One evaluated two-level configuration. */
-struct MultiLevelCandidate
+/** One evaluated two-level configuration (the run has both levels
+ *  resizing; the view is the hierarchy's). */
+struct MultiLevelCandidate : Scored<RunOutput>
 {
     DriParams l1;
     DriParams l2;
-    /** The run with both levels resizing. */
-    RunOutput out;
-    /** runKey hash of the run in out: the row identity
-     *  bench_multilevel reports. */
-    std::string configHash;
-    /** Its hierarchy view against the conventional run. */
-    Comparison cmp;
-    bool feasible = true;
 };
 
-/** Outcome of a multi-level best-case search. */
-struct MultiLevelSearchResult
-{
-    /** The winning configuration (lowest feasible energy-delay). */
-    MultiLevelCandidate best;
-    /** All detailed candidates in grid order (reporting/tests). */
-    std::vector<MultiLevelCandidate> evaluated;
-    /** Detailed conventional baseline used throughout. */
-    RunOutput convDetailed;
-};
+/** Outcome of a multi-level best-case search (all cells detailed). */
+using MultiLevelSearchResult = GridResult<MultiLevelCandidate>;
 
 /**
  * Search the (L1 bound x L2 bound) grid for the lowest hierarchy
@@ -150,32 +135,19 @@ struct CmpSpace
     std::uint64_t missBoundFloor = 16;
 };
 
-/** One evaluated CMP configuration. */
-struct CmpCandidate
+/** One evaluated CMP configuration (a CmpSystem run under the CMP
+ *  view; the hash is its runKeyCmp's). */
+struct CmpCandidate : Scored<CmpRunOutput>
 {
     /** Per-core L1 DRI knobs (one entry per core). */
     std::vector<DriParams> l1;
     /** Shared-L2 resize knobs. */
     DriParams l2;
-    /** The CMP run. */
-    CmpRunOutput out;
-    /** runKeyCmp hash of the run: the row identity bench_cmp
-     *  reports for a winning cell. */
-    std::string configHash;
-    /** Its CMP view against the conventional CMP run. */
-    Comparison cmp;
-    bool feasible = true;
 };
 
-/** Outcome of a CMP best-case search. */
-struct CmpSearchResult
+/** Outcome of a CMP best-case search (lowest feasible system ED). */
+struct CmpSearchResult : GridResult<CmpCandidate>
 {
-    /** The winning configuration (lowest feasible system ED). */
-    CmpCandidate best;
-    /** All detailed candidates in grid order (reporting/tests). */
-    std::vector<CmpCandidate> evaluated;
-    /** Detailed conventional CMP baseline used throughout. */
-    CmpRunOutput convDetailed;
     /**
      * The per-core factor cross product tripped the 1024-cell cap
      * and the sweep degraded to one shared factor index across all
@@ -189,9 +161,7 @@ struct CmpSearchResult
 /**
  * Search the (per-core L1 miss-bound x shared L2 size-bound) grid
  * for the lowest system energy-delay. Every cell is a detailed
- * CmpSystem run dispatched as an independent executor job
- * (index-addressed slots, index-order selection), so results are
- * byte-identical at any --jobs value (locked by golden tests).
+ * CmpSystem run.
  *
  * @param config         run configuration with a *conventional* L2
  *                       (the search switches l2Dri on per cell)

@@ -1,18 +1,12 @@
 /**
  * @file
- * The (policy x parameter) head-to-head search, executed as a
- * JobGraph: every cell is a detailed run() of its policy landing
- * in an index-addressed slot; per-kind winners are selected by an
- * index-order scan, so results are bit-identical at any worker
- * count.
+ * The (policy x parameter) head-to-head search on runGrid: every
+ * cell is a detailed run() of its policy; per-kind winners are
+ * picked by index-order scans.
  */
 
 #include "harness/policies.hh"
 
-#include <optional>
-
-#include "harness/executor.hh"
-#include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "mem/hierarchy.hh"
 #include "util/str.hh"
@@ -107,91 +101,65 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
     const std::vector<PolicyCell> cells =
         enumerateCells(base, space, conv_mpi);
 
-    const std::vector<LevelInput> conv_view = paperView(convDetailed);
-    auto evaluate = [&](const PolicyConfig &pc, std::string hash) {
-        PolicyCandidate cand;
-        cand.config = pc;
-        cand.out = run(bench, config, {pc});
-        cand.configHash = std::move(hash);
-        cand.cmp = compare(constants, convDetailed.meas.cycles,
-                           conv_view, cand.out.meas.cycles,
-                           paperView(cand.out));
-        cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
-        return cand;
-    };
-
-    std::optional<Executor> local;
-    if (!exec)
-        exec = &local.emplace(config.jobs);
-    JobGraph graph;
-
     // Every cell runs on the detailed core (same reasoning as the
     // multi-level search: cells are few, coarse and independent, so
-    // detail parallelizes instead of approximating).
-    result.evaluated.resize(cells.size());
-    std::vector<JobId> grid;
-    grid.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        // Content-addressed job key: the cell's full run-key hash,
-        // the same identity its result is memoized under and its
-        // candidate reports.
-        std::string hash =
-            runKey(bench, config, {cells[i].config}).hashHex();
-        std::string key = strFormat(
+    // detail parallelizes instead of approximating). Content-
+    // addressed job keys: each cell's full run-key hash, the same
+    // identity its result is memoized under and its candidate
+    // reports.
+    std::vector<std::string> keys;
+    for (const PolicyCell &cell : cells)
+        keys.push_back(strFormat(
             "%s/policy=%s/%s#%s", bench.name.c_str(),
-            policyKindName(cells[i].config.kind),
-            cells[i].config.paramSummary().c_str(), hash.c_str());
-        grid.push_back(graph.add(
-            std::move(key),
-            [&, i, hash = std::move(hash)](const JobContext &) {
-                result.evaluated[i] = evaluate(cells[i].config, hash);
-            }));
-    }
-
-    graph.add(
-        bench.name + "/policy-select",
-        [&](const JobContext &) {
-            // One winner per kind, by index-order scans over that
-            // kind's cells.
-            result.bestPerKind.resize(space.kinds.size());
-            for (std::size_t ki = 0; ki < space.kinds.size();
-                 ++ki) {
-                const auto of_kind = [&](std::size_t i) {
-                    return cells[i].kindIndex == ki;
-                };
-                PolicyCandidate &best = result.bestPerKind[ki];
-                if (const auto w = lowestEd(
-                        result.evaluated, [&](std::size_t i) {
-                            return of_kind(i) &&
-                                   result.evaluated[i].feasible;
-                        })) {
-                    best = result.evaluated[*w];
-                } else if (const auto f = lowestKey(
-                               cells.size(),
-                               [&](std::size_t i) {
-                                   return result.evaluated[i]
-                                       .cmp.slowdownPercent();
-                               },
-                               of_kind)) {
-                    // Nothing met the constraint: report the
-                    // least-slowdown cell, marked infeasible.
-                    best = result.evaluated[*f];
-                    best.feasible = false;
-                } else {
-                    // The grid filtered this kind down to zero
-                    // cells (e.g. every waysActive value outside
-                    // [1, assoc]): leave an explicit empty marker
-                    // — correct kind, infeasible, zero cycles —
-                    // so reports can skip it instead of showing a
-                    // default-constructed "perfect" winner.
-                    best.config.kind = space.kinds[ki];
-                    best.feasible = false;
-                }
+            policyKindName(cell.config.kind),
+            cell.config.paramSummary().c_str(),
+            runKey(bench, config, {cell.config}).hashHex().c_str()));
+    const Scorer<PolicyCandidate> score{constants, convDetailed,
+                                        paperView, maxSlowdownPct};
+    const GridStep select{bench.name + "/policy-select", [&] {
+        // One winner per kind, by index-order scans over that
+        // kind's cells.
+        result.bestPerKind.resize(space.kinds.size());
+        for (std::size_t ki = 0; ki < space.kinds.size(); ++ki) {
+            const auto of_kind = [&](std::size_t i) {
+                return cells[i].kindIndex == ki;
+            };
+            PolicyCandidate &best = result.bestPerKind[ki];
+            if (const auto w = lowestEd(
+                    result.evaluated, [&](std::size_t i) {
+                        return of_kind(i) &&
+                               result.evaluated[i].feasible;
+                    })) {
+                best = result.evaluated[*w];
+            } else if (const auto f = lowestKey(
+                           cells.size(),
+                           [&](std::size_t i) {
+                               return result.evaluated[i]
+                                   .cmp.slowdownPercent();
+                           },
+                           of_kind)) {
+                // Nothing met the constraint: report the
+                // least-slowdown cell, marked infeasible.
+                best = result.evaluated[*f];
+                best.feasible = false;
+            } else {
+                // The grid filtered this kind down to zero
+                // cells (e.g. every waysActive value outside
+                // [1, assoc]): leave an explicit empty marker
+                // — correct kind, infeasible, zero cycles —
+                // so reports can skip it instead of showing a
+                // default-constructed "perfect" winner.
+                best.config.kind = space.kinds[ki];
+                best.feasible = false;
             }
-        },
-        grid);
-
-    exec->run(graph);
+        }
+    }};
+    runGrid(exec, config.jobs, result.evaluated, keys,
+            [&](std::size_t i) {
+                return score({{}, cells[i].config}, bench, config,
+                             RunSpec{cells[i].config});
+            },
+            select);
     return result;
 }
 

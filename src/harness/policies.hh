@@ -5,13 +5,13 @@
  * wins, where?" (Bai et al.'s state-preserving vs state-destroying
  * trade-off; see docs/REPRODUCTION.md, Policy comparison study).
  *
- * Every cell is one PolicyConfig run on the *detailed* core and
- * scored by the paper view's energy-delay against the shared
- * conventional baseline (energy/ledger.hh). The grid runs as a JobGraph with
- * index-addressed slots and index-order selection, so results are
- * byte-identical at any --jobs value (locked by golden tests). The
- * selection keeps one winner per policy kind — the point of the
- * study is the comparison, not a single champion.
+ * A list of cells over the grid engine (harness/sweep.hh): every
+ * cell is one PolicyConfig run on the *detailed* core and scored by
+ * the paper view's energy-delay against the shared conventional
+ * baseline (energy/ledger.hh), so results are byte-identical at any
+ * --jobs value (locked by golden tests). The selection keeps one
+ * winner per policy kind — the point of the study is the
+ * comparison, not a single champion.
  */
 
 #ifndef DRISIM_HARNESS_POLICIES_HH
@@ -21,13 +21,11 @@
 #include <utility>
 #include <vector>
 
-#include "harness/runner.hh"
+#include "harness/sweep.hh"
 #include "policy/leakage_policy.hh"
 
 namespace drisim
 {
-
-class Executor; // harness/executor.hh
 
 /** Search-space definition for the policy grid. */
 struct PolicySpace
@@ -58,18 +56,11 @@ struct PolicySpace
     std::vector<unsigned> waysActive{1, 2};
 };
 
-/** One evaluated policy configuration. */
-struct PolicyCandidate
+/** One evaluated policy configuration. When the kind had no cells
+ *  the run reads zero cycles and the hash is empty. */
+struct PolicyCandidate : Scored<RunOutput>
 {
     PolicyConfig config;
-    /** The policy run (zero cycles: the kind had no cells). */
-    RunOutput out;
-    /** runKey hash of the run in out: the row identity
-     *  bench_policies reports (empty when the kind had no cells). */
-    std::string configHash;
-    /** Its paper view against the conventional run. */
-    Comparison cmp;
-    bool feasible = true;
 };
 
 /** Outcome of a policy head-to-head search. */

@@ -1,18 +1,14 @@
 /**
  * @file
  * The search rules every grid search shares, and the best-case
- * (miss-bound x size-bound) search with fast-model calibration and
- * detailed re-run of the winner, executed as a JobGraph: calibrate
- * -> fast-model grid -> select and detailed winner. Grid cells land
- * in index-addressed slots and the selection scans them in grid
- * order, so results are bit-identical at any worker count.
+ * (miss-bound x size-bound) search on runGrid: calibrate ->
+ * fast-model grid -> select and detailed re-run of the winner.
  */
 
 #include "harness/sweep.hh"
 
 #include <algorithm>
 
-#include "harness/executor.hh"
 #include "util/str.hh"
 
 namespace drisim
@@ -45,33 +41,14 @@ leastHarm(const DriParams &base, std::uint64_t floor, double convMpi)
     return cellParams(base, base.sizeBytes, floor, 2.0, convMpi);
 }
 
-namespace
-{
-
-/** @p dri run on @p spec's core model, paper view against @p conv. */
-SearchCandidate
-evaluate(const BenchmarkInfo &bench, const RunConfig &config,
-         const DriParams &dri, const FastCalibration *fast,
-         const EnergyConstants &constants, const RunOutput &conv)
-{
-    SearchCandidate cand;
-    cand.dri = dri;
-    cand.out = run(bench, config, {dri, fast});
-    cand.configHash = runKey(bench, config, {dri, fast}).hashHex();
-    cand.cmp = compare(constants, conv.meas.cycles, paperView(conv),
-                       cand.out.meas.cycles, paperView(cand.out));
-    return cand;
-}
-
-} // namespace
-
 SearchCandidate
 evaluateDetailed(const BenchmarkInfo &bench, const RunConfig &config,
                  const DriParams &dri, const EnergyConstants &constants,
                  const RunOutput &convDetailed)
 {
-    return evaluate(bench, config, dri, nullptr, constants,
-                    convDetailed);
+    const Scorer<SearchCandidate> detailed{constants, convDetailed,
+                                           paperView, 0.0};
+    return detailed({{}, dri}, bench, config, RunSpec{dri});
 }
 
 std::vector<SearchCandidate>
@@ -81,16 +58,15 @@ evaluateDetailedBatch(const BenchmarkInfo &bench,
                       const EnergyConstants &constants,
                       const RunOutput &convDetailed, Executor *exec)
 {
-    std::vector<SearchCandidate> out(variants.size());
-    std::optional<Executor> local;
-    if (!exec)
-        exec = &local.emplace(config.jobs);
-    exec->forEachIndex(
-        bench.name + "/detailed", variants.size(),
-        [&](std::size_t i, const JobContext &) {
-            out[i] = evaluateDetailed(bench, config, variants[i],
-                                      constants, convDetailed);
-        });
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        keys.push_back(
+            strFormat("%s/detailed/%zu", bench.name.c_str(), i));
+    std::vector<SearchCandidate> out;
+    runGrid(exec, config.jobs, out, keys, [&](std::size_t i) {
+        return evaluateDetailed(bench, config, variants[i], constants,
+                                convDetailed);
+    });
     return out;
 }
 
@@ -107,83 +83,61 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
 
     // Grid cells are fixed up front (the filter depends only on the
     // template); each cell's miss-bound is resolved inside its job
-    // once the calibration stage has produced the conventional
-    // misses-per-interval.
+    // once the calibration step has produced the conventional
+    // misses per interval. Content-addressed job keys: the
+    // base-config hash keeps job-keyed artifacts (seeds, traces)
+    // distinct across differently-configured sweeps.
     struct Cell
     {
         std::uint64_t sizeBound;
         double factor;
     };
     std::vector<Cell> cells;
+    std::vector<std::string> keys;
+    const std::string cfgHash = runKey(bench, config).hashHex();
     for (std::uint64_t size_bound : space.sizeBounds)
         if (driTemplate.sizeBoundFits(size_bound))
-            for (double factor : space.missBoundFactors)
+            for (double factor : space.missBoundFactors) {
                 cells.push_back({size_bound, factor});
-
-    std::optional<Executor> local;
-    if (!exec)
-        exec = &local.emplace(config.jobs);
-    JobGraph graph;
-
-    // Content-addressed job keys: the base-config hash keeps
-    // job-keyed artifacts (seeds, traces) distinct across
-    // differently-configured sweeps.
-    const std::string cfgHash = runKey(bench, config).hashHex();
+                keys.push_back(strFormat(
+                    "%s/sb=%llu/mbf=%g#%s", bench.name.c_str(),
+                    static_cast<unsigned long long>(size_bound), factor,
+                    cfgHash.c_str()));
+            }
 
     FastCalibration cal;
     RunOutput conv_fast;
     double conv_mpi = 0.0;
-    const JobId calibrate = graph.add(
-        bench.name + "/calibrate", [&](const JobContext &) {
-            cal = calibrateFast(bench, config, convDetailed);
-            conv_fast = run(bench, config, {ConventionalL1i{}, &cal});
-            conv_mpi = missesPerInterval(
-                conv_fast.meas.l1iMisses,
-                static_cast<double>(config.maxInstrs),
-                driTemplate.senseInterval);
-        });
-
-    // The winner needs every grid slot and the calibration output
-    // (listing calibrate also covers the empty-grid case, where the
-    // winner would otherwise run unordered).
-    std::vector<JobId> winnerDeps{calibrate};
-    result.evaluated.resize(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        winnerDeps.push_back(graph.add(
-            strFormat("%s/sb=%llu/mbf=%g#%s", bench.name.c_str(),
-                      static_cast<unsigned long long>(
-                          cells[i].sizeBound),
-                      cells[i].factor, cfgHash.c_str()),
-            [&, i](const JobContext &) {
-                SearchCandidate cand = evaluate(
-                    bench, config,
-                    cellParams(driTemplate, cells[i].sizeBound,
-                               space.missBoundFloor, cells[i].factor,
-                               conv_mpi),
-                    &cal, constants, conv_fast);
-                cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
-                result.evaluated[i] = std::move(cand);
-            },
-            {calibrate}));
-    }
-
-    graph.add(
-        bench.name + "/winner-detailed",
-        [&](const JobContext &) {
-            const std::optional<std::size_t> w =
-                lowestFeasibleEd(result.evaluated);
-            result.best = evaluateDetailed(
-                bench, config,
-                w ? result.evaluated[*w].dri
-                  : leastHarm(driTemplate, space.missBoundFloor,
-                              conv_mpi),
-                constants, convDetailed);
-            result.best.feasible =
-                result.best.cmp.meetsSlowdown(maxSlowdownPct);
+    const Scorer<SearchCandidate> fast{constants, conv_fast, paperView,
+                                       maxSlowdownPct};
+    const Scorer<SearchCandidate> detailed{constants, convDetailed,
+                                           paperView, maxSlowdownPct};
+    const GridStep calibrate{bench.name + "/calibrate", [&] {
+        cal = calibrateFast(bench, config, convDetailed);
+        conv_fast = run(bench, config, {ConventionalL1i{}, &cal});
+        conv_mpi = missesPerInterval(
+            conv_fast.meas.l1iMisses,
+            static_cast<double>(config.maxInstrs),
+            driTemplate.senseInterval);
+    }};
+    const GridStep winner{bench.name + "/winner-detailed", [&] {
+        const std::optional<std::size_t> w =
+            lowestFeasibleEd(result.evaluated);
+        const DriParams p =
+            w ? result.evaluated[*w].dri
+              : leastHarm(driTemplate, space.missBoundFloor, conv_mpi);
+        result.best = detailed({{}, p}, bench, config, RunSpec{p});
+    }};
+    runGrid(
+        exec, config.jobs, result.evaluated, keys,
+        [&](std::size_t i) {
+            const DriParams p =
+                cellParams(driTemplate, cells[i].sizeBound,
+                           space.missBoundFloor, cells[i].factor,
+                           conv_mpi);
+            return fast({{}, p}, bench, config, RunSpec{p, &cal});
         },
-        winnerDeps);
-
-    exec->run(graph);
+        winner, calibrate);
     return result;
 }
 

@@ -1,36 +1,38 @@
 /**
  * @file
- * Best-case parameter search (paper Section 5.3): "we show the
- * best-case energy savings achieved under various combinations of
- * [miss-bound and size-bound] ... determined via simulation by
- * empirically searching the combination space."
+ * The grid-search engine, and the paper's best-case search (Section
+ * 5.3): "we show the best-case energy savings achieved under various
+ * combinations of [miss-bound and size-bound] ... determined via
+ * simulation by empirically searching the combination space."
  *
- * The search evaluates a (size-bound x miss-bound) grid with the
- * fast model, keeps the best energy-delay subject to an optional
- * slowdown constraint, and re-runs the winner on the detailed model.
- *
- * The rules every grid search shares are stated here once: the
- * conventional misses per sense interval, the cell rule that scales
- * them into a miss-bound, the least-harm fallback when no cell meets
- * the constraint, and the index-order scan that picks a winner. The
- * policy, multi-level and CMP searches (harness/policies,
- * harness/multilevel) call them too.
+ * Every grid search is a list of cells over the pieces stated here
+ * once: the cell rule that scales the conventional misses per sense
+ * interval into a miss-bound, the least-harm fallback when no cell
+ * meets the constraint, the scored candidate (Scored) and its
+ * scoring step (Scorer), the grid runner (runGrid) and the
+ * index-order scan that picks a winner. The paper's search runs a
+ * (size-bound x miss-bound) grid on the fast model, keeps the best
+ * energy-delay subject to an optional slowdown constraint, and
+ * re-runs the winner on the detailed model; the policy, multi-level
+ * and CMP searches (harness/policies, harness/multilevel) are the
+ * others.
  */
 
 #ifndef DRISIM_HARNESS_SWEEP_HH
 #define DRISIM_HARNESS_SWEEP_HH
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "harness/executor.hh"
 #include "harness/runner.hh"
 
 namespace drisim
 {
-
-class Executor; // harness/executor.hh
 
 /**
  * Conventional misses per sense interval: @p misses over the
@@ -106,6 +108,120 @@ lowestFeasibleEd(const std::vector<Candidate> &cands)
                     [&](std::size_t i) { return cands[i].feasible; });
 }
 
+/**
+ * What a search records of one cell, whatever its knobs: the run
+ * (a RunOutput, or a CmpRunOutput in the CMP search), the hash of
+ * its run key (the row identity a report prints beside it), its
+ * ledger view against the conventional run, and whether it met the
+ * slowdown constraint. Each search's candidate adds its cell's
+ * knobs.
+ */
+template <typename RunOut>
+struct Scored
+{
+    using Output = RunOut;
+
+    Output out;
+    std::string configHash;
+    Comparison cmp;
+    bool feasible = true;
+};
+
+/**
+ * The scoring step every search shares: run a cell, hash its run
+ * key, compare it with the conventional run @p conv through one
+ * ledger view, then check the slowdown constraint (<= 0 means
+ * unconstrained).
+ */
+template <typename Candidate>
+struct Scorer
+{
+    using Output = typename Candidate::Output;
+
+    const EnergyConstants &constants;
+    const Output &conv;
+    std::vector<LevelInput> (*view)(const Output &);
+    double maxSlowdownPct;
+
+    /** @p cand (its knobs filled) scored on the run @p args name:
+     *  run()'s arguments, or runCmp()'s in the CMP search. */
+    template <typename... Args>
+    Candidate
+    operator()(Candidate cand, const Args &...args) const
+    {
+        if constexpr (std::is_same_v<Output, CmpRunOutput>) {
+            cand.out = runCmp(args...);
+            cand.configHash = runKeyCmp(args...).hashHex();
+            cand.cmp = compare(constants, conv.systemCycles, view(conv),
+                               cand.out.systemCycles, view(cand.out));
+        } else {
+            cand.out = run(args...);
+            cand.configHash = runKey(args...).hashHex();
+            cand.cmp = compare(constants, conv.meas.cycles, view(conv),
+                               cand.out.meas.cycles, view(cand.out));
+        }
+        cand.feasible = cand.cmp.meetsSlowdown(maxSlowdownPct);
+        return cand;
+    }
+};
+
+/** What a search returns: its winner, every cell, and the detailed
+ *  conventional baseline. */
+template <typename Candidate>
+struct GridResult
+{
+    /** The lowest feasible energy-delay cell, or the least-harm
+     *  configuration when no cell met the constraint. */
+    Candidate best;
+    /** Every cell in grid order (reporting/tests). */
+    std::vector<Candidate> evaluated;
+    typename Candidate::Output convDetailed;
+};
+
+/** A job a grid runs beside its cells: its key and its body. */
+struct GridStep
+{
+    std::string key;
+    std::function<void()> body;
+};
+
+/**
+ * The grid runner every search shares. Runs cell(i) for each key i
+ * of @p cellKeys as a job under that key and stores the candidate
+ * it returns in slot i of @p slots; then @p select, as one job
+ * after every cell. A @p prepare step runs before all of them. A
+ * step without a body is left out. Slots are index-addressed and
+ * select scans them in index order, so a search's result never
+ * depends on the worker count. Runs on @p exec, or on a local pool
+ * of @p jobs workers when it is null.
+ */
+template <typename Candidate, typename Cell>
+void
+runGrid(Executor *exec, unsigned jobs, std::vector<Candidate> &slots,
+        const std::vector<std::string> &cellKeys, const Cell &cell,
+        const GridStep &select = {}, const GridStep &prepare = {})
+{
+    std::optional<Executor> local;
+    if (!exec)
+        exec = &local.emplace(jobs);
+    const auto job = [](const GridStep &step) {
+        return [&step](const JobContext &) { step.body(); };
+    };
+    JobGraph graph;
+    std::vector<JobId> first;
+    if (prepare.body)
+        first.push_back(graph.add(prepare.key, job(prepare)));
+    std::vector<JobId> all = first;
+    slots.resize(cellKeys.size());
+    for (std::size_t i = 0; i < cellKeys.size(); ++i)
+        all.push_back(graph.add(
+            cellKeys[i],
+            [&, i](const JobContext &) { slots[i] = cell(i); }, first));
+    if (select.body)
+        graph.add(select.key, job(select), std::move(all));
+    exec->run(graph);
+}
+
 /** Search-space definition. */
 struct SearchSpace
 {
@@ -119,30 +235,16 @@ struct SearchSpace
     std::uint64_t missBoundFloor = 16;
 };
 
-/** One evaluated configuration. */
-struct SearchCandidate
+/** One evaluated configuration. The run is the fast model's in the
+ *  grid, the detailed core's otherwise. */
+struct SearchCandidate : Scored<RunOutput>
 {
     DriParams dri;
-    /** The DRI run (fast model in the grid, detailed otherwise). */
-    RunOutput out;
-    /** runKey hash of the run in out: the row identity a report
-     *  prints beside it. */
-    std::string configHash;
-    /** Its paper view against the conventional run. */
-    Comparison cmp;
-    bool feasible = true;
 };
 
-/** Outcome of a best-case search. */
-struct SearchResult
-{
-    /** The winning configuration (detailed-model comparison). */
-    SearchCandidate best;
-    /** All fast-model candidates in grid order. */
-    std::vector<SearchCandidate> evaluated;
-    /** Detailed conventional baseline used for the final numbers. */
-    RunOutput convDetailed;
-};
+/** Outcome of a best-case search: best is the winner re-run on the
+ *  detailed core, evaluated the fast-model grid. */
+using SearchResult = GridResult<SearchCandidate>;
 
 /**
  * Search the grid for the lowest energy-delay.
