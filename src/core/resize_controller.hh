@@ -62,7 +62,6 @@ class ResizeController
 
     std::uint64_t missCount() const { return missCount_; }
     std::uint64_t intervals() const { return intervals_; }
-    unsigned throttleCounter() const { return throttleCounter_; }
     bool downsizeFrozen() const { return freezeRemaining_ > 0; }
     std::uint64_t throttleEvents() const { return throttleEvents_; }
 

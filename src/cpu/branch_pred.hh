@@ -78,10 +78,6 @@ class BranchPredictor
                              Addr target);
 
     std::uint64_t lookups() const { return lookups_.value(); }
-    std::uint64_t dirMispredicts() const
-    {
-        return dirMispredicts_.value();
-    }
 
     /** Record outcome-vs-prediction stats (called by the core). */
     void noteResolved(const BranchPrediction &pred, bool taken,

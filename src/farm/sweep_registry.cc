@@ -12,6 +12,10 @@
 namespace drisim::farm
 {
 
+namespace
+{
+
+/** A SweepUnit from a label and its identity key. */
 SweepUnit
 makeSweepUnit(const std::string &label, const sim::ConfigKey &key)
 {
@@ -22,6 +26,8 @@ makeSweepUnit(const std::string &label, const sim::ConfigKey &key)
     u.hashHex = key.hashHex();
     return u;
 }
+
+} // namespace
 
 const std::vector<std::string> &
 sweepNames()

@@ -77,10 +77,6 @@ cmpCoherentMixes(unsigned cores);
 CmpConfig mixCmpConfig(const std::vector<std::string> &benches,
                        unsigned cores, bool coherent);
 
-/** Build a SweepUnit from a label and its identity key. */
-SweepUnit makeSweepUnit(const std::string &label,
-                        const sim::ConfigKey &key);
-
 } // namespace drisim::farm
 
 #endif // DRISIM_FARM_SWEEP_REGISTRY_HH

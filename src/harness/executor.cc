@@ -38,6 +38,10 @@ parseJobsValue(std::string_view text, unsigned &out)
     return true;
 }
 
+namespace
+{
+
+/** Worker count when none is requested (see resolveJobCount). */
 unsigned
 defaultJobCount()
 {
@@ -52,6 +56,8 @@ defaultJobCount()
                      env);
     return v == 0 ? hardwareJobCount() : v;
 }
+
+} // namespace
 
 unsigned
 resolveJobCount(unsigned requested)

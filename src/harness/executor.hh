@@ -39,14 +39,12 @@ namespace drisim
 unsigned hardwareJobCount();
 
 /**
- * Worker count when none is requested: the DRISIM_JOBS environment
- * variable if set ("0" means auto, i.e. the hardware count),
- * otherwise 1 (serial; parallelism is opt-in). A value that
- * parseJobsValue() rejects is a user error: fatal, exit status 1.
+ * Resolve a --jobs style request. 0 defers to the DRISIM_JOBS
+ * environment variable if set ("0" means auto, i.e. the hardware
+ * count), otherwise 1 (serial; parallelism is opt-in). A DRISIM_JOBS
+ * that parseJobsValue() rejects is a user error: fatal, exit status
+ * 1.
  */
-unsigned defaultJobCount();
-
-/** Resolve a --jobs style request: 0 defers to defaultJobCount(). */
 unsigned resolveJobCount(unsigned requested);
 
 /**

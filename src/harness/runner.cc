@@ -125,14 +125,12 @@ addCacheKey(sim::ConfigKey &k, const std::string &p,
         k.add(p + ".mshrs", static_cast<std::uint64_t>(c.mshrs));
 }
 
+/** A resizable level's columns: its geometry, then the resize
+ *  knobs. */
 void
 addDriKey(sim::ConfigKey &k, const std::string &p, const DriParams &d)
 {
-    k.add(p + ".size", d.sizeBytes);
-    k.add(p + ".assoc", static_cast<std::uint64_t>(d.assoc));
-    k.add(p + ".block", static_cast<std::uint64_t>(d.blockBytes));
-    k.add(p + ".lat", static_cast<std::uint64_t>(d.hitLatency));
-    k.add(p + ".repl", static_cast<std::uint64_t>(d.repl));
+    addCacheKey(k, p, cacheParamsFor(d, p));
     k.add(p + ".size_bound", d.sizeBoundBytes);
     k.add(p + ".miss_bound", d.missBound);
     k.add(p + ".sense_interval", d.senseInterval);
@@ -143,9 +141,6 @@ addDriKey(sim::ConfigKey &k, const std::string &p, const DriParams &d)
     k.add(p + ".throttle_hold",
           static_cast<std::uint64_t>(d.throttleHoldIntervals));
     k.add(p + ".adaptive", d.adaptive);
-    // Conditional so every pre-MSHR key (and hash) is unchanged.
-    if (d.mshrs != 0)
-        k.add(p + ".mshrs", static_cast<std::uint64_t>(d.mshrs));
 }
 
 /**

@@ -121,12 +121,6 @@ class ResizableCache : public Cache, public virtual RetireSink
         return resizeWritebacks_.value();
     }
 
-    /** Blocks invalidated because upsizing changed their index. */
-    std::uint64_t remapInvalidations() const
-    {
-        return remapInvalidations_.value();
-    }
-
     /**
      * Time-integral bookkeeping: the run loop adds the cycles spent
      * since the last call; the integral of the active fraction over

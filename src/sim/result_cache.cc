@@ -268,20 +268,6 @@ ResultCache::reload()
     loadSidecarLocked();
 }
 
-bool
-ResultCache::lookupHash(const std::string &hashHex,
-                        std::string &config, Fields &fields)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ensureLoadedLocked();
-    const auto it = entries_.find(hashHex);
-    if (it == entries_.end())
-        return false;
-    config = it->second.config;
-    fields = it->second.fields;
-    return true;
-}
-
 std::size_t
 ResultCache::size()
 {

@@ -111,14 +111,6 @@ class ResultCache
      */
     void reload();
 
-    /**
-     * Merge-side accessor: the record stored under @p hashHex, if
-     * any. Fills the full canonical config (for collision checks
-     * against fragment rows) and the payload fields.
-     */
-    bool lookupHash(const std::string &hashHex, std::string &config,
-                    Fields &fields);
-
     /** Number of loaded + stored records currently visible. */
     std::size_t size();
 

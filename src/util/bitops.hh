@@ -45,14 +45,6 @@ exactLog2(std::uint64_t v)
     return floorLog2(v);
 }
 
-/** Ceiling of log2 of @p v (log2 rounded up). @pre v != 0 */
-constexpr unsigned
-ceilLog2(std::uint64_t v)
-{
-    assert(v != 0);
-    return v == 1 ? 0 : floorLog2(v - 1) + 1;
-}
-
 /** A mask with the low @p n bits set (n may be 0..64). */
 constexpr std::uint64_t
 maskLow(unsigned n)
@@ -76,14 +68,6 @@ roundUp(std::uint64_t v, std::uint64_t align)
 {
     assert(isPowerOf2(align));
     return (v + align - 1) & ~(align - 1);
-}
-
-/** Round @p v down to a multiple of power-of-two @p align. */
-constexpr std::uint64_t
-roundDown(std::uint64_t v, std::uint64_t align)
-{
-    assert(isPowerOf2(align));
-    return v & ~(align - 1);
 }
 
 } // namespace drisim

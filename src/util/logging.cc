@@ -40,7 +40,6 @@ emit(LogLevel level, const std::string &msg)
     }
     const char *prefix = "";
     switch (level) {
-      case LogLevel::Inform: prefix = "info: "; break;
       case LogLevel::Warn:   prefix = "warn: "; break;
       case LogLevel::Fatal:  prefix = "fatal: "; break;
       case LogLevel::Panic:  prefix = "panic: "; break;
@@ -86,15 +85,6 @@ warn(const char *fmt, ...)
     va_list ap;
     va_start(ap, fmt);
     emit(LogLevel::Warn, vformat(fmt, ap));
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    emit(LogLevel::Inform, vformat(fmt, ap));
     va_end(ap);
 }
 

@@ -7,7 +7,6 @@
  * fatal()  — a user error (bad configuration, invalid parameters).
  *            Exits with status 1.
  * warn()   — something works but is suspicious or approximate.
- * inform() — normal progress messages.
  */
 
 #ifndef DRISIM_UTIL_LOGGING_HH
@@ -20,7 +19,7 @@ namespace drisim
 {
 
 /** Severity used by the message hooks. */
-enum class LogLevel { Inform, Warn, Fatal, Panic };
+enum class LogLevel { Warn, Fatal, Panic };
 
 /**
  * Redirect log output for tests; pass nullptr to restore stderr.
@@ -38,9 +37,6 @@ void setLogHook(void (*hook)(LogLevel, const std::string &));
 
 /** Emit a warning. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit an informational message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace drisim
 

@@ -18,15 +18,6 @@ Function::sizeBytes() const
 }
 
 std::uint64_t
-ProgramImage::totalCodeBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &f : functions)
-        n += f.sizeBytes();
-    return n;
-}
-
-std::uint64_t
 ProgramImage::phaseCodeBytes(size_t p) const
 {
     std::uint64_t n = 0;

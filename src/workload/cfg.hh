@@ -111,9 +111,6 @@ struct ProgramImage
     std::vector<Function> functions;
     std::vector<Phase> phases;
 
-    /** Total static code bytes across all functions. */
-    std::uint64_t totalCodeBytes() const;
-
     /** Static code bytes reachable in phase @p p. */
     std::uint64_t phaseCodeBytes(size_t p) const;
 };
