@@ -175,6 +175,7 @@ struct GridResult
     Candidate best;
     /** Every cell in grid order (reporting/tests). */
     std::vector<Candidate> evaluated;
+    /** The detailed conventional run the winner is compared with. */
     typename Candidate::Output convDetailed;
 };
 
