@@ -64,8 +64,6 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
                  "alternation, "
               << workerBanner(ctx) << "\n";
 
-    const EnergyConstants constants;
-
     const std::vector<std::vector<std::string>> mixes =
         farm::cmpCoherentMixes(n);
 
@@ -74,10 +72,7 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
         "coh-wb",    "msg-cyc",    "dir-ev",  "wakes",
         "refetches", "rel-ED"};
     Table summary(cols);
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_cmp_coherent", "cmp_coherent",
-                    jsonCols);
+    SweepDriver drv(ctx, "bench_cmp_coherent", "cmp_coherent", cols);
 
     // Index-addressed per-unit slots, as units run concurrently: the
     // leakage-managed run and its summary row.
@@ -109,7 +104,7 @@ runCoherentStudy(BenchContext &ctx, unsigned n)
         benchExecutor(ctx).run(systems);
         const CmpRunOutput &pol = pols[m];
         const Comparison cc =
-            compare(constants, conv.systemCycles, cmpView(conv),
+            compare(ctx.constants, conv.systemCycles, cmpView(conv),
                     pol.systemCycles, cmpView(pol));
 
         std::uint64_t wakes = 0;
@@ -195,7 +190,6 @@ main(int argc, char **argv)
               << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
-    const EnergyConstants constants;
     const CmpSpace space;
     DriParams l2Template = HierarchyParams::defaultL2DriParams();
     l2Template.senseInterval = ctx.opts.dri.senseInterval;
@@ -207,23 +201,21 @@ main(int argc, char **argv)
     // JSON rows additionally carry the winning cell's runKeyCmp
     // hash, as the --coherent rows do. CMP runs are not
     // result-cached (multi-stream), so this hash is a stable row
-    // identity rather than a cache join key.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    // Under --dram-banked the rows additionally report the
-    // non-blocking memory system's activity from the conventional
-    // baseline run: MSHR coalescing/occupancy, DRAM row-buffer and
-    // queue behaviour (per-bank row hits "h0|h1|..."), and the
-    // per-core L2 demand-miss latency ("c0|c1|...") whose
-    // load-dependence the acceptance study checks.
+    // identity rather than a cache join key. Under --dram-banked
+    // the rows then report the non-blocking memory system's
+    // activity from the conventional baseline run: MSHR
+    // coalescing/occupancy, DRAM row-buffer and queue behaviour
+    // (per-bank row hits "h0|h1|..."), and the per-core L2
+    // demand-miss latency ("c0|c1|...") whose load-dependence the
+    // acceptance study checks.
     const bool banked = ctx.opts.run.hier.dram.banked;
+    std::vector<std::string> bankedCols;
     if (banked)
-        for (const char *c :
-             {"mshr_coalesced", "mshr_full_stalls", "mshr_peak",
-              "dram_row_hits", "dram_row_misses", "dram_queue_full",
-              "dram_bank_row_hits", "core_miss_latency"})
-            jsonCols.push_back(c);
-    SweepDriver drv(ctx, "bench_cmp", "cmp", jsonCols);
+        bankedCols = {"mshr_coalesced",     "mshr_full_stalls",
+                      "mshr_peak",          "dram_row_hits",
+                      "dram_row_misses",    "dram_queue_full",
+                      "dram_bank_row_hits", "core_miss_latency"};
+    SweepDriver drv(ctx, "bench_cmp", "cmp", cols, bankedCols);
 
     // Index-addressed per-unit slots; units run concurrently.
     std::vector<std::string> mixNames(farm::kDefaultCmpMixes);
@@ -240,7 +232,7 @@ main(int argc, char **argv)
             runCmp(ctx.opts.run, cmp, benches[0]);
         results[m] = searchCmp(
             ctx.opts.run, cmp, benches[0], ctx.opts.dri, l2Template,
-            space, constants, ctx.maxSlowdownPct, conv,
+            space, ctx.constants, ctx.maxSlowdownPct, conv,
             &benchExecutor(ctx));
         const CmpSearchResult &sr = results[m];
 

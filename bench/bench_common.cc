@@ -107,11 +107,15 @@ sweepSetup(const BenchContext &ctx)
 SweepDriver::SweepDriver(const BenchContext &ctx,
                          std::string benchName,
                          const std::string &sweepName,
-                         std::vector<std::string> jsonColumns)
+                         std::vector<std::string> jsonColumns,
+                         const std::vector<std::string> &extraColumns)
     : ctx_(ctx), benchName_(std::move(benchName)),
       columns_(std::move(jsonColumns)),
       units_(farm::sweepUnits(sweepName, sweepSetup(ctx)))
 {
+    columns_.push_back("config_hash");
+    columns_.insert(columns_.end(), extraColumns.begin(),
+                    extraColumns.end());
     if (!ctx.opts.partPath.empty()) {
         writer_ = std::make_unique<farm::FragmentWriter>(
             ctx.opts.partPath, benchName_, ctx.opts.run.shard, columns_,

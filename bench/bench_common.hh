@@ -136,11 +136,18 @@ class SweepDriver
      * @param sweepName registry name (farm/sweep_registry.hh);
      *        the unit list/order must match the binary's unit
      *        indexing.
-     * @param jsonColumns full --json column set.
+     * @param jsonColumns the --json columns ahead of "config_hash",
+     *        which this class appends: each row's canonical config
+     *        hash (harness/runner.hh runKey or runKeyCmp, plus the
+     *        sweep tag for a unit's key), the join key of the
+     *        --result-cache sidecar, the checkpoint store and the
+     *        farm's shard merge.
+     * @param extraColumns columns after "config_hash".
      */
     SweepDriver(const BenchContext &ctx, std::string benchName,
                 const std::string &sweepName,
-                std::vector<std::string> jsonColumns);
+                std::vector<std::string> jsonColumns,
+                const std::vector<std::string> &extraColumns = {});
 
     const farm::SweepUnit &unit(std::size_t i) const
     {

@@ -69,12 +69,7 @@ main(int argc, char **argv)
         "slowdown",  "miss-rate"};
     Table tc(cols);
     Table tu = tc;
-    // JSON rows additionally carry the winner's canonical config
-    // hash (harness/runner.hh runKey), joinable with the
-    // --result-cache sidecar and the checkpoint store.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_figure3", "figure3", jsonCols);
+    SweepDriver drv(ctx, "bench_figure3", "figure3", cols);
 
     const auto &suite = specSuite();
     // Index-addressed per-unit slots (each benchmark's two winners);

@@ -32,12 +32,7 @@ main(int argc, char **argv)
         "benchmark", "ED 0.5x", "ED 1x (base)", "ED 2x",
         "slow 0.5x", "slow 1x",  "slow 2x",     "max ED spread"};
     Table t(cols);
-    // JSON rows additionally carry the unit's canonical config hash
-    // (runKey + the sweep tag), the farm's shard/merge
-    // join key.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_figure4", "figure4", jsonCols);
+    SweepDriver drv(ctx, "bench_figure4", "figure4", cols);
 
     // Index-addressed per-unit slots; units run concurrently. Each
     // unit names its benchmark (the plan applies --short).

@@ -30,12 +30,7 @@ main(int argc, char **argv)
         "benchmark", "base sb", "ED 2x",   "ED 1x (base)",
         "ED 0.5x",   "slow 2x", "slow 1x", "slow 0.5x"};
     Table t(cols);
-    // JSON rows additionally carry the unit's canonical config hash
-    // (runKey + the sweep tag), the farm's shard/merge
-    // join key.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_figure5", "figure5", jsonCols);
+    SweepDriver drv(ctx, "bench_figure5", "figure5", cols);
 
     const auto &suite = specSuite();
     // Index-addressed per-unit slots; units run concurrently.

@@ -51,12 +51,7 @@ main(int argc, char **argv)
         "benchmark", "ED A",   "ED B",   "ED C",   "size A",
         "size B",    "size C", "slow A", "slow B", "slow C"};
     Table t(cols);
-    // JSON rows additionally carry the unit's canonical config hash
-    // (runKey + the sweep tag), the farm's shard/merge
-    // join key.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_figure6", "figure6", jsonCols);
+    SweepDriver drv(ctx, "bench_figure6", "figure6", cols);
 
     const auto &suite = specSuite();
     // Index-addressed per-unit slots; units run concurrently.

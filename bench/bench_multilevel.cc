@@ -42,7 +42,6 @@ main(int argc, char **argv)
               << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
-    const EnergyConstants constants;
     const MultiLevelSpace space;
     DriParams l2Template = HierarchyParams::defaultL2DriParams();
     l2Template.senseInterval = ctx.opts.dri.senseInterval;
@@ -51,13 +50,7 @@ main(int argc, char **argv)
         "benchmark", "L1-bound", "L1-mb",   "L2-bound", "L2-mb",
         "rel-ED",    "L1-size",  "L2-size", "slowdown"};
     Table summary(cols);
-    // JSON rows additionally carry the winner's canonical config
-    // hash (harness/runner.hh runKey of its DRI L1I over the
-    // multi-level run config), joinable with the --result-cache
-    // sidecar.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_multilevel", "multilevel", jsonCols);
+    SweepDriver drv(ctx, "bench_multilevel", "multilevel", cols);
 
     const auto &suite = specSuite();
     // Index-addressed per-unit slots; units run concurrently.
@@ -66,8 +59,8 @@ main(int argc, char **argv)
         const auto &b = suite[i];
         const RunOutput conv = run(b, ctx.opts.run);
         const MultiLevelSearchResult sr = searchMultiLevel(
-            b, ctx.opts.run, ctx.opts.dri, l2Template, space, constants,
-            ctx.maxSlowdownPct, conv, &benchExecutor(ctx));
+            b, ctx.opts.run, ctx.opts.dri, l2Template, space,
+            ctx.constants, ctx.maxSlowdownPct, conv, &benchExecutor(ctx));
         best[i] = sr.best;
         std::vector<std::string> row =
             multiLevelRowCells(b.name, sr.best);

@@ -52,7 +52,6 @@ main(int argc, char **argv)
               << ctx.opts.dri.senseInterval << ", "
               << workerBanner(ctx) << "\n";
 
-    const EnergyConstants constants;
     const PolicySpace space;
     PolicyConfig tmpl;
     tmpl.dri = ctx.opts.dri;
@@ -61,12 +60,7 @@ main(int argc, char **argv)
         "benchmark", "policy", "params",  "rel-ED",
         "active",    "drowsy", "wakes",   "slowdown"};
     Table summary(cols);
-    // JSON rows additionally carry the winner's canonical config
-    // hash (harness/runner.hh runKey), joinable with the
-    // --result-cache sidecar and the checkpoint store.
-    std::vector<std::string> jsonCols = cols;
-    jsonCols.push_back("config_hash");
-    SweepDriver drv(ctx, "bench_policies", "policies", jsonCols);
+    SweepDriver drv(ctx, "bench_policies", "policies", cols);
 
     // Index-addressed per-unit slots; units run concurrently. Each
     // unit names its benchmark (the plan applies --short).
@@ -82,8 +76,8 @@ main(int argc, char **argv)
         const BenchmarkInfo &b = findBenchmark(drv.unit(i).label);
         const RunOutput conv = run(b, ctx.opts.run);
         const PolicySearchResult sr = searchPolicies(
-            b, ctx.opts.run, tmpl, space, constants, ctx.maxSlowdownPct,
-            conv, &benchExecutor(ctx));
+            b, ctx.opts.run, tmpl, space, ctx.constants,
+            ctx.maxSlowdownPct, conv, &benchExecutor(ctx));
 
         UnitResult &r = results[i];
         UnitRows unitRows;

@@ -31,19 +31,16 @@ main(int argc, char **argv)
     // around the 100K base, same 16x dynamic range).
     const InstCount intervals[] = {25000, 50000, 100000, 200000,
                                    400000};
-    Table ti({"benchmark", "ED 0.25x", "ED 0.5x", "ED 1x", "ED 2x",
-              "ED 4x", "max dev"});
+    const std::vector<std::string> intervalCols{
+        "benchmark", "ED 0.25x", "ED 0.5x", "ED 1x",
+        "ED 2x",     "ED 4x",    "max dev"};
+    Table ti(intervalCols);
     Table td({"benchmark", "ED div2 (base)", "ED div4", "ED div8"});
     Table tt({"benchmark", "ED throttled (base)", "ED no-throttle",
               "resizes base", "resizes no-throttle"});
 
-    // JSON rows: the interval sweep's cells plus the unit's
-    // canonical config hash (runKey + the sweep tag),
-    // the farm's shard/merge join key.
-    const std::vector<std::string> jsonCols{
-        "benchmark", "ED 0.25x", "ED 0.5x", "ED 1x",
-        "ED 2x",     "ED 4x",    "max dev", "config_hash"};
-    SweepDriver drv(ctx, "bench_section56", "section56", jsonCols);
+    // JSON rows: the interval sweep's cells.
+    SweepDriver drv(ctx, "bench_section56", "section56", intervalCols);
 
     const auto &suite = specSuite();
     // Index-addressed per-unit slots (one row per table plus the

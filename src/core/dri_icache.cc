@@ -1,7 +1,7 @@
 /**
  * @file
- * DRI i-cache: fetch-only access over the shared resize machinery,
- * alias-sweeping invalidation, and its activity as the Dri policy.
+ * DRI i-cache: fetch-only access over the shared resize machinery
+ * and alias-sweeping invalidation.
  */
 
 #include "core/dri_icache.hh"
@@ -34,19 +34,6 @@ DriICache::accessAt(Addr addr, AccessType type, Cycles now)
     drisim_assert(type == AccessType::InstFetch,
                   "DRI i-cache only serves instruction fetches");
     return accessTimed(addr, type, now);
-}
-
-PolicyActivity
-DriICache::activity() const
-{
-    PolicyActivity a;
-    a.avgActiveFraction = averageActiveFraction();
-    a.blocksLost = blocksLost();
-    a.resizes = upsizes() + downsizes();
-    a.throttleEvents = controller().throttleEvents();
-    a.resizingTagBits = params().resizingTagBits();
-    a.coherenceRefetches = coherenceRefetches();
-    return a;
 }
 
 void

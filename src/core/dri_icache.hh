@@ -10,18 +10,18 @@
  *
  * All of that machinery lives in the level-agnostic ResizableCache
  * base (mem/resizable_cache.hh), itself a Cache with a size mask, so
- * a fetch takes the one cache access path (mem/cache.hh); this class
- * adds the i-cache specifics: fetches only, and alias-sweeping
- * invalidation. It is also the Dri leakage policy
- * (policy/leakage_policy.hh): run() and CmpSystem build it through
- * makeLeakagePolicy like any other technique, and it reports its
- * resizing as that interface's activity. Lookup correctness across
- * sizes comes from maintaining the tag bits required by the
- * *smallest* size at all times (resizing tag bits). Upsizing can
- * leave stale aliases of a block in low-numbered sets; because the
- * i-stream is read-only these are harmless (Section 2.2,
- * ResizePolicy::icache()), but invalidateBlock() must sweep all
- * candidate alias sets (page unmap / self-modifying code paths).
+ * a fetch takes the one cache access path (mem/cache.hh). That base
+ * is also the Dri leakage policy (policy/leakage_policy.hh): run()
+ * and CmpSystem build this class through makeLeakagePolicy like any
+ * other technique, and its kind, activity and checkpoint are the
+ * base's. This class adds only the i-cache specifics: fetches only,
+ * and alias-sweeping invalidation. Lookup correctness across sizes
+ * comes from maintaining the tag bits required by the *smallest*
+ * size at all times (resizing tag bits). Upsizing can leave stale
+ * aliases of a block in low-numbered sets; because the i-stream is
+ * read-only these are harmless (Section 2.2, ResizePolicy::icache()),
+ * but invalidateBlock() must sweep all candidate alias sets (page
+ * unmap / self-modifying code paths).
  */
 
 #ifndef DRISIM_CORE_DRI_ICACHE_HH
@@ -30,13 +30,12 @@
 #include <cstdint>
 
 #include "mem/resizable_cache.hh"
-#include "policy/leakage_policy.hh"
 
 namespace drisim
 {
 
 /** The DRI i-cache. Drop-in replacement for a conventional L1I. */
-class DriICache : public ResizableCache, public LeakagePolicy
+class DriICache : public ResizableCache
 {
   public:
     DriICache(const DriParams &params, MemoryLevel *below,
@@ -52,18 +51,6 @@ class DriICache : public ResizableCache, public LeakagePolicy
      * (all active sets congruent to the block's minimum-size index).
      */
     void invalidateBlock(Addr addr);
-
-    // LeakagePolicy: the cache is its own managed level.
-    PolicyKind kind() const override { return PolicyKind::Dri; }
-    Cache *level() override { return this; }
-
-    /** The resizing as policy activity: the average powered share,
-     *  no drowsy lines (gated sets are state-destroying), so no
-     *  wakes. */
-    PolicyActivity activity() const override;
-
-    /** One override serves both bases: ResizableCache's walk. */
-    void checkpoint(sim::StateIO io) override;
 
   private:
     stats::Scalar aliasInvalidations_;

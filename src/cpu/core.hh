@@ -12,11 +12,12 @@
  *    up to maxInstrs further instructions, so a scheduler can
  *    interleave several cores over a shared memory system in
  *    round-robin quanta (system/cmp.hh);
- *  - broadcasts retirement counts and cycle advancement to any
- *    attached RetireSinks — resizable cache levels (the gated-Vdd
- *    controllers sample at sense-interval boundaries and integrate
- *    active size over time) and leakage-policy caches
- *    (policy/leakage_policy.hh);
+ *  - broadcasts retirement counts and cycle advancement
+ *    (broadcastRetire / broadcastCycles) to any attached
+ *    RetireSinks: the leakage-managed caches
+ *    (policy/leakage_policy.hh), among them the resizable levels,
+ *    whose gated-Vdd controllers sample at sense-interval
+ *    boundaries and integrate active size over time;
  *  - exposes cumulative stats() so callers can measure per-quantum
  *    progress as deltas.
  */
@@ -58,10 +59,10 @@ class Core
     virtual ~Core() = default;
 
     /**
-     * Attach a retirement/time consumer: a resizable cache level (a
-     * DRI L1I or a resizable L2, each resizing under its own
-     * controller) or a leakage policy (policy/leakage_policy.hh).
-     * Broadcast order follows attachment order. No-op on nullptr.
+     * Attach a retirement/time consumer: a leakage-managed cache
+     * (policy/leakage_policy.hh), such as a DRI L1I or a resizable
+     * L2, each resizing under its own controller. Broadcast order
+     * follows attachment order. No-op on nullptr.
      */
     void addRetireSink(RetireSink *sink)
     {
@@ -97,28 +98,26 @@ class Core
     virtual void checkpoint(sim::StateIO io) = 0;
 
     /**
-     * Sampler seam (sim/sampling.hh): forward externally-simulated
-     * progress to the attached sinks so resize/policy intervals keep
-     * ticking across fast-forwarded regions.
+     * Broadcast @p n retired instructions to the attached sinks. The
+     * CPU models call it as they commit; the sampler
+     * (sim/sampling.hh) forwards externally-simulated progress
+     * through it, so resize/policy intervals keep ticking across
+     * fast-forwarded regions.
      */
-    void broadcastRetire(InstCount n) { retire(n); }
-    void broadcastCycles(Cycles delta) { integrate(delta); }
-
-  protected:
-    /** Broadcast @p n retired instructions to attached sinks. */
-    void retire(InstCount n)
+    void broadcastRetire(InstCount n)
     {
         for (RetireSink *sink : sinks_)
             sink->onRetire(n);
     }
 
-    /** Broadcast @p delta elapsed cycles to attached sinks. */
-    void integrate(Cycles delta)
+    /** Broadcast @p delta elapsed cycles to the attached sinks. */
+    void broadcastCycles(Cycles delta)
     {
         for (RetireSink *sink : sinks_)
             sink->onCycles(delta);
     }
 
+  protected:
     bool hasResizables() const { return !sinks_.empty(); }
 
   private:

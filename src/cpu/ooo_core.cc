@@ -281,7 +281,7 @@ OooCore::doCommit()
     if (n > 0) {
         committedInstrs_ += n;
         commitBudget_ -= n;
-        retire(n);
+        broadcastRetire(n);
     }
     commitsThisCycle_ = already + n;
 }
@@ -570,7 +570,7 @@ OooCore::run(InstrStream &stream, InstCount maxInstrs)
                 delta = next - now_;
         }
         now_ += delta;
-        integrate(delta);
+        broadcastCycles(delta);
     }
 
     simCycles_.set(now_);

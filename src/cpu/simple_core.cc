@@ -36,7 +36,7 @@ void
 SimpleCore::flushRetireBatch()
 {
     if (retireBatch_ > 0)
-        retire(retireBatch_);
+        broadcastRetire(retireBatch_);
     retireBatch_ = 0;
 }
 
@@ -103,8 +103,8 @@ SimpleCore::run(InstrStream &stream, InstCount maxInstrs)
                     static_cast<Cycles>(std::llround(
                         params_.baseCpi *
                         static_cast<double>(retireBatch_)));
-                retire(retireBatch_);
-                integrate(batch_cycles);
+                broadcastRetire(retireBatch_);
+                broadcastCycles(batch_cycles);
             }
             retireBatch_ = 0;
         }

@@ -44,7 +44,7 @@ struct RunConfig
      * Cache geometries (Table 1 defaults). Setting `hier.l2Dri`
      * turns any run — conventional or DRI L1I, fast or detailed —
      * into a multi-level scenario: the L2 is built resizable and is
-     * driven by the core's retire/integrate callbacks alongside any
+     * driven by the core's retire/cycle broadcast alongside any
      * DRI L1I.
      */
     HierarchyParams hier{};

@@ -85,7 +85,14 @@ class Cache : public MemoryLevel, public CoherenceClient
     {
         return accessTimed(addr, type, now);
     }
-    void invalidateAll() override;
+
+    /** Drop every block (a resizable level writes dirty ones back
+     *  first). */
+    virtual void invalidateAll();
+
+    /** Fraction of the array currently powered: 1.0 unless a
+     *  flavour gates sets or ways. */
+    virtual double activeFraction() const { return 1.0; }
 
     const CacheParams &params() const { return params_; }
     std::uint64_t numSets() const { return store_.numSets(); }

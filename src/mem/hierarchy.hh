@@ -103,9 +103,10 @@ class SharedLevels
         out.memAccesses = memAccesses();
         out.l2SizeBytes = l2_->params().sizeBytes;
         if (driL2_) {
-            out.l2AvgActiveFraction = driL2_->averageActiveFraction();
-            out.l2ResizingTagBits = driL2_->params().resizingTagBits();
-            out.l2Resizes = driL2_->upsizes() + driL2_->downsizes();
+            const PolicyActivity act = driL2_->activity();
+            out.l2AvgActiveFraction = act.avgActiveFraction;
+            out.l2ResizingTagBits = act.resizingTagBits;
+            out.l2Resizes = act.resizes;
         }
         if (dram_) {
             out.dramRowHits = dram_->rowHits();

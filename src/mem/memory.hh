@@ -1,6 +1,7 @@
 /**
  * @file
- * MemoryLevel interface and the main-memory latency model.
+ * The MemoryLevel access interface and the main-memory latency
+ * model.
  *
  * Table 1: memory access latency is 80 cycles plus 4 cycles per
  * 8 bytes transferred.
@@ -35,7 +36,10 @@ struct AccessResult
 };
 
 /**
- * Anything addressable by an upper level: caches and main memory.
+ * Anything addressable by an upper level: caches, main memory and
+ * the CMP's shared-L2 ports. It carries only the access path; what
+ * only a cache has (invalidation, the powered fraction) is Cache's
+ * (mem/cache.hh).
  */
 class MemoryLevel
 {
@@ -58,12 +62,6 @@ class MemoryLevel
         (void)now;
         return access(addr, type);
     }
-
-    /** Drop all cached state (no-op for memory). */
-    virtual void invalidateAll() {}
-
-    /** Fraction of this level currently powered (1.0 unless gated). */
-    virtual double activeFraction() const { return 1.0; }
 };
 
 /** DRAM with the Table 1 latency model. Always hits. */

@@ -29,7 +29,7 @@ ResizableCache::ResizableCache(const DriParams &params,
                                MemoryLevel *below,
                                stats::StatGroup *parent,
                                const std::string &groupName)
-    : Cache(cacheParamsFor(params, groupName), below, parent),
+    : LeakagePolicy(cacheParamsFor(params, groupName), below, parent),
       dri_(params),
       policy_(policy),
       mask_(makeSizeMask(params)),
@@ -124,7 +124,7 @@ ResizableCache::resizeTo(std::uint64_t newSets)
                 if (!blk.valid)
                     continue;
                 ++blocksLost_;
-                if (policy_.writebackDirty && blk.dirty) {
+                if (policy_.holdsData && blk.dirty) {
                     ++resizeWritebacks_;
                     writebackBlock(blk);
                 }
@@ -141,7 +141,7 @@ ResizableCache::resizeTo(std::uint64_t newSets)
     // changes under the wider mask; the read-only i-stream skips
     // this (Section 2.2).
     setSets(newSets);
-    if (!policy_.remapOnUpsize)
+    if (!policy_.holdsData)
         return;
     for (std::uint64_t s = 0; s < old_sets; ++s) {
         for (unsigned w = 0; w < store_.assoc(); ++w) {
@@ -149,7 +149,7 @@ ResizableCache::resizeTo(std::uint64_t newSets)
             if (!blk.valid)
                 continue;
             if (indexOf(blk.blockAddr) != s) {
-                if (policy_.writebackDirty && blk.dirty) {
+                if (blk.dirty) {
                     ++resizeWritebacks_;
                     writebackBlock(blk);
                 }
@@ -165,6 +165,19 @@ ResizableCache::setSets(std::uint64_t sets)
 {
     mask_.setNumSets(sets);
     indexMask_ = mask_.mask();
+}
+
+PolicyActivity
+ResizableCache::activity() const
+{
+    PolicyActivity a;
+    a.avgActiveFraction = averageActiveFraction();
+    a.blocksLost = blocksLost();
+    a.resizes = upsizes() + downsizes();
+    a.throttleEvents = controller().throttleEvents();
+    a.resizingTagBits = params().resizingTagBits();
+    a.coherenceRefetches = coherenceRefetches();
+    return a;
 }
 
 double
@@ -184,7 +197,7 @@ ResizableCache::currentSizeBytes() const
 void
 ResizableCache::invalidateAll()
 {
-    if (policy_.writebackDirty) {
+    if (policy_.holdsData) {
         for (std::uint64_t s = 0; s < mask_.numSets(); ++s) {
             for (unsigned w = 0; w < store_.assoc(); ++w) {
                 const CacheBlk &blk = store_.set(s)[w];

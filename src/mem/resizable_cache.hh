@@ -5,20 +5,19 @@
  * A resizable level is a Cache (mem/cache.hh) whose index mask a
  * resize controller narrows and widens (paper Section 2.1, Figure 1):
  * the access path, the MSHR file, the coherence probes and the
- * refetch rule are Cache's. This class adds what resizing needs, and
- * nothing else: the size mask, the miss-bound/size-bound controller
- * sampled at sense-interval boundaries, the resize steps and the
- * time-integrated active-size bookkeeping. The machinery is
+ * refetch rule are Cache's. It is the Dri leakage policy
+ * (policy/leakage_policy.hh): a LeakagePolicy, so a Cache that hears
+ * the core's retire and cycle broadcast, and it reports its resizing
+ * as that interface's activity. This class adds what resizing needs,
+ * and nothing else: the size mask, the miss-bound/size-bound
+ * controller sampled at sense-interval boundaries, the resize steps
+ * and the time-integrated active-size bookkeeping. The machinery is
  * level-agnostic, so the L1 i-cache and the DRI-enabled L2 differ
- * only in their access-type restrictions and in two policy bits:
- *
- *  - `writebackDirty`: whether dirty blocks must reach the lower
- *    level before their set's supply is gated (mandatory for any
- *    level that holds modified data);
- *  - `remapOnUpsize`: whether blocks whose set index changes under a
- *    wider mask must be evicted on upsizing (mandatory where stale
- *    aliases are not harmless, i.e. everywhere except the read-only
- *    i-stream).
+ * only in their access-type restrictions and in one policy bit,
+ * `holdsData`: a level that holds data (anything but the read-only
+ * i-stream) writes dirty blocks back before their set's supply is
+ * gated, and evicts blocks whose set index changes under a wider
+ * mask, since stale aliases of them are not harmless.
  *
  * Used directly with ResizePolicy::writeback(), the class is a
  * resizable unified write-back, write-allocate cache: the DRI L2,
@@ -36,24 +35,24 @@
 #include "core/resize_controller.hh"
 #include "core/size_mask.hh"
 #include "mem/cache.hh"
-#include "mem/retire_sink.hh"
+#include "policy/leakage_policy.hh"
 #include "stats/stats.hh"
 
 namespace drisim
 {
 
-/** Behavioural knobs distinguishing the resizable-cache flavours. */
+/** The behavioural knob distinguishing the resizable-cache
+ *  flavours. */
 struct ResizePolicy
 {
-    /** Write dirty blocks back before gating or remapping them. */
-    bool writebackDirty = true;
-    /** Evict index-changing blocks when the mask widens. */
-    bool remapOnUpsize = true;
+    /** Write dirty blocks back before gating or remapping them, and
+     *  evict index-changing blocks when the mask widens. */
+    bool holdsData = true;
 
     /** The read-only i-stream tolerates aliases and has no dirt. */
-    static constexpr ResizePolicy icache() { return {false, false}; }
+    static constexpr ResizePolicy icache() { return {false}; }
     /** Any level holding modified data needs both protections. */
-    static constexpr ResizePolicy writeback() { return {true, true}; }
+    static constexpr ResizePolicy writeback() { return {true}; }
 };
 
 /** The cache geometry of a DRI parameter set, under stats group
@@ -65,7 +64,7 @@ CacheParams cacheParamsFor(const DriParams &params,
  * A dynamically-resizable cache level (gated-Vdd semantics: sets
  * above the current size keep no state and leak nothing).
  */
-class ResizableCache : public Cache, public virtual RetireSink
+class ResizableCache : public LeakagePolicy
 {
   public:
     /**
@@ -91,6 +90,14 @@ class ResizableCache : public Cache, public virtual RetireSink
 
     /** RetireSink: cycle-advance broadcast from the core. */
     void onCycles(Cycles delta) override { integrateCycles(delta); }
+
+    /** Set-granularity resizing is the Dri technique. */
+    PolicyKind kind() const override { return PolicyKind::Dri; }
+
+    /** The resizing as policy activity: the average powered share,
+     *  no drowsy lines (gated sets are state-destroying), so no
+     *  wakes. */
+    PolicyActivity activity() const override;
 
     /** Fraction of sets currently powered. */
     double activeFraction() const override;
@@ -141,8 +148,8 @@ class ResizableCache : public Cache, public virtual RetireSink
     /**
      * Verification hook: true iff no reachable frame holds a block
      * whose current-mask index differs from the set it sits in (the
-     * invariant remapOnUpsize maintains; alias-tolerant caches may
-     * legitimately violate it after upsizing).
+     * invariant a level that holds data maintains; alias-tolerant
+     * caches may legitimately violate it after upsizing).
      */
     bool mappingConsistent() const;
 

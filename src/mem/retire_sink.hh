@@ -9,8 +9,10 @@
  * instructions, so cache behaviour is identical on the detailed and
  * fast timing models) and elapsed cycles (leakage is a time
  * integral). Core keeps one list of RetireSinks and broadcasts both
- * signals to it; ResizableCache and the policy caches
- * (policy/leakage_policy.hh) implement the interface.
+ * signals to it (broadcastRetire / broadcastCycles). Every
+ * leakage-managed cache implements the interface through
+ * LeakagePolicy (policy/leakage_policy.hh), a Cache with this
+ * interface as its plain second base.
  */
 
 #ifndef DRISIM_MEM_RETIRE_SINK_HH

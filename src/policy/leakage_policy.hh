@@ -10,9 +10,10 @@
  * technique a plug-in so the simulator can answer "which leakage
  * technique wins, where?" instead of only "how good is DRI?":
  *
- *  - Dri        — the paper's set-granularity resizing: the DRI
- *                 i-cache itself (core/dri_icache.hh), so a policy
- *                 run is the paper's path by construction;
+ *  - Dri        — the paper's set-granularity resizing
+ *                 (mem/resizable_cache.hh), whose fetch-only flavour
+ *                 is the DRI i-cache itself (core/dri_icache.hh), so
+ *                 a policy run is the paper's path by construction;
  *  - Decay      — per-line generational counters gate dead lines
  *                 via gated-Vdd (state-destroying; Kaxiras et al.,
  *                 "Cache Decay");
@@ -23,13 +24,15 @@
  *                 static baseline (after Albonesi's Selective
  *                 Ways). Way 0 is never gated.
  *
- * Every policy observes the same two signals the DRI controller
- * already consumes — retired instructions (RetireSink; intervals are
- * counted in dynamic instructions so behaviour is identical on the
- * detailed and fast timing models) and elapsed cycles — and reports
- * the same integrals: time-averaged full-power / drowsy fractions,
- * wake events and wake stalls. energy/ledger.hh turns those into
- * state-preserving vs state-destroying leakage rows.
+ * Every policy is a Cache (LeakagePolicy derives from it), so the
+ * hierarchy, core and coherence wiring is flavour-blind. Every policy
+ * observes the same two signals the DRI controller already consumes
+ * — retired instructions (RetireSink, a plain second base; intervals
+ * are counted in dynamic instructions so behaviour is identical on
+ * the detailed and fast timing models) and elapsed cycles — and
+ * reports the same integrals: time-averaged full-power / drowsy
+ * fractions, wake events and wake stalls. energy/ledger.hh turns
+ * those into state-preserving vs state-destroying leakage rows.
  */
 
 #ifndef DRISIM_POLICY_LEAKAGE_POLICY_HH
@@ -46,11 +49,6 @@
 #include "obs/metrics.hh"
 #include "stats/stats.hh"
 #include "util/types.hh"
-
-namespace drisim::sim
-{
-class StateIO;
-} // namespace drisim::sim
 
 namespace drisim
 {
@@ -173,37 +171,31 @@ struct PolicyActivity
 };
 
 /**
- * One leakage-managed L1 i-cache: the common handle the runner, the
- * CMP system and the search harness hold, whatever technique is
- * behind it. Every policy's cache is a Cache (level()), so the
- * hierarchy, core and coherence wiring is flavour-blind, and every
- * policy consumes the core's retire/cycle broadcast (RetireSink, a
- * virtual base: the Dri policy is a ResizableCache, which is a sink
- * in its own right).
+ * One leakage-managed cache: a Cache that hears the core's retire and
+ * cycle broadcast (RetireSink) and reports what its technique did as
+ * a PolicyActivity. The runner, the CMP system and the search harness
+ * hold a managed L1I through this handle whatever technique is
+ * behind it. ResizableCache (the DRI i-cache and the DRI L2) and
+ * PolicyCacheBase (Decay, Drowsy, StaticWays) derive from it, so
+ * every managed cache sits on one single-inheritance chain under
+ * Cache, and its checkpoint is Cache's walk as the flavour extends
+ * it.
  */
-class LeakagePolicy : public virtual RetireSink
+class LeakagePolicy : public Cache, public RetireSink
 {
   public:
-    ~LeakagePolicy() override = default;
+    using Cache::Cache;
 
     virtual PolicyKind kind() const = 0;
 
-    /** The managed i-cache, to wire as the core's L1I. */
-    virtual Cache *level() = 0;
+    /** The managed cache itself, to wire as the core's L1I. */
+    Cache *level() { return this; }
 
     /** Fetches the managed i-cache served. */
-    std::uint64_t l1Accesses() { return level()->accesses(); }
+    std::uint64_t l1Accesses() const { return accesses(); }
 
     /** Time-integrated activity report. */
     virtual PolicyActivity activity() const = 0;
-
-    /**
-     * Serialize the managed cache's full state — contents, per-line
-     * policy state, interval bookkeeping, time integrals, stats —
-     * for checkpoint/restore (sim/checkpoint.hh). Restore requires
-     * an identically-configured policy.
-     */
-    virtual void checkpoint(sim::StateIO io) = 0;
 };
 
 /**

@@ -16,7 +16,8 @@ PolicyCacheBase::PolicyCacheBase(const PolicyConfig &config,
                                  MemoryLevel *below,
                                  stats::StatGroup *parent,
                                  const std::string &groupName)
-    : Cache(cacheParamsFor(config.dri, groupName), below, parent),
+    : LeakagePolicy(cacheParamsFor(config.dri, groupName), below,
+                    parent),
       config_(config),
       totalLines_(numSets() * params().assoc)
 {

@@ -1,13 +1,15 @@
 /**
  * @file
  * Shared base of the line-granularity policy caches (Decay, Drowsy,
- * StaticWays): a conventional i-cache (mem/cache.hh) plus the
- * LeakagePolicy reporting plumbing — interval counting in retired
- * instructions and the time integrals of the powered/drowsy line
- * populations. The flavours override Cache's per-line hooks directly
- * (hit, fill, probe, victim ways); coherence refetches are Cache's
- * count. The Dri policy does not use this base: it is the DRI i-cache,
- * a set-granularity ResizableCache (core/dri_icache.hh).
+ * StaticWays): a LeakagePolicy (policy/leakage_policy.hh), so a
+ * conventional i-cache (mem/cache.hh) that hears the core's
+ * broadcast, plus the reporting plumbing — interval counting in
+ * retired instructions and the time integrals of the powered/drowsy
+ * line populations. The flavours override Cache's per-line hooks
+ * directly (hit, fill, probe, victim ways); coherence refetches are
+ * Cache's count. The Dri policy does not use this base: it is the
+ * set-granularity ResizableCache (mem/resizable_cache.hh), the other
+ * branch under LeakagePolicy.
  */
 
 #ifndef DRISIM_POLICY_POLICY_CACHE_HH
@@ -15,14 +17,13 @@
 
 #include <string>
 
-#include "mem/cache.hh"
 #include "policy/leakage_policy.hh"
 
 namespace drisim
 {
 
 /** Cache + policy bookkeeping shared by the per-line policies. */
-class PolicyCacheBase : public Cache, public LeakagePolicy
+class PolicyCacheBase : public LeakagePolicy
 {
   public:
     /**
@@ -41,8 +42,6 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
     AccessResult accessAt(Addr addr, AccessType type,
                           Cycles now) override;
 
-    Cache *level() override { return this; }
-
     /** Count retired instructions; crossing an interval boundary
      *  (config-specific length) triggers intervalTick() once per
      *  boundary crossed. */
@@ -53,8 +52,7 @@ class PolicyCacheBase : public Cache, public LeakagePolicy
 
     std::uint64_t totalLines() const { return totalLines_; }
 
-    /** One override serves both bases (Cache and LeakagePolicy):
-     *  cache contents + stats, the shared policy bookkeeping, then
+    /** Cache contents + stats, the shared policy bookkeeping, then
      *  the flavour hook below. */
     void checkpoint(sim::StateIO io) override;
 

@@ -17,9 +17,9 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
-#include "core/dri_icache.hh"
 #include "cpu/branch_pred.hh"
 #include "cpu/ooo_core.hh"
 #include "cpu/simple_core.hh"
@@ -161,7 +161,7 @@ void
 StatGroup::checkpoint(sim::StateIO io)
 {
     io.begin(name_);
-    for (StatBase *s : stats_)
+    for (Scalar *s : stats_)
         s->checkpoint(io);
     for (StatGroup *c : children_)
         c->checkpoint(io);
@@ -476,6 +476,27 @@ OooCore::checkpoint(StateIO io)
     io.length(storeSeqs_, "store list", params_.lsqSize);
     for (std::int64_t &s : storeSeqs_)
         io(s);
+    if (io.restoring()) {
+        // Dispatch forwards from the store list, searching it from
+        // the back down to the first seq below seqHead_: the list is
+        // strictly increasing and below seqTail_, and from seqHead_
+        // on it is the ROB's stores, each once, in order. Stores
+        // committed since the last dispatch may still lead it.
+        if (std::ranges::adjacent_find(storeSeqs_,
+                                       std::greater_equal<>()) !=
+                storeSeqs_.end() ||
+            (!storeSeqs_.empty() && storeSeqs_.back() >= seqTail_))
+            throw CheckpointError("store list out of order or past the "
+                                  "rob's tail");
+        auto next = std::ranges::lower_bound(storeSeqs_, seqHead_);
+        bool matches = true;
+        for (std::int64_t seq = seqHead_; seq < seqTail_ && matches; ++seq)
+            if (rob(seq).instr.op == OpClass::Store)
+                matches = next != storeSeqs_.end() && *next++ == seq;
+        if (!matches || next != storeSeqs_.end())
+            throw CheckpointError("store list differs from the rob's "
+                                  "stores");
+    }
     io(streamDone_, fetchResumeAt_, haltedForBranch_, stallBranchSeq_,
        branchStallFrom_, lastFetchBlock_, fetchStallIsIcache_,
        instrPending_);
@@ -524,12 +545,6 @@ DrowsyCache::checkpointExtra(StateIO io)
 {
     io.bytes(drowsy_, "drowsy bits");
     io(drowsyCount_, episodes_);
-}
-
-void
-DriICache::checkpoint(StateIO io)
-{
-    ResizableCache::checkpoint(io);
 }
 
 } // namespace drisim

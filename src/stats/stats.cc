@@ -12,7 +12,7 @@
 namespace drisim::stats
 {
 
-StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
+Scalar::Scalar(StatGroup *parent, std::string name, std::string desc)
     : name_(std::move(name)), desc_(std::move(desc))
 {
     drisim_assert(parent != nullptr, "stat '%s' needs a parent group",
@@ -23,7 +23,7 @@ StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
 void
 Scalar::print(std::ostream &os, const std::string &prefix) const
 {
-    os << prefix << name() << " " << value_ << " # " << desc() << "\n";
+    os << prefix << name_ << " " << value_ << " # " << desc_ << "\n";
 }
 
 StatGroup::StatGroup(std::string name) : name_(std::move(name)) {}
@@ -43,7 +43,7 @@ StatGroup::~StatGroup()
 }
 
 void
-StatGroup::addStat(StatBase *stat)
+StatGroup::addStat(Scalar *stat)
 {
     stats_.push_back(stat);
 }

@@ -27,39 +27,21 @@ namespace drisim::stats
 
 class StatGroup;
 
-/** Base class for all statistics: named, described, resettable. */
-class StatBase
+/**
+ * A named, described, monotonically growing (or adjustable) 64-bit
+ * event counter: the one stat kind. It registers with its group on
+ * construction.
+ */
+class Scalar
 {
   public:
-    StatBase(StatGroup *parent, std::string name, std::string desc);
-    virtual ~StatBase() = default;
+    Scalar(StatGroup *parent, std::string name, std::string desc);
 
-    StatBase(const StatBase &) = delete;
-    StatBase &operator=(const StatBase &) = delete;
+    Scalar(const Scalar &) = delete;
+    Scalar &operator=(const Scalar &) = delete;
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
-
-    /** Reset to the zero state. */
-    virtual void reset() = 0;
-
-    /** Print "name value # desc" lines, prefixed with @p prefix. */
-    virtual void print(std::ostream &os,
-                       const std::string &prefix) const = 0;
-
-    /** Serialize the current value (sim/checkpoint.hh). */
-    virtual void checkpoint(sim::StateIO io) = 0;
-
-  private:
-    std::string name_;
-    std::string desc_;
-};
-
-/** A monotonically growing (or adjustable) 64-bit event counter. */
-class Scalar : public StatBase
-{
-  public:
-    using StatBase::StatBase;
 
     Scalar &operator++() { ++value_; return *this; }
     Scalar &operator+=(std::uint64_t v) { value_ += v; return *this; }
@@ -67,12 +49,18 @@ class Scalar : public StatBase
 
     std::uint64_t value() const { return value_; }
 
-    void reset() override { value_ = 0; }
-    void print(std::ostream &os,
-               const std::string &prefix) const override;
-    void checkpoint(sim::StateIO io) override;
+    /** Reset to zero. */
+    void reset() { value_ = 0; }
+
+    /** Print a "name value # desc" line, prefixed with @p prefix. */
+    void print(std::ostream &os, const std::string &prefix) const;
+
+    /** Serialize the current value (sim/checkpoint.hh). */
+    void checkpoint(sim::StateIO io);
 
   private:
+    std::string name_;
+    std::string desc_;
     std::uint64_t value_ = 0;
 };
 
@@ -111,14 +99,14 @@ class StatGroup
     void checkpoint(sim::StateIO io);
 
   private:
-    friend class StatBase;
-    void addStat(StatBase *stat);
+    friend class Scalar;
+    void addStat(Scalar *stat);
     void addChild(StatGroup *child);
     void removeChild(StatGroup *child);
 
     std::string name_;
     StatGroup *parent_ = nullptr;
-    std::vector<StatBase *> stats_;
+    std::vector<Scalar *> stats_;
     std::vector<StatGroup *> children_;
 };
 

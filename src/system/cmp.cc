@@ -110,8 +110,6 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
     if (cmp.coherence.enabled)
         bus_->enableCoherence(cmp.coherence, n);
 
-    convL1is_.resize(n);
-    policyL1is_.resize(n);
     for (unsigned k = 0; k < n; ++k) {
         cpuGroups_.push_back(std::make_unique<stats::StatGroup>(
             parent, strFormat("cpu%u", k)));
@@ -123,18 +121,20 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
             std::make_unique<Cache>(hier.l1d, port, grp));
 
         const CmpCoreConfig cfg = cmp.coreConfig(k);
-        Cache *l1i = nullptr;
+        LeakagePolicy *policy = nullptr;
         if (cfg.l1i) {
             PolicyConfig pc = *cfg.l1i;
             pc.dri = driParamsForLevel(hier.l1i, pc.dri);
-            policyL1is_[k] = makeLeakagePolicy(pc, port, grp);
-            l1i = policyL1is_[k]->level();
+            std::unique_ptr<LeakagePolicy> built =
+                makeLeakagePolicy(pc, port, grp);
+            policy = built.get();
+            l1is_.push_back(std::move(built));
         } else {
-            convL1is_[k] =
-                std::make_unique<Cache>(hier.l1i, port, grp);
-            l1i = convL1is_[k].get();
+            l1is_.push_back(
+                std::make_unique<Cache>(hier.l1i, port, grp));
         }
-        l1is_.push_back(l1i);
+        policies_.push_back(policy);
+        Cache *l1i = l1is_.back().get();
         // Coherent runs attach every private L1 to the fabric: the
         // bus is the requester-side agent, and the controller probes
         // the L1D and the L1I (whatever flavour) as core k.
@@ -146,7 +146,7 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         }
         cores_.push_back(std::make_unique<OooCore>(
             coreParams, l1i, l1ds_.back().get(), grp));
-        cores_.back()->addRetireSink(policyL1is_[k].get());
+        cores_.back()->addRetireSink(policy);
         gens_.push_back(
             std::make_unique<TraceGenerator>(*images[k]));
     }
@@ -183,7 +183,7 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     const auto sample = [&](unsigned k) {
         const CoreStats cs = cores_[k]->stats();
         obs::Readings r =
-            l1iReadings(policyL1is_[k].get(), *l1is_[k],
+            l1iReadings(policies_[k], *l1is_[k],
                         hier_.l1i.sizeBytes, cs.cycles, coh != nullptr);
         r["cycles"] = static_cast<double>(cs.cycles);
         r["l2_accesses"] = static_cast<double>(bus_->accesses(k));
@@ -274,7 +274,7 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         c.meas.cycles = cs.cycles;
         c.meas.instructions = cs.instructions;
         // DRI cores keep the paper's zero gated share.
-        const LeakagePolicy *pol = policyL1is_[k].get();
+        const LeakagePolicy *pol = policies_[k];
         const bool dri = pol && pol->kind() == PolicyKind::Dri;
         const PolicyActivity act = fillL1iOutputs(
             c, pol, *l1is_[k], hier_.l1i.sizeBytes, dri);

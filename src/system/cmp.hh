@@ -219,8 +219,6 @@ class SharedL2Bus : public CoherenceAgent
         return stats_[core].missLatency;
     }
 
-    MemoryLevel *level() { return l2_; }
-
     /**
      * Build the MSI controller + sparse directory this bus routes
      * probes through (coherent CMP runs). The coherence granule is
@@ -287,11 +285,6 @@ class SharedL2Port : public MemoryLevel
         return bus_->access(core_, addr, type, now);
     }
 
-    double activeFraction() const override
-    {
-        return bus_->level()->activeFraction();
-    }
-
   private:
     SharedL2Bus *bus_;
     unsigned core_;
@@ -356,12 +349,11 @@ class CmpSystem
     std::vector<std::unique_ptr<stats::StatGroup>> cpuGroups_;
     std::vector<std::unique_ptr<SharedL2Port>> ports_;
     std::vector<std::unique_ptr<Cache>> l1ds_;
-    /** Core k's L1I: conventional, or a leakage policy (DRI
-     *  included); exactly one of the two owners is set, and l1is_
-     *  holds the cache either way. */
-    std::vector<std::unique_ptr<Cache>> convL1is_;
-    std::vector<std::unique_ptr<LeakagePolicy>> policyL1is_;
-    std::vector<Cache *> l1is_;
+    /** Core k's L1I: a conventional Cache, or a leakage policy (DRI
+     *  included), which policies_[k] views as one (null for a
+     *  conventional cache). */
+    std::vector<std::unique_ptr<Cache>> l1is_;
+    std::vector<LeakagePolicy *> policies_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     std::vector<std::unique_ptr<TraceGenerator>> gens_;
 

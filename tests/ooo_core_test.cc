@@ -954,6 +954,99 @@ TEST(OooCoreRestore, RejectsValuesItsFieldsCannotHold)
     EXPECT_NO_THROW(twin.core.checkpoint(r));
 }
 
+TEST(OooCoreRestore, RejectsAStoreListThatDisagreesWithTheRob)
+{
+    // Dispatch forwards loads from the store list, so a list that
+    // names a load, is out of order or names a seq not yet
+    // dispatched would restore into a core that mis-forwards. The
+    // same li snapshot, its store list spliced three ways: a load's
+    // seq in place of a store's, two entries swapped, and an entry at
+    // seqTail_. Each must throw CheckpointError. A committed store
+    // still leading the list restores.
+    stats::StatGroup hierRoot("h");
+    Hierarchy hier(hierarchyParams(false), &hierRoot, true);
+    CoreOnHierarchy c(hier);
+    TraceGenerator gen(programImageFor(findBenchmark("li")));
+    c.core.run(gen, 10007);
+    const std::string snap = c.snapshot();
+    const std::vector<std::size_t> at = valueOffsets(snap);
+    const auto i64Value = [&](std::size_t value) {
+        return sim::CheckpointReader(snap.substr(at[value], 9)).getI64();
+    };
+
+    // now_ and the ROB size, then 17 values per ROB entry (the op
+    // second); seqHead_, seqTail_, the fetch-queue count and its
+    // 12-value entries, the head, the rename table's writers,
+    // lsqOccupancy_, the store-list length and its entries.
+    const unsigned robSize = OooParams{}.robSize;
+    const std::size_t seqHeadValue = 2 + 17 * robSize;
+    const std::int64_t seqHead = i64Value(seqHeadValue);
+    const std::int64_t seqTail = i64Value(seqHeadValue + 1);
+    const std::size_t fetchCount = seqHeadValue + 2;
+    const std::size_t stores =
+        fetchCount + 1 + 12 * u64Value(snap, at[fetchCount]) + 1 +
+        kRegs + 1;
+    const std::size_t listed = u64Value(snap, at[stores]);
+    ASSERT_GE(listed, 2u);
+    // Entry k's seq and the byte offset of its value.
+    const auto listedSeq = [&](std::size_t k) {
+        return i64Value(stores + 1 + k);
+    };
+    const auto entryAt = [&](std::size_t k) { return at[stores + 1 + k]; };
+    const auto opOf = [&](std::int64_t seq) {
+        const std::size_t slot = static_cast<std::size_t>(seq) % robSize;
+        return static_cast<OpClass>(u64Value(snap, at[2 + 17 * slot + 1]));
+    };
+
+    // The first load in flight below a listed store takes that
+    // store's place, so the list stays in order but skips a store.
+    std::string loadForStore;
+    for (std::int64_t seq = seqHead; seq < seqTail && loadForStore.empty();
+         ++seq) {
+        if (opOf(seq) != OpClass::Load)
+            continue;
+        for (std::size_t k = 0; k < listed; ++k) {
+            if (listedSeq(k) > seq) {
+                loadForStore = withValue(snap, entryAt(k),
+                                         static_cast<std::uint64_t>(seq));
+                break;
+            }
+        }
+    }
+    ASSERT_FALSE(loadForStore.empty()) << "no load below a listed store";
+
+    const std::string last = snap.substr(entryAt(listed - 1), 9);
+    const std::string beforeLast = snap.substr(entryAt(listed - 2), 9);
+    std::string swapped = snap;
+    swapped.replace(entryAt(listed - 2), 9, last);
+    swapped.replace(entryAt(listed - 1), 9, beforeLast);
+
+    const std::pair<const char *, std::string> cases[] = {
+        {"a load's seq in place of a store's", loadForStore},
+        {"the last two entries swapped", swapped},
+        {"the last entry at seqTail_",
+         withValue(snap, entryAt(listed - 1),
+                   static_cast<std::uint64_t>(seqTail))},
+    };
+    for (const auto &[what, bytes] : cases) {
+        CoreOnHierarchy victim(hier);
+        sim::CheckpointReader r(bytes);
+        EXPECT_THROW(victim.core.checkpoint(r), sim::CheckpointError)
+            << what;
+    }
+
+    // One more entry below seqHead_ and the first listed store: a
+    // store committed since the last dispatch. The list grows by one.
+    sim::CheckpointWriter committed;
+    committed.putI64(std::min(seqHead, listedSeq(0)) - 1);
+    const std::string leading =
+        withValue(snap, at[stores], listed + 1).substr(0, entryAt(0)) +
+        committed.bytes() + snap.substr(entryAt(0));
+    CoreOnHierarchy twin(hier);
+    sim::CheckpointReader r(leading);
+    EXPECT_NO_THROW(twin.core.checkpoint(r));
+}
+
 TEST(OooParams, ExecLatencies)
 {
     EXPECT_EQ(OooParams::execLatency(OpClass::IntAlu), 1u);
