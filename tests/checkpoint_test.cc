@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/dri_icache.hh"
 #include "cpu/simple_core.hh"
@@ -659,6 +661,110 @@ TEST(CheckpointBytes, MidpointSnapshotsArePinned)
         run(p.bench, ck, p.spec);
         const std::uint64_t fnv =
             sim::fnv1a64(StoredSnapshot(dir.path).blob);
+        EXPECT_EQ(fnv, p.fnv) << p.name << ": 0x" << std::hex << fnv;
+    }
+}
+
+// ---------------------------------------------------------------
+// Output bytes. Every counter a run reports is pinned by one FNV-1a
+// per configuration of the snapshot pins above: each field's name,
+// then its exact bits as counterBits (same_run.hh) reads them, in name
+// order, as the result-cache payload keys them. The configurations
+// cover both gated-share rules (a DriParams L1I and a PolicyConfig of
+// kind Dri) and both MSHR sums (with and without a conventional L1I)
+// over banked DRAM.
+// ---------------------------------------------------------------
+
+/** FNV-1a over every counter of @p out, in field-name order. */
+std::uint64_t
+counterFnv(const RunOutput &out)
+{
+    std::vector<CounterBits> fields = counterBits(out);
+    std::sort(fields.begin(), fields.end(),
+              [](const CounterBits &a, const CounterBits &b) {
+                  return a.name < b.name;
+              });
+    std::string bytes;
+    for (const CounterBits &c : fields) {
+        bytes += c.name;
+        bytes.push_back('\0');
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<char>(c.bits >> (8 * i)));
+    }
+    return sim::fnv1a64(bytes);
+}
+
+TEST(OutputBytes, EveryCounterOfEveryFlavourIsPinned)
+{
+    const auto &compress = findBenchmark("compress");
+    const auto &li = findBenchmark("li");
+    RunConfig ways = quickConfig();
+    ways.hier.l1i.assoc = 4;
+    RunConfig waysBanked = bankedConfig();
+    waysBanked.hier.l1i.assoc = 4;
+    RunConfig driL2 = quickConfig();
+    driL2.hier.l2Dri = true;
+    driL2.hier.l2DriParams.senseInterval = 20 * 1000;
+    RunConfig driL2Banked = bankedConfig();
+    driL2Banked.hier.l2Dri = true;
+    driL2Banked.hier.l2DriParams = driL2.hier.l2DriParams;
+    const DriParams dri = quickDri();
+    DriParams driMshrs = quickDri();
+    driMshrs.mshrs = 4;
+    const FastCalibration liCal =
+        calibrateFast(li, quickConfig(), run(li, quickConfig()));
+    const FastCalibration liBankedCal =
+        calibrateFast(li, bankedConfig(), run(li, bankedConfig()));
+    const FastCalibration waysCal =
+        calibrateFast(compress, ways, run(compress, ways));
+
+    struct Pin
+    {
+        std::string name;
+        const BenchmarkInfo &bench;
+        RunConfig config;
+        RunSpec spec;
+        std::uint64_t fnv;
+    };
+    std::vector<Pin> pins = {
+        {"conv", compress, quickConfig(), {}, 0x78f38510c9405292},
+        {"dri", li, quickConfig(), {dri}, 0x00ef9b1cd445df8b},
+        {"dri_l2", compress, driL2, {dri}, 0xcac69b11e2bfa3b5},
+        {"conv_fast", li, quickConfig(), {ConventionalL1i{}, &liCal},
+         0xeccf33c2b76213b0},
+        {"dri_fast", li, quickConfig(), {dri, &liCal}, 0x6591cdf35a39f7c2},
+        {"conv_banked", compress, bankedConfig(), {}, 0xec5085362ad60447},
+        {"dri_banked", li, bankedConfig(), {driMshrs}, 0x93afbd55b0ac2b27},
+        {"dri_l2_banked", compress, driL2Banked, {driMshrs},
+         0x9d9109491137ec56},
+        {"conv_fast_banked", li, bankedConfig(),
+         {ConventionalL1i{}, &liBankedCal}, 0xbf12d85a44fd44d1},
+        {"dri_fast_banked", li, bankedConfig(), {driMshrs, &liBankedCal},
+         0x7869106eff25b729},
+    };
+    const std::uint64_t policyPins[][3] = {
+        // Dri, Decay, Drowsy, StaticWays: detailed, fast, and
+        // detailed over banked DRAM
+        {0xac04ac22e1486001, 0x60c0683efb0ab7bf, 0xb34f00d714fdd3f8},
+        {0x23cfe1ef01cbed4d, 0x3ee6c6ad673a7091, 0x466bd4b9e39b9076},
+        {0x48c55cdca39cbe16, 0xc507f6c99cb2e180, 0x2b359536d42bb90f},
+        {0x7189e32924e0759d, 0x69b8236a355d0a3d, 0xf36b13df0f84b320},
+    };
+    for (const PolicyKind kind :
+         {PolicyKind::Dri, PolicyKind::Decay, PolicyKind::Drowsy,
+          PolicyKind::StaticWays}) {
+        const std::uint64_t *fnv = policyPins[static_cast<int>(kind)];
+        const std::string name =
+            std::string("policy_") + policyKindName(kind);
+        pins.push_back({name, compress, ways, {quickPolicy(kind)}, fnv[0]});
+        pins.push_back({name + "_fast", compress, ways,
+                        {quickPolicy(kind), &waysCal}, fnv[1]});
+        pins.push_back({name + "_banked", compress, waysBanked,
+                        {quickPolicy(kind, 4)}, fnv[2]});
+    }
+
+    for (const Pin &p : pins) {
+        const std::uint64_t fnv = counterFnv(run(p.bench, p.config, p.spec));
         EXPECT_EQ(fnv, p.fnv) << p.name << ": 0x" << std::hex << fnv;
     }
 }
