@@ -465,15 +465,28 @@ parseArgs(int argc, const char *const *argv,
         why = geometryError("l2", out.run.hier.l2);
     if (!why.empty())
         return fail(why);
+    // sim::runSampled needs 0 < window < period.
+    const sim::SamplingConfig &sampling = out.run.sampling;
+    if (sampling.enabled && sampling.detailedWindow >= sampling.period)
+        return fail("bad value for 'sample.window': " +
+                    std::to_string(sampling.detailedWindow) +
+                    " is not below sample.period=" +
+                    std::to_string(sampling.period));
 
     // coreK.* keys for cores the final `cores=` count never builds
-    // would vanish silently in cmpCores(); warn once per orphaned
-    // record instead (checked here, so key order is free).
-    for (std::size_t k = out.cores; k < out.coreOverrides.size();
-         ++k) {
+    // would vanish silently in cmpCores(), and a one-core run reads
+    // only the global keys; warn once per orphaned record instead
+    // (checked here, so key order is free).
+    for (std::size_t k = out.cores == 1 ? 0 : out.cores;
+         k < out.coreOverrides.size(); ++k) {
         const CoreOverride &o = out.coreOverrides[k];
-        if (!o.bench.empty() || o.dri != -1 || o.driKnobsSet ||
-            o.policySet)
+        if (o.bench.empty() && o.dri == -1 && !o.driKnobsSet &&
+            !o.policySet)
+            continue;
+        if (k < out.cores)
+            warn("core0.* options ignored: a one-core run reads only "
+                 "the global options (cores=1)");
+        else
             warn("core%zu.* options ignored: only %u core%s "
                  "configured (cores=%u)",
                  k, out.cores, out.cores == 1 ? " is" : "s are",

@@ -1,7 +1,7 @@
 /**
  * @file
- * Run orchestration: builds the workload, wires hierarchy and core,
- * runs, and extracts measurements.
+ * Run orchestration: builds the workload and a one-core CmpSystem,
+ * drives its core, and reads its outputs.
  */
 
 #include "harness/runner.hh"
@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <type_traits>
 #include <variant>
@@ -72,38 +73,6 @@ imageCache()
 {
     static ProgramImageCache cache;
     return cache;
-}
-
-const ProgramImage &
-imageFor(const BenchmarkInfo &bench)
-{
-    return imageCache().get(bench);
-}
-
-/**
- * Copy the L2 view of a finished run into @p out, whatever flavour
- * of L2 the hierarchy was built with, and the MSHR activity of the
- * L2, the L1D and a conventional L1I.
- */
-void
-fillL2Outputs(Hierarchy &hier, RunOutput &out)
-{
-    hier.fillSharedOutputs(out);
-    Cache &l2 = hier.l2();
-    out.l2MissRate = l2.missRate();
-    out.l2Accesses = l2.accesses();
-    out.l2Misses = l2.misses();
-    out.memReads = hier.memReads();
-    out.memWritebacks = hier.memWritebacks();
-    for (const Cache *c : {&l2, &hier.l1d(), hier.convL1i()}) {
-        if (!c)
-            continue;
-        out.mshrCoalesced += c->mshrCoalesced();
-        out.mshrFullStalls += c->mshrFullStalls();
-        out.mshrFullStallCycles += c->mshrFullStallCycles();
-        out.mshrPeakOccupancy =
-            std::max(out.mshrPeakOccupancy, c->mshrPeakOccupancy());
-    }
 }
 
 // ------------------------------------------------------------------
@@ -378,7 +347,7 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
 }
 
 /**
- * Checkpoint-store key version of a run's snapshots, by stream type.
+ * Checkpoint-store key version of a run's snapshots, by core model.
  * v3: the coherence layer added per-block MSI state to every tag
  * store (plus a layout magic the reader verifies); stale v1/v2
  * snapshots must miss, not crash. v4 (fast runs): the stream state
@@ -392,15 +361,9 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
  * Fast runs carry no predictor and keep v6.
  */
 const char *
-snapshotVersion(const TraceGenerator &)
+snapshotVersion(bool fast)
 {
-    return "v7";
-}
-
-const char *
-snapshotVersion(const FetchReplay &)
-{
-    return "v6";
+    return fast ? "v6" : "v7";
 }
 
 /**
@@ -415,36 +378,34 @@ struct UnusableSnapshot
 };
 
 /**
- * Run @p core to config.maxInstrs through the midpoint checkpoint
- * seam: when @p restore is set and a snapshot of this exact key
- * exists, restore it and simulate only the second half, else
- * simulate the first half, snapshot, and continue. One walk covers
- * both directions: the stream, the core, then @p walkExtra (the
- * hierarchy and the L1I policy). The split is aligned to the fast
+ * Run the one core of @p sys to config.maxInstrs through the midpoint
+ * checkpoint seam: when @p restore is set and a snapshot of this
+ * exact key exists, restore it and simulate only the second half,
+ * else simulate the first half, snapshot, and continue. One walk
+ * covers both directions: the system's (its stream, core, levels and
+ * L1I policy) in the run section. The split is aligned to the fast
  * model's retire batch (64) so both core models continue
  * bit-identically. Disabled (plain full run) when no checkpoint
  * directory is configured or the run is too short to split.
  */
-template <typename Stream, typename Walk>
 CoreStats
 runCheckpointed(const RunConfig &config, const sim::ConfigKey &key,
-                bool restore, Core &core, Stream &stream,
-                Walk &&walkExtra)
+                bool restore, const char *version, CmpSystem &sys)
 {
+    Core &core = sys.core(0);
+    InstrStream &stream = sys.stream(0);
     const InstCount total = config.maxInstrs;
     const InstCount split = (total / 2) & ~InstCount{63};
     if (config.checkpointDir.empty() || split == 0 || split >= total)
         return core.run(stream, total);
 
     const sim::CheckpointStore store(config.checkpointDir);
-    const std::string storeKey = std::string(snapshotVersion(stream)) +
-                                 "|" + key.canonical() + "|ckpt@" +
+    const std::string storeKey = std::string(version) + "|" +
+                                 key.canonical() + "|ckpt@" +
                                  std::to_string(split);
     const auto walk = [&](sim::StateIO io) {
         io.begin("run");
-        stream.checkpoint(io);
-        core.checkpoint(io);
-        walkExtra(io);
+        sys.checkpoint(io);
         io.end();
     };
     std::string blob;
@@ -485,7 +446,7 @@ recordStream(const BenchmarkInfo &bench, InstCount instrs)
 {
     obs::ScopedSpan span(obs::trace(), "workload",
                          bench.name + "/record");
-    return std::make_shared<const FetchRecording>(imageFor(bench),
+    return std::make_shared<const FetchRecording>(programImageFor(bench),
                                                   instrs);
 }
 
@@ -505,8 +466,8 @@ fastRecording(const BenchmarkInfo &bench, const RunConfig &config,
         return record();
     std::shared_ptr<const FetchRecording> rec =
         cal.recording->get(record);
-    return rec->covers(imageFor(bench), config.maxInstrs) ? rec
-                                                          : record();
+    return rec->covers(programImageFor(bench), config.maxInstrs) ? rec
+                                                                 : record();
 }
 
 /** The series a run's trace span and interval samples share. */
@@ -518,25 +479,24 @@ obsSeries(const BenchmarkInfo &bench, const std::string &mode,
 }
 
 /**
- * A single-core run's cumulative interval readings: the core clock,
- * the L1D, the L2, DRAM and MSHR counters as fillL2Outputs reads
- * them into RunOutput, and the L1I's (l1iReadings).
+ * A one-core system's cumulative interval readings: the core clock,
+ * the L1D, the L2, DRAM and MSHR counters as readShared() reads them
+ * into RunOutput, and the L1I's (l1iReadings).
  */
 obs::Readings
-runReadings(const Core &core, Hierarchy &hier, const LeakagePolicy *policy,
-            const Cache &l1i, std::uint64_t l1iBytes)
+runReadings(CmpSystem &sys, bool banked)
 {
     RunOutput o;
-    fillL2Outputs(hier, o);
-    const Cycles cycles = core.stats().cycles;
-    obs::Readings r = l1iReadings(policy, l1i, l1iBytes, cycles, false);
+    sys.readShared(o);
+    const Cycles cycles = sys.core(0).stats().cycles;
+    obs::Readings r = l1iReadings(sys.policy(0), sys.l1i(0), cycles, false);
     r["cycles"] = static_cast<double>(cycles);
-    r["l1d_accesses"] = static_cast<double>(hier.l1d().accesses());
-    r["l1d_misses"] = static_cast<double>(hier.l1d().misses());
+    r["l1d_accesses"] = static_cast<double>(sys.l1d(0).accesses());
+    r["l1d_misses"] = static_cast<double>(sys.l1d(0).misses());
     r["l2_accesses"] = static_cast<double>(o.l2Accesses);
     r["l2_misses"] = static_cast<double>(o.l2Misses);
     r["mshr_peak_occupancy"] = static_cast<double>(o.mshrPeakOccupancy);
-    if (hier.dram())
+    if (banked)
         r["dram_busy_cycles"] = static_cast<double>(o.dramBusyCycles);
     return r;
 }
@@ -571,11 +531,11 @@ runMetered(Core &core, InstrStream &stream, InstCount total,
 }
 
 /**
- * The body of run(): build the hierarchy, the L1I and the core, drive
- * the core over the run's stream by one of three branches (sampled,
- * interval-metered or through the checkpoint seam, which restores a
- * stored snapshot only when @p restore is set), and read the counters
- * out.
+ * The body of run(): build a one-core system with the spec's L1I and
+ * core model, drive its core over the run's stream by one of three
+ * branches (sampled, interval-metered or through the checkpoint seam,
+ * which restores a stored snapshot only when @p restore is set), and
+ * read the system out.
  */
 RunOutput
 simulate(const BenchmarkInfo &bench, const RunConfig &config,
@@ -585,85 +545,51 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
     // (never reported, 0) and its gated share (charged at zero, the
     // paper's rounding) stay DRI-specific.
     const DriParams *dri = std::get_if<DriParams>(&spec.l1i);
-    PolicyConfig driPolicy;
-    const PolicyConfig *pol = std::get_if<PolicyConfig>(&spec.l1i);
-    if (dri) {
-        driPolicy.dri = *dri;
-        pol = &driPolicy;
-    }
-    const std::uint64_t l1iBytes =
-        pol ? pol->dri.sizeBytes : config.hier.l1i.sizeBytes;
+    CmpConfig one;
+    if (dri)
+        one.coreConfigs.push_back({"", PolicyConfig{.dri = *dri}});
+    else if (const auto *pol = std::get_if<PolicyConfig>(&spec.l1i))
+        one.coreConfigs.push_back({"", *pol});
 
     const std::string series = obsSeries(
         bench, std::string(l1iMode(spec)) + (spec.fast ? "-fast" : ""),
         key);
     obs::ScopedSpan runSpan(obs::trace(), "run", series);
+    std::shared_ptr<const FetchRecording> rec;
+    std::optional<FetchReplay> replay;
+    std::optional<FastModel> fast;
+    if (spec.fast) {
+        rec = fastRecording(bench, config, *spec.fast);
+        replay.emplace(*rec);
+        fast = FastModel{{.baseCpi = spec.fast->baseCpi,
+                          .missOverlap = spec.fast->missOverlap},
+                         &*replay};
+    }
     stats::StatGroup root(spec.fast ? "fast" : "sim");
-    Hierarchy hier(config.hier, &root, pol == nullptr);
-    std::unique_ptr<LeakagePolicy> policy;
-    if (pol) {
-        policy = makeLeakagePolicy(*pol, &hier.l2(), &root);
-        hier.setL1I(policy->level());
-    }
-    const Cache &l1i = policy ? *policy->level() : *hier.convL1i();
+    CmpSystem sys(one, config.hier, config.core, {&programImageFor(bench)},
+                  &root, fast ? &*fast : nullptr);
 
-    std::unique_ptr<Core> core;
-    if (spec.fast) {
-        SimpleCoreParams scp;
-        scp.baseCpi = spec.fast->baseCpi;
-        scp.missOverlap = spec.fast->missOverlap;
-        scp.fetchBlockBytes =
-            pol ? pol->dri.blockBytes : config.hier.l1i.blockBytes;
-        core = std::make_unique<SimpleCore>(scp, hier.l1i());
-    } else {
-        core = std::make_unique<OooCore>(config.core, hier.l1i(),
-                                         &hier.l1d(), &root);
-    }
-    core->addRetireSink(policy.get());
-    core->addRetireSink(hier.driL2());
-
-    const auto drive = [&](auto &stream) {
-        if (!spec.fast && config.sampling.enabled)
-            return sim::runSampled(*core, hier.l1i(), &hier.l1d(),
-                                   stream, config.maxInstrs,
-                                   config.sampling,
-                                   config.core.fetchBlockBytes);
-        if (obs::TimeSeriesRecorder *m = obs::metrics()) {
-            obs::IntervalSampler sampler(*m, series);
-            return runMetered(*core, stream, config.maxInstrs,
-                              m->interval(), sampler, [&] {
-                                  return runReadings(*core, hier,
-                                                     policy.get(), l1i,
-                                                     l1iBytes);
-                              });
-        }
-        return runCheckpointed(config, key, restore, *core, stream,
-                               [&](sim::StateIO io) {
-                                   hier.checkpoint(io);
-                                   if (policy)
-                                       policy->checkpoint(io);
-                               });
-    };
+    Core &core = sys.core(0);
     CoreStats cs;
-    if (spec.fast) {
-        const std::shared_ptr<const FetchRecording> rec =
-            fastRecording(bench, config, *spec.fast);
-        FetchReplay replay(*rec);
-        cs = drive(replay);
+    if (!spec.fast && config.sampling.enabled) {
+        cs = sim::runSampled(core, &sys.l1i(0), &sys.l1d(0), sys.stream(0),
+                             config.maxInstrs, config.sampling,
+                             config.core.fetchBlockBytes);
+    } else if (obs::TimeSeriesRecorder *m = obs::metrics()) {
+        obs::IntervalSampler sampler(*m, series);
+        cs = runMetered(core, sys.stream(0), config.maxInstrs,
+                        m->interval(), sampler, [&] {
+                            return runReadings(sys,
+                                               config.hier.dram.banked);
+                        });
     } else {
-        TraceGenerator gen(imageFor(bench));
-        cs = drive(gen);
+        cs = runCheckpointed(config, key, restore,
+                             snapshotVersion(spec.fast != nullptr), sys);
     }
 
     RunOutput out;
-    out.meas.cycles = cs.cycles;
-    out.meas.instructions = cs.instructions;
-    const PolicyActivity act =
-        fillL1iOutputs(out, policy.get(), l1i, l1iBytes, dri != nullptr);
-    out.policyBlocksLost = dri ? 0 : act.blocksLost;
-    out.ipc = cs.ipc();
-    out.l1dMissRate = hier.l1d().missRate();
-    fillL2Outputs(hier, out);
+    sys.readCore(0, cs, dri != nullptr, out);
+    sys.readShared(out);
     return out;
 }
 
@@ -679,20 +605,23 @@ calibrateFastImpl(const BenchmarkInfo &bench, const RunConfig &config,
                             bench.name + "/calibrate");
     // Measure the conventional fetch-miss stall with the fast model
     // (independent of CPI), then solve baseCpi so the fast model
-    // reproduces the detailed conventional cycle count.
-    stats::StatGroup root("cal");
-    Hierarchy hier(config.hier, &root, true);
-    SimpleCoreParams scp;
-    scp.baseCpi = 1.0; // irrelevant to stall measurement
-    scp.fetchBlockBytes = config.hier.l1i.blockBytes;
-    SimpleCore fast(scp, hier.l1i());
+    // reproduces the detailed conventional cycle count. The L2 stays
+    // at full size: a DRI L2 that hears no retire broadcast is the
+    // conventional L2 it replaces (ResizableCacheIsACache.*).
     const std::shared_ptr<const FetchRecording> rec =
         recordStream(bench, config.maxInstrs);
     cal.recording = std::make_shared<RecordingSlot>(rec);
     FetchReplay replay(*rec);
-    fast.run(replay, config.maxInstrs);
-    const double stall =
-        static_cast<double>(fast.missStallCycles());
+    HierarchyParams hier = config.hier;
+    hier.l2Dri = false;
+    // baseCpi is irrelevant to the stall measurement.
+    const FastModel fast{{.baseCpi = 1.0}, &replay};
+    stats::StatGroup root("cal");
+    CmpSystem sys(CmpConfig{}, hier, config.core, {&programImageFor(bench)},
+                  &root, &fast);
+    sys.core(0).run(replay, config.maxInstrs);
+    const double stall = static_cast<double>(
+        static_cast<const SimpleCore &>(sys.core(0)).missStallCycles());
 
     const double instrs =
         static_cast<double>(convDetailed.meas.instructions);
@@ -733,7 +662,7 @@ runKeyCalibrate(const BenchmarkInfo &bench, const RunConfig &config)
 const ProgramImage &
 programImageFor(const BenchmarkInfo &bench)
 {
-    return imageFor(bench);
+    return imageCache().get(bench);
 }
 
 InstCount
@@ -858,10 +787,15 @@ runCmp(const RunConfig &config, const CmpConfig &cmp,
     std::vector<const ProgramImage *> images;
     images.reserve(names.size());
     for (const std::string &name : names)
-        images.push_back(&imageFor(findBenchmark(name)));
+        images.push_back(&programImageFor(findBenchmark(name)));
 
+    CmpConfig resolved = cmp;
+    for (CmpCoreConfig &core : resolved.coreConfigs)
+        if (core.l1i)
+            core.l1i->dri =
+                driParamsForLevel(config.hier.l1i, core.l1i->dri);
     stats::StatGroup root("cmp");
-    CmpSystem sys(cmp, config.hier, config.core, images, &root);
+    CmpSystem sys(resolved, config.hier, config.core, images, &root);
     obs::ScopedSpan runSpan(obs::trace(), "run",
                             defaultBench + "/cmp");
     if (obs::metrics())
@@ -878,24 +812,23 @@ namespace
 {
 
 LevelInput
-l1iLevel(std::string name, const RunMeasurement &m, double drowsy,
-         double gated, std::uint64_t wakes)
+l1iLevel(std::string name, const CoreOutput &c)
 {
+    const RunMeasurement &m = c.meas;
     LevelInput l{std::move(name), LevelInput::Tier::L1, m.l1iBytes};
     l.active = m.avgActiveFraction;
-    l.drowsy = drowsy;
-    l.gated = gated;
+    l.drowsy = c.l1DrowsyFraction;
+    l.gated = c.l1GatedFraction;
     l.tagBits = m.resizingTagBits;
     l.lookups = m.l1iAccesses;
-    l.wakes = wakes;
+    l.wakes = c.wakeTransitions;
     return l;
 }
 
 /** The levels below the L1Is: the L2, which reads its resizing tags
  *  on every access it receives, and memory. */
-template <typename Out>
 void
-appendL2AndMem(std::vector<LevelInput> &levels, const Out &out,
+appendL2AndMem(std::vector<LevelInput> &levels, const SharedOutput &out,
                std::uint64_t probes)
 {
     LevelInput l2{"l2", LevelInput::Tier::L2, out.l2SizeBytes};
@@ -917,17 +850,13 @@ paperView(const RunOutput &out)
 {
     LevelInput l2{"l2", LevelInput::Tier::L2};
     l2.received = out.meas.l1iMisses;
-    return {l1iLevel("l1i", out.meas, out.l1DrowsyFraction,
-                     out.l1GatedFraction, out.wakeTransitions),
-            std::move(l2)};
+    return {l1iLevel("l1i", out), std::move(l2)};
 }
 
 std::vector<LevelInput>
 hierarchyView(const RunOutput &out)
 {
-    std::vector<LevelInput> levels{
-        l1iLevel("l1i", out.meas, out.l1DrowsyFraction,
-                 out.l1GatedFraction, out.wakeTransitions)};
+    std::vector<LevelInput> levels{l1iLevel("l1i", out)};
     appendL2AndMem(levels, out, 0);
     return levels;
 }
@@ -936,12 +865,9 @@ std::vector<LevelInput>
 cmpView(const CmpRunOutput &out)
 {
     std::vector<LevelInput> levels;
-    for (std::size_t k = 0; k < out.cores.size(); ++k) {
-        const CmpCoreOutput &c = out.cores[k];
-        levels.push_back(l1iLevel("l1i[" + std::to_string(k) + "]",
-                                  c.meas, c.l1DrowsyFraction,
-                                  c.l1GatedFraction, c.wakeTransitions));
-    }
+    for (std::size_t k = 0; k < out.cores.size(); ++k)
+        levels.push_back(
+            l1iLevel("l1i[" + std::to_string(k) + "]", out.cores[k]));
     appendL2AndMem(levels, out,
                    out.coherenceInvalidations + out.coherenceDowngrades);
     return levels;

@@ -1,14 +1,16 @@
 /**
  * @file
- * Run orchestration: builds a benchmark's program image, wires the
- * hierarchy, L1 i-cache and core, runs, and extracts RunMeasurements.
- * One entry point, run(), takes a RunSpec: the L1I (conventional,
- * DRI or any leakage policy) and the core model (the detailed
- * out-of-order core, or the fast fetch-driven model used only for
- * parameter search; see SimpleCore). runKey() names the run; the CMP
- * study has its own pair, runCmp() and runKeyCmp(). paperView(),
- * hierarchyView() and cmpView() turn an output into the energy
- * ledger's input.
+ * Run orchestration: builds a benchmark's program image and a
+ * one-core CmpSystem (system/cmp.hh) with its L1 i-cache and core,
+ * drives the core (sampled, interval-metered or through the midpoint
+ * checkpoint) and reads the system's per-core and shared-level
+ * outputs. One entry point, run(), takes a RunSpec: the L1I
+ * (conventional, DRI or any leakage policy) and the core model (the
+ * detailed out-of-order core, or the fast fetch-driven model used
+ * only for parameter search; see SimpleCore). runKey() names the
+ * run; the CMP study has its own pair, runCmp() and runKeyCmp(), over
+ * an N-core CmpSystem. paperView(), hierarchyView() and cmpView() turn
+ * an output into the energy ledger's input.
  */
 
 #ifndef DRISIM_HARNESS_RUNNER_HH
@@ -99,58 +101,19 @@ struct RunConfig
     std::shared_ptr<sim::ResultCache> resultCache;
 };
 
-/** What one run produced. */
-struct RunOutput
+/** What one run produced: its one core's output and the shared
+ *  levels' (system/cmp.hh). */
+struct RunOutput : CoreOutput, SharedOutput
 {
-    RunMeasurement meas;
-    double ipc = 0.0;
-    double l1dMissRate = 0.0;
-    double l2MissRate = 0.0;
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t memAccesses = 0;
-    /** Memory traffic split: demand fills vs background drains. */
-    std::uint64_t memReads = 0;
-    std::uint64_t memWritebacks = 0;
-    std::uint64_t resizes = 0;
-    std::uint64_t throttleEvents = 0;
-
-    /** Non-blocking memory-system activity (all zero under the
-     *  default blocking/flat configuration). */
-    std::uint64_t mshrCoalesced = 0;
-    std::uint64_t mshrFullStalls = 0;
-    std::uint64_t mshrFullStallCycles = 0;
-    /** Max in-flight misses observed at any one level. */
-    std::uint64_t mshrPeakOccupancy = 0;
-    std::uint64_t dramRowHits = 0;
-    std::uint64_t dramRowMisses = 0;
-    std::uint64_t dramQueueFullEvents = 0;
-    std::uint64_t dramBusyCycles = 0;
-
-    /** L2 activity (defaults describe a fixed, fully-powered L2). */
-    std::uint64_t l2SizeBytes = 0;
-    double l2AvgActiveFraction = 1.0;
-    unsigned l2ResizingTagBits = 0;
-    std::uint64_t l2Resizes = 0;
-
-    /** Leakage-policy activity (PolicyConfig runs; defaults
-     *  describe a fixed, fully-powered L1I). The gated share is
-     *  what the ledger charges at the gated residual: max(0, 1 -
-     *  active - drowsy) for a PolicyConfig L1I, and 0 for a
-     *  DriParams one (the paper's Section 5.2 rounding). */
-    double l1DrowsyFraction = 0.0;
-    double l1GatedFraction = 0.0;
-    std::uint64_t wakeTransitions = 0;
-    std::uint64_t wakeStallCycles = 0;
-    std::uint64_t policyBlocksLost = 0;
 };
 
 /**
  * Call f(name, field) for every field of @p out (a RunOutput, const
- * or not) under its result-cache payload name. Each field is a
- * std::uint64_t, an unsigned or a double. The payload writer and
- * reader and the tests' run comparator walk this one list, so a new
- * field is named here and nowhere else.
+ * or not) under its result-cache payload name: the CoreOutput part,
+ * then the SharedOutput part. Each field is a std::uint64_t, an
+ * unsigned or a double. The payload writer and reader and the tests'
+ * run comparator walk this one list, so a new field is named here and
+ * nowhere else.
  */
 template <typename Out, typename F>
 void
@@ -165,6 +128,14 @@ forEachCounter(Out &out, F &&f)
     f("l1i_bytes", out.meas.l1iBytes);
     f("ipc", out.ipc);
     f("l1d_miss_rate", out.l1dMissRate);
+    f("resizes", out.resizes);
+    f("throttle_events", out.throttleEvents);
+    f("l1_drowsy_fraction", out.l1DrowsyFraction);
+    f("l1_gated_fraction", out.l1GatedFraction);
+    f("wake_transitions", out.wakeTransitions);
+    f("wake_stall_cycles", out.wakeStallCycles);
+    f("policy_blocks_lost", out.policyBlocksLost);
+
     f("l2_miss_rate", out.l2MissRate);
     f("l2_accesses", out.l2Accesses);
     f("l2_misses", out.l2Misses);
@@ -179,17 +150,10 @@ forEachCounter(Out &out, F &&f)
     f("dram_row_misses", out.dramRowMisses);
     f("dram_queue_full", out.dramQueueFullEvents);
     f("dram_busy_cycles", out.dramBusyCycles);
-    f("resizes", out.resizes);
-    f("throttle_events", out.throttleEvents);
     f("l2_size_bytes", out.l2SizeBytes);
     f("l2_active_fraction", out.l2AvgActiveFraction);
     f("l2_tag_bits", out.l2ResizingTagBits);
     f("l2_resizes", out.l2Resizes);
-    f("l1_drowsy_fraction", out.l1DrowsyFraction);
-    f("l1_gated_fraction", out.l1GatedFraction);
-    f("wake_transitions", out.wakeTransitions);
-    f("wake_stall_cycles", out.wakeStallCycles);
-    f("policy_blocks_lost", out.policyBlocksLost);
 }
 
 /**
@@ -274,10 +238,11 @@ struct RunSpec
 
 /**
  * Run @p bench on the machine @p config describes with the L1I and
- * core model @p spec names. A DRI L1I is the Dri leakage policy, a
- * DriICache built by makeLeakagePolicy, bit-identical to wiring one
- * by hand (locked by tests/policy_test.cc). Results are memoized in
- * config.resultCache under runKey().
+ * core model @p spec names, as a one-core CmpSystem whose L1I
+ * geometry is the spec's as given. A DRI L1I is the Dri leakage
+ * policy, a DriICache built by makeLeakagePolicy, bit-identical to
+ * wiring one by hand (locked by tests/policy_test.cc). Results are
+ * memoized in config.resultCache under runKey().
  */
 RunOutput run(const BenchmarkInfo &bench, const RunConfig &config,
               const RunSpec &spec = {});
@@ -322,7 +287,8 @@ sim::ConfigKey runKeyCmp(const RunConfig &config, const CmpConfig &cmp,
 
 /**
  * Detailed CMP run (system/cmp.hh): N cores, private L1s
- * (conventional or any leakage policy per cmp.coreConfigs), shared
+ * (conventional or any leakage policy per cmp.coreConfigs, each
+ * managed L1I's geometry resolved against config.hier.l1i), shared
  * L2 (conventional or resizable per config.hier.l2Dri), each core
  * running config.maxInstrs instructions of its own benchmark. With
  * cmp.cores == 1 this reproduces the single-core run() bit-for-bit

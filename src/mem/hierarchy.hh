@@ -2,7 +2,11 @@
  * @file
  * The Table 1 memory system: the shared levels (main memory, flat or
  * banked, and the unified L2, conventional or DRI), the L1 d-cache
- * and the L1 i-cache (conventional or caller-installed).
+ * and the L1 i-cache (conventional or caller-installed). CmpSystem
+ * (system/cmp.hh), which every run builds, takes its shared levels
+ * from here. Hierarchy wires one L1D and L1I straight to the L2 for
+ * the tests, bench_micro, perfbench's layer pass and
+ * examples/phase_explorer, which drive a core by hand.
  */
 
 #ifndef DRISIM_MEM_HIERARCHY_HH
@@ -63,7 +67,8 @@ DriParams driParamsForLevel(const CacheParams &level,
  * Main memory (flat, or banked DRAM when params.dram.banked is set)
  * and the unified L2 over it (a ResizableCache when params.l2Dri is
  * set, else a conventional Cache): the levels every L1 shares.
- * Hierarchy and CmpSystem build theirs here.
+ * Hierarchy and CmpSystem build theirs here; CmpSystem::readShared()
+ * reads them out.
  */
 class SharedLevels
 {
@@ -91,34 +96,12 @@ class SharedLevels
     std::uint64_t memWritebacks() const;
 
     /**
-     * Fill the fields a run's and a CMP run's output share
-     * (RunOutput in harness/runner.hh, CmpRunOutput in
-     * system/cmp.hh): memory accesses, the L2's size, a resizable
-     * L2's activity and banked DRAM's. Fields of a flavour not built
-     * keep their defaults (a fixed, fully-powered L2; flat memory).
+     * Serialize the "hier" section (sim/checkpoint.hh): the memory
+     * and the L2, each behind its flavour flag, then @p l1d and,
+     * behind its flag, the conventional L1I @p convL1i (null when a
+     * policy manages the L1I; its owner serializes it).
      */
-    template <typename Out>
-    void fillSharedOutputs(Out &out) const
-    {
-        out.memAccesses = memAccesses();
-        out.l2SizeBytes = l2_->params().sizeBytes;
-        if (driL2_) {
-            const PolicyActivity act = driL2_->activity();
-            out.l2AvgActiveFraction = act.avgActiveFraction;
-            out.l2ResizingTagBits = act.resizingTagBits;
-            out.l2Resizes = act.resizes;
-        }
-        if (dram_) {
-            out.dramRowHits = dram_->rowHits();
-            out.dramRowMisses = dram_->rowMisses();
-            out.dramQueueFullEvents = dram_->queueFullEvents();
-            out.dramBusyCycles = dram_->busyCycles();
-        }
-    }
-
-    /** Serialize the memory and the L2, each behind its flavour
-     *  flag (sim/checkpoint.hh). */
-    void checkpoint(sim::StateIO io);
+    void checkpoint(sim::StateIO io, Cache &l1d, Cache *convL1i);
 
   private:
     std::unique_ptr<MainMemory> mem_;

@@ -113,11 +113,11 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
 }
 
 obs::Readings
-l1iReadings(const LeakagePolicy *policy, const Cache &l1i,
-            std::uint64_t sizeBytes, Cycles cycles, bool coherent)
+l1iReadings(const LeakagePolicy *policy, const Cache &l1i, Cycles cycles,
+            bool coherent)
 {
     const double c = static_cast<double>(cycles);
-    const double bytes = static_cast<double>(sizeBytes);
+    const double bytes = static_cast<double>(l1i.params().sizeBytes);
     obs::Readings r;
     r["l1i_accesses"] = static_cast<double>(l1i.accesses());
     r["l1i_misses"] = static_cast<double>(l1i.misses());

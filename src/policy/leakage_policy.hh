@@ -38,7 +38,6 @@
 #ifndef DRISIM_POLICY_LEAKAGE_POLICY_HH
 #define DRISIM_POLICY_LEAKAGE_POLICY_HH
 
-#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -208,7 +207,7 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
 
 /**
  * The cumulative interval readings (obs::IntervalSampler) of one L1
- * i-cache @p l1i of @p sizeBytes after @p cycles: the cache of the
+ * i-cache @p l1i after @p cycles: the cache of the
  * leakage-managed @p policy, or a conventional cache when @p policy
  * is null. Every flavour reports its accesses, misses and
  * active-cycle area (a conventional cache is always fully powered).
@@ -221,44 +220,7 @@ makeLeakagePolicy(const PolicyConfig &config, MemoryLevel *below,
  * lines), probe wakes.
  */
 obs::Readings l1iReadings(const LeakagePolicy *policy, const Cache &l1i,
-                          std::uint64_t sizeBytes, Cycles cycles,
-                          bool coherent);
-
-/**
- * Fill the L1I fields a run's and a CMP core's output share
- * (RunOutput in harness/runner.hh, CmpCoreOutput in system/cmp.hh)
- * from the L1 i-cache @p l1i of @p sizeBytes, chosen like
- * l1iReadings(): the accesses, misses, active fraction and tag bits
- * of `meas`, resizes, throttles, the drowsy share, wakes and the
- * gated share. A conventional cache (@p policy null) is fully
- * powered. Under @p paperRule (a DriParams run, or a CMP core of
- * kind Dri) the gated share is 0, the paper's rounding; otherwise it
- * is max(0, 1 - active - drowsy), charged at the gated residual.
- * Returns the activity, for the fields only one output carries.
- */
-template <typename Out>
-PolicyActivity
-fillL1iOutputs(Out &out, const LeakagePolicy *policy, const Cache &l1i,
-               std::uint64_t sizeBytes, bool paperRule)
-{
-    const PolicyActivity act =
-        policy ? policy->activity() : PolicyActivity{};
-    out.meas.l1iBytes = sizeBytes;
-    out.meas.l1iAccesses = l1i.accesses();
-    out.meas.l1iMisses = l1i.misses();
-    out.meas.avgActiveFraction = act.avgActiveFraction;
-    out.meas.resizingTagBits = act.resizingTagBits;
-    out.resizes = act.resizes;
-    out.throttleEvents = act.throttleEvents;
-    out.l1DrowsyFraction = act.avgDrowsyFraction;
-    out.l1GatedFraction =
-        paperRule ? 0.0
-                  : std::max(0.0, 1.0 - act.avgActiveFraction -
-                                      act.avgDrowsyFraction);
-    out.wakeTransitions = act.wakeTransitions;
-    out.wakeStallCycles = act.wakeStallCycles;
-    return act;
-}
+                          Cycles cycles, bool coherent);
 
 } // namespace drisim
 

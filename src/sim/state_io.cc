@@ -34,6 +34,7 @@
 #include "policy/policy_cache.hh"
 #include "sim/checkpoint.hh"
 #include "stats/stats.hh"
+#include "system/cmp.hh"
 #include "util/bitops.hh"
 #include "util/random.hh"
 #include "workload/fetch_replay.hh"
@@ -341,8 +342,9 @@ ResizableCache::checkpoint(StateIO io)
 // ---------------------------------------------------------------
 
 void
-SharedLevels::checkpoint(StateIO io)
+SharedLevels::checkpoint(StateIO io, Cache &l1d, Cache *convL1i)
 {
+    io.begin("hier");
     io.expect(dram_ != nullptr, "memory flavour");
     if (dram_)
         dram_->checkpoint(io);
@@ -350,18 +352,36 @@ SharedLevels::checkpoint(StateIO io)
         mem_->checkpoint(io);
     io.expect(driL2_ != nullptr, "L2 flavour");
     l2_->checkpoint(io);
+    l1d.checkpoint(io);
+    io.expect(convL1i != nullptr, "L1I flavour");
+    if (convL1i)
+        convL1i->checkpoint(io);
+    io.end();
 }
 
 void
 Hierarchy::checkpoint(StateIO io)
 {
-    io.begin("hier");
-    SharedLevels::checkpoint(io);
-    l1d_->checkpoint(io);
-    io.expect(convL1i_ != nullptr, "L1I flavour");
-    if (convL1i_)
-        convL1i_->checkpoint(io);
-    io.end();
+    SharedLevels::checkpoint(io, *l1d_, convL1i_.get());
+}
+
+// ---------------------------------------------------------------
+// system/cmp
+// ---------------------------------------------------------------
+
+void
+CmpSystem::checkpoint(StateIO io)
+{
+    drisim_assert(cores() == 1, "only a one-core system snapshots");
+    if (replay_)
+        replay_->checkpoint(io);
+    else
+        gens_[0]->checkpoint(io);
+    cores_[0]->checkpoint(io);
+    LeakagePolicy *policy = policies_[0];
+    shared_.checkpoint(io, *l1ds_[0], policy ? nullptr : l1is_[0].get());
+    if (policy)
+        policy->checkpoint(io);
 }
 
 // ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
- * CmpSystem: N trace-driven cores with private L1s round-robin
- * interleaved over a shared (optionally resizable) L2.
+ * CmpSystem: N cores with private L1s round-robin interleaved over a
+ * shared (optionally resizable) L2, and the readouts of a core and of
+ * the shared levels.
  */
 
 #include "system/cmp.hh"
@@ -11,24 +12,10 @@
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
+#include "workload/fetch_replay.hh"
 
 namespace drisim
 {
-
-namespace
-{
-
-/** Add one cache level's MSHR activity to the run's sums. */
-void
-addMshrs(CmpRunOutput &out, const Cache &level)
-{
-    out.mshrCoalesced += level.mshrCoalesced();
-    out.mshrFullStalls += level.mshrFullStalls();
-    out.mshrPeakOccupancy =
-        std::max(out.mshrPeakOccupancy, level.mshrPeakOccupancy());
-}
-
-} // namespace
 
 SharedL2Bus::SharedL2Bus(MemoryLevel *l2, unsigned blockBytes,
                          unsigned banks, Cycles penalty,
@@ -93,8 +80,8 @@ SharedL2Bus::access(unsigned core, Addr addr, AccessType type,
 CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                      const OooParams &coreParams,
                      const std::vector<const ProgramImage *> &images,
-                     stats::StatGroup *parent)
-    : cmp_(cmp), hier_(hier), shared_(hier, parent)
+                     stats::StatGroup *parent, const FastModel *fast)
+    : cmp_(cmp), shared_(hier, parent)
 {
     const unsigned n = cmp.cores;
     drisim_assert(n >= 1 && n <= kMaxCmpCores,
@@ -103,6 +90,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
     drisim_assert(images.size() == n,
                   "need one program image per core (%zu != %u)",
                   images.size(), n);
+    drisim_assert(!fast || (n == 1 && fast->replay),
+                  "the fast model runs one core over a replay");
 
     bus_ = std::make_unique<SharedL2Bus>(
         &shared_.l2(), hier.l2.blockBytes, cmp.l2Banks,
@@ -123,10 +112,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
         const CmpCoreConfig cfg = cmp.coreConfig(k);
         LeakagePolicy *policy = nullptr;
         if (cfg.l1i) {
-            PolicyConfig pc = *cfg.l1i;
-            pc.dri = driParamsForLevel(hier.l1i, pc.dri);
             std::unique_ptr<LeakagePolicy> built =
-                makeLeakagePolicy(pc, port, grp);
+                makeLeakagePolicy(*cfg.l1i, port, grp);
             policy = built.get();
             l1is_.push_back(std::move(built));
         } else {
@@ -144,19 +131,103 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                 cc->addClient(k, c);
             }
         }
-        cores_.push_back(std::make_unique<OooCore>(
-            coreParams, l1i, l1ds_.back().get(), grp));
+        if (fast) {
+            SimpleCoreParams scp = fast->params;
+            scp.fetchBlockBytes = l1i->params().blockBytes;
+            cores_.push_back(std::make_unique<SimpleCore>(scp, l1i));
+            replay_ = fast->replay;
+        } else {
+            cores_.push_back(std::make_unique<OooCore>(
+                coreParams, l1i, l1ds_.back().get(), grp));
+            gens_.push_back(
+                std::make_unique<TraceGenerator>(*images[k]));
+        }
         cores_.back()->addRetireSink(policy);
-        gens_.push_back(
-            std::make_unique<TraceGenerator>(*images[k]));
     }
 
     // A shared resizable L2 senses per-core progress directly when
-    // there is only one core (the exact single-core runner wiring);
-    // with several cores the scheduler drives it from system-wide
-    // progress instead (see run()).
+    // there is only one core (the single-core run's wiring); with
+    // several cores the scheduler drives it from system-wide progress
+    // instead (see run()).
     if (n == 1)
         cores_[0]->addRetireSink(shared_.driL2());
+}
+
+InstrStream &
+CmpSystem::stream(unsigned k)
+{
+    return replay_ ? static_cast<InstrStream &>(*replay_) : *gens_[k];
+}
+
+PolicyActivity
+CmpSystem::readCore(unsigned k, const CoreStats &cs, bool paperRule,
+                    CoreOutput &out) const
+{
+    // A conventional L1I is fully powered. The paper's rounding
+    // charges no gated share; otherwise the share neither active nor
+    // drowsy is charged at the gated residual.
+    const Cache &l1i = *l1is_[k];
+    const PolicyActivity act =
+        policies_[k] ? policies_[k]->activity() : PolicyActivity{};
+    out.meas.cycles = cs.cycles;
+    out.meas.instructions = cs.instructions;
+    out.meas.l1iBytes = l1i.params().sizeBytes;
+    out.meas.l1iAccesses = l1i.accesses();
+    out.meas.l1iMisses = l1i.misses();
+    out.meas.avgActiveFraction = act.avgActiveFraction;
+    out.meas.resizingTagBits = act.resizingTagBits;
+    out.ipc = cs.ipc();
+    out.l1dMissRate = l1ds_[k]->missRate();
+    out.resizes = act.resizes;
+    out.throttleEvents = act.throttleEvents;
+    out.l1DrowsyFraction = act.avgDrowsyFraction;
+    out.l1GatedFraction =
+        paperRule ? 0.0
+                  : std::max(0.0, 1.0 - act.avgActiveFraction -
+                                      act.avgDrowsyFraction);
+    out.wakeTransitions = act.wakeTransitions;
+    out.wakeStallCycles = act.wakeStallCycles;
+    out.policyBlocksLost = paperRule ? 0 : act.blocksLost;
+    return act;
+}
+
+void
+CmpSystem::readShared(SharedOutput &out)
+{
+    const Cache &l2 = shared_.l2();
+    out.l2MissRate = l2.missRate();
+    out.l2Accesses = l2.accesses();
+    out.l2Misses = l2.misses();
+    out.memAccesses = shared_.memAccesses();
+    out.memReads = shared_.memReads();
+    out.memWritebacks = shared_.memWritebacks();
+    out.l2SizeBytes = l2.params().sizeBytes;
+    if (const ResizableCache *dri = shared_.driL2()) {
+        const PolicyActivity act = dri->activity();
+        out.l2AvgActiveFraction = act.avgActiveFraction;
+        out.l2ResizingTagBits = act.resizingTagBits;
+        out.l2Resizes = act.resizes;
+    }
+    if (const Dram *dram = shared_.dram()) {
+        out.dramRowHits = dram->rowHits();
+        out.dramRowMisses = dram->rowMisses();
+        out.dramQueueFullEvents = dram->queueFullEvents();
+        out.dramBusyCycles = dram->busyCycles();
+    }
+
+    std::vector<const Cache *> levels{&l2};
+    for (unsigned k = 0; k < cores(); ++k) {
+        levels.push_back(l1ds_[k].get());
+        if (!policies_[k])
+            levels.push_back(l1is_[k].get());
+    }
+    for (const Cache *c : levels) {
+        out.mshrCoalesced += c->mshrCoalesced();
+        out.mshrFullStalls += c->mshrFullStalls();
+        out.mshrFullStallCycles += c->mshrFullStallCycles();
+        out.mshrPeakOccupancy =
+            std::max(out.mshrPeakOccupancy, c->mshrPeakOccupancy());
+    }
 }
 
 CmpRunOutput
@@ -182,9 +253,8 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     const CoherenceController *coh = bus_->coherence();
     const auto sample = [&](unsigned k) {
         const CoreStats cs = cores_[k]->stats();
-        obs::Readings r =
-            l1iReadings(policies_[k], *l1is_[k],
-                        hier_.l1i.sizeBytes, cs.cycles, coh != nullptr);
+        obs::Readings r = l1iReadings(policies_[k], *l1is_[k],
+                                      cs.cycles, coh != nullptr);
         r["cycles"] = static_cast<double>(cs.cycles);
         r["l2_accesses"] = static_cast<double>(bus_->accesses(k));
         r["l2_misses"] = static_cast<double>(bus_->misses(k));
@@ -212,7 +282,7 @@ CmpSystem::run(InstCount maxInstrsPerCore)
                     : std::min(cmp_.quantum, remaining[k]);
             const InstCount before =
                 cores_[k]->stats().instructions;
-            cores_[k]->run(*gens_[k], turn);
+            cores_[k]->run(stream(k), turn);
             const InstCount done =
                 cores_[k]->stats().instructions - before;
             roundRetired += done;
@@ -271,26 +341,18 @@ CmpSystem::run(InstCount maxInstrsPerCore)
     for (unsigned k = 0; k < n; ++k) {
         CmpCoreOutput &c = out.cores[k];
         const CoreStats cs = cores_[k]->stats();
-        c.meas.cycles = cs.cycles;
-        c.meas.instructions = cs.instructions;
         // DRI cores keep the paper's zero gated share.
         const LeakagePolicy *pol = policies_[k];
-        const bool dri = pol && pol->kind() == PolicyKind::Dri;
-        const PolicyActivity act = fillL1iOutputs(
-            c, pol, *l1is_[k], hier_.l1i.sizeBytes, dri);
-        c.ipc = cs.ipc();
-        c.l1dMissRate = l1ds_[k]->missRate();
+        const PolicyActivity act =
+            readCore(k, cs, pol && pol->kind() == PolicyKind::Dri, c);
         c.l2Accesses = bus_->accesses(k);
         c.l2Misses = bus_->misses(k);
         c.l2ContentionEvents = bus_->contentionEvents(k);
         c.l2MissLatencyCycles = bus_->missLatency(k);
         if (coh) {
-            const CoherenceController::CoreStats &ccs =
-                coh->coreStats(k);
-            c.coherenceInvalidationsReceived =
-                ccs.invalidationsReceived;
-            c.coherenceInvalidationsCaused =
-                ccs.invalidationsCaused;
+            const CoherenceController::CoreStats &ccs = coh->coreStats(k);
+            c.coherenceInvalidationsReceived = ccs.invalidationsReceived;
+            c.coherenceInvalidationsCaused = ccs.invalidationsCaused;
             c.coherenceDowngrades = ccs.downgradesReceived;
             c.coherenceWritebacks = ccs.coherenceWritebacks;
             c.coherenceMsgCycles = ccs.messageCycles;
@@ -299,8 +361,6 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         }
 
         out.systemCycles = std::max(out.systemCycles, cs.cycles);
-        out.l2Accesses += c.l2Accesses;
-        out.l2Misses += c.l2Misses;
         out.l2ContentionEvents += c.l2ContentionEvents;
         out.l2MissLatencyCycles += c.l2MissLatencyCycles;
         out.coherenceInvalidations +=
@@ -308,21 +368,8 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         out.coherenceDowngrades += c.coherenceDowngrades;
         out.coherenceWritebacks += c.coherenceWritebacks;
         out.coherenceMsgCycles += c.coherenceMsgCycles;
-
-        // MSHR activity over this core's private levels: the L1D and
-        // a conventional or DRI L1I (the other policies keep theirs
-        // in their own stat groups).
-        addMshrs(out, *l1ds_[k]);
-        if (!pol || dri)
-            addMshrs(out, *l1is_[k]);
     }
-    out.l2MissRate =
-        out.l2Accesses == 0
-            ? 0.0
-            : static_cast<double>(out.l2Misses) /
-                  static_cast<double>(out.l2Accesses);
-    shared_.fillSharedOutputs(out);
-    addMshrs(out, shared_.l2());
+    readShared(out);
     if (coh)
         out.directoryEvictions = coh->directory().capacityEvictions();
     if (const Dram *dram = shared_.dram()) {

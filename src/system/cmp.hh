@@ -1,10 +1,11 @@
 /**
  * @file
- * The chip-multiprocessor system: N cores, each with a private L1
- * i-cache (conventional, or managed by any leakage policy, named by
- * the PolicyConfig a single-core run() takes) and L1 d-cache and its
- * own workload, sharing one unified L2 (conventional or resizable)
- * and main memory.
+ * The machine, for one core or N: each core has a private L1 i-cache
+ * (conventional, or managed by any leakage policy, named by the
+ * PolicyConfig a single-core run() takes) and L1 d-cache and its own
+ * workload, and they share one unified L2 (conventional or
+ * resizable) and main memory. run() (harness/runner.hh) builds a
+ * one-core CmpSystem and drives its core itself.
  *
  * The paper evaluates gated-Vdd resizing on a single core; leakage
  * pressure is worst where SRAM is largest and shared — the CMP
@@ -19,9 +20,10 @@
  * system clock is the max). The shared L2 is reached through
  * per-core ports on a bus that attributes hits/misses to the
  * requesting core and charges a simple bank-contention latency adder
- * when consecutive references to a bank come from different cores —
- * with one core the adder never fires and the system degenerates
- * exactly to the single-core wiring (locked by tests).
+ * when consecutive references to a bank come from different cores.
+ * One core reaches the L2 the same way: the adder never fires, and
+ * the one-core CmpSystem::run() equals run() bit for bit (locked by
+ * tests).
  */
 
 #ifndef DRISIM_SYSTEM_CMP_HH
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "cpu/ooo_core.hh"
+#include "cpu/simple_core.hh"
 #include "energy/ledger.hh"
 #include "mem/directory.hh"
 #include "mem/hierarchy.hh"
@@ -41,6 +44,8 @@
 
 namespace drisim
 {
+
+class FetchReplay; // workload/fetch_replay.hh
 
 /** Sanity cap for `cores=` (queues, not threads — purely a model). */
 constexpr unsigned kMaxCmpCores = 64;
@@ -53,8 +58,9 @@ struct CmpCoreConfig
     /**
      * The leakage technique managing this core's L1I and its knobs,
      * as a single-core run() takes them; none = a conventional L1I.
-     * Geometry always follows hier.l1i: CmpSystem replaces the
-     * geometry of l1i->dri with driParamsForLevel()'s.
+     * CmpSystem builds it as given. In the CMP study the geometry
+     * follows hier.l1i: runCmp() replaces the geometry of l1i->dri
+     * with driParamsForLevel()'s.
      */
     std::optional<PolicyConfig> l1i;
 };
@@ -92,16 +98,66 @@ struct CmpConfig
     }
 };
 
-/** What one core of a finished CMP run produced. */
-struct CmpCoreOutput
+/** What one core, its L1I and its L1D produced: part of a run's
+ *  output (RunOutput, harness/runner.hh) and of each CMP core's,
+ *  filled by CmpSystem::readCore(). */
+struct CoreOutput
 {
-    /** Benchmark this core ran (filled by the harness). */
-    std::string bench;
     RunMeasurement meas;
     double ipc = 0.0;
     double l1dMissRate = 0.0;
     std::uint64_t resizes = 0;
     std::uint64_t throttleEvents = 0;
+
+    /** Leakage-policy activity (defaults describe a fixed,
+     *  fully-powered L1I). The gated share is what the ledger charges
+     *  at the gated residual: max(0, 1 - active - drowsy), or 0 under
+     *  the paper's Section 5.2 rounding (a DriParams run, a CMP core
+     *  of kind Dri), which also reports no blocks lost. */
+    double l1DrowsyFraction = 0.0;
+    double l1GatedFraction = 0.0;
+    std::uint64_t wakeTransitions = 0;
+    std::uint64_t wakeStallCycles = 0;
+    std::uint64_t policyBlocksLost = 0;
+};
+
+/** What the shared levels produced, and the MSHR sums over the L2,
+ *  every L1D and every conventional L1I: part of a run's output and
+ *  of a CMP run's, filled by CmpSystem::readShared(). */
+struct SharedOutput
+{
+    double l2MissRate = 0.0;
+    std::uint64_t l2Accesses = 0;
+    std::uint64_t l2Misses = 0;
+    std::uint64_t memAccesses = 0;
+    /** Memory traffic split: demand fills vs background drains. */
+    std::uint64_t memReads = 0;
+    std::uint64_t memWritebacks = 0;
+
+    /** Non-blocking memory-system activity (all zero under the
+     *  default blocking/flat configuration). */
+    std::uint64_t mshrCoalesced = 0;
+    std::uint64_t mshrFullStalls = 0;
+    std::uint64_t mshrFullStallCycles = 0;
+    /** Max in-flight misses observed at any one level. */
+    std::uint64_t mshrPeakOccupancy = 0;
+    std::uint64_t dramRowHits = 0;
+    std::uint64_t dramRowMisses = 0;
+    std::uint64_t dramQueueFullEvents = 0;
+    std::uint64_t dramBusyCycles = 0;
+
+    /** L2 activity (defaults describe a fixed, fully-powered L2). */
+    std::uint64_t l2SizeBytes = 0;
+    double l2AvgActiveFraction = 1.0;
+    unsigned l2ResizingTagBits = 0;
+    std::uint64_t l2Resizes = 0;
+};
+
+/** What one core of a finished CMP run produced. */
+struct CmpCoreOutput : CoreOutput
+{
+    /** Benchmark this core ran (filled by the harness). */
+    std::string bench;
     /** This core's share of the shared-L2 traffic. */
     std::uint64_t l2Accesses = 0;
     std::uint64_t l2Misses = 0;
@@ -110,15 +166,6 @@ struct CmpCoreOutput
     /** Cycles this core's demand L2 misses spent below the bus —
      *  the load-dependent part under banked DRAM. */
     std::uint64_t l2MissLatencyCycles = 0;
-
-    /** Leakage-policy activity (policy-managed cores only). The
-     *  gated fraction is the state-destroying remainder that the
-     *  CMP accounting charges at the Table 2 residual; classic DRI
-     *  cores leave it zero (paper convention). */
-    double l1DrowsyFraction = 0.0;
-    double l1GatedFraction = 0.0;
-    std::uint64_t wakeTransitions = 0;
-    std::uint64_t wakeStallCycles = 0;
 
     /** Coherence attribution (coherent runs only; zero otherwise).
      *  Received = probes landing on this core's L1s; caused =
@@ -134,41 +181,20 @@ struct CmpCoreOutput
     std::uint64_t coherenceRefetches = 0;
 };
 
-/** What one CMP run produced. */
-struct CmpRunOutput
+/** What one CMP run produced: the shared levels' output (whose L2
+ *  traffic the cores' attributions partition) and the cores'. */
+struct CmpRunOutput : SharedOutput
 {
     std::vector<CmpCoreOutput> cores;
 
     /** System time: the slowest core's local clock. */
     Cycles systemCycles = 0;
 
-    /** Shared-L2 view (sums of the per-core attributions). */
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t l2Misses = 0;
-    double l2MissRate = 0.0;
+    /** Sums of the per-core bus attributions (see CmpCoreOutput). */
     std::uint64_t l2ContentionEvents = 0;
-    std::uint64_t memAccesses = 0;
-
-    /** L2 activity (defaults describe a fixed, fully-powered L2). */
-    std::uint64_t l2SizeBytes = 0;
-    double l2AvgActiveFraction = 1.0;
-    unsigned l2ResizingTagBits = 0;
-    std::uint64_t l2Resizes = 0;
-
-    /** Demand-miss latency summed over cores (see CmpCoreOutput). */
     std::uint64_t l2MissLatencyCycles = 0;
 
-    /** MSHR activity summed over every cache level (zero when the
-     *  system runs the blocking default). */
-    std::uint64_t mshrCoalesced = 0;
-    std::uint64_t mshrFullStalls = 0;
-    std::uint64_t mshrPeakOccupancy = 0;
-
-    /** Banked-DRAM activity (zero in flat mode). */
-    std::uint64_t dramRowHits = 0;
-    std::uint64_t dramRowMisses = 0;
-    std::uint64_t dramQueueFullEvents = 0;
-    std::uint64_t dramBusyCycles = 0;
+    /** Banked-DRAM row hits per bank (empty in flat mode). */
     std::vector<std::uint64_t> dramBankRowHits;
 
     /** Coherence totals (sums over cores; zero when disabled). */
@@ -229,10 +255,6 @@ class SharedL2Bus : public CoherenceAgent
     void enableCoherence(const CoherenceConfig &cfg, unsigned cores);
 
     CoherenceController *coherence() { return coherence_.get(); }
-    const CoherenceController *coherence() const
-    {
-        return coherence_.get();
-    }
 
     // CoherenceAgent: requester-side entry points (L1 fills and
     // write upgrades land here; the controller does the routing).
@@ -290,35 +312,46 @@ class SharedL2Port : public MemoryLevel
     unsigned core_;
 };
 
+/** The fast model of a one-core CmpSystem: a SimpleCore with these
+ *  params (its fetch block is its L1I's) over the caller's @p replay
+ *  (which must outlive the system) instead of the image's stream. */
+struct FastModel
+{
+    SimpleCoreParams params;
+    FetchReplay *replay = nullptr;
+};
+
 /**
- * Owns the whole CMP: the shared levels (memory and the L2,
- * conventional or resizable per hier.l2Dri, built by the
- * SharedLevels the single-core Hierarchy uses), the bus, and per
- * core a port, an L1D, an L1I (conventional or a leakage policy, per
- * CmpCoreConfig) and an OooCore fed by its own trace generator.
+ * Owns the whole machine: the shared levels (memory and the L2,
+ * conventional or resizable per hier.l2Dri, built by SharedLevels),
+ * the bus, and per core a port to it, an L1D, an L1I (conventional or
+ * a leakage policy, per CmpCoreConfig) and a core (an OooCore fed by
+ * its own trace generator, or the FastModel).
  */
 class CmpSystem
 {
   public:
     /**
-     * @param cmp        CMP shape + per-core flavours
+     * @param cmp        CMP shape + per-core L1Is, built as given
      * @param hier       per-core L1 geometry and the shared L2
      *                   (hier.l2Dri selects the resizable flavour)
-     * @param coreParams pipeline shape shared by all cores
+     * @param coreParams pipeline shape shared by all detailed cores
      * @param images     one program image per core (must outlive
      *                   this object)
      * @param parent     stats parent
+     * @param fast       non-null: the one core is this fast model
      */
     CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
               const OooParams &coreParams,
               const std::vector<const ProgramImage *> &images,
-              stats::StatGroup *parent);
+              stats::StatGroup *parent, const FastModel *fast = nullptr);
 
     /**
      * Round-robin the cores until each has committed
-     * @p maxInstrsPerCore instructions (or drained its stream).
-     * The shared resizable L2 (if any) senses system-wide progress:
-     * retirements summed over cores, time as the system clock.
+     * @p maxInstrsPerCore instructions (or drained its stream), and
+     * read every counter out. The shared resizable L2 (if any) senses
+     * system-wide progress: retirements summed over cores, time as
+     * the system clock.
      */
     CmpRunOutput run(InstCount maxInstrsPerCore);
 
@@ -326,6 +359,35 @@ class CmpSystem
     {
         return static_cast<unsigned>(cores_.size());
     }
+
+    /** Core @p k, the stream it runs and its private levels, for a
+     *  caller that steps a one-core system itself. */
+    Core &core(unsigned k) { return *cores_[k]; }
+    InstrStream &stream(unsigned k);
+    Cache &l1i(unsigned k) { return *l1is_[k]; }
+    Cache &l1d(unsigned k) { return *l1ds_[k]; }
+    /** Core @p k's L1I as a leakage policy; null for a conventional
+     *  cache. */
+    const LeakagePolicy *policy(unsigned k) const { return policies_[k]; }
+
+    /**
+     * The per-core readout: core @p k's clock from @p cs (as its
+     * driver reports it), its L1I as l1iReadings() picks it, its L1D
+     * miss rate and its policy's blocks lost. Under @p paperRule (a
+     * DriParams run, a CMP core of kind Dri) the gated share and the
+     * blocks lost are 0. Returns the L1I's activity.
+     */
+    PolicyActivity readCore(unsigned k, const CoreStats &cs,
+                            bool paperRule, CoreOutput &out) const;
+
+    /** The shared-level readout (SharedOutput); fields of a flavour
+     *  not built keep their defaults. */
+    void readShared(SharedOutput &out);
+
+    /** Serialize a one-core system (sim/checkpoint.hh): its stream,
+     *  core, "hier" section, then a managed L1I. (The bus keeps no
+     *  walk, so there are no CMP snapshots.) */
+    void checkpoint(sim::StateIO io);
 
     /**
      * Enable per-core interval metrics: when the global interval
@@ -341,7 +403,6 @@ class CmpSystem
 
   private:
     CmpConfig cmp_;
-    HierarchyParams hier_;
 
     SharedLevels shared_;
     std::unique_ptr<SharedL2Bus> bus_;
@@ -354,8 +415,11 @@ class CmpSystem
      *  conventional cache). */
     std::vector<std::unique_ptr<Cache>> l1is_;
     std::vector<LeakagePolicy *> policies_;
-    std::vector<std::unique_ptr<OooCore>> cores_;
+    std::vector<std::unique_ptr<Core>> cores_;
+    /** Each detailed core's trace generator; the fast model runs
+     *  replay_. */
     std::vector<std::unique_ptr<TraceGenerator>> gens_;
+    FetchReplay *replay_ = nullptr;
 
     /** Interval-metrics series prefix; empty = no sampling. */
     std::string obsSeries_;

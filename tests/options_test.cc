@@ -15,6 +15,7 @@
 
 #include "config/options.hh"
 #include "harness/runner.hh"
+#include "util/logging.hh"
 #include "workload/spec_suite.hh"
 
 namespace drisim
@@ -168,6 +169,30 @@ TEST(Options, RejectsBadFastSimValues)
     EXPECT_FALSE(parse({"sample.period=-1"}, o, err));
     EXPECT_FALSE(parse({"checkpoint_dir="}, o, err));
     EXPECT_FALSE(parse({"result_cache="}, o, err));
+}
+
+TEST(Options, RejectsASampleWindowThatFillsItsPeriod)
+{
+    // The sampler needs 0 < window < period; with sampling on, a
+    // window at or above the period is a bad command line naming
+    // sample.window, not an abort mid-run.
+    for (const char *window : {"sample.window=2000", "sample.window=1000"}) {
+        Options o;
+        std::string err;
+        EXPECT_FALSE(
+            parse({"sample=1", window, "sample.period=1000"}, o, err))
+            << window;
+        EXPECT_EQ(err.rfind("bad value for 'sample.window'", 0), 0u) << err;
+    }
+    // Off, the pair is never read; below the period it samples.
+    Options o;
+    std::string err;
+    EXPECT_TRUE(parse({"sample.window=2000", "sample.period=1000"}, o, err))
+        << err;
+    EXPECT_TRUE(parse({"sample=1", "sample.window=999",
+                       "sample.period=1000"},
+                      o, err))
+        << err;
 }
 
 TEST(Options, ParsesObservabilityKeys)
@@ -361,7 +386,7 @@ probes()
         {"coherent", {{}, "coherent=1"}},
         {"sample", {{}, "sample=1"}},
         {"sample.window", {{"sample=1"}, "sample.window=5000"}},
-        {"sample.period", {{"sample=1"}, "sample.period=40000"}},
+        {"sample.period", {{"sample=1"}, "sample.period=400000"}},
         {"checkpoint_dir", {{}, "checkpoint_dir=/tmp/ck"}},
         {"result_cache", {{}, "result_cache=/tmp/rc.json"}},
         {"trace", {{}, "trace=/tmp/t.json"}},
@@ -724,6 +749,53 @@ TEST(Options, CoreDriFlagDisablesPerCore)
     EXPECT_EQ(cmp.cores, 2u);
     ASSERT_EQ(cmp.coreConfigs.size(), 2u);
     EXPECT_FALSE(cmp.coreConfigs[0].l1i);
+}
+
+namespace caplog
+{
+std::vector<std::string> warnings; // hook target (single-threaded)
+
+void
+hook(LogLevel level, const std::string &msg)
+{
+    if (level == LogLevel::Warn)
+        warnings.push_back(msg);
+}
+
+/** The warnings parsing @p args prints. */
+std::vector<std::string>
+warningsOf(std::initializer_list<const char *> args)
+{
+    Options o;
+    std::string err;
+    warnings.clear();
+    setLogHook(&hook);
+    EXPECT_TRUE(parse(args, o, err)) << err;
+    setLogHook(nullptr);
+    return warnings;
+}
+} // namespace caplog
+
+TEST(Options, WarnsOncePerCoreRecordNoCoreReads)
+{
+    // A one-core run reads only the global options, so a core0.*
+    // record is orphaned there like a record past the last core: the
+    // run goes on, with one warning per record.
+    for (const char *key : {"core0.bench=li", "core0.policy=decay"}) {
+        const std::vector<std::string> w = caplog::warningsOf({key});
+        ASSERT_EQ(w.size(), 1u) << key;
+        EXPECT_EQ(w[0].rfind("core0.* options ignored", 0), 0u) << w[0];
+    }
+    EXPECT_EQ(caplog::warningsOf({"cores=1", "core0.bench=li",
+                                  "core2.policy=decay"})
+                  .size(),
+              2u);
+    // With two cores, core 0 and core 1 are built; core 2 is not.
+    const std::vector<std::string> w = caplog::warningsOf(
+        {"cores=2", "core0.bench=li", "core1.policy=decay",
+         "core2.bench=gcc"});
+    ASSERT_EQ(w.size(), 1u);
+    EXPECT_EQ(w[0].rfind("core2.* options ignored", 0), 0u) << w[0];
 }
 
 TEST(Options, RejectsBadCoresValues)

@@ -954,15 +954,19 @@ TEST(ResultCacheRunnerTest, CachedRunIsByteIdenticalToComputed)
 TEST(ResultCacheRunnerTest, EveryRunOutputFieldIsACounter)
 {
     // The payload and expectSameRun carry exactly what
-    // forEachCounter lists. Binding every field of RunOutput here
-    // makes a new field fail to compile until it is listed; each
-    // field then gets a distinct value that the walk must visit once.
+    // forEachCounter lists. Binding every field of RunOutput's two
+    // parts here makes a new field fail to compile until it is
+    // listed (RunOutput adds none of its own); each field then gets a
+    // distinct value that the walk must visit once.
+    static_assert(sizeof(RunOutput) ==
+                  sizeof(CoreOutput) + sizeof(SharedOutput));
     RunOutput out;
-    auto &[meas, ipc, l1dMissRate, l2MissRate, l2Accesses, l2Misses,
-           memAccesses, memReads, memWritebacks, resizes, throttles,
-           coalesced, fullStalls, fullStallCycles, peak, rowHits,
-           rowMisses, queueFull, busy, l2Bytes, l2Active, l2TagBits,
-           l2Resizes, drowsy, gated, wakes, wakeStalls, lost] = out;
+    auto &[meas, ipc, l1dMissRate, resizes, throttles, drowsy, gated,
+           wakes, wakeStalls, lost] = static_cast<CoreOutput &>(out);
+    auto &[l2MissRate, l2Accesses, l2Misses, memAccesses, memReads,
+           memWritebacks, coalesced, fullStalls, fullStallCycles, peak,
+           rowHits, rowMisses, queueFull, busy, l2Bytes, l2Active,
+           l2TagBits, l2Resizes] = static_cast<SharedOutput &>(out);
     auto &[cycles, instrs, l1iAccesses, l1iMisses, l1iActive, tagBits,
            l1iBytes] = meas;
     double next = 0.0;
