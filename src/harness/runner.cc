@@ -557,17 +557,17 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
     obs::ScopedSpan runSpan(obs::trace(), "run", series);
     std::shared_ptr<const FetchRecording> rec;
     std::optional<FetchReplay> replay;
-    std::optional<FastModel> fast;
+    FastModel fast;
     if (spec.fast) {
         rec = fastRecording(bench, config, *spec.fast);
         replay.emplace(*rec);
-        fast = FastModel{{.baseCpi = spec.fast->baseCpi,
-                          .missOverlap = spec.fast->missOverlap},
-                         &*replay};
+        fast = {{.baseCpi = spec.fast->baseCpi,
+                 .missOverlap = spec.fast->missOverlap},
+                &*replay};
     }
     stats::StatGroup root(spec.fast ? "fast" : "sim");
     CmpSystem sys(one, config.hier, config.core, {&programImageFor(bench)},
-                  &root, fast ? &*fast : nullptr);
+                  &root, spec.fast ? &fast : nullptr);
 
     Core &core = sys.core(0);
     CoreStats cs;

@@ -81,7 +81,8 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
                      const OooParams &coreParams,
                      const std::vector<const ProgramImage *> &images,
                      stats::StatGroup *parent, const FastModel *fast)
-    : cmp_(cmp), shared_(hier, parent)
+    : cmp_(cmp), shared_(hier, parent),
+      replay_(fast ? fast->replay : nullptr)
 {
     const unsigned n = cmp.cores;
     drisim_assert(n >= 1 && n <= kMaxCmpCores,
@@ -135,7 +136,6 @@ CmpSystem::CmpSystem(const CmpConfig &cmp, const HierarchyParams &hier,
             SimpleCoreParams scp = fast->params;
             scp.fetchBlockBytes = l1i->params().blockBytes;
             cores_.push_back(std::make_unique<SimpleCore>(scp, l1i));
-            replay_ = fast->replay;
         } else {
             cores_.push_back(std::make_unique<OooCore>(
                 coreParams, l1i, l1ds_.back().get(), grp));
@@ -350,9 +350,12 @@ CmpSystem::run(InstCount maxInstrsPerCore)
         c.l2ContentionEvents = bus_->contentionEvents(k);
         c.l2MissLatencyCycles = bus_->missLatency(k);
         if (coh) {
-            const CoherenceController::CoreStats &ccs = coh->coreStats(k);
-            c.coherenceInvalidationsReceived = ccs.invalidationsReceived;
-            c.coherenceInvalidationsCaused = ccs.invalidationsCaused;
+            const CoherenceController::CoreStats &ccs =
+                coh->coreStats(k);
+            c.coherenceInvalidationsReceived =
+                ccs.invalidationsReceived;
+            c.coherenceInvalidationsCaused =
+                ccs.invalidationsCaused;
             c.coherenceDowngrades = ccs.downgradesReceived;
             c.coherenceWritebacks = ccs.coherenceWritebacks;
             c.coherenceMsgCycles = ccs.messageCycles;
