@@ -1,7 +1,8 @@
 /**
  * @file
- * Miss-bound / throttle FSM: interval accounting and the
- * upsize/downsize/hold decision.
+ * Miss-bound / throttle FSM: interval accounting, the
+ * upsize/downsize/hold decision and its clamped step, and the replay
+ * of a recorded history.
  */
 
 #include "core/resize_controller.hh"
@@ -87,6 +88,36 @@ ResizeController::noteApplied(ResizeDecision applied)
         }
         lastApplied_ = applied;
     }
+}
+
+std::uint64_t
+ResizeController::step(const SizeMask &mask)
+{
+    const ResizeDecision decision =
+        endInterval(mask.atMinimum(), mask.atMaximum());
+    SizeMask target = mask;
+    if (decision == ResizeDecision::Downsize)
+        target.shrink(params_.divisibility);
+    else if (decision == ResizeDecision::Upsize)
+        target.grow(params_.divisibility);
+    noteApplied(target.numSets() == mask.numSets() ? ResizeDecision::Hold
+                                                   : decision);
+    return target.numSets();
+}
+
+bool
+replayReproduces(const DriParams &params, const ResizeHistory &history)
+{
+    ResizeController controller(params);
+    SizeMask mask = makeSizeMask(params);
+    for (const ResizeBoundary &b : history) {
+        controller.recordMiss(b.misses);
+        const std::uint64_t sets = controller.step(mask);
+        if (sets != b.setsAfter)
+            return false;
+        mask.setNumSets(sets);
+    }
+    return true;
 }
 
 } // namespace drisim

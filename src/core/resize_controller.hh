@@ -7,15 +7,26 @@
  * hold. A saturating counter detects repeated oscillation between
  * two adjacent sizes; on saturation it disables downsizing for a
  * fixed number of intervals ("throttling").
+ *
+ * The boundary rule is stated once, in ResizeController::step(): the
+ * decision, its step by the divisibility clamped to the size mask's
+ * range, and the applied move the throttle hears. A resizable cache
+ * takes each step and records {misses, sets after} per boundary (a
+ * ResizeHistory); replayReproduces() takes the same steps for
+ * another parameter set over that history. Since the miss-bound and
+ * the size-bound act only here, a cell whose replay reaches every
+ * recorded set count runs exactly as the recorded one did.
  */
 
 #ifndef DRISIM_CORE_RESIZE_CONTROLLER_HH
 #define DRISIM_CORE_RESIZE_CONTROLLER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "util/types.hh"
 #include "core/dri_params.hh"
+#include "core/size_mask.hh"
 
 namespace drisim::sim
 {
@@ -27,6 +38,19 @@ namespace drisim
 
 /** What the controller decided at an interval boundary. */
 enum class ResizeDecision { Hold, Upsize, Downsize };
+
+/** One sense-interval boundary of a run: the misses of the interval
+ *  it closed and the set count after its decision. */
+struct ResizeBoundary
+{
+    std::uint64_t misses = 0;
+    std::uint64_t setsAfter = 0;
+
+    bool operator==(const ResizeBoundary &) const = default;
+};
+
+/** A resizable cache's boundaries, in run order. */
+using ResizeHistory = std::vector<ResizeBoundary>;
 
 /** Miss-bound / throttle finite-state machine. */
 class ResizeController
@@ -60,6 +84,15 @@ class ResizeController
      */
     void noteApplied(ResizeDecision applied);
 
+    /**
+     * One boundary of Figure 1 for a cache at @p mask's size: close
+     * the interval, step the set count by the divisibility in the
+     * decided direction, clamped to the mask's range, and note the
+     * move as applied (a clamped-away step is a Hold). Returns the
+     * set count to resize to; @p mask itself is left to the caller.
+     */
+    std::uint64_t step(const SizeMask &mask);
+
     std::uint64_t missCount() const { return missCount_; }
     std::uint64_t intervals() const { return intervals_; }
     bool downsizeFrozen() const { return freezeRemaining_ > 0; }
@@ -83,6 +116,16 @@ class ResizeController
 
     ResizeDecision lastApplied_ = ResizeDecision::Hold;
 };
+
+/**
+ * Whether a cache with @p params, driven over @p history's miss
+ * counts, reaches each boundary's recorded set count: a fresh
+ * controller and size mask take step() at every entry. When it does,
+ * the cache's decisions, throttle and resizes match the recorded
+ * run's at every boundary. An empty history is reproduced by any
+ * parameter set.
+ */
+bool replayReproduces(const DriParams &params, const ResizeHistory &history);
 
 } // namespace drisim
 

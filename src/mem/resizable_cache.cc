@@ -61,53 +61,19 @@ ResizableCache::retireInstructions(InstCount n)
     // A large n can cross several interval boundaries; honour each.
     while (controller_.recordInstructions(n)) {
         n = 0;
-        ResizeDecision d = controller_.endInterval(mask_.atMinimum(),
-                                                   mask_.atMaximum());
-        std::uint64_t before = mask_.numSets();
-        applyDecision(d);
-        resized |= mask_.numSets() != before;
+        const std::uint64_t misses = controller_.missCount();
+        const std::uint64_t before = mask_.numSets();
+        const std::uint64_t sets = controller_.step(mask_);
+        history_.push_back({misses, sets});
+        if (sets == before) {
+            ++holds_;
+            continue;
+        }
+        ++(sets < before ? downsizes_ : upsizes_);
+        resizeTo(sets);
+        resized = true;
     }
     return resized;
-}
-
-void
-ResizableCache::applyDecision(ResizeDecision decision)
-{
-    const std::uint64_t sets = mask_.numSets();
-    switch (decision) {
-      case ResizeDecision::Hold:
-        ++holds_;
-        controller_.noteApplied(ResizeDecision::Hold);
-        return;
-      case ResizeDecision::Downsize: {
-        std::uint64_t target = sets / dri_.divisibility;
-        if (target < mask_.minSets())
-            target = mask_.minSets();
-        if (target == sets) {
-            ++holds_;
-            controller_.noteApplied(ResizeDecision::Hold);
-            return;
-        }
-        ++downsizes_;
-        resizeTo(target);
-        controller_.noteApplied(ResizeDecision::Downsize);
-        return;
-      }
-      case ResizeDecision::Upsize: {
-        std::uint64_t target = sets * dri_.divisibility;
-        if (target > mask_.maxSets())
-            target = mask_.maxSets();
-        if (target == sets) {
-            ++holds_;
-            controller_.noteApplied(ResizeDecision::Hold);
-            return;
-        }
-        ++upsizes_;
-        resizeTo(target);
-        controller_.noteApplied(ResizeDecision::Upsize);
-        return;
-      }
-    }
 }
 
 void

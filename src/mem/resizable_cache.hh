@@ -19,6 +19,14 @@
  * gated, and evicts blocks whose set index changes under a wider
  * mask, since stale aliases of them are not harmless.
  *
+ * Every boundary takes the controller's one step
+ * (ResizeController::step) and appends {misses, sets after} to the
+ * cache's boundary history, whatever the flavour. The history is
+ * not part of a snapshot; a run that restores one knows only the
+ * boundaries after it. The harness replays a finished run's history
+ * under a sibling cell's miss-bound and size-bound to serve that
+ * cell without simulating it (harness/runner.hh, RunLead).
+ *
  * Used directly with ResizePolicy::writeback(), the class is a
  * resizable unified write-back, write-allocate cache: the DRI L2,
  * and the DRI d-cache the paper defers (tests/dri_dcache_test.cc).
@@ -80,10 +88,13 @@ class ResizableCache : public LeakagePolicy
 
     /**
      * Account @p n retired instructions; at sense-interval
-     * boundaries runs the resize decision. Returns true if the
-     * cache resized.
+     * boundaries takes the controller's step and records it in
+     * history(). Returns true if the cache resized.
      */
     bool retireInstructions(InstCount n);
+
+    /** Every boundary this cache object has taken, in order. */
+    const ResizeHistory &history() const { return history_; }
 
     /** RetireSink: retirement broadcast from the core. */
     void onRetire(InstCount n) override { retireInstructions(n); }
@@ -164,7 +175,6 @@ class ResizableCache : public LeakagePolicy
     /** Cache hook: the controller counts every miss. */
     void onMiss() override { controller_.recordMiss(); }
 
-    void applyDecision(ResizeDecision decision);
     void resizeTo(std::uint64_t newSets);
     /** Move the size mask, and the index mask with it. */
     void setSets(std::uint64_t sets);
@@ -174,6 +184,7 @@ class ResizableCache : public LeakagePolicy
     ResizePolicy policy_;
     SizeMask mask_;
     ResizeController controller_;
+    ResizeHistory history_;
 
     double activeSetCycles_ = 0.0;
     Cycles integratedCycles_ = 0;

@@ -1,12 +1,17 @@
 /**
  * @file
  * Resize-controller tests: miss-bound decisions, interval
- * accounting, and the oscillation throttle (Section 2.1).
+ * accounting, the oscillation throttle (Section 2.1), and the replay
+ * of a recorded boundary history under another cell's bounds.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/resize_controller.hh"
+#include "mem/resizable_cache.hh"
+#include "stats/stats.hh"
 
 namespace drisim
 {
@@ -232,6 +237,151 @@ TEST(ResizeController, MissesWithinIntervalNeverDecide)
         EXPECT_FALSE(c.recordInstructions(10));
     }
     EXPECT_EQ(c.intervals(), 0u);
+}
+
+// --- replaying a history under a sibling's bounds ----------------------
+
+/** A standalone resizable i-cache driven one sense interval at a time
+ *  by the number of misses in it. */
+class DrivenCache : public ResizableCache
+{
+  public:
+    DrivenCache(const DriParams &p, stats::StatGroup *root,
+                const std::string &name)
+        : ResizableCache(p, ResizePolicy::icache(), nullptr, root, name)
+    {
+    }
+
+    /** One whole sense interval with @p misses misses. */
+    void interval(std::uint64_t misses)
+    {
+        for (std::uint64_t i = 0; i < misses; ++i)
+            onMiss();
+        retireInstructions(dri_.senseInterval);
+    }
+};
+
+/**
+ * The replay's verdict on serving @p sibling from @p leader's run over
+ * the interval miss counts @p misses, checked against two real caches
+ * driven over those counts: the replay serves exactly when their
+ * histories agree, and a served sibling took the same resizes and
+ * throttle events as its leader.
+ */
+bool
+served(const DriParams &leader, const DriParams &sibling,
+       const std::vector<std::uint64_t> &misses)
+{
+    stats::StatGroup root("replay");
+    DrivenCache a(leader, &root, "leader");
+    DrivenCache b(sibling, &root, "sibling");
+    for (const std::uint64_t m : misses) {
+        a.interval(m);
+        b.interval(m);
+    }
+    EXPECT_EQ(a.history().size(), misses.size());
+    const bool replay = replayReproduces(sibling, a.history());
+    EXPECT_EQ(replay, a.history() == b.history());
+    if (replay) {
+        EXPECT_EQ(a.upsizes(), b.upsizes());
+        EXPECT_EQ(a.downsizes(), b.downsizes());
+        EXPECT_EQ(a.controller().throttleEvents(),
+                  b.controller().throttleEvents());
+        EXPECT_EQ(a.controller().downsizeFrozen(),
+                  b.controller().downsizeFrozen());
+    }
+    return replay;
+}
+
+DriParams
+cell(std::uint64_t missBound, std::uint64_t sizeBound,
+     unsigned divisibility = 2)
+{
+    DriParams p = params(missBound);
+    p.sizeBoundBytes = sizeBound;
+    p.divisibility = divisibility;
+    return p;
+}
+
+TEST(ResizeReplay, SizeBoundThatBindsIsNotServed)
+{
+    // 64 KB of 32-byte sets: 2048 sets, 32 at 1 KB, 512 at 16 KB.
+    const DriParams leader = cell(100, 1024);
+    const DriParams sibling = cell(100, 16 * 1024);
+    // Two downsizes stay above the sibling's bound ...
+    EXPECT_TRUE(served(leader, sibling, {0, 0}));
+    // ... the third takes the leader below it.
+    EXPECT_FALSE(served(leader, sibling, {0, 0, 0}));
+    // At its bound the sibling holds whatever the leader does next.
+    EXPECT_FALSE(served(leader, sibling, {0, 0, 0, 500}));
+}
+
+TEST(ResizeReplay, DivisibilityClampAtTheSiblingsBoundIsNotServed)
+{
+    // Divisibility 4: 2048 -> 512 -> 128, then the leader goes to 32
+    // while the sibling's 2 KB bound clamps it at 64.
+    EXPECT_TRUE(served(cell(100, 1024, 4), cell(100, 2048, 4), {0, 0}));
+    EXPECT_FALSE(
+        served(cell(100, 1024, 4), cell(100, 2048, 4), {0, 0, 0}));
+    // Divisibility 8: 2048 -> 256, then 32 against a clamp at 64.
+    EXPECT_FALSE(served(cell(100, 1024, 8), cell(100, 2048, 8), {0, 0}));
+    // A clamp both cells share is the same step.
+    EXPECT_TRUE(
+        served(cell(100, 2048, 8), cell(300, 2048, 8), {0, 0, 50}));
+}
+
+TEST(ResizeReplay, MissCountAtOneBoundAndBelowTheOtherIsNotServed)
+{
+    // 100 misses: the leader's bound holds, the sibling's downsizes.
+    EXPECT_FALSE(served(cell(100, 1024), cell(101, 1024), {100}));
+    EXPECT_FALSE(served(cell(101, 1024), cell(100, 1024), {100}));
+    // One miss either side of both bounds decides alike.
+    EXPECT_TRUE(served(cell(100, 1024), cell(101, 1024), {99, 102}));
+}
+
+TEST(ResizeReplay, ThrottleFreezeReachedAlikeIsServed)
+{
+    // Down, up, down, ... : the fourth reversal saturates the 3-bit
+    // counter and freezes downsizing, so the last interval holds in
+    // both cells although it has no misses.
+    std::vector<std::uint64_t> misses{0};
+    for (int i = 0; i < 4; ++i)
+        misses.push_back(i % 2 == 0 ? 500 : 0);
+    misses.push_back(0);
+    const DriParams leader = cell(100, 1024);
+    const DriParams sibling = cell(200, 4096);
+    EXPECT_TRUE(served(leader, sibling, misses));
+
+    stats::StatGroup root("throttle");
+    DrivenCache a(leader, &root, "leader");
+    for (const std::uint64_t m : misses)
+        a.interval(m);
+    EXPECT_EQ(a.controller().throttleEvents(), 1u);
+    EXPECT_TRUE(a.controller().downsizeFrozen());
+    EXPECT_EQ(a.history().back().setsAfter, a.history().end()[-2].setsAfter);
+}
+
+TEST(ResizeReplay, RunShorterThanOneIntervalServesEverySibling)
+{
+    stats::StatGroup root("short");
+    DrivenCache a(cell(100, 1024), &root, "leader");
+    a.retireInstructions(a.params().senseInterval - 1);
+    ASSERT_TRUE(a.history().empty());
+    for (const DriParams &sibling :
+         {cell(1, 65536), cell(100000, 1024, 8), cell(0, 2048)})
+        EXPECT_TRUE(replayReproduces(sibling, a.history()));
+    EXPECT_TRUE(served(cell(100, 1024), cell(7, 65536), {}));
+}
+
+TEST(ResizeReplay, NonAdaptiveCellHoldsAtEveryBoundary)
+{
+    DriParams leader = cell(100, 1024);
+    leader.adaptive = false;
+    DriParams sibling = cell(5000, 16 * 1024);
+    sibling.adaptive = false;
+    EXPECT_TRUE(served(leader, sibling, {0, 500, 0, 100}));
+    // An adaptive cell would have downsized on the first interval.
+    EXPECT_FALSE(served(leader, cell(100, 1024), {0, 500, 0, 100}));
 }
 
 } // namespace
