@@ -265,6 +265,9 @@ reportFastSim(const BenchContext &ctx)
             static_cast<unsigned long long>(c.restores),
             ctx.opts.run.checkpointDir.c_str());
     }
+    if (const std::uint64_t served = servedRuns())
+        std::fprintf(stderr, "served: %llu cells from a sibling's run\n",
+                     static_cast<unsigned long long>(served));
     // Observability artifacts flush here, after the report, so a
     // trace covers the whole run; like the lines above, the summary
     // goes to stderr to keep stdout byte-comparable.

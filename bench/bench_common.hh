@@ -85,11 +85,13 @@ int startBench(int argc, char **argv, unsigned binary,
 /**
  * One stderr line per configured fast-simulation mechanism
  * ("result-cache: hits=... misses=... stores=..." and
- * "checkpoints: saves=... restores=..."); silent when neither was
- * configured. Flushes the result cache first, so a bench that was
- * killed right after its report still leaves a complete sidecar.
- * stderr keeps stdout byte-comparable across cached/uncached runs.
- * Then writes out the trace and metrics sinks (writeObsSinks()).
+ * "checkpoints: saves=... restores=..."), then "served: N cells from
+ * a sibling's run" when N > 0 runs were served (RunSpec::leaders);
+ * silent when neither mechanism was configured and nothing was
+ * served. Flushes the result cache first, so a bench that was killed
+ * right after its report still leaves a complete sidecar. stderr
+ * keeps stdout byte-comparable across cached/uncached runs. Then
+ * writes out the trace and metrics sinks (writeObsSinks()).
  */
 void reportFastSim(const BenchContext &ctx);
 

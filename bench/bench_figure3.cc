@@ -19,6 +19,9 @@ using namespace drisim::bench;
 namespace
 {
 
+/** A winner's row. A constrained winner whose detailed re-run broke
+ *  the slowdown bound is marked in its slowdown cell, as the policy
+ *  study marks one. */
 std::vector<std::string>
 rowCells(const std::string &name, int cls,
          const SearchCandidate &cand)
@@ -31,7 +34,8 @@ rowCells(const std::string &name, int cls,
             fmtDouble(c.relativeEdLeakage(), 3),
             fmtDouble(c.relativeEdDynamic(), 3),
             fmtDouble(cand.out.meas.avgActiveFraction, 3),
-            fmtDouble(c.slowdownPercent(), 2) + "%",
+            fmtDouble(c.slowdownPercent(), 2) + "%" +
+                (cand.feasible ? "" : " (infeasible)"),
             fmtPercent(cand.out.meas.missRate(), 2)};
 }
 

@@ -44,7 +44,8 @@ main(int argc, char **argv)
         const DriParams &bp = base.best.dri;
 
         // The 0.5x and 2x re-runs are independent detailed
-        // simulations; batch them through the executor.
+        // simulations; batch them through the executor, each served
+        // from the winner's run when its decisions match.
         std::vector<DriParams> variants;
         for (const double f : {0.5, 2.0}) {
             DriParams p = bp;
@@ -56,7 +57,7 @@ main(int argc, char **argv)
         const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.convDetailed,
-                                  &benchExecutor(ctx));
+                                  &benchExecutor(ctx), &base.best);
 
         double ed[3];
         double slow[3];

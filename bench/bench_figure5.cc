@@ -41,7 +41,8 @@ main(int argc, char **argv)
         const DriParams &bp = base.best.dri;
 
         // Collect the applicable off-base size-bounds, batch the
-        // detailed re-runs through the executor, then map back.
+        // detailed re-runs through the executor (each served from the
+        // winner's run when its decisions match), then map back.
         std::string ed[3];
         std::string slow[3];
         const double factors[3] = {2.0, 1.0, 0.5};
@@ -66,7 +67,7 @@ main(int argc, char **argv)
         const std::vector<SearchCandidate> batch =
             evaluateDetailedBatch(b, ctx.opts.run, variants,
                                   ctx.constants, base.convDetailed,
-                                  &benchExecutor(ctx));
+                                  &benchExecutor(ctx), &base.best);
         ed[1] = fmtDouble(base.best.cmp.relativeEnergyDelay(), 3);
         slow[1] = fmtDouble(base.best.cmp.slowdownPercent(), 1) + "%";
         for (std::size_t k = 0; k < batch.size(); ++k) {

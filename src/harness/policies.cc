@@ -114,6 +114,21 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
             policyKindName(cell.config.kind),
             cell.config.paramSummary().c_str(),
             runKey(bench, config, {cell.config}).hashHex().c_str()));
+    // Every Dri cell after the one of the smallest size-bound may be
+    // served from it: the Dri cells share one miss-bound factor.
+    const auto isDri = [&](std::size_t i) {
+        return cells[i].config.kind == PolicyKind::Dri;
+    };
+    const std::optional<std::size_t> smallest = lowestKey(
+        cells.size(),
+        [&](std::size_t i) {
+            return static_cast<double>(cells[i].config.dri.sizeBoundBytes);
+        },
+        isDri);
+    GridLeaders leaders(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        if (smallest && isDri(i) && i > *smallest)
+            leaders[i] = {*smallest};
     const Scorer<PolicyCandidate> score{constants, convDetailed,
                                         paperView, maxSlowdownPct};
     const GridStep select{bench.name + "/policy-select", [&] {
@@ -157,9 +172,11 @@ searchPolicies(const BenchmarkInfo &bench, const RunConfig &config,
     runGrid(exec, config.jobs, result.evaluated, keys,
             [&](std::size_t i) {
                 return score({{}, cells[i].config}, bench, config,
-                             RunSpec{cells[i].config});
+                             RunSpec{cells[i].config, nullptr,
+                                     leadsOf(result.evaluated,
+                                             leaders[i])});
             },
-            select);
+            select, {}, leaders);
     return result;
 }
 

@@ -7,6 +7,7 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -20,6 +21,7 @@
 #include <variant>
 
 #include "cpu/simple_core.hh"
+#include "mem/resizable_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
@@ -305,12 +307,8 @@ runOutputFromFields(const sim::ResultCache::Fields &f, InstCount maxInstrs,
            out.meas.resizingTagBits <= 64 && out.l2ResizingTagBits <= 64;
 }
 
-/**
- * Serve @p key from the result cache when possible, else compute via
- * @p impl and store. A hit whose payload fails strict field parsing
- * is recomputed and overwritten, never served.
- */
-/** Instant ("dur":0) cache-lookup event on the trace timeline. */
+/** Instant ("dur":0) cache event on the trace timeline: a lookup's
+ *  hit or miss, or a run served from a sibling's. */
 void
 cacheEvent(const char *name, const sim::ConfigKey &key)
 {
@@ -325,6 +323,11 @@ cacheEvent(const char *name, const sim::ConfigKey &key)
     tw->complete(std::move(s));
 }
 
+/**
+ * Serve @p key from the result cache when possible, else compute via
+ * @p impl and store. A hit whose payload fails strict field parsing
+ * is recomputed and overwritten, never served.
+ */
 template <typename Impl>
 RunOutput
 memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
@@ -344,6 +347,74 @@ memoizedRun(const RunConfig &config, const sim::ConfigKey &key,
     const RunOutput out = impl();
     config.resultCache->store(key, runOutputToFields(out));
     return out;
+}
+
+/** Runs served from a sibling's (servedRuns()). */
+std::atomic<std::uint64_t> g_served{0};
+
+/** The DRI knobs of @p spec's L1I: a DriParams L1I's, a Dri
+ *  PolicyConfig's; null for any other L1I. */
+const DriParams *
+l1iDri(const RunSpec &spec)
+{
+    if (const auto *dri = std::get_if<DriParams>(&spec.l1i))
+        return dri;
+    const auto *pol = std::get_if<PolicyConfig>(&spec.l1i);
+    return pol && pol->kind == PolicyKind::Dri ? &pol->dri : nullptr;
+}
+
+/**
+ * Whether the run simulates every sense-interval boundary itself, in
+ * this process, with nothing reading its intervals. Only such a run
+ * leads its siblings, and only such a run is served: a restored
+ * snapshot skips the boundaries before it, a sampled run fast-forwards
+ * over some, and a metered run's interval series would be lost.
+ */
+bool
+wholeRun(const RunConfig &config, const RunSpec &spec)
+{
+    return config.checkpointDir.empty() && !obs::metrics() &&
+           (spec.fast || !config.sampling.enabled);
+}
+
+/** @p key without the L1I's miss-bound and size-bound columns, matched
+ *  as whole names so that the l2dri.* columns stay. */
+std::string
+siblingKey(sim::ConfigKey key)
+{
+    for (const char *column : {"dri.miss_bound", "dri.size_bound",
+                               "pol.dri.miss_bound", "pol.dri.size_bound"})
+        key.erase(column);
+    return key.canonical();
+}
+
+/**
+ * @p spec's run served from the first of its leaders that is a
+ * sibling and whose history the run's own controller reproduces: that
+ * leader's output with this run's resizing tag bits, with the
+ * leader's lead handed on in @p lead. Nothing when no leader serves.
+ */
+std::optional<RunOutput>
+serveFromLeader(const RunConfig &config, const RunSpec &spec,
+                const sim::ConfigKey &key,
+                std::shared_ptr<const RunLead> &lead)
+{
+    const DriParams *dri = l1iDri(spec);
+    if (!dri || spec.leaders.empty() || !wholeRun(config, spec))
+        return std::nullopt;
+    const std::string sibling = siblingKey(key);
+    for (const std::shared_ptr<const RunLead> &leader : spec.leaders) {
+        if (!leader || leader->siblingKey != sibling ||
+            !replayReproduces(*dri, leader->history))
+            continue;
+        RunOutput out = leader->out;
+        out.meas.resizingTagBits = dri->resizingTagBits();
+        lead = leader;
+        g_served.fetch_add(1, std::memory_order_relaxed);
+        cacheEvent("served", key);
+        return out;
+    }
+    return std::nullopt;
 }
 
 /**
@@ -535,11 +606,13 @@ runMetered(Core &core, InstrStream &stream, InstCount total,
  * core model, drive its core over the run's stream by one of three
  * branches (sampled, interval-metered or through the checkpoint seam,
  * which restores a stored snapshot only when @p restore is set), and
- * read the system out.
+ * read the system out. A whole run of a DRI L1I leaves its RunLead in
+ * @p lead.
  */
 RunOutput
 simulate(const BenchmarkInfo &bench, const RunConfig &config,
-         const RunSpec &spec, const sim::ConfigKey &key, bool restore)
+         const RunSpec &spec, const sim::ConfigKey &key, bool restore,
+         std::shared_ptr<const RunLead> &lead)
 {
     // A DRI L1I is the Dri leakage policy. Only its policyBlocksLost
     // (never reported, 0) and its gated share (charged at zero, the
@@ -590,6 +663,10 @@ simulate(const BenchmarkInfo &bench, const RunConfig &config,
     RunOutput out;
     sys.readCore(0, cs, dri != nullptr, out);
     sys.readShared(out);
+    if (l1iDri(spec) && wholeRun(config, spec))
+        lead = std::make_shared<const RunLead>(RunLead{
+            out, siblingKey(key),
+            static_cast<const ResizableCache *>(sys.policy(0))->history()});
     return out;
 }
 
@@ -686,16 +763,34 @@ defaultRunInstrs()
 
 RunOutput
 run(const BenchmarkInfo &bench, const RunConfig &config,
-    const RunSpec &spec)
+    const RunSpec &spec, std::shared_ptr<const RunLead> &lead)
 {
     const sim::ConfigKey key = runKey(bench, config, spec);
+    lead.reset();
     return memoizedRun(config, key, [&] {
+        if (std::optional<RunOutput> out =
+                serveFromLeader(config, spec, key, lead))
+            return *out;
         try {
-            return simulate(bench, config, spec, key, true);
+            return simulate(bench, config, spec, key, true, lead);
         } catch (const UnusableSnapshot &) {
-            return simulate(bench, config, spec, key, false);
+            return simulate(bench, config, spec, key, false, lead);
         }
     });
+}
+
+RunOutput
+run(const BenchmarkInfo &bench, const RunConfig &config,
+    const RunSpec &spec)
+{
+    std::shared_ptr<const RunLead> lead;
+    return run(bench, config, spec, lead);
+}
+
+std::uint64_t
+servedRuns()
+{
+    return g_served.load(std::memory_order_relaxed);
 }
 
 FastCalibration

@@ -11,6 +11,16 @@
  * run; the CMP study has its own pair, runCmp() and runKeyCmp(), over
  * an N-core CmpSystem. paperView(), hierarchyView() and cmpView() turn
  * an output into the energy ledger's input.
+ *
+ * A run whose key differs from a finished run's only in the L1I's
+ * miss-bound and size-bound is that run's sibling: both read those
+ * knobs only at sense-interval boundaries. A sibling named in
+ * RunSpec::leaders is served from the finished run's RunLead when its
+ * own controller, replayed over the leader's boundary history,
+ * reproduces every decision (core/resize_controller.hh). Serving sits
+ * inside run()'s result-cache memoization: a served run is looked up
+ * and stored under its own key like a simulated one, opens no run
+ * span, and leaves an instant cache-category "served" trace event.
  */
 
 #ifndef DRISIM_HARNESS_RUNNER_HH
@@ -23,6 +33,7 @@
 #include <vector>
 
 #include "core/dri_params.hh"
+#include "core/resize_controller.hh"
 #include "cpu/ooo_core.hh"
 #include "farm/shard_plan.hh"
 #include "energy/ledger.hh"
@@ -223,6 +234,22 @@ struct ConventionalL1i
 };
 
 /**
+ * What a finished run offers its siblings, the runs whose keys equal
+ * its own once the L1I's miss_bound and size_bound columns are
+ * dropped (dri.* for a DriParams L1I, pol.dri.* for a PolicyConfig):
+ * its output, that reduced key, and its DRI L1I's boundary history.
+ * Only a run that simulated every boundary in this process has one:
+ * not a result-cache hit, not a sampled or metered run, and none
+ * while a checkpoint directory is configured.
+ */
+struct RunLead
+{
+    RunOutput out;
+    std::string siblingKey;
+    ResizeHistory history;
+};
+
+/**
  * What one run asks of the machine RunConfig describes: which L1
  * i-cache (conventional, the paper's DRI i-cache, or any leakage
  * policy, policy/leakage_policy.hh) on which core model (detailed
@@ -234,6 +261,16 @@ struct RunSpec
     /** Non-null: run SimpleCore on this calibration. Sampling then
      *  does not apply (the fast model is already an approximation). */
     const FastCalibration *fast = nullptr;
+    /**
+     * Finished siblings this run may be served from, tried in order
+     * (null entries are skipped). The first whose history this run's
+     * own controller reproduces (replayReproduces) serves it: the run
+     * returns that leader's output with its own resizing tag bits,
+     * and nothing is simulated. Execution-only, like RunConfig::jobs:
+     * a served run equals its simulation, so leaders never enter the
+     * key.
+     */
+    std::vector<std::shared_ptr<const RunLead>> leaders{};
 };
 
 /**
@@ -246,6 +283,18 @@ struct RunSpec
  */
 RunOutput run(const BenchmarkInfo &bench, const RunConfig &config,
               const RunSpec &spec = {});
+
+/**
+ * run(), handing back in @p lead what the run offers its siblings: a
+ * RunLead of its own when it simulated every boundary of a DRI L1I,
+ * its leader's when it was served, null otherwise.
+ */
+RunOutput run(const BenchmarkInfo &bench, const RunConfig &config,
+              const RunSpec &spec, std::shared_ptr<const RunLead> &lead);
+
+/** Runs served from a sibling's in this process, for bench-side
+ *  reporting (like sim::checkpointCounters()). */
+std::uint64_t servedRuns();
 
 /**
  * Canonical configuration key of run(): every knob that can change

@@ -44,11 +44,15 @@ leastHarm(const DriParams &base, std::uint64_t floor, double convMpi)
 SearchCandidate
 evaluateDetailed(const BenchmarkInfo &bench, const RunConfig &config,
                  const DriParams &dri, const EnergyConstants &constants,
-                 const RunOutput &convDetailed)
+                 const RunOutput &convDetailed,
+                 const SearchCandidate *leader)
 {
     const Scorer<SearchCandidate> detailed{constants, convDetailed,
                                            paperView, 0.0};
-    return detailed({{}, dri}, bench, config, RunSpec{dri});
+    RunSpec spec{dri};
+    if (leader)
+        spec.leaders = {leader->lead};
+    return detailed({{}, dri}, bench, config, spec);
 }
 
 std::vector<SearchCandidate>
@@ -56,7 +60,8 @@ evaluateDetailedBatch(const BenchmarkInfo &bench,
                       const RunConfig &config,
                       const std::vector<DriParams> &variants,
                       const EnergyConstants &constants,
-                      const RunOutput &convDetailed, Executor *exec)
+                      const RunOutput &convDetailed, Executor *exec,
+                      const SearchCandidate *leader)
 {
     std::vector<std::string> keys;
     for (std::size_t i = 0; i < variants.size(); ++i)
@@ -65,7 +70,7 @@ evaluateDetailedBatch(const BenchmarkInfo &bench,
     std::vector<SearchCandidate> out;
     runGrid(exec, config.jobs, out, keys, [&](std::size_t i) {
         return evaluateDetailed(bench, config, variants[i], constants,
-                                convDetailed);
+                                convDetailed, leader);
     });
     return out;
 }
@@ -105,6 +110,23 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
                     cfgHash.c_str()));
             }
 
+    // Cell (s, f) may be served from the cell of the smallest
+    // size-bound at factor f and from (s, previous factor), when they
+    // come before it in the grid.
+    const std::size_t factors = space.missBoundFactors.size();
+    std::size_t smallest = 0;
+    for (std::size_t i = 0; i < cells.size(); i += factors)
+        if (cells[i].sizeBound < cells[smallest].sizeBound)
+            smallest = i;
+    GridLeaders leaders(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::size_t column = i % factors;
+        if (smallest < i - column)
+            leaders[i].push_back(smallest + column);
+        if (column > 0)
+            leaders[i].push_back(i - 1);
+    }
+
     FastCalibration cal;
     RunOutput conv_fast;
     double conv_mpi = 0.0;
@@ -135,9 +157,11 @@ searchBestEnergyDelay(const BenchmarkInfo &bench, const RunConfig &config,
                 cellParams(driTemplate, cells[i].sizeBound,
                            space.missBoundFloor, cells[i].factor,
                            conv_mpi);
-            return fast({{}, p}, bench, config, RunSpec{p, &cal});
+            return fast({{}, p}, bench, config,
+                        RunSpec{p, &cal,
+                                leadsOf(result.evaluated, leaders[i])});
         },
-        winner, calibrate);
+        winner, calibrate, leaders);
     return result;
 }
 
@@ -154,7 +178,7 @@ unconstrainedWinner(const SearchResult &sr, const BenchmarkInfo &bench,
         if (p.sizeBoundBytes != sr.best.dri.sizeBoundBytes ||
             p.missBound != sr.best.dri.missBound)
             cand = evaluateDetailed(bench, config, p, constants,
-                                    sr.convDetailed);
+                                    sr.convDetailed, &sr.best);
     }
     cand.feasible = true;
     return cand;

@@ -16,6 +16,15 @@
  * re-runs the winner on the detailed model; the policy, multi-level
  * and CMP searches (harness/policies, harness/multilevel) are the
  * others.
+ *
+ * A cell may name earlier cells as its leaders (runGrid's
+ * GridLeaders): they run first, and the cell is served from the
+ * first whose run it is a sibling of and whose boundary history its
+ * own controller reproduces (RunSpec::leaders, harness/runner.hh). In
+ * the paper's grid, cell (s, f) lists the cell of the smallest
+ * size-bound at factor f and cell (s, f') at the previous factor f';
+ * a served cell hands its leader's lead on. The detailed re-runs of a
+ * winner (evaluateDetailed*, unconstrainedWinner) list the winner.
  */
 
 #ifndef DRISIM_HARNESS_SWEEP_HH
@@ -23,6 +32,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -125,6 +135,9 @@ struct Scored
     std::string configHash;
     Comparison cmp;
     bool feasible = true;
+    /** What the cell's siblings may be served from; null when the run
+     *  offers nothing, as in the CMP search. */
+    std::shared_ptr<const RunLead> lead;
 };
 
 /**
@@ -155,7 +168,7 @@ struct Scorer
             cand.cmp = compare(constants, conv.systemCycles, view(conv),
                                cand.out.systemCycles, view(cand.out));
         } else {
-            cand.out = run(args...);
+            cand.out = run(args..., cand.lead);
             cand.configHash = runKey(args...).hashHex();
             cand.cmp = compare(constants, conv.meas.cycles, view(conv),
                                cand.out.meas.cycles, view(cand.out));
@@ -186,21 +199,40 @@ struct GridStep
     std::function<void()> body;
 };
 
+/** Per cell of a grid, the earlier cells it may be served from. */
+using GridLeaders = std::vector<std::vector<std::size_t>>;
+
+/** The leads of the cells of @p slots that @p leaders names, for
+ *  RunSpec::leaders. */
+template <typename Candidate>
+std::vector<std::shared_ptr<const RunLead>>
+leadsOf(const std::vector<Candidate> &slots,
+        const std::vector<std::size_t> &leaders)
+{
+    std::vector<std::shared_ptr<const RunLead>> leads;
+    for (const std::size_t l : leaders)
+        leads.push_back(slots[l].lead);
+    return leads;
+}
+
 /**
  * The grid runner every search shares. Runs cell(i) for each key i
  * of @p cellKeys as a job under that key and stores the candidate
  * it returns in slot i of @p slots; then @p select, as one job
  * after every cell. A @p prepare step runs before all of them. A
- * step without a body is left out. Slots are index-addressed and
- * select scans them in index order, so a search's result never
- * depends on the worker count. Runs on @p exec, or on a local pool
- * of @p jobs workers when it is null.
+ * step without a body is left out. Cell i also waits for the cells
+ * @p leaders[i] lists, each before it, so that it can be served from
+ * their runs (leadsOf). Slots are index-addressed and select scans
+ * them in index order, so a search's result never depends on the
+ * worker count. Runs on @p exec, or on a local pool of @p jobs
+ * workers when it is null.
  */
 template <typename Candidate, typename Cell>
 void
 runGrid(Executor *exec, unsigned jobs, std::vector<Candidate> &slots,
         const std::vector<std::string> &cellKeys, const Cell &cell,
-        const GridStep &select = {}, const GridStep &prepare = {})
+        const GridStep &select = {}, const GridStep &prepare = {},
+        const GridLeaders &leaders = {})
 {
     std::optional<Executor> local;
     if (!exec)
@@ -214,10 +246,16 @@ runGrid(Executor *exec, unsigned jobs, std::vector<Candidate> &slots,
         first.push_back(graph.add(prepare.key, job(prepare)));
     std::vector<JobId> all = first;
     slots.resize(cellKeys.size());
-    for (std::size_t i = 0; i < cellKeys.size(); ++i)
+    for (std::size_t i = 0; i < cellKeys.size(); ++i) {
+        std::vector<JobId> deps = first;
+        if (i < leaders.size())
+            for (const std::size_t l : leaders[i])
+                deps.push_back(all[first.size() + l]);
         all.push_back(graph.add(
             cellKeys[i],
-            [&, i](const JobContext &) { slots[i] = cell(i); }, first));
+            [&, i](const JobContext &) { slots[i] = cell(i); },
+            std::move(deps)));
+    }
     if (select.body)
         graph.add(select.key, job(select), std::move(all));
     exec->run(graph);
@@ -271,8 +309,9 @@ SearchResult searchBestEnergyDelay(
  * The unconstrained winner of a finished search @p sr: the
  * lowest-energy-delay cell of sr.evaluated whatever its slowdown,
  * re-run on the detailed core only when its bounds differ from
- * sr.best's (sr.best otherwise, and when the grid was empty). The
- * result is marked feasible.
+ * sr.best's (sr.best otherwise, and when the grid was empty), and
+ * served from sr.best's run when it can be. The result is marked
+ * feasible.
  */
 SearchCandidate unconstrainedWinner(const SearchResult &sr,
                                     const BenchmarkInfo &bench,
@@ -280,25 +319,28 @@ SearchCandidate unconstrainedWinner(const SearchResult &sr,
                                     const EnergyConstants &constants);
 
 /** Detailed paired evaluation of one explicit configuration
- *  (feasible stays true: the caller owns the constraint). */
+ *  (feasible stays true: the caller owns the constraint), served from
+ *  @p leader's run (a search's winner) when it can be. */
 SearchCandidate evaluateDetailed(const BenchmarkInfo &bench,
                                  const RunConfig &config,
                                  const DriParams &dri,
                                  const EnergyConstants &constants,
-                                 const RunOutput &convDetailed);
+                                 const RunOutput &convDetailed,
+                                 const SearchCandidate *leader = nullptr);
 
 /**
  * Detailed paired evaluation of several configurations, run as
- * independent executor jobs. Results come back in the order of
- * @p variants regardless of completion order. Pass an @p exec to
- * reuse an existing pool; otherwise one is created with config.jobs
- * workers for the call.
+ * independent executor jobs, each served from @p leader's run when
+ * it can be. Results come back in the order of @p variants
+ * regardless of completion order. Pass an @p exec to reuse an
+ * existing pool; otherwise one is created with config.jobs workers
+ * for the call.
  */
 std::vector<SearchCandidate> evaluateDetailedBatch(
     const BenchmarkInfo &bench, const RunConfig &config,
     const std::vector<DriParams> &variants,
     const EnergyConstants &constants, const RunOutput &convDetailed,
-    Executor *exec = nullptr);
+    Executor *exec = nullptr, const SearchCandidate *leader = nullptr);
 
 } // namespace drisim
 

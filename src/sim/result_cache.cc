@@ -57,6 +57,13 @@ ConfigKey::addDouble(std::string_view key, double value)
     return add(key, std::string_view(buf));
 }
 
+ConfigKey &
+ConfigKey::erase(std::string_view key)
+{
+    std::erase_if(pairs_, [key](const auto &p) { return p.first == key; });
+    return *this;
+}
+
 std::string
 ConfigKey::canonical() const
 {

@@ -54,6 +54,9 @@ class ConfigKey
     /** Doubles rendered with %.17g: exact round-trip. */
     ConfigKey &addDouble(std::string_view key, double value);
 
+    /** Drop every column named exactly @p key. */
+    ConfigKey &erase(std::string_view key);
+
     /** Sorted "k=v;" concatenation — the hashed identity. */
     std::string canonical() const;
 

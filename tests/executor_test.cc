@@ -756,6 +756,133 @@ TEST(SearchGraphs, JobKeysArePinned)
     }
 }
 
+/**
+ * The cells of @p cells that a search served: those sharing their
+ * lead with an earlier cell, or with @p leader, the run the search
+ * named as every cell's leader. Each simulated run has a lead of its
+ * own, and a served one hands its leader's on.
+ */
+template <typename Candidate>
+std::vector<std::size_t>
+servedCells(const std::vector<Candidate> &cells,
+            const std::shared_ptr<const RunLead> &leader = nullptr)
+{
+    std::vector<std::size_t> served;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        bool shared = leader && cells[i].lead == leader;
+        for (std::size_t j = 0; j < i; ++j)
+            shared = shared ||
+                     (cells[i].lead && cells[j].lead == cells[i].lead);
+        if (shared)
+            served.push_back(i);
+    }
+    return served;
+}
+
+/** @p keys[i] for each index of @p cells. */
+std::vector<std::string>
+keysOf(const std::vector<std::size_t> &cells,
+       const std::vector<std::string> &keys)
+{
+    std::vector<std::string> out;
+    for (const std::size_t i : cells)
+        out.push_back(keys.at(i));
+    return out;
+}
+
+TEST(SearchGraphs, ServedCellsArePinned)
+{
+    // The small grids of JobKeysArePinned (two boundaries per run),
+    // with a 1 KB Dri cell added to the policy study and the paper
+    // winner's 0.5x and 2x miss-bound re-runs: the job keys of the
+    // cells each search serves from a sibling's run, so that a change
+    // that stops serving fails here. Cell keys in grid order.
+    const BenchmarkInfo &compress = findBenchmark("compress");
+    const BenchmarkInfo &li = findBenchmark("li");
+    const EnergyConstants constants;
+    const RunOutput conv = run(compress, graphConfig(1));
+    RunConfig policyCfg = graphConfig(1);
+    policyCfg.hier.l1i.assoc = 4;
+    const RunOutput policyConv = run(li, policyCfg);
+
+    SearchSpace space;
+    space.sizeBounds = {1024, 4096};
+    space.missBoundFactors = {2.0, 32.0};
+    PolicySpace policySpace;
+    policySpace.driSizeBounds = {1024, 4096};
+    policySpace.decayIntervals = {50000};
+    policySpace.drowsyIntervals = {50000};
+    policySpace.waysActive = {1};
+    PolicyConfig policyTmpl;
+    policyTmpl.dri.senseInterval = 50000;
+
+    const std::vector<std::string> paperCells{
+        "compress/sb=1024/mbf=2#9baab81ca08828b7",
+        "compress/sb=1024/mbf=32#9baab81ca08828b7",
+        "compress/sb=4096/mbf=2#9baab81ca08828b7",
+        "compress/sb=4096/mbf=32#9baab81ca08828b7"};
+    const std::vector<std::string> policyCells{
+        "li/policy=dri/sb=1K/mb=7824#10da75b3d2d6bd81",
+        "li/policy=dri/sb=4K/mb=7824#75d8e1e8265d714d",
+        "li/policy=decay/interval=50000/limit=3#1f50e722d5362b1e",
+        "li/policy=drowsy/interval=50000/wake=1#2e9ee6fa26bd9b67",
+        "li/policy=ways/active=1/4#177a88dcfca639da"};
+    const std::vector<std::string> batchCells{"compress/detailed/0",
+                                              "compress/detailed/1"};
+
+    for (const unsigned jobs : {1u, 4u, 0u}) {
+        SCOPED_TRACE(jobs);
+        std::optional<Executor> owned;
+        if (jobs == 0)
+            owned.emplace(4);
+        Executor *exec = owned ? &*owned : nullptr;
+        const RunConfig cfg = graphConfig(jobs == 0 ? 1 : jobs);
+        RunConfig pcfg = policyCfg;
+        pcfg.jobs = cfg.jobs;
+
+        const std::uint64_t before = servedRuns();
+        SearchResult sr;
+        const std::vector<std::string> paperJobs = jobSpanNames([&] {
+            sr = searchBestEnergyDelay(compress, cfg, l1Template(), space,
+                                       constants, 4.0, conv, exec);
+        });
+        PolicySearchResult ps;
+        const std::vector<std::string> policyJobs = jobSpanNames([&] {
+            ps = searchPolicies(li, pcfg, policyTmpl, policySpace,
+                                constants, 4.0, policyConv, exec);
+        });
+        std::vector<DriParams> variants(2, sr.best.dri);
+        variants[0].missBound /= 2;
+        variants[1].missBound *= 2;
+        const std::vector<SearchCandidate> batch = evaluateDetailedBatch(
+            compress, cfg, variants, constants, conv, exec, &sr.best);
+
+        for (const std::string &key : paperCells)
+            EXPECT_TRUE(std::count(paperJobs.begin(), paperJobs.end(), key))
+                << key;
+        for (const std::string &key : policyCells)
+            EXPECT_TRUE(
+                std::count(policyJobs.begin(), policyJobs.end(), key))
+                << key;
+        const std::vector<std::size_t> paper = servedCells(sr.evaluated);
+        const std::vector<std::size_t> policies = servedCells(ps.evaluated);
+        const std::vector<std::size_t> reruns =
+            servedCells(batch, sr.best.lead);
+        EXPECT_EQ(servedRuns() - before,
+                  paper.size() + policies.size() + reruns.size());
+        EXPECT_EQ(keysOf(paper, paperCells),
+                  (std::vector<std::string>{
+                      "compress/sb=1024/mbf=32#9baab81ca08828b7",
+                      "compress/sb=4096/mbf=2#9baab81ca08828b7",
+                      "compress/sb=4096/mbf=32#9baab81ca08828b7"}));
+        EXPECT_EQ(keysOf(policies, policyCells),
+                  (std::vector<std::string>{
+                      "li/policy=dri/sb=4K/mb=7824#75d8e1e8265d714d"}));
+        EXPECT_EQ(keysOf(reruns, batchCells),
+                  (std::vector<std::string>{"compress/detailed/1"}));
+    }
+}
+
 // --------------------------------------------------------------
 // Search fallbacks: a constraint no cell meets (the goldens and
 // the other search tests always find a feasible cell)

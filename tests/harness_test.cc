@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -16,6 +17,7 @@
 #include <unistd.h>
 
 #include "harness/executor.hh"
+#include "harness/policies.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
@@ -195,6 +197,98 @@ TEST(Runner, ServedCalibrationRecordsOnceForItsFastRuns)
     }
 
     cfg.resultCache.reset();
+    std::remove(path.c_str());
+}
+
+TEST(Runner, OnlyASiblingOfAWholeRunIsServed)
+{
+    // The run crosses no boundary, so its empty history serves any
+    // parameter set: which runs are siblings alone decides.
+    const auto &b = findBenchmark("compress");
+    RunConfig cfg;
+    cfg.maxInstrs = 20 * 1000;
+    cfg.hier.l2Dri = true;
+    DriParams leader;
+    leader.senseInterval = 50 * 1000;
+    std::shared_ptr<const RunLead> lead;
+    const RunOutput led = run(b, cfg, {leader}, lead);
+    ASSERT_TRUE(lead);
+    EXPECT_TRUE(lead->history.empty());
+
+    // Serves @p spec from the lead, checking a served run against its
+    // standalone run.
+    const auto served = [&](const RunConfig &c, RunSpec spec) {
+        spec.leaders = {nullptr, lead};
+        const std::uint64_t before = servedRuns();
+        std::shared_ptr<const RunLead> handed;
+        const RunOutput out = run(b, c, spec, handed);
+        if (servedRuns() == before)
+            return false;
+        EXPECT_EQ(handed, lead);
+        spec.leaders.clear();
+        expectSameRun(out, run(b, c, spec));
+        return true;
+    };
+
+    DriParams sibling = leader;
+    sibling.missBound = 7;
+    sibling.sizeBoundBytes = 8 * 1024;
+    EXPECT_TRUE(served(cfg, {sibling}));
+    EXPECT_NE(sibling.resizingTagBits(), led.meas.resizingTagBits);
+
+    // Every other knob must match: the L1I's divisibility, the DRI
+    // L2's bounds, the policy form of the L1I and the core model.
+    DriParams divisibility = sibling;
+    divisibility.divisibility = 4;
+    EXPECT_FALSE(served(cfg, {divisibility}));
+    RunConfig l2 = cfg;
+    l2.hier.l2DriParams.missBound += 1;
+    EXPECT_FALSE(served(l2, {sibling}));
+    l2 = cfg;
+    l2.hier.l2DriParams.sizeBoundBytes *= 2;
+    EXPECT_FALSE(served(l2, {sibling}));
+    EXPECT_FALSE(served(cfg, {PolicyConfig{.dri = sibling}}));
+    const FastCalibration cal;
+    EXPECT_FALSE(served(cfg, {sibling, &cal}));
+
+    // Only a whole run leads or is served: not one with a checkpoint
+    // directory configured, and not a result-cache hit.
+    RunConfig ckpt = cfg;
+    ckpt.checkpointDir = ::testing::TempDir() + "served_ckpt";
+    EXPECT_FALSE(served(ckpt, {sibling}));
+    std::shared_ptr<const RunLead> none;
+    run(b, ckpt, {leader}, none);
+    EXPECT_FALSE(none);
+    std::filesystem::remove_all(ckpt.checkpointDir);
+
+    const std::string path =
+        ::testing::TempDir() + "served_cache." +
+        std::to_string(::getpid()) + ".json";
+    std::remove(path.c_str());
+    RunConfig cached = cfg;
+    cached.resultCache = std::make_shared<sim::ResultCache>(path);
+    run(b, cached, {leader}, none);
+    EXPECT_TRUE(none);
+    run(b, cached, {leader}, none);
+    EXPECT_FALSE(none);
+
+    // A served run on a result-cache miss stores its entry as a run
+    // would, and leaves a served event instead of a run span.
+    obs::resetTrace();
+    const obs::TraceWriter *tw = obs::initTrace(path + ".trace");
+    const std::uint64_t stores = cached.resultCache->counters().stores;
+    EXPECT_TRUE(served(cached, {sibling}));
+    EXPECT_EQ(cached.resultCache->counters().stores, stores + 1);
+    std::vector<std::string> events;
+    for (const obs::TraceSpan &span : tw->spans())
+        if (span.cat == "cache" || span.cat == "run")
+            events.push_back(span.cat + "/" + span.name);
+    obs::resetTrace();
+    // The lookup's miss, then the served run; the hit is the
+    // standalone check's lookup.
+    EXPECT_EQ(events, (std::vector<std::string>{"cache/hit", "cache/miss",
+                                                "cache/served"}));
+    cached.resultCache.reset();
     std::remove(path.c_str());
 }
 
@@ -423,6 +517,170 @@ TEST(SearchRules, ScanTakesTheFirstOfEqualKeys)
                      return false;
                  }).has_value());
 }
+
+// --------------------------------------------------------------
+// Served cells: a cell served from a sibling's run is that run
+// with its own tag bits, so it must equal its own standalone run
+// --------------------------------------------------------------
+
+/** Cells of one search that named leaders: how many were served
+ *  (servedRuns() grew by that much) and how many ran. */
+struct Siblings
+{
+    std::uint64_t served = 0;
+    std::uint64_t count = 0;
+
+    Siblings &operator+=(const Siblings &o)
+    {
+        served += o.served;
+        count += o.count;
+        return *this;
+    }
+};
+
+/** @p cell, as a search scored it, is @p alone, its standalone run
+ *  scored alike: every counter, the config hash and the comparison,
+ *  bit for bit. */
+template <typename Candidate>
+void
+expectServedEqualsRun(const Candidate &cell, const Candidate &alone)
+{
+    SCOPED_TRACE(alone.configHash);
+    expectSameRun(cell.out, alone.out);
+    EXPECT_EQ(cell.configHash, alone.configHash);
+    EXPECT_EQ(cell.cmp.relativeEnergyDelay(),
+              alone.cmp.relativeEnergyDelay());
+    EXPECT_EQ(cell.cmp.relativeEdLeakage(), alone.cmp.relativeEdLeakage());
+    EXPECT_EQ(cell.cmp.relativeEdDynamic(), alone.cmp.relativeEdDynamic());
+    EXPECT_EQ(cell.cmp.slowdownPercent(), alone.cmp.slowdownPercent());
+    EXPECT_EQ(cell.feasible, alone.feasible);
+}
+
+/** The sibling tallies of the three searches that serve cells. */
+struct ServedSearches
+{
+    Siblings grid;
+    Siblings reruns;
+    Siblings policies;
+};
+
+/**
+ * Run, at sense interval @p interval on @p b, each search that serves
+ * cells: the paper's fast grid, the winner's detailed re-runs (figure
+ * 4's 0.5x and 2x miss-bounds, figure 5's halved and doubled
+ * size-bounds, the unconstrained winner) and the policy study's Dri
+ * cells. Every cell must equal its standalone run.
+ */
+ServedSearches
+expectServedCellsEqualTheirRuns(const BenchmarkInfo &b, const RunConfig &cfg,
+                                InstCount interval)
+{
+    ServedSearches tally;
+    DriParams tmpl;
+    tmpl.senseInterval = interval;
+    const EnergyConstants constants;
+    const RunOutput conv = run(b, cfg);
+
+    std::uint64_t before = servedRuns();
+    const SearchResult sr = searchBestEnergyDelay(
+        b, cfg, tmpl, SearchSpace{}, constants, 4.0, conv);
+    tally.grid = {servedRuns() - before, sr.evaluated.size() - 1};
+    const FastCalibration cal = calibrateFast(b, cfg, conv);
+    const Scorer<SearchCandidate> fast{
+        constants, run(b, cfg, {ConventionalL1i{}, &cal}), paperView, 4.0};
+    for (const SearchCandidate &cell : sr.evaluated)
+        expectServedEqualsRun(
+            cell, fast({{}, cell.dri}, b, cfg, RunSpec{cell.dri, &cal}));
+
+    const DriParams &bp = sr.best.dri;
+    std::vector<DriParams> variants;
+    for (const double f : {0.5, 2.0}) {
+        DriParams p = bp;
+        p.missBound = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   f * static_cast<double>(bp.missBound)));
+        variants.push_back(p);
+        p = bp;
+        p.sizeBoundBytes =
+            static_cast<std::uint64_t>(f * bp.sizeBoundBytes);
+        if (bp.sizeBoundFits(p.sizeBoundBytes))
+            variants.push_back(p);
+    }
+    before = servedRuns();
+    const std::vector<SearchCandidate> batch = evaluateDetailedBatch(
+        b, cfg, variants, constants, conv, nullptr, &sr.best);
+    const SearchCandidate unconstrained =
+        unconstrainedWinner(sr, b, cfg, constants);
+    const bool rerun = unconstrained.dri.missBound != bp.missBound ||
+                       unconstrained.dri.sizeBoundBytes !=
+                           bp.sizeBoundBytes;
+    tally.reruns = {servedRuns() - before,
+                    variants.size() + (rerun ? 1u : 0u)};
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        expectServedEqualsRun(
+            batch[i], evaluateDetailed(b, cfg, variants[i], constants, conv));
+    expectServedEqualsRun(
+        unconstrained,
+        evaluateDetailed(b, cfg, unconstrained.dri, constants, conv));
+
+    PolicyConfig ptmpl;
+    ptmpl.dri.senseInterval = interval;
+    PolicySpace pspace;
+    pspace.kinds = {PolicyKind::Dri};
+    before = servedRuns();
+    const PolicySearchResult ps = searchPolicies(
+        b, cfg, ptmpl, pspace, constants, 4.0, conv);
+    tally.policies = {servedRuns() - before, ps.evaluated.size() - 1};
+    const Scorer<PolicyCandidate> detailed{constants, conv, paperView, 4.0};
+    for (const PolicyCandidate &cell : ps.evaluated)
+        expectServedEqualsRun(cell, detailed({{}, cell.config}, b, cfg,
+                                             RunSpec{cell.config}));
+    return tally;
+}
+
+class ServedCells : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ServedCells, EqualTheirStandaloneRuns)
+{
+    // 100 K instructions at a 10 K sense interval: ten boundaries,
+    // where cells decide and part, and at a 50 K one, where the policy
+    // study's and most re-runs' two decisions still agree.
+    RunConfig cfg;
+    cfg.maxInstrs = 100 * 1000;
+    cfg.jobs = 4;
+    const BenchmarkInfo &b = findBenchmark(GetParam());
+    ServedSearches total;
+    for (const InstCount interval : {10 * 1000, 50 * 1000}) {
+        SCOPED_TRACE(interval);
+        const ServedSearches s =
+            expectServedCellsEqualTheirRuns(b, cfg, interval);
+        total.grid += s.grid;
+        total.reruns += s.reruns;
+        total.policies += s.policies;
+    }
+    // Each search served some cells and ran some siblings.
+    for (const Siblings &s : {total.grid, total.reruns, total.policies}) {
+        EXPECT_GT(s.served, 0u);
+        EXPECT_LT(s.served, s.count);
+    }
+}
+
+std::vector<std::string>
+suiteNames()
+{
+    std::vector<std::string> names;
+    for (const BenchmarkInfo &b : specSuite())
+        names.push_back(b.name);
+    return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, ServedCells, ::testing::ValuesIn(suiteNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(Table, AlignsAndCounts)
 {
