@@ -588,9 +588,25 @@ expectServedCellsEqualTheirRuns(const BenchmarkInfo &b, const RunConfig &cfg,
     const FastCalibration cal = calibrateFast(b, cfg, conv);
     const Scorer<SearchCandidate> fast{
         constants, run(b, cfg, {ConventionalL1i{}, &cal}), paperView, 4.0};
-    for (const SearchCandidate &cell : sr.evaluated)
-        expectServedEqualsRun(
-            cell, fast({{}, cell.dri}, b, cfg, RunSpec{cell.dri, &cal}));
+    std::vector<SearchCandidate> alone;
+    for (const SearchCandidate &cell : sr.evaluated) {
+        alone.push_back(
+            fast({{}, cell.dri}, b, cfg, RunSpec{cell.dri, &cal}));
+        expectServedEqualsRun(cell, alone.back());
+    }
+    // The grid leads one way, from a smaller miss-bound to a larger
+    // one. Serving must hold either way: each cell offered the lead of
+    // every other cell of its size-bound.
+    const std::size_t factors = SearchSpace{}.missBoundFactors.size();
+    for (std::size_t i = 0; i < alone.size(); ++i)
+        for (std::size_t j = i - i % factors; j < i - i % factors + factors;
+             ++j)
+            if (j != i)
+                expectServedEqualsRun(
+                    fast({{}, alone[i].dri}, b, cfg,
+                         RunSpec{alone[i].dri, &cal,
+                                 {sr.evaluated[j].lead}}),
+                    alone[i]);
 
     const DriParams &bp = sr.best.dri;
     std::vector<DriParams> variants;

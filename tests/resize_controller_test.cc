@@ -252,12 +252,21 @@ class DrivenCache : public ResizableCache
     {
     }
 
-    /** One whole sense interval with @p misses misses. */
+    /** One whole sense interval with @p misses misses, which arrive
+     *  spread over ten retire steps, so that a cache that acted
+     *  between boundaries would show it. */
     void interval(std::uint64_t misses)
     {
-        for (std::uint64_t i = 0; i < misses; ++i)
-            onMiss();
-        retireInstructions(dri_.senseInterval);
+        constexpr unsigned kSteps = 10;
+        const InstCount step = dri_.senseInterval / kSteps;
+        for (unsigned k = 0; k < kSteps; ++k) {
+            for (std::uint64_t i = k * misses / kSteps;
+                 i < (k + 1) * misses / kSteps; ++i)
+                onMiss();
+            retireInstructions(k + 1 < kSteps
+                                   ? step
+                                   : dri_.senseInterval - k * step);
+        }
     }
 };
 
