@@ -69,7 +69,10 @@ ResizableCache::retireInstructions(InstCount n)
             ++holds_;
             continue;
         }
-        ++(sets < before ? downsizes_ : upsizes_);
+        if (sets < before)
+            ++downsizes_;
+        else
+            ++upsizes_;
         resizeTo(sets);
         resized = true;
     }
