@@ -598,15 +598,16 @@ expectServedCellsEqualTheirRuns(const BenchmarkInfo &b, const RunConfig &cfg,
     // one. Serving must hold either way: each cell offered the lead of
     // every other cell of its size-bound.
     const std::size_t factors = SearchSpace{}.missBoundFactors.size();
-    for (std::size_t i = 0; i < alone.size(); ++i)
-        for (std::size_t j = i - i % factors; j < i - i % factors + factors;
-             ++j)
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+        const std::size_t row = i - i % factors;
+        for (std::size_t j = row; j < row + factors; ++j)
             if (j != i)
                 expectServedEqualsRun(
                     fast({{}, alone[i].dri}, b, cfg,
                          RunSpec{alone[i].dri, &cal,
                                  {sr.evaluated[j].lead}}),
                     alone[i]);
+    }
 
     const DriParams &bp = sr.best.dri;
     std::vector<DriParams> variants;
