@@ -292,6 +292,53 @@ TEST(Runner, OnlyASiblingOfAWholeRunIsServed)
     std::remove(path.c_str());
 }
 
+TEST(Runner, ServedSiblingsEqualTheirRunsAcrossMissBursts)
+{
+    // A quiet 1 KB loop and a burst through 256 KB of code alternate
+    // one sense interval each: every cell downsizes in a quiet
+    // interval and upsizes in a burst, whatever its miss-bound, so
+    // cells that differ only in it are served from each other. A
+    // controller that acted on the miss-bound inside an interval
+    // would answer a burst at a different instruction in each cell.
+    BenchmarkInfo b;
+    b.name = "served_bursts";
+    b.benchClass = 3;
+    b.spec.name = b.name;
+    b.spec.seed = 7;
+    PhaseSpec quiet;
+    quiet.name = "quiet";
+    quiet.codeBytes = 1024;
+    quiet.dynInstrs = 10 * 1000;
+    PhaseSpec burst = quiet;
+    burst.name = "burst";
+    burst.codeBytes = 256 * 1024;
+    burst.meanInnerTrips = 1;
+    burst.callIrregularity = 1.0;
+    b.spec.phases = {quiet, burst};
+    RunConfig cfg;
+    cfg.maxInstrs = 100 * 1000;
+    std::vector<DriParams> cells(4);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        cells[i].senseInterval = 10 * 1000;
+        cells[i].missBound = 50 + 40 * i;
+    }
+    std::vector<std::shared_ptr<const RunLead>> leads(cells.size());
+    std::vector<RunOutput> alone;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        alone.push_back(run(b, cfg, {cells[i]}, leads[i]));
+    const std::uint64_t before = servedRuns();
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        for (std::size_t j = 0; j < cells.size(); ++j)
+            if (j != i) {
+                SCOPED_TRACE(std::to_string(i) + " from " +
+                             std::to_string(j));
+                RunSpec spec{cells[i]};
+                spec.leaders = {leads[j]};
+                expectSameRun(run(b, cfg, spec), alone[i]);
+            }
+    EXPECT_EQ(servedRuns() - before, cells.size() * (cells.size() - 1));
+}
+
 TEST(Runner, DefaultRunInstrsHonoursScaleEnv)
 {
     unsetenv("DRISIM_SCALE");
