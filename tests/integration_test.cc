@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "harness/policies.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
+#include "same_run.hh"
 
 namespace drisim
 {
@@ -235,6 +241,178 @@ TEST(Integration, PairedRunsSeeIdenticalInstructionStreams)
     // transition, independent of the cache, so they must be equal.
     EXPECT_EQ(conv.meas.l1iAccesses, dri.meas.l1iAccesses);
 }
+
+// --------------------------------------------------------------
+// Served cells: a cell served from a sibling's run is that run
+// with its own tag bits, so it must equal its own standalone run
+// --------------------------------------------------------------
+
+/** Cells of one search that named leaders: how many were served
+ *  (servedRuns() grew by that much) and how many ran. */
+struct Siblings
+{
+    std::uint64_t served = 0;
+    std::uint64_t count = 0;
+
+    Siblings &operator+=(const Siblings &o)
+    {
+        served += o.served;
+        count += o.count;
+        return *this;
+    }
+};
+
+/** @p cell, as a search scored it, is @p alone, its standalone run
+ *  scored alike: every counter, the config hash and the comparison,
+ *  bit for bit. */
+template <typename Candidate>
+void
+expectServedEqualsRun(const Candidate &cell, const Candidate &alone)
+{
+    SCOPED_TRACE(alone.configHash);
+    expectSameRun(cell.out, alone.out);
+    EXPECT_EQ(cell.configHash, alone.configHash);
+    EXPECT_EQ(cell.cmp.relativeEnergyDelay(),
+              alone.cmp.relativeEnergyDelay());
+    EXPECT_EQ(cell.cmp.relativeEdLeakage(), alone.cmp.relativeEdLeakage());
+    EXPECT_EQ(cell.cmp.relativeEdDynamic(), alone.cmp.relativeEdDynamic());
+    EXPECT_EQ(cell.cmp.slowdownPercent(), alone.cmp.slowdownPercent());
+    EXPECT_EQ(cell.feasible, alone.feasible);
+}
+
+/** The sibling tallies of the three searches that serve cells. */
+struct ServedSearches
+{
+    Siblings grid;
+    Siblings reruns;
+    Siblings policies;
+};
+
+/**
+ * Run, at sense interval @p interval on @p b, each search that serves
+ * cells: the paper's fast grid, the winner's detailed re-runs (figure
+ * 4's 0.5x and 2x miss-bounds, figure 5's halved and doubled
+ * size-bounds, the unconstrained winner) and the policy study's Dri
+ * cells. Every cell must equal its standalone run.
+ */
+ServedSearches
+expectServedCellsEqualTheirRuns(const BenchmarkInfo &b, const RunConfig &cfg,
+                                InstCount interval)
+{
+    ServedSearches tally;
+    DriParams tmpl;
+    tmpl.senseInterval = interval;
+    const EnergyConstants constants;
+    const RunOutput conv = run(b, cfg);
+
+    std::uint64_t before = servedRuns();
+    const SearchResult sr = searchBestEnergyDelay(
+        b, cfg, tmpl, SearchSpace{}, constants, 4.0, conv);
+    tally.grid = {servedRuns() - before, sr.evaluated.size() - 1};
+    const FastCalibration cal = calibrateFast(b, cfg, conv);
+    const Scorer<SearchCandidate> fast{
+        constants, run(b, cfg, {ConventionalL1i{}, &cal}), paperView, 4.0};
+    std::vector<SearchCandidate> alone;
+    for (const SearchCandidate &cell : sr.evaluated) {
+        alone.push_back(
+            fast({{}, cell.dri}, b, cfg, RunSpec{cell.dri, &cal}));
+        expectServedEqualsRun(cell, alone.back());
+    }
+    // The grid leads one way, from a smaller miss-bound to a larger
+    // one. Serving must hold either way: each cell offered the lead of
+    // every other cell of its size-bound.
+    const std::size_t factors = SearchSpace{}.missBoundFactors.size();
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+        const std::size_t row = i - i % factors;
+        for (std::size_t j = row; j < row + factors; ++j)
+            if (j != i)
+                expectServedEqualsRun(
+                    fast({{}, alone[i].dri}, b, cfg,
+                         RunSpec{alone[i].dri, &cal,
+                                 {sr.evaluated[j].lead}}),
+                    alone[i]);
+    }
+
+    const DriParams &bp = sr.best.dri;
+    std::vector<DriParams> variants;
+    for (const double f : {0.5, 2.0}) {
+        DriParams p = bp;
+        p.missBound = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   f * static_cast<double>(bp.missBound)));
+        variants.push_back(p);
+        p = bp;
+        p.sizeBoundBytes =
+            static_cast<std::uint64_t>(f * bp.sizeBoundBytes);
+        if (bp.sizeBoundFits(p.sizeBoundBytes))
+            variants.push_back(p);
+    }
+    before = servedRuns();
+    const std::vector<SearchCandidate> batch = evaluateDetailedBatch(
+        b, cfg, variants, constants, conv, nullptr, &sr.best);
+    const SearchCandidate unconstrained =
+        unconstrainedWinner(sr, b, cfg, constants);
+    const bool rerun = unconstrained.dri.missBound != bp.missBound ||
+                       unconstrained.dri.sizeBoundBytes !=
+                           bp.sizeBoundBytes;
+    tally.reruns = {servedRuns() - before,
+                    variants.size() + (rerun ? 1u : 0u)};
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        expectServedEqualsRun(
+            batch[i], evaluateDetailed(b, cfg, variants[i], constants, conv));
+    expectServedEqualsRun(
+        unconstrained,
+        evaluateDetailed(b, cfg, unconstrained.dri, constants, conv));
+
+    PolicyConfig ptmpl;
+    ptmpl.dri.senseInterval = interval;
+    PolicySpace pspace;
+    pspace.kinds = {PolicyKind::Dri};
+    before = servedRuns();
+    const PolicySearchResult ps = searchPolicies(
+        b, cfg, ptmpl, pspace, constants, 4.0, conv);
+    tally.policies = {servedRuns() - before, ps.evaluated.size() - 1};
+    const Scorer<PolicyCandidate> detailed{constants, conv, paperView, 4.0};
+    for (const PolicyCandidate &cell : ps.evaluated)
+        expectServedEqualsRun(cell, detailed({{}, cell.config}, b, cfg,
+                                             RunSpec{cell.config}));
+    return tally;
+}
+
+class ServedCells : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ServedCells, EqualTheirStandaloneRuns)
+{
+    // 100 K instructions at a 10 K sense interval: ten boundaries,
+    // where cells decide and part, and at a 50 K one, where the policy
+    // study's and most re-runs' two decisions still agree.
+    RunConfig cfg;
+    cfg.maxInstrs = 100 * 1000;
+    cfg.jobs = 4;
+    const BenchmarkInfo &b = findBenchmark(GetParam());
+    ServedSearches total;
+    for (const InstCount interval : {10 * 1000, 50 * 1000}) {
+        SCOPED_TRACE(interval);
+        const ServedSearches s =
+            expectServedCellsEqualTheirRuns(b, cfg, interval);
+        total.grid += s.grid;
+        total.reruns += s.reruns;
+        total.policies += s.policies;
+    }
+    // Each search served some cells and ran some siblings.
+    for (const Siblings &s : {total.grid, total.reruns, total.policies}) {
+        EXPECT_GT(s.served, 0u);
+        EXPECT_LT(s.served, s.count);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, ServedCells, ::testing::ValuesIn(suiteNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
 } // namespace drisim
